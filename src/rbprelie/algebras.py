@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .linalg import (
@@ -69,6 +68,22 @@ def zero_table(dim_left: int, dim_right: int, dim_out: int) -> ProductTable:
     return tuple(tuple(zero_vector(dim_out) for _ in range(dim_right)) for _ in range(dim_left))
 
 
+def apply_table(table: ProductTable, x: Sequence, y: Sequence, out_dim: int) -> Vector:
+    """Bilinear extension of a table: table[i][j] holds the image of (e_i, e_j)."""
+    out = [Fraction(0)] * out_dim
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        for j, yj in enumerate(y):
+            if yj == 0:
+                continue
+            coeff = xi * yj
+            for k, ck in enumerate(table[i][j]):
+                if ck != 0:
+                    out[k] += coeff * ck
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class PreLieAlgebra:
     dim: int
@@ -82,18 +97,7 @@ class PreLieAlgebra:
 
     def product(self, x: Sequence, y: Sequence) -> Vector:
         """Bilinear extension of the structure constants."""
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                coeff = xi * yj
-                for k, ck in enumerate(self.c[i][j]):
-                    if ck != 0:
-                        out[k] += coeff * ck
-        return tuple(out)
+        return apply_table(self.c, x, y, self.dim)
 
     def basis_product(self, i: int, j: int) -> Vector:
         return self.c[i][j]
@@ -291,20 +295,6 @@ def check_jacobi(bracket: ProductTable) -> Verdict:
     """Jacobi identity for an antisymmetric bracket table."""
     dim = len(bracket)
 
-    def br(x: Sequence, y: Sequence) -> Vector:
-        out = [Fraction(0)] * dim
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                coeff = xi * yj
-                for k, ck in enumerate(bracket[i][j]):
-                    if ck != 0:
-                        out[k] += coeff * ck
-        return tuple(out)
-
     def basis(i: int) -> Vector:
         return tuple(Fraction(1) if k == i else Fraction(0) for k in range(dim))
 
@@ -312,9 +302,9 @@ def check_jacobi(bracket: ProductTable) -> Verdict:
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
-                defect = br(basis(i), bracket[j][k])
-                defect = vadd(defect, br(basis(j), bracket[k][i]))
-                defect = vadd(defect, br(basis(k), bracket[i][j]))
+                defect = apply_table(bracket, basis(i), bracket[j][k], dim)
+                defect = vadd(defect, apply_table(bracket, basis(j), bracket[k][i], dim))
+                defect = vadd(defect, apply_table(bracket, basis(k), bracket[i][j], dim))
                 if not is_zero_vector(defect):
                     bad.append(Violation("jacobi", (i + 1, j + 1, k + 1), defect))
     return _verdict(bad)
@@ -327,8 +317,10 @@ def _require_valid_rb(r: RBPreLieAlgebra) -> None:
         raise InvalidStructureError("operator does not satisfy the Rota-Baxter law")
 
 
-@lru_cache(maxsize=256)
-def _star_algebra_cached(r: RBPreLieAlgebra) -> RBPreLieAlgebra:
+def star_algebra(r: RBPreLieAlgebra, *, trusted: bool = False) -> RBPreLieAlgebra:
+    """The induced product a⋆b = a·T(b) + T(a)·b + λ a·b, same operator and weight."""
+    if not trusted:
+        _require_valid_rb(r)
     a, t, lam = r.algebra, r.operator, r.weight
     table = []
     for i in range(a.dim):
@@ -343,15 +335,15 @@ def _star_algebra_cached(r: RBPreLieAlgebra) -> RBPreLieAlgebra:
     return RBPreLieAlgebra(PreLieAlgebra(a.dim, tuple(table)), lam, t)
 
 
-def star_algebra(r: RBPreLieAlgebra, *, trusted: bool = False) -> RBPreLieAlgebra:
-    """The induced product a⋆b = a·T(b) + T(a)·b + λ a·b, same operator and weight."""
+def derived_bimodule(r: RBPreLieAlgebra, m: RBBimodule, *, trusted: bool = False) -> RBBimodule:
+    """Actions a▷u = T(a)·u − T_M(a·u), u◁a = u·T(a) − T_M(u·a); operator unchanged.
+
+    The result is a Rota-Baxter bimodule over ``star_algebra(r)``.
+    """
     if not trusted:
         _require_valid_rb(r)
-    return _star_algebra_cached(r)
-
-
-@lru_cache(maxsize=256)
-def _derived_bimodule_cached(r: RBPreLieAlgebra, m: RBBimodule) -> RBBimodule:
+        if not check_rb_bimodule(r, m).ok:
+            raise InvalidStructureError("input does not satisfy the Rota-Baxter bimodule laws")
     bm, tm, t = m.bimodule, m.t_m, r.operator
     d, md = bm.base_dim, bm.mod_dim
     S_new = []
@@ -368,18 +360,6 @@ def _derived_bimodule_cached(r: RBPreLieAlgebra, m: RBBimodule) -> RBBimodule:
         S_new.append(RationalMatrix.from_cols(s_cols, md))
         P_new.append(RationalMatrix.from_cols(p_cols, md))
     return RBBimodule(Bimodule(d, md, tuple(S_new), tuple(P_new)), tm)
-
-
-def derived_bimodule(r: RBPreLieAlgebra, m: RBBimodule, *, trusted: bool = False) -> RBBimodule:
-    """Actions a▷u = T(a)·u − T_M(a·u), u◁a = u·T(a) − T_M(u·a); operator unchanged.
-
-    The result is a Rota-Baxter bimodule over ``star_algebra(r)``.
-    """
-    if not trusted:
-        _require_valid_rb(r)
-        if not check_rb_bimodule(r, m).ok:
-            raise InvalidStructureError("input does not satisfy the Rota-Baxter bimodule laws")
-    return _derived_bimodule_cached(r, m)
 
 
 def check_morphism(r1: RBPreLieAlgebra, r2: RBPreLieAlgebra, phi: RationalMatrix) -> Verdict:

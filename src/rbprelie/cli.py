@@ -477,6 +477,17 @@ def _cmd_les(args) -> tuple[dict, int]:
     return report, 0 if report_data.ok else 1
 
 
+def _degree(text: str) -> int:
+    """argparse type of ``--max-degree``: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rbprelie",
@@ -493,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--module")
     p.add_argument("--complex", choices=["pla", "rbo", "rba", "all"], default="all")
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=_degree, default=3)
 
     p = sub.add_parser("star", help="emit the induced star-product algebra")
     p.add_argument("file")
@@ -533,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("les", help="long exact sequence exactness report")
     p.add_argument("file")
     p.add_argument("--module")
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=_degree, default=3)
     return parser
 
 

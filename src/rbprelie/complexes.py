@@ -19,7 +19,11 @@ fail to compose associatively.
 
 Matrix coordinates follow the cochain basis order of :mod:`.cochains`; a
 combined-complex coordinate vector is the pre-Lie block followed by the
-operator block.
+operator block.  The combined matrix is therefore assembled from the other
+two complexes and the chain map, as the block matrix [[δₙ, 0], [−Φₙ, −∂ₙ₋₁]]
+(in degree 0, where there is no operator block, [[δ₀], [−Φ₀]]).  Nothing
+is cached: a caller that needs a matrix twice keeps it, as :func:`les_check`
+does.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
 
 from .algebras import (
@@ -266,34 +269,45 @@ def _basis_cochains(degree: int, base_dim: int, mod_dim: int):
             yield Cochain(degree, base_dim, mod_dim, {key: unit})
 
 
-@lru_cache(maxsize=512)
 def differential_matrix(
     kind: ComplexKind, r: RBPreLieAlgebra, m: RBBimodule, degree: int
 ) -> RationalMatrix:
     """Matrix of the degree-``degree`` coboundary in the canonical bases."""
-    d, md = r.dim, m.mod_dim
-    rows = complex_space_dim(kind, degree + 1, d, md)
-    cols = complex_space_dim(kind, degree, d, md)
-    columns: list[Vector] = []
+    if kind is ComplexKind.RBA:
+        return _combined_matrix(
+            differential_matrix(ComplexKind.PLA, r, m, degree),
+            phi_matrix(r, m, degree),
+            differential_matrix(ComplexKind.RBO, r, m, degree - 1) if degree else None,
+        )
     if kind is ComplexKind.PLA:
-        for f in _basis_cochains(degree, d, md):
-            columns.append(pla_differential(r.algebra, m.bimodule, f).coords())
-    elif kind is ComplexKind.RBO:
-        star = star_algebra(r, trusted=True)
-        der = derived_bimodule(r, m, trusted=True)
-        for f in _basis_cochains(degree, d, md):
-            columns.append(pla_differential(star.algebra, der.bimodule, f).coords())
+        alg, coeffs = r.algebra, m.bimodule
     else:
-        for coords_index in range(cols):
-            unit = tuple(
-                Fraction(1) if i == coords_index else Fraction(0) for i in range(cols)
-            )
-            c = RBACochain.from_coords(degree, d, md, unit)
-            columns.append(rba_differential(r, m, c, trusted=True).coords())
-    return RationalMatrix.from_cols(columns, rows)
+        alg = star_algebra(r, trusted=True).algebra
+        coeffs = derived_bimodule(r, m, trusted=True).bimodule
+    columns = [
+        pla_differential(alg, coeffs, f).coords()
+        for f in _basis_cochains(degree, r.dim, m.mod_dim)
+    ]
+    return RationalMatrix.from_cols(columns, space_dim(degree + 1, r.dim, m.mod_dim))
 
 
-@lru_cache(maxsize=512)
+def _combined_matrix(
+    delta: RationalMatrix, chain: RationalMatrix, partial: RationalMatrix | None
+) -> RationalMatrix:
+    """The block matrix [[δₙ, 0], [−Φₙ, −∂ₙ₋₁]] of the combined coboundary in
+    degree n, from δₙ, Φₙ and ∂ₙ₋₁; degree 0 (``partial`` None) has no right
+    block."""
+    minus_chain = chain.scale(-1).entries
+    if partial is None:
+        return RationalMatrix(delta.rows + chain.rows, delta.cols, delta.entries + minus_chain)
+    pad = (Fraction(0),) * partial.cols
+    top = tuple(row + pad for row in delta.entries)
+    bottom = tuple(
+        a + b for a, b in zip(minus_chain, partial.scale(-1).entries, strict=True)
+    )
+    return RationalMatrix(delta.rows + chain.rows, delta.cols + partial.cols, top + bottom)
+
+
 def phi_matrix(r: RBPreLieAlgebra, m: RBBimodule, degree: int) -> RationalMatrix:
     d, md = r.dim, m.mod_dim
     dim = space_dim(degree, d, md)
@@ -421,21 +435,26 @@ def les_check(r: RBPreLieAlgebra, m: RBBimodule, max_degree: int) -> LESReport:
     the outgoing one inside the cocycle space.
     """
     d, md = r.dim, m.mod_dim
+    degrees = range(max_degree + 2)
     D = {
         (kind, n): differential_matrix(kind, r, m, n)
-        for kind in ComplexKind
-        for n in range(max_degree + 2)
+        for kind in (ComplexKind.PLA, ComplexKind.RBO)
+        for n in degrees
     }
+    phim = {n: phi_matrix(r, m, n) for n in degrees}
+    for n in degrees:
+        D[(ComplexKind.RBA, n)] = _combined_matrix(
+            D[(ComplexKind.PLA, n)], phim[n], D[(ComplexKind.RBO, n - 1)] if n else None
+        )
     Z = {key: kernel_basis(mat) for key, mat in D.items()}
     B: dict[tuple[ComplexKind, int], list[Vector]] = {}
     for kind in ComplexKind:
         B[(kind, 0)] = []
-        for n in range(1, max_degree + 2):
+        for n in degrees[1:]:
             prev = D[(kind, n - 1)]
             B[(kind, n)] = [prev.col(j) for j in range(prev.cols)]
 
-    proj = {n: _projection_matrix(n, d, md) for n in range(max_degree + 2)}
-    phim = {n: phi_matrix(r, m, n) for n in range(max_degree + 2)}
+    proj = {n: _projection_matrix(n, d, md) for n in degrees}
     incl = {n: _inclusion_matrix(n, d, md) for n in range(max_degree + 1)}
 
     map_checks = []

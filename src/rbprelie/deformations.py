@@ -23,6 +23,7 @@ from .algebras import (
     RBPreLieAlgebra,
     Verdict,
     Violation,
+    apply_table,
     regular_bimodule,
     zero_table,
 )
@@ -37,7 +38,6 @@ from .cochains import (
 from .complexes import ComplexKind, differential_matrix, rbo_differential
 from .linalg import (
     RationalMatrix,
-    Vector,
     column_space,
     is_zero_vector,
     solve_linear,
@@ -54,21 +54,6 @@ class DeformationError(ValueError):
     def __init__(self, message: str, violations: tuple[Violation, ...] = ()):
         super().__init__(message)
         self.violations = violations
-
-
-def apply_table(table: ProductTable, x: Sequence, y: Sequence, out_dim: int) -> Vector:
-    out = [Fraction(0)] * out_dim
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            coeff = xi * yj
-            for k, ck in enumerate(table[i][j]):
-                if ck != 0:
-                    out[k] += coeff * ck
-    return tuple(out)
 
 
 def _table_is_zero(table: ProductTable) -> bool:

@@ -25,9 +25,9 @@ from fractions import Fraction
 from .algebras import (
     Bimodule,
     PreLieAlgebra,
-    ProductTable,
     RBBimodule,
     RBPreLieAlgebra,
+    apply_table,
     zero_table,
 )
 from .cochains import Cochain, RBACochain, basis_keys
@@ -406,7 +406,7 @@ def random_crossed_module(rng: random.Random, dim0: int, dim1_extra: int = 1):
         product = tuple(
             tuple(
                 rho_inv.apply(
-                    _apply_table(cm.g1_product, rho.col(a), rho.col(b), cm.dim1)
+                    apply_table(cm.g1_product, rho.col(a), rho.col(b), cm.dim1)
                 )
                 for b in range(cm.dim1)
             )
@@ -416,18 +416,3 @@ def random_crossed_module(rng: random.Random, dim0: int, dim1_extra: int = 1):
             cm.g0, product, cm.d_map.matmul(rho), m2.bimodule.S, m2.bimodule.P, m2.t_m
         )
     return cm
-
-
-def _apply_table(table: ProductTable, x, y, out_dim: int) -> Vector:
-    out = [Fraction(0)] * out_dim
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            coeff = xi * yj
-            for k, ck in enumerate(table[i][j]):
-                if ck != 0:
-                    out[k] += coeff * ck
-    return tuple(out)

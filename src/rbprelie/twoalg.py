@@ -30,6 +30,7 @@ from .algebras import (
     RBPreLieAlgebra,
     Verdict,
     Violation,
+    apply_table,
     check_bimodule,
     check_pre_lie,
     check_rb_bimodule,
@@ -46,21 +47,6 @@ from .linalg import (
     vscale,
     vsub,
 )
-
-
-def _apply_bilinear(table, x: Sequence, y: Sequence, out_dim: int) -> Vector:
-    out = [Fraction(0)] * out_dim
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            coeff = xi * yj
-            for k, ck in enumerate(table[i][j]):
-                if ck != 0:
-                    out[k] += coeff * ck
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -93,16 +79,16 @@ class TwoAlgebra:
         return tuple(Fraction(1) if k == a else Fraction(0) for k in range(self.dim1))
 
     def mul00(self, x: Sequence, y: Sequence) -> Vector:
-        return _apply_bilinear(self.l2_00, x, y, self.dim0)
+        return apply_table(self.l2_00, x, y, self.dim0)
 
     def mul01(self, x: Sequence, alpha: Sequence) -> Vector:
-        return _apply_bilinear(self.l2_01, x, alpha, self.dim1)
+        return apply_table(self.l2_01, x, alpha, self.dim1)
 
     def mul10(self, alpha: Sequence, x: Sequence) -> Vector:
-        return _apply_bilinear(self.l2_10, alpha, x, self.dim1)
+        return apply_table(self.l2_10, alpha, x, self.dim1)
 
     def t2_apply(self, x: Sequence, y: Sequence) -> Vector:
-        return _apply_bilinear(self.t2, x, y, self.dim1)
+        return apply_table(self.t2, x, y, self.dim1)
 
     def is_skeletal(self) -> bool:
         return self.d_map.is_zero()

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import yaml
 
 from rbprelie.cli import run_command
@@ -247,3 +248,17 @@ def test_timing_flag_only_addition():
     assert "elapsed_seconds" in timed
     timed.pop("elapsed_seconds")
     assert timed == plain
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", FIXTURES / "a0.yaml", "--max-degree", "-1"],
+        ["les", FIXTURES / "a0.yaml", "--max-degree", "-1"],
+        ["les", FIXTURES / "a0.yaml", "--max-degree", "-2"],
+    ],
+)
+def test_negative_max_degree_is_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        _run(argv)
+    assert exc.value.code == 2

@@ -222,17 +222,58 @@ def test_differential_matrices_compose_to_zero():
                 assert a.matmul(b).is_zero()
 
 
+def _assert_matrices_match_functional(rng, r, m, degrees):
+    for n in degrees:
+        c = random_rba_cochain(rng, n, r.dim, m.mod_dim)
+        mat = differential_matrix(ComplexKind.RBA, r, m, n)
+        assert mat.apply(c.coords()) == rba_differential(r, m, c, trusted=True).coords()
+        f = random_cochain(rng, n, r.dim, m.mod_dim)
+        mat = differential_matrix(ComplexKind.PLA, r, m, n)
+        assert mat.apply(f.coords()) == pla_differential(r.algebra, m.bimodule, f).coords()
+        mat = differential_matrix(ComplexKind.RBO, r, m, n)
+        assert mat.apply(f.coords()) == rbo_differential(r, m, f, trusted=True).coords()
+
+
 def test_matrix_agrees_with_functional_differential():
     rng = random.Random(8)
     for _ in range(5):
         r, m = random_valid_pair(rng, rng.randint(1, 3))
-        for n in range(0, 3):
-            c = random_rba_cochain(rng, n, r.dim, m.mod_dim)
+        _assert_matrices_match_functional(rng, r, m, range(0, 3))
+    rng = random.Random(13)
+    for _ in range(50):
+        r, m = random_valid_pair(rng, rng.randint(1, 2))
+        _assert_matrices_match_functional(rng, r, m, range(0, 4))
+    # on the fixtures, every column is the coboundary of its unit pair
+    for r in (make_a0(), make_a1n()):
+        m = regular_bimodule(r)
+        for n in range(0, 4):
             mat = differential_matrix(ComplexKind.RBA, r, m, n)
-            assert mat.apply(c.coords()) == rba_differential(r, m, c, trusted=True).coords()
-            f = random_cochain(rng, n, r.dim, m.mod_dim)
-            mat = differential_matrix(ComplexKind.PLA, r, m, n)
-            assert mat.apply(f.coords()) == pla_differential(r.algebra, m.bimodule, f).coords()
+            for j in range(mat.cols):
+                unit = [Fraction(0)] * mat.cols
+                unit[j] = Fraction(1)
+                c = RBACochain.from_coords(n, r.dim, m.mod_dim, unit)
+                assert mat.col(j) == rba_differential(r, m, c, trusted=True).coords()
+
+
+def _alternating_sum(values) -> int:
+    return sum(v if n % 2 == 0 else -v for n, v in enumerate(values))
+
+
+def test_euler_characteristic():
+    # chains vanish above degree d+1 (d+2 for the combined complex), so the
+    # alternating sums of cohomology and chain dimensions agree; the
+    # combined sum is 0 because its degree n is C^n ⊕ C^{n−1}
+    rng = random.Random(14)
+    pairs = [(r, regular_bimodule(r)) for r in (make_a0(), make_a1n())]
+    pairs += [random_valid_pair(rng, rng.randint(1, 2)) for _ in range(8)]
+    for r, m in pairs:
+        top = r.dim + 1
+        chains = [space_dim(n, r.dim, m.mod_dim) for n in range(top + 1)]
+        assert space_dim(top + 1, r.dim, m.mod_dim) == 0
+        for kind in (ComplexKind.PLA, ComplexKind.RBO):
+            dims = cohomology_dims(kind, r, m, top)
+            assert _alternating_sum(dims) == _alternating_sum(chains)
+        assert _alternating_sum(cohomology_dims(ComplexKind.RBA, r, m, top + 1)) == 0
 
 
 def test_a0_betti_numbers(a0, a0_reg):
