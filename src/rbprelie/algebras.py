@@ -99,9 +99,6 @@ class PreLieAlgebra:
         """Bilinear extension of the structure constants."""
         return apply_table(self.c, x, y, self.dim)
 
-    def basis_product(self, i: int, j: int) -> Vector:
-        return self.c[i][j]
-
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1) if k == i else Fraction(0) for k in range(self.dim))
 

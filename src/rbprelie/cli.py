@@ -3,8 +3,10 @@
 Every subcommand reads YAML artifact files, runs library operations, and
 prints a YAML report with a fixed field order.  Exit status: 0 when every
 mathematical verdict is ok, 1 when some verdict fails, 2 on usage or parse
-errors.  Reports contain no volatile fields unless ``--timing`` is passed,
-so identical inputs produce byte-identical output.
+errors.  An input that is not the structure a command needs raises
+``InvalidStructureError``; it is reported as ``error`` with status
+``violation`` and exit 1.  Reports contain no volatile fields unless
+``--timing`` is passed, so identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import sys
 import time
 from .algebras import (
+    InvalidStructureError,
     RBBimodule,
     Verdict,
     check_bimodule,
@@ -150,15 +153,11 @@ def _cmd_check(args) -> tuple[dict, int]:
 
 def _require_valid(r, module) -> RBBimodule:
     if not check_pre_lie(r.algebra).ok or not check_rb_operator(r).ok:
-        raise _MathFailure("input is not a Rota-Baxter pre-Lie algebra; run `check`")
+        raise InvalidStructureError("input is not a Rota-Baxter pre-Lie algebra; run `check`")
     m = module if module is not None else regular_bimodule(r)
     if not check_rb_bimodule(r, m).ok:
-        raise _MathFailure("module is not a Rota-Baxter bimodule; run `check`")
+        raise InvalidStructureError("module is not a Rota-Baxter bimodule; run `check`")
     return m
-
-
-class _MathFailure(Exception):
-    pass
 
 
 def _cmd_cohomology(args) -> tuple[dict, int]:
@@ -571,7 +570,7 @@ def run_command(argv) -> tuple[dict, int]:
     start = time.monotonic()
     try:
         report, code = _HANDLERS[args.cmd](args)
-    except _MathFailure as exc:
+    except InvalidStructureError as exc:
         report, code = {"command": args.cmd, "error": str(exc), "status": "violation"}, 1
     if args.timing:
         report["elapsed_seconds"] = round(time.monotonic() - start, 3)

@@ -179,11 +179,6 @@ class Cochain:
         return Cochain(degree, base_dim, mod_dim, vals)
 
 
-def cochain_from_vector(v: Sequence, base_dim: int) -> Cochain:
-    """Degree-0 cochain holding a single module vector."""
-    return Cochain(0, base_dim, len(v), {(): tuple(Fraction(x) for x in v)})
-
-
 def cochain_from_matrix(mat, *, mod_dim: int | None = None) -> Cochain:
     """Degree-1 cochain from a matrix whose column j is the value at e_j."""
     m = mat.rows if mod_dim is None else mod_dim

@@ -349,203 +349,92 @@ class LESReport:
         return self.ok
 
 
-def _projection_matrix(degree: int, d: int, md: int) -> RationalMatrix:
-    rows = space_dim(degree, d, md)
-    cols = complex_space_dim(ComplexKind.RBA, degree, d, md)
-    data = tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(cols)) for i in range(rows)
-    )
-    return RationalMatrix(rows, cols, data)
-
-
-def _inclusion_matrix(degree: int, d: int, md: int) -> RationalMatrix:
-    # C^n_RBO → C^{n+1}_RBA, g ↦ (0, −g)
-    cols = space_dim(degree, d, md)
-    top = space_dim(degree + 1, d, md)
-    data = [(Fraction(0),) * cols for _ in range(top)]
-    for i in range(cols):
-        data.append(tuple(Fraction(-1) if j == i else Fraction(0) for j in range(cols)))
-    return RationalMatrix(top + cols, cols, tuple(data))
-
-
-def _induced_map_well_defined(
-    L: RationalMatrix,
-    d_source: RationalMatrix,
-    d_source_prev: RationalMatrix | None,
-    d_target: RationalMatrix,
-    d_target_prev: RationalMatrix | None,
-) -> bool:
-    for z in kernel_basis(d_source):
-        if not is_zero_vector(d_target.apply(L.apply(z))):
-            return False
-    if d_source_prev is not None:
-        target_image = (
-            echelon_basis([], L.rows)
-            if d_target_prev is None
-            else echelon_basis(
-                [d_target_prev.col(j) for j in range(d_target_prev.cols)], L.rows
-            )
-        )
-        for j in range(d_source_prev.cols):
-            if not target_image.contains(L.apply(d_source_prev.col(j))):
-                return False
-    return True
-
-
-def _image_plus_boundaries(
-    L: RationalMatrix, z_source: list[Vector], boundaries: list[Vector], ambient: int
-) -> EchelonBasis:
-    vectors = [L.apply(z) for z in z_source] + boundaries
-    return echelon_basis(vectors, ambient)
-
-
 def _kernel_plus_boundaries(
-    M: RationalMatrix,
-    z_here: list[Vector],
-    boundaries_here: list[Vector],
-    boundaries_next: list[Vector],
+    images: list[Vector],
+    cocycles: list[Vector],
+    boundaries: list[Vector],
+    target_boundaries: list[Vector],
+    target_dim: int,
     ambient: int,
 ) -> EchelonBasis:
-    # {z ∈ Z : M z ∈ B'} solved by stacking [M·Z | −B'] and projecting to the
-    # Z-coefficients, then adding the boundaries of this degree.
-    if not z_here:
-        return echelon_basis(boundaries_here, ambient)
-    mz_cols = [M.apply(z) for z in z_here]
+    # {z ∈ Z : f(z) ∈ B'} solved by stacking [f(Z) | −B'] (``images`` is f(Z),
+    # of length ``target_dim``) and projecting to the Z-coefficients, then
+    # adding the boundaries of this degree.
+    if not cocycles:
+        return echelon_basis(boundaries, ambient)
     stacked = RationalMatrix.from_cols(
-        mz_cols + [vscale(Fraction(-1), b) for b in boundaries_next], M.rows
+        images + [vscale(Fraction(-1), b) for b in target_boundaries], target_dim
     )
     members: list[Vector] = []
     for combo in kernel_basis(stacked):
-        coeffs = combo[: len(z_here)]
         v = zero_vector(ambient)
-        for c, z in zip(coeffs, z_here):
+        for c, z in zip(combo, cocycles):
             if c != 0:
                 v = vadd(v, vscale(c, z))
         members.append(v)
-    return echelon_basis(members + boundaries_here, ambient)
+    return echelon_basis(members + boundaries, ambient)
 
 
 def les_check(r: RBPreLieAlgebra, m: RBBimodule, max_degree: int) -> LESReport:
     """Exactness of the induced long sequence up to ``max_degree``.
 
-    The three induced maps are: projection (f, g) ↦ f on the combined
-    complex, the chain map f ↦ Φ(f), and the connecting map g ↦ (0, −g).
-    Each is checked to be well defined on representatives; at every
-    position the image of the incoming map is compared with the kernel of
-    the outgoing one inside the cocycle space.
+    One walk over the 3(N+1) positions H⁰_RBA → H⁰_PLA → H⁰_RBO → H¹_RBA →
+    … → Hᴺ_RBO.  The map out of each position acts on coordinate vectors:
+    the projection (f, g) ↦ f keeps the pre-Lie block, the chain map is
+    f ↦ Φₙf, and the connecting map is g ↦ (0, −g); no matrix is built for
+    the first and the last.  At each step the map is checked to be well
+    defined on representatives (cocycles to cocycles, boundaries into
+    boundaries), and the image of the incoming map (boundaries only at
+    H⁰_RBA) is compared with the kernel of the outgoing one inside the
+    cocycle space.  Cocycle bases and boundary columns are computed once
+    per (complex, degree).
     """
-    d, md = r.dim, m.mod_dim
+    PLA, RBO, RBA = ComplexKind.PLA, ComplexKind.RBO, ComplexKind.RBA
     degrees = range(max_degree + 2)
-    D = {
-        (kind, n): differential_matrix(kind, r, m, n)
-        for kind in (ComplexKind.PLA, ComplexKind.RBO)
-        for n in degrees
-    }
+    D = {(kind, n): differential_matrix(kind, r, m, n) for kind in (PLA, RBO) for n in degrees}
     phim = {n: phi_matrix(r, m, n) for n in degrees}
     for n in degrees:
-        D[(ComplexKind.RBA, n)] = _combined_matrix(
-            D[(ComplexKind.PLA, n)], phim[n], D[(ComplexKind.RBO, n - 1)] if n else None
-        )
+        D[(RBA, n)] = _combined_matrix(D[(PLA, n)], phim[n], D[(RBO, n - 1)] if n else None)
     Z = {key: kernel_basis(mat) for key, mat in D.items()}
-    B: dict[tuple[ComplexKind, int], list[Vector]] = {}
-    for kind in ComplexKind:
-        B[(kind, 0)] = []
-        for n in degrees[1:]:
-            prev = D[(kind, n - 1)]
-            B[(kind, n)] = [prev.col(j) for j in range(prev.cols)]
+    B = {
+        (kind, n): [D[(kind, n - 1)].col(j) for j in range(D[(kind, n - 1)].cols)] if n else []
+        for kind, n in D
+    }
 
-    proj = {n: _projection_matrix(n, d, md) for n in degrees}
-    incl = {n: _inclusion_matrix(n, d, md) for n in range(max_degree + 1)}
+    def outgoing(kind: ComplexKind, n: int, v: Vector) -> Vector:
+        if kind is RBA:
+            return v[: D[(PLA, n)].cols]
+        if kind is PLA:
+            return phim[n].apply(v)
+        return zero_vector(D[(PLA, n + 1)].cols) + vscale(Fraction(-1), v)
 
-    map_checks = []
+    # the map out of each kind of position: its name, and the complex and
+    # degree shift of the position it lands in
+    steps = {RBA: ("projection", PLA, 0), PLA: ("chain map", RBO, 0), RBO: ("connecting", RBA, 1)}
+    positions, map_checks = [], []
+    incoming: list[Vector] = []
     for n in range(max_degree + 1):
-        map_checks.append(
-            (
-                f"projection deg {n}",
-                _induced_map_well_defined(
-                    proj[n],
-                    D[(ComplexKind.RBA, n)],
-                    D[(ComplexKind.RBA, n - 1)] if n else None,
-                    D[(ComplexKind.PLA, n)],
-                    D[(ComplexKind.PLA, n - 1)] if n else None,
-                ),
-            )
-        )
-        map_checks.append(
-            (
-                f"chain map deg {n}",
-                _induced_map_well_defined(
-                    phim[n],
-                    D[(ComplexKind.PLA, n)],
-                    D[(ComplexKind.PLA, n - 1)] if n else None,
-                    D[(ComplexKind.RBO, n)],
-                    D[(ComplexKind.RBO, n - 1)] if n else None,
-                ),
-            )
-        )
-        map_checks.append(
-            (
-                f"connecting deg {n}",
-                _induced_map_well_defined(
-                    incl[n],
-                    D[(ComplexKind.RBO, n)],
-                    D[(ComplexKind.RBO, n - 1)] if n else None,
-                    D[(ComplexKind.RBA, n + 1)],
-                    D[(ComplexKind.RBA, n)],
-                ),
-            )
-        )
+        for kind in (RBA, PLA, RBO):
+            name, target_kind, shift = steps[kind]
+            here, target = (kind, n), (target_kind, n + shift)
+            target_dim = D[target].cols
+            images = [outgoing(kind, n, z) for z in Z[here]]
+            well_defined = all(is_zero_vector(D[target].apply(w)) for w in images)
+            if well_defined and B[here]:
+                target_boundaries = echelon_basis(B[target], target_dim)
+                well_defined = all(
+                    target_boundaries.contains(outgoing(kind, n, b)) for b in B[here]
+                )
+            map_checks.append((f"{name} deg {n}", well_defined))
 
-    positions = []
-    for n in range(max_degree + 1):
-        # position H^n of the combined complex: incoming connecting (from
-        # operator degree n−1, or zero), outgoing projection
-        ambient = complex_space_dim(ComplexKind.RBA, n, d, md)
-        if n == 0:
-            image = echelon_basis(B[(ComplexKind.RBA, 0)], ambient)
-        else:
-            image = _image_plus_boundaries(
-                incl[n - 1], Z[(ComplexKind.RBO, n - 1)], B[(ComplexKind.RBA, n)], ambient
+            ambient = D[here].cols
+            image = echelon_basis(incoming + B[here], ambient)
+            kernel = _kernel_plus_boundaries(
+                images, Z[here], B[here], B[target], target_dim, ambient
             )
-        kernel = _kernel_plus_boundaries(
-            proj[n],
-            Z[(ComplexKind.RBA, n)],
-            B[(ComplexKind.RBA, n)],
-            B[(ComplexKind.PLA, n)],
-            ambient,
-        )
-        positions.append(
-            PositionReport(f"H{n}_RBA", image.dim, kernel.dim, same_subspace(image, kernel))
-        )
-        # position H^n of the pre-Lie complex: incoming projection, outgoing Φ
-        ambient = space_dim(n, d, md)
-        image = _image_plus_boundaries(
-            proj[n], Z[(ComplexKind.RBA, n)], B[(ComplexKind.PLA, n)], ambient
-        )
-        kernel = _kernel_plus_boundaries(
-            phim[n],
-            Z[(ComplexKind.PLA, n)],
-            B[(ComplexKind.PLA, n)],
-            B[(ComplexKind.RBO, n)],
-            ambient,
-        )
-        positions.append(
-            PositionReport(f"H{n}_PLA", image.dim, kernel.dim, same_subspace(image, kernel))
-        )
-        # position H^n of the operator complex: incoming Φ, outgoing connecting
-        image = _image_plus_boundaries(
-            phim[n], Z[(ComplexKind.PLA, n)], B[(ComplexKind.RBO, n)], ambient
-        )
-        kernel = _kernel_plus_boundaries(
-            incl[n],
-            Z[(ComplexKind.RBO, n)],
-            B[(ComplexKind.RBO, n)],
-            B[(ComplexKind.RBA, n + 1)],
-            ambient,
-        )
-        positions.append(
-            PositionReport(f"H{n}_RBO", image.dim, kernel.dim, same_subspace(image, kernel))
-        )
+            exact = same_subspace(image, kernel)
+            positions.append(PositionReport(f"H{n}_{kind.name}", image.dim, kernel.dim, exact))
+            incoming = images
 
     ok = all(p.exact for p in positions) and all(okk for _, okk in map_checks)
     return LESReport(ok, tuple(positions), tuple(map_checks))

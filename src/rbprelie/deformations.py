@@ -38,6 +38,7 @@ from .cochains import (
 from .complexes import ComplexKind, differential_matrix, rbo_differential
 from .linalg import (
     RationalMatrix,
+    Vector,
     column_space,
     is_zero_vector,
     solve_linear,
@@ -110,58 +111,61 @@ class DeformationVerdict:
         return None
 
 
+def _order_defects(
+    r: RBPreLieAlgebra, mus: Sequence[ProductTable], ts: Sequence[RationalMatrix], n: int
+) -> tuple[dict[tuple[int, int, int], Vector], dict[tuple[int, int], Vector]]:
+    """The tⁿ coefficients of the pre-Lie identity on (eᵢ, eⱼ, e_k) and of the
+    weighted Rota-Baxter law on (eᵢ, eⱼ) for μ_t = Σ μᵢtⁱ, T_t = Σ Tᵢtⁱ."""
+    dim, lam = r.dim, r.weight
+    basis = [r.algebra.basis_vector(i) for i in range(dim)]
+    product = {}
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                defect = zero_vector(dim)
+                for a in range(n + 1):
+                    mu_a, mu_b = mus[a], mus[n - a]
+                    lhs = vsub(
+                        apply_table(mu_a, apply_table(mu_b, basis[i], basis[j], dim), basis[k], dim),
+                        apply_table(mu_a, basis[i], apply_table(mu_b, basis[j], basis[k], dim), dim),
+                    )
+                    rhs = vsub(
+                        apply_table(mu_a, apply_table(mu_b, basis[j], basis[i], dim), basis[k], dim),
+                        apply_table(mu_a, basis[j], apply_table(mu_b, basis[i], basis[k], dim), dim),
+                    )
+                    defect = vadd(defect, vsub(lhs, rhs))
+                product[(i, j, k)] = defect
+    operator = {}
+    for i in range(dim):
+        for j in range(dim):
+            defect = zero_vector(dim)
+            for a in range(n + 1):
+                for b in range(n + 1 - a):
+                    c = n - a - b
+                    defect = vadd(defect, apply_table(mus[a], ts[b].col(i), ts[c].col(j), dim))
+                    defect = vsub(defect, ts[a].apply(apply_table(mus[b], basis[i], ts[c].col(j), dim)))
+                    defect = vsub(defect, ts[a].apply(apply_table(mus[b], ts[c].col(i), basis[j], dim)))
+            for a in range(n + 1):
+                defect = vsub(
+                    defect, vscale(lam, ts[a].apply(apply_table(mus[n - a], basis[i], basis[j], dim)))
+                )
+            operator[(i, j)] = defect
+    return product, operator
+
+
 def check_deformation(r: RBPreLieAlgebra, d: TruncatedDeformation) -> DeformationVerdict:
     """The order-n product and operator conditions for every n ≤ order."""
     if d.base != r:
         raise ValueError("deformation was built over a different base structure")
-    dim = r.dim
-    lam = r.weight
-    mus, ts = d.products, d.operators
-    basis = [r.algebra.basis_vector(i) for i in range(dim)]
     per_order = []
     for n in range(d.order + 1):
-        bad: list[Violation] = []
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    defect = zero_vector(dim)
-                    for a in range(n + 1):
-                        mu_a, mu_b = mus[a], mus[n - a]
-                        lhs = vsub(
-                            apply_table(mu_a, apply_table(mu_b, basis[i], basis[j], dim), basis[k], dim),
-                            apply_table(mu_a, basis[i], apply_table(mu_b, basis[j], basis[k], dim), dim),
-                        )
-                        rhs = vsub(
-                            apply_table(mu_a, apply_table(mu_b, basis[j], basis[i], dim), basis[k], dim),
-                            apply_table(mu_a, basis[j], apply_table(mu_b, basis[i], basis[k], dim), dim),
-                        )
-                        defect = vadd(defect, vsub(lhs, rhs))
-                    if not is_zero_vector(defect):
-                        bad.append(Violation(f"deform_product_order_{n}", (i + 1, j + 1, k + 1), defect))
-        for i in range(dim):
-            for j in range(dim):
-                defect = zero_vector(dim)
-                for a in range(n + 1):
-                    for b in range(n + 1 - a):
-                        c = n - a - b
-                        ta_i = ts[b].col(i)
-                        tc_j = ts[c].col(j)
-                        defect = vadd(defect, apply_table(mus[a], ta_i, tc_j, dim))
-                        defect = vsub(
-                            defect,
-                            ts[a].apply(apply_table(mus[b], basis[i], ts[c].col(j), dim)),
-                        )
-                        defect = vsub(
-                            defect,
-                            ts[a].apply(apply_table(mus[b], ts[c].col(i), basis[j], dim)),
-                        )
-                for a in range(n + 1):
-                    defect = vsub(
-                        defect,
-                        vscale(lam, ts[a].apply(apply_table(mus[n - a], basis[i], basis[j], dim))),
-                    )
-                if not is_zero_vector(defect):
-                    bad.append(Violation(f"deform_operator_order_{n}", (i + 1, j + 1), defect))
+        product, operator = _order_defects(r, d.products, d.operators, n)
+        bad = [
+            Violation(f"deform_{law}_order_{n}", tuple(i + 1 for i in key), defect)
+            for law, defects in (("product", product), ("operator", operator))
+            for key, defect in defects.items()
+            if not is_zero_vector(defect)
+        ]
         per_order.append(Verdict(ok=not bad, violations=tuple(bad)))
     return DeformationVerdict(all(v.ok for v in per_order), tuple(per_order))
 
@@ -308,59 +312,20 @@ def solve_next_order(r: RBPreLieAlgebra, d: TruncatedDeformation) -> SolveNextOr
         )
     n = d.order + 1
     dim = r.dim
-    lam = r.weight
     reg = regular_bimodule(r)
-    basis = [r.algebra.basis_vector(i) for i in range(dim)]
-    mus, ts = d.products, d.operators
-
-    # product-side right-hand side, a skew degree-3 value on (a∧b)⊗c
-    rhs7_vals = {}
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(dim):
-                val = zero_vector(dim)
-                for a in range(1, n):
-                    mu_a, mu_b = mus[a], mus[n - a]
-                    val = vadd(
-                        val,
-                        vsub(
-                            apply_table(mu_a, apply_table(mu_b, basis[i], basis[j], dim), basis[k], dim),
-                            apply_table(mu_a, basis[i], apply_table(mu_b, basis[j], basis[k], dim), dim),
-                        ),
-                    )
-                    val = vsub(
-                        val,
-                        vsub(
-                            apply_table(mu_a, apply_table(mu_b, basis[j], basis[i], dim), basis[k], dim),
-                            apply_table(mu_a, basis[j], apply_table(mu_b, basis[i], basis[k], dim), dim),
-                        ),
-                    )
-                rhs7_vals[(i, j, k)] = val
-    rhs7 = Cochain(3, dim, dim, rhs7_vals)
-
-    # operator-side right-hand side, bilinear; note the overall sign and the
-    # weight factor are forced by splitting the order-n coefficient of the
-    # operator law into its index-n and lower-index parts
-    rhs8_vals = {}
-    for i in range(dim):
-        for j in range(dim):
-            val = zero_vector(dim)
-            for a in range(n + 1):
-                for b in range(n + 1 - a):
-                    c = n - a - b
-                    if a > n - 1 or b > n - 1 or c > n - 1:
-                        continue
-                    val = vsub(val, apply_table(mus[a], ts[b].col(i), ts[c].col(j), dim))
-                    val = vadd(val, ts[a].apply(apply_table(mus[b], basis[i], ts[c].col(j), dim)))
-                    val = vadd(val, ts[a].apply(apply_table(mus[b], ts[c].col(i), basis[j], dim)))
-            for a in range(1, n):
-                val = vadd(
-                    val, vscale(lam, ts[a].apply(apply_table(mus[n - a], basis[i], basis[j], dim)))
-                )
-            rhs8_vals[(i, j)] = val
-    rhs8 = Cochain(2, dim, dim, rhs8_vals)
-
-    target = RBACochain(rhs7, rhs8.scale(Fraction(-1)))
+    # right-hand side: the order-n defect of the deformation extended by a
+    # zero μₙ and a zero Tₙ; its product part is a skew degree-3 value on
+    # (a∧b)⊗c, kept on the keys a < b
+    product, operator = _order_defects(
+        r,
+        d.products + (zero_table(dim, dim, dim),),
+        d.operators + (RationalMatrix.zeros(dim, dim),),
+        n,
+    )
+    target = RBACochain(
+        Cochain(3, dim, dim, {key: v for key, v in product.items() if key[0] < key[1]}),
+        Cochain(2, dim, dim, operator),
+    )
     d2 = differential_matrix(ComplexKind.RBA, r, reg, 2)
     x = solve_linear(d2, target.coords())
     if x is None:

@@ -30,8 +30,8 @@ from .algebras import (
     check_rb_bimodule,
     check_rb_operator,
 )
-from .cochains import Cochain, RBACochain, cochain_from_bilinear, cochain_from_matrix
-from .complexes import ComplexKind, differential_matrix, phi, rba_differential
+from .cochains import RBACochain, cochain_from_bilinear, cochain_from_matrix
+from .complexes import ComplexKind, differential_matrix, phi, pla_differential, rba_differential
 from .linalg import (
     RationalMatrix,
     Vector,
@@ -137,7 +137,7 @@ def _check_section(e: ExtensionData, s: Section) -> None:
     if (s.matrix.rows, s.matrix.cols) != (e.total.dim, e.base_dim):
         raise ValueError("section matrix has wrong shape")
     if e.projection().matmul(s.matrix) != RationalMatrix.identity(e.base_dim):
-        raise ValueError("not a section: p∘s is not the identity")
+        raise InvalidStructureError("not a section: p∘s is not the identity")
 
 
 @dataclass(frozen=True)
@@ -309,7 +309,7 @@ def sections_same_class(e: ExtensionData, s1: Section, s2: Section) -> SectionCo
             raise ValueError("sections do not differ by a module-valued map")
     same_actions = r1.bimodule == r2.bimodule
     gamma_cochain = cochain_from_matrix(gamma)
-    delta = pla_differential_for(e, r1, gamma_cochain)
+    delta = pla_differential(r1.base.algebra, r1.bimodule.bimodule, gamma_cochain)
     phi_gamma = phi(r1.base, r1.bimodule, gamma_cochain)
     expected_psi = delta
     expected_chi = phi_gamma.scale(Fraction(-1))
@@ -319,12 +319,6 @@ def sections_same_class(e: ExtensionData, s1: Section, s2: Section) -> SectionCo
         and got.rbo_part.sub(expected_chi).is_zero()
     )
     return SectionComparison(matches and same_actions, gamma, matches, same_actions)
-
-
-def pla_differential_for(e: ExtensionData, extract: ExtractResult, g: Cochain) -> Cochain:
-    from .complexes import pla_differential
-
-    return pla_differential(extract.base.algebra, extract.bimodule.bimodule, g)
 
 
 @dataclass(frozen=True)

@@ -298,10 +298,6 @@ def cochain_document(which: str, c: RBACochain | Cochain) -> dict:
     }
 
 
-def serialize_cochain(which: str, c: RBACochain | Cochain) -> str:
-    return _dump(cochain_document(which, c))
-
-
 # ------------------------------------------------------------- deformations
 
 

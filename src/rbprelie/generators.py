@@ -215,14 +215,6 @@ def random_rb_pre_lie(
     return r
 
 
-def random_pre_lie(rng: random.Random, dim: int) -> PreLieAlgebra:
-    algebra, _ = _family_pair(rng, dim, Fraction(0))
-    if rng.random() < 0.7:
-        phi = random_invertible(rng, dim)
-        algebra = conjugate_algebra(algebra, phi, invert(phi))
-    return algebra
-
-
 def zero_action_bimodule(r: RBPreLieAlgebra, t_m: RationalMatrix) -> RBBimodule:
     md = t_m.rows
     zero = RationalMatrix.zeros(md, md)

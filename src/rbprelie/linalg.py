@@ -88,9 +88,6 @@ class RationalMatrix:
     def zeros(rows: int, cols: int) -> "RationalMatrix":
         return RationalMatrix(rows, cols, tuple((_ZERO,) * cols for _ in range(rows)))
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def col(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
 
@@ -111,9 +108,6 @@ class RationalMatrix:
             for i in range(self.rows)
         )
         return RationalMatrix(self.rows, other.cols, data)
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self.matmul(other)
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(

@@ -1,10 +1,19 @@
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rbprelie
 from rbprelie import PreLieAlgebra, RBPreLieAlgebra, regular_bimodule
 from rbprelie.algebras import zero_table
 from rbprelie.linalg import RationalMatrix
+
+# `python -m rbprelie.cli` subprocesses import the same package as the tests,
+# whether it is installed or found through pytest's `pythonpath`
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(rbprelie.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
+)
 
 
 def make_a0() -> RBPreLieAlgebra:

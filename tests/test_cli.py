@@ -1,24 +1,29 @@
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import yaml
 
-from rbprelie.cli import run_command
+from rbprelie.cli import main, run_command
+from rbprelie.cochains import Cochain
 from rbprelie.deformations import gauge_transform, trivial_deformation
 from rbprelie.files import (
     cochain_document,
     deformation_document,
     dump_document,
     serialize_algebra,
+    twoalg_document,
 )
 from rbprelie.generators import (
     random_gauge,
     random_rba_cocycle,
     random_valid_pair,
 )
+from rbprelie.linalg import RationalMatrix
+from rbprelie.twoalg import TwoAlgebra
 from conftest import make_a0
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -262,3 +267,59 @@ def test_negative_max_degree_is_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
         _run(argv)
     assert exc.value.code == 2
+
+
+def _two_term_file(tmp_path, *, d=0, product=0, t0=0, t2=0):
+    """A two-term structure with one-dimensional g₀ and g₁ at weight 0."""
+    def one(x):
+        return RationalMatrix.from_rows([[x]])
+
+    def table(x):
+        return (((Fraction(x),),),)
+
+    t = TwoAlgebra(1, 1, one(d), table(product), table(0), table(0), Cochain.zero(3, 1, 1),
+                   one(t0), one(0), table(t2))
+    path = tmp_path / "two.yaml"
+    path.write_text(dump_document(twoalg_document(t, Fraction(0))))
+    return path
+
+
+def _extract_with_bad_section(tmp_path):
+    rng = random.Random(5)
+    r, m = random_valid_pair(rng, 2)
+    alg = tmp_path / "alg.yaml"
+    alg.write_text(serialize_algebra(r, m))
+    pair_file = tmp_path / "pair.yaml"
+    pair_file.write_text(dump_document(cochain_document("rba", random_rba_cocycle(rng, r, m, 2))))
+    ext_file = tmp_path / "ext.yaml"
+    _run(["extend", alg, pair_file, "-o", ext_file])
+    # the base block is 2·Id, so p∘s ≠ Id
+    rows = [["2" if j == i else "0" for j in range(r.dim)] for i in range(r.dim)]
+    rows += [["0"] * r.dim for _ in range(m.mod_dim)]
+    section = tmp_path / "section.yaml"
+    section.write_text(dump_document({"kind": "section", "matrix": rows}))
+    return ["extract", ext_file, "--section", section]
+
+
+@pytest.mark.parametrize(
+    "make_argv, message",
+    [
+        (lambda p: ["twoalg", "to-cocycle", _two_term_file(p, d=1)], "not skeletal"),
+        # e·e = e with T = Id at weight 0 breaks the Rota-Baxter law
+        (lambda p: ["twoalg", "to-cocycle", _two_term_file(p, product=1, t0=1)], "two-term checks"),
+        (lambda p: ["twoalg", "to-crossed", _two_term_file(p, t2=1)], "not strict"),
+        (_extract_with_bad_section, "not a section"),
+    ],
+    ids=["to-cocycle-not-skeletal", "to-cocycle-fails-checks", "to-crossed-not-strict",
+         "extract-not-a-section"],
+)
+def test_invalid_structure_is_violation(tmp_path, capsys, make_argv, message):
+    argv = [str(a) for a in make_argv(tmp_path)]
+    report, code = run_command(argv)
+    assert code == 1
+    assert report["status"] == "violation"
+    assert report["command"] == argv[0]
+    assert message in report["error"]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert yaml.safe_load(capsys.readouterr().out) == report

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from rbprelie import (
     ComplexKind,
@@ -21,11 +22,14 @@ from rbprelie import (
 )
 from rbprelie.algebras import Bimodule, zero_table
 from rbprelie.cochains import Cochain, RBACochain, cochain_from_matrix, space_dim
-from rbprelie.complexes import complex_space_dim, phi_matrix
+from rbprelie.complexes import LESReport, PositionReport, complex_space_dim, phi_matrix
+from rbprelie.files import parse_algebra_file
 from rbprelie.generators import random_cochain, random_rba_cochain, random_valid_pair
 from rbprelie.linalg import RationalMatrix, rank
 
 from conftest import make_a0, make_a1, make_a1n, make_affine
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_differential_over_abelian_zero_actions_vanishes():
@@ -309,6 +313,40 @@ def test_les_fixtures_and_alternating_sum(a0, a0_reg):
             sign = -sign
     # 0 −1 +1 −1 +1 −1 +2 −1 +1 sums to 1; appending −H3_RBA = −1 closes it
     assert total - dims_rba[3] == 0
+
+
+def _map_checks(max_degree, failing=()):
+    names = (
+        f"{name} deg {n}"
+        for n in range(max_degree + 1)
+        for name in ("projection", "chain map", "connecting")
+    )
+    return tuple((name, name not in failing) for name in names)
+
+
+def test_les_report_a0_pinned(a0, a0_reg):
+    rows = [
+        ("H0_RBA", 0, 0), ("H0_PLA", 0, 0), ("H0_RBO", 1, 1),
+        ("H1_RBA", 1, 1), ("H1_PLA", 1, 1), ("H1_RBO", 0, 0),
+        ("H2_RBA", 1, 1), ("H2_PLA", 1, 1), ("H2_RBO", 0, 0),
+        ("H3_RBA", 1, 1), ("H3_PLA", 0, 0), ("H3_RBO", 0, 0),
+    ]
+    positions = tuple(PositionReport(name, im, ker, True) for name, im, ker in rows)
+    assert les_check(a0, a0_reg, 3) == LESReport(True, positions, _map_checks(3))
+
+
+def test_les_report_broken_operator_pinned():
+    # T = Id at weight 0 is not a Rota-Baxter operator: the chain map fails
+    # to be well defined in degree 2 and exactness breaks around it
+    r, _, _ = parse_algebra_file((FIXTURES / "a1_broken_rb.yaml").read_text())
+    rows = [
+        ("H0_RBA", 0, 0, True), ("H0_PLA", 0, 0, True), ("H0_RBO", 2, 2, True),
+        ("H1_RBA", 2, 2, True), ("H1_PLA", 2, 2, True), ("H1_RBO", 0, 0, True),
+        ("H2_RBA", 4, 5, False), ("H2_PLA", 3, 3, True), ("H2_RBO", 6, 5, False),
+    ]
+    positions = tuple(PositionReport(*row) for row in rows)
+    expected = LESReport(False, positions, _map_checks(2, failing={"chain map deg 2"}))
+    assert les_check(r, regular_bimodule(r), 2) == expected
 
 
 def test_les_zero_everything_exact():
