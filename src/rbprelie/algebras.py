@@ -205,11 +205,17 @@ def check_pre_lie(a: PreLieAlgebra) -> Verdict:
     return _verdict(bad)
 
 
-def check_rb_operator(r: RBPreLieAlgebra) -> Verdict:
-    """Weighted Rota-Baxter law on all basis pairs."""
+def check_rb_operator(r: RBPreLieAlgebra, *, pre_lie: Verdict | None = None) -> Verdict:
+    """Weighted Rota-Baxter law on all basis pairs.
+
+    ``pre_lie`` is the verdict of ``check_pre_lie(r.algebra)`` when the caller
+    already has it; it is computed here otherwise.
+    """
     a, t, lam = r.algebra, r.operator, r.weight
+    if pre_lie is None:
+        pre_lie = check_pre_lie(a)
     notes = []
-    if not check_pre_lie(a).ok:
+    if not pre_lie.ok:
         notes.append("underlying product fails the pre-Lie check")
     bad: list[Violation] = []
     for i in range(a.dim):
@@ -253,13 +259,21 @@ def check_bimodule(a: PreLieAlgebra, m: Bimodule) -> Verdict:
     return _verdict(bad)
 
 
-def check_rb_bimodule(r: RBPreLieAlgebra, m: RBBimodule) -> Verdict:
-    """Both weighted compatibility laws between T and the module operator."""
+def check_rb_bimodule(
+    r: RBPreLieAlgebra, m: RBBimodule, *, bimodule: Verdict | None = None
+) -> Verdict:
+    """Both weighted compatibility laws between T and the module operator.
+
+    ``bimodule`` is the verdict of ``check_bimodule(r.algebra, m.bimodule)``
+    when the caller already has it; it is computed here otherwise.
+    """
     bm, tm, t, lam = m.bimodule, m.t_m, r.operator, r.weight
     if bm.base_dim != r.dim:
         raise ValueError("module base dimension does not match the algebra")
+    if bimodule is None:
+        bimodule = check_bimodule(r.algebra, bm)
     notes = []
-    if not check_bimodule(r.algebra, bm).ok:
+    if not bimodule.ok:
         notes.append("underlying actions fail the bimodule check")
     bad: list[Violation] = []
     for i in range(r.dim):
@@ -308,9 +322,10 @@ def check_jacobi(bracket: ProductTable) -> Verdict:
 
 
 def _require_valid_rb(r: RBPreLieAlgebra) -> None:
-    if not check_pre_lie(r.algebra).ok:
+    pre_lie = check_pre_lie(r.algebra)
+    if not pre_lie.ok:
         raise InvalidStructureError("product does not satisfy the pre-Lie identity")
-    if not check_rb_operator(r).ok:
+    if not check_rb_operator(r, pre_lie=pre_lie).ok:
         raise InvalidStructureError("operator does not satisfy the Rota-Baxter law")
 
 

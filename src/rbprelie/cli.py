@@ -130,14 +130,14 @@ def _cmd_check(args) -> tuple[dict, int]:
     pl = check_pre_lie(r.algebra)
     verdicts["pre_lie"] = _verdict_doc(pl)
     violations.extend(pl.violations)
-    rb = check_rb_operator(r)
+    rb = check_rb_operator(r, pre_lie=pl)
     verdicts["rota_baxter"] = _verdict_doc(rb)
     violations.extend(rb.violations)
     if module is not None:
         bm = check_bimodule(r.algebra, module.bimodule)
         verdicts["bimodule"] = _verdict_doc(bm)
         violations.extend(bm.violations)
-        rbm = check_rb_bimodule(r, module)
+        rbm = check_rb_bimodule(r, module, bimodule=bm)
         verdicts["rb_bimodule"] = _verdict_doc(rbm)
         violations.extend(rbm.violations)
     ok = all(v == "ok" for v in verdicts.values())
@@ -152,7 +152,8 @@ def _cmd_check(args) -> tuple[dict, int]:
 
 
 def _require_valid(r, module) -> RBBimodule:
-    if not check_pre_lie(r.algebra).ok or not check_rb_operator(r).ok:
+    pre_lie = check_pre_lie(r.algebra)
+    if not pre_lie.ok or not check_rb_operator(r, pre_lie=pre_lie).ok:
         raise InvalidStructureError("input is not a Rota-Baxter pre-Lie algebra; run `check`")
     m = module if module is not None else regular_bimodule(r)
     if not check_rb_bimodule(r, m).ok:

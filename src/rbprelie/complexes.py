@@ -390,15 +390,19 @@ def les_check(r: RBPreLieAlgebra, m: RBBimodule, max_degree: int) -> LESReport:
     per (complex, degree).
     """
     PLA, RBO, RBA = ComplexKind.PLA, ComplexKind.RBO, ComplexKind.RBA
-    degrees = range(max_degree + 2)
-    D = {(kind, n): differential_matrix(kind, r, m, n) for kind in (PLA, RBO) for n in degrees}
-    phim = {n: phi_matrix(r, m, n) for n in degrees}
-    for n in degrees:
+    # the walk ends at Hᴺ_RBO, whose connecting map lands in degree N+1 of the
+    # combined complex; of degree N+1 it reads only that matrix (built from
+    # δ_{N+1}, Φ_{N+1} and ∂_N) and the boundaries in it
+    top = max_degree + 1
+    D = {(PLA, n): differential_matrix(PLA, r, m, n) for n in range(top + 1)}
+    D.update({(RBO, n): differential_matrix(RBO, r, m, n) for n in range(top)})
+    phim = {n: phi_matrix(r, m, n) for n in range(top + 1)}
+    for n in range(top + 1):
         D[(RBA, n)] = _combined_matrix(D[(PLA, n)], phim[n], D[(RBO, n - 1)] if n else None)
-    Z = {key: kernel_basis(mat) for key, mat in D.items()}
+    Z = {(kind, n): kernel_basis(D[(kind, n)]) for kind in (PLA, RBO, RBA) for n in range(top)}
     B = {
         (kind, n): [D[(kind, n - 1)].col(j) for j in range(D[(kind, n - 1)].cols)] if n else []
-        for kind, n in D
+        for kind, n in [*Z, (RBA, top)]
     }
 
     def outgoing(kind: ComplexKind, n: int, v: Vector) -> Vector:

@@ -167,7 +167,8 @@ def build_extension(
     if (c.base_dim, c.mod_dim) != (r.dim, m.mod_dim):
         raise ValueError("cocycle pair dimensions do not match (algebra, module)")
     if not trusted:
-        if not (check_pre_lie(r.algebra).ok and check_rb_operator(r).ok):
+        pre_lie = check_pre_lie(r.algebra)
+        if not (pre_lie.ok and check_rb_operator(r, pre_lie=pre_lie).ok):
             raise InvalidStructureError("base structure is not a Rota-Baxter pre-Lie algebra")
         if not check_rb_bimodule(r, m).ok:
             raise InvalidStructureError("module is not a Rota-Baxter bimodule")
@@ -204,7 +205,7 @@ def build_extension(
     ext = ExtensionData(total, d, md)
 
     pl = check_pre_lie(total.algebra)
-    rb = check_rb_operator(total)
+    rb = check_rb_operator(total, pre_lie=pl)
     defect = rba_differential(r, m, c.as_cochain(), trusted=True)
     return BuildResult(
         ext,
@@ -404,7 +405,7 @@ def check_extension(e: ExtensionData) -> Verdict:
         if not is_zero_vector(col):
             bad.append(Violation("operator_square", (d + j + 1,), col + zero_vector(md)))
     pl = check_pre_lie(total.algebra)
-    rb = check_rb_operator(total)
+    rb = check_rb_operator(total, pre_lie=pl)
     bad.extend(pl.violations)
     bad.extend(rb.violations)
     return Verdict(ok=not bad, violations=tuple(bad))

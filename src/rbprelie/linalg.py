@@ -1,23 +1,32 @@
-"""Dense exact linear algebra over the rationals.
+"""Sparse exact linear algebra over the rationals.
 
 Everything in this package reduces to ranks, kernels and linear solves of
-dense matrices with ``fractions.Fraction`` entries.  Matrices are immutable;
-all functions are pure.  Elimination is plain rational Gaussian elimination
-with a fixed pivot scan order, so results (kernel bases, particular
-solutions, echelon bases) are deterministic.
+matrices with ``fractions.Fraction`` entries, and the coboundary and
+chain-map matrices are mostly zeros.  A matrix keeps its dense ``entries``
+as its value (equality, ``repr`` and serialization read them) and derives
+its sparse rows, the (column, value) pairs of its nonzeros, once, on first
+use.  Every product and every elimination step reads those rows, so no
+``Fraction`` zero is ever multiplied.
 
-Sizes here are desk scale (a few hundred rows at most), which is why dense
-storage and textbook elimination are the right tool.
+Elimination is rational Gauss-Jordan elimination on rows held as dicts
+(column → nonzero value), with the fixed pivot scan order of the textbook
+dense algorithm: columns in increasing order, and in each the topmost
+remaining row with a nonzero there.  The storage therefore does not show in
+any result: kernel bases, particular solutions and echelon bases are
+deterministic and the same as dense elimination gives.  Matrices are
+immutable; all functions are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
+SparseRow = tuple[tuple[int, Fraction], ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -47,9 +56,20 @@ def is_zero_vector(v: Vector) -> bool:
     return all(a == 0 for a in v)
 
 
+def _sparse(v: Sequence) -> SparseRow:
+    return tuple((j, x) for j, x in enumerate(v) if x)
+
+
+def _dense(row: Iterable[tuple[int, Fraction]], n: int) -> Vector:
+    out = [_ZERO] * n
+    for j, x in row:
+        out[j] = x
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Immutable dense matrix of rationals, row-major."""
+    """Immutable matrix of rationals, row-major, with cached sparse rows."""
 
     rows: int
     cols: int
@@ -61,6 +81,11 @@ class RationalMatrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("column count mismatch")
+
+    @cached_property
+    def sparse_rows(self) -> tuple[SparseRow, ...]:
+        """The nonzeros of each row as (column, value) pairs, by increasing column."""
+        return tuple(_sparse(row) for row in self.entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "RationalMatrix":
@@ -92,36 +117,49 @@ class RationalMatrix:
         return tuple(row[j] for row in self.entries)
 
     def apply(self, v: Sequence) -> Vector:
-        """Matrix times coordinate column."""
+        """Matrix times coordinate column; only products of two nonzeros are formed."""
         if len(v) != self.cols:
             raise ValueError(f"dimension mismatch: {self.rows}x{self.cols} times {len(v)}")
-        return tuple(sum((row[j] * v[j] for j in range(self.cols)), _ZERO) for row in self.entries)
+        out = []
+        for row in self.sparse_rows:
+            acc = _ZERO
+            for j, x in row:
+                y = v[j]
+                if y:
+                    acc += x * y
+            out.append(acc)
+        return tuple(out)
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matmul")
-        data = tuple(
-            tuple(
-                sum((self.entries[i][k] * other.entries[k][j] for k in range(self.cols)), _ZERO)
-                for j in range(other.cols)
-            )
-            for i in range(self.rows)
-        )
-        return RationalMatrix(self.rows, other.cols, data)
+        right = other.sparse_rows
+        product = []
+        for row in self.sparse_rows:
+            acc: dict[int, Fraction] = {}
+            for k, a in row:
+                for j, b in right[k]:
+                    acc[j] = acc.get(j, _ZERO) + a * b
+            product.append(_dense(acc.items(), other.cols))
+        return RationalMatrix(self.rows, other.cols, tuple(product))
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.cols, self.rows, tuple(self.col(j) for j in range(self.cols))
-        )
+        columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse_rows):
+            for j, x in row:
+                columns[j].append((i, x))
+        return RationalMatrix(self.cols, self.rows, tuple(_dense(c, self.rows) for c in columns))
 
     def add(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch in add")
-        return RationalMatrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
-        )
+        total = []
+        for r1, r2 in zip(self.sparse_rows, other.sparse_rows):
+            acc = dict(r1)
+            for j, b in r2:
+                acc[j] = acc.get(j, _ZERO) + b
+            total.append(_dense(acc.items(), self.cols))
+        return RationalMatrix(self.rows, self.cols, tuple(total))
 
     def sub(self, other: "RationalMatrix") -> "RationalMatrix":
         return self.add(other.scale(Fraction(-1)))
@@ -129,42 +167,60 @@ class RationalMatrix:
     def scale(self, c) -> "RationalMatrix":
         c = Fraction(c)
         return RationalMatrix(
-            self.rows, self.cols, tuple(tuple(c * a for a in row) for row in self.entries)
+            self.rows,
+            self.cols,
+            tuple(_dense(((j, c * x) for j, x in row), self.cols) for row in self.sparse_rows),
         )
 
     def is_zero(self) -> bool:
-        return all(a == 0 for row in self.entries for a in row)
+        return not any(self.sparse_rows)
 
 
-def _reduced_echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
+def _reduced_echelon(rows: list[dict[int, Fraction]], ncols: int) -> list[int]:
+    """Reduce dict rows (column → nonzero value) in place to reduced row
+    echelon form; returns the pivot columns.
+
+    The pivot of column c is the topmost row at or below the current one with
+    a nonzero in column c, as in dense elimination; a row update loops only
+    over the pivot row's nonzeros and drops the entries it cancels.
+    """
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, nrows) if c in rows[i]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = _ONE / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivot = {j: inv * x for j, x in rows[r].items()}
+        rows[r] = pivot
+        pivot_items = list(pivot.items())
+        for i, row in enumerate(rows):
+            if i == r or c not in row:
+                continue
+            f = row[c]
+            for j, y in pivot_items:
+                x = row.get(j, _ZERO) - f * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    return pivots
+
+
+def _dict_rows(m: RationalMatrix) -> list[dict[int, Fraction]]:
+    return [dict(row) for row in m.sparse_rows]
 
 
 def rank(m: RationalMatrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
-    _, pivots = _reduced_echelon([list(row) for row in m.entries])
-    return len(pivots)
+    return len(_reduced_echelon(_dict_rows(m), m.cols))
 
 
 def kernel_basis(m: RationalMatrix) -> list[Vector]:
@@ -177,18 +233,21 @@ def kernel_basis(m: RationalMatrix) -> list[Vector]:
         return []
     if m.rows == 0:
         return [tuple(_ONE if i == j else _ZERO for i in range(m.cols)) for j in range(m.cols)]
-    rows, pivots = _reduced_echelon([list(row) for row in m.entries])
+    rows = _dict_rows(m)
+    pivots = _reduced_echelon(rows, m.cols)
     pivot_set = set(pivots)
-    basis = []
+    basis: dict[int, list[Fraction]] = {}
     for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [_ZERO] * m.cols
-        v[free] = _ONE
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][free]
-        basis.append(tuple(v))
-    return basis
+        if free not in pivot_set:
+            basis[free] = [_ZERO] * m.cols
+            basis[free][free] = _ONE
+    # a reduced pivot row is zero at every other pivot column, so each of
+    # its other nonzeros sits at a free column
+    for r, c in enumerate(pivots):
+        for j, x in rows[r].items():
+            if j != c:
+                basis[j][c] = -x
+    return [tuple(v) for v in basis.values()]
 
 
 def solve_linear(a: RationalMatrix, b: Sequence) -> Vector | None:
@@ -201,13 +260,17 @@ def solve_linear(a: RationalMatrix, b: Sequence) -> Vector | None:
         raise ValueError(f"dimension mismatch: got rhs of length {len(b)} for {a.rows} rows")
     if a.rows == 0:
         return zero_vector(a.cols)
-    aug = [list(row) + [Fraction(b[i])] for i, row in enumerate(a.entries)]
-    rows, pivots = _reduced_echelon(aug)
+    rows = _dict_rows(a)
+    for row, bi in zip(rows, b):
+        bi = Fraction(bi)
+        if bi:
+            row[a.cols] = bi
+    pivots = _reduced_echelon(rows, a.cols + 1)
     if a.cols in pivots:  # pivot in the augmented column: inconsistent
         return None
     x = [_ZERO] * a.cols
     for r, c in enumerate(pivots):
-        x[c] = rows[r][a.cols]
+        x[c] = rows[r].get(a.cols, _ZERO)
     return tuple(x)
 
 
@@ -223,37 +286,47 @@ class EchelonBasis:
     def dim(self) -> int:
         return len(self.vectors)
 
+    @cached_property
+    def sparse_vectors(self) -> tuple[SparseRow, ...]:
+        """The nonzeros of each basis vector as (coordinate, value) pairs."""
+        return tuple(_sparse(v) for v in self.vectors)
+
     def reduce(self, v: Sequence) -> Vector:
         """Residue of v modulo the subspace, supported on non-pivot coordinates."""
         w = [Fraction(x) for x in v]
         if len(w) != self.dim_ambient:
             raise ValueError("dimension mismatch in reduce")
-        for basis_vec, p in zip(self.vectors, self.pivots):
+        for basis_vec, p in zip(self.sparse_vectors, self.pivots):
             f = w[p]
-            if f != 0:
-                for i in range(self.dim_ambient):
-                    w[i] -= f * basis_vec[i]
+            if f:
+                for j, x in basis_vec:
+                    w[j] -= f * x
         return tuple(w)
 
     def contains(self, v: Sequence) -> bool:
         return is_zero_vector(self.reduce(v))
 
 
-def echelon_basis(vectors: Iterable[Sequence], dim_ambient: int) -> EchelonBasis:
-    """Reduced echelon span of the given vectors (deterministic)."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    for v in rows:
-        if len(v) != dim_ambient:
-            raise ValueError("dimension mismatch in echelon_basis")
+def _echelon(rows: list[dict[int, Fraction]], dim_ambient: int) -> EchelonBasis:
     if not rows:
         return EchelonBasis(dim_ambient, (), ())
-    reduced, pivots = _reduced_echelon(rows)
-    kept = tuple(tuple(reduced[i]) for i in range(len(pivots)))
+    pivots = _reduced_echelon(rows, dim_ambient)
+    kept = tuple(_dense(rows[i].items(), dim_ambient) for i in range(len(pivots)))
     return EchelonBasis(dim_ambient, kept, tuple(pivots))
 
 
+def echelon_basis(vectors: Iterable[Sequence], dim_ambient: int) -> EchelonBasis:
+    """Reduced echelon span of the given vectors (deterministic)."""
+    rows = []
+    for v in vectors:
+        if len(v) != dim_ambient:
+            raise ValueError("dimension mismatch in echelon_basis")
+        rows.append({j: Fraction(x) for j, x in enumerate(v) if x})
+    return _echelon(rows, dim_ambient)
+
+
 def column_space(m: RationalMatrix) -> EchelonBasis:
-    return echelon_basis([m.col(j) for j in range(m.cols)], m.rows)
+    return _echelon(_dict_rows(m.transpose()), m.rows)
 
 
 def same_subspace(a: EchelonBasis, b: EchelonBasis) -> bool:

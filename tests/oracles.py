@@ -17,6 +17,93 @@ def mat_vec(mat, v):
             for i in range(mat.rows)]
 
 
+def mat_mat(a, b):
+    return [[sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), Fraction(0))
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
+def dense_reduced_echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """In-place reduced row echelon form; returns (rows, pivot column list).
+
+    The library's former dense elimination, kept verbatim: it touches every
+    entry, zeros included, with the same pivot scan order as the sparse one."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def dense_rank(mat):
+    if mat.rows == 0 or mat.cols == 0:
+        return 0
+    _, pivots = dense_reduced_echelon([list(row) for row in mat.entries])
+    return len(pivots)
+
+
+def dense_kernel_basis(mat):
+    if mat.cols == 0:
+        return []
+    if mat.rows == 0:
+        return [tuple(unit(mat.cols, j)) for j in range(mat.cols)]
+    rows, pivots = dense_reduced_echelon([list(row) for row in mat.entries])
+    basis = []
+    for free in range(mat.cols):
+        if free in pivots:
+            continue
+        v = unit(mat.cols, free)
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][free]
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_solve(mat, b):
+    if mat.rows == 0:
+        return (Fraction(0),) * mat.cols
+    aug = [list(row) + [Fraction(b[i])] for i, row in enumerate(mat.entries)]
+    rows, pivots = dense_reduced_echelon(aug)
+    if mat.cols in pivots:
+        return None
+    x = [Fraction(0)] * mat.cols
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][mat.cols]
+    return tuple(x)
+
+
+def dense_echelon(vectors):
+    """(kept vectors, pivots) of the reduced echelon span of the vectors."""
+    if not vectors:
+        return (), ()
+    reduced, pivots = dense_reduced_echelon([[Fraction(x) for x in v] for v in vectors])
+    return tuple(tuple(reduced[i]) for i in range(len(pivots))), tuple(pivots)
+
+
+def dense_reduce(vectors, pivots, v):
+    w = [Fraction(x) for x in v]
+    for basis_vec, p in zip(vectors, pivots):
+        f = w[p]
+        if f != 0:
+            for i in range(len(w)):
+                w[i] -= f * basis_vec[i]
+    return tuple(w)
+
+
 def prod(c, x, y):
     """Structure-constant product of coordinate vectors, index loops only."""
     d = len(c)

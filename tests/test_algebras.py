@@ -272,6 +272,44 @@ def test_checkers_agree_with_naive_oracles_on_arbitrary_structures():
         assert got_rb.ok == (not naive_rb_defects(table, t, lam))
 
 
+def test_passed_in_verdicts_give_the_same_verdicts():
+    # callers that already ran check_pre_lie / check_bimodule pass the verdict
+    # in; violations, their order and the notes must not change
+    rng = random.Random(10)
+    invalid_seen = {"pre_lie": 0, "bimodule": 0}
+    for step in range(30):
+        d, md = rng.randint(1, 3), rng.randint(1, 2)
+        if step % 3 == 0:
+            r, m = random_valid_pair(rng, d)
+        else:
+            table = tuple(
+                tuple(
+                    tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(d))
+                    for _ in range(d)
+                )
+                for _ in range(d)
+            )
+            r = RBPreLieAlgebra(
+                PreLieAlgebra(d, table), Fraction(rng.randint(-2, 2)), random_matrix(rng, d, d)
+            )
+            m = RBBimodule(
+                Bimodule(
+                    d,
+                    md,
+                    tuple(random_matrix(rng, md, md) for _ in range(d)),
+                    tuple(random_matrix(rng, md, md) for _ in range(d)),
+                ),
+                random_matrix(rng, md, md),
+            )
+        pre_lie = check_pre_lie(r.algebra)
+        bimodule = check_bimodule(r.algebra, m.bimodule)
+        invalid_seen["pre_lie"] += not pre_lie.ok
+        invalid_seen["bimodule"] += not bimodule.ok
+        assert check_rb_operator(r, pre_lie=pre_lie) == check_rb_operator(r)
+        assert check_rb_bimodule(r, m, bimodule=bimodule) == check_rb_bimodule(r, m)
+    assert all(invalid_seen.values())
+
+
 def test_random_generators_produce_valid_structures():
     rng = random.Random(9)
     for _ in range(25):

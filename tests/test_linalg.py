@@ -16,7 +16,16 @@ from rbprelie.linalg import (
     solve_linear,
 )
 
-from oracles import sympy_rank
+from oracles import (
+    dense_echelon,
+    dense_kernel_basis,
+    dense_rank,
+    dense_reduce,
+    dense_solve,
+    mat_mat,
+    mat_vec,
+    sympy_rank,
+)
 
 
 def test_rank_identity_and_zero():
@@ -149,3 +158,77 @@ def test_column_space_reduce_deterministic():
     r2 = space.reduce((1, 0, 0))
     assert r1 == r2
     assert not is_zero_vector(r1)
+
+
+def _sparse_random_matrix(rng, rows, cols, density, big=False):
+    def entry():
+        if rng.random() >= density:
+            return Fraction(0)
+        if big:
+            return Fraction(rng.randint(-10**15, 10**15), rng.randint(1, 10**15))
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    return RationalMatrix(rows, cols, tuple(tuple(entry() for _ in range(cols)) for _ in range(rows)))
+
+
+def _random_vector(rng, n, density):
+    return _sparse_random_matrix(rng, 1, n, density).entries[0]
+
+
+def _oracle_cases(rng):
+    """Named shapes first, then seeded random matrices of mixed density."""
+    yield RationalMatrix(0, 4, ())
+    yield RationalMatrix(3, 0, ((),) * 3)
+    yield RationalMatrix(0, 0, ())
+    yield RationalMatrix.zeros(3, 5)
+    yield RationalMatrix.identity(4)
+    yield RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4]])  # rank 2
+    base = _sparse_random_matrix(rng, 3, 6, 0.5)
+    yield RationalMatrix(6, 6, base.entries + base.entries)  # duplicated rows
+    yield _sparse_random_matrix(rng, 5, 5, 0.6, big=True)
+    for _ in range(150):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        m = _sparse_random_matrix(rng, rows, cols, rng.choice((0.1, 0.3, 0.6, 1.0)),
+                                  big=rng.random() < 0.1)
+        if rows > 1 and rng.random() < 0.3:  # force a dependent row
+            r0, r1 = rng.sample(range(rows), 2)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            entries = list(m.entries)
+            entries[r1] = tuple(c * x for x in entries[r0])
+            m = RationalMatrix(rows, cols, tuple(entries))
+        yield m
+
+
+def test_sparse_core_equals_dense_oracle():
+    """Every result of the sparse core is equal (==, not just the same span)
+    to the former dense elimination and dense products."""
+    rng = random.Random(6)
+    inconsistent = 0
+    for m in _oracle_cases(rng):
+        transposed = tuple(tuple(m.entries[i][j] for i in range(m.rows)) for j in range(m.cols))
+        assert m.transpose().entries == transposed
+        assert all(m.col(j) == transposed[j] for j in range(m.cols))
+        other = _sparse_random_matrix(rng, m.cols, rng.randint(0, 5), 0.4)
+        assert m.matmul(other).entries == tuple(tuple(row) for row in mat_mat(m, other))
+        x = _random_vector(rng, m.cols, 0.5)
+        assert m.apply(x) == tuple(mat_vec(m, x))
+
+        assert rank(m) == dense_rank(m)
+        assert kernel_basis(m) == dense_kernel_basis(m)
+        for b in (m.apply(x), _random_vector(rng, m.rows, 0.7)):
+            got = solve_linear(m, b)
+            assert got == dense_solve(m, b)
+            inconsistent += got is None
+
+        cs = column_space(m)
+        assert (cs.vectors, cs.pivots) == dense_echelon(transposed)
+        space = echelon_basis(m.entries, m.cols)
+        want_vectors, want_pivots = dense_echelon(m.entries)
+        assert (space.vectors, space.pivots) == (want_vectors, want_pivots)
+        in_span = m.transpose().apply(_random_vector(rng, m.rows, 0.6))
+        for v in (in_span, _random_vector(rng, m.cols, 0.6)):
+            residue = space.reduce(v)
+            assert residue == dense_reduce(want_vectors, want_pivots, v)
+            assert space.contains(v) == all(a == 0 for a in residue)
+        assert space.contains(in_span)
+    assert inconsistent > 0
