@@ -28,7 +28,6 @@ from .linalg import (
     vadd,
     vscale,
     vsub,
-    vec,
     zero_vector,
 )
 
@@ -58,10 +57,6 @@ class Verdict:
 
 def _verdict(violations: list[Violation], notes: Sequence[str] = ()) -> Verdict:
     return Verdict(ok=not violations, violations=tuple(violations), notes=tuple(notes))
-
-
-def product_table(rows: Sequence[Sequence[Sequence]]) -> ProductTable:
-    return tuple(tuple(vec(entry) for entry in row) for row in rows)
 
 
 def zero_table(dim_left: int, dim_right: int, dim_out: int) -> ProductTable:

@@ -27,8 +27,8 @@ from .algebras import (
 )
 from .cochains import RBACochain
 from .complexes import (
+    ComplexData,
     ComplexKind,
-    cohomology_dims,
     les_check,
     pla_differential,
     rba_differential,
@@ -169,9 +169,8 @@ def _cmd_cohomology(args) -> tuple[dict, int]:
         if args.complex == "all"
         else [ComplexKind(args.complex)]
     )
-    dims = {}
-    for kind in kinds:
-        dims[kind.value] = cohomology_dims(kind, r, m, args.max_degree)
+    data = ComplexData(r, m)
+    dims = {kind.value: data.cohomology_dims(kind, args.max_degree) for kind in kinds}
     report = {"command": "cohomology"}
     if name:
         report["name"] = name
@@ -189,7 +188,7 @@ def _cmd_cohomology(args) -> tuple[dict, int]:
 def _cmd_star(args) -> tuple[dict, int]:
     r, module, name = _algebra_and_module(args)
     _require_valid(r, module)
-    st = star_algebra(r)
+    st = star_algebra(r, trusted=True)
     doc = algebra_document(st, None, (name + "_star") if name else None)
     if args.output:
         _write(args.output, dump_document(doc))

@@ -21,9 +21,13 @@ Matrix coordinates follow the cochain basis order of :mod:`.cochains`; a
 combined-complex coordinate vector is the pre-Lie block followed by the
 operator block.  The combined matrix is therefore assembled from the other
 two complexes and the chain map, as the block matrix [[δₙ, 0], [−Φₙ, −∂ₙ₋₁]]
-(in degree 0, where there is no operator block, [[δ₀], [−Φ₀]]).  Nothing
-is cached: a caller that needs a matrix twice keeps it, as :func:`les_check`
-does.
+(in degree 0, where there is no operator block, [[δ₀], [−Φ₀]]).
+
+A :class:`ComplexData`, made once per request for one (algebra, module)
+pair, owns everything derived from those matrices: it builds each matrix,
+cocycle basis and boundary span the first time it is asked for and keeps
+it, and it decides whether a target is a coboundary.  Nothing is kept
+between requests.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Sequence
 
 from .algebras import (
     Bimodule,
@@ -46,11 +51,13 @@ from .linalg import (
     EchelonBasis,
     RationalMatrix,
     Vector,
+    column_space,
     echelon_basis,
     is_zero_vector,
     kernel_basis,
     rank,
     same_subspace,
+    solve_linear,
     vadd,
     vscale,
     vsub,
@@ -105,31 +112,18 @@ def pla_differential(a: PreLieAlgebra, m: Bimodule, f: Cochain) -> Cochain:
 
 
 def rbo_differential(
-    r: RBPreLieAlgebra,
-    m: RBBimodule,
-    g: Cochain,
-    *,
-    trusted: bool = False,
-    check: bool = False,
+    r: RBPreLieAlgebra, m: RBBimodule, g: Cochain, *, trusted: bool = False
 ) -> Cochain:
     """Operator-complex coboundary: the pre-Lie coboundary of the star
-    algebra with the derived actions as coefficients.
-
-    With ``check=True`` the fully expanded form (written with the original
-    product, actions, T, T_M and λ only) is computed as well and compared.
-    """
+    algebra with the derived actions as coefficients."""
     star = star_algebra(r, trusted=trusted)
     derived = derived_bimodule(r, m, trusted=trusted)
-    result = pla_differential(star.algebra, derived.bimodule, g)
-    if check:
-        expanded = rbo_differential_expanded(r, m, g)
-        if not result.sub(expanded).is_zero():
-            raise AssertionError("derived-route and expanded operator coboundaries disagree")
-    return result
+    return pla_differential(star.algebra, derived.bimodule, g)
 
 
 def rbo_differential_expanded(r: RBPreLieAlgebra, m: RBBimodule, g: Cochain) -> Cochain:
-    """The same coboundary written out term by term in the base structure.
+    """The same coboundary written out term by term in the base structure
+    (the original product, actions, T, T_M and λ only).
 
     Kept as an independent transcription; tests compare it with the
     derived-route computation degree by degree.
@@ -176,23 +170,14 @@ def rbo_differential_expanded(r: RBPreLieAlgebra, m: RBBimodule, g: Cochain) -> 
     return Cochain(n + 1, a.dim, bm.mod_dim, out)
 
 
-def phi(r: RBPreLieAlgebra, m: RBBimodule, f: Cochain, *, check: bool = False) -> Cochain:
+def phi(r: RBPreLieAlgebra, m: RBBimodule, f: Cochain) -> Cochain:
     """Degree-preserving chain map into the operator complex.
 
     Closed form used here: Φ(f) = f∘(T, …, T) minus, for every insertion
     pattern ε ∈ {0,1}ⁿ other than all-ones, λ^{n−1−|ε|}·T_M∘f∘(T^ε); the
-    identity in degree 0.  ``check=True`` also evaluates the two-sum form
-    (:func:`phi_literal`) and compares.
+    identity in degree 0.  Tests compare it with the two-sum form
+    :func:`phi_literal`.
     """
-    result = _phi_epsilon(r, m, f)
-    if check and f.degree >= 1:
-        other = phi_literal(r, m, f)
-        if not result.sub(other).is_zero():
-            raise AssertionError("the two forms of the chain map disagree")
-    return result
-
-
-def _phi_epsilon(r: RBPreLieAlgebra, m: RBBimodule, f: Cochain) -> Cochain:
     n = f.degree
     if n == 0:
         return f
@@ -272,13 +257,10 @@ def _basis_cochains(degree: int, base_dim: int, mod_dim: int):
 def differential_matrix(
     kind: ComplexKind, r: RBPreLieAlgebra, m: RBBimodule, degree: int
 ) -> RationalMatrix:
-    """Matrix of the degree-``degree`` coboundary in the canonical bases."""
+    """Matrix of the degree-``degree`` coboundary in the canonical bases (the
+    combined one composed by a :class:`ComplexData`)."""
     if kind is ComplexKind.RBA:
-        return _combined_matrix(
-            differential_matrix(ComplexKind.PLA, r, m, degree),
-            phi_matrix(r, m, degree),
-            differential_matrix(ComplexKind.RBO, r, m, degree - 1) if degree else None,
-        )
+        return ComplexData(r, m).d(kind, degree)
     if kind is ComplexKind.PLA:
         alg, coeffs = r.algebra, m.bimodule
     else:
@@ -317,18 +299,75 @@ def phi_matrix(r: RBPreLieAlgebra, m: RBBimodule, degree: int) -> RationalMatrix
     return RationalMatrix.from_cols(columns, dim)
 
 
+class ComplexData:
+    """The complexes of one (algebra, module) pair: coboundary and Φ
+    matrices, cocycle bases, boundary spans and ranks, each built the first
+    time it is asked for and then kept.
+
+    Make one per request and drop it with the request; it takes no options.
+    """
+
+    def __init__(self, r: RBPreLieAlgebra, m: RBBimodule) -> None:
+        self.r, self.m = r, m
+        self._kept: dict[tuple, object] = {}
+
+    def _once(self, key: tuple, build):
+        if key not in self._kept:
+            self._kept[key] = build()
+        return self._kept[key]
+
+    def dim(self, kind: ComplexKind, n: int) -> int:
+        return complex_space_dim(kind, n, self.r.dim, self.m.mod_dim)
+
+    def d(self, kind: ComplexKind, n: int) -> RationalMatrix:
+        """dₙ; the combined one is composed from this object's δₙ, Φₙ, ∂ₙ₋₁."""
+        PLA, RBO = ComplexKind.PLA, ComplexKind.RBO
+        if kind is ComplexKind.RBA:
+            return self._once(("d", kind, n), lambda: _combined_matrix(
+                self.d(PLA, n), self.phi(n), self.d(RBO, n - 1) if n else None
+            ))
+        return self._once(("d", kind, n), lambda: differential_matrix(kind, self.r, self.m, n))
+
+    def phi(self, n: int) -> RationalMatrix:
+        return self._once(("phi", n), lambda: phi_matrix(self.r, self.m, n))
+
+    def cocycles(self, kind: ComplexKind, n: int) -> list[Vector]:
+        """Basis of Zₙ = ker dₙ, as :func:`kernel_basis` gives it."""
+        return self._once(("Z", kind, n), lambda: kernel_basis(self.d(kind, n)))
+
+    def boundaries(self, kind: ComplexKind, n: int) -> EchelonBasis:
+        """Echelon basis of Bₙ, the column space of dₙ₋₁; zero in degree 0."""
+        if n == 0:
+            return EchelonBasis(self.dim(kind, 0), (), ())
+        return self._once(("B", kind, n), lambda: column_space(self.d(kind, n - 1)))
+
+    def cohomology_dims(self, kind: ComplexKind, max_degree: int) -> list[int]:
+        """dim Hⁿ = (cols dₙ − rank dₙ) − rank dₙ₋₁ for n = 0 … N."""
+        dims, prev_rank = [], 0
+        for n in range(max_degree + 1):
+            rk = self._once(("rank", kind, n), lambda: rank(self.d(kind, n)))
+            dims.append(self.dim(kind, n) - rk - prev_rank)
+            prev_rank = rk
+        return dims
+
+    def solve(
+        self, kind: ComplexKind, n: int, target: Sequence
+    ) -> tuple[Vector | None, tuple[tuple[int, Fraction], ...] | None]:
+        """(x, None) with dₙx = target, free variables zero as in
+        :func:`solve_linear`; otherwise (None, residue), the residue of the
+        target modulo Bₙ₊₁ as its nonzero (coordinate, value) pairs."""
+        x = solve_linear(self.d(kind, n), target)
+        if x is not None:
+            return x, None
+        residue = self.boundaries(kind, n + 1).reduce(target)
+        return None, tuple((i, v) for i, v in enumerate(residue) if v != 0)
+
+
 def cohomology_dims(
     kind: ComplexKind, r: RBPreLieAlgebra, m: RBBimodule, max_degree: int
 ) -> list[int]:
     """Cohomology dimensions H⁰ … H^N, by rank and nullity of the matrices."""
-    dims = []
-    prev_rank = 0
-    for n in range(max_degree + 1):
-        dn = differential_matrix(kind, r, m, n)
-        rk = rank(dn)
-        dims.append((dn.cols - rk) - prev_rank)
-        prev_rank = rk
-    return dims
+    return ComplexData(r, m).cohomology_dims(kind, max_degree)
 
 
 @dataclass(frozen=True)
@@ -352,8 +391,8 @@ class LESReport:
 def _kernel_plus_boundaries(
     images: list[Vector],
     cocycles: list[Vector],
-    boundaries: list[Vector],
-    target_boundaries: list[Vector],
+    boundaries: tuple[Vector, ...],
+    target_boundaries: tuple[Vector, ...],
     target_dim: int,
     ambient: int,
 ) -> EchelonBasis:
@@ -372,7 +411,7 @@ def _kernel_plus_boundaries(
             if c != 0:
                 v = vadd(v, vscale(c, z))
         members.append(v)
-    return echelon_basis(members + boundaries, ambient)
+    return echelon_basis(members + list(boundaries), ambient)
 
 
 def les_check(r: RBPreLieAlgebra, m: RBBimodule, max_degree: int) -> LESReport:
@@ -386,31 +425,20 @@ def les_check(r: RBPreLieAlgebra, m: RBBimodule, max_degree: int) -> LESReport:
     defined on representatives (cocycles to cocycles, boundaries into
     boundaries), and the image of the incoming map (boundaries only at
     H⁰_RBA) is compared with the kernel of the outgoing one inside the
-    cocycle space.  Cocycle bases and boundary columns are computed once
-    per (complex, degree).
+    cocycle space.  Matrices, cocycle bases and boundary spans come from one
+    :class:`ComplexData`; of degree N+1, where the walk ends with the
+    connecting map out of Hᴺ_RBO, it reads only the combined matrix (built
+    from δ_{N+1}, Φ_{N+1} and ∂_N) and the boundaries in it.
     """
     PLA, RBO, RBA = ComplexKind.PLA, ComplexKind.RBO, ComplexKind.RBA
-    # the walk ends at Hᴺ_RBO, whose connecting map lands in degree N+1 of the
-    # combined complex; of degree N+1 it reads only that matrix (built from
-    # δ_{N+1}, Φ_{N+1} and ∂_N) and the boundaries in it
-    top = max_degree + 1
-    D = {(PLA, n): differential_matrix(PLA, r, m, n) for n in range(top + 1)}
-    D.update({(RBO, n): differential_matrix(RBO, r, m, n) for n in range(top)})
-    phim = {n: phi_matrix(r, m, n) for n in range(top + 1)}
-    for n in range(top + 1):
-        D[(RBA, n)] = _combined_matrix(D[(PLA, n)], phim[n], D[(RBO, n - 1)] if n else None)
-    Z = {(kind, n): kernel_basis(D[(kind, n)]) for kind in (PLA, RBO, RBA) for n in range(top)}
-    B = {
-        (kind, n): [D[(kind, n - 1)].col(j) for j in range(D[(kind, n - 1)].cols)] if n else []
-        for kind, n in [*Z, (RBA, top)]
-    }
+    data = ComplexData(r, m)
 
     def outgoing(kind: ComplexKind, n: int, v: Vector) -> Vector:
         if kind is RBA:
-            return v[: D[(PLA, n)].cols]
+            return v[: data.dim(PLA, n)]
         if kind is PLA:
-            return phim[n].apply(v)
-        return zero_vector(D[(PLA, n + 1)].cols) + vscale(Fraction(-1), v)
+            return data.phi(n).apply(v)
+        return zero_vector(data.dim(PLA, n + 1)) + vscale(Fraction(-1), v)
 
     # the map out of each kind of position: its name, and the complex and
     # degree shift of the position it lands in
@@ -421,20 +449,18 @@ def les_check(r: RBPreLieAlgebra, m: RBBimodule, max_degree: int) -> LESReport:
         for kind in (RBA, PLA, RBO):
             name, target_kind, shift = steps[kind]
             here, target = (kind, n), (target_kind, n + shift)
-            target_dim = D[target].cols
-            images = [outgoing(kind, n, z) for z in Z[here]]
-            well_defined = all(is_zero_vector(D[target].apply(w)) for w in images)
-            if well_defined and B[here]:
-                target_boundaries = echelon_basis(B[target], target_dim)
-                well_defined = all(
-                    target_boundaries.contains(outgoing(kind, n, b)) for b in B[here]
-                )
+            cocycles, boundaries = data.cocycles(*here), data.boundaries(*here).vectors
+            target_boundaries = data.boundaries(*target)
+            images = [outgoing(kind, n, z) for z in cocycles]
+            well_defined = all(
+                is_zero_vector(data.d(*target).apply(w)) for w in images
+            ) and all(target_boundaries.contains(outgoing(kind, n, b)) for b in boundaries)
             map_checks.append((f"{name} deg {n}", well_defined))
 
-            ambient = D[here].cols
-            image = echelon_basis(incoming + B[here], ambient)
+            ambient = data.dim(*here)
+            image = echelon_basis(incoming + list(boundaries), ambient)
             kernel = _kernel_plus_boundaries(
-                images, Z[here], B[here], B[target], target_dim, ambient
+                images, cocycles, boundaries, target_boundaries.vectors, data.dim(*target), ambient
             )
             exact = same_subspace(image, kernel)
             positions.append(PositionReport(f"H{n}_{kind.name}", image.dim, kernel.dim, exact))

@@ -35,13 +35,11 @@ from .cochains import (
     cochain_from_matrix,
     matrix_from_cochain,
 )
-from .complexes import ComplexKind, differential_matrix, rbo_differential
+from .complexes import ComplexData, ComplexKind, rbo_differential
 from .linalg import (
     RationalMatrix,
     Vector,
-    column_space,
     is_zero_vector,
-    solve_linear,
     vadd,
     vscale,
     vsub,
@@ -312,7 +310,6 @@ def solve_next_order(r: RBPreLieAlgebra, d: TruncatedDeformation) -> SolveNextOr
         )
     n = d.order + 1
     dim = r.dim
-    reg = regular_bimodule(r)
     # right-hand side: the order-n defect of the deformation extended by a
     # zero μₙ and a zero Tₙ; its product part is a skew degree-3 value on
     # (a∧b)⊗c, kept on the keys a < b
@@ -326,15 +323,11 @@ def solve_next_order(r: RBPreLieAlgebra, d: TruncatedDeformation) -> SolveNextOr
         Cochain(3, dim, dim, {key: v for key, v in product.items() if key[0] < key[1]}),
         Cochain(2, dim, dim, operator),
     )
-    d2 = differential_matrix(ComplexKind.RBA, r, reg, 2)
-    x = solve_linear(d2, target.coords())
+    data = ComplexData(r, regular_bimodule(r))
+    x, residual = data.solve(ComplexKind.RBA, 2, target.coords())
     if x is None:
-        image = column_space(d2)
-        residual = image.reduce(target.coords())
-        d3 = differential_matrix(ComplexKind.RBA, r, reg, 3)
-        is_cocycle = is_zero_vector(d3.apply(target.coords()))
-        coords = tuple((idx, v) for idx, v in enumerate(residual) if v != 0)
-        return SolveNextOrderResult(n, None, None, Obstruction(coords, is_cocycle))
+        is_cocycle = is_zero_vector(data.d(ComplexKind.RBA, 3).apply(target.coords()))
+        return SolveNextOrderResult(n, None, None, Obstruction(residual, is_cocycle))
     pair = RBACochain.from_coords(2, dim, dim, x)
     mu_n = bilinear_from_cochain(pair.pla_part)
     t_n = matrix_from_cochain(pair.rbo_part)
@@ -367,8 +360,7 @@ def trivialize(r: RBPreLieAlgebra, d: TruncatedDeformation) -> TrivializeResult:
             f"deformation invalid at order {verdict.first_bad_order()}"
         )
     dim = r.dim
-    reg = regular_bimodule(r)
-    d1 = differential_matrix(ComplexKind.RBA, r, reg, 1)
+    data = ComplexData(r, regular_bimodule(r))
     n_max = d.order
     current = d
     total = identity_gauge(dim, n_max)
@@ -377,12 +369,9 @@ def trivialize(r: RBPreLieAlgebra, d: TruncatedDeformation) -> TrivializeResult:
         if _table_is_zero(mu_k) and t_k.is_zero():
             continue
         target = RBACochain(cochain_from_bilinear(mu_k, dim), cochain_from_matrix(t_k))
-        y = solve_linear(d1, target.coords())
+        y, residual = data.solve(ComplexKind.RBA, 1, target.coords())
         if y is None:
-            image = column_space(d1)
-            residual = image.reduce(target.coords())
-            coords = tuple((idx, v) for idx, v in enumerate(residual) if v != 0)
-            return TrivializeResult(None, k, Obstruction(coords))
+            return TrivializeResult(None, k, Obstruction(residual))
         correction = RBACochain.from_coords(1, dim, dim, y)
         psi_k = matrix_from_cochain(correction.pla_part)
         step_maps = [RationalMatrix.identity(dim)]

@@ -30,16 +30,9 @@ from .algebras import (
     check_rb_bimodule,
     check_rb_operator,
 )
-from .cochains import RBACochain, cochain_from_bilinear, cochain_from_matrix
-from .complexes import ComplexKind, differential_matrix, phi, pla_differential, rba_differential
-from .linalg import (
-    RationalMatrix,
-    Vector,
-    is_zero_vector,
-    solve_linear,
-    vsub,
-    zero_vector,
-)
+from .cochains import Cochain, RBACochain, cochain_from_bilinear, cochain_from_matrix
+from .complexes import ComplexData, ComplexKind, rba_differential
+from .linalg import RationalMatrix, Vector, is_zero_vector, vsub, zero_vector
 
 
 @dataclass(frozen=True)
@@ -309,16 +302,12 @@ def sections_same_class(e: ExtensionData, s1: Section, s2: Section) -> SectionCo
         if not is_zero_vector(diff.col(j)[:d]):
             raise ValueError("sections do not differ by a module-valued map")
     same_actions = r1.bimodule == r2.bimodule
-    gamma_cochain = cochain_from_matrix(gamma)
-    delta = pla_differential(r1.base.algebra, r1.bimodule.bimodule, gamma_cochain)
-    phi_gamma = phi(r1.base, r1.bimodule, gamma_cochain)
-    expected_psi = delta
-    expected_chi = phi_gamma.scale(Fraction(-1))
-    got = r1.pair.sub(r2.pair).as_cochain()
-    matches = (
-        got.pla_part.sub(expected_psi).is_zero()
-        and got.rbo_part.sub(expected_chi).is_zero()
+    # the combined coboundary of (γ, 0) is (δγ, −Φγ)
+    expected = rba_differential(
+        r1.base, r1.bimodule, RBACochain(cochain_from_matrix(gamma), Cochain.zero(0, d, md)),
+        trusted=True,
     )
+    matches = r1.pair.sub(r2.pair).as_cochain().sub(expected).is_zero()
     return SectionComparison(matches and same_actions, gamma, matches, same_actions)
 
 
@@ -344,16 +333,9 @@ def iso_from_coboundary(
         if not rba_differential(r, m, c.as_cochain(), trusted=True).is_zero():
             raise InvalidStructureError("input pair is not a degree-2 cocycle")
     diff = c1.sub(c2).as_cochain()
-    # unknown γ ranges over degree-1 cochains; the map γ ↦ (δγ, −Φγ) is the
-    # restriction of the degree-1 combined coboundary to its first block
-    d1 = differential_matrix(ComplexKind.RBA, r, m, 1)
-    from .cochains import space_dim
-
-    pla_cols = space_dim(1, d, md)
-    restricted = RationalMatrix.from_cols(
-        [d1.col(j) for j in range(pla_cols)], d1.rows
-    )
-    sol = solve_linear(restricted, diff.coords())
+    # the degree-1 combined coboundary maps (γ, u) to (δγ, −Φγ − ∂u), and
+    # ∂ = 0 in degree 0; the solve sets the free u to zero and returns (γ, 0)
+    sol, _ = ComplexData(r, m).solve(ComplexKind.RBA, 1, diff.coords())
     if sol is None:
         return IsoResult(False, None, None, False, False)
     gamma = RationalMatrix.from_cols(

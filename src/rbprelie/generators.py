@@ -31,11 +31,10 @@ from .algebras import (
     zero_table,
 )
 from .cochains import Cochain, RBACochain, basis_keys
-from .complexes import ComplexKind, differential_matrix
+from .complexes import ComplexData, ComplexKind
 from .linalg import (
     RationalMatrix,
     Vector,
-    kernel_basis,
     solve_linear,
     vadd,
     vscale,
@@ -221,6 +220,14 @@ def zero_action_bimodule(r: RBPreLieAlgebra, t_m: RationalMatrix) -> RBBimodule:
     return RBBimodule(Bimodule(r.dim, md, (zero,) * r.dim, (zero,) * r.dim), t_m)
 
 
+def _block_diagonal(upper: RationalMatrix, lower: RationalMatrix) -> RationalMatrix:
+    """The square block matrix [[upper, 0], [0, lower]]."""
+    rows = [tuple(row) + zero_vector(lower.cols) for row in upper.entries]
+    rows += [zero_vector(upper.cols) + tuple(row) for row in lower.entries]
+    n = upper.rows + lower.rows
+    return RationalMatrix(n, n, tuple(rows))
+
+
 def random_rb_bimodule(
     rng: random.Random, r: RBPreLieAlgebra, mod_dim: int | None = None
 ) -> RBBimodule:
@@ -238,19 +245,10 @@ def random_rb_bimodule(
         reg = regular_bimodule(r)
         d, md = r.dim, r.dim + extra
         t_extra = random_matrix(rng, extra, extra)
-
-        def block(upper: RationalMatrix, lower: RationalMatrix) -> RationalMatrix:
-            rows = []
-            for i in range(upper.rows):
-                rows.append(tuple(upper.entries[i]) + zero_vector(extra))
-            for i in range(extra):
-                rows.append(zero_vector(upper.cols) + tuple(lower.entries[i]))
-            return RationalMatrix(md, md, tuple(rows))
-
         zero_e = RationalMatrix.zeros(extra, extra)
-        S = tuple(block(reg.bimodule.S[i], zero_e) for i in range(d))
-        P = tuple(block(reg.bimodule.P[i], zero_e) for i in range(d))
-        m = RBBimodule(Bimodule(d, md, S, P), block(reg.t_m, t_extra))
+        S = tuple(_block_diagonal(reg.bimodule.S[i], zero_e) for i in range(d))
+        P = tuple(_block_diagonal(reg.bimodule.P[i], zero_e) for i in range(d))
+        m = RBBimodule(Bimodule(d, md, S, P), _block_diagonal(reg.t_m, t_extra))
     if rng.random() < 0.6:
         rho = random_invertible(rng, m.mod_dim)
         ident = RationalMatrix.identity(r.dim)
@@ -295,10 +293,9 @@ def random_cocycle(
 ) -> Vector:
     """Random exact kernel element of the degree-``degree`` differential,
     as a coordinate vector (zero if the cocycle space is trivial)."""
-    mat = differential_matrix(kind, r, m, degree)
-    basis = kernel_basis(mat)
-    out = zero_vector(mat.cols)
-    for v in basis:
+    data = ComplexData(r, m)
+    out = zero_vector(data.dim(kind, degree))
+    for v in data.cocycles(kind, degree):
         c = Fraction(rng.randint(-2, 2))
         if c != 0:
             out = vadd(out, vscale(c, v))
@@ -357,18 +354,9 @@ def random_crossed_module(rng: random.Random, dim0: int, dim1_extra: int = 1):
         reg = regular_bimodule(r)
         t_extra = random_matrix(rng, extra, extra)
         zero_e = RationalMatrix.zeros(extra, extra)
-
-        def block(upper: RationalMatrix, lower: RationalMatrix) -> RationalMatrix:
-            rows = []
-            for i in range(upper.rows):
-                rows.append(tuple(upper.entries[i]) + zero_vector(extra))
-            for i in range(extra):
-                rows.append(zero_vector(upper.cols) + tuple(lower.entries[i]))
-            return RationalMatrix(md, md, tuple(rows))
-
-        S = tuple(block(reg.bimodule.S[i], zero_e) for i in range(dim0))
-        P = tuple(block(reg.bimodule.P[i], zero_e) for i in range(dim0))
-        t1 = block(r.operator, t_extra)
+        S = tuple(_block_diagonal(reg.bimodule.S[i], zero_e) for i in range(dim0))
+        P = tuple(_block_diagonal(reg.bimodule.P[i], zero_e) for i in range(dim0))
+        t1 = _block_diagonal(r.operator, t_extra)
         d_rows = [
             tuple(Fraction(1) if j == i else Fraction(0) for j in range(md))
             for i in range(dim0)

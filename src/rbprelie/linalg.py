@@ -32,10 +32,6 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def vec(entries: Iterable) -> Vector:
-    return tuple(Fraction(x) for x in entries)
-
-
 def zero_vector(n: int) -> Vector:
     return (_ZERO,) * n
 

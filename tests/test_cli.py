@@ -114,6 +114,25 @@ def test_star_emits_parseable_algebra(tmp_path):
     assert sub_code == 0
 
 
+def test_star_validates_once(monkeypatch):
+    from rbprelie import algebras, cli
+
+    calls = []
+    check = algebras.check_pre_lie
+
+    def counting(a):
+        calls.append(a)
+        return check(a)
+
+    monkeypatch.setattr(algebras, "check_pre_lie", counting)
+    monkeypatch.setattr(cli, "check_pre_lie", counting)
+    for fixture in ("a0.yaml", "a1n.yaml"):
+        calls.clear()
+        report, code = _run(["star", FIXTURES / fixture])
+        assert code == 0 and report["status"] == "ok"
+        assert len(calls) == 1
+
+
 def test_cocycle_command(tmp_path):
     rng = random.Random(0)
     r, m = random_valid_pair(rng, 2)
