@@ -1,10 +1,13 @@
 """Pre-Lie algebras, Rota-Baxter operators and (Rota-Baxter) bimodules.
 
 Structures are plain immutable data; validity is never cached.  Every
-checker returns a :class:`Verdict` listing *all* violated basis tuples with
-their defect vectors (1-based indices, since they are diagnostics).
-Operations that require valid input re-check it unless called with
-``trusted=True``.
+checker checks one family of laws and returns a :class:`Verdict` listing
+*all* violated basis tuples with their defect vectors (1-based indices,
+since they are diagnostics).  The pre-Lie identity and the Rota-Baxter law
+are written once, as the tⁿ coefficients :func:`pre_lie_defects` and
+:func:`rota_baxter_defects` of a formal series; the axioms are their order 0.
+:func:`require_valid` is the one validity gate: operations that require
+valid input pass through it unless called with ``trusted=True``.
 
 Conventions:
   * structure constants ``c[i][j][k]`` = coefficient of ``e_k`` in
@@ -63,6 +66,10 @@ def zero_table(dim_left: int, dim_right: int, dim_out: int) -> ProductTable:
     return tuple(tuple(zero_vector(dim_out) for _ in range(dim_right)) for _ in range(dim_left))
 
 
+def _unit(i: int, dim: int) -> Vector:
+    return tuple(Fraction(1) if k == i else Fraction(0) for k in range(dim))
+
+
 def apply_table(table: ProductTable, x: Sequence, y: Sequence, out_dim: int) -> Vector:
     """Bilinear extension of a table: table[i][j] holds the image of (e_i, e_j)."""
     out = [Fraction(0)] * out_dim
@@ -95,7 +102,7 @@ class PreLieAlgebra:
         return apply_table(self.c, x, y, self.dim)
 
     def basis_vector(self, i: int) -> Vector:
-        return tuple(Fraction(1) if k == i else Fraction(0) for k in range(self.dim))
+        return _unit(i, self.dim)
 
 
 @dataclass(frozen=True)
@@ -113,9 +120,6 @@ class RBPreLieAlgebra:
     @property
     def dim(self) -> int:
         return self.algebra.dim
-
-    def t(self, x: Sequence) -> Vector:
-        return self.operator.apply(x)
 
 
 @dataclass(frozen=True)
@@ -149,7 +153,7 @@ class Bimodule:
         return out
 
     def basis_vector(self, i: int) -> Vector:
-        return tuple(Fraction(1) if k == i else Fraction(0) for k in range(self.mod_dim))
+        return _unit(i, self.mod_dim)
 
 
 @dataclass(frozen=True)
@@ -183,48 +187,86 @@ def regular_bimodule(r: RBPreLieAlgebra) -> RBBimodule:
     return RBBimodule(Bimodule(d, d, S, P), r.operator)
 
 
+def pre_lie_defects(mus: Sequence[ProductTable], n: int) -> dict[tuple[int, int, int], Vector]:
+    """The tⁿ coefficient of the pre-Lie identity for μ_t = Σ μᵢtⁱ on every
+    basis triple (eᵢ, eⱼ, e_k), keyed (i, j, k):
+
+        Σ_{a+b=n} μ_a(μ_b(x, y), z) − μ_a(x, μ_b(y, z)) − (x ↔ y).
+
+    At n = 0 this is the pre-Lie identity of ``mus[0]``.
+    """
+    dim = len(mus[0])
+    basis = [_unit(i, dim) for i in range(dim)]
+    out = {}
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                defect = zero_vector(dim)
+                for a in range(n + 1):
+                    mu_a, mu_b = mus[a], mus[n - a]
+                    lhs = vsub(
+                        apply_table(mu_a, mu_b[i][j], basis[k], dim),
+                        apply_table(mu_a, basis[i], mu_b[j][k], dim),
+                    )
+                    rhs = vsub(
+                        apply_table(mu_a, mu_b[j][i], basis[k], dim),
+                        apply_table(mu_a, basis[j], mu_b[i][k], dim),
+                    )
+                    defect = vadd(defect, vsub(lhs, rhs))
+                out[(i, j, k)] = defect
+    return out
+
+
+def rota_baxter_defects(
+    mus: Sequence[ProductTable], ts: Sequence[RationalMatrix], lam: Fraction, n: int
+) -> dict[tuple[int, int], Vector]:
+    """The tⁿ coefficient of the weighted Rota-Baxter law for μ_t = Σ μᵢtⁱ,
+    T_t = Σ Tᵢtⁱ on every basis pair (eᵢ, eⱼ), keyed (i, j):
+
+        μ_t(T_t x, T_t y) − T_t(μ_t(x, T_t y) + μ_t(T_t x, y) + λ μ_t(x, y)).
+
+    The weight multiplies the ``T_a∘μ_b`` sum at every order.  At n = 0 this
+    is the Rota-Baxter law of ``ts[0]`` for ``mus[0]``.
+    """
+    dim = len(mus[0])
+    basis = [_unit(i, dim) for i in range(dim)]
+    cols = [[t.col(i) for i in range(dim)] for t in ts[: n + 1]]
+    out = {}
+    for i in range(dim):
+        for j in range(dim):
+            defect = zero_vector(dim)
+            for a in range(n + 1):
+                for b in range(n + 1 - a):
+                    defect = vadd(defect, apply_table(mus[a], cols[b][i], cols[n - a - b][j], dim))
+            for a in range(n + 1):
+                inner = vscale(lam, mus[n - a][i][j])
+                for b in range(n + 1 - a):
+                    c = n - a - b
+                    inner = vadd(inner, apply_table(mus[b], basis[i], cols[c][j], dim))
+                    inner = vadd(inner, apply_table(mus[b], cols[c][i], basis[j], dim))
+                defect = vsub(defect, ts[a].apply(inner))
+            out[(i, j)] = defect
+    return out
+
+
+def defect_violations(law: str, defects: dict[tuple[int, ...], Vector]) -> list[Violation]:
+    """The nonzero defects of a law as violations, in key order, 1-based."""
+    return [
+        Violation(law, tuple(i + 1 for i in key), defect)
+        for key, defect in defects.items()
+        if not is_zero_vector(defect)
+    ]
+
+
 def check_pre_lie(a: PreLieAlgebra) -> Verdict:
     """Associator symmetry on all basis triples."""
-    bad: list[Violation] = []
-    for i in range(a.dim):
-        ei = a.basis_vector(i)
-        for j in range(a.dim):
-            ej = a.basis_vector(j)
-            for k in range(a.dim):
-                ek = a.basis_vector(k)
-                lhs = vsub(a.product(a.c[i][j], ek), a.product(ei, a.c[j][k]))
-                rhs = vsub(a.product(a.c[j][i], ek), a.product(ej, a.c[i][k]))
-                defect = vsub(lhs, rhs)
-                if not is_zero_vector(defect):
-                    bad.append(Violation("pre_lie", (i + 1, j + 1, k + 1), defect))
-    return _verdict(bad)
+    return _verdict(defect_violations("pre_lie", pre_lie_defects((a.c,), 0)))
 
 
-def check_rb_operator(r: RBPreLieAlgebra, *, pre_lie: Verdict | None = None) -> Verdict:
-    """Weighted Rota-Baxter law on all basis pairs.
-
-    ``pre_lie`` is the verdict of ``check_pre_lie(r.algebra)`` when the caller
-    already has it; it is computed here otherwise.
-    """
-    a, t, lam = r.algebra, r.operator, r.weight
-    if pre_lie is None:
-        pre_lie = check_pre_lie(a)
-    notes = []
-    if not pre_lie.ok:
-        notes.append("underlying product fails the pre-Lie check")
-    bad: list[Violation] = []
-    for i in range(a.dim):
-        ei = a.basis_vector(i)
-        ti = t.col(i)
-        for j in range(a.dim):
-            ej = a.basis_vector(j)
-            tj = t.col(j)
-            lhs = a.product(ti, tj)
-            inner = vadd(vadd(a.product(ei, tj), a.product(ti, ej)), vscale(lam, a.c[i][j]))
-            defect = vsub(lhs, t.apply(inner))
-            if not is_zero_vector(defect):
-                bad.append(Violation("rota_baxter", (i + 1, j + 1), defect))
-    return _verdict(bad, notes)
+def check_rb_operator(r: RBPreLieAlgebra) -> Verdict:
+    """Weighted Rota-Baxter law on all basis pairs."""
+    defects = rota_baxter_defects((r.algebra.c,), (r.operator,), r.weight, 0)
+    return _verdict(defect_violations("rota_baxter", defects))
 
 
 def check_bimodule(a: PreLieAlgebra, m: Bimodule) -> Verdict:
@@ -254,22 +296,11 @@ def check_bimodule(a: PreLieAlgebra, m: Bimodule) -> Verdict:
     return _verdict(bad)
 
 
-def check_rb_bimodule(
-    r: RBPreLieAlgebra, m: RBBimodule, *, bimodule: Verdict | None = None
-) -> Verdict:
-    """Both weighted compatibility laws between T and the module operator.
-
-    ``bimodule`` is the verdict of ``check_bimodule(r.algebra, m.bimodule)``
-    when the caller already has it; it is computed here otherwise.
-    """
+def check_rb_bimodule(r: RBPreLieAlgebra, m: RBBimodule) -> Verdict:
+    """Both weighted compatibility laws between T and the module operator."""
     bm, tm, t, lam = m.bimodule, m.t_m, r.operator, r.weight
     if bm.base_dim != r.dim:
         raise ValueError("module base dimension does not match the algebra")
-    if bimodule is None:
-        bimodule = check_bimodule(r.algebra, bm)
-    notes = []
-    if not bimodule.ok:
-        notes.append("underlying actions fail the bimodule check")
     bad: list[Violation] = []
     for i in range(r.dim):
         ei = r.algebra.basis_vector(i)
@@ -287,7 +318,7 @@ def check_rb_bimodule(
             defect = vsub(bm.right(tu, ti), tm.apply(inner))
             if not is_zero_vector(defect):
                 bad.append(Violation("rb_right", (i + 1, u + 1), defect))
-    return _verdict(bad, notes)
+    return _verdict(bad)
 
 
 def sub_adjacent_bracket(a: PreLieAlgebra) -> ProductTable:
@@ -300,34 +331,39 @@ def sub_adjacent_bracket(a: PreLieAlgebra) -> ProductTable:
 def check_jacobi(bracket: ProductTable) -> Verdict:
     """Jacobi identity for an antisymmetric bracket table."""
     dim = len(bracket)
-
-    def basis(i: int) -> Vector:
-        return tuple(Fraction(1) if k == i else Fraction(0) for k in range(dim))
-
     bad: list[Violation] = []
     for i in range(dim):
         for j in range(i + 1, dim):
             for k in range(j + 1, dim):
-                defect = apply_table(bracket, basis(i), bracket[j][k], dim)
-                defect = vadd(defect, apply_table(bracket, basis(j), bracket[k][i], dim))
-                defect = vadd(defect, apply_table(bracket, basis(k), bracket[i][j], dim))
+                defect = apply_table(bracket, _unit(i, dim), bracket[j][k], dim)
+                defect = vadd(defect, apply_table(bracket, _unit(j, dim), bracket[k][i], dim))
+                defect = vadd(defect, apply_table(bracket, _unit(k, dim), bracket[i][j], dim))
                 if not is_zero_vector(defect):
                     bad.append(Violation("jacobi", (i + 1, j + 1, k + 1), defect))
     return _verdict(bad)
 
 
-def _require_valid_rb(r: RBPreLieAlgebra) -> None:
-    pre_lie = check_pre_lie(r.algebra)
-    if not pre_lie.ok:
-        raise InvalidStructureError("product does not satisfy the pre-Lie identity")
-    if not check_rb_operator(r, pre_lie=pre_lie).ok:
-        raise InvalidStructureError("operator does not satisfy the Rota-Baxter law")
+def require_valid(r: RBPreLieAlgebra, m: RBBimodule | None = None) -> RBBimodule:
+    """The coefficients of a request: ``m``, or the regular module when it is
+    None, once r is a Rota-Baxter pre-Lie algebra and m a Rota-Baxter bimodule
+    over it.  The regular module is not re-checked: its bimodule laws are the
+    pre-Lie identity and its Rota-Baxter bimodule laws the Rota-Baxter law.
+
+    Raises :class:`InvalidStructureError` otherwise.
+    """
+    if not (check_pre_lie(r.algebra).ok and check_rb_operator(r).ok):
+        raise InvalidStructureError("input is not a Rota-Baxter pre-Lie algebra; run `check`")
+    if m is None:
+        return regular_bimodule(r)
+    if not (check_bimodule(r.algebra, m.bimodule).ok and check_rb_bimodule(r, m).ok):
+        raise InvalidStructureError("module is not a Rota-Baxter bimodule; run `check`")
+    return m
 
 
 def star_algebra(r: RBPreLieAlgebra, *, trusted: bool = False) -> RBPreLieAlgebra:
     """The induced product a⋆b = a·T(b) + T(a)·b + λ a·b, same operator and weight."""
     if not trusted:
-        _require_valid_rb(r)
+        require_valid(r)
     a, t, lam = r.algebra, r.operator, r.weight
     table = []
     for i in range(a.dim):
@@ -348,9 +384,7 @@ def derived_bimodule(r: RBPreLieAlgebra, m: RBBimodule, *, trusted: bool = False
     The result is a Rota-Baxter bimodule over ``star_algebra(r)``.
     """
     if not trusted:
-        _require_valid_rb(r)
-        if not check_rb_bimodule(r, m).ok:
-            raise InvalidStructureError("input does not satisfy the Rota-Baxter bimodule laws")
+        require_valid(r, m)
     bm, tm, t = m.bimodule, m.t_m, r.operator
     d, md = bm.base_dim, bm.mod_dim
     S_new = []

@@ -16,13 +16,12 @@ import sys
 import time
 from .algebras import (
     InvalidStructureError,
-    RBBimodule,
     Verdict,
     check_bimodule,
     check_pre_lie,
     check_rb_bimodule,
     check_rb_operator,
-    regular_bimodule,
+    require_valid,
     star_algebra,
 )
 from .cochains import RBACochain
@@ -130,14 +129,14 @@ def _cmd_check(args) -> tuple[dict, int]:
     pl = check_pre_lie(r.algebra)
     verdicts["pre_lie"] = _verdict_doc(pl)
     violations.extend(pl.violations)
-    rb = check_rb_operator(r, pre_lie=pl)
+    rb = check_rb_operator(r)
     verdicts["rota_baxter"] = _verdict_doc(rb)
     violations.extend(rb.violations)
     if module is not None:
         bm = check_bimodule(r.algebra, module.bimodule)
         verdicts["bimodule"] = _verdict_doc(bm)
         violations.extend(bm.violations)
-        rbm = check_rb_bimodule(r, module, bimodule=bm)
+        rbm = check_rb_bimodule(r, module)
         verdicts["rb_bimodule"] = _verdict_doc(rbm)
         violations.extend(rbm.violations)
     ok = all(v == "ok" for v in verdicts.values())
@@ -151,19 +150,14 @@ def _cmd_check(args) -> tuple[dict, int]:
     return report, 0 if ok else 1
 
 
-def _require_valid(r, module) -> RBBimodule:
-    pre_lie = check_pre_lie(r.algebra)
-    if not pre_lie.ok or not check_rb_operator(r, pre_lie=pre_lie).ok:
-        raise InvalidStructureError("input is not a Rota-Baxter pre-Lie algebra; run `check`")
-    m = module if module is not None else regular_bimodule(r)
-    if not check_rb_bimodule(r, m).ok:
-        raise InvalidStructureError("module is not a Rota-Baxter bimodule; run `check`")
-    return m
+def _require_dims(cochain, r, m) -> None:
+    if cochain.base_dim != r.dim or cochain.mod_dim != m.mod_dim:
+        raise ParseError("cochain dimensions do not match (algebra, module)")
 
 
 def _cmd_cohomology(args) -> tuple[dict, int]:
     r, module, name = _algebra_and_module(args)
-    m = _require_valid(r, module)
+    m = require_valid(r, module)
     kinds = (
         [ComplexKind.PLA, ComplexKind.RBO, ComplexKind.RBA]
         if args.complex == "all"
@@ -187,7 +181,7 @@ def _cmd_cohomology(args) -> tuple[dict, int]:
 
 def _cmd_star(args) -> tuple[dict, int]:
     r, module, name = _algebra_and_module(args)
-    _require_valid(r, module)
+    require_valid(r, module)
     st = star_algebra(r, trusted=True)
     doc = algebra_document(st, None, (name + "_star") if name else None)
     if args.output:
@@ -197,10 +191,9 @@ def _cmd_star(args) -> tuple[dict, int]:
 
 def _cmd_cocycle(args) -> tuple[dict, int]:
     r, module, _ = _algebra_and_module(args)
-    m = _require_valid(r, module)
+    m = require_valid(r, module)
     which, cochain = parse_cochain_file(_read(args.cochain))
-    if cochain.base_dim != r.dim or cochain.mod_dim != m.mod_dim:
-        raise ParseError("cochain dimensions do not match (algebra, module)")
+    _require_dims(cochain, r, m)
     if which == "pla":
         defect = pla_differential(r.algebra, m.bimodule, cochain)
         closed = defect.is_zero()
@@ -222,7 +215,7 @@ def _cmd_cocycle(args) -> tuple[dict, int]:
 
 def _cmd_extend(args) -> tuple[dict, int]:
     r, module, _ = _algebra_and_module(args)
-    m = _require_valid(r, module)
+    m = require_valid(r, module)
     pair = parse_pair_document(_load_yaml(args.pair))
     if (pair.base_dim, pair.mod_dim) != (r.dim, m.mod_dim):
         raise ParseError("pair dimensions do not match (algebra, module)")
@@ -280,7 +273,7 @@ def _cmd_extract(args) -> tuple[dict, int]:
 
 def _cmd_deform(args) -> tuple[dict, int]:
     r, module, _ = _algebra_and_module(args)
-    _require_valid(r, module)
+    require_valid(r, module)
     deformation = parse_deformation_file(_read(args.deformation), r)
     if args.action == "check":
         verdict = check_deformation(r, deformation)
@@ -376,12 +369,14 @@ def _cmd_twoalg(args) -> tuple[dict, int]:
         return report, 0 if ok else 1
     if args.action == "from-cocycle":
         r, module, _ = _algebra_and_module(args)
-        m = _require_valid(r, module)
+        m = require_valid(r, module)
         which, cochain = parse_cochain_file(_read(args.cochain))
         if which != "rba" or not isinstance(cochain, RBACochain) or cochain.degree != 3:
             raise ParseError("expected a degree-3 cochain in the combined complex")
-        defect = rba_differential(r, m, cochain, trusted=True)
-        if not defect.is_zero():
+        _require_dims(cochain, r, m)
+        try:
+            t = cocycle_to_skeletal(r, m, cochain)
+        except InvalidStructureError:  # not a cocycle
             return (
                 {
                     "command": "twoalg from-cocycle",
@@ -390,7 +385,6 @@ def _cmd_twoalg(args) -> tuple[dict, int]:
                 },
                 1,
             )
-        t = cocycle_to_skeletal(r, m, cochain)
         doc = twoalg_document(t, r.weight)
         if args.output:
             _write(args.output, dump_document(doc))
@@ -452,7 +446,7 @@ def _cmd_twoalg(args) -> tuple[dict, int]:
 
 def _cmd_les(args) -> tuple[dict, int]:
     r, module, name = _algebra_and_module(args)
-    m = _require_valid(r, module)
+    m = require_valid(r, module)
     report_data = les_check(r, m, args.max_degree)
     report = {"command": "les"}
     if name:
@@ -529,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["check", "solve", "trivialize"])
     p.add_argument("file")
     p.add_argument("deformation")
-    p.add_argument("--module")
 
     p = sub.add_parser("twoalg", help="two-term structures")
     p.add_argument(

@@ -243,15 +243,6 @@ class RBACochain:
     def mod_dim(self) -> int:
         return self.pla_part.mod_dim
 
-    @staticmethod
-    def zero(degree: int, base_dim: int, mod_dim: int) -> "RBACochain":
-        if degree == 0:
-            return RBACochain(Cochain.zero(0, base_dim, mod_dim), None)
-        return RBACochain(
-            Cochain.zero(degree, base_dim, mod_dim),
-            Cochain.zero(degree - 1, base_dim, mod_dim),
-        )
-
     def is_zero(self) -> bool:
         return self.pla_part.is_zero() and (self.rbo_part is None or self.rbo_part.is_zero())
 

@@ -44,6 +44,7 @@ from .algebras import (
     RBBimodule,
     RBPreLieAlgebra,
     derived_bimodule,
+    require_valid,
     star_algebra,
 )
 from .cochains import Cochain, RBACochain, basis_keys, space_dim
@@ -116,8 +117,10 @@ def rbo_differential(
 ) -> Cochain:
     """Operator-complex coboundary: the pre-Lie coboundary of the star
     algebra with the derived actions as coefficients."""
-    star = star_algebra(r, trusted=trusted)
-    derived = derived_bimodule(r, m, trusted=trusted)
+    if not trusted:
+        require_valid(r, m)
+    star = star_algebra(r, trusted=True)
+    derived = derived_bimodule(r, m, trusted=True)
     return pla_differential(star.algebra, derived.bimodule, g)
 
 
@@ -238,12 +241,14 @@ def rba_differential(
     r: RBPreLieAlgebra, m: RBBimodule, c: RBACochain, *, trusted: bool = False
 ) -> RBACochain:
     """d(f, g) = (δf, −∂g − Φf); in degree 0, d(f) = (δf, −f)."""
+    if not trusted:
+        require_valid(r, m)
     f = c.pla_part
     if c.degree == 0:
         delta = pla_differential(r.algebra, m.bimodule, f)
         return RBACochain(delta, f.scale(Fraction(-1)))
     delta = pla_differential(r.algebra, m.bimodule, f)
-    second = rbo_differential(r, m, c.rbo_part, trusted=trusted).add(phi(r, m, f))
+    second = rbo_differential(r, m, c.rbo_part, trusted=True).add(phi(r, m, f))
     return RBACochain(delta, second.scale(Fraction(-1)))
 
 

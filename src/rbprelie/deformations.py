@@ -6,9 +6,10 @@ base structure.  Coefficients live in the complexes with coefficients in
 the regular Rota-Baxter bimodule.
 
 The order-n conditions are the t^n coefficients of the pre-Lie identity
-and of the weighted Rota-Baxter law for μ_t = Σ μᵢtⁱ, T_t = Σ Tᵢtⁱ.  Note
-the weight λ multiplies the ``Σ Tᵢ∘μⱼ`` sum in the operator condition at
-every order, exactly as it does at order zero.
+and of the weighted Rota-Baxter law for μ_t = Σ μᵢtⁱ, T_t = Σ Tᵢtⁱ:
+``algebras.pre_lie_defects`` and ``algebras.rota_baxter_defects``, whose
+order 0 is the axioms.  Note the weight λ multiplies the ``Σ Tᵢ∘μⱼ`` sum in
+the operator condition at every order, exactly as it does at order zero.
 """
 
 from __future__ import annotations
@@ -24,7 +25,10 @@ from .algebras import (
     Verdict,
     Violation,
     apply_table,
+    defect_violations,
+    pre_lie_defects,
     regular_bimodule,
+    rota_baxter_defects,
     zero_table,
 )
 from .cochains import (
@@ -36,15 +40,7 @@ from .cochains import (
     matrix_from_cochain,
 )
 from .complexes import ComplexData, ComplexKind, rbo_differential
-from .linalg import (
-    RationalMatrix,
-    Vector,
-    is_zero_vector,
-    vadd,
-    vscale,
-    vsub,
-    zero_vector,
-)
+from .linalg import RationalMatrix, is_zero_vector, vadd, zero_vector
 
 
 class DeformationError(ValueError):
@@ -109,61 +105,18 @@ class DeformationVerdict:
         return None
 
 
-def _order_defects(
-    r: RBPreLieAlgebra, mus: Sequence[ProductTable], ts: Sequence[RationalMatrix], n: int
-) -> tuple[dict[tuple[int, int, int], Vector], dict[tuple[int, int], Vector]]:
-    """The tⁿ coefficients of the pre-Lie identity on (eᵢ, eⱼ, e_k) and of the
-    weighted Rota-Baxter law on (eᵢ, eⱼ) for μ_t = Σ μᵢtⁱ, T_t = Σ Tᵢtⁱ."""
-    dim, lam = r.dim, r.weight
-    basis = [r.algebra.basis_vector(i) for i in range(dim)]
-    product = {}
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                defect = zero_vector(dim)
-                for a in range(n + 1):
-                    mu_a, mu_b = mus[a], mus[n - a]
-                    lhs = vsub(
-                        apply_table(mu_a, apply_table(mu_b, basis[i], basis[j], dim), basis[k], dim),
-                        apply_table(mu_a, basis[i], apply_table(mu_b, basis[j], basis[k], dim), dim),
-                    )
-                    rhs = vsub(
-                        apply_table(mu_a, apply_table(mu_b, basis[j], basis[i], dim), basis[k], dim),
-                        apply_table(mu_a, basis[j], apply_table(mu_b, basis[i], basis[k], dim), dim),
-                    )
-                    defect = vadd(defect, vsub(lhs, rhs))
-                product[(i, j, k)] = defect
-    operator = {}
-    for i in range(dim):
-        for j in range(dim):
-            defect = zero_vector(dim)
-            for a in range(n + 1):
-                for b in range(n + 1 - a):
-                    c = n - a - b
-                    defect = vadd(defect, apply_table(mus[a], ts[b].col(i), ts[c].col(j), dim))
-                    defect = vsub(defect, ts[a].apply(apply_table(mus[b], basis[i], ts[c].col(j), dim)))
-                    defect = vsub(defect, ts[a].apply(apply_table(mus[b], ts[c].col(i), basis[j], dim)))
-            for a in range(n + 1):
-                defect = vsub(
-                    defect, vscale(lam, ts[a].apply(apply_table(mus[n - a], basis[i], basis[j], dim)))
-                )
-            operator[(i, j)] = defect
-    return product, operator
-
-
 def check_deformation(r: RBPreLieAlgebra, d: TruncatedDeformation) -> DeformationVerdict:
     """The order-n product and operator conditions for every n ≤ order."""
     if d.base != r:
         raise ValueError("deformation was built over a different base structure")
     per_order = []
     for n in range(d.order + 1):
-        product, operator = _order_defects(r, d.products, d.operators, n)
-        bad = [
-            Violation(f"deform_{law}_order_{n}", tuple(i + 1 for i in key), defect)
-            for law, defects in (("product", product), ("operator", operator))
-            for key, defect in defects.items()
-            if not is_zero_vector(defect)
-        ]
+        bad = defect_violations(
+            f"deform_product_order_{n}", pre_lie_defects(d.products, n)
+        ) + defect_violations(
+            f"deform_operator_order_{n}",
+            rota_baxter_defects(d.products, d.operators, r.weight, n),
+        )
         per_order.append(Verdict(ok=not bad, violations=tuple(bad)))
     return DeformationVerdict(all(v.ok for v in per_order), tuple(per_order))
 
@@ -313,12 +266,9 @@ def solve_next_order(r: RBPreLieAlgebra, d: TruncatedDeformation) -> SolveNextOr
     # right-hand side: the order-n defect of the deformation extended by a
     # zero μₙ and a zero Tₙ; its product part is a skew degree-3 value on
     # (a∧b)⊗c, kept on the keys a < b
-    product, operator = _order_defects(
-        r,
-        d.products + (zero_table(dim, dim, dim),),
-        d.operators + (RationalMatrix.zeros(dim, dim),),
-        n,
-    )
+    mus = d.products + (zero_table(dim, dim, dim),)
+    ts = d.operators + (RationalMatrix.zeros(dim, dim),)
+    product, operator = pre_lie_defects(mus, n), rota_baxter_defects(mus, ts, r.weight, n)
     target = RBACochain(
         Cochain(3, dim, dim, {key: v for key, v in product.items() if key[0] < key[1]}),
         Cochain(2, dim, dim, operator),

@@ -27,8 +27,8 @@ from .algebras import (
     Violation,
     check_morphism,
     check_pre_lie,
-    check_rb_bimodule,
     check_rb_operator,
+    require_valid,
 )
 from .cochains import Cochain, RBACochain, cochain_from_bilinear, cochain_from_matrix
 from .complexes import ComplexData, ComplexKind, rba_differential
@@ -160,11 +160,7 @@ def build_extension(
     if (c.base_dim, c.mod_dim) != (r.dim, m.mod_dim):
         raise ValueError("cocycle pair dimensions do not match (algebra, module)")
     if not trusted:
-        pre_lie = check_pre_lie(r.algebra)
-        if not (pre_lie.ok and check_rb_operator(r, pre_lie=pre_lie).ok):
-            raise InvalidStructureError("base structure is not a Rota-Baxter pre-Lie algebra")
-        if not check_rb_bimodule(r, m).ok:
-            raise InvalidStructureError("module is not a Rota-Baxter bimodule")
+        require_valid(r, m)
     d, md = r.dim, m.mod_dim
     total_dim = d + md
     bm = m.bimodule
@@ -198,7 +194,7 @@ def build_extension(
     ext = ExtensionData(total, d, md)
 
     pl = check_pre_lie(total.algebra)
-    rb = check_rb_operator(total, pre_lie=pl)
+    rb = check_rb_operator(total)
     defect = rba_differential(r, m, c.as_cochain(), trusted=True)
     return BuildResult(
         ext,
@@ -387,7 +383,7 @@ def check_extension(e: ExtensionData) -> Verdict:
         if not is_zero_vector(col):
             bad.append(Violation("operator_square", (d + j + 1,), col + zero_vector(md)))
     pl = check_pre_lie(total.algebra)
-    rb = check_rb_operator(total, pre_lie=pl)
+    rb = check_rb_operator(total)
     bad.extend(pl.violations)
     bad.extend(rb.violations)
     return Verdict(ok=not bad, violations=tuple(bad))

@@ -369,12 +369,12 @@ def check_crossed_module(cm: CrossedModule) -> Verdict:
     bad.extend(Violation("g1_pre_lie", x.indices, x.defect) for x in v.violations)
     v = check_pre_lie(cm.g0.algebra)
     bad.extend(Violation("g0_pre_lie", x.indices, x.defect) for x in v.violations)
-    v = check_rb_operator(cm.g0, pre_lie=v)
+    v = check_rb_operator(cm.g0)
     bad.extend(Violation("g0_rota_baxter", x.indices, x.defect) for x in v.violations)
     bimod = cm.bimodule()
     v = check_bimodule(cm.g0.algebra, bimod.bimodule)
     bad.extend(v.violations)
-    v = check_rb_bimodule(cm.g0, bimod, bimodule=v)
+    v = check_rb_bimodule(cm.g0, bimod)
     bad.extend(v.violations)
     # d is a product morphism g₁ → g₀
     for a in range(cm.dim1):

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import rbprelie
-from rbprelie import PreLieAlgebra, RBPreLieAlgebra, regular_bimodule
+from rbprelie import Bimodule, PreLieAlgebra, RBBimodule, RBPreLieAlgebra, regular_bimodule
 from rbprelie.algebras import zero_table
 from rbprelie.linalg import RationalMatrix
 
@@ -50,6 +50,21 @@ def make_idempotent(weight=1) -> RBPreLieAlgebra:
     return RBPreLieAlgebra(
         PreLieAlgebra(1, (((Fraction(1),),),)), Fraction(weight), RationalMatrix.zeros(1, 1)
     )
+
+
+def make_noncommuting_module() -> tuple[RBPreLieAlgebra, RBBimodule]:
+    """The 2-dimensional zero algebra, T = 0 at weight 0, and a 2-dimensional
+    module with T_M = 0, zero right actions and non-commuting left actions.
+
+    Both Rota-Baxter bimodule laws hold (every term is zero), but the left
+    actions break the bimodule law S₁S₂ = S₂S₁, so it is not a representation.
+    """
+    r = RBPreLieAlgebra(
+        PreLieAlgebra(2, zero_table(2, 2, 2)), Fraction(0), RationalMatrix.zeros(2, 2)
+    )
+    left = (RationalMatrix.from_rows([[0, 1], [0, 0]]), RationalMatrix.from_rows([[0, 0], [1, 0]]))
+    zero = RationalMatrix.zeros(2, 2)
+    return r, RBBimodule(Bimodule(2, 2, left, (zero, zero)), zero)
 
 
 @pytest.fixture

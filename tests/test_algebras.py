@@ -19,7 +19,7 @@ from rbprelie import (
     star_algebra,
     sub_adjacent_bracket,
 )
-from rbprelie.algebras import InvalidStructureError, zero_table
+from rbprelie.algebras import InvalidStructureError, Verdict, require_valid, zero_table
 from rbprelie.generators import (
     random_matrix,
     random_rb_pre_lie,
@@ -27,7 +27,7 @@ from rbprelie.generators import (
 )
 from rbprelie.linalg import RationalMatrix, is_zero_vector
 
-from conftest import make_a0, make_a1, make_a1n, make_affine
+from conftest import make_a0, make_a1, make_a1n, make_affine, make_noncommuting_module
 from oracles import naive_pre_lie_defects, naive_rb_defects
 
 
@@ -82,12 +82,35 @@ def test_rb_identity_violation():
     assert witness.defect == (Fraction(0), Fraction(-1))
 
 
-def test_rb_flags_invalid_algebra():
+def test_rb_check_leaves_the_pre_lie_identity_to_the_gate():
+    # e1·e2 = e1 is not pre-Lie; with T = 0 the Rota-Baxter law still holds
     table = [[[Fraction(0), Fraction(0)] for _ in range(2)] for _ in range(2)]
     table[0][1] = [Fraction(1), Fraction(0)]
     alg = PreLieAlgebra(2, tuple(tuple(tuple(v) for v in row) for row in table))
-    verdict = check_rb_operator(RBPreLieAlgebra(alg, Fraction(0), RationalMatrix.zeros(2, 2)))
-    assert verdict.notes
+    r = RBPreLieAlgebra(alg, Fraction(0), RationalMatrix.zeros(2, 2))
+    assert check_rb_operator(r) == Verdict(ok=True)
+    assert not check_pre_lie(alg).ok
+    with pytest.raises(InvalidStructureError, match="not a Rota-Baxter pre-Lie algebra"):
+        require_valid(r)
+
+
+def test_require_valid_returns_the_coefficients():
+    for r in (make_a0(), make_a1(), make_a1n()):
+        assert require_valid(r) == regular_bimodule(r)
+    rng = random.Random(11)
+    for _ in range(5):
+        r, m = random_valid_pair(rng, rng.randint(1, 3))
+        assert require_valid(r, m) is m
+
+
+def test_gate_rejects_module_failing_only_the_bimodule_laws():
+    r, m = make_noncommuting_module()
+    assert check_rb_bimodule(r, m).ok
+    assert not check_bimodule(r.algebra, m.bimodule).ok
+    with pytest.raises(InvalidStructureError, match="module is not a Rota-Baxter bimodule"):
+        require_valid(r, m)
+    with pytest.raises(InvalidStructureError, match="module is not a Rota-Baxter bimodule"):
+        derived_bimodule(r, m)
 
 
 def test_bimodule_regular_cases():
@@ -272,11 +295,13 @@ def test_checkers_agree_with_naive_oracles_on_arbitrary_structures():
         assert got_rb.ok == (not naive_rb_defects(table, t, lam))
 
 
-def test_passed_in_verdicts_give_the_same_verdicts():
-    # callers that already ran check_pre_lie / check_bimodule pass the verdict
-    # in; violations, their order and the notes must not change
+def test_regular_module_laws_are_the_algebra_laws():
+    # why require_valid does not re-check the regular module: its bimodule
+    # laws are the pre-Lie identity, its Rota-Baxter bimodule laws the
+    # Rota-Baxter law (rb_left on (i, u) is the law on (e_i, e_u)); a given
+    # module passes the gate iff it passes both module checks
     rng = random.Random(10)
-    invalid_seen = {"pre_lie": 0, "bimodule": 0}
+    invalid_seen = {"pre_lie": 0, "rota_baxter": 0, "module": 0}
     for step in range(30):
         d, md = rng.randint(1, 3), rng.randint(1, 2)
         if step % 3 == 0:
@@ -301,12 +326,23 @@ def test_passed_in_verdicts_give_the_same_verdicts():
                 ),
                 random_matrix(rng, md, md),
             )
-        pre_lie = check_pre_lie(r.algebra)
-        bimodule = check_bimodule(r.algebra, m.bimodule)
+        reg = regular_bimodule(r)
+        pre_lie, rb = check_pre_lie(r.algebra), check_rb_operator(r)
         invalid_seen["pre_lie"] += not pre_lie.ok
-        invalid_seen["bimodule"] += not bimodule.ok
-        assert check_rb_operator(r, pre_lie=pre_lie) == check_rb_operator(r)
-        assert check_rb_bimodule(r, m, bimodule=bimodule) == check_rb_bimodule(r, m)
+        invalid_seen["rota_baxter"] += not rb.ok
+        assert check_bimodule(r.algebra, reg.bimodule).ok == pre_lie.ok
+        rb_bimodule = check_rb_bimodule(r, reg)
+        assert rb_bimodule.ok == rb.ok
+        assert [(v.indices, v.defect) for v in rb_bimodule.violations if v.law == "rb_left"] == [
+            (v.indices, v.defect) for v in rb.violations
+        ]
+        module_ok = check_bimodule(r.algebra, m.bimodule).ok and check_rb_bimodule(r, m).ok
+        invalid_seen["module"] += not module_ok
+        if pre_lie.ok and rb.ok and module_ok:
+            assert require_valid(r, m) is m
+        else:
+            with pytest.raises(InvalidStructureError):
+                require_valid(r, m)
     assert all(invalid_seen.values())
 
 

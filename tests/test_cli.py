@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from rbprelie.cli import main, run_command
-from rbprelie.cochains import Cochain
+from rbprelie.cochains import Cochain, RBACochain
 from rbprelie.deformations import gauge_transform, trivial_deformation
 from rbprelie.files import (
     cochain_document,
@@ -24,7 +24,7 @@ from rbprelie.generators import (
 )
 from rbprelie.linalg import RationalMatrix
 from rbprelie.twoalg import TwoAlgebra
-from conftest import make_a0
+from conftest import make_a0, make_a1n, make_noncommuting_module
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -342,3 +342,79 @@ def test_invalid_structure_is_violation(tmp_path, capsys, make_argv, message):
     capsys.readouterr()
     assert main(argv) == 1
     assert yaml.safe_load(capsys.readouterr().out) == report
+
+
+def _noncommuting_module_files(tmp_path):
+    """The algebra file with a module failing only the bimodule laws, and
+    zero cochains of each kind the validating commands read."""
+    r, m = make_noncommuting_module()
+    alg = tmp_path / "alg.yaml"
+    alg.write_text(serialize_algebra(r, m))
+    files = {"alg": alg}
+    for name, which, degree in (("c1", "pla", 1), ("c2", "rba", 2), ("c3", "rba", 3)):
+        path = tmp_path / f"{name}.yaml"
+        zero = Cochain.zero(degree, r.dim, m.mod_dim)
+        cochain = zero if which == "pla" else RBACochain(
+            zero, Cochain.zero(degree - 1, r.dim, m.mod_dim)
+        )
+        path.write_text(dump_document(cochain_document(which, cochain)))
+        files[name] = path
+    deff = tmp_path / "def.yaml"
+    deff.write_text(dump_document(deformation_document(trivial_deformation(r, 1))))
+    files["def"] = deff
+    return files
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cohomology", "{alg}", "--max-degree", "2"],
+        ["les", "{alg}", "--max-degree", "1"],
+        ["star", "{alg}"],
+        ["cocycle", "{alg}", "{c1}"],
+        ["extend", "{alg}", "{c2}"],
+        ["deform", "solve", "{alg}", "{def}"],
+        ["twoalg", "from-cocycle", "{alg}", "{c3}"],
+    ],
+    ids=lambda argv: "-".join(a for a in argv if not a.startswith(("{", "-")) and not a.isdigit()),
+)
+def test_module_that_is_not_a_representation_is_rejected(tmp_path, capsys, argv):
+    files = _noncommuting_module_files(tmp_path)
+    argv = [a.format(**files) for a in argv]
+    report, code = run_command(argv)
+    assert code == 1
+    assert report == {
+        "command": argv[0],
+        "error": "module is not a Rota-Baxter bimodule; run `check`",
+        "status": "violation",
+    }
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert yaml.safe_load(capsys.readouterr().out) == report
+    check, check_code = run_command(["check", argv[argv.index(str(files["alg"]))]])
+    assert check_code == 1
+    assert check["verdicts"] == {
+        "pre_lie": "ok", "rota_baxter": "ok", "bimodule": "violated", "rb_bimodule": "ok"
+    }
+
+
+def test_from_cocycle_dimension_mismatch_is_parse_error(tmp_path, capsys):
+    alg = tmp_path / "alg.yaml"
+    alg.write_text(serialize_algebra(make_a0()))
+    zero = RBACochain(Cochain.zero(3, 2, 2), Cochain.zero(2, 2, 2))
+    coc = tmp_path / "c3.yaml"
+    coc.write_text(dump_document(cochain_document("rba", zero)))
+    assert main(["twoalg", "from-cocycle", str(alg), str(coc)]) == 2
+    assert "cochain dimensions do not match" in capsys.readouterr().err
+
+
+def test_deform_has_no_module_option(tmp_path):
+    # deformations always take coefficients in the regular module
+    a1n = FIXTURES / "a1n.yaml"
+    deff = tmp_path / "def.yaml"
+    deff.write_text(dump_document(deformation_document(trivial_deformation(make_a1n(), 1))))
+    argv = ["deform", "check", a1n, deff]
+    assert _run(argv)[1] == 0
+    with pytest.raises(SystemExit) as exc:
+        _run(argv + ["--module", a1n])
+    assert exc.value.code == 2

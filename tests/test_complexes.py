@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from rbprelie import (
     ComplexKind,
     PreLieAlgebra,
@@ -20,7 +22,7 @@ from rbprelie import (
     regular_bimodule,
     star_algebra,
 )
-from rbprelie.algebras import Bimodule, zero_table
+from rbprelie.algebras import Bimodule, InvalidStructureError, zero_table
 from rbprelie.cochains import Cochain, RBACochain, cochain_from_matrix, space_dim
 from rbprelie.complexes import (
     ComplexData,
@@ -38,7 +40,7 @@ from rbprelie.generators import (
 )
 from rbprelie.linalg import RationalMatrix, column_space, rank, solve_linear, zero_vector
 
-from conftest import make_a0, make_a1, make_a1n, make_affine
+from conftest import make_a0, make_a1, make_a1n, make_affine, make_noncommuting_module
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -205,6 +207,30 @@ def test_rba_differential_degree0_examples():
     d0 = rba_differential(a0, m, u)
     assert d0.pla_part.is_zero()
     assert dict(d0.rbo_part.values) == {(): (Fraction(-1),)}
+
+
+def test_untrusted_differentials_validate_once(monkeypatch):
+    from rbprelie import algebras
+
+    calls = []
+    check = algebras.check_pre_lie
+
+    def counting(a):
+        calls.append(a)
+        return check(a)
+
+    monkeypatch.setattr(algebras, "check_pre_lie", counting)
+    r = make_a1n(1)
+    m = regular_bimodule(r)
+    g = Cochain.zero(1, 2, 2)
+    rbo_differential(r, m, g)
+    assert len(calls) == 1
+    rba_differential(r, m, RBACochain(Cochain.zero(2, 2, 2), g))
+    assert len(calls) == 2
+    # degree 0 goes through the same gate
+    r, bad = make_noncommuting_module()
+    with pytest.raises(InvalidStructureError, match="module is not a Rota-Baxter bimodule"):
+        rba_differential(r, bad, RBACochain(Cochain.zero(0, 2, 2), None))
 
 
 def test_rba_product_pair_is_cocycle():

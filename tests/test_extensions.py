@@ -28,6 +28,7 @@ from rbprelie.generators import (
 )
 from rbprelie.linalg import RationalMatrix
 
+from conftest import make_noncommuting_module
 
 
 def _pair_from_cocycle(c):
@@ -53,6 +54,12 @@ def test_semidirect_product_always_valid():
         built = build_extension(r, m, CocyclePair.zero(r.dim, m.mod_dim))
         assert built.axioms_ok and built.cocycle_ok
         assert check_extension(built.extension).ok
+
+
+def test_build_extension_rejects_a_module_that_is_not_a_representation():
+    r, m = make_noncommuting_module()
+    with pytest.raises(InvalidStructureError, match="module is not a Rota-Baxter bimodule"):
+        build_extension(r, m, CocyclePair.zero(r.dim, m.mod_dim))
 
 
 def test_a0_extension_fixture(a0, a0_reg):
