@@ -1,11 +1,14 @@
 """Pre-Lie algebras, Rota-Baxter operators and (Rota-Baxter) bimodules.
 
 Structures are plain immutable data; validity is never cached.  Every
-checker checks one family of laws and returns a :class:`Verdict` listing
-*all* violated basis tuples with their defect vectors (1-based indices,
-since they are diagnostics).  The pre-Lie identity and the Rota-Baxter law
-are written once, as the tⁿ coefficients :func:`pre_lie_defects` and
-:func:`rota_baxter_defects` of a formal series; the axioms are their order 0.
+checker checks one family of laws: it produces a (law, 0-based basis tuple,
+defect) triple per basis tuple, and :func:`verdict` turns them into a
+:class:`Verdict` listing *all* violated basis tuples with their defect
+vectors (1-based indices, since they are diagnostics).  Composite checkers
+in other modules chain the same triples.  The pre-Lie identity and the
+Rota-Baxter law are written once, as the tⁿ coefficients
+:func:`pre_lie_defects` and :func:`rota_baxter_defects` of a formal series;
+the axioms are their order 0.
 :func:`require_valid` is the one validity gate: operations that require
 valid input pass through it unless called with ``trusted=True``.
 
@@ -22,7 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 from .linalg import (
     RationalMatrix,
@@ -58,8 +62,24 @@ class Verdict:
         return self.ok
 
 
-def _verdict(violations: list[Violation], notes: Sequence[str] = ()) -> Verdict:
-    return Verdict(ok=not violations, violations=tuple(violations), notes=tuple(notes))
+Defects = Iterable[tuple[str, tuple[int, ...], Vector]]
+
+
+def verdict(defects: Defects, notes: Sequence[str] = ()) -> Verdict:
+    """The verdict on (law, 0-based basis tuple, defect) triples, in order:
+    every nonzero defect is a violation with 1-based indices, and the
+    verdict is ok exactly when there is none."""
+    violations = tuple(
+        Violation(law, tuple(i + 1 for i in key), defect)
+        for law, key, defect in defects
+        if not is_zero_vector(defect)
+    )
+    return Verdict(ok=not violations, violations=violations, notes=tuple(notes))
+
+
+def named(law: str, keyed: dict[tuple[int, ...], Vector]) -> Defects:
+    """The triples of one law from a kernel's defects keyed by basis tuple."""
+    return ((law, key, defect) for key, defect in keyed.items())
 
 
 def zero_table(dim_left: int, dim_right: int, dim_out: int) -> ProductTable:
@@ -249,76 +269,80 @@ def rota_baxter_defects(
     return out
 
 
-def defect_violations(law: str, defects: dict[tuple[int, ...], Vector]) -> list[Violation]:
-    """The nonzero defects of a law as violations, in key order, 1-based."""
-    return [
-        Violation(law, tuple(i + 1 for i in key), defect)
-        for key, defect in defects.items()
-        if not is_zero_vector(defect)
-    ]
-
-
 def check_pre_lie(a: PreLieAlgebra) -> Verdict:
     """Associator symmetry on all basis triples."""
-    return _verdict(defect_violations("pre_lie", pre_lie_defects((a.c,), 0)))
+    return verdict(named("pre_lie", pre_lie_defects((a.c,), 0)))
 
 
 def check_rb_operator(r: RBPreLieAlgebra) -> Verdict:
     """Weighted Rota-Baxter law on all basis pairs."""
-    defects = rota_baxter_defects((r.algebra.c,), (r.operator,), r.weight, 0)
-    return _verdict(defect_violations("rota_baxter", defects))
+    return verdict(
+        named("rota_baxter", rota_baxter_defects((r.algebra.c,), (r.operator,), r.weight, 0))
+    )
 
 
-def check_bimodule(a: PreLieAlgebra, m: Bimodule) -> Verdict:
+def _combine(x: Sequence, cols: Sequence[Vector], dim: int) -> Vector:
+    """Σₖ xₖ·cols[k]."""
+    out = zero_vector(dim)
+    for xk, col in zip(x, cols):
+        if xk != 0:
+            out = vadd(out, vscale(xk, col))
+    return out
+
+
+def _basis_columns(m: Bimodule) -> list[tuple[list[Vector], list[Vector]]]:
+    """For each module basis vector e_u: the products (eₖ·e_u)ₖ and (e_u·eₖ)ₖ,
+    read off the u-th columns of the action matrices."""
+    return [([s.col(u) for s in m.S], [p.col(u) for p in m.P]) for u in range(m.mod_dim)]
+
+
+def bimodule_defects(a: PreLieAlgebra, m: Bimodule) -> Defects:
     """Both pre-Lie representation laws on basis pairs acting on basis vectors."""
     if m.base_dim != a.dim:
         raise ValueError("module base dimension does not match the algebra")
-    bad: list[Violation] = []
+    S, P, md = m.S, m.P, m.mod_dim
+    cols = _basis_columns(m)
     for i in range(a.dim):
-        ei = a.basis_vector(i)
         for j in range(a.dim):
-            ej = a.basis_vector(j)
             cij, cji = a.c[i][j], a.c[j][i]
-            for u in range(m.mod_dim):
-                eu = m.basis_vector(u)
+            for u, (su, pu) in enumerate(cols):
                 # x·(y·u) − (x·y)·u symmetric in x, y
-                lhs = vsub(m.left(ei, m.left(ej, eu)), m.left(cij, eu))
-                rhs = vsub(m.left(ej, m.left(ei, eu)), m.left(cji, eu))
-                defect = vsub(lhs, rhs)
-                if not is_zero_vector(defect):
-                    bad.append(Violation("left_action", (i + 1, j + 1, u + 1), defect))
+                lhs = vsub(S[i].apply(su[j]), _combine(cij, su, md))
+                rhs = vsub(S[j].apply(su[i]), _combine(cji, su, md))
+                yield "left_action", (i, j, u), vsub(lhs, rhs)
                 # x·(u·y) − (x·u)·y = u·(x·y) − (u·x)·y
-                lhs = vsub(m.left(ei, m.right(eu, ej)), m.right(m.left(ei, eu), ej))
-                rhs = vsub(m.right(eu, cij), m.right(m.right(eu, ei), ej))
-                defect = vsub(lhs, rhs)
-                if not is_zero_vector(defect):
-                    bad.append(Violation("mixed_action", (i + 1, j + 1, u + 1), defect))
-    return _verdict(bad)
+                lhs = vsub(S[i].apply(pu[j]), P[j].apply(su[i]))
+                rhs = vsub(_combine(cij, pu, md), P[j].apply(pu[i]))
+                yield "mixed_action", (i, j, u), vsub(lhs, rhs)
 
 
-def check_rb_bimodule(r: RBPreLieAlgebra, m: RBBimodule) -> Verdict:
+def rb_bimodule_defects(r: RBPreLieAlgebra, m: RBBimodule) -> Defects:
     """Both weighted compatibility laws between T and the module operator."""
     bm, tm, t, lam = m.bimodule, m.t_m, r.operator, r.weight
     if bm.base_dim != r.dim:
         raise ValueError("module base dimension does not match the algebra")
-    bad: list[Violation] = []
+    md = bm.mod_dim
+    cols = _basis_columns(bm)
     for i in range(r.dim):
-        ei = r.algebra.basis_vector(i)
         ti = t.col(i)
-        for u in range(bm.mod_dim):
-            eu = bm.basis_vector(u)
+        for u, (su, pu) in enumerate(cols):
             tu = tm.col(u)
             # T(a)·T_M(u) = T_M(a·T_M(u) + T(a)·u + λ a·u)
-            inner = vadd(vadd(bm.left(ei, tu), bm.left(ti, eu)), vscale(lam, bm.left(ei, eu)))
-            defect = vsub(bm.left(ti, tu), tm.apply(inner))
-            if not is_zero_vector(defect):
-                bad.append(Violation("rb_left", (i + 1, u + 1), defect))
+            inner = vadd(vadd(bm.S[i].apply(tu), _combine(ti, su, md)), vscale(lam, su[i]))
+            yield "rb_left", (i, u), vsub(bm.left(ti, tu), tm.apply(inner))
             # T_M(u)·T(a) = T_M(u·T(a) + T_M(u)·a + λ u·a)
-            inner = vadd(vadd(bm.right(eu, ti), bm.right(tu, ei)), vscale(lam, bm.right(eu, ei)))
-            defect = vsub(bm.right(tu, ti), tm.apply(inner))
-            if not is_zero_vector(defect):
-                bad.append(Violation("rb_right", (i + 1, u + 1), defect))
-    return _verdict(bad)
+            inner = vadd(vadd(_combine(ti, pu, md), bm.P[i].apply(tu)), vscale(lam, pu[i]))
+            yield "rb_right", (i, u), vsub(bm.right(tu, ti), tm.apply(inner))
+
+
+def check_bimodule(a: PreLieAlgebra, m: Bimodule) -> Verdict:
+    """The verdict on :func:`bimodule_defects`."""
+    return verdict(bimodule_defects(a, m))
+
+
+def check_rb_bimodule(r: RBPreLieAlgebra, m: RBBimodule) -> Verdict:
+    """The verdict on :func:`rb_bimodule_defects`."""
+    return verdict(rb_bimodule_defects(r, m))
 
 
 def sub_adjacent_bracket(a: PreLieAlgebra) -> ProductTable:
@@ -331,16 +355,18 @@ def sub_adjacent_bracket(a: PreLieAlgebra) -> ProductTable:
 def check_jacobi(bracket: ProductTable) -> Verdict:
     """Jacobi identity for an antisymmetric bracket table."""
     dim = len(bracket)
-    bad: list[Violation] = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                defect = apply_table(bracket, _unit(i, dim), bracket[j][k], dim)
-                defect = vadd(defect, apply_table(bracket, _unit(j, dim), bracket[k][i], dim))
-                defect = vadd(defect, apply_table(bracket, _unit(k, dim), bracket[i][j], dim))
-                if not is_zero_vector(defect):
-                    bad.append(Violation("jacobi", (i + 1, j + 1, k + 1), defect))
-    return _verdict(bad)
+
+    def cyclic(i: int, j: int, k: int) -> Vector:
+        defect = apply_table(bracket, _unit(i, dim), bracket[j][k], dim)
+        defect = vadd(defect, apply_table(bracket, _unit(j, dim), bracket[k][i], dim))
+        return vadd(defect, apply_table(bracket, _unit(k, dim), bracket[i][j], dim))
+
+    return verdict(
+        ("jacobi", (i, j, k), cyclic(i, j, k))
+        for i in range(dim)
+        for j in range(i + 1, dim)
+        for k in range(j + 1, dim)
+    )
 
 
 def require_valid(r: RBPreLieAlgebra, m: RBBimodule | None = None) -> RBBimodule:
@@ -409,18 +435,13 @@ def check_morphism(r1: RBPreLieAlgebra, r2: RBPreLieAlgebra, phi: RationalMatrix
         raise ValueError("weight mismatch between source and target")
     if (phi.rows, phi.cols) != (r2.dim, r1.dim):
         raise ValueError("morphism matrix has wrong shape")
-    bad: list[Violation] = []
-    for i in range(r1.dim):
-        pi = phi.col(i)
-        for j in range(r1.dim):
-            pj = phi.col(j)
-            defect = vsub(phi.apply(r1.algebra.c[i][j]), r2.algebra.product(pi, pj))
-            if not is_zero_vector(defect):
-                bad.append(Violation("product", (i + 1, j + 1), defect))
+    cols = [phi.col(i) for i in range(r1.dim)]
     comm = phi.matmul(r1.operator).sub(r2.operator.matmul(phi))
-    for j in range(r1.dim):
-        col = comm.col(j)
-        if not is_zero_vector(col):
-            bad.append(Violation("operator", (j + 1,), col))
+    product = (
+        ("product", (i, j), vsub(phi.apply(r1.algebra.c[i][j]), r2.algebra.product(pi, pj)))
+        for i, pi in enumerate(cols)
+        for j, pj in enumerate(cols)
+    )
+    operator = (("operator", (j,), comm.col(j)) for j in range(r1.dim))
     notes = ("degenerate: zero map",) if phi.is_zero() else ()
-    return _verdict(bad, notes)
+    return verdict(chain(product, operator), notes)

@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Every subcommand reads YAML artifact files, runs library operations, and
-prints a YAML report with a fixed field order.  Exit status: 0 when every
-mathematical verdict is ok, 1 when some verdict fails, 2 on usage or parse
-errors.  An input that is not the structure a command needs raises
-``InvalidStructureError``; it is reported as ``error`` with status
+prints a YAML report with a fixed field order.  Each handler returns the
+report's fields and whether every verdict holds; :func:`run_command` alone
+frames them with ``command`` and ``status`` and picks the exit status: 0
+when every mathematical verdict is ok, 1 when some verdict fails.  Usage and
+parse errors exit 2.  An input that is not the structure a command needs
+raises ``InvalidStructureError``; it is reported as ``error`` with status
 ``violation`` and exit 1.  Reports contain no volatile fields unless
 ``--timing`` is passed, so identical inputs produce byte-identical output.
 """
@@ -16,7 +18,6 @@ import sys
 import time
 from .algebras import (
     InvalidStructureError,
-    Verdict,
     check_bimodule,
     check_pre_lie,
     check_rb_bimodule,
@@ -86,8 +87,14 @@ def _write(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _verdict_doc(v: Verdict) -> str:
-    return "ok" if v.ok else "violated"
+def _emit(args, doc: dict) -> None:
+    """Write an emitted document to ``--output`` when one is given."""
+    if args.output:
+        _write(args.output, dump_document(doc))
+
+
+def _verdict_doc(ok) -> str:
+    return "ok" if ok else "violated"
 
 
 def _violations_doc(violations) -> list:
@@ -99,6 +106,10 @@ def _violations_doc(violations) -> list:
         }
         for x in violations
     ]
+
+
+def _residual_doc(obstruction) -> list:
+    return [{"coordinate": idx + 1, "value": str(val)} for idx, val in obstruction.residual]
 
 
 def _load_yaml(path: str):
@@ -122,32 +133,22 @@ def _algebra_and_module(args) -> tuple:
     return r, module, name
 
 
-def _cmd_check(args) -> tuple[dict, int]:
+def _named(name: str | None) -> dict:
+    return {"name": name} if name else {}
+
+
+def _cmd_check(args) -> tuple[dict, bool]:
     r, module, name = _algebra_and_module(args)
-    verdicts = {}
-    violations = []
-    pl = check_pre_lie(r.algebra)
-    verdicts["pre_lie"] = _verdict_doc(pl)
-    violations.extend(pl.violations)
-    rb = check_rb_operator(r)
-    verdicts["rota_baxter"] = _verdict_doc(rb)
-    violations.extend(rb.violations)
+    verdicts = {"pre_lie": check_pre_lie(r.algebra), "rota_baxter": check_rb_operator(r)}
     if module is not None:
-        bm = check_bimodule(r.algebra, module.bimodule)
-        verdicts["bimodule"] = _verdict_doc(bm)
-        violations.extend(bm.violations)
-        rbm = check_rb_bimodule(r, module)
-        verdicts["rb_bimodule"] = _verdict_doc(rbm)
-        violations.extend(rbm.violations)
-    ok = all(v == "ok" for v in verdicts.values())
-    report = {"command": "check"}
-    if name:
-        report["name"] = name
-    report.update(
-        {"verdicts": verdicts, "violations": _violations_doc(violations),
-         "status": "ok" if ok else "violation"}
-    )
-    return report, 0 if ok else 1
+        verdicts["bimodule"] = check_bimodule(r.algebra, module.bimodule)
+        verdicts["rb_bimodule"] = check_rb_bimodule(r, module)
+    fields = {
+        **_named(name),
+        "verdicts": {law: _verdict_doc(v) for law, v in verdicts.items()},
+        "violations": _violations_doc(x for v in verdicts.values() for x in v.violations),
+    }
+    return fields, all(verdicts.values())
 
 
 def _require_dims(cochain, r, m) -> None:
@@ -155,7 +156,7 @@ def _require_dims(cochain, r, m) -> None:
         raise ParseError("cochain dimensions do not match (algebra, module)")
 
 
-def _cmd_cohomology(args) -> tuple[dict, int]:
+def _cmd_cohomology(args) -> tuple[dict, bool]:
     r, module, name = _algebra_and_module(args)
     m = require_valid(r, module)
     kinds = (
@@ -165,55 +166,45 @@ def _cmd_cohomology(args) -> tuple[dict, int]:
     )
     data = ComplexData(r, m)
     dims = {kind.value: data.cohomology_dims(kind, args.max_degree) for kind in kinds}
-    report = {"command": "cohomology"}
-    if name:
-        report["name"] = name
-    report.update(
-        {
-            "max_degree": args.max_degree,
-            "module": "regular" if module is None else "file",
-            "dimensions": dims,
-            "status": "ok",
-        }
-    )
-    return report, 0
+    fields = {
+        **_named(name),
+        "max_degree": args.max_degree,
+        "module": "regular" if module is None else "file",
+        "dimensions": dims,
+    }
+    return fields, True
 
 
-def _cmd_star(args) -> tuple[dict, int]:
+def _cmd_star(args) -> tuple[dict, bool]:
     r, module, name = _algebra_and_module(args)
     require_valid(r, module)
     st = star_algebra(r, trusted=True)
     doc = algebra_document(st, None, (name + "_star") if name else None)
-    if args.output:
-        _write(args.output, dump_document(doc))
-    return {"command": "star", "output": doc, "status": "ok"}, 0
+    _emit(args, doc)
+    return {"output": doc}, True
 
 
-def _cmd_cocycle(args) -> tuple[dict, int]:
+def _cmd_cocycle(args) -> tuple[dict, bool]:
     r, module, _ = _algebra_and_module(args)
     m = require_valid(r, module)
     which, cochain = parse_cochain_file(_read(args.cochain))
     _require_dims(cochain, r, m)
     if which == "pla":
         defect = pla_differential(r.algebra, m.bimodule, cochain)
-        closed = defect.is_zero()
     elif which == "rbo":
         defect = rbo_differential(r, m, cochain, trusted=True)
-        closed = defect.is_zero()
     else:
         defect = rba_differential(r, m, cochain, trusted=True)
-        closed = defect.is_zero()
-    report = {
-        "command": "cocycle",
+    closed = defect.is_zero()
+    fields = {
         "complex": which,
         "degree": cochain.degree,
-        "verdicts": {"closed": "ok" if closed else "violated"},
-        "status": "ok" if closed else "violation",
+        "verdicts": {"closed": _verdict_doc(closed)},
     }
-    return report, 0 if closed else 1
+    return fields, closed
 
 
-def _cmd_extend(args) -> tuple[dict, int]:
+def _cmd_extend(args) -> tuple[dict, bool]:
     r, module, _ = _algebra_and_module(args)
     m = require_valid(r, module)
     pair = parse_pair_document(_load_yaml(args.pair))
@@ -221,152 +212,111 @@ def _cmd_extend(args) -> tuple[dict, int]:
         raise ParseError("pair dimensions do not match (algebra, module)")
     built = build_extension(r, m, pair, trusted=True)
     doc = extension_document(built.extension)
-    if args.output:
-        _write(args.output, dump_document(doc))
+    _emit(args, doc)
     agree = built.axioms_ok == built.cocycle_ok
-    report = {
-        "command": "extend",
+    fields = {
         "verdicts": {
-            "total_axioms": "ok" if built.axioms_ok else "violated",
-            "pair_cocycle": "ok" if built.cocycle_ok else "violated",
-            "routes_agree": "ok" if agree else "violated",
+            "total_axioms": _verdict_doc(built.axioms_ok),
+            "pair_cocycle": _verdict_doc(built.cocycle_ok),
+            "routes_agree": _verdict_doc(agree),
         },
         "violations": _violations_doc(built.axiom_violations),
         "output": doc,
-        "status": "ok" if built.axioms_ok and agree else "violation",
     }
-    return report, 0 if built.axioms_ok and agree else 1
+    return fields, built.axioms_ok and agree
 
 
-def _cmd_extract(args) -> tuple[dict, int]:
+def _cmd_extract(args) -> tuple[dict, bool]:
     ext = parse_extension_file(_read(args.file))
     well_formed = check_extension(ext)
     if not well_formed.ok:
-        return (
-            {
-                "command": "extract",
-                "verdicts": {"extension": "violated"},
-                "violations": _violations_doc(well_formed.violations),
-                "status": "violation",
-            },
-            1,
-        )
+        return {
+            "verdicts": {"extension": "violated"},
+            "violations": _violations_doc(well_formed.violations),
+        }, False
     section = canonical_section(ext)
     if args.section:
         section = parse_section_document(_load_yaml(args.section), ext)
     result = extract_cocycle(ext, section)
     doc = cochain_document("rba", result.pair.as_cochain())
-    if args.output:
-        _write(args.output, dump_document(doc))
-    report = {
-        "command": "extract",
-        "verdicts": {
-            "extension": "ok",
-            "pair_cocycle": "ok" if result.cocycle_ok else "violated",
-        },
+    _emit(args, doc)
+    fields = {
+        "verdicts": {"extension": "ok", "pair_cocycle": _verdict_doc(result.cocycle_ok)},
         "base": algebra_document(result.base, result.bimodule),
         "output": doc,
-        "status": "ok" if result.cocycle_ok else "violation",
     }
-    return report, 0 if result.cocycle_ok else 1
+    return fields, result.cocycle_ok
 
 
-def _cmd_deform(args) -> tuple[dict, int]:
+def _cmd_deform(args) -> tuple[dict, bool]:
     r, module, _ = _algebra_and_module(args)
     require_valid(r, module)
     deformation = parse_deformation_file(_read(args.deformation), r)
     if args.action == "check":
         verdict = check_deformation(r, deformation)
-        orders = [
-            {"order": n, "verdict": _verdict_doc(v)} for n, v in enumerate(verdict.orders)
-        ]
-        violations = [x for v in verdict.orders for x in v.violations]
-        report = {
-            "command": "deform check",
+        fields = {
             "order": deformation.order,
-            "orders": orders,
-            "violations": _violations_doc(violations),
-            "status": "ok" if verdict.ok else "violation",
+            "orders": [
+                {"order": n, "verdict": _verdict_doc(v)} for n, v in enumerate(verdict.orders)
+            ],
+            "violations": _violations_doc(x for v in verdict.orders for x in v.violations),
         }
-        return report, 0 if verdict.ok else 1
-    if args.action == "solve":
-        try:
-            result = solve_next_order(r, deformation)
-        except DeformationError as exc:
-            return (
-                {"command": "deform solve", "error": str(exc), "status": "violation"},
-                1,
-            )
-        if result.solution is not None:
-            report = {
-                "command": "deform solve",
-                "solved_order": result.order,
-                "verdicts": {"solvable": "ok"},
-                "output": deformation_document(result.extended),
-                "status": "ok",
-            }
-            return report, 0
-        report = {
-            "command": "deform solve",
-            "solved_order": result.order,
-            "verdicts": {"solvable": "violated"},
-            "obstruction": {
-                "residual": [
-                    {"coordinate": idx + 1, "value": str(val)}
-                    for idx, val in result.obstruction.residual
-                ],
-                "rhs_is_cocycle": bool(result.obstruction.rhs_is_cocycle),
-            },
-            "status": "violation",
-        }
-        return report, 1
-    # trivialize
+        return fields, verdict.ok
     try:
-        result = trivialize(r, deformation)
+        if args.action == "solve":
+            return _deform_solve(r, deformation)
+        return _deform_trivialize(r, deformation)
     except DeformationError as exc:
-        return (
-            {"command": "deform trivialize", "error": str(exc), "status": "violation"},
-            1,
-        )
+        return {"error": str(exc)}, False
+
+
+def _deform_solve(r, deformation) -> tuple[dict, bool]:
+    result = solve_next_order(r, deformation)
+    if result.solution is not None:
+        return {
+            "solved_order": result.order,
+            "verdicts": {"solvable": "ok"},
+            "output": deformation_document(result.extended),
+        }, True
+    return {
+        "solved_order": result.order,
+        "verdicts": {"solvable": "violated"},
+        "obstruction": {
+            "residual": _residual_doc(result.obstruction),
+            "rhs_is_cocycle": bool(result.obstruction.rhs_is_cocycle),
+        },
+    }, False
+
+
+def _deform_trivialize(r, deformation) -> tuple[dict, bool]:
+    result = trivialize(r, deformation)
     if result.ok:
-        report = {
-            "command": "deform trivialize",
+        return {
             "verdicts": {"trivializable": "ok"},
             "gauge": [serialize_matrix(mat) for mat in result.gauge.maps],
-            "status": "ok",
-        }
-        return report, 0
-    report = {
-        "command": "deform trivialize",
+        }, True
+    return {
         "verdicts": {"trivializable": "violated"},
         "obstruction": {
             "order": result.obstruction_order,
-            "residual": [
-                {"coordinate": idx + 1, "value": str(val)}
-                for idx, val in result.obstruction.residual
-            ],
+            "residual": _residual_doc(result.obstruction),
         },
-        "status": "violation",
-    }
-    return report, 1
+    }, False
 
 
-def _cmd_twoalg(args) -> tuple[dict, int]:
+def _cmd_twoalg(args) -> tuple[dict, bool]:
     if args.action == "check":
         t, weight = parse_twoalg_file(_read(args.file))
         first = check_prelie_2alg(t)
         second = check_rb_2alg(t, weight)
-        ok = first.ok and second.ok
-        report = {
-            "command": "twoalg check",
+        fields = {
             "verdicts": {
                 "two_term": _verdict_doc(first),
                 "operator_triple": _verdict_doc(second),
             },
             "violations": _violations_doc(first.violations + second.violations),
-            "status": "ok" if ok else "violation",
         }
-        return report, 0 if ok else 1
+        return fields, first.ok and second.ok
     if args.action == "from-cocycle":
         r, module, _ = _algebra_and_module(args)
         m = require_valid(r, module)
@@ -377,97 +327,58 @@ def _cmd_twoalg(args) -> tuple[dict, int]:
         try:
             t = cocycle_to_skeletal(r, m, cochain)
         except InvalidStructureError:  # not a cocycle
-            return (
-                {
-                    "command": "twoalg from-cocycle",
-                    "verdicts": {"cocycle": "violated"},
-                    "status": "violation",
-                },
-                1,
-            )
+            return {"verdicts": {"cocycle": "violated"}}, False
         doc = twoalg_document(t, r.weight)
-        if args.output:
-            _write(args.output, dump_document(doc))
-        report = {
-            "command": "twoalg from-cocycle",
-            "verdicts": {"cocycle": "ok"},
-            "output": doc,
-            "status": "ok",
-        }
-        return report, 0
+        _emit(args, doc)
+        return {"verdicts": {"cocycle": "ok"}, "output": doc}, True
     if args.action == "to-cocycle":
         t, weight = parse_twoalg_file(_read(args.file))
         r, m, cochain = skeletal_to_cocycle(t, weight)
         doc = cochain_document("rba", cochain)
-        if args.output:
-            _write(args.output, dump_document(doc))
-        report = {
-            "command": "twoalg to-cocycle",
+        _emit(args, doc)
+        fields = {
             "verdicts": {"skeletal": "ok", "cocycle": "ok"},
             "base": algebra_document(r, m),
             "output": doc,
-            "status": "ok",
         }
-        return report, 0
+        return fields, True
     if args.action == "to-crossed":
         t, weight = parse_twoalg_file(_read(args.file))
-        cm = strict_to_crossed(t, weight)
-        doc = crossed_document(cm)
-        if args.output:
-            _write(args.output, dump_document(doc))
-        return (
-            {"command": "twoalg to-crossed", "verdicts": {"strict": "ok"}, "output": doc,
-             "status": "ok"},
-            0,
-        )
+        doc = crossed_document(strict_to_crossed(t, weight))
+        _emit(args, doc)
+        return {"verdicts": {"strict": "ok"}, "output": doc}, True
     # from-crossed
     cm = parse_crossed_file(_read(args.file))
     verdict = check_crossed_module(cm)
     if not verdict.ok:
-        return (
-            {
-                "command": "twoalg from-crossed",
-                "verdicts": {"crossed_module": "violated"},
-                "violations": _violations_doc(verdict.violations),
-                "status": "violation",
-            },
-            1,
-        )
-    t = crossed_to_strict(cm, trusted=True)
-    doc = twoalg_document(t, cm.g0.weight)
-    if args.output:
-        _write(args.output, dump_document(doc))
-    return (
-        {"command": "twoalg from-crossed", "verdicts": {"crossed_module": "ok"},
-         "output": doc, "status": "ok"},
-        0,
-    )
+        return {
+            "verdicts": {"crossed_module": "violated"},
+            "violations": _violations_doc(verdict.violations),
+        }, False
+    doc = twoalg_document(crossed_to_strict(cm, trusted=True), cm.g0.weight)
+    _emit(args, doc)
+    return {"verdicts": {"crossed_module": "ok"}, "output": doc}, True
 
 
-def _cmd_les(args) -> tuple[dict, int]:
+def _cmd_les(args) -> tuple[dict, bool]:
     r, module, name = _algebra_and_module(args)
     m = require_valid(r, module)
-    report_data = les_check(r, m, args.max_degree)
-    report = {"command": "les"}
-    if name:
-        report["name"] = name
-    report.update(
-        {
-            "max_degree": args.max_degree,
-            "positions": [
-                {
-                    "position": p.position,
-                    "image_dim": p.image_dim,
-                    "kernel_dim": p.kernel_dim,
-                    "exact": p.exact,
-                }
-                for p in report_data.positions
-            ],
-            "map_checks": [{"map": nm, "well_defined": ok} for nm, ok in report_data.map_checks],
-            "status": "ok" if report_data.ok else "violation",
-        }
-    )
-    return report, 0 if report_data.ok else 1
+    report = les_check(r, m, args.max_degree)
+    fields = {
+        **_named(name),
+        "max_degree": args.max_degree,
+        "positions": [
+            {
+                "position": p.position,
+                "image_dim": p.image_dim,
+                "kernel_dim": p.kernel_dim,
+                "exact": p.exact,
+            }
+            for p in report.positions
+        ],
+        "map_checks": [{"map": nm, "well_defined": ok} for nm, ok in report.map_checks],
+    }
+    return fields, report.ok
 
 
 def _degree(text: str) -> int:
@@ -554,20 +465,27 @@ _HANDLERS = {
 
 
 def run_command(argv) -> tuple[dict, int]:
-    """Dispatch a parsed command line; returns (report, exit status)."""
+    """Dispatch a parsed command line; returns (report, exit status).
+
+    Each handler returns its report fields and whether every verdict holds;
+    this is the one place that adds ``command`` and ``status`` and picks the
+    exit status.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.cmd == "twoalg" and args.action == "from-cocycle":
         if args.cochain is None:
             parser.error("twoalg from-cocycle needs an algebra file and a cochain file")
+    command = f"{args.cmd} {args.action}" if "action" in args else args.cmd
     start = time.monotonic()
     try:
-        report, code = _HANDLERS[args.cmd](args)
+        fields, ok = _HANDLERS[args.cmd](args)
     except InvalidStructureError as exc:
-        report, code = {"command": args.cmd, "error": str(exc), "status": "violation"}, 1
+        command, fields, ok = args.cmd, {"error": str(exc)}, False
+    report = {"command": command, **fields, "status": "ok" if ok else "violation"}
     if args.timing:
         report["elapsed_seconds"] = round(time.monotonic() - start, 3)
-    return report, code
+    return report, 0 if ok else 1
 
 
 def main(argv=None) -> int:

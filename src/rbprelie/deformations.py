@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .algebras import (
@@ -25,10 +26,11 @@ from .algebras import (
     Verdict,
     Violation,
     apply_table,
-    defect_violations,
+    named,
     pre_lie_defects,
     regular_bimodule,
     rota_baxter_defects,
+    verdict,
     zero_table,
 )
 from .cochains import (
@@ -109,16 +111,19 @@ def check_deformation(r: RBPreLieAlgebra, d: TruncatedDeformation) -> Deformatio
     """The order-n product and operator conditions for every n ≤ order."""
     if d.base != r:
         raise ValueError("deformation was built over a different base structure")
-    per_order = []
-    for n in range(d.order + 1):
-        bad = defect_violations(
-            f"deform_product_order_{n}", pre_lie_defects(d.products, n)
-        ) + defect_violations(
-            f"deform_operator_order_{n}",
-            rota_baxter_defects(d.products, d.operators, r.weight, n),
+    per_order = tuple(
+        verdict(
+            chain(
+                named(f"deform_product_order_{n}", pre_lie_defects(d.products, n)),
+                named(
+                    f"deform_operator_order_{n}",
+                    rota_baxter_defects(d.products, d.operators, r.weight, n),
+                ),
+            )
         )
-        per_order.append(Verdict(ok=not bad, violations=tuple(bad)))
-    return DeformationVerdict(all(v.ok for v in per_order), tuple(per_order))
+        for n in range(d.order + 1)
+    )
+    return DeformationVerdict(all(v.ok for v in per_order), per_order)
 
 
 @dataclass(frozen=True)
@@ -343,8 +348,4 @@ def rbo_cocycle_check(r: RBPreLieAlgebra, t1: RationalMatrix, *, trusted: bool =
     reg = regular_bimodule(r)
     g = cochain_from_matrix(t1)
     result = rbo_differential(r, reg, g, trusted=trusted)
-    bad = tuple(
-        Violation("rbo_cocycle", tuple(i + 1 for i in key), val)
-        for key, val in sorted(result.values.items())
-    )
-    return Verdict(ok=not bad, violations=bad)
+    return verdict(named("rbo_cocycle", dict(sorted(result.values.items()))))

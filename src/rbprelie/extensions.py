@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .algebras import (
@@ -28,7 +29,11 @@ from .algebras import (
     check_morphism,
     check_pre_lie,
     check_rb_operator,
+    named,
+    pre_lie_defects,
     require_valid,
+    rota_baxter_defects,
+    verdict,
 )
 from .cochains import Cochain, RBACochain, cochain_from_bilinear, cochain_from_matrix
 from .complexes import ComplexData, ComplexKind, rba_differential
@@ -363,27 +368,23 @@ def check_extension(e: ExtensionData) -> Verdict:
     """Block exactness, ideal and zero-product conditions, operator squares,
     and the Rota-Baxter pre-Lie axioms on the total space."""
     d, md = e.base_dim, e.mod_dim
-    total = e.total
-    bad: list[Violation] = []
-    for i in range(md):
-        for j in range(md):
-            v = total.algebra.c[d + i][d + j]
-            if not is_zero_vector(v):
-                bad.append(Violation("module_product_zero", (d + i + 1, d + j + 1), v))
-    for i in range(total.dim):
-        for j in range(total.dim):
-            if i >= d or j >= d:
-                v = total.algebra.c[i][j][:d]
-                if not is_zero_vector(v):
-                    bad.append(
-                        Violation("module_ideal", (i + 1, j + 1), v + zero_vector(md))
-                    )
-    for j in range(md):
-        col = total.operator.col(d + j)[:d]
-        if not is_zero_vector(col):
-            bad.append(Violation("operator_square", (d + j + 1,), col + zero_vector(md)))
-    pl = check_pre_lie(total.algebra)
-    rb = check_rb_operator(total)
-    bad.extend(pl.violations)
-    bad.extend(rb.violations)
-    return Verdict(ok=not bad, violations=tuple(bad))
+    total, c, n = e.total, e.total.algebra.c, e.total.dim
+    pad = zero_vector(md)  # base-block defects are shown in total coordinates
+    return verdict(
+        chain(
+            (
+                ("module_product_zero", (i, j), c[i][j])
+                for i in range(d, n)
+                for j in range(d, n)
+            ),
+            (
+                ("module_ideal", (i, j), c[i][j][:d] + pad)
+                for i in range(n)
+                for j in range(n)
+                if i >= d or j >= d
+            ),
+            (("operator_square", (j,), total.operator.col(j)[:d] + pad) for j in range(d, n)),
+            named("pre_lie", pre_lie_defects((c,), 0)),
+            named("rota_baxter", rota_baxter_defects((c,), (total.operator,), total.weight, 0)),
+        )
+    )

@@ -53,6 +53,18 @@ def parse_rational(value: Any, path: str) -> Fraction:
     )
 
 
+def parse_int(value: Any, path: str, message: str, low: int, high: int | None = None) -> int:
+    """An integer in [low, high]; a YAML boolean is not an integer here."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < low
+        or (high is not None and value > high)
+    ):
+        raise ParseError(message, path)
+    return value
+
+
 def _as_list(value: Any, path: str) -> list:
     if not isinstance(value, list):
         raise ParseError(f"expected a list, got {type(value).__name__}", path)
@@ -138,9 +150,7 @@ def parse_algebra_document(data: Any) -> tuple[RBPreLieAlgebra, RBBimodule | Non
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise ParseError("name must be a string", "name")
-    d = data["dimension"]
-    if not isinstance(d, int) or d < 1:
-        raise ParseError("dimension must be a positive integer", "dimension")
+    d = parse_int(data["dimension"], "dimension", "dimension must be a positive integer", 1)
     weight = parse_rational(data["weight"], "weight")
     table = parse_table(data["product"], d, d, d, "product")
     op = parse_matrix(data["operator"], d, d, "operator")
@@ -154,9 +164,9 @@ def parse_algebra_document(data: Any) -> tuple[RBPreLieAlgebra, RBBimodule | Non
             {"dimension", "left_actions", "right_actions", "operator"},
             "module",
         )
-        md = mdata["dimension"]
-        if not isinstance(md, int) or md < 1:
-            raise ParseError("dimension must be a positive integer", "module.dimension")
+        md = parse_int(
+            mdata["dimension"], "module.dimension", "dimension must be a positive integer", 1
+        )
         lefts = _as_list(mdata["left_actions"], "module.left_actions")
         rights = _as_list(mdata["right_actions"], "module.right_actions")
         if len(lefts) != d or len(rights) != d:
@@ -217,11 +227,10 @@ def _parse_entries(value: Any, degree: int, d: int, md: int, path: str) -> dict:
         key_raw = _as_list(item["key"], f"{where}.key")
         if len(key_raw) != degree:
             raise ParseError(f"key needs {degree} indices", f"{where}.key")
-        key = []
-        for pos, entry in enumerate(key_raw):
-            if not isinstance(entry, int) or not (1 <= entry <= d):
-                raise ParseError(f"index out of range 1..{d}", f"{where}.key[{pos + 1}]")
-            key.append(entry - 1)
+        key = [
+            parse_int(entry, f"{where}.key[{pos + 1}]", f"index out of range 1..{d}", 1, d) - 1
+            for pos, entry in enumerate(key_raw)
+        ]
         skew = key[:-1]
         if any(skew[i] >= skew[i + 1] for i in range(len(skew) - 1)):
             raise ParseError("skew indices must be strictly increasing", f"{where}.key")
@@ -242,12 +251,10 @@ def parse_cochain_document(data: Any) -> tuple[str, RBACochain | Cochain]:
     which = data["complex"]
     if which not in ("pla", "rbo", "rba"):
         raise ParseError("complex must be one of pla, rbo, rba", "complex")
-    n = data["degree"]
-    d = data["base_dimension"]
-    md = data["module_dimension"]
-    for label, val in (("degree", n), ("base_dimension", d), ("module_dimension", md)):
-        if not isinstance(val, int) or val < 0 or (label != "degree" and val < 1):
-            raise ParseError(f"{label} must be a suitable integer", label)
+    n, d, md = (
+        parse_int(data[label], label, f"{label} must be a suitable integer", low)
+        for label, low in (("degree", 0), ("base_dimension", 1), ("module_dimension", 1))
+    )
     vals = _parse_entries(data["entries"], n, d, md, "entries")
     main = Cochain(n, d, md, vals)
     if which != "rba":
@@ -310,9 +317,7 @@ def parse_deformation_document(data: Any, base: RBPreLieAlgebra):
     )
     if data["kind"] != "deformation":
         raise ParseError("kind must be 'deformation'", "kind")
-    order = data["order"]
-    if not isinstance(order, int) or order < 0:
-        raise ParseError("order must be a non-negative integer", "order")
+    order = parse_int(data["order"], "order", "order must be a non-negative integer", 0)
     d = base.dim
     prods = _as_list(data["products"], "products")
     ops = _as_list(data["operators"], "operators")
@@ -352,11 +357,10 @@ def parse_extension_document(data: Any) -> ExtensionData:
     )
     if data["kind"] != "extension":
         raise ParseError("kind must be 'extension'", "kind")
-    d = data["base_dimension"]
-    md = data["module_dimension"]
-    for label, val in (("base_dimension", d), ("module_dimension", md)):
-        if not isinstance(val, int) or val < 1:
-            raise ParseError(f"{label} must be a positive integer", label)
+    d, md = (
+        parse_int(data[label], label, f"{label} must be a positive integer", 1)
+        for label in ("base_dimension", "module_dimension")
+    )
     total_dim = d + md
     weight = parse_rational(data["weight"], "weight")
     table = parse_table(data["product"], total_dim, total_dim, total_dim, "product")
@@ -401,6 +405,13 @@ def parse_pair_document(data: Any) -> CocyclePair:
 # ------------------------------------------------------------- two-algebras
 
 
+def _level_dims(data: dict) -> tuple[int, int]:
+    return tuple(
+        parse_int(data[label], label, f"{label} must be a non-negative integer", 0)
+        for label in ("dim0", "dim1")
+    )
+
+
 def parse_twoalg_document(data: Any) -> tuple[TwoAlgebra, Fraction]:
     _check_fields(
         data,
@@ -410,10 +421,7 @@ def parse_twoalg_document(data: Any) -> tuple[TwoAlgebra, Fraction]:
     )
     if data["kind"] != "two_algebra":
         raise ParseError("kind must be 'two_algebra'", "kind")
-    d0, d1 = data["dim0"], data["dim1"]
-    for label, val in (("dim0", d0), ("dim1", d1)):
-        if not isinstance(val, int) or val < 0:
-            raise ParseError(f"{label} must be a non-negative integer", label)
+    d0, d1 = _level_dims(data)
     weight = parse_rational(data["weight"], "weight")
     dmap = parse_matrix(data["d"], d0, d1, "d")
     l2_00 = parse_table(data["l2_00"], d0, d0, d0, "l2_00")
@@ -462,10 +470,7 @@ def parse_crossed_document(data: Any) -> CrossedModule:
     )
     if data["kind"] != "crossed_module":
         raise ParseError("kind must be 'crossed_module'", "kind")
-    d0, d1 = data["dim0"], data["dim1"]
-    for label, val in (("dim0", d0), ("dim1", d1)):
-        if not isinstance(val, int) or val < 0:
-            raise ParseError(f"{label} must be a non-negative integer", label)
+    d0, d1 = _level_dims(data)
     weight = parse_rational(data["weight"], "weight")
     g0 = RBPreLieAlgebra(
         PreLieAlgebra(d0, parse_table(data["product0"], d0, d0, d0, "product0")),

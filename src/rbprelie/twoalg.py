@@ -17,24 +17,27 @@ action terms.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .algebras import (
     Bimodule,
+    Defects,
     InvalidStructureError,
     PreLieAlgebra,
     ProductTable,
     RBBimodule,
     RBPreLieAlgebra,
     Verdict,
-    Violation,
     apply_table,
-    check_bimodule,
-    check_pre_lie,
-    check_rb_bimodule,
-    check_rb_operator,
+    bimodule_defects,
+    named,
+    pre_lie_defects,
+    rb_bimodule_defects,
+    rota_baxter_defects,
+    verdict,
     zero_table,
 )
 from .cochains import Cochain, RBACochain, bilinear_from_cochain, cochain_from_bilinear
@@ -101,28 +104,22 @@ class TwoAlgebra:
 
 def check_prelie_2alg(t: TwoAlgebra) -> Verdict:
     """The seven coherence conditions of a two-term pre-Lie structure."""
-    bad: list[Violation] = []
+    return verdict(_prelie_2alg_defects(t))
+
+
+def _prelie_2alg_defects(t: TwoAlgebra) -> Defects:
     d0, d1 = t.dim0, t.dim1
     for x in range(d0):
         ex = t.basis0(x)
         for a in range(d1):
-            ea = t.basis1(a)
             da = t.d_map.col(a)
-            defect = vsub(t.d_map.apply(t.l2_01[x][a]), t.mul00(ex, da))
-            if not is_zero_vector(defect):
-                bad.append(Violation("a", (x + 1, a + 1), defect))
-            defect = vsub(t.d_map.apply(t.l2_10[a][x]), t.mul00(da, ex))
-            if not is_zero_vector(defect):
-                bad.append(Violation("b", (a + 1, x + 1), defect))
+            yield "a", (x, a), vsub(t.d_map.apply(t.l2_01[x][a]), t.mul00(ex, da))
+            yield "b", (a, x), vsub(t.d_map.apply(t.l2_10[a][x]), t.mul00(da, ex))
     for a in range(d1):
         da = t.d_map.col(a)
         ea = t.basis1(a)
         for b in range(d1):
-            db = t.d_map.col(b)
-            eb = t.basis1(b)
-            defect = vsub(t.mul01(da, eb), t.mul10(ea, db))
-            if not is_zero_vector(defect):
-                bad.append(Violation("c", (a + 1, b + 1), defect))
+            yield "c", (a, b), vsub(t.mul01(da, t.basis1(b)), t.mul10(ea, t.d_map.col(b)))
     for x in range(d0):
         ex = t.basis0(x)
         for y in range(d0):
@@ -132,30 +129,18 @@ def check_prelie_2alg(t: TwoAlgebra) -> Verdict:
                 ez = t.basis0(z)
                 rhs = vsub(t.mul00(ex, t.l2_00[y][z]), t.mul00(xy, ez))
                 rhs = vsub(rhs, vsub(t.mul00(ey, t.l2_00[x][z]), t.mul00(yx, ez)))
-                defect = vsub(t.d_map.apply(t.l3.eval([x, y, z])), rhs)
-                if not is_zero_vector(defect):
-                    bad.append(Violation("e1", (x + 1, y + 1, z + 1), defect))
+                yield "e1", (x, y, z), vsub(t.d_map.apply(t.l3.eval([x, y, z])), rhs)
             for a in range(d1):
                 ea = t.basis1(a)
                 da = t.d_map.col(a)
                 rhs = vsub(t.mul01(ex, t.l2_01[y][a]), t.mul01(xy, ea))
                 rhs = vsub(rhs, vsub(t.mul01(ey, t.l2_01[x][a]), t.mul01(yx, ea)))
-                defect = vsub(t.l3.eval([x, y, da]), rhs)
-                if not is_zero_vector(defect):
-                    bad.append(Violation("e2", (x + 1, y + 1, a + 1), defect))
+                yield "e2", (x, y, a), vsub(t.l3.eval([x, y, da]), rhs)
                 rhs = vsub(t.mul10(ea, xy), t.mul10(t.l2_10[a][x], ey))
                 rhs = vsub(rhs, vsub(t.mul01(ex, t.l2_10[a][y]), t.mul10(t.l2_01[x][a], ey)))
-                defect = vsub(t.l3.eval([da, x, y]), rhs)
-                if not is_zero_vector(defect):
-                    bad.append(Violation("e3", (a + 1, x + 1, y + 1), defect))
-    for w in range(d0):
-        for x in range(d0):
-            for y in range(d0):
-                for z in range(d0):
-                    defect = condition_f_value(t, w, x, y, z)
-                    if not is_zero_vector(defect):
-                        bad.append(Violation("f", (w + 1, x + 1, y + 1, z + 1), defect))
-    return Verdict(ok=not bad, violations=tuple(bad))
+                yield "e3", (a, x, y), vsub(t.l3.eval([da, x, y]), rhs)
+    for key in itertools.product(range(d0), repeat=4):
+        yield "f", key, condition_f_value(t, *key)
 
 
 def condition_f_value(t: TwoAlgebra, w: int, x: int, y: int, z: int) -> Vector:
@@ -218,13 +203,13 @@ def condition_v_value(t: TwoAlgebra, lam: Fraction, x1: int, x2: int, x3: int) -
 
 def check_rb_2alg(t: TwoAlgebra, weight) -> Verdict:
     """The operator conditions on a two-term structure."""
-    lam = Fraction(weight)
-    bad: list[Violation] = []
+    return verdict(_rb_2alg_defects(t, Fraction(weight)))
+
+
+def _rb_2alg_defects(t: TwoAlgebra, lam: Fraction) -> Defects:
     comm = t.t0.matmul(t.d_map).sub(t.d_map.matmul(t.t1))
     for a in range(t.dim1):
-        col = comm.col(a)
-        if not is_zero_vector(col):
-            bad.append(Violation("i", (a + 1,), col))
+        yield "i", (a,), comm.col(a)
     for x in range(t.dim0):
         ex = t.basis0(x)
         t0x = t.t0.col(x)
@@ -234,12 +219,10 @@ def check_rb_2alg(t: TwoAlgebra, weight) -> Verdict:
             inner = vadd(
                 vadd(t.mul00(t0x, ey), t.mul00(ex, t0y)), vscale(lam, t.l2_00[x][y])
             )
-            defect = vsub(
+            yield "ii", (x, y), vsub(
                 vsub(t.t0.apply(inner), t.mul00(t0x, t0y)),
                 t.d_map.apply(t.t2[x][y]),
             )
-            if not is_zero_vector(defect):
-                bad.append(Violation("ii", (x + 1, y + 1), defect))
     for a in range(t.dim1):
         ea = t.basis1(a)
         t1a = t.t1.col(a)
@@ -250,26 +233,17 @@ def check_rb_2alg(t: TwoAlgebra, weight) -> Verdict:
             inner = vadd(
                 vadd(t.mul10(t1a, ex), t.mul10(ea, t0x)), vscale(lam, t.l2_10[a][x])
             )
-            defect = vsub(
+            yield "iii", (a, x), vsub(
                 vsub(t.t1.apply(inner), t.mul10(t1a, t0x)), t.t2_apply(da, ex)
             )
-            if not is_zero_vector(defect):
-                bad.append(Violation("iii", (a + 1, x + 1), defect))
             inner = vadd(
                 vadd(t.mul01(ex, t1a), t.mul01(t0x, ea)), vscale(lam, t.l2_01[x][a])
             )
-            defect = vsub(
+            yield "iv", (x, a), vsub(
                 vsub(t.t1.apply(inner), t.mul01(t0x, t1a)), t.t2_apply(ex, da)
             )
-            if not is_zero_vector(defect):
-                bad.append(Violation("iv", (x + 1, a + 1), defect))
-    for x1 in range(t.dim0):
-        for x2 in range(t.dim0):
-            for x3 in range(t.dim0):
-                defect = condition_v_value(t, lam, x1, x2, x3)
-                if not is_zero_vector(defect):
-                    bad.append(Violation("v", (x1 + 1, x2 + 1, x3 + 1), defect))
-    return Verdict(ok=not bad, violations=tuple(bad))
+    for key in itertools.product(range(t.dim0), repeat=3):
+        yield "v", key, condition_v_value(t, lam, *key)
 
 
 def _actions_from_tables(t: TwoAlgebra) -> Bimodule:
@@ -363,58 +337,43 @@ class CrossedModule:
 def check_crossed_module(cm: CrossedModule) -> Verdict:
     """Both levels valid, d a product morphism intertwining the operators,
     self-action compatibility between the levels."""
-    bad: list[Violation] = []
-    g1 = PreLieAlgebra(cm.dim1, cm.g1_product)
-    v = check_pre_lie(g1)
-    bad.extend(Violation("g1_pre_lie", x.indices, x.defect) for x in v.violations)
-    v = check_pre_lie(cm.g0.algebra)
-    bad.extend(Violation("g0_pre_lie", x.indices, x.defect) for x in v.violations)
-    v = check_rb_operator(cm.g0)
-    bad.extend(Violation("g0_rota_baxter", x.indices, x.defect) for x in v.violations)
+    return verdict(_crossed_module_defects(cm))
+
+
+def _crossed_module_defects(cm: CrossedModule) -> Defects:
+    g0, g1_product, d_map = cm.g0, cm.g1_product, cm.d_map
+    g1 = PreLieAlgebra(cm.dim1, g1_product)  # checks the table's shape
+    yield from named("g1_pre_lie", pre_lie_defects((g1.c,), 0))
+    yield from named("g0_pre_lie", pre_lie_defects((g0.algebra.c,), 0))
+    yield from named(
+        "g0_rota_baxter", rota_baxter_defects((g0.algebra.c,), (g0.operator,), g0.weight, 0)
+    )
     bimod = cm.bimodule()
-    v = check_bimodule(cm.g0.algebra, bimod.bimodule)
-    bad.extend(v.violations)
-    v = check_rb_bimodule(cm.g0, bimod)
-    bad.extend(v.violations)
+    yield from bimodule_defects(g0.algebra, bimod.bimodule)
+    yield from rb_bimodule_defects(g0, bimod)
+    d_cols = [d_map.col(a) for a in range(cm.dim1)]
     # d is a product morphism g₁ → g₀
-    for a in range(cm.dim1):
-        da = cm.d_map.col(a)
-        for b in range(cm.dim1):
-            db = cm.d_map.col(b)
-            defect = vsub(cm.d_map.apply(cm.g1_product[a][b]), cm.g0.algebra.product(da, db))
-            if not is_zero_vector(defect):
-                bad.append(Violation("d_morphism", (a + 1, b + 1), defect))
+    for a, da in enumerate(d_cols):
+        for b, db in enumerate(d_cols):
+            yield "d_morphism", (a, b), vsub(
+                d_map.apply(g1_product[a][b]), g0.algebra.product(da, db)
+            )
     # C1
     for x in range(cm.dim0):
-        ex = cm.g0.algebra.basis_vector(x)
-        for a in range(cm.dim1):
-            da = cm.d_map.col(a)
-            defect = vsub(cm.d_map.apply(cm.S[x].col(a)), cm.g0.algebra.product(ex, da))
-            if not is_zero_vector(defect):
-                bad.append(Violation("c1_left", (x + 1, a + 1), defect))
-            defect = vsub(cm.d_map.apply(cm.P[x].col(a)), cm.g0.algebra.product(da, ex))
-            if not is_zero_vector(defect):
-                bad.append(Violation("c1_right", (x + 1, a + 1), defect))
-    comm = cm.d_map.matmul(cm.t1).sub(cm.g0.operator.matmul(cm.d_map))
+        ex = g0.algebra.basis_vector(x)
+        for a, da in enumerate(d_cols):
+            yield "c1_left", (x, a), vsub(d_map.apply(cm.S[x].col(a)), g0.algebra.product(ex, da))
+            yield "c1_right", (x, a), vsub(d_map.apply(cm.P[x].col(a)), g0.algebra.product(da, ex))
+    comm = d_map.matmul(cm.t1).sub(g0.operator.matmul(d_map))
     for a in range(cm.dim1):
-        col = comm.col(a)
-        if not is_zero_vector(col):
-            bad.append(Violation("c1_operator", (a + 1,), col))
+        yield "c1_operator", (a,), comm.col(a)
     # C2
     bm = bimod.bimodule
-    for a in range(cm.dim1):
-        ea = g1.basis_vector(a)
-        da = cm.d_map.col(a)
-        for b in range(cm.dim1):
-            eb = g1.basis_vector(b)
-            db = cm.d_map.col(b)
-            defect = vsub(bm.left(da, eb), cm.g1_product[a][b])
-            if not is_zero_vector(defect):
-                bad.append(Violation("c2_left", (a + 1, b + 1), defect))
-            defect = vsub(bm.right(ea, db), cm.g1_product[a][b])
-            if not is_zero_vector(defect):
-                bad.append(Violation("c2_right", (a + 1, b + 1), defect))
-    return Verdict(ok=not bad, violations=tuple(bad))
+    for a, da in enumerate(d_cols):
+        ea = bm.basis_vector(a)
+        for b, db in enumerate(d_cols):
+            yield "c2_left", (a, b), vsub(bm.left(da, bm.basis_vector(b)), g1_product[a][b])
+            yield "c2_right", (a, b), vsub(bm.right(ea, db), g1_product[a][b])
 
 
 def strict_to_crossed(t: TwoAlgebra, weight, *, trusted: bool = False) -> CrossedModule:
