@@ -32,6 +32,7 @@ from .linalg import (
     RationalMatrix,
     Vector,
     is_zero_vector,
+    unit_vector,
     vadd,
     vscale,
     vsub,
@@ -86,10 +87,6 @@ def zero_table(dim_left: int, dim_right: int, dim_out: int) -> ProductTable:
     return tuple(tuple(zero_vector(dim_out) for _ in range(dim_right)) for _ in range(dim_left))
 
 
-def _unit(i: int, dim: int) -> Vector:
-    return tuple(Fraction(1) if k == i else Fraction(0) for k in range(dim))
-
-
 def apply_table(table: ProductTable, x: Sequence, y: Sequence, out_dim: int) -> Vector:
     """Bilinear extension of a table: table[i][j] holds the image of (e_i, e_j)."""
     out = [Fraction(0)] * out_dim
@@ -122,7 +119,7 @@ class PreLieAlgebra:
         return apply_table(self.c, x, y, self.dim)
 
     def basis_vector(self, i: int) -> Vector:
-        return _unit(i, self.dim)
+        return unit_vector(i, self.dim)
 
 
 @dataclass(frozen=True)
@@ -173,7 +170,7 @@ class Bimodule:
         return out
 
     def basis_vector(self, i: int) -> Vector:
-        return _unit(i, self.mod_dim)
+        return unit_vector(i, self.mod_dim)
 
 
 @dataclass(frozen=True)
@@ -216,7 +213,7 @@ def pre_lie_defects(mus: Sequence[ProductTable], n: int) -> dict[tuple[int, int,
     At n = 0 this is the pre-Lie identity of ``mus[0]``.
     """
     dim = len(mus[0])
-    basis = [_unit(i, dim) for i in range(dim)]
+    basis = [unit_vector(i, dim) for i in range(dim)]
     out = {}
     for i in range(dim):
         for j in range(dim):
@@ -249,7 +246,7 @@ def rota_baxter_defects(
     is the Rota-Baxter law of ``ts[0]`` for ``mus[0]``.
     """
     dim = len(mus[0])
-    basis = [_unit(i, dim) for i in range(dim)]
+    basis = [unit_vector(i, dim) for i in range(dim)]
     cols = [[t.col(i) for i in range(dim)] for t in ts[: n + 1]]
     out = {}
     for i in range(dim):
@@ -357,9 +354,9 @@ def check_jacobi(bracket: ProductTable) -> Verdict:
     dim = len(bracket)
 
     def cyclic(i: int, j: int, k: int) -> Vector:
-        defect = apply_table(bracket, _unit(i, dim), bracket[j][k], dim)
-        defect = vadd(defect, apply_table(bracket, _unit(j, dim), bracket[k][i], dim))
-        return vadd(defect, apply_table(bracket, _unit(k, dim), bracket[i][j], dim))
+        defect = apply_table(bracket, unit_vector(i, dim), bracket[j][k], dim)
+        defect = vadd(defect, apply_table(bracket, unit_vector(j, dim), bracket[k][i], dim))
+        return vadd(defect, apply_table(bracket, unit_vector(k, dim), bracket[i][j], dim))
 
     return verdict(
         ("jacobi", (i, j, k), cyclic(i, j, k))

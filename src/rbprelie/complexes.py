@@ -59,6 +59,7 @@ from .linalg import (
     rank,
     same_subspace,
     solve_linear,
+    unit_vector,
     vadd,
     vscale,
     vsub,
@@ -255,8 +256,7 @@ def rba_differential(
 def _basis_cochains(degree: int, base_dim: int, mod_dim: int):
     for key in basis_keys(degree, base_dim):
         for u in range(mod_dim):
-            unit = tuple(Fraction(1) if i == u else Fraction(0) for i in range(mod_dim))
-            yield Cochain(degree, base_dim, mod_dim, {key: unit})
+            yield Cochain(degree, base_dim, mod_dim, {key: unit_vector(u, mod_dim)})
 
 
 def differential_matrix(
@@ -284,15 +284,10 @@ def _combined_matrix(
     """The block matrix [[δₙ, 0], [−Φₙ, −∂ₙ₋₁]] of the combined coboundary in
     degree n, from δₙ, Φₙ and ∂ₙ₋₁; degree 0 (``partial`` None) has no right
     block."""
-    minus_chain = chain.scale(-1).entries
     if partial is None:
-        return RationalMatrix(delta.rows + chain.rows, delta.cols, delta.entries + minus_chain)
-    pad = (Fraction(0),) * partial.cols
-    top = tuple(row + pad for row in delta.entries)
-    bottom = tuple(
-        a + b for a, b in zip(minus_chain, partial.scale(-1).entries, strict=True)
-    )
-    return RationalMatrix(delta.rows + chain.rows, delta.cols + partial.cols, top + bottom)
+        return RationalMatrix.block([[delta], [chain.scale(-1)]])
+    zero = RationalMatrix.zeros(delta.rows, partial.cols)
+    return RationalMatrix.block([[delta, zero], [chain.scale(-1), partial.scale(-1)]])
 
 
 def phi_matrix(r: RBPreLieAlgebra, m: RBBimodule, degree: int) -> RationalMatrix:

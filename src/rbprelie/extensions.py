@@ -13,9 +13,7 @@ the mixed operator block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
-from typing import Sequence
 
 from .algebras import (
     Bimodule,
@@ -35,7 +33,13 @@ from .algebras import (
     rota_baxter_defects,
     verdict,
 )
-from .cochains import Cochain, RBACochain, cochain_from_bilinear, cochain_from_matrix
+from .cochains import (
+    Cochain,
+    RBACochain,
+    cochain_from_bilinear,
+    cochain_from_matrix,
+    matrix_from_cochain,
+)
 from .complexes import ComplexData, ComplexKind, rba_differential
 from .linalg import RationalMatrix, Vector, is_zero_vector, vsub, zero_vector
 
@@ -95,46 +99,29 @@ class ExtensionData:
             raise ValueError("total dimension must split as base + module")
 
     def inclusion(self) -> RationalMatrix:
-        rows = []
-        for i in range(self.total.dim):
-            rows.append(
-                tuple(
-                    Fraction(1) if i == self.base_dim + j else Fraction(0)
-                    for j in range(self.mod_dim)
-                )
-            )
-        return RationalMatrix(self.total.dim, self.mod_dim, tuple(rows))
+        """ι: M → g⊕M, the (d+m)×m block map [[0], [I]]."""
+        d, md = self.base_dim, self.mod_dim
+        return RationalMatrix.block([[RationalMatrix.zeros(d, md)], [RationalMatrix.identity(md)]])
 
     def projection(self) -> RationalMatrix:
-        rows = []
-        for i in range(self.base_dim):
-            rows.append(
-                tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.total.dim))
-            )
-        return RationalMatrix(self.base_dim, self.total.dim, tuple(rows))
+        """p: g⊕M → g, the d×(d+m) block map [I, 0]."""
+        d, md = self.base_dim, self.mod_dim
+        return RationalMatrix.block([[RationalMatrix.identity(d), RationalMatrix.zeros(d, md)]])
 
 
-@dataclass(frozen=True)
-class Section:
-    matrix: RationalMatrix  # (d+m)×d, right inverse of the projection
+def canonical_section(e: ExtensionData) -> RationalMatrix:
+    """The section a ↦ (a, 0), the (d+m)×d block map [[I], [0]].
 
-    def apply(self, x: Sequence) -> Vector:
-        return self.matrix.apply(x)
-
-
-def canonical_section(e: ExtensionData) -> Section:
-    rows = []
-    for i in range(e.total.dim):
-        rows.append(
-            tuple(Fraction(1) if i == j else Fraction(0) for j in range(e.base_dim))
-        )
-    return Section(RationalMatrix(e.total.dim, e.base_dim, tuple(rows)))
+    A section is any (d+m)×d matrix s with p∘s = Id.
+    """
+    d, md = e.base_dim, e.mod_dim
+    return RationalMatrix.block([[RationalMatrix.identity(d)], [RationalMatrix.zeros(md, d)]])
 
 
-def _check_section(e: ExtensionData, s: Section) -> None:
-    if (s.matrix.rows, s.matrix.cols) != (e.total.dim, e.base_dim):
+def _check_section(e: ExtensionData, s: RationalMatrix) -> None:
+    if (s.rows, s.cols) != (e.total.dim, e.base_dim):
         raise ValueError("section matrix has wrong shape")
-    if e.projection().matmul(s.matrix) != RationalMatrix.identity(e.base_dim):
+    if e.projection().matmul(s) != RationalMatrix.identity(e.base_dim):
         raise InvalidStructureError("not a section: p∘s is not the identity")
 
 
@@ -186,16 +173,9 @@ def build_extension(
             else:
                 row.append(zero_vector(total_dim))
         table.append(tuple(row))
-    op_cols = []
-    for j in range(d):
-        op_cols.append(pad(r.operator.col(j), c.chi.col(j)))
-    for j in range(md):
-        op_cols.append(pad(zero_vector(d), m.t_m.col(j)))
-    total = RBPreLieAlgebra(
-        PreLieAlgebra(total_dim, tuple(table)),
-        r.weight,
-        RationalMatrix.from_cols(op_cols, total_dim),
-    )
+    # the total operator [[T, 0], [χ, T_M]]
+    operator = RationalMatrix.block([[r.operator, RationalMatrix.zeros(d, md)], [c.chi, m.t_m]])
+    total = RBPreLieAlgebra(PreLieAlgebra(total_dim, tuple(table)), r.weight, operator)
     ext = ExtensionData(total, d, md)
 
     pl = check_pre_lie(total.algebra)
@@ -229,8 +209,8 @@ def quotient_structure(e: ExtensionData) -> RBPreLieAlgebra:
     return RBPreLieAlgebra(PreLieAlgebra(d, table), e.total.weight, op)
 
 
-def extract_cocycle(e: ExtensionData, s: Section) -> ExtractResult:
-    """Cocycle pair and induced module actions read off a section."""
+def extract_cocycle(e: ExtensionData, s: RationalMatrix) -> ExtractResult:
+    """Cocycle pair and induced module actions read off a section s."""
     _check_section(e, s)
     d, md = e.base_dim, e.mod_dim
     base = quotient_structure(e)
@@ -242,7 +222,7 @@ def extract_cocycle(e: ExtensionData, s: Section) -> ExtractResult:
             raise InvalidStructureError("value escapes the module block; not an ideal")
         return v[d:]
 
-    s_cols = [s.matrix.col(j) for j in range(d)]
+    s_cols = [s.col(j) for j in range(d)]
     S_mats = []
     P_mats = []
     for i in range(d):
@@ -268,13 +248,13 @@ def extract_cocycle(e: ExtensionData, s: Section) -> ExtractResult:
         row = []
         for j in range(d):
             prod = total_alg.product(s_cols[i], s_cols[j])
-            lifted = s.matrix.apply(base.algebra.c[i][j])
+            lifted = s.apply(base.algebra.c[i][j])
             row.append(m_part(vsub(prod, lifted)))
         psi_rows.append(tuple(row))
     chi_cols = []
     for j in range(d):
         chi_cols.append(
-            m_part(vsub(e.total.operator.apply(s_cols[j]), s.matrix.apply(base.operator.col(j))))
+            m_part(vsub(e.total.operator.apply(s_cols[j]), s.apply(base.operator.col(j))))
         )
     pair = CocyclePair(tuple(psi_rows), RationalMatrix.from_cols(chi_cols, md))
     defect = rba_differential(base, bimod, pair.as_cochain(), trusted=True)
@@ -289,19 +269,18 @@ class SectionComparison:
     same_actions: bool
 
 
-def sections_same_class(e: ExtensionData, s1: Section, s2: Section) -> SectionComparison:
+def sections_same_class(
+    e: ExtensionData, s1: RationalMatrix, s2: RationalMatrix
+) -> SectionComparison:
     """Two sections differ by γ: the extracted pairs differ by (δγ, −Φγ)
     and the induced module actions coincide."""
     r1 = extract_cocycle(e, s1)
     r2 = extract_cocycle(e, s2)
     d, md = e.base_dim, e.mod_dim
-    diff = s1.matrix.sub(s2.matrix)
-    gamma = RationalMatrix.from_cols(
-        [diff.col(j)[d:] for j in range(d)], md
-    )
-    for j in range(d):
-        if not is_zero_vector(diff.col(j)[:d]):
-            raise ValueError("sections do not differ by a module-valued map")
+    diff = s1.sub(s2)
+    if not e.projection().matmul(diff).is_zero():
+        raise ValueError("sections do not differ by a module-valued map")
+    gamma = RationalMatrix(md, d, diff.entries[d:])
     same_actions = r1.bimodule == r2.bimodule
     # the combined coboundary of (γ, 0) is (δγ, −Φγ)
     expected = rba_differential(
@@ -339,21 +318,13 @@ def iso_from_coboundary(
     sol, _ = ComplexData(r, m).solve(ComplexKind.RBA, 1, diff.coords())
     if sol is None:
         return IsoResult(False, None, None, False, False)
-    gamma = RationalMatrix.from_cols(
-        [sol[j * md : (j + 1) * md] for j in range(d)], md
+    gamma = matrix_from_cochain(RBACochain.from_coords(1, d, md, sol).pla_part)
+    zeta = RationalMatrix.block(
+        [
+            [RationalMatrix.identity(d), RationalMatrix.zeros(d, md)],
+            [gamma.scale(-1), RationalMatrix.identity(md)],
+        ]
     )
-    # ζ = [[I, 0], [−γ, I]]
-    rows = []
-    for i in range(d):
-        rows.append(
-            tuple(Fraction(1) if j == i else Fraction(0) for j in range(d + md))
-        )
-    for u in range(md):
-        rows.append(
-            tuple(-gamma.entries[u][j] for j in range(d))
-            + tuple(Fraction(1) if j == u else Fraction(0) for j in range(md))
-        )
-    zeta = RationalMatrix(d + md, d + md, tuple(rows))
     ext1 = build_extension(r, m, c1, trusted=True).extension
     ext2 = build_extension(r, m, c2, trusted=True).extension
     morphism_ok = check_morphism(ext2.total, ext1.total, zeta).ok

@@ -22,7 +22,7 @@ import yaml
 
 from .algebras import Bimodule, PreLieAlgebra, RBBimodule, RBPreLieAlgebra
 from .cochains import Cochain, RBACochain
-from .extensions import CocyclePair, ExtensionData, Section
+from .extensions import CocyclePair, ExtensionData
 from .linalg import RationalMatrix
 from .twoalg import CrossedModule, TwoAlgebra
 
@@ -384,12 +384,11 @@ def extension_document(e: ExtensionData) -> dict:
     }
 
 
-def parse_section_document(data: Any, e: ExtensionData) -> Section:
+def parse_section_document(data: Any, e: ExtensionData) -> RationalMatrix:
     _check_fields(data, {"kind", "matrix"}, {"kind", "matrix"}, "section")
     if data["kind"] != "section":
         raise ParseError("kind must be 'section'", "kind")
-    mat = parse_matrix(data["matrix"], e.total.dim, e.base_dim, "matrix")
-    return Section(mat)
+    return parse_matrix(data["matrix"], e.total.dim, e.base_dim, "matrix")
 
 
 def parse_pair_document(data: Any) -> CocyclePair:

@@ -28,6 +28,7 @@ from .algebras import (
     RBBimodule,
     RBPreLieAlgebra,
     apply_table,
+    regular_bimodule,
     zero_table,
 )
 from .cochains import Cochain, RBACochain, basis_keys
@@ -36,6 +37,7 @@ from .linalg import (
     RationalMatrix,
     Vector,
     solve_linear,
+    unit_vector,
     vadd,
     vscale,
     zero_vector,
@@ -58,7 +60,7 @@ def random_matrix(rng: random.Random, rows: int, cols: int, num: int = 3, den: i
 
 def random_invertible(rng: random.Random, n: int) -> RationalMatrix:
     """Product of elementary matrices: invertible with small exact entries."""
-    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    rows = [list(row) for row in RationalMatrix.identity(n).entries]
     for _ in range(2 * n + 2):
         kind = rng.randrange(3)
         if kind == 0 and n > 1:
@@ -77,8 +79,7 @@ def random_invertible(rng: random.Random, n: int) -> RationalMatrix:
 def invert(m: RationalMatrix) -> RationalMatrix:
     cols = []
     for j in range(m.rows):
-        unit = tuple(Fraction(1) if i == j else Fraction(0) for i in range(m.rows))
-        col = solve_linear(m, unit)
+        col = solve_linear(m, unit_vector(j, m.rows))
         if col is None:
             raise ValueError("matrix is singular")
         cols.append(col)
@@ -222,17 +223,29 @@ def zero_action_bimodule(r: RBPreLieAlgebra, t_m: RationalMatrix) -> RBBimodule:
 
 def _block_diagonal(upper: RationalMatrix, lower: RationalMatrix) -> RationalMatrix:
     """The square block matrix [[upper, 0], [0, lower]]."""
-    rows = [tuple(row) + zero_vector(lower.cols) for row in upper.entries]
-    rows += [zero_vector(upper.cols) + tuple(row) for row in lower.entries]
-    n = upper.rows + lower.rows
-    return RationalMatrix(n, n, tuple(rows))
+    return RationalMatrix.block(
+        [
+            [upper, RationalMatrix.zeros(upper.rows, lower.cols)],
+            [RationalMatrix.zeros(lower.rows, upper.cols), lower],
+        ]
+    )
+
+
+def _regular_plus_zero_action(r: RBPreLieAlgebra, t_extra: RationalMatrix) -> RBBimodule:
+    """The regular module ⊕ a block the algebra acts on by zero, with
+    operator t_extra there."""
+    reg = regular_bimodule(r)
+    zero = RationalMatrix.zeros(t_extra.rows, t_extra.rows)
+    S = tuple(_block_diagonal(s, zero) for s in reg.bimodule.S)
+    P = tuple(_block_diagonal(p, zero) for p in reg.bimodule.P)
+    return RBBimodule(
+        Bimodule(r.dim, r.dim + t_extra.rows, S, P), _block_diagonal(reg.t_m, t_extra)
+    )
 
 
 def random_rb_bimodule(
     rng: random.Random, r: RBPreLieAlgebra, mod_dim: int | None = None
 ) -> RBBimodule:
-    from .algebras import regular_bimodule
-
     choice = rng.randrange(3)
     if choice == 0:
         m = regular_bimodule(r)
@@ -240,15 +253,8 @@ def random_rb_bimodule(
         md = mod_dim if mod_dim is not None else rng.randint(1, max(1, r.dim))
         m = zero_action_bimodule(r, random_matrix(rng, md, md))
     else:
-        # regular ⊕ zero-action block sum
         extra = rng.randint(1, 2)
-        reg = regular_bimodule(r)
-        d, md = r.dim, r.dim + extra
-        t_extra = random_matrix(rng, extra, extra)
-        zero_e = RationalMatrix.zeros(extra, extra)
-        S = tuple(_block_diagonal(reg.bimodule.S[i], zero_e) for i in range(d))
-        P = tuple(_block_diagonal(reg.bimodule.P[i], zero_e) for i in range(d))
-        m = RBBimodule(Bimodule(d, md, S, P), _block_diagonal(reg.t_m, t_extra))
+        m = _regular_plus_zero_action(r, random_matrix(rng, extra, extra))
     if rng.random() < 0.6:
         rho = random_invertible(rng, m.mod_dim)
         ident = RationalMatrix.identity(r.dim)
@@ -322,7 +328,6 @@ def random_crossed_module(rng: random.Random, dim0: int, dim1_extra: int = 1):
     """Valid crossed modules: connecting map zero with zero level-1 product,
     the identity on the regular module, or the projection off a direct sum
     with a zero-action block; then a change of basis on both levels."""
-    from .algebras import regular_bimodule
     from .twoalg import CrossedModule
 
     r = random_rb_pre_lie(rng, dim0)
@@ -350,29 +355,18 @@ def random_crossed_module(rng: random.Random, dim0: int, dim1_extra: int = 1):
         )
     else:
         extra = dim1_extra
-        md = dim0 + extra
-        reg = regular_bimodule(r)
-        t_extra = random_matrix(rng, extra, extra)
-        zero_e = RationalMatrix.zeros(extra, extra)
-        S = tuple(_block_diagonal(reg.bimodule.S[i], zero_e) for i in range(dim0))
-        P = tuple(_block_diagonal(reg.bimodule.P[i], zero_e) for i in range(dim0))
-        t1 = _block_diagonal(r.operator, t_extra)
-        d_rows = [
-            tuple(Fraction(1) if j == i else Fraction(0) for j in range(md))
-            for i in range(dim0)
-        ]
-        d_map = RationalMatrix(dim0, md, tuple(d_rows))
-        # level-1 product pulled back through the projection
-        product = []
-        for a in range(md):
-            row = []
-            for b in range(md):
-                if a < dim0 and b < dim0:
-                    row.append(tuple(r.algebra.c[a][b]) + zero_vector(extra))
-                else:
-                    row.append(zero_vector(md))
-            product.append(tuple(row))
-        cm = CrossedModule(r, tuple(product), d_map, S, P, t1)
+        m = _regular_plus_zero_action(r, random_matrix(rng, extra, extra))
+        # d is the projection [I 0] onto the regular block, and the level-1
+        # product is the level-0 one pulled back along it: ι(d(α)·d(β))
+        d_map = RationalMatrix.block(
+            [[RationalMatrix.identity(dim0), RationalMatrix.zeros(dim0, extra)]]
+        )
+        lift, md = d_map.transpose(), m.mod_dim
+        product = tuple(
+            tuple(lift.apply(r.algebra.product(d_map.col(a), d_map.col(b))) for b in range(md))
+            for a in range(md)
+        )
+        cm = CrossedModule(r, product, d_map, m.bimodule.S, m.bimodule.P, m.t_m)
     if rng.random() < 0.6:
         rho = random_invertible(rng, cm.dim1)
         rho_inv = invert(rho)

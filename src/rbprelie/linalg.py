@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -34,6 +35,11 @@ _ONE = Fraction(1)
 
 def zero_vector(n: int) -> Vector:
     return (_ZERO,) * n
+
+
+def unit_vector(i: int, n: int) -> Vector:
+    """The i-th standard basis vector of length n."""
+    return tuple(_ONE if k == i else _ZERO for k in range(n))
 
 
 def vadd(u: Vector, v: Vector) -> Vector:
@@ -101,13 +107,30 @@ class RationalMatrix:
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix(
-            n, n, tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n))
-        )
+        return RationalMatrix(n, n, tuple(unit_vector(i, n) for i in range(n)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RationalMatrix":
         return RationalMatrix(rows, cols, tuple((_ZERO,) * cols for _ in range(rows)))
+
+    @staticmethod
+    def block(grid: Sequence[Sequence["RationalMatrix"]]) -> "RationalMatrix":
+        """The matrix of a grid of blocks, given band by band (a band is one
+        row of blocks).  The blocks of a band share their row count and the
+        blocks of a block column their column count; either may be zero.
+        """
+        widths = [b.cols for b in grid[0]] if grid else []
+        entries: list[Vector] = []
+        for band in grid:
+            if [b.cols for b in band] != widths:
+                raise ValueError("blocks of one block column differ in column count")
+            height = band[0].rows if band else 0
+            if any(b.rows != height for b in band):
+                raise ValueError("blocks of one band differ in row count")
+            entries.extend(
+                tuple(chain.from_iterable(b.entries[i] for b in band)) for i in range(height)
+            )
+        return RationalMatrix(len(entries), sum(widths), tuple(entries))
 
     def col(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
@@ -228,7 +251,7 @@ def kernel_basis(m: RationalMatrix) -> list[Vector]:
     if m.cols == 0:
         return []
     if m.rows == 0:
-        return [tuple(_ONE if i == j else _ZERO for i in range(m.cols)) for j in range(m.cols)]
+        return [unit_vector(j, m.cols) for j in range(m.cols)]
     rows = _dict_rows(m)
     pivots = _reduced_echelon(rows, m.cols)
     pivot_set = set(pivots)

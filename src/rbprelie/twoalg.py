@@ -46,6 +46,7 @@ from .linalg import (
     RationalMatrix,
     Vector,
     is_zero_vector,
+    unit_vector,
     vadd,
     vscale,
     vsub,
@@ -76,10 +77,10 @@ class TwoAlgebra:
             raise ValueError("l3 must be a degree-3 cochain over g0 valued in g1")
 
     def basis0(self, i: int) -> Vector:
-        return tuple(Fraction(1) if k == i else Fraction(0) for k in range(self.dim0))
+        return unit_vector(i, self.dim0)
 
     def basis1(self, a: int) -> Vector:
-        return tuple(Fraction(1) if k == a else Fraction(0) for k in range(self.dim1))
+        return unit_vector(a, self.dim1)
 
     def mul00(self, x: Sequence, y: Sequence) -> Vector:
         return apply_table(self.l2_00, x, y, self.dim0)
@@ -247,6 +248,7 @@ def _rb_2alg_defects(t: TwoAlgebra, lam: Fraction) -> Defects:
 
 
 def _actions_from_tables(t: TwoAlgebra) -> Bimodule:
+    """The mixed products as actions: S[x]α = l₂(e_x, α), P[x]α = l₂(α, e_x)."""
     S = tuple(
         RationalMatrix.from_cols([t.l2_01[x][a] for a in range(t.dim1)], t.dim1)
         for x in range(t.dim0)
@@ -256,6 +258,14 @@ def _actions_from_tables(t: TwoAlgebra) -> Bimodule:
         for x in range(t.dim0)
     )
     return Bimodule(t.dim0, t.dim1, S, P)
+
+
+def _tables_from_actions(bm: Bimodule) -> tuple[ProductTable, ProductTable]:
+    """(l2_01, l2_10) of the actions; the inverse of :func:`_actions_from_tables`."""
+    d0, d1 = bm.base_dim, bm.mod_dim
+    l2_01 = tuple(tuple(bm.S[x].col(a) for a in range(d1)) for x in range(d0))
+    l2_10 = tuple(tuple(bm.P[x].col(a) for x in range(d0)) for a in range(d1))
+    return l2_01, l2_10
 
 
 def skeletal_to_cocycle(
@@ -292,13 +302,7 @@ def cocycle_to_skeletal(r: RBPreLieAlgebra, m: RBBimodule, c: RBACochain) -> Two
             "input is not a cocycle; nonzero coboundary in: " + ", ".join(parts)
         )
     d, md = r.dim, m.mod_dim
-    bm = m.bimodule
-    l2_01 = tuple(
-        tuple(bm.S[x].col(a) for a in range(md)) for x in range(d)
-    )
-    l2_10 = tuple(
-        tuple(bm.P[x].col(a) for x in range(d)) for a in range(md)
-    )
+    l2_01, l2_10 = _tables_from_actions(m.bimodule)
     return TwoAlgebra(
         dim0=d,
         dim1=md,
@@ -399,8 +403,7 @@ def crossed_to_strict(cm: CrossedModule, *, trusted: bool = False) -> TwoAlgebra
     if not trusted and not check_crossed_module(cm).ok:
         raise InvalidStructureError("input fails the crossed module checks")
     d0, d1 = cm.dim0, cm.dim1
-    l2_01 = tuple(tuple(cm.S[x].col(a) for a in range(d1)) for x in range(d0))
-    l2_10 = tuple(tuple(cm.P[x].col(a) for x in range(d0)) for a in range(d1))
+    l2_01, l2_10 = _tables_from_actions(cm.bimodule().bimodule)
     return TwoAlgebra(
         dim0=d0,
         dim1=d1,

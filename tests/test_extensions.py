@@ -12,7 +12,6 @@ from rbprelie.cochains import (
 )
 from rbprelie.extensions import (
     CocyclePair,
-    Section,
     build_extension,
     canonical_section,
     check_extension,
@@ -36,7 +35,7 @@ def _pair_from_cocycle(c):
 
 
 def _perturbed_section(e, gamma):
-    base = canonical_section(e).matrix
+    base = canonical_section(e)
     rows = []
     for i in range(e.total.dim):
         row = []
@@ -44,7 +43,21 @@ def _perturbed_section(e, gamma):
             extra = gamma.entries[i - e.base_dim][j] if i >= e.base_dim else Fraction(0)
             row.append(base.entries[i][j] + extra)
         rows.append(row)
-    return Section(RationalMatrix.from_rows(rows))
+    return RationalMatrix.from_rows(rows)
+
+
+def test_block_maps_written_out():
+    """Inclusion, projection and canonical section for d = 2, m = 1."""
+    from rbprelie.algebras import PreLieAlgebra, RBPreLieAlgebra, zero_table
+    from rbprelie.extensions import ExtensionData
+
+    total = RBPreLieAlgebra(
+        PreLieAlgebra(3, zero_table(3, 3, 3)), Fraction(0), RationalMatrix.zeros(3, 3)
+    )
+    e = ExtensionData(total, 2, 1)
+    assert e.inclusion() == RationalMatrix.from_rows([[0], [0], [1]])
+    assert e.projection() == RationalMatrix.from_rows([[1, 0, 0], [0, 1, 0]])
+    assert canonical_section(e) == RationalMatrix.from_rows([[1, 0], [0, 1], [0, 0]])
 
 
 def test_semidirect_product_always_valid():
@@ -214,7 +227,7 @@ def test_transported_section_gives_equal_pairs():
         ext1 = build_extension(r, m, pair1).extension
         ext2 = build_extension(r, m, pair2).extension
         s = _perturbed_section(ext2, random_matrix(rng, m.mod_dim, r.dim))
-        transported = Section(result.zeta.matmul(s.matrix))
+        transported = result.zeta.matmul(s)
         got1 = extract_cocycle(ext1, transported)
         got2 = extract_cocycle(ext2, s)
         assert got1.pair == got2.pair

@@ -14,6 +14,7 @@ from rbprelie.linalg import (
     rank,
     same_subspace,
     solve_linear,
+    unit_vector,
 )
 
 from oracles import (
@@ -132,6 +133,74 @@ def test_rank_matches_independent_elimination():
 def test_rank_transpose_property(rows):
     m = RationalMatrix.from_rows(rows)
     assert rank(m) == rank(m.transpose())
+
+
+def test_unit_vector_and_identity():
+    assert unit_vector(1, 3) == (Fraction(0), Fraction(1), Fraction(0))
+    assert unit_vector(0, 1) == (Fraction(1),)
+    assert RationalMatrix.identity(3).entries == tuple(unit_vector(i, 3) for i in range(3))
+    assert RationalMatrix.identity(0) == RationalMatrix(0, 0, ())
+
+
+def test_block_degree_zero_combined_layout():
+    # the combined coboundary in degree 0 is [[δ₀], [−Φ₀]], with Φ₀ = Id
+    delta = RationalMatrix.from_rows([[1, 2], [0, 3], [4, 0]])
+    m = RationalMatrix.block([[delta], [RationalMatrix.identity(2).scale(-1)]])
+    assert m == RationalMatrix.from_rows([[1, 2], [0, 3], [4, 0], [-1, 0], [0, -1]])
+
+
+def test_block_two_by_two_grid():
+    a = RationalMatrix.from_rows([[1, 2]])
+    b = RationalMatrix.from_rows([[3], [4]])
+    c = RationalMatrix.from_rows([[5, 6], [7, 8]])
+    grid = [[a, RationalMatrix.zeros(1, 1)], [c, b]]
+    assert RationalMatrix.block(grid) == RationalMatrix.from_rows(
+        [[1, 2, 0], [5, 6, 3], [7, 8, 4]]
+    )
+
+
+def test_block_bands_with_zero_rows_or_columns():
+    # a level of dimension 0 gives a band of height 0 or a block column of width 0
+    a = RationalMatrix.from_rows([[1, 2]])
+    zeros = RationalMatrix.zeros
+    assert RationalMatrix.block([[a, zeros(1, 0)], [zeros(0, 2), zeros(0, 0)]]) == a
+    stacked = RationalMatrix.block([[RationalMatrix.zeros(0, 3)], [RationalMatrix.identity(3)]])
+    assert stacked == RationalMatrix.identity(3)
+    side = RationalMatrix.block([[RationalMatrix.zeros(2, 0), RationalMatrix.zeros(2, 0)]])
+    assert (side.rows, side.cols, side.entries) == (2, 0, ((), ()))
+    empty = RationalMatrix.block([[RationalMatrix.zeros(0, 0)], [RationalMatrix.zeros(0, 0)]])
+    assert (empty.rows, empty.cols) == (0, 0)
+
+
+def test_block_rejects_mismatched_shapes():
+    one, two = RationalMatrix.zeros(1, 1), RationalMatrix.zeros(2, 1)
+    with pytest.raises(ValueError, match="row count"):
+        RationalMatrix.block([[one, two]])
+    with pytest.raises(ValueError, match="column count"):
+        RationalMatrix.block([[one], [RationalMatrix.zeros(1, 2)]])
+    with pytest.raises(ValueError, match="column count"):
+        RationalMatrix.block([[one, one], [two]])
+
+
+def test_block_reassembles_any_cut():
+    rng = random.Random(12)
+    for _ in range(50):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        entries = tuple(
+            tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(cols))
+            for _ in range(rows)
+        )
+        m = RationalMatrix(rows, cols, entries)
+        row_cuts = [0, *sorted(rng.randint(0, rows) for _ in range(2)), rows]
+        col_cuts = [0, *sorted(rng.randint(0, cols) for _ in range(2)), cols]
+        grid = [
+            [
+                RationalMatrix(r1 - r0, c1 - c0, tuple(row[c0:c1] for row in m.entries[r0:r1]))
+                for c0, c1 in zip(col_cuts, col_cuts[1:])
+            ]
+            for r0, r1 in zip(row_cuts, row_cuts[1:])
+        ]
+        assert RationalMatrix.block(grid) == m
 
 
 def test_echelon_subspace_membership():

@@ -6,6 +6,11 @@ No function-level global caches: matrices and bases are kept per request by
 Each checker in ``algebras`` checks one family of laws: no ``check_*``
 function there calls another, so a verdict never depends on a law it does
 not name, and combining laws is the job of ``algebras.require_valid``.
+
+Unit vectors and identity blocks come from ``linalg`` (``unit_vector``,
+``RationalMatrix.identity``, ``RationalMatrix.block``): no other module lays
+out a 1-if-equal-else-0 entry by hand, and a section of an extension is its
+matrix, with no wrapper class.
 """
 
 import ast
@@ -109,3 +114,44 @@ def test_cli_status_is_written_only_by_run_command():
     assert status_keys(run)
     outside = sorted(set(status_keys(tree)) - set(status_keys(run)))
     assert not outside, f"cli.py writes 'status' outside run_command at lines {outside}"
+
+
+def _is_constant(node: ast.AST, value: int) -> bool:
+    """``value``, ``Fraction(value)`` or linalg's ``_ONE`` / ``_ZERO``."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int and node.value == value
+    if isinstance(node, ast.Name):
+        return node.id == ("_ONE" if value else "_ZERO")
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", "") == "Fraction"
+        and len(node.args) == 1
+        and _is_constant(node.args[0], value)
+    )
+
+
+def _hand_laid_units(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.IfExp) and (
+            _is_constant(node.body, 1) and _is_constant(node.orelse, 0)
+            or isinstance(node.body, ast.Name) and node.body.id == "_ONE"
+        ):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_units_and_identities_come_from_linalg(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [] if path.name == "linalg.py" else list(_hand_laid_units(tree))
+    assert not found, f"{path.name} lays out a unit vector by hand at lines {found}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_a_section_is_its_matrix(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "Section"
+    ]
+    assert not found, f"{path.name} defines a Section class at lines {found}"
