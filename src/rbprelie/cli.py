@@ -14,6 +14,7 @@ raises ``InvalidStructureError``; it is reported as ``error`` with status
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from .algebras import (
@@ -112,23 +113,34 @@ def _residual_doc(obstruction) -> list:
     return [{"coordinate": idx + 1, "value": str(val)} for idx, val in obstruction.residual]
 
 
+@contextlib.contextmanager
+def _reading(path: str):
+    """Name the file in every parse error raised while it is read."""
+    try:
+        yield
+    except ParseError as exc:
+        raise ParseError(str(exc), path) from None
+
+
 def _load_yaml(path: str):
     import yaml
 
     try:
         return yaml.safe_load(_read(path))
     except yaml.YAMLError as exc:
-        raise ParseError(f"{path}: not valid YAML: {exc}") from None
+        raise ParseError(f"not valid YAML: {exc}") from None
 
 
 def _algebra_and_module(args) -> tuple:
-    r, module, name = parse_algebra_file(_read(args.file))
+    with _reading(args.file):
+        r, module, name = parse_algebra_file(_read(args.file))
     if getattr(args, "module", None):
-        other, inner, _ = parse_algebra_file(_read(args.module))
-        if inner is None:
-            raise ParseError(f"{args.module}: file carries no module block")
-        if other.dim != r.dim:
-            raise ParseError("module file does not match the algebra dimension")
+        with _reading(args.module):
+            other, inner, _ = parse_algebra_file(_read(args.module))
+            if inner is None:
+                raise ParseError("file carries no module block")
+            if other.dim != r.dim:
+                raise ParseError("module file does not match the algebra dimension")
         module = inner
     return r, module, name
 
@@ -187,7 +199,8 @@ def _cmd_star(args) -> tuple[dict, bool]:
 def _cmd_cocycle(args) -> tuple[dict, bool]:
     r, module, _ = _algebra_and_module(args)
     m = require_valid(r, module)
-    which, cochain = parse_cochain_file(_read(args.cochain))
+    with _reading(args.cochain):
+        which, cochain = parse_cochain_file(_read(args.cochain))
     _require_dims(cochain, r, m)
     if which == "pla":
         defect = pla_differential(r.algebra, m.bimodule, cochain)
@@ -207,7 +220,8 @@ def _cmd_cocycle(args) -> tuple[dict, bool]:
 def _cmd_extend(args) -> tuple[dict, bool]:
     r, module, _ = _algebra_and_module(args)
     m = require_valid(r, module)
-    pair = parse_pair_document(_load_yaml(args.pair))
+    with _reading(args.pair):
+        pair = parse_pair_document(_load_yaml(args.pair))
     if (pair.base_dim, pair.mod_dim) != (r.dim, m.mod_dim):
         raise ParseError("pair dimensions do not match (algebra, module)")
     built = build_extension(r, m, pair, trusted=True)
@@ -227,7 +241,8 @@ def _cmd_extend(args) -> tuple[dict, bool]:
 
 
 def _cmd_extract(args) -> tuple[dict, bool]:
-    ext = parse_extension_file(_read(args.file))
+    with _reading(args.file):
+        ext = parse_extension_file(_read(args.file))
     well_formed = check_extension(ext)
     if not well_formed.ok:
         return {
@@ -236,7 +251,8 @@ def _cmd_extract(args) -> tuple[dict, bool]:
         }, False
     section = canonical_section(ext)
     if args.section:
-        section = parse_section_document(_load_yaml(args.section), ext)
+        with _reading(args.section):
+            section = parse_section_document(_load_yaml(args.section), ext)
     result = extract_cocycle(ext, section)
     doc = cochain_document("rba", result.pair.as_cochain())
     _emit(args, doc)
@@ -251,7 +267,8 @@ def _cmd_extract(args) -> tuple[dict, bool]:
 def _cmd_deform(args) -> tuple[dict, bool]:
     r, module, _ = _algebra_and_module(args)
     require_valid(r, module)
-    deformation = parse_deformation_file(_read(args.deformation), r)
+    with _reading(args.deformation):
+        deformation = parse_deformation_file(_read(args.deformation), r)
     if args.action == "check":
         verdict = check_deformation(r, deformation)
         fields = {
@@ -305,8 +322,36 @@ def _deform_trivialize(r, deformation) -> tuple[dict, bool]:
 
 
 def _cmd_twoalg(args) -> tuple[dict, bool]:
-    if args.action == "check":
+    if args.action == "from-cocycle":
+        r, module, _ = _algebra_and_module(args)
+        m = require_valid(r, module)
+        with _reading(args.cochain):
+            which, cochain = parse_cochain_file(_read(args.cochain))
+            if which != "rba" or not isinstance(cochain, RBACochain) or cochain.degree != 3:
+                raise ParseError("expected a degree-3 cochain in the combined complex")
+        _require_dims(cochain, r, m)
+        try:
+            t = cocycle_to_skeletal(r, m, cochain)
+        except InvalidStructureError:  # not a cocycle
+            return {"verdicts": {"cocycle": "violated"}}, False
+        doc = twoalg_document(t, r.weight)
+        _emit(args, doc)
+        return {"verdicts": {"cocycle": "ok"}, "output": doc}, True
+    if args.action == "from-crossed":
+        with _reading(args.file):
+            cm = parse_crossed_file(_read(args.file))
+        verdict = check_crossed_module(cm)
+        if not verdict.ok:
+            return {
+                "verdicts": {"crossed_module": "violated"},
+                "violations": _violations_doc(verdict.violations),
+            }, False
+        doc = twoalg_document(crossed_to_strict(cm, trusted=True), cm.g0.weight)
+        _emit(args, doc)
+        return {"verdicts": {"crossed_module": "ok"}, "output": doc}, True
+    with _reading(args.file):
         t, weight = parse_twoalg_file(_read(args.file))
+    if args.action == "check":
         first = check_prelie_2alg(t)
         second = check_rb_2alg(t, weight)
         fields = {
@@ -317,22 +362,7 @@ def _cmd_twoalg(args) -> tuple[dict, bool]:
             "violations": _violations_doc(first.violations + second.violations),
         }
         return fields, first.ok and second.ok
-    if args.action == "from-cocycle":
-        r, module, _ = _algebra_and_module(args)
-        m = require_valid(r, module)
-        which, cochain = parse_cochain_file(_read(args.cochain))
-        if which != "rba" or not isinstance(cochain, RBACochain) or cochain.degree != 3:
-            raise ParseError("expected a degree-3 cochain in the combined complex")
-        _require_dims(cochain, r, m)
-        try:
-            t = cocycle_to_skeletal(r, m, cochain)
-        except InvalidStructureError:  # not a cocycle
-            return {"verdicts": {"cocycle": "violated"}}, False
-        doc = twoalg_document(t, r.weight)
-        _emit(args, doc)
-        return {"verdicts": {"cocycle": "ok"}, "output": doc}, True
     if args.action == "to-cocycle":
-        t, weight = parse_twoalg_file(_read(args.file))
         r, m, cochain = skeletal_to_cocycle(t, weight)
         doc = cochain_document("rba", cochain)
         _emit(args, doc)
@@ -342,22 +372,10 @@ def _cmd_twoalg(args) -> tuple[dict, bool]:
             "output": doc,
         }
         return fields, True
-    if args.action == "to-crossed":
-        t, weight = parse_twoalg_file(_read(args.file))
-        doc = crossed_document(strict_to_crossed(t, weight))
-        _emit(args, doc)
-        return {"verdicts": {"strict": "ok"}, "output": doc}, True
-    # from-crossed
-    cm = parse_crossed_file(_read(args.file))
-    verdict = check_crossed_module(cm)
-    if not verdict.ok:
-        return {
-            "verdicts": {"crossed_module": "violated"},
-            "violations": _violations_doc(verdict.violations),
-        }, False
-    doc = twoalg_document(crossed_to_strict(cm, trusted=True), cm.g0.weight)
+    # to-crossed
+    doc = crossed_document(strict_to_crossed(t, weight))
     _emit(args, doc)
-    return {"verdicts": {"crossed_module": "ok"}, "output": doc}, True
+    return {"verdicts": {"strict": "ok"}, "output": doc}, True
 
 
 def _cmd_les(args) -> tuple[dict, bool]:

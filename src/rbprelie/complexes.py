@@ -392,20 +392,19 @@ def _kernel_plus_boundaries(
     images: list[Vector],
     cocycles: list[Vector],
     boundaries: tuple[Vector, ...],
-    target_boundaries: tuple[Vector, ...],
-    target_dim: int,
+    target_boundaries: EchelonBasis,
     ambient: int,
 ) -> EchelonBasis:
-    # {z ∈ Z : f(z) ∈ B'} solved by stacking [f(Z) | −B'] (``images`` is f(Z),
-    # of length ``target_dim``) and projecting to the Z-coefficients, then
-    # adding the boundaries of this degree.
+    # {z ∈ Z : f(z) ∈ B'} is the kernel of z ↦ f(z) mod B' (``images`` is
+    # f(Z)), the residue convention of ``ComplexData.solve``; then add the
+    # boundaries of this degree.
     if not cocycles:
         return echelon_basis(boundaries, ambient)
-    stacked = RationalMatrix.from_cols(
-        images + [vscale(Fraction(-1), b) for b in target_boundaries], target_dim
+    residues = RationalMatrix.from_cols(
+        [target_boundaries.reduce(w) for w in images], target_boundaries.dim_ambient
     )
     members: list[Vector] = []
-    for combo in kernel_basis(stacked):
+    for combo in kernel_basis(residues):
         v = zero_vector(ambient)
         for c, z in zip(combo, cocycles):
             if c != 0:
@@ -459,9 +458,7 @@ def les_check(r: RBPreLieAlgebra, m: RBBimodule, max_degree: int) -> LESReport:
 
             ambient = data.dim(*here)
             image = echelon_basis(incoming + list(boundaries), ambient)
-            kernel = _kernel_plus_boundaries(
-                images, cocycles, boundaries, target_boundaries.vectors, data.dim(*target), ambient
-            )
+            kernel = _kernel_plus_boundaries(images, cocycles, boundaries, target_boundaries, ambient)
             exact = same_subspace(image, kernel)
             positions.append(PositionReport(f"H{n}_{kind.name}", image.dim, kernel.dim, exact))
             incoming = images

@@ -3,9 +3,11 @@
 All artifact files are YAML documents.  Rational scalars are written as
 quoted strings ``"p"`` or ``"p/q"`` with positive denominator; plain YAML
 integers are accepted on input (they parse exactly), floats are rejected.
-Indices in keys are 1-based.  The exact schemas (field names, required
-order, array orientation) are documented in the README and are normative;
-unknown fields are parse errors.
+Indices in keys are 1-based; every dimension, degree and order is a
+non-negative integer.  Each document's fields are one tuple in file order
+(``ALGEBRA_FIELDS`` …), which the writers follow and the readers check
+through ``_check_fields``; unknown fields are parse errors.  The schemas
+are documented in the README and are normative.
 
 Orientation conventions: a ``product`` entry ``product[i][j][k]`` is the
 coefficient of the k-th basis vector in (i-th) · (j-th); an ``operator``
@@ -103,15 +105,40 @@ def parse_table(value: Any, d1: int, d2: int, out: int, path: str):
     return tuple(table)
 
 
-def _check_fields(data: dict, allowed: set[str], required: set[str], where: str) -> None:
+def _check_fields(
+    data: Any, where: str, fields: tuple[str, ...], optional: tuple[str, ...] = (),
+    kind: str | None = None,
+) -> None:
+    """``data`` is a mapping of ``fields`` (listed in file order), all but the
+    ``optional`` ones required; with ``kind``, its ``kind`` field is that."""
     if not isinstance(data, dict):
         raise ParseError(f"expected a mapping, got {type(data).__name__}", where)
     for key in data:
-        if key not in allowed:
+        if key not in fields:
             raise ParseError(f"unknown field {key!r}", where)
-    for key in required:
-        if key not in data:
+    for key in fields:
+        if key not in data and key not in optional:
             raise ParseError(f"missing field {key!r}", where)
+    if kind is not None and data["kind"] != kind:
+        raise ParseError(f"kind must be {kind!r}", "kind")
+
+
+def _size(data: dict, label: str, prefix: str = "") -> int:
+    """A dimension, degree or order field: a non-negative integer."""
+    return parse_int(data[label], prefix + label, f"{label} must be a non-negative integer", 0)
+
+
+def _actions(data: dict, n: int, dim: int, prefix: str, per: str):
+    """The ``left_actions`` and ``right_actions`` of ``data``: one dim × dim
+    matrix each per basis vector of an n-dimensional algebra."""
+    lefts = _as_list(data["left_actions"], f"{prefix}left_actions")
+    rights = _as_list(data["right_actions"], f"{prefix}right_actions")
+    if len(lefts) != n or len(rights) != n:
+        raise ParseError(f"need one action matrix per {per} basis vector", f"{prefix}left_actions")
+    return tuple(
+        tuple(parse_matrix(m, dim, dim, f"{prefix}{side}[{i + 1}]") for i, m in enumerate(mats))
+        for side, mats in (("left_actions", lefts), ("right_actions", rights))
+    )
 
 
 def _load(text: str) -> Any:
@@ -139,18 +166,17 @@ def _dump(doc: dict) -> str:
 
 # ---------------------------------------------------------------- algebras
 
+# the fields of each document, in file order
+ALGEBRA_FIELDS = ("name", "dimension", "weight", "product", "operator", "module")
+MODULE_FIELDS = ("dimension", "left_actions", "right_actions", "operator")
+
 
 def parse_algebra_document(data: Any) -> tuple[RBPreLieAlgebra, RBBimodule | None, str | None]:
-    _check_fields(
-        data,
-        {"name", "dimension", "weight", "product", "operator", "module"},
-        {"dimension", "weight", "product", "operator"},
-        "algebra",
-    )
+    _check_fields(data, "algebra", ALGEBRA_FIELDS, optional=("name", "module"))
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise ParseError("name must be a string", "name")
-    d = parse_int(data["dimension"], "dimension", "dimension must be a positive integer", 1)
+    d = _size(data, "dimension")
     weight = parse_rational(data["weight"], "weight")
     table = parse_table(data["product"], d, d, d, "product")
     op = parse_matrix(data["operator"], d, d, "operator")
@@ -158,28 +184,9 @@ def parse_algebra_document(data: Any) -> tuple[RBPreLieAlgebra, RBBimodule | Non
     module = None
     if "module" in data:
         mdata = data["module"]
-        _check_fields(
-            mdata,
-            {"dimension", "left_actions", "right_actions", "operator"},
-            {"dimension", "left_actions", "right_actions", "operator"},
-            "module",
-        )
-        md = parse_int(
-            mdata["dimension"], "module.dimension", "dimension must be a positive integer", 1
-        )
-        lefts = _as_list(mdata["left_actions"], "module.left_actions")
-        rights = _as_list(mdata["right_actions"], "module.right_actions")
-        if len(lefts) != d or len(rights) != d:
-            raise ParseError(
-                "need one action matrix per algebra basis vector", "module.left_actions"
-            )
-        S = tuple(
-            parse_matrix(mat, md, md, f"module.left_actions[{i + 1}]") for i, mat in enumerate(lefts)
-        )
-        P = tuple(
-            parse_matrix(mat, md, md, f"module.right_actions[{i + 1}]")
-            for i, mat in enumerate(rights)
-        )
+        _check_fields(mdata, "module", MODULE_FIELDS)
+        md = _size(mdata, "dimension", "module.")
+        S, P = _actions(mdata, d, md, "module.", "algebra")
         t_m = parse_matrix(mdata["operator"], md, md, "module.operator")
         module = RBBimodule(Bimodule(d, md, S, P), t_m)
     return r, module, name
@@ -217,13 +224,18 @@ def serialize_algebra(
 
 # ---------------------------------------------------------------- cochains
 
+COCHAIN_FIELDS = (
+    "kind", "complex", "degree", "base_dimension", "module_dimension", "entries",
+    "operator_entries",
+)
+
 
 def _parse_entries(value: Any, degree: int, d: int, md: int, path: str) -> dict:
     entries = _as_list(value, path)
     vals: dict = {}
     for idx, item in enumerate(entries):
         where = f"{path}[{idx + 1}]"
-        _check_fields(item, {"key", "value"}, {"key", "value"}, where)
+        _check_fields(item, where, ("key", "value"))
         key_raw = _as_list(item["key"], f"{where}.key")
         if len(key_raw) != degree:
             raise ParseError(f"key needs {degree} indices", f"{where}.key")
@@ -239,22 +251,11 @@ def _parse_entries(value: Any, degree: int, d: int, md: int, path: str) -> dict:
 
 
 def parse_cochain_document(data: Any) -> tuple[str, RBACochain | Cochain]:
-    _check_fields(
-        data,
-        {"kind", "complex", "degree", "base_dimension", "module_dimension", "entries",
-         "operator_entries"},
-        {"kind", "complex", "degree", "base_dimension", "module_dimension", "entries"},
-        "cochain",
-    )
-    if data["kind"] != "cochain":
-        raise ParseError("kind must be 'cochain'", "kind")
+    _check_fields(data, "cochain", COCHAIN_FIELDS, optional=("operator_entries",), kind="cochain")
     which = data["complex"]
     if which not in ("pla", "rbo", "rba"):
         raise ParseError("complex must be one of pla, rbo, rba", "complex")
-    n, d, md = (
-        parse_int(data[label], label, f"{label} must be a suitable integer", low)
-        for label, low in (("degree", 0), ("base_dimension", 1), ("module_dimension", 1))
-    )
+    n, d, md = (_size(data, label) for label in ("degree", "base_dimension", "module_dimension"))
     vals = _parse_entries(data["entries"], n, d, md, "entries")
     main = Cochain(n, d, md, vals)
     if which != "rba":
@@ -283,41 +284,30 @@ def _entries_document(f: Cochain) -> list:
 
 
 def cochain_document(which: str, c: RBACochain | Cochain) -> dict:
-    if isinstance(c, RBACochain):
-        doc = {
-            "kind": "cochain",
-            "complex": which,
-            "degree": c.degree,
-            "base_dimension": c.base_dim,
-            "module_dimension": c.mod_dim,
-            "entries": _entries_document(c.pla_part),
-        }
-        if c.rbo_part is not None:
-            doc["operator_entries"] = _entries_document(c.rbo_part)
-        return doc
-    return {
+    combined = isinstance(c, RBACochain)
+    doc = {
         "kind": "cochain",
         "complex": which,
         "degree": c.degree,
         "base_dimension": c.base_dim,
         "module_dimension": c.mod_dim,
-        "entries": _entries_document(c),
+        "entries": _entries_document(c.pla_part if combined else c),
     }
+    if combined and c.rbo_part is not None:
+        doc["operator_entries"] = _entries_document(c.rbo_part)
+    return doc
 
 
 # ------------------------------------------------------------- deformations
+
+DEFORMATION_FIELDS = ("kind", "order", "products", "operators")
 
 
 def parse_deformation_document(data: Any, base: RBPreLieAlgebra):
     from .deformations import TruncatedDeformation
 
-    _check_fields(
-        data, {"kind", "order", "products", "operators"}, {"kind", "order", "products", "operators"},
-        "deformation",
-    )
-    if data["kind"] != "deformation":
-        raise ParseError("kind must be 'deformation'", "kind")
-    order = parse_int(data["order"], "order", "order must be a non-negative integer", 0)
+    _check_fields(data, "deformation", DEFORMATION_FIELDS, kind="deformation")
+    order = _size(data, "order")
     d = base.dim
     prods = _as_list(data["products"], "products")
     ops = _as_list(data["operators"], "operators")
@@ -347,20 +337,13 @@ def deformation_document(d) -> dict:
 
 # -------------------------------------------------------------- extensions
 
+EXTENSION_FIELDS = ("kind", "base_dimension", "module_dimension", "weight", "product", "operator")
+SECTION_FIELDS = ("kind", "matrix")
+
 
 def parse_extension_document(data: Any) -> ExtensionData:
-    _check_fields(
-        data,
-        {"kind", "base_dimension", "module_dimension", "weight", "product", "operator"},
-        {"kind", "base_dimension", "module_dimension", "weight", "product", "operator"},
-        "extension",
-    )
-    if data["kind"] != "extension":
-        raise ParseError("kind must be 'extension'", "kind")
-    d, md = (
-        parse_int(data[label], label, f"{label} must be a positive integer", 1)
-        for label in ("base_dimension", "module_dimension")
-    )
+    _check_fields(data, "extension", EXTENSION_FIELDS, kind="extension")
+    d, md = (_size(data, label) for label in ("base_dimension", "module_dimension"))
     total_dim = d + md
     weight = parse_rational(data["weight"], "weight")
     table = parse_table(data["product"], total_dim, total_dim, total_dim, "product")
@@ -385,9 +368,7 @@ def extension_document(e: ExtensionData) -> dict:
 
 
 def parse_section_document(data: Any, e: ExtensionData) -> RationalMatrix:
-    _check_fields(data, {"kind", "matrix"}, {"kind", "matrix"}, "section")
-    if data["kind"] != "section":
-        raise ParseError("kind must be 'section'", "kind")
+    _check_fields(data, "section", SECTION_FIELDS, kind="section")
     return parse_matrix(data["matrix"], e.total.dim, e.base_dim, "matrix")
 
 
@@ -403,24 +384,18 @@ def parse_pair_document(data: Any) -> CocyclePair:
 
 # ------------------------------------------------------------- two-algebras
 
-
-def _level_dims(data: dict) -> tuple[int, int]:
-    return tuple(
-        parse_int(data[label], label, f"{label} must be a non-negative integer", 0)
-        for label in ("dim0", "dim1")
-    )
+TWOALG_FIELDS = (
+    "kind", "dim0", "dim1", "weight", "d", "l2_00", "l2_01", "l2_10", "l3", "t0", "t1", "t2",
+)
+CROSSED_FIELDS = (
+    "kind", "dim0", "dim1", "weight", "product0", "operator0", "product1", "d",
+    "left_actions", "right_actions", "operator1",
+)
 
 
 def parse_twoalg_document(data: Any) -> tuple[TwoAlgebra, Fraction]:
-    _check_fields(
-        data,
-        {"kind", "dim0", "dim1", "weight", "d", "l2_00", "l2_01", "l2_10", "l3", "t0", "t1", "t2"},
-        {"kind", "dim0", "dim1", "weight", "d", "l2_00", "l2_01", "l2_10", "l3", "t0", "t1", "t2"},
-        "two_algebra",
-    )
-    if data["kind"] != "two_algebra":
-        raise ParseError("kind must be 'two_algebra'", "kind")
-    d0, d1 = _level_dims(data)
+    _check_fields(data, "two_algebra", TWOALG_FIELDS, kind="two_algebra")
+    d0, d1 = _size(data, "dim0"), _size(data, "dim1")
     weight = parse_rational(data["weight"], "weight")
     dmap = parse_matrix(data["d"], d0, d1, "d")
     l2_00 = parse_table(data["l2_00"], d0, d0, d0, "l2_00")
@@ -459,17 +434,8 @@ def twoalg_document(t: TwoAlgebra, weight: Fraction) -> dict:
 
 
 def parse_crossed_document(data: Any) -> CrossedModule:
-    _check_fields(
-        data,
-        {"kind", "dim0", "dim1", "weight", "product0", "operator0", "product1", "d",
-         "left_actions", "right_actions", "operator1"},
-        {"kind", "dim0", "dim1", "weight", "product0", "operator0", "product1", "d",
-         "left_actions", "right_actions", "operator1"},
-        "crossed_module",
-    )
-    if data["kind"] != "crossed_module":
-        raise ParseError("kind must be 'crossed_module'", "kind")
-    d0, d1 = _level_dims(data)
+    _check_fields(data, "crossed_module", CROSSED_FIELDS, kind="crossed_module")
+    d0, d1 = _size(data, "dim0"), _size(data, "dim1")
     weight = parse_rational(data["weight"], "weight")
     g0 = RBPreLieAlgebra(
         PreLieAlgebra(d0, parse_table(data["product0"], d0, d0, d0, "product0")),
@@ -478,12 +444,7 @@ def parse_crossed_document(data: Any) -> CrossedModule:
     )
     product1 = parse_table(data["product1"], d1, d1, d1, "product1")
     dmap = parse_matrix(data["d"], d0, d1, "d")
-    lefts = _as_list(data["left_actions"], "left_actions")
-    rights = _as_list(data["right_actions"], "right_actions")
-    if len(lefts) != d0 or len(rights) != d0:
-        raise ParseError("need one action matrix per level-0 basis vector", "left_actions")
-    S = tuple(parse_matrix(m, d1, d1, f"left_actions[{i + 1}]") for i, m in enumerate(lefts))
-    P = tuple(parse_matrix(m, d1, d1, f"right_actions[{i + 1}]") for i, m in enumerate(rights))
+    S, P = _actions(data, d0, d1, "", "level-0")
     t1 = parse_matrix(data["operator1"], d1, d1, "operator1")
     return CrossedModule(g0, product1, dmap, S, P, t1)
 

@@ -1,4 +1,5 @@
 """Every input file gets a defined outcome: exit 0, 1 or 2, never a traceback.
+A parse error names the file it was raised in.
 
 Integer fields (dimensions, degrees, orders, key indices) reject YAML
 booleans: ``True`` is an ``int`` in Python, so an unchecked ``true`` would
@@ -118,7 +119,34 @@ def test_boolean_in_integer_field_is_parse_error(tmp_path, case):
     paths = _write(tmp_path, docs)
     code, err = _main(filled)
     assert code == 2
-    assert f"parse error: {field}:" in err
+    assert f"parse error: {paths[slot]}: {field}:" in err
+
+
+def test_parse_errors_name_their_file(tmp_path):
+    docs = _a0_documents()
+    docs["bad"] = {**docs["cochain"], "degree": -1}
+    docs["bare"] = algebra_document(make_a0())
+    paths = _write(tmp_path, docs)
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("product: [[\n", encoding="utf-8")
+    expected = {
+        # the second file
+        ("cocycle", "{alg}", "{bad}"): "{bad}: degree: degree must be a non-negative integer",
+        ("extend", "{alg}", "{cochain}"):
+            "{cochain}: expected a degree-2 cochain in the combined complex",
+        # a --module file
+        ("check", "{alg}", "--module", "{cochain}"): "{cochain}: algebra: unknown field 'kind'",
+        ("check", "{alg}", "--module", "{bare}"): "{bare}: file carries no module block",
+    }
+    for argv, message in expected.items():
+        code, err = _main([a.format(**paths) for a in argv])
+        assert (code, err) == (2, f"parse error: {message.format(**paths)}\n")
+    # YAML errors in pair and section files name the file once
+    for argv in (["extend", paths["alg"], broken], ["extract", paths["ext"], "--section", broken]):
+        code, err = _main(argv)
+        assert code == 2
+        assert err.startswith(f"parse error: {broken}: not valid YAML: ")
+        assert err.count(str(broken)) == 1
 
 
 def _generated_documents() -> dict:

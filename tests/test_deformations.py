@@ -301,6 +301,30 @@ def test_trivialize_succeeds_when_h2_vanishes():
         assert trivialize(r, d).ok
 
 
+def test_trivialize_decides_gauges_by_rb_derivations():
+    # z, the pre-Lie part of a degree-1 combined cocycle over the regular
+    # module, is an RB derivation; Id − t·z gauges the trivial deformation to
+    # one whose μ₂ holds the term μ(zx, zy).  trivialize corrects order by
+    # order with greedy choices, so it must find a gauge back here.
+    cases = nonzero_mu2 = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        r = random_rb_pre_lie(rng, 1 + seed % 3)
+        z = matrix_from_cochain(random_rba_cocycle(rng, r, regular_bimodule(r), 1).pla_part)
+        if z.is_zero():
+            continue
+        for order in (2, 3):
+            zeros = (RationalMatrix.zeros(r.dim, r.dim),) * (order - 1)
+            psi = GaugeSeries((RationalMatrix.identity(r.dim), z.scale(Fraction(-1))) + zeros)
+            d = gauge_transform(r, trivial_deformation(r, order), psi)
+            result = trivialize(r, d)
+            assert result.ok, (seed, order)
+            assert gauge_transform(r, d, result.gauge) == trivial_deformation(r, order)
+            cases += 1
+            nonzero_mu2 += any(any(v) for row in d.products[2] for v in row)
+    assert cases >= 60 and nonzero_mu2 >= 5, (cases, nonzero_mu2)
+
+
 def test_rbo_cocycle_examples():
     a0 = make_a0()
     assert rbo_cocycle_check(a0, RationalMatrix.zeros(1, 1)).ok

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -161,3 +164,36 @@ def test_crossed_round_trip():
     text = dump_document(crossed_document(cm))
     cm2 = parse_crossed_file(text)
     assert cm2 == cm
+
+
+def test_missing_field_error_is_the_same_under_every_hash_seed(tmp_path):
+    # required fields are looked for in file order, never in set order
+    path = tmp_path / "only-dimension.yaml"
+    path.write_text("dimension: 1\n", encoding="utf-8")
+    errors = set()
+    for seed in range(1, 9):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rbprelie.cli", "check", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)},
+        )
+        assert proc.returncode == 2
+        errors.add(proc.stderr)
+    assert errors == {f"parse error: {path}: algebra: missing field 'weight'\n"}
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("dimension: -1\nweight: '0'\nproduct: []\noperator: []\n", "dimension"),
+        ("dimension: 0\nweight: '0'\nproduct: []\noperator: []\nmodule: {dimension: -2, "
+         "left_actions: [], right_actions: [], operator: []}\n", "module.dimension"),
+    ],
+)
+def test_dimensions_are_non_negative_integers(text, where):
+    with pytest.raises(ParseError) as err:
+        parse_algebra_file(text)
+    assert str(err.value) == f"{where}: dimension must be a non-negative integer"
+    r, module, _ = parse_algebra_file(text.replace("-1", "0").replace("-2", "0"))
+    assert r.dim == 0 and (module is None or module.mod_dim == 0)

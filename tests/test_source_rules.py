@@ -7,6 +7,10 @@ Each checker in ``algebras`` checks one family of laws: no ``check_*``
 function there calls another, so a verdict never depends on a law it does
 not name, and combining laws is the job of ``algebras.require_valid``.
 
+Each file schema is written once: ``files._check_fields`` gets every
+document's fields as one ordered tuple, never a set, and alone checks the
+``kind`` field.
+
 Unit vectors and identity blocks come from ``linalg`` (``unit_vector``,
 ``RationalMatrix.identity``, ``RationalMatrix.block``): no other module lays
 out a 1-if-equal-else-0 entry by hand, and a section of an extension is its
@@ -66,15 +70,19 @@ def test_algebra_checkers_check_one_law_family():
     assert not found, found
 
 
-def _calls_by_function(tree: ast.AST, outer: str = "<module>"):
-    """(enclosing function name, call node) for every call in the tree."""
+def _nodes_by_function(tree: ast.AST, outer: str = "<module>"):
+    """(enclosing function name, node) for every node in the tree."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _calls_by_function(node, node.name)
+            yield from _nodes_by_function(node, node.name)
             continue
-        if isinstance(node, ast.Call):
-            yield outer, node
-        yield from _calls_by_function(node, outer)
+        yield outer, node
+        yield from _nodes_by_function(node, outer)
+
+
+def _calls_by_function(tree: ast.AST):
+    """(enclosing function name, call node) for every call in the tree."""
+    return ((fn, node) for fn, node in _nodes_by_function(tree) if isinstance(node, ast.Call))
 
 
 def _callee(call: ast.Call) -> str:
@@ -155,3 +163,28 @@ def test_a_section_is_its_matrix(path):
         if isinstance(node, ast.ClassDef) and node.name == "Section"
     ]
     assert not found, f"{path.name} defines a Section class at lines {found}"
+
+
+def _is_set(node: ast.AST) -> bool:
+    return isinstance(node, (ast.Set, ast.SetComp)) or (
+        isinstance(node, ast.Call) and getattr(node.func, "id", "") in ("set", "frozenset")
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_schemas_are_ordered_and_kind_is_checked_once(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [
+        f"line {call.lineno} passes a set to _check_fields"
+        for _, call in _calls_by_function(tree)
+        if _callee(call) == "_check_fields"
+        and any(_is_set(arg) for arg in call.args + [k.value for k in call.keywords])
+    ] + [
+        f"line {node.lineno} in {fn} checks a kind"
+        for fn, node in _nodes_by_function(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and "kind must be" in node.value
+        and not (path.name == "files.py" and fn == "_check_fields")
+    ]
+    assert not found, f"{path.name}: {found}"
