@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Every subcommand reads YAML artifact files, runs library operations, and
-prints a YAML report with a fixed field order.  Each handler returns the
+prints a YAML report with a fixed field order.  The parser is built once, at
+import; each command and each ``deform``/``twoalg`` action is a leaf that
+declares exactly the arguments its handler reads.  Each handler returns the
 report's fields and whether every verdict holds; :func:`run_command` alone
 frames them with ``command`` and ``status`` and picks the exit status: 0
 when every mathematical verdict is ok, 1 when some verdict fails.  Usage and
 parse errors exit 2.  An input that is not the structure a command needs
-raises ``InvalidStructureError``; it is reported as ``error`` with status
-``violation`` and exit 1.  Reports contain no volatile fields unless
+raises ``InvalidStructureError``; it is reported as ``error`` under the bare
+command name, with status ``violation`` and exit 1.  Reports contain no volatile fields unless
 ``--timing`` is passed, so identical inputs produce byte-identical output.
 """
 
@@ -36,7 +38,6 @@ from .complexes import (
     rbo_differential,
 )
 from .deformations import (
-    DeformationError,
     check_deformation,
     solve_next_order,
     trivialize,
@@ -55,6 +56,7 @@ from .files import (
     deformation_document,
     dump_document,
     extension_document,
+    load_yaml,
     parse_algebra_file,
     parse_cochain_file,
     parse_crossed_file,
@@ -83,15 +85,11 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
-
-
 def _emit(args, doc: dict) -> None:
     """Write an emitted document to ``--output`` when one is given."""
     if args.output:
-        _write(args.output, dump_document(doc))
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(dump_document(doc))
 
 
 def _verdict_doc(ok) -> str:
@@ -122,26 +120,25 @@ def _reading(path: str):
         raise ParseError(str(exc), path) from None
 
 
+def _parse(parse, path: str, *extra):
+    """``parse`` applied to the text of ``path``; its parse errors name the file."""
+    with _reading(path):
+        return parse(_read(path), *extra)
+
+
 def _load_yaml(path: str):
-    import yaml
-
-    try:
-        return yaml.safe_load(_read(path))
-    except yaml.YAMLError as exc:
-        raise ParseError(f"not valid YAML: {exc}") from None
+    return load_yaml(_read(path))
 
 
-def _algebra_and_module(args) -> tuple:
-    with _reading(args.file):
-        r, module, name = parse_algebra_file(_read(args.file))
-    if getattr(args, "module", None):
-        with _reading(args.module):
-            other, inner, _ = parse_algebra_file(_read(args.module))
-            if inner is None:
-                raise ParseError("file carries no module block")
-            if other.dim != r.dim:
-                raise ParseError("module file does not match the algebra dimension")
-        module = inner
+def _algebra_and_module(path: str, module_path: str | None = None) -> tuple:
+    """The algebra of ``path`` and the module block of ``module_path``, or its own."""
+    r, module, name = _parse(parse_algebra_file, path)
+    if module_path:
+        other, module, _ = _parse(parse_algebra_file, module_path)
+        if module is None:
+            raise ParseError("file carries no module block", module_path)
+        if other.dim != r.dim:
+            raise ParseError("module file does not match the algebra dimension", module_path)
     return r, module, name
 
 
@@ -150,7 +147,7 @@ def _named(name: str | None) -> dict:
 
 
 def _cmd_check(args) -> tuple[dict, bool]:
-    r, module, name = _algebra_and_module(args)
+    r, module, name = _algebra_and_module(args.file, args.module)
     verdicts = {"pre_lie": check_pre_lie(r.algebra), "rota_baxter": check_rb_operator(r)}
     if module is not None:
         verdicts["bimodule"] = check_bimodule(r.algebra, module.bimodule)
@@ -169,7 +166,7 @@ def _require_dims(cochain, r, m) -> None:
 
 
 def _cmd_cohomology(args) -> tuple[dict, bool]:
-    r, module, name = _algebra_and_module(args)
+    r, module, name = _algebra_and_module(args.file, args.module)
     m = require_valid(r, module)
     kinds = (
         [ComplexKind.PLA, ComplexKind.RBO, ComplexKind.RBA]
@@ -188,7 +185,7 @@ def _cmd_cohomology(args) -> tuple[dict, bool]:
 
 
 def _cmd_star(args) -> tuple[dict, bool]:
-    r, module, name = _algebra_and_module(args)
+    r, module, name = _algebra_and_module(args.file)
     require_valid(r, module)
     st = star_algebra(r, trusted=True)
     doc = algebra_document(st, None, (name + "_star") if name else None)
@@ -197,10 +194,9 @@ def _cmd_star(args) -> tuple[dict, bool]:
 
 
 def _cmd_cocycle(args) -> tuple[dict, bool]:
-    r, module, _ = _algebra_and_module(args)
+    r, module, _ = _algebra_and_module(args.file, args.module)
     m = require_valid(r, module)
-    with _reading(args.cochain):
-        which, cochain = parse_cochain_file(_read(args.cochain))
+    which, cochain = _parse(parse_cochain_file, args.cochain)
     _require_dims(cochain, r, m)
     if which == "pla":
         defect = pla_differential(r.algebra, m.bimodule, cochain)
@@ -218,7 +214,7 @@ def _cmd_cocycle(args) -> tuple[dict, bool]:
 
 
 def _cmd_extend(args) -> tuple[dict, bool]:
-    r, module, _ = _algebra_and_module(args)
+    r, module, _ = _algebra_and_module(args.file, args.module)
     m = require_valid(r, module)
     with _reading(args.pair):
         pair = parse_pair_document(_load_yaml(args.pair))
@@ -241,8 +237,7 @@ def _cmd_extend(args) -> tuple[dict, bool]:
 
 
 def _cmd_extract(args) -> tuple[dict, bool]:
-    with _reading(args.file):
-        ext = parse_extension_file(_read(args.file))
+    ext = _parse(parse_extension_file, args.file)
     well_formed = check_extension(ext)
     if not well_formed.ok:
         return {
@@ -264,31 +259,28 @@ def _cmd_extract(args) -> tuple[dict, bool]:
     return fields, result.cocycle_ok
 
 
-def _cmd_deform(args) -> tuple[dict, bool]:
-    r, module, _ = _algebra_and_module(args)
+def _base_and_deformation(args) -> tuple:
+    """The valid base algebra and the deformation file read against it."""
+    r, module, _ = _algebra_and_module(args.file)
     require_valid(r, module)
-    with _reading(args.deformation):
-        deformation = parse_deformation_file(_read(args.deformation), r)
-    if args.action == "check":
-        verdict = check_deformation(r, deformation)
-        fields = {
-            "order": deformation.order,
-            "orders": [
-                {"order": n, "verdict": _verdict_doc(v)} for n, v in enumerate(verdict.orders)
-            ],
-            "violations": _violations_doc(x for v in verdict.orders for x in v.violations),
-        }
-        return fields, verdict.ok
-    try:
-        if args.action == "solve":
-            return _deform_solve(r, deformation)
-        return _deform_trivialize(r, deformation)
-    except DeformationError as exc:
-        return {"error": str(exc)}, False
+    return r, _parse(parse_deformation_file, args.deformation, r)
 
 
-def _deform_solve(r, deformation) -> tuple[dict, bool]:
-    result = solve_next_order(r, deformation)
+def _deform_check(args) -> tuple[dict, bool]:
+    r, deformation = _base_and_deformation(args)
+    verdict = check_deformation(r, deformation)
+    fields = {
+        "order": deformation.order,
+        "orders": [
+            {"order": n, "verdict": _verdict_doc(v)} for n, v in enumerate(verdict.orders)
+        ],
+        "violations": _violations_doc(x for v in verdict.orders for x in v.violations),
+    }
+    return fields, verdict.ok
+
+
+def _deform_solve(args) -> tuple[dict, bool]:
+    result = solve_next_order(*_base_and_deformation(args))
     if result.solution is not None:
         return {
             "solved_order": result.order,
@@ -305,8 +297,8 @@ def _deform_solve(r, deformation) -> tuple[dict, bool]:
     }, False
 
 
-def _deform_trivialize(r, deformation) -> tuple[dict, bool]:
-    result = trivialize(r, deformation)
+def _deform_trivialize(args) -> tuple[dict, bool]:
+    result = trivialize(*_base_and_deformation(args))
     if result.ok:
         return {
             "verdicts": {"trivializable": "ok"},
@@ -321,65 +313,68 @@ def _deform_trivialize(r, deformation) -> tuple[dict, bool]:
     }, False
 
 
-def _cmd_twoalg(args) -> tuple[dict, bool]:
-    if args.action == "from-cocycle":
-        r, module, _ = _algebra_and_module(args)
-        m = require_valid(r, module)
-        with _reading(args.cochain):
-            which, cochain = parse_cochain_file(_read(args.cochain))
-            if which != "rba" or not isinstance(cochain, RBACochain) or cochain.degree != 3:
-                raise ParseError("expected a degree-3 cochain in the combined complex")
-        _require_dims(cochain, r, m)
-        try:
-            t = cocycle_to_skeletal(r, m, cochain)
-        except InvalidStructureError:  # not a cocycle
-            return {"verdicts": {"cocycle": "violated"}}, False
-        doc = twoalg_document(t, r.weight)
-        _emit(args, doc)
-        return {"verdicts": {"cocycle": "ok"}, "output": doc}, True
-    if args.action == "from-crossed":
-        with _reading(args.file):
-            cm = parse_crossed_file(_read(args.file))
-        verdict = check_crossed_module(cm)
-        if not verdict.ok:
-            return {
-                "verdicts": {"crossed_module": "violated"},
-                "violations": _violations_doc(verdict.violations),
-            }, False
-        doc = twoalg_document(crossed_to_strict(cm, trusted=True), cm.g0.weight)
-        _emit(args, doc)
-        return {"verdicts": {"crossed_module": "ok"}, "output": doc}, True
-    with _reading(args.file):
-        t, weight = parse_twoalg_file(_read(args.file))
-    if args.action == "check":
-        first = check_prelie_2alg(t)
-        second = check_rb_2alg(t, weight)
-        fields = {
-            "verdicts": {
-                "two_term": _verdict_doc(first),
-                "operator_triple": _verdict_doc(second),
-            },
-            "violations": _violations_doc(first.violations + second.violations),
-        }
-        return fields, first.ok and second.ok
-    if args.action == "to-cocycle":
-        r, m, cochain = skeletal_to_cocycle(t, weight)
-        doc = cochain_document("rba", cochain)
-        _emit(args, doc)
-        fields = {
-            "verdicts": {"skeletal": "ok", "cocycle": "ok"},
-            "base": algebra_document(r, m),
-            "output": doc,
-        }
-        return fields, True
-    # to-crossed
-    doc = crossed_document(strict_to_crossed(t, weight))
+def _twoalg_from_cocycle(args) -> tuple[dict, bool]:
+    r, module, _ = _algebra_and_module(args.file, args.module)
+    m = require_valid(r, module)
+    which, cochain = _parse(parse_cochain_file, args.cochain)
+    if which != "rba" or not isinstance(cochain, RBACochain) or cochain.degree != 3:
+        raise ParseError("expected a degree-3 cochain in the combined complex", args.cochain)
+    _require_dims(cochain, r, m)
+    try:
+        t = cocycle_to_skeletal(r, m, cochain)
+    except InvalidStructureError:  # not a cocycle
+        return {"verdicts": {"cocycle": "violated"}}, False
+    doc = twoalg_document(t, r.weight)
+    _emit(args, doc)
+    return {"verdicts": {"cocycle": "ok"}, "output": doc}, True
+
+
+def _twoalg_from_crossed(args) -> tuple[dict, bool]:
+    cm = _parse(parse_crossed_file, args.file)
+    verdict = check_crossed_module(cm)
+    if not verdict.ok:
+        return {
+            "verdicts": {"crossed_module": "violated"},
+            "violations": _violations_doc(verdict.violations),
+        }, False
+    doc = twoalg_document(crossed_to_strict(cm, trusted=True), cm.g0.weight)
+    _emit(args, doc)
+    return {"verdicts": {"crossed_module": "ok"}, "output": doc}, True
+
+
+def _twoalg_check(args) -> tuple[dict, bool]:
+    t, weight = _parse(parse_twoalg_file, args.file)
+    first = check_prelie_2alg(t)
+    second = check_rb_2alg(t, weight)
+    fields = {
+        "verdicts": {
+            "two_term": _verdict_doc(first),
+            "operator_triple": _verdict_doc(second),
+        },
+        "violations": _violations_doc(first.violations + second.violations),
+    }
+    return fields, first.ok and second.ok
+
+
+def _twoalg_to_cocycle(args) -> tuple[dict, bool]:
+    r, m, cochain = skeletal_to_cocycle(*_parse(parse_twoalg_file, args.file))
+    doc = cochain_document("rba", cochain)
+    _emit(args, doc)
+    return {
+        "verdicts": {"skeletal": "ok", "cocycle": "ok"},
+        "base": algebra_document(r, m),
+        "output": doc,
+    }, True
+
+
+def _twoalg_to_crossed(args) -> tuple[dict, bool]:
+    doc = crossed_document(strict_to_crossed(*_parse(parse_twoalg_file, args.file)))
     _emit(args, doc)
     return {"verdicts": {"strict": "ok"}, "output": doc}, True
 
 
 def _cmd_les(args) -> tuple[dict, bool]:
-    r, module, name = _algebra_and_module(args)
+    r, module, name = _algebra_and_module(args.file, args.module)
     m = require_valid(r, module)
     report = les_check(r, m, args.max_degree)
     fields = {
@@ -410,6 +405,13 @@ def _degree(text: str) -> int:
     return value
 
 
+def _leaf(sub, command: str, handler, **kw) -> argparse.ArgumentParser:
+    """The subparser named by the last word of ``command``; it runs ``handler``."""
+    p = sub.add_parser(command.rsplit(" ", 1)[-1], **kw)
+    p.set_defaults(handler=handler, command=command)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rbprelie",
@@ -418,86 +420,81 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timing", action="store_true", help="include elapsed time in the report")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("check", help="verify the axioms of an algebra file")
+    p = _leaf(sub, "check", _cmd_check, help="verify the axioms of an algebra file")
     p.add_argument("file")
     p.add_argument("--module", help="algebra file whose module block supplies coefficients")
 
-    p = sub.add_parser("cohomology", help="cohomology dimensions of the complexes")
+    p = _leaf(sub, "cohomology", _cmd_cohomology, help="cohomology dimensions of the complexes")
     p.add_argument("file")
     p.add_argument("--module")
     p.add_argument("--complex", choices=["pla", "rbo", "rba", "all"], default="all")
     p.add_argument("--max-degree", type=_degree, default=3)
 
-    p = sub.add_parser("star", help="emit the induced star-product algebra")
+    p = _leaf(sub, "star", _cmd_star, help="emit the induced star-product algebra")
     p.add_argument("file")
     p.add_argument("-o", "--output")
 
-    p = sub.add_parser("cocycle", help="check a cochain file for closedness")
+    p = _leaf(sub, "cocycle", _cmd_cocycle, help="check a cochain file for closedness")
     p.add_argument("file")
     p.add_argument("cochain")
     p.add_argument("--module")
 
-    p = sub.add_parser("extend", help="build the abelian extension of a degree-2 pair")
+    p = _leaf(sub, "extend", _cmd_extend, help="build the abelian extension of a degree-2 pair")
     p.add_argument("file")
     p.add_argument("pair")
     p.add_argument("--module")
     p.add_argument("-o", "--output")
 
-    p = sub.add_parser("extract", help="extract the degree-2 pair of an extension file")
+    p = _leaf(sub, "extract", _cmd_extract, help="extract the degree-2 pair of an extension file")
     p.add_argument("file")
     p.add_argument("--section", help="YAML file with an explicit section matrix")
     p.add_argument("-o", "--output")
 
-    p = sub.add_parser("deform", help="deformation checks and solvers")
-    p.add_argument("action", choices=["check", "solve", "trivialize"])
-    p.add_argument("file")
-    p.add_argument("deformation")
+    actions = sub.add_parser("deform", help="deformation checks and solvers")
+    actions = actions.add_subparsers(dest="action", required=True)
+    for name, handler in (
+        ("check", _deform_check), ("solve", _deform_solve), ("trivialize", _deform_trivialize)
+    ):
+        p = _leaf(actions, f"deform {name}", handler)
+        p.add_argument("file")
+        p.add_argument("deformation")
 
-    p = sub.add_parser("twoalg", help="two-term structures")
-    p.add_argument(
-        "action", choices=["check", "from-cocycle", "to-cocycle", "to-crossed", "from-crossed"]
-    )
+    actions = sub.add_parser("twoalg", help="two-term structures")
+    actions = actions.add_subparsers(dest="action", required=True)
+    _leaf(actions, "twoalg check", _twoalg_check).add_argument("file")
+    p = _leaf(actions, "twoalg from-cocycle", _twoalg_from_cocycle)
     p.add_argument("file")
-    p.add_argument("cochain", nargs="?")
+    p.add_argument("cochain")
     p.add_argument("--module")
     p.add_argument("-o", "--output")
+    for name, handler in (("to-cocycle", _twoalg_to_cocycle), ("to-crossed", _twoalg_to_crossed),
+                          ("from-crossed", _twoalg_from_crossed)):
+        p = _leaf(actions, f"twoalg {name}", handler)
+        p.add_argument("file")
+        p.add_argument("-o", "--output")
 
-    p = sub.add_parser("les", help="long exact sequence exactness report")
+    p = _leaf(sub, "les", _cmd_les, help="long exact sequence exactness report")
     p.add_argument("file")
     p.add_argument("--module")
     p.add_argument("--max-degree", type=_degree, default=3)
     return parser
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "cohomology": _cmd_cohomology,
-    "star": _cmd_star,
-    "cocycle": _cmd_cocycle,
-    "extend": _cmd_extend,
-    "extract": _cmd_extract,
-    "deform": _cmd_deform,
-    "twoalg": _cmd_twoalg,
-    "les": _cmd_les,
-}
+_PARSER = build_parser()
 
 
 def run_command(argv) -> tuple[dict, int]:
     """Dispatch a parsed command line; returns (report, exit status).
 
-    Each handler returns its report fields and whether every verdict holds;
-    this is the one place that adds ``command`` and ``status`` and picks the
-    exit status.
+    The leaf a command line reaches names its handler, which returns its
+    report fields and whether every verdict holds; this is the one place
+    that adds ``command`` and ``status``, writes ``error`` reports and
+    picks the exit status.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.cmd == "twoalg" and args.action == "from-cocycle":
-        if args.cochain is None:
-            parser.error("twoalg from-cocycle needs an algebra file and a cochain file")
-    command = f"{args.cmd} {args.action}" if "action" in args else args.cmd
-    start = time.monotonic()
+    args = _PARSER.parse_args(argv)
+    command, start = args.command, time.monotonic()
     try:
-        fields, ok = _HANDLERS[args.cmd](args)
+        fields, ok = args.handler(args)
     except InvalidStructureError as exc:
         command, fields, ok = args.cmd, {"error": str(exc)}, False
     report = {"command": command, **fields, "status": "ok" if ok else "violation"}

@@ -41,11 +41,11 @@ from .cochains import (
     cochain_from_matrix,
     matrix_from_cochain,
 )
-from .complexes import ComplexData, ComplexKind, rbo_differential
+from .complexes import ComplexData, ComplexKind, rba_differential, rbo_differential
 from .linalg import RationalMatrix, is_zero_vector, vadd, zero_vector
 
 
-class DeformationError(ValueError):
+class DeformationError(InvalidStructureError):
     """Raised when an operation's validity precondition fails."""
 
     def __init__(self, message: str, violations: tuple[Violation, ...] = ()):
@@ -281,7 +281,7 @@ def solve_next_order(r: RBPreLieAlgebra, d: TruncatedDeformation) -> SolveNextOr
     data = ComplexData(r, regular_bimodule(r))
     x, residual = data.solve(ComplexKind.RBA, 2, target.coords())
     if x is None:
-        is_cocycle = is_zero_vector(data.d(ComplexKind.RBA, 3).apply(target.coords()))
+        is_cocycle = rba_differential(r, data.m, target, trusted=True).is_zero()
         return SolveNextOrderResult(n, None, None, Obstruction(residual, is_cocycle))
     pair = RBACochain.from_coords(2, dim, dim, x)
     mu_n = bilinear_from_cochain(pair.pla_part)

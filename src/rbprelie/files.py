@@ -141,7 +141,8 @@ def _actions(data: dict, n: int, dim: int, prefix: str, per: str):
     )
 
 
-def _load(text: str) -> Any:
+def load_yaml(text: str) -> Any:
+    """The document a YAML text holds; ``ParseError`` when it is not YAML."""
     try:
         return yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -193,7 +194,7 @@ def parse_algebra_document(data: Any) -> tuple[RBPreLieAlgebra, RBBimodule | Non
 
 
 def parse_algebra_file(text: str) -> tuple[RBPreLieAlgebra, RBBimodule | None, str | None]:
-    return parse_algebra_document(_load(text))
+    return parse_algebra_document(load_yaml(text))
 
 
 def algebra_document(
@@ -271,7 +272,7 @@ def parse_cochain_document(data: Any) -> tuple[str, RBACochain | Cochain]:
 
 
 def parse_cochain_file(text: str) -> tuple[str, RBACochain | Cochain]:
-    return parse_cochain_document(_load(text))
+    return parse_cochain_document(load_yaml(text))
 
 
 def _entries_document(f: Cochain) -> list:
@@ -323,7 +324,7 @@ def parse_deformation_document(data: Any, base: RBPreLieAlgebra):
 
 
 def parse_deformation_file(text: str, base: RBPreLieAlgebra):
-    return parse_deformation_document(_load(text), base)
+    return parse_deformation_document(load_yaml(text), base)
 
 
 def deformation_document(d) -> dict:
@@ -353,7 +354,7 @@ def parse_extension_document(data: Any) -> ExtensionData:
 
 
 def parse_extension_file(text: str) -> ExtensionData:
-    return parse_extension_document(_load(text))
+    return parse_extension_document(load_yaml(text))
 
 
 def extension_document(e: ExtensionData) -> dict:
@@ -413,7 +414,7 @@ def parse_twoalg_document(data: Any) -> tuple[TwoAlgebra, Fraction]:
 
 
 def parse_twoalg_file(text: str) -> tuple[TwoAlgebra, Fraction]:
-    return parse_twoalg_document(_load(text))
+    return parse_twoalg_document(load_yaml(text))
 
 
 def twoalg_document(t: TwoAlgebra, weight: Fraction) -> dict:
@@ -450,7 +451,7 @@ def parse_crossed_document(data: Any) -> CrossedModule:
 
 
 def parse_crossed_file(text: str) -> CrossedModule:
-    return parse_crossed_document(_load(text))
+    return parse_crossed_document(load_yaml(text))
 
 
 def crossed_document(cm: CrossedModule) -> dict:

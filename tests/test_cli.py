@@ -1,4 +1,6 @@
+import argparse
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +11,8 @@ import yaml
 
 from rbprelie.cli import main, run_command
 from rbprelie.cochains import Cochain, RBACochain
-from rbprelie.deformations import gauge_transform, trivial_deformation
+from rbprelie.algebras import zero_table
+from rbprelie.deformations import TruncatedDeformation, gauge_transform, trivial_deformation
 from rbprelie.files import (
     cochain_document,
     deformation_document,
@@ -24,7 +27,7 @@ from rbprelie.generators import (
 )
 from rbprelie.linalg import RationalMatrix
 from rbprelie.twoalg import TwoAlgebra
-from conftest import make_a0, make_a1n, make_noncommuting_module
+from conftest import make_a0, make_a1n, make_idempotent, make_noncommuting_module
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -320,6 +323,23 @@ def _extract_with_bad_section(tmp_path):
     return ["extract", ext_file, "--section", section]
 
 
+def _deform_invalid_at_order_one(action):
+    """``deform ACTION`` on a valid base, e·e = e at weight 1 with T = 0,
+    whose order-1 coefficient T₁ = 1 breaks the Rota-Baxter law at order 1."""
+
+    def make_argv(tmp_path):
+        r = make_idempotent(1)
+        d = TruncatedDeformation(
+            r, (r.algebra.c, zero_table(1, 1, 1)), (r.operator, RationalMatrix.from_rows([[1]]))
+        )
+        alg, deff = tmp_path / "alg.yaml", tmp_path / "def.yaml"
+        alg.write_text(serialize_algebra(r))
+        deff.write_text(dump_document(deformation_document(d)))
+        return ["deform", action, alg, deff]
+
+    return make_argv
+
+
 @pytest.mark.parametrize(
     "make_argv, message",
     [
@@ -328,14 +348,19 @@ def _extract_with_bad_section(tmp_path):
         (lambda p: ["twoalg", "to-cocycle", _two_term_file(p, product=1, t0=1)], "two-term checks"),
         (lambda p: ["twoalg", "to-crossed", _two_term_file(p, t2=1)], "not strict"),
         (_extract_with_bad_section, "not a section"),
+        (_deform_invalid_at_order_one("solve"), "lower orders invalid (first bad order 1)"),
+        (_deform_invalid_at_order_one("trivialize"), "deformation invalid at order 1"),
     ],
     ids=["to-cocycle-not-skeletal", "to-cocycle-fails-checks", "to-crossed-not-strict",
-         "extract-not-a-section"],
+         "extract-not-a-section", "deform-solve-invalid-order-1",
+         "deform-trivialize-invalid-order-1"],
 )
 def test_invalid_structure_is_violation(tmp_path, capsys, make_argv, message):
     argv = [str(a) for a in make_argv(tmp_path)]
     report, code = run_command(argv)
     assert code == 1
+    # an error report names the bare command, even for a deform action
+    assert list(report) == ["command", "error", "status"]
     assert report["status"] == "violation"
     assert report["command"] == argv[0]
     assert message in report["error"]
@@ -418,3 +443,96 @@ def test_deform_has_no_module_option(tmp_path):
     with pytest.raises(SystemExit) as exc:
         _run(argv + ["--module", a1n])
     assert exc.value.code == 2
+
+
+def _crossed_file(tmp_path):
+    from rbprelie.files import crossed_document
+    from rbprelie.generators import random_crossed_module
+
+    path = tmp_path / "crossed.yaml"
+    path.write_text(dump_document(crossed_document(random_crossed_module(random.Random(6), 1))))
+    return path
+
+
+@pytest.mark.parametrize(
+    "action, extra",
+    [
+        ("check", "cochain"),
+        ("check", "--module"),
+        ("check", "-o"),
+        ("to-cocycle", "cochain"),
+        ("to-cocycle", "--module"),
+        ("to-crossed", "cochain"),
+        ("to-crossed", "--module"),
+        ("from-crossed", "cochain"),
+        ("from-crossed", "--module"),
+    ],
+)
+def test_twoalg_action_rejects_arguments_it_does_not_read(tmp_path, action, extra):
+    # each twoalg action declares only the arguments its handler reads
+    two = _two_term_file(tmp_path)
+    argv = ["twoalg", action, _crossed_file(tmp_path) if action == "from-crossed" else two]
+    assert _run(argv)[1] == 0
+    out = tmp_path / "out.yaml"
+    extra = {
+        "cochain": [two],
+        "--module": ["--module", FIXTURES / "a0.yaml"],
+        "-o": ["-o", out],
+    }[extra]
+    with pytest.raises(SystemExit) as exc:
+        _run(argv + extra)
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_twoalg_from_cocycle_needs_a_cochain():
+    with pytest.raises(SystemExit) as exc:
+        _run(["twoalg", "from-cocycle", FIXTURES / "a0.yaml"])
+    assert exc.value.code == 2
+
+
+def _untimed(stdout: str) -> str:
+    return re.sub(r"^elapsed_seconds: .*\n", "", stdout, flags=re.M)
+
+
+def test_one_process_answers_like_separate_calls(tmp_path, capsys, monkeypatch):
+    # the parser is built once, at import: a run of requests in one process,
+    # usage errors among them, prints what separate processes print
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+    two = _two_term_file(tmp_path)
+    requests = [
+        ["check", FIXTURES / "a0.yaml"],
+        ["twoalg", "check", two, "-o", tmp_path / "out.yaml"],
+        ["--timing", "cohomology", FIXTURES / "a1n.yaml", "--max-degree", "2"],
+        ["frobnicate"],
+        ["check", FIXTURES / "a1_broken_rb.yaml"],
+        ["deform", "check"],
+        ["twoalg", "to-crossed", two],
+        ["check", FIXTURES / "malformed.yaml"],
+        ["--timing", "twoalg", "check", two],
+        ["les", FIXTURES / "a0.yaml", "--max-degree", "-1"],
+        _deform_invalid_at_order_one("solve")(tmp_path),
+    ]
+    for argv in requests:
+        argv = [str(a) for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        alone = subprocess.run(
+            [sys.executable, "-m", "rbprelie.cli", *argv], capture_output=True, text=True
+        )
+        assert (code, _untimed(out), err) == (
+            alone.returncode, _untimed(alone.stdout), alone.stderr
+        ), argv
+        assert ("elapsed_seconds" in out) == (argv[0] == "--timing")
+    assert not built

@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from rbprelie import ComplexKind, cohomology_dims, phi, pla_differential, regular_bimodule
+from rbprelie import (
+    ComplexKind,
+    cohomology_dims,
+    phi,
+    pla_differential,
+    rba_differential,
+    regular_bimodule,
+)
 from rbprelie.cochains import (
     RBACochain,
     bilinear_from_cochain,
@@ -250,6 +257,42 @@ def test_solved_extension_is_always_valid_or_obstructed():
             obstructed += 1
             assert result.obstruction.rhs_is_cocycle is not None
     assert solved > 0
+
+
+def test_rhs_is_cocycle_agrees_with_the_degree_3_matrix(monkeypatch):
+    # an obstructed solve decides rhs_is_cocycle with one combined coboundary
+    # of its target; the assembled d₃ applied to that target must agree
+    from rbprelie import deformations
+    from rbprelie.complexes import ComplexData
+    from rbprelie.linalg import is_zero_vector
+
+    targets = []
+
+    def recording(r, m, target, **kwargs):
+        targets.append(target)
+        return rba_differential(r, m, target, **kwargs)
+
+    monkeypatch.setattr(deformations, "rba_differential", recording)
+    rng = random.Random(31)
+    obstructed = 0
+    while obstructed < 6:
+        r = random_rb_pre_lie(rng, rng.randint(1, 3))
+        m = regular_bimodule(r)
+        c = random_rba_cocycle(rng, r, m, 2)
+        d = TruncatedDeformation(
+            r,
+            (r.algebra.c, bilinear_from_cochain(c.pla_part)),
+            (r.operator, matrix_from_cochain(c.rbo_part)),
+        )
+        targets.clear()
+        result = solve_next_order(r, d)
+        if result.solution is not None:
+            assert not targets
+            continue
+        obstructed += 1
+        (target,) = targets
+        d3 = ComplexData(r, m).d(ComplexKind.RBA, 3)
+        assert result.obstruction.rhs_is_cocycle == is_zero_vector(d3.apply(target.coords()))
 
 
 def test_solve_obstruction_deterministic():

@@ -11,6 +11,9 @@ Each file schema is written once: ``files._check_fields`` gets every
 document's fields as one ordered tuple, never a set, and alone checks the
 ``kind`` field.
 
+In ``cli``, only ``run_command`` writes a report's ``status`` and ``error``
+fields.
+
 Unit vectors and identity blocks come from ``linalg`` (``unit_vector``,
 ``RationalMatrix.identity``, ``RationalMatrix.block``): no other module lays
 out a 1-if-equal-else-0 entry by hand, and a section of an extension is its
@@ -105,23 +108,35 @@ def test_verdicts_are_built_only_by_verdict(path):
     assert not found, f"{path.name}: {found}"
 
 
-def test_cli_status_is_written_only_by_run_command():
+def _cli_field_lines(field: str) -> tuple[list[int], list[int]]:
+    """Lines of cli.py naming ``field``: inside run_command, and elsewhere."""
     path = next(path for path in SOURCES if path.name == "cli.py")
     tree = ast.parse(path.read_text(encoding="utf-8"))
     run = next(
         fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name == "run_command"
     )
 
-    def status_keys(root):
-        return [
+    def lines(root):
+        return {
             node.lineno
             for node in ast.walk(root)
-            if isinstance(node, ast.Constant) and node.value == "status"
-        ]
+            if isinstance(node, ast.Constant) and node.value == field
+        }
 
-    assert status_keys(run)
-    outside = sorted(set(status_keys(tree)) - set(status_keys(run)))
+    return sorted(lines(run)), sorted(lines(tree) - lines(run))
+
+
+def test_cli_status_is_written_only_by_run_command():
+    inside, outside = _cli_field_lines("status")
+    assert inside
     assert not outside, f"cli.py writes 'status' outside run_command at lines {outside}"
+
+
+def test_cli_error_is_written_only_by_run_command():
+    # every failed precondition reaches the report through run_command's one except
+    inside, outside = _cli_field_lines("error")
+    assert inside
+    assert not outside, f"cli.py writes 'error' outside run_command at lines {outside}"
 
 
 def _is_constant(node: ast.AST, value: int) -> bool:
