@@ -23,6 +23,29 @@ operator block.  The combined matrix is therefore assembled from the other
 two complexes and the chain map, as the block matrix [[δₙ, 0], [−Φₙ, −∂ₙ₋₁]]
 (in degree 0, where there is no operator block, [[δ₀], [−Φ₀]]).
 
+Assembly evaluates no cochain.  Each matrix is a sum of terms (output key,
+input key, block), a block being an m × m matrix placed at the coordinates
+of those two keys, and every term is read off the structure constants c,
+the action matrices S, P and the operators T, T_M, λ.  For δₙ (n ≥ 1) and an
+output key (x₁ < … < xₙ ; y), with s = (−1)^p and "rest" the skew block
+without x_p:
+
+  * each position p adds s·S[x_p] to block (rest, y), s·P[y] to block
+    (rest, x_p) and −s·c[x_p][y][k]·I to block (rest, k);
+  * each pair p < q, with b = c[x_p][x_q] − c[x_q][x_p], adds
+    (−1)^{p+q}·σ·b[k]·I to block (sort(k, rest), y), σ the sign of the
+    sort; the term is skipped when k repeats in the block.
+
+The operator matrix ∂ₙ is the same rule run on the star algebra with the
+derived actions.  For Φₙ (n ≥ 1), each key and each ε ∈ {0,1}ⁿ expand T at
+the slots where ε is 1 into the nonzeros w of its columns, and the skew
+block of each resulting argument tuple is sorted with sign σ; all ones adds
+σ·w·I, any other ε adds −λ^{n−1−|ε|}·σ·w·T_M (nothing when that power is 0).
+In degree 0, δ₀ and ∂₀ come out zero from the same rule and Φ₀ = I.  The
+cochain maps :func:`pla_differential`, :func:`rbo_differential`,
+:func:`phi` and :func:`rba_differential` apply these matrices to one
+cochain.
+
 A :class:`ComplexData`, made once per request for one (algebra, module)
 pair, owns everything derived from those matrices: it builds each matrix,
 cocycle basis and boundary span the first time it is asked for and keeps
@@ -36,7 +59,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .algebras import (
     Bimodule,
@@ -47,7 +70,7 @@ from .algebras import (
     require_valid,
     star_algebra,
 )
-from .cochains import Cochain, RBACochain, basis_keys, space_dim
+from .cochains import Cochain, Key, RBACochain, basis_keys, normalize_skew, space_dim
 from .linalg import (
     EchelonBasis,
     RationalMatrix,
@@ -59,10 +82,8 @@ from .linalg import (
     rank,
     same_subspace,
     solve_linear,
-    unit_vector,
     vadd,
     vscale,
-    vsub,
     zero_vector,
 )
 
@@ -81,36 +102,100 @@ def complex_space_dim(kind: ComplexKind, degree: int, base_dim: int, mod_dim: in
     return space_dim(degree, base_dim, mod_dim)
 
 
+# (output key, input key, coefficient, block): coefficient times the block,
+# or times the identity when the block is None
+Term = tuple[Key, Key, Fraction, "RationalMatrix | None"]
+
+
+def _coboundary_terms(a: PreLieAlgebra, m: Bimodule, n: int) -> Iterator[Term]:
+    """The terms of the pre-Lie coboundary out of degree n (rules in the
+    module docstring)."""
+    c, S, P = a.c, m.S, m.P
+    for key in basis_keys(n + 1, a.dim):
+        skew, y = key[:-1], key[-1]
+        for p, x in enumerate(skew):
+            s = 1 if p % 2 == 0 else -1
+            rest = skew[:p] + skew[p + 1 :]
+            yield key, (*rest, y), s, S[x]
+            yield key, (*rest, x), s, P[y]
+            for k, ck in enumerate(c[x][y]):
+                if ck:
+                    yield key, (*rest, k), -s * ck, None
+        for p, q in combinations(range(n), 2):
+            s = 1 if (p + q) % 2 == 0 else -1
+            rest = skew[:p] + skew[p + 1 : q] + skew[q + 1 :]
+            for k, (u, v) in enumerate(zip(c[skew[p]][skew[q]], c[skew[q]][skew[p]])):
+                norm = normalize_skew((k, *rest)) if u != v else None
+                if norm is not None:
+                    yield key, (*norm[0], y), s * norm[1] * (u - v), None
+
+
+def _phi_terms(r: RBPreLieAlgebra, m: RBBimodule, n: int) -> Iterator[Term]:
+    """The terms of Φ in degree n ≥ 1 (rules in the module docstring)."""
+    t_cols = [tuple((k, x) for k, x in enumerate(r.operator.col(j)) if x) for j in range(r.dim)]
+    for key in basis_keys(n, r.dim):
+        for eps in product((0, 1), repeat=n):
+            ones = sum(eps)
+            if ones == n:
+                coeff, block = Fraction(1), None
+            else:
+                coeff, block = -(r.weight ** (n - 1 - ones)), m.t_m
+                if coeff == 0:
+                    continue
+            slots = [t_cols[i] if e else ((i, 1),) for i, e in zip(key, eps)]
+            for args in product(*slots):
+                norm = normalize_skew([i for i, _ in args[:-1]])
+                if norm is None:
+                    continue
+                w = coeff * norm[1]
+                for _, x in args:
+                    w *= x
+                yield key, (*norm[0], args[-1][0]), w, block
+
+
+def _assemble(
+    terms: Iterator[Term], out_degree: int, in_degree: int, d: int, md: int
+) -> RationalMatrix:
+    """The sum of the terms, as the matrix from degree ``in_degree`` to
+    ``out_degree`` cochains; each term adds to the md × md block of its two keys."""
+    row_of = {key: i * md for i, key in enumerate(basis_keys(out_degree, d))}
+    col_of = {key: j * md for j, key in enumerate(basis_keys(in_degree, d))}
+    cols = space_dim(in_degree, d, md)
+    rows = [[Fraction(0)] * cols for _ in range(space_dim(out_degree, d, md))]
+    for out_key, in_key, coeff, block in terms:
+        r0, c0 = row_of[out_key], col_of[in_key]
+        if block is None:
+            for u in range(md):
+                rows[r0 + u][c0 + u] += coeff
+            continue
+        for u, block_row in enumerate(block.sparse_rows):
+            row = rows[r0 + u]
+            for v, x in block_row:
+                row[c0 + v] += coeff * x
+    return RationalMatrix(len(rows), cols, tuple(map(tuple, rows)))
+
+
+def _coboundary_matrix(a: PreLieAlgebra, m: Bimodule, n: int) -> RationalMatrix:
+    return _assemble(_coboundary_terms(a, m, n), n + 1, n, a.dim, m.mod_dim)
+
+
+def _operator_matrix(r: RBPreLieAlgebra, m: RBBimodule, n: int) -> RationalMatrix:
+    star = star_algebra(r, trusted=True).algebra
+    return _coboundary_matrix(star, derived_bimodule(r, m, trusted=True).bimodule, n)
+
+
+def _phi_matrix(r: RBPreLieAlgebra, m: RBBimodule, n: int) -> RationalMatrix:
+    if n == 0:
+        return RationalMatrix.identity(m.mod_dim)
+    return _assemble(_phi_terms(r, m, n), n, n, r.dim, m.mod_dim)
+
+
 def pla_differential(a: PreLieAlgebra, m: Bimodule, f: Cochain) -> Cochain:
     """Degree n ↦ n+1 coboundary of the pre-Lie complex."""
     if f.base_dim != a.dim or f.base_dim != m.base_dim or f.mod_dim != m.mod_dim:
         raise ValueError("cochain dimensions do not match the algebra/module")
-    n = f.degree
-    if n == 0:
-        return Cochain.zero(1, a.dim, m.mod_dim)
-    out: dict[tuple[int, ...], Vector] = {}
-    for key in basis_keys(n + 1, a.dim):
-        skew, last = key[:-1], key[-1]
-        total = zero_vector(m.mod_dim)
-        for pos in range(n):
-            sign = Fraction(1) if pos % 2 == 0 else Fraction(-1)
-            xi = skew[pos]
-            rest = [s for q, s in enumerate(skew) if q != pos]
-            # x_i · f(..x̂_i.., x_{n+1})
-            t1 = m.left(a.basis_vector(xi), f.eval([*rest, last]))
-            # f(..x̂_i.., x_i) · x_{n+1}
-            t2 = m.right(f.eval([*rest, xi]), a.basis_vector(last))
-            # − f(..x̂_i.., x_i · x_{n+1})
-            t3 = f.eval([*rest, a.c[xi][last]])
-            total = vadd(total, vscale(sign, vsub(vadd(t1, t2), t3)))
-        for p, q in combinations(range(n), 2):
-            sign = Fraction(1) if (p + q) % 2 == 0 else Fraction(-1)
-            bracket = vsub(a.c[skew[p]][skew[q]], a.c[skew[q]][skew[p]])
-            rest = [s for idx, s in enumerate(skew) if idx not in (p, q)]
-            total = vadd(total, vscale(sign, f.eval([bracket, *rest, last])))
-        if not is_zero_vector(total):
-            out[key] = total
-    return Cochain(n + 1, a.dim, m.mod_dim, out)
+    image = _coboundary_matrix(a, m, f.degree).apply(f.coords())
+    return Cochain.from_coords(f.degree + 1, a.dim, m.mod_dim, image)
 
 
 def rbo_differential(
@@ -120,122 +205,16 @@ def rbo_differential(
     algebra with the derived actions as coefficients."""
     if not trusted:
         require_valid(r, m)
-    star = star_algebra(r, trusted=True)
-    derived = derived_bimodule(r, m, trusted=True)
-    return pla_differential(star.algebra, derived.bimodule, g)
-
-
-def rbo_differential_expanded(r: RBPreLieAlgebra, m: RBBimodule, g: Cochain) -> Cochain:
-    """The same coboundary written out term by term in the base structure
-    (the original product, actions, T, T_M and λ only).
-
-    Kept as an independent transcription; tests compare it with the
-    derived-route computation degree by degree.
-    """
-    a, t, lam = r.algebra, r.operator, r.weight
-    bm, tm = m.bimodule, m.t_m
-    n = g.degree
-    if n == 0:
-        return Cochain.zero(1, a.dim, bm.mod_dim)
-    out: dict[tuple[int, ...], Vector] = {}
-    for key in basis_keys(n + 1, a.dim):
-        skew, last = key[:-1], key[-1]
-        e_last = a.basis_vector(last)
-        t_last = t.col(last)
-        total = zero_vector(bm.mod_dim)
-        for pos in range(n):
-            sign = Fraction(1) if pos % 2 == 0 else Fraction(-1)
-            xi = skew[pos]
-            e_i = a.basis_vector(xi)
-            t_i = t.col(xi)
-            rest = [s for q, s in enumerate(skew) if q != pos]
-            g_drop = g.eval([*rest, last])
-            # T(x_i)·g(..) − T_M(x_i·g(..))
-            term = vsub(bm.left(t_i, g_drop), tm.apply(bm.left(e_i, g_drop)))
-            # g(.., x_i)·T(x_{n+1}) − T_M(g(.., x_i)·x_{n+1})
-            g_rot = g.eval([*rest, xi])
-            term = vadd(term, vsub(bm.right(g_rot, t_last), tm.apply(bm.right(g_rot, e_last))))
-            # − g(.., x_i·T(x_{n+1})) − g(.., T(x_i)·x_{n+1}) − λ g(.., x_i·x_{n+1})
-            term = vsub(term, g.eval([*rest, a.product(e_i, t_last)]))
-            term = vsub(term, g.eval([*rest, a.product(t_i, e_last)]))
-            term = vsub(term, vscale(lam, g.eval([*rest, a.c[xi][last]])))
-            total = vadd(total, vscale(sign, term))
-        for p, q in combinations(range(n), 2):
-            sign = Fraction(1) if (p + q) % 2 == 0 else Fraction(-1)
-            e_p, e_q = a.basis_vector(skew[p]), a.basis_vector(skew[q])
-            t_p, t_q = t.col(skew[p]), t.col(skew[q])
-            rest = [s for idx, s in enumerate(skew) if idx not in (p, q)]
-            bracket = vsub(a.product(t_p, e_q), a.product(e_q, t_p))
-            bracket = vadd(bracket, vsub(a.product(e_p, t_q), a.product(t_q, e_p)))
-            bracket = vadd(bracket, vscale(lam, vsub(a.c[skew[p]][skew[q]], a.c[skew[q]][skew[p]])))
-            total = vadd(total, vscale(sign, g.eval([bracket, *rest, last])))
-        if not is_zero_vector(total):
-            out[key] = total
-    return Cochain(n + 1, a.dim, bm.mod_dim, out)
+    image = _operator_matrix(r, m, g.degree).apply(g.coords())
+    return Cochain.from_coords(g.degree + 1, r.dim, m.mod_dim, image)
 
 
 def phi(r: RBPreLieAlgebra, m: RBBimodule, f: Cochain) -> Cochain:
-    """Degree-preserving chain map into the operator complex.
-
-    Closed form used here: Φ(f) = f∘(T, …, T) minus, for every insertion
-    pattern ε ∈ {0,1}ⁿ other than all-ones, λ^{n−1−|ε|}·T_M∘f∘(T^ε); the
-    identity in degree 0.  Tests compare it with the two-sum form
-    :func:`phi_literal`.
-    """
-    n = f.degree
-    if n == 0:
-        return f
-    t, lam, tm = r.operator, r.weight, m.t_m
-    out: dict[tuple[int, ...], Vector] = {}
-    for key in basis_keys(n, f.base_dim):
-        args_t = [t.col(i) for i in key]
-        total = f.eval(args_t)
-        for eps in product((0, 1), repeat=n):
-            ones = sum(eps)
-            if ones == n:
-                continue
-            coeff = lam ** (n - 1 - ones) if n - 1 - ones > 0 else Fraction(1)
-            if coeff == 0:
-                continue
-            args = [t.col(i) if e else i for i, e in zip(key, eps)]
-            total = vsub(total, vscale(coeff, tm.apply(f.eval(args))))
-        if not is_zero_vector(total):
-            out[key] = total
-    return Cochain(n, f.base_dim, f.mod_dim, out)
-
-
-def phi_literal(r: RBPreLieAlgebra, m: RBBimodule, f: Cochain) -> Cochain:
-    """The chain map as two sums over insertion positions in the skew block,
-    one with the last slot untouched and one with the last slot hit by T."""
-    n = f.degree
-    if n == 0:
-        return f
-    t, lam, tm = r.operator, r.weight, m.t_m
-    out: dict[tuple[int, ...], Vector] = {}
-    for key in basis_keys(n, f.base_dim):
-        skew, last = key[:-1], key[-1]
-        total = f.eval([t.col(i) for i in key])
-        for k in range(1, n + 1):
-            coeff = lam ** (n - k) if n - k > 0 else Fraction(1)
-            if coeff == 0:
-                continue
-            for positions in combinations(range(n - 1), k - 1):
-                chosen = set(positions)
-                args = [t.col(s) if p in chosen else s for p, s in enumerate(skew)]
-                args.append(last)
-                total = vsub(total, vscale(coeff, tm.apply(f.eval(args))))
-        for k in range(2, n + 1):
-            coeff = lam ** (n - k) if n - k > 0 else Fraction(1)
-            if coeff == 0:
-                continue
-            for positions in combinations(range(n - 1), k - 2):
-                chosen = set(positions)
-                args = [t.col(s) if p in chosen else s for p, s in enumerate(skew)]
-                args.append(t.col(last))
-                total = vsub(total, vscale(coeff, tm.apply(f.eval(args))))
-        if not is_zero_vector(total):
-            out[key] = total
-    return Cochain(n, f.base_dim, f.mod_dim, out)
+    """Degree-preserving chain map into the operator complex: Φ(f) =
+    f∘(T, …, T) minus, for every insertion pattern ε ∈ {0,1}ⁿ other than
+    all-ones, λ^{n−1−|ε|}·T_M∘f∘(T^ε); the identity in degree 0."""
+    image = _phi_matrix(r, m, f.degree).apply(f.coords())
+    return Cochain.from_coords(f.degree, r.dim, m.mod_dim, image)
 
 
 def rba_differential(
@@ -244,19 +223,13 @@ def rba_differential(
     """d(f, g) = (δf, −∂g − Φf); in degree 0, d(f) = (δf, −f)."""
     if not trusted:
         require_valid(r, m)
-    f = c.pla_part
-    if c.degree == 0:
-        delta = pla_differential(r.algebra, m.bimodule, f)
-        return RBACochain(delta, f.scale(Fraction(-1)))
-    delta = pla_differential(r.algebra, m.bimodule, f)
-    second = rbo_differential(r, m, c.rbo_part, trusted=True).add(phi(r, m, f))
-    return RBACochain(delta, second.scale(Fraction(-1)))
-
-
-def _basis_cochains(degree: int, base_dim: int, mod_dim: int):
-    for key in basis_keys(degree, base_dim):
-        for u in range(mod_dim):
-            yield Cochain(degree, base_dim, mod_dim, {key: unit_vector(u, mod_dim)})
+    n = c.degree
+    matrix = _combined_matrix(
+        _coboundary_matrix(r.algebra, m.bimodule, n),
+        _phi_matrix(r, m, n),
+        _operator_matrix(r, m, n - 1) if n else None,
+    )
+    return RBACochain.from_coords(n + 1, r.dim, m.mod_dim, matrix.apply(c.coords()))
 
 
 def differential_matrix(
@@ -267,15 +240,19 @@ def differential_matrix(
     if kind is ComplexKind.RBA:
         return ComplexData(r, m).d(kind, degree)
     if kind is ComplexKind.PLA:
-        alg, coeffs = r.algebra, m.bimodule
-    else:
-        alg = star_algebra(r, trusted=True).algebra
-        coeffs = derived_bimodule(r, m, trusted=True).bimodule
-    columns = [
-        pla_differential(alg, coeffs, f).coords()
-        for f in _basis_cochains(degree, r.dim, m.mod_dim)
-    ]
-    return RationalMatrix.from_cols(columns, space_dim(degree + 1, r.dim, m.mod_dim))
+        return _coboundary_matrix(r.algebra, m.bimodule, degree)
+    return _operator_matrix(r, m, degree)
+
+
+def phi_matrix(r: RBPreLieAlgebra, m: RBBimodule, degree: int) -> RationalMatrix:
+    """Matrix of Φ in degree ``degree``.
+
+    This and :func:`differential_matrix` are the names a
+    :class:`ComplexData` assembles through, and ``bench/tracing.py`` times
+    and counts their calls; the cochain maps above call the private
+    builders, so applying a map to one cochain never counts as assembly.
+    """
+    return _phi_matrix(r, m, degree)
 
 
 def _combined_matrix(
@@ -288,15 +265,6 @@ def _combined_matrix(
         return RationalMatrix.block([[delta], [chain.scale(-1)]])
     zero = RationalMatrix.zeros(delta.rows, partial.cols)
     return RationalMatrix.block([[delta, zero], [chain.scale(-1), partial.scale(-1)]])
-
-
-def phi_matrix(r: RBPreLieAlgebra, m: RBBimodule, degree: int) -> RationalMatrix:
-    d, md = r.dim, m.mod_dim
-    dim = space_dim(degree, d, md)
-    if degree == 0:
-        return RationalMatrix.identity(md)
-    columns = [phi(r, m, f).coords() for f in _basis_cochains(degree, d, md)]
-    return RationalMatrix.from_cols(columns, dim)
 
 
 class ComplexData:

@@ -142,9 +142,18 @@ def _actions(data: dict, n: int, dim: int, prefix: str, per: str):
 
 
 def load_yaml(text: str) -> Any:
-    """The document a YAML text holds; ``ParseError`` when it is not YAML."""
+    """The document a YAML text holds; ``ParseError`` when it is not YAML.
+
+    Parsed by libyaml when PyYAML has it.  A text libyaml rejects is parsed
+    again by the pure-Python loader, whose document or error message is the
+    answer, so a YAML error reads the same with or without libyaml.
+    """
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except (yaml.YAMLError, UnicodeEncodeError):  # libyaml reads UTF-8 bytes
+        pass
+    try:
+        return yaml.load(text, Loader=yaml.SafeLoader)
     except yaml.YAMLError as exc:
         raise ParseError(f"not valid YAML: {exc}") from None
 
@@ -162,7 +171,17 @@ def serialize_table(table) -> list:
 
 
 def _dump(doc: dict) -> str:
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None, width=100)
+    """The YAML text of a document, emitted by libyaml when PyYAML has it.
+
+    The two emitters differ only in where they fold double-quoted scalars
+    (strings that need escapes), so a text holding a double quote is emitted
+    again by the pure-Python dumper: the bytes never depend on libyaml.
+    """
+    options = {"sort_keys": False, "default_flow_style": None, "width": 100}
+    text = yaml.dump(doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper), **options)
+    if '"' in text:
+        text = yaml.dump(doc, Dumper=yaml.SafeDumper, **options)
+    return text
 
 
 # ---------------------------------------------------------------- algebras

@@ -1,11 +1,37 @@
 """Independent oracles, written against the raw definitions.
 
-Everything here works on plain nested lists with explicit index loops and
-never calls the library's evaluation helpers, so agreement with the
-package is a genuine two-route check.
+The linear-algebra and axiom oracles work on plain nested lists with
+explicit index loops and never call the library's helpers.  The cochain
+maps at the end (``pla_differential_by_eval``, ``rbo_differential_expanded``,
+``phi_by_eval``, ``phi_literal``) are the package's former evaluation
+routes: they evaluate cochains at basis and vector arguments with
+``Cochain.eval``, one output key at a time, where the package assembles each
+map's matrix term by term from the structure constants.  Agreement with the
+package is therefore a genuine two-route check.  ``second_condition_v``
+reads the operator coherence through those routes.
 """
 
 from fractions import Fraction
+from itertools import combinations, product
+
+from rbprelie.algebras import (
+    Bimodule,
+    PreLieAlgebra,
+    RBBimodule,
+    RBPreLieAlgebra,
+    derived_bimodule,
+    star_algebra,
+)
+from rbprelie.cochains import Cochain, RBACochain, basis_keys, cochain_from_bilinear, space_dim
+from rbprelie.complexes import ComplexKind, complex_space_dim
+from rbprelie.linalg import (
+    RationalMatrix,
+    is_zero_vector,
+    vadd,
+    vscale,
+    vsub,
+    zero_vector,
+)
 
 
 def vec_eq(u, v):
@@ -271,11 +297,6 @@ def second_condition_f(t, w, x, y, z):
 def second_condition_v(t, lam, x1, x2, x3):
     """Independent route for the long operator coherence: embed the data in
     the combined complex and read off the degree-3 operator component."""
-    from rbprelie.algebras import Bimodule, PreLieAlgebra, RBBimodule, RBPreLieAlgebra
-    from rbprelie.cochains import cochain_from_bilinear
-    from rbprelie.complexes import phi, rbo_differential_expanded
-    from rbprelie.linalg import RationalMatrix, vadd
-
     r = RBPreLieAlgebra(PreLieAlgebra(t.dim0, t.l2_00), lam, t.t0)
     S = tuple(
         RationalMatrix.from_cols([t.l2_01[x][a] for a in range(t.dim1)], t.dim1)
@@ -289,6 +310,190 @@ def second_condition_v(t, lam, x1, x2, x3):
     theta = cochain_from_bilinear(t.t2, t.dim1)
     total = vadd(
         rbo_differential_expanded(r, m, theta).eval([x1, x2, x3]),
-        phi(r, m, t.l3).eval([x1, x2, x3]),
+        phi_by_eval(r, m, t.l3).eval([x1, x2, x3]),
     )
     return list(total)
+
+
+# ------------------------------------------------- cochain maps by evaluation
+
+
+def pla_differential_by_eval(a, m, f):
+    """Degree n ↦ n+1 pre-Lie coboundary, evaluating f at each output key."""
+    n = f.degree
+    if n == 0:
+        return Cochain.zero(1, a.dim, m.mod_dim)
+    out = {}
+    for key in basis_keys(n + 1, a.dim):
+        skew, last = key[:-1], key[-1]
+        total = zero_vector(m.mod_dim)
+        for pos in range(n):
+            sign = Fraction(1) if pos % 2 == 0 else Fraction(-1)
+            xi = skew[pos]
+            rest = [s for q, s in enumerate(skew) if q != pos]
+            # x_i · f(..x̂_i.., x_{n+1})
+            t1 = m.left(a.basis_vector(xi), f.eval([*rest, last]))
+            # f(..x̂_i.., x_i) · x_{n+1}
+            t2 = m.right(f.eval([*rest, xi]), a.basis_vector(last))
+            # − f(..x̂_i.., x_i · x_{n+1})
+            t3 = f.eval([*rest, a.c[xi][last]])
+            total = vadd(total, vscale(sign, vsub(vadd(t1, t2), t3)))
+        for p, q in combinations(range(n), 2):
+            sign = Fraction(1) if (p + q) % 2 == 0 else Fraction(-1)
+            bracket = vsub(a.c[skew[p]][skew[q]], a.c[skew[q]][skew[p]])
+            rest = [s for idx, s in enumerate(skew) if idx not in (p, q)]
+            total = vadd(total, vscale(sign, f.eval([bracket, *rest, last])))
+        if not is_zero_vector(total):
+            out[key] = total
+    return Cochain(n + 1, a.dim, m.mod_dim, out)
+
+
+def rbo_differential_by_eval(r, m, g):
+    """The operator coboundary: the pre-Lie one of the star algebra with the
+    derived actions, by evaluation."""
+    star = star_algebra(r, trusted=True)
+    derived = derived_bimodule(r, m, trusted=True)
+    return pla_differential_by_eval(star.algebra, derived.bimodule, g)
+
+
+def rbo_differential_expanded(r, m, g):
+    """The operator coboundary written out term by term in the base
+    structure (the original product, actions, T, T_M and λ only)."""
+    a, t, lam = r.algebra, r.operator, r.weight
+    bm, tm = m.bimodule, m.t_m
+    n = g.degree
+    if n == 0:
+        return Cochain.zero(1, a.dim, bm.mod_dim)
+    out = {}
+    for key in basis_keys(n + 1, a.dim):
+        skew, last = key[:-1], key[-1]
+        e_last = a.basis_vector(last)
+        t_last = t.col(last)
+        total = zero_vector(bm.mod_dim)
+        for pos in range(n):
+            sign = Fraction(1) if pos % 2 == 0 else Fraction(-1)
+            xi = skew[pos]
+            e_i = a.basis_vector(xi)
+            t_i = t.col(xi)
+            rest = [s for q, s in enumerate(skew) if q != pos]
+            g_drop = g.eval([*rest, last])
+            # T(x_i)·g(..) − T_M(x_i·g(..))
+            term = vsub(bm.left(t_i, g_drop), tm.apply(bm.left(e_i, g_drop)))
+            # g(.., x_i)·T(x_{n+1}) − T_M(g(.., x_i)·x_{n+1})
+            g_rot = g.eval([*rest, xi])
+            term = vadd(term, vsub(bm.right(g_rot, t_last), tm.apply(bm.right(g_rot, e_last))))
+            # − g(.., x_i·T(x_{n+1})) − g(.., T(x_i)·x_{n+1}) − λ g(.., x_i·x_{n+1})
+            term = vsub(term, g.eval([*rest, a.product(e_i, t_last)]))
+            term = vsub(term, g.eval([*rest, a.product(t_i, e_last)]))
+            term = vsub(term, vscale(lam, g.eval([*rest, a.c[xi][last]])))
+            total = vadd(total, vscale(sign, term))
+        for p, q in combinations(range(n), 2):
+            sign = Fraction(1) if (p + q) % 2 == 0 else Fraction(-1)
+            e_p, e_q = a.basis_vector(skew[p]), a.basis_vector(skew[q])
+            t_p, t_q = t.col(skew[p]), t.col(skew[q])
+            rest = [s for idx, s in enumerate(skew) if idx not in (p, q)]
+            bracket = vsub(a.product(t_p, e_q), a.product(e_q, t_p))
+            bracket = vadd(bracket, vsub(a.product(e_p, t_q), a.product(t_q, e_p)))
+            bracket = vadd(bracket, vscale(lam, vsub(a.c[skew[p]][skew[q]], a.c[skew[q]][skew[p]])))
+            total = vadd(total, vscale(sign, g.eval([bracket, *rest, last])))
+        if not is_zero_vector(total):
+            out[key] = total
+    return Cochain(n + 1, a.dim, bm.mod_dim, out)
+
+
+def phi_by_eval(r, m, f):
+    """The chain map in closed form: Φ(f) = f∘(T, …, T) minus, for every
+    insertion pattern ε ∈ {0,1}ⁿ other than all-ones,
+    λ^{n−1−|ε|}·T_M∘f∘(T^ε); the identity in degree 0."""
+    n = f.degree
+    if n == 0:
+        return f
+    t, lam, tm = r.operator, r.weight, m.t_m
+    out = {}
+    for key in basis_keys(n, f.base_dim):
+        total = f.eval([t.col(i) for i in key])
+        for eps in product((0, 1), repeat=n):
+            ones = sum(eps)
+            if ones == n:
+                continue
+            coeff = lam ** (n - 1 - ones) if n - 1 - ones > 0 else Fraction(1)
+            if coeff == 0:
+                continue
+            args = [t.col(i) if e else i for i, e in zip(key, eps)]
+            total = vsub(total, vscale(coeff, tm.apply(f.eval(args))))
+        if not is_zero_vector(total):
+            out[key] = total
+    return Cochain(n, f.base_dim, f.mod_dim, out)
+
+
+def phi_literal(r, m, f):
+    """The chain map as two sums over insertion positions in the skew block,
+    one with the last slot untouched and one with the last slot hit by T."""
+    n = f.degree
+    if n == 0:
+        return f
+    t, lam, tm = r.operator, r.weight, m.t_m
+    out = {}
+    for key in basis_keys(n, f.base_dim):
+        skew, last = key[:-1], key[-1]
+        total = f.eval([t.col(i) for i in key])
+        for k in range(1, n + 1):
+            coeff = lam ** (n - k) if n - k > 0 else Fraction(1)
+            if coeff == 0:
+                continue
+            for positions in combinations(range(n - 1), k - 1):
+                chosen = set(positions)
+                args = [t.col(s) if p in chosen else s for p, s in enumerate(skew)]
+                args.append(last)
+                total = vsub(total, vscale(coeff, tm.apply(f.eval(args))))
+        for k in range(2, n + 1):
+            coeff = lam ** (n - k) if n - k > 0 else Fraction(1)
+            if coeff == 0:
+                continue
+            for positions in combinations(range(n - 1), k - 2):
+                chosen = set(positions)
+                args = [t.col(s) if p in chosen else s for p, s in enumerate(skew)]
+                args.append(t.col(last))
+                total = vsub(total, vscale(coeff, tm.apply(f.eval(args))))
+        if not is_zero_vector(total):
+            out[key] = total
+    return Cochain(n, f.base_dim, f.mod_dim, out)
+
+
+def rba_differential_by_eval(r, m, c):
+    """d(f, g) = (δf, −∂g − Φf); in degree 0, d(f) = (δf, −f)."""
+    f = c.pla_part
+    delta = pla_differential_by_eval(r.algebra, m.bimodule, f)
+    if c.degree == 0:
+        return RBACochain(delta, f.scale(Fraction(-1)))
+    second = rbo_differential_by_eval(r, m, c.rbo_part).add(phi_by_eval(r, m, f))
+    return RBACochain(delta, second.scale(Fraction(-1)))
+
+
+def basis_cochains(degree, base_dim, mod_dim):
+    """The unit cochains of a degree, in coordinate order."""
+    for key in basis_keys(degree, base_dim):
+        for u in range(mod_dim):
+            e = [Fraction(0)] * mod_dim
+            e[u] = Fraction(1)
+            yield Cochain(degree, base_dim, mod_dim, {key: tuple(e)})
+
+
+def matrix_by_eval(kind, r, m, degree):
+    """The matrix of the ``kind`` coboundary (a ``ComplexKind``), or of Φ for
+    ``kind`` "phi", in ``degree``: column j is the image of the j-th unit
+    cochain through the evaluation routes."""
+    d, md = r.dim, m.mod_dim
+    if kind is ComplexKind.RBA:
+        dim = complex_space_dim(kind, degree, d, md)
+        units = (RBACochain.from_coords(degree, d, md, unit(dim, j)) for j in range(dim))
+        columns = [rba_differential_by_eval(r, m, c).coords() for c in units]
+        return RationalMatrix.from_cols(columns, complex_space_dim(kind, degree + 1, d, md))
+    route = {
+        ComplexKind.PLA: lambda f: pla_differential_by_eval(r.algebra, m.bimodule, f),
+        ComplexKind.RBO: lambda f: rbo_differential_by_eval(r, m, f),
+        "phi": lambda f: phi_by_eval(r, m, f),
+    }[kind]
+    columns = [route(f).coords() for f in basis_cochains(degree, d, md)]
+    out_degree = degree if kind == "phi" else degree + 1
+    return RationalMatrix.from_cols(columns, space_dim(out_degree, d, md))

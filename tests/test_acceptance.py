@@ -27,7 +27,6 @@ from rbprelie import (
     differential_matrix,
     les_check,
     phi,
-    phi_literal,
     pla_differential,
     rba_differential,
     rbo_differential,
@@ -90,6 +89,7 @@ from oracles import (
     naive_pre_lie_defects,
     naive_rb_bimodule_defects,
     naive_rb_defects,
+    phi_literal,
     second_condition_f,
     second_condition_v,
     sympy_rank,

@@ -3,17 +3,23 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rbprelie.extensions import CocyclePair, build_extension
 from rbprelie.files import (
     ParseError,
+    algebra_document,
     cochain_document,
     crossed_document,
     deformation_document,
     dump_document,
     extension_document,
+    load_yaml,
     parse_algebra_file,
     parse_cochain_file,
     parse_crossed_file,
@@ -34,6 +40,8 @@ from rbprelie.generators import (
 from rbprelie.deformations import gauge_transform, trivial_deformation
 
 from conftest import make_a0, make_a1n
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_parse_rational_forms():
@@ -197,3 +205,104 @@ def test_dimensions_are_non_negative_integers(text, where):
     assert str(err.value) == f"{where}: dimension must be a non-negative integer"
     r, module, _ = parse_algebra_file(text.replace("-1", "0").replace("-2", "0"))
     assert r.dim == 0 and (module is None or module.mod_dim == 0)
+
+
+# ---------------------------------------------------------- YAML with libyaml
+
+PURE_DUMP = {"Dumper": yaml.SafeDumper, "sort_keys": False, "default_flow_style": None,
+             "width": 100}
+
+
+@pytest.fixture(params=["libyaml", "pure"])
+def yaml_route(request, monkeypatch):
+    """Run a test with PyYAML's libyaml classes, then with them taken away."""
+    if request.param == "pure":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        monkeypatch.delattr(yaml, "CSafeDumper", raising=False)
+    elif not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML is built without libyaml")
+    return request.param
+
+
+def _seeded_documents() -> list[dict]:
+    rng = random.Random(12)
+    docs = []
+    for _ in range(6):
+        r, m = random_valid_pair(rng, rng.randint(1, 3))
+        c = random_rba_cochain(rng, 2, r.dim, m.mod_dim)
+        gauged = gauge_transform(r, trivial_deformation(r, 2), random_gauge(rng, r.dim, 2))
+        docs += [
+            algebra_document(r, m, "seeded"),
+            cochain_document("rba", c),
+            deformation_document(gauged),
+        ]
+    return docs
+
+
+def test_documents_read_and_write_as_with_the_pure_yaml_classes(yaml_route):
+    for path in sorted(FIXTURES.glob("*.yaml")):
+        text = path.read_text(encoding="utf-8")
+        assert load_yaml(text) == yaml.load(text, Loader=yaml.SafeLoader), path.name
+    for doc in _seeded_documents():
+        text = dump_document(doc)
+        assert text == yaml.dump(doc, **PURE_DUMP)
+        assert load_yaml(text) == doc
+
+
+MALFORMED_YAML = [
+    "product: [[\n",
+    "a: b: c\n",
+    'key: "\\x"\n',
+    "\t- x\n",
+    "a:\n  - 1\n - 2\n",
+    "&x a: *y\n",
+    "\x00",
+    "\ud800",  # libyaml reads UTF-8 bytes, which a lone surrogate has none of
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_YAML, ids=repr)
+def test_yaml_errors_read_as_the_pure_loader_words_them(text, yaml_route):
+    with pytest.raises(yaml.YAMLError) as pure:
+        yaml.load(text, Loader=yaml.SafeLoader)
+    with pytest.raises(ParseError) as got:
+        load_yaml(text)
+    assert str(got.value) == f"not valid YAML: {pure.value}"
+
+
+def test_libyaml_words_its_errors_differently():
+    # the reason load_yaml parses a rejected text a second time
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML is built without libyaml")
+    with pytest.raises(yaml.YAMLError) as pure:
+        yaml.load(MALFORMED_YAML[0], Loader=yaml.SafeLoader)
+    with pytest.raises(yaml.YAMLError) as fast:
+        yaml.load(MALFORMED_YAML[0], Loader=yaml.CSafeLoader)
+    assert str(fast.value) != str(pure.value)
+
+
+# long strings that need escapes: the emitters fold them at different places
+FOLDED = ["\u2218é" * 40, " line\n" * 30, "tab\t" * 30]
+
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text() | st.sampled_from(FOLDED),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.from_regex(r"[a-z_]{1,12}", fullmatch=True), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    doc=st.dictionaries(st.from_regex(r"[a-z_]{1,12}", fullmatch=True), REPORT_VALUES, max_size=5)
+)
+def test_documents_dump_as_the_pure_dumper_writes_them(doc):
+    assert dump_document(doc) == yaml.dump(doc, **PURE_DUMP)
+
+
+@pytest.mark.parametrize("value", FOLDED, ids=["non-ascii", "indented-lines", "tabs"])
+def test_folded_strings_dump_as_the_pure_dumper_writes_them(value, yaml_route):
+    doc = {"command": "check", "name": value, "status": "ok", "rows": [[value, "1/2"]]}
+    assert dump_document(doc) == yaml.dump(doc, **PURE_DUMP)
+    if yaml_route == "libyaml":
+        assert yaml.dump(doc, **{**PURE_DUMP, "Dumper": yaml.CSafeDumper}) != dump_document(doc)

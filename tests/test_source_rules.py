@@ -18,6 +18,11 @@ Unit vectors and identity blocks come from ``linalg`` (``unit_vector``,
 ``RationalMatrix.identity``, ``RationalMatrix.block``): no other module lays
 out a 1-if-equal-else-0 entry by hand, and a section of an extension is its
 matrix, with no wrapper class.
+
+Assembly evaluates no cochain: ``complexes`` builds every matrix from the
+structure constants and never calls ``.eval``, and the evaluation routes it
+is compared against live in ``tests/oracles.py``, which no package module
+imports.
 """
 
 import ast
@@ -203,3 +208,27 @@ def test_schemas_are_ordered_and_kind_is_checked_once(path):
         and not (path.name == "files.py" and fn == "_check_fields")
     ]
     assert not found, f"{path.name}: {found}"
+
+
+def test_assembly_evaluates_no_cochain():
+    path = next(path for path in SOURCES if path.name == "complexes.py")
+    found = [
+        f"line {call.lineno} in {fn}"
+        for fn, call in _calls_by_function(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "eval"
+    ]
+    assert not found, f"complexes.py calls .eval: {found}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_package_does_not_import_the_tests(path):
+    test_modules = {"tests", "oracles", "conftest"}
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] in test_modules
+        or isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] in test_modules for alias in node.names)
+    ]
+    assert not found, f"{path.name} imports test code at lines {found}"
