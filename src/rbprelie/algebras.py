@@ -18,13 +18,21 @@ Conventions:
   * an operator matrix acts on coordinate columns, i.e. column ``j`` holds
     the coordinates of the image of ``e_j``;
   * ``S[i]`` is the left action of ``e_i`` on the module, ``P[i]`` the
-    right action ``u ↦ u · e_i``.
+    right action ``u ↦ u · e_i``;
+  * every bilinear table, structure constants and actions alike, is read
+    through its left and right multiplication matrices (L, R):
+    ``L[i]·y = e_i·y`` and ``R[k]·x = x·e_k``, so a bimodule's (S, P) are
+    the L of its left action and the R of its right action.  A product of
+    two basis vectors is a table entry, a product with one basis vector is
+    one matrix ``apply``, and a general product is ``Σ xᵢ·Lᵢ·y``
+    (:func:`bilinear`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -40,6 +48,7 @@ from .linalg import (
 )
 
 ProductTable = tuple[tuple[Vector, ...], ...]
+Matrices = tuple[RationalMatrix, ...]
 
 
 class InvalidStructureError(ValueError):
@@ -87,19 +96,28 @@ def zero_table(dim_left: int, dim_right: int, dim_out: int) -> ProductTable:
     return tuple(tuple(zero_vector(dim_out) for _ in range(dim_right)) for _ in range(dim_left))
 
 
-def apply_table(table: ProductTable, x: Sequence, y: Sequence, out_dim: int) -> Vector:
-    """Bilinear extension of a table: table[i][j] holds the image of (e_i, e_j)."""
-    out = [Fraction(0)] * out_dim
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        for j, yj in enumerate(y):
-            if yj == 0:
-                continue
-            coeff = xi * yj
-            for k, ck in enumerate(table[i][j]):
-                if ck != 0:
-                    out[k] += coeff * ck
+def multiplication_matrices(
+    table: ProductTable, dim_right: int, dim_out: int
+) -> tuple[Matrices, Matrices]:
+    """The left and right multiplication matrices (L, R) of a bilinear table:
+    ``L[i]·y = e_i·y`` and ``R[k]·x = x·e_k``, so column j of ``L[i]`` and
+    column i of ``R[j]`` both hold ``table[i][j]``."""
+    left = tuple(RationalMatrix.from_cols(row, dim_out) for row in table)
+    right = tuple(
+        RationalMatrix.from_cols([row[k] for row in table], dim_out) for k in range(dim_right)
+    )
+    return left, right
+
+
+def bilinear(left: Matrices, x: Sequence, y: Sequence, dim_out: int) -> Vector:
+    """Σ xᵢ·Lᵢ·y: the product of x and y through the left multiplication
+    matrices of their table."""
+    out = list(zero_vector(dim_out))
+    for xi, li in zip(x, left, strict=True):
+        if xi:
+            for k, v in enumerate(li.apply(y)):
+                if v:
+                    out[k] += xi * v
     return tuple(out)
 
 
@@ -114,9 +132,14 @@ class PreLieAlgebra:
         ):
             raise ValueError("structure constant table has wrong shape")
 
+    @cached_property
+    def multiplications(self) -> tuple[Matrices, Matrices]:
+        """(L, R) of the structure constants."""
+        return multiplication_matrices(self.c, self.dim, self.dim)
+
     def product(self, x: Sequence, y: Sequence) -> Vector:
         """Bilinear extension of the structure constants."""
-        return apply_table(self.c, x, y, self.dim)
+        return bilinear(self.multiplications[0], x, y, self.dim)
 
     def basis_vector(self, i: int) -> Vector:
         return unit_vector(i, self.dim)
@@ -153,24 +176,24 @@ class Bimodule:
             if (mat.rows, mat.cols) != (self.mod_dim, self.mod_dim):
                 raise ValueError("action matrices must be square of the module dimension")
 
+    @cached_property
+    def at_module_basis(self) -> tuple[Matrices, Matrices]:
+        """For each module basis vector e_u, the matrices of x ↦ x·e_u and of
+        y ↦ e_u·y: the R of the left action's table and the L of the right
+        action's."""
+        md = self.mod_dim
+        return (
+            tuple(RationalMatrix.from_cols([s.col(u) for s in self.S], md) for u in range(md)),
+            tuple(RationalMatrix.from_cols([p.col(u) for p in self.P], md) for u in range(md)),
+        )
+
     def left(self, x: Sequence, u: Sequence) -> Vector:
         """x · u for an algebra vector x and module vector u."""
-        out = zero_vector(self.mod_dim)
-        for i, xi in enumerate(x):
-            if xi != 0:
-                out = vadd(out, vscale(xi, self.S[i].apply(u)))
-        return out
+        return bilinear(self.S, x, u, self.mod_dim)
 
     def right(self, u: Sequence, y: Sequence) -> Vector:
         """u · y for a module vector u and algebra vector y."""
-        out = zero_vector(self.mod_dim)
-        for j, yj in enumerate(y):
-            if yj != 0:
-                out = vadd(out, vscale(yj, self.P[j].apply(u)))
-        return out
-
-    def basis_vector(self, i: int) -> Vector:
-        return unit_vector(i, self.mod_dim)
+        return bilinear(self.P, y, u, self.mod_dim)
 
 
 @dataclass(frozen=True)
@@ -193,15 +216,9 @@ class RBBimodule:
 
 
 def regular_bimodule(r: RBPreLieAlgebra) -> RBBimodule:
-    """The algebra acting on itself, with the same operator."""
+    """The algebra acting on itself, with the same operator: (S, P) = (L, R)."""
     d = r.dim
-    S = tuple(
-        RationalMatrix.from_cols([r.algebra.c[i][j] for j in range(d)], d) for i in range(d)
-    )
-    P = tuple(
-        RationalMatrix.from_cols([r.algebra.c[i][j] for i in range(d)], d) for j in range(d)
-    )
-    return RBBimodule(Bimodule(d, d, S, P), r.operator)
+    return RBBimodule(Bimodule(d, d, *r.algebra.multiplications), r.operator)
 
 
 def pre_lie_defects(mus: Sequence[ProductTable], n: int) -> dict[tuple[int, int, int], Vector]:
@@ -213,22 +230,17 @@ def pre_lie_defects(mus: Sequence[ProductTable], n: int) -> dict[tuple[int, int,
     At n = 0 this is the pre-Lie identity of ``mus[0]``.
     """
     dim = len(mus[0])
-    basis = [unit_vector(i, dim) for i in range(dim)]
+    lr = [multiplication_matrices(mu, dim, dim) for mu in mus[: n + 1]]
     out = {}
     for i in range(dim):
         for j in range(dim):
             for k in range(dim):
                 defect = zero_vector(dim)
                 for a in range(n + 1):
-                    mu_a, mu_b = mus[a], mus[n - a]
-                    lhs = vsub(
-                        apply_table(mu_a, mu_b[i][j], basis[k], dim),
-                        apply_table(mu_a, basis[i], mu_b[j][k], dim),
-                    )
-                    rhs = vsub(
-                        apply_table(mu_a, mu_b[j][i], basis[k], dim),
-                        apply_table(mu_a, basis[j], mu_b[i][k], dim),
-                    )
+                    (left, right), mu_b = lr[a], mus[n - a]
+                    # μ_a(μ_b(eᵢ,eⱼ) − μ_b(eⱼ,eᵢ), e_k) − μ_a(eᵢ, μ_b(eⱼ,e_k)) + μ_a(eⱼ, μ_b(eᵢ,e_k))
+                    lhs = right[k].apply(vsub(mu_b[i][j], mu_b[j][i]))
+                    rhs = vsub(left[i].apply(mu_b[j][k]), left[j].apply(mu_b[i][k]))
                     defect = vadd(defect, vsub(lhs, rhs))
                 out[(i, j, k)] = defect
     return out
@@ -246,7 +258,7 @@ def rota_baxter_defects(
     is the Rota-Baxter law of ``ts[0]`` for ``mus[0]``.
     """
     dim = len(mus[0])
-    basis = [unit_vector(i, dim) for i in range(dim)]
+    lr = [multiplication_matrices(mu, dim, dim) for mu in mus[: n + 1]]
     cols = [[t.col(i) for i in range(dim)] for t in ts[: n + 1]]
     out = {}
     for i in range(dim):
@@ -254,13 +266,13 @@ def rota_baxter_defects(
             defect = zero_vector(dim)
             for a in range(n + 1):
                 for b in range(n + 1 - a):
-                    defect = vadd(defect, apply_table(mus[a], cols[b][i], cols[n - a - b][j], dim))
+                    defect = vadd(defect, bilinear(lr[a][0], cols[b][i], cols[n - a - b][j], dim))
             for a in range(n + 1):
                 inner = vscale(lam, mus[n - a][i][j])
                 for b in range(n + 1 - a):
-                    c = n - a - b
-                    inner = vadd(inner, apply_table(mus[b], basis[i], cols[c][j], dim))
-                    inner = vadd(inner, apply_table(mus[b], cols[c][i], basis[j], dim))
+                    (left, right), c = lr[b], n - a - b
+                    inner = vadd(inner, left[i].apply(cols[c][j]))
+                    inner = vadd(inner, right[j].apply(cols[c][i]))
                 defect = vsub(defect, ts[a].apply(inner))
             out[(i, j)] = defect
     return out
@@ -278,38 +290,22 @@ def check_rb_operator(r: RBPreLieAlgebra) -> Verdict:
     )
 
 
-def _combine(x: Sequence, cols: Sequence[Vector], dim: int) -> Vector:
-    """Σₖ xₖ·cols[k]."""
-    out = zero_vector(dim)
-    for xk, col in zip(x, cols):
-        if xk != 0:
-            out = vadd(out, vscale(xk, col))
-    return out
-
-
-def _basis_columns(m: Bimodule) -> list[tuple[list[Vector], list[Vector]]]:
-    """For each module basis vector e_u: the products (eₖ·e_u)ₖ and (e_u·eₖ)ₖ,
-    read off the u-th columns of the action matrices."""
-    return [([s.col(u) for s in m.S], [p.col(u) for p in m.P]) for u in range(m.mod_dim)]
-
-
 def bimodule_defects(a: PreLieAlgebra, m: Bimodule) -> Defects:
     """Both pre-Lie representation laws on basis pairs acting on basis vectors."""
     if m.base_dim != a.dim:
         raise ValueError("module base dimension does not match the algebra")
-    S, P, md = m.S, m.P, m.mod_dim
-    cols = _basis_columns(m)
+    S, P = m.S, m.P
+    times_u, u_times = m.at_module_basis
     for i in range(a.dim):
         for j in range(a.dim):
-            cij, cji = a.c[i][j], a.c[j][i]
-            for u, (su, pu) in enumerate(cols):
+            cij, bracket = a.c[i][j], vsub(a.c[i][j], a.c[j][i])
+            for u in range(m.mod_dim):
                 # x·(y·u) − (x·y)·u symmetric in x, y
-                lhs = vsub(S[i].apply(su[j]), _combine(cij, su, md))
-                rhs = vsub(S[j].apply(su[i]), _combine(cji, su, md))
-                yield "left_action", (i, j, u), vsub(lhs, rhs)
+                lhs = vsub(S[i].apply(S[j].col(u)), S[j].apply(S[i].col(u)))
+                yield "left_action", (i, j, u), vsub(lhs, times_u[u].apply(bracket))
                 # x·(u·y) − (x·u)·y = u·(x·y) − (u·x)·y
-                lhs = vsub(S[i].apply(pu[j]), P[j].apply(su[i]))
-                rhs = vsub(_combine(cij, pu, md), P[j].apply(pu[i]))
+                lhs = vsub(S[i].apply(P[j].col(u)), P[j].apply(S[i].col(u)))
+                rhs = vsub(u_times[u].apply(cij), P[j].apply(P[i].col(u)))
                 yield "mixed_action", (i, j, u), vsub(lhs, rhs)
 
 
@@ -318,17 +314,16 @@ def rb_bimodule_defects(r: RBPreLieAlgebra, m: RBBimodule) -> Defects:
     bm, tm, t, lam = m.bimodule, m.t_m, r.operator, r.weight
     if bm.base_dim != r.dim:
         raise ValueError("module base dimension does not match the algebra")
-    md = bm.mod_dim
-    cols = _basis_columns(bm)
+    times_u, u_times = bm.at_module_basis
     for i in range(r.dim):
-        ti = t.col(i)
-        for u, (su, pu) in enumerate(cols):
+        ti, si, pi = t.col(i), bm.S[i], bm.P[i]
+        for u in range(bm.mod_dim):
             tu = tm.col(u)
             # T(a)·T_M(u) = T_M(a·T_M(u) + T(a)·u + λ a·u)
-            inner = vadd(vadd(bm.S[i].apply(tu), _combine(ti, su, md)), vscale(lam, su[i]))
+            inner = vadd(vadd(si.apply(tu), times_u[u].apply(ti)), vscale(lam, si.col(u)))
             yield "rb_left", (i, u), vsub(bm.left(ti, tu), tm.apply(inner))
             # T_M(u)·T(a) = T_M(u·T(a) + T_M(u)·a + λ u·a)
-            inner = vadd(vadd(_combine(ti, pu, md), bm.P[i].apply(tu)), vscale(lam, pu[i]))
+            inner = vadd(vadd(u_times[u].apply(ti), pi.apply(tu)), vscale(lam, pi.col(u)))
             yield "rb_right", (i, u), vsub(bm.right(tu, ti), tm.apply(inner))
 
 
@@ -352,11 +347,11 @@ def sub_adjacent_bracket(a: PreLieAlgebra) -> ProductTable:
 def check_jacobi(bracket: ProductTable) -> Verdict:
     """Jacobi identity for an antisymmetric bracket table."""
     dim = len(bracket)
+    left, _ = multiplication_matrices(bracket, dim, dim)
 
     def cyclic(i: int, j: int, k: int) -> Vector:
-        defect = apply_table(bracket, unit_vector(i, dim), bracket[j][k], dim)
-        defect = vadd(defect, apply_table(bracket, unit_vector(j, dim), bracket[k][i], dim))
-        return vadd(defect, apply_table(bracket, unit_vector(k, dim), bracket[i][j], dim))
+        defect = vadd(left[i].apply(bracket[j][k]), left[j].apply(bracket[k][i]))
+        return vadd(defect, left[k].apply(bracket[i][j]))
 
     return verdict(
         ("jacobi", (i, j, k), cyclic(i, j, k))
@@ -388,17 +383,15 @@ def star_algebra(r: RBPreLieAlgebra, *, trusted: bool = False) -> RBPreLieAlgebr
     if not trusted:
         require_valid(r)
     a, t, lam = r.algebra, r.operator, r.weight
-    table = []
-    for i in range(a.dim):
-        ei = a.basis_vector(i)
-        ti = t.col(i)
-        row = []
-        for j in range(a.dim):
-            ej = a.basis_vector(j)
-            tj = t.col(j)
-            row.append(vadd(vadd(a.product(ei, tj), a.product(ti, ej)), vscale(lam, a.c[i][j])))
-        table.append(tuple(row))
-    return RBPreLieAlgebra(PreLieAlgebra(a.dim, tuple(table)), lam, t)
+    left, right = a.multiplications
+    table = tuple(
+        tuple(
+            vadd(vadd(left[i].apply(t.col(j)), right[j].apply(t.col(i))), vscale(lam, a.c[i][j]))
+            for j in range(a.dim)
+        )
+        for i in range(a.dim)
+    )
+    return RBPreLieAlgebra(PreLieAlgebra(a.dim, table), lam, t)
 
 
 def derived_bimodule(r: RBPreLieAlgebra, m: RBBimodule, *, trusted: bool = False) -> RBBimodule:
@@ -409,21 +402,18 @@ def derived_bimodule(r: RBPreLieAlgebra, m: RBBimodule, *, trusted: bool = False
     if not trusted:
         require_valid(r, m)
     bm, tm, t = m.bimodule, m.t_m, r.operator
-    d, md = bm.base_dim, bm.mod_dim
-    S_new = []
-    P_new = []
-    for i in range(d):
-        ei = r.algebra.basis_vector(i)
-        ti = t.col(i)
-        s_cols = []
-        p_cols = []
-        for u in range(md):
-            eu = bm.basis_vector(u)
-            s_cols.append(vsub(bm.left(ti, eu), tm.apply(bm.left(ei, eu))))
-            p_cols.append(vsub(bm.right(eu, ti), tm.apply(bm.right(eu, ei))))
-        S_new.append(RationalMatrix.from_cols(s_cols, md))
-        P_new.append(RationalMatrix.from_cols(p_cols, md))
-    return RBBimodule(Bimodule(d, md, tuple(S_new), tuple(P_new)), tm)
+    md = bm.mod_dim
+    times_u, u_times = bm.at_module_basis
+
+    def derived(through: Matrices, old: RationalMatrix, i: int) -> RationalMatrix:
+        # column u: T(eᵢ) acting on e_u, minus T_M of eᵢ acting on e_u
+        return RationalMatrix.from_cols([x.apply(t.col(i)) for x in through], md).sub(
+            tm.matmul(old)
+        )
+
+    S_new = tuple(derived(times_u, s, i) for i, s in enumerate(bm.S))
+    P_new = tuple(derived(u_times, p, i) for i, p in enumerate(bm.P))
+    return RBBimodule(Bimodule(bm.base_dim, md, S_new, P_new), tm)
 
 
 def check_morphism(r1: RBPreLieAlgebra, r2: RBPreLieAlgebra, phi: RationalMatrix) -> Verdict:

@@ -82,7 +82,10 @@ from .twoalg import (
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc}") from None
 
 
 def _emit(args, doc: dict) -> None:

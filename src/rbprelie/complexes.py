@@ -224,7 +224,7 @@ def rba_differential(
     if not trusted:
         require_valid(r, m)
     n = c.degree
-    matrix = _combined_matrix(
+    matrix = _rba_block_matrix(
         _coboundary_matrix(r.algebra, m.bimodule, n),
         _phi_matrix(r, m, n),
         _operator_matrix(r, m, n - 1) if n else None,
@@ -255,7 +255,7 @@ def phi_matrix(r: RBPreLieAlgebra, m: RBBimodule, degree: int) -> RationalMatrix
     return _phi_matrix(r, m, degree)
 
 
-def _combined_matrix(
+def _rba_block_matrix(
     delta: RationalMatrix, chain: RationalMatrix, partial: RationalMatrix | None
 ) -> RationalMatrix:
     """The block matrix [[δₙ, 0], [−Φₙ, −∂ₙ₋₁]] of the combined coboundary in
@@ -291,7 +291,7 @@ class ComplexData:
         """dₙ; the combined one is composed from this object's δₙ, Φₙ, ∂ₙ₋₁."""
         PLA, RBO = ComplexKind.PLA, ComplexKind.RBO
         if kind is ComplexKind.RBA:
-            return self._once(("d", kind, n), lambda: _combined_matrix(
+            return self._once(("d", kind, n), lambda: _rba_block_matrix(
                 self.d(PLA, n), self.phi(n), self.d(RBO, n - 1) if n else None
             ))
         return self._once(("d", kind, n), lambda: differential_matrix(kind, self.r, self.m, n))

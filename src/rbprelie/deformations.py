@@ -25,7 +25,8 @@ from .algebras import (
     RBPreLieAlgebra,
     Verdict,
     Violation,
-    apply_table,
+    bilinear,
+    multiplication_matrices,
     named,
     pre_lie_defects,
     regular_bimodule,
@@ -216,6 +217,7 @@ def gauge_transform(
     def psi_at(k: int) -> RationalMatrix:
         return psi.maps[k] if k < len(psi.maps) else zero
 
+    lefts = [multiplication_matrices(mu, dim, dim)[0] for mu in d.products]
     new_products = []
     new_operators = []
     for n in range(n_max + 1):
@@ -224,12 +226,11 @@ def gauge_transform(
             for b in range(n + 1 - a):
                 for i in range(n + 1 - a - b):
                     j = n - a - b - i
-                    mu_b = d.products[b]
                     for p in range(dim):
                         xp = psi_at(i).col(p)
                         for q in range(dim):
                             yq = psi_at(j).col(q)
-                            val = eta[a].apply(apply_table(mu_b, xp, yq, dim))
+                            val = eta[a].apply(bilinear(lefts[b], xp, yq, dim))
                             table[p][q] = vadd(table[p][q], val)
         new_products.append(tuple(tuple(row) for row in table))
         op = RationalMatrix.zeros(dim, dim)

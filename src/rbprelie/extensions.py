@@ -215,7 +215,7 @@ def extract_cocycle(e: ExtensionData, s: RationalMatrix) -> ExtractResult:
     d, md = e.base_dim, e.mod_dim
     base = quotient_structure(e)
     total_alg = e.total.algebra
-    incl = e.inclusion()
+    left, right = total_alg.multiplications
 
     def m_part(v: Vector) -> Vector:
         if not is_zero_vector(v[:d]):
@@ -228,16 +228,12 @@ def extract_cocycle(e: ExtensionData, s: RationalMatrix) -> ExtractResult:
     for i in range(d):
         s_i = s_cols[i]
         S_mats.append(
-            RationalMatrix.from_cols(
-                [m_part(total_alg.product(s_i, incl.col(u))) for u in range(md)], md
-            )
+            RationalMatrix.from_cols([m_part(right[d + u].apply(s_i)) for u in range(md)], md)
         )
         P_mats.append(
-            RationalMatrix.from_cols(
-                [m_part(total_alg.product(incl.col(u), s_i)) for u in range(md)], md
-            )
+            RationalMatrix.from_cols([m_part(left[d + u].apply(s_i)) for u in range(md)], md)
         )
-    t_m_cols = [m_part(e.total.operator.apply(incl.col(u))) for u in range(md)]
+    t_m_cols = [m_part(e.total.operator.col(d + u)) for u in range(md)]
     bimod = RBBimodule(
         Bimodule(d, md, tuple(S_mats), tuple(P_mats)),
         RationalMatrix.from_cols(t_m_cols, md),

@@ -146,16 +146,19 @@ def load_yaml(text: str) -> Any:
 
     Parsed by libyaml when PyYAML has it.  A text libyaml rejects is parsed
     again by the pure-Python loader, whose document or error message is the
-    answer, so a YAML error reads the same with or without libyaml.
+    answer, so a YAML error reads the same with or without libyaml.  Nesting
+    deeper than the pure-Python loader can recurse is a parse error too.
     """
     try:
         return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except (yaml.YAMLError, UnicodeEncodeError):  # libyaml reads UTF-8 bytes
+    except (yaml.YAMLError, UnicodeEncodeError, RecursionError):  # libyaml reads UTF-8 bytes
         pass
     try:
         return yaml.load(text, Loader=yaml.SafeLoader)
     except yaml.YAMLError as exc:
         raise ParseError(f"not valid YAML: {exc}") from None
+    except RecursionError:
+        raise ParseError("not valid YAML: nested too deeply") from None
 
 
 def serialize_vector(v: Sequence[Fraction]) -> list[str]:

@@ -27,7 +27,6 @@ from .algebras import (
     PreLieAlgebra,
     RBBimodule,
     RBPreLieAlgebra,
-    apply_table,
     regular_bimodule,
     zero_table,
 )
@@ -377,13 +376,9 @@ def random_crossed_module(rng: random.Random, dim0: int, dim1_extra: int = 1):
             rho,
             rho_inv,
         )
+        g1 = PreLieAlgebra(cm.dim1, cm.g1_product)
         product = tuple(
-            tuple(
-                rho_inv.apply(
-                    apply_table(cm.g1_product, rho.col(a), rho.col(b), cm.dim1)
-                )
-                for b in range(cm.dim1)
-            )
+            tuple(rho_inv.apply(g1.product(rho.col(a), rho.col(b))) for b in range(cm.dim1))
             for a in range(cm.dim1)
         )
         cm = CrossedModule(

@@ -20,19 +20,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .algebras import (
     Bimodule,
     Defects,
     InvalidStructureError,
+    Matrices,
     PreLieAlgebra,
     ProductTable,
     RBBimodule,
     RBPreLieAlgebra,
     Verdict,
-    apply_table,
+    bilinear,
     bimodule_defects,
+    multiplication_matrices,
     named,
     pre_lie_defects,
     rb_bimodule_defects,
@@ -79,20 +82,37 @@ class TwoAlgebra:
     def basis0(self, i: int) -> Vector:
         return unit_vector(i, self.dim0)
 
-    def basis1(self, a: int) -> Vector:
-        return unit_vector(a, self.dim1)
+    @cached_property
+    def lr00(self) -> tuple[Matrices, Matrices]:
+        """(L, R) of l2_00."""
+        return multiplication_matrices(self.l2_00, self.dim0, self.dim0)
+
+    @cached_property
+    def lr01(self) -> tuple[Matrices, Matrices]:
+        """(L, R) of l2_01: L[x] is the level-mixing left action of e_x."""
+        return multiplication_matrices(self.l2_01, self.dim1, self.dim1)
+
+    @cached_property
+    def lr10(self) -> tuple[Matrices, Matrices]:
+        """(L, R) of l2_10: R[x] is the level-mixing right action of e_x."""
+        return multiplication_matrices(self.l2_10, self.dim0, self.dim1)
+
+    @cached_property
+    def lr_t2(self) -> tuple[Matrices, Matrices]:
+        """(L, R) of t2."""
+        return multiplication_matrices(self.t2, self.dim0, self.dim1)
 
     def mul00(self, x: Sequence, y: Sequence) -> Vector:
-        return apply_table(self.l2_00, x, y, self.dim0)
+        return bilinear(self.lr00[0], x, y, self.dim0)
 
     def mul01(self, x: Sequence, alpha: Sequence) -> Vector:
-        return apply_table(self.l2_01, x, alpha, self.dim1)
+        return bilinear(self.lr01[0], x, alpha, self.dim1)
 
     def mul10(self, alpha: Sequence, x: Sequence) -> Vector:
-        return apply_table(self.l2_10, alpha, x, self.dim1)
+        return bilinear(self.lr10[0], alpha, x, self.dim1)
 
     def t2_apply(self, x: Sequence, y: Sequence) -> Vector:
-        return apply_table(self.t2, x, y, self.dim1)
+        return bilinear(self.lr_t2[0], x, y, self.dim1)
 
     def is_skeletal(self) -> bool:
         return self.d_map.is_zero()
@@ -110,35 +130,30 @@ def check_prelie_2alg(t: TwoAlgebra) -> Verdict:
 
 def _prelie_2alg_defects(t: TwoAlgebra) -> Defects:
     d0, d1 = t.dim0, t.dim1
+    (l00, r00), (l01, r01), (l10, r10) = t.lr00, t.lr01, t.lr10
     for x in range(d0):
-        ex = t.basis0(x)
         for a in range(d1):
             da = t.d_map.col(a)
-            yield "a", (x, a), vsub(t.d_map.apply(t.l2_01[x][a]), t.mul00(ex, da))
-            yield "b", (a, x), vsub(t.d_map.apply(t.l2_10[a][x]), t.mul00(da, ex))
+            yield "a", (x, a), vsub(t.d_map.apply(t.l2_01[x][a]), l00[x].apply(da))
+            yield "b", (a, x), vsub(t.d_map.apply(t.l2_10[a][x]), r00[x].apply(da))
     for a in range(d1):
         da = t.d_map.col(a)
-        ea = t.basis1(a)
         for b in range(d1):
-            yield "c", (a, b), vsub(t.mul01(da, t.basis1(b)), t.mul10(ea, t.d_map.col(b)))
+            yield "c", (a, b), vsub(r01[b].apply(da), l10[a].apply(t.d_map.col(b)))
     for x in range(d0):
-        ex = t.basis0(x)
         for y in range(d0):
-            ey = t.basis0(y)
-            xy, yx = t.l2_00[x][y], t.l2_00[y][x]
+            bracket = vsub(t.l2_00[x][y], t.l2_00[y][x])
             for z in range(d0):
-                ez = t.basis0(z)
-                rhs = vsub(t.mul00(ex, t.l2_00[y][z]), t.mul00(xy, ez))
-                rhs = vsub(rhs, vsub(t.mul00(ey, t.l2_00[x][z]), t.mul00(yx, ez)))
+                rhs = vsub(l00[x].apply(t.l2_00[y][z]), l00[y].apply(t.l2_00[x][z]))
+                rhs = vsub(rhs, r00[z].apply(bracket))
                 yield "e1", (x, y, z), vsub(t.d_map.apply(t.l3.eval([x, y, z])), rhs)
             for a in range(d1):
-                ea = t.basis1(a)
                 da = t.d_map.col(a)
-                rhs = vsub(t.mul01(ex, t.l2_01[y][a]), t.mul01(xy, ea))
-                rhs = vsub(rhs, vsub(t.mul01(ey, t.l2_01[x][a]), t.mul01(yx, ea)))
+                rhs = vsub(l01[x].apply(t.l2_01[y][a]), l01[y].apply(t.l2_01[x][a]))
+                rhs = vsub(rhs, r01[a].apply(bracket))
                 yield "e2", (x, y, a), vsub(t.l3.eval([x, y, da]), rhs)
-                rhs = vsub(t.mul10(ea, xy), t.mul10(t.l2_10[a][x], ey))
-                rhs = vsub(rhs, vsub(t.mul01(ex, t.l2_10[a][y]), t.mul10(t.l2_01[x][a], ey)))
+                rhs = vsub(l10[a].apply(t.l2_00[x][y]), r10[y].apply(t.l2_10[a][x]))
+                rhs = vsub(rhs, vsub(l01[x].apply(t.l2_10[a][y]), r10[y].apply(t.l2_01[x][a])))
                 yield "e3", (a, x, y), vsub(t.l3.eval([da, x, y]), rhs)
     for key in itertools.product(range(d0), repeat=4):
         yield "f", key, condition_f_value(t, *key)
@@ -146,14 +161,13 @@ def _prelie_2alg_defects(t: TwoAlgebra) -> Defects:
 
 def condition_f_value(t: TwoAlgebra, w: int, x: int, y: int, z: int) -> Vector:
     """The twelve-term top coherence, evaluated on basis indices."""
-    ew, ez = t.basis0(w), t.basis0(z)
-    ex, ey = t.basis0(x), t.basis0(y)
-    val = t.mul01(ew, t.l3.eval([x, y, z]))
-    val = vsub(val, t.mul01(ex, t.l3.eval([w, y, z])))
-    val = vadd(val, t.mul01(ey, t.l3.eval([w, x, z])))
-    val = vadd(val, t.mul10(t.l3.eval([x, y, w]), ez))
-    val = vsub(val, t.mul10(t.l3.eval([w, y, x]), ez))
-    val = vadd(val, t.mul10(t.l3.eval([w, x, y]), ez))
+    l01, r10 = t.lr01[0], t.lr10[1]
+    val = l01[w].apply(t.l3.eval([x, y, z]))
+    val = vsub(val, l01[x].apply(t.l3.eval([w, y, z])))
+    val = vadd(val, l01[y].apply(t.l3.eval([w, x, z])))
+    val = vadd(val, r10[z].apply(t.l3.eval([x, y, w])))
+    val = vsub(val, r10[z].apply(t.l3.eval([w, y, x])))
+    val = vadd(val, r10[z].apply(t.l3.eval([w, x, y])))
     val = vsub(val, t.l3.eval([x, y, t.l2_00[w][z]]))
     val = vadd(val, t.l3.eval([w, y, t.l2_00[x][z]]))
     val = vsub(val, t.l3.eval([w, x, t.l2_00[y][z]]))
@@ -170,26 +184,27 @@ def condition_v_value(t: TwoAlgebra, lam: Fraction, x1: int, x2: int, x3: int) -
     star-product insertions into T₂, and every T₀-insertion pattern into l₃
     weighted by λ to the number of untouched slots minus one.
     """
-    e1v, e2v, e3v = t.basis0(x1), t.basis0(x2), t.basis0(x3)
+    (l00, r00), (l01, _), (_, r10), (lt2, rt2) = t.lr00, t.lr01, t.lr10, t.lr_t2
     t0_1, t0_2, t0_3 = t.t0.col(x1), t.t0.col(x2), t.t0.col(x3)
     th_23 = t.t2[x2][x3]
     th_13 = t.t2[x1][x3]
     th_21 = t.t2[x2][x1]
     th_12 = t.t2[x1][x2]
 
-    def star(u: Sequence, v: Sequence) -> Vector:
+    def star(i: int, j: int) -> Vector:
+        """e_i ⋆ e_j = e_i·T₀(e_j) + T₀(e_i)·e_j + λ e_i·e_j."""
         return vadd(
-            vadd(t.mul00(u, t.t0.apply(v)), t.mul00(t.t0.apply(u), v)),
-            vscale(lam, t.mul00(u, v)),
+            vadd(l00[i].apply(t.t0.col(j)), r00[j].apply(t.t0.col(i))),
+            vscale(lam, t.l2_00[i][j]),
         )
 
-    val = vsub(t.mul01(t0_1, th_23), t.t1.apply(t.mul01(e1v, th_23)))
-    val = vsub(val, vsub(t.mul01(t0_2, th_13), t.t1.apply(t.mul01(e2v, th_13))))
-    val = vadd(val, vsub(t.mul10(th_21, t0_3), t.t1.apply(t.mul10(th_21, e3v))))
-    val = vsub(val, vsub(t.mul10(th_12, t0_3), t.t1.apply(t.mul10(th_12, e3v))))
-    val = vsub(val, t.t2_apply(e2v, star(e1v, e3v)))
-    val = vadd(val, t.t2_apply(e1v, star(e2v, e3v)))
-    val = vsub(val, t.t2_apply(vsub(star(e1v, e2v), star(e2v, e1v)), e3v))
+    val = vsub(t.mul01(t0_1, th_23), t.t1.apply(l01[x1].apply(th_23)))
+    val = vsub(val, vsub(t.mul01(t0_2, th_13), t.t1.apply(l01[x2].apply(th_13))))
+    val = vadd(val, vsub(t.mul10(th_21, t0_3), t.t1.apply(r10[x3].apply(th_21))))
+    val = vsub(val, vsub(t.mul10(th_12, t0_3), t.t1.apply(r10[x3].apply(th_12))))
+    val = vsub(val, lt2[x2].apply(star(x1, x3)))
+    val = vadd(val, lt2[x1].apply(star(x2, x3)))
+    val = vsub(val, rt2[x3].apply(vsub(star(x1, x2), star(x2, x1))))
     val = vadd(val, t.l3.eval([t0_1, t0_2, t0_3]))
     lam2 = lam * lam
     val = vsub(val, vscale(lam2, t.t1.apply(t.l3.eval([x1, x2, x3]))))
@@ -208,56 +223,40 @@ def check_rb_2alg(t: TwoAlgebra, weight) -> Verdict:
 
 
 def _rb_2alg_defects(t: TwoAlgebra, lam: Fraction) -> Defects:
+    (l00, r00), (l01, r01), (l10, r10), (lt2, rt2) = t.lr00, t.lr01, t.lr10, t.lr_t2
     comm = t.t0.matmul(t.d_map).sub(t.d_map.matmul(t.t1))
     for a in range(t.dim1):
         yield "i", (a,), comm.col(a)
     for x in range(t.dim0):
-        ex = t.basis0(x)
         t0x = t.t0.col(x)
         for y in range(t.dim0):
-            ey = t.basis0(y)
             t0y = t.t0.col(y)
-            inner = vadd(
-                vadd(t.mul00(t0x, ey), t.mul00(ex, t0y)), vscale(lam, t.l2_00[x][y])
-            )
+            inner = vadd(vadd(r00[y].apply(t0x), l00[x].apply(t0y)), vscale(lam, t.l2_00[x][y]))
             yield "ii", (x, y), vsub(
                 vsub(t.t0.apply(inner), t.mul00(t0x, t0y)),
                 t.d_map.apply(t.t2[x][y]),
             )
     for a in range(t.dim1):
-        ea = t.basis1(a)
         t1a = t.t1.col(a)
         da = t.d_map.col(a)
         for x in range(t.dim0):
-            ex = t.basis0(x)
             t0x = t.t0.col(x)
-            inner = vadd(
-                vadd(t.mul10(t1a, ex), t.mul10(ea, t0x)), vscale(lam, t.l2_10[a][x])
-            )
+            inner = vadd(vadd(r10[x].apply(t1a), l10[a].apply(t0x)), vscale(lam, t.l2_10[a][x]))
             yield "iii", (a, x), vsub(
-                vsub(t.t1.apply(inner), t.mul10(t1a, t0x)), t.t2_apply(da, ex)
+                vsub(t.t1.apply(inner), t.mul10(t1a, t0x)), rt2[x].apply(da)
             )
-            inner = vadd(
-                vadd(t.mul01(ex, t1a), t.mul01(t0x, ea)), vscale(lam, t.l2_01[x][a])
-            )
+            inner = vadd(vadd(l01[x].apply(t1a), r01[a].apply(t0x)), vscale(lam, t.l2_01[x][a]))
             yield "iv", (x, a), vsub(
-                vsub(t.t1.apply(inner), t.mul01(t0x, t1a)), t.t2_apply(ex, da)
+                vsub(t.t1.apply(inner), t.mul01(t0x, t1a)), lt2[x].apply(da)
             )
     for key in itertools.product(range(t.dim0), repeat=3):
         yield "v", key, condition_v_value(t, lam, *key)
 
 
 def _actions_from_tables(t: TwoAlgebra) -> Bimodule:
-    """The mixed products as actions: S[x]α = l₂(e_x, α), P[x]α = l₂(α, e_x)."""
-    S = tuple(
-        RationalMatrix.from_cols([t.l2_01[x][a] for a in range(t.dim1)], t.dim1)
-        for x in range(t.dim0)
-    )
-    P = tuple(
-        RationalMatrix.from_cols([t.l2_10[a][x] for a in range(t.dim1)], t.dim1)
-        for x in range(t.dim0)
-    )
-    return Bimodule(t.dim0, t.dim1, S, P)
+    """The mixed products as actions: S[x]α = l₂(e_x, α), P[x]α = l₂(α, e_x),
+    the L of l2_01 and the R of l2_10."""
+    return Bimodule(t.dim0, t.dim1, t.lr01[0], t.lr10[1])
 
 
 def _tables_from_actions(bm: Bimodule) -> tuple[ProductTable, ProductTable]:
@@ -356,6 +355,8 @@ def _crossed_module_defects(cm: CrossedModule) -> Defects:
     yield from bimodule_defects(g0.algebra, bimod.bimodule)
     yield from rb_bimodule_defects(g0, bimod)
     d_cols = [d_map.col(a) for a in range(cm.dim1)]
+    left, right = g0.algebra.multiplications
+    times_b, a_times = bimod.bimodule.at_module_basis
     # d is a product morphism g₁ → g₀
     for a, da in enumerate(d_cols):
         for b, db in enumerate(d_cols):
@@ -364,20 +365,17 @@ def _crossed_module_defects(cm: CrossedModule) -> Defects:
             )
     # C1
     for x in range(cm.dim0):
-        ex = g0.algebra.basis_vector(x)
         for a, da in enumerate(d_cols):
-            yield "c1_left", (x, a), vsub(d_map.apply(cm.S[x].col(a)), g0.algebra.product(ex, da))
-            yield "c1_right", (x, a), vsub(d_map.apply(cm.P[x].col(a)), g0.algebra.product(da, ex))
+            yield "c1_left", (x, a), vsub(d_map.apply(cm.S[x].col(a)), left[x].apply(da))
+            yield "c1_right", (x, a), vsub(d_map.apply(cm.P[x].col(a)), right[x].apply(da))
     comm = d_map.matmul(cm.t1).sub(g0.operator.matmul(d_map))
     for a in range(cm.dim1):
         yield "c1_operator", (a,), comm.col(a)
     # C2
-    bm = bimod.bimodule
     for a, da in enumerate(d_cols):
-        ea = bm.basis_vector(a)
         for b, db in enumerate(d_cols):
-            yield "c2_left", (a, b), vsub(bm.left(da, bm.basis_vector(b)), g1_product[a][b])
-            yield "c2_right", (a, b), vsub(bm.right(ea, db), g1_product[a][b])
+            yield "c2_left", (a, b), vsub(times_b[b].apply(da), g1_product[a][b])
+            yield "c2_right", (a, b), vsub(a_times[a].apply(db), g1_product[a][b])
 
 
 def strict_to_crossed(t: TwoAlgebra, weight, *, trusted: bool = False) -> CrossedModule:
@@ -390,9 +388,9 @@ def strict_to_crossed(t: TwoAlgebra, weight, *, trusted: bool = False) -> Crosse
         if not check_prelie_2alg(t).ok or not check_rb_2alg(t, lam).ok:
             raise InvalidStructureError("structure fails the two-term checks")
     g0 = RBPreLieAlgebra(PreLieAlgebra(t.dim0, t.l2_00), lam, t.t0)
+    r01 = t.lr01[1]
     product = tuple(
-        tuple(t.mul01(t.d_map.col(a), t.basis1(b)) for b in range(t.dim1))
-        for a in range(t.dim1)
+        tuple(r01[b].apply(t.d_map.col(a)) for b in range(t.dim1)) for a in range(t.dim1)
     )
     bm = _actions_from_tables(t)
     return CrossedModule(g0, product, t.d_map, bm.S, bm.P, t.t1)

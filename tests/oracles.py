@@ -9,6 +9,13 @@ routes: they evaluate cochains at basis and vector arguments with
 map's matrix term by term from the structure constants.  Agreement with the
 package is therefore a genuine two-route check.  ``second_condition_v``
 reads the operator coherence through those routes.
+
+The ``*_by_table`` routines at the very end are the package's former
+product route: literal transcriptions of the law kernels, defect streams,
+derived structures and gauge transform as they were written over the dense
+bilinear kernel ``apply_table``, with a unit vector as one argument wherever
+a basis vector is multiplied.  The package reads the same products through
+the left and right multiplication matrices of each table.
 """
 
 from fractions import Fraction
@@ -24,9 +31,11 @@ from rbprelie.algebras import (
 )
 from rbprelie.cochains import Cochain, RBACochain, basis_keys, cochain_from_bilinear, space_dim
 from rbprelie.complexes import ComplexKind, complex_space_dim
+from rbprelie.deformations import TruncatedDeformation, series_inverse
 from rbprelie.linalg import (
     RationalMatrix,
     is_zero_vector,
+    unit_vector,
     vadd,
     vscale,
     vsub,
@@ -497,3 +506,208 @@ def matrix_by_eval(kind, r, m, degree):
     columns = [route(f).coords() for f in basis_cochains(degree, d, md)]
     out_degree = degree if kind == "phi" else degree + 1
     return RationalMatrix.from_cols(columns, space_dim(out_degree, d, md))
+
+
+def apply_table(table, x, y, out_dim):
+    """Bilinear extension of a table: table[i][j] holds the image of (e_i, e_j)."""
+    out = [Fraction(0)] * out_dim
+    for i, xi in enumerate(x):
+        if xi == 0:
+            continue
+        for j, yj in enumerate(y):
+            if yj == 0:
+                continue
+            coeff = xi * yj
+            for k, ck in enumerate(table[i][j]):
+                if ck != 0:
+                    out[k] += coeff * ck
+    return tuple(out)
+
+
+def _left_by_table(bm, x, u):
+    """x · u for an algebra vector x and module vector u."""
+    out = zero_vector(bm.mod_dim)
+    for i, xi in enumerate(x):
+        if xi != 0:
+            out = vadd(out, vscale(xi, bm.S[i].apply(u)))
+    return out
+
+
+def _right_by_table(bm, u, y):
+    """u · y for a module vector u and algebra vector y."""
+    out = zero_vector(bm.mod_dim)
+    for j, yj in enumerate(y):
+        if yj != 0:
+            out = vadd(out, vscale(yj, bm.P[j].apply(u)))
+    return out
+
+
+def _combine(x, cols, dim):
+    """Σₖ xₖ·cols[k]."""
+    out = zero_vector(dim)
+    for xk, col in zip(x, cols):
+        if xk != 0:
+            out = vadd(out, vscale(xk, col))
+    return out
+
+
+def _basis_columns(m):
+    """For each module basis vector e_u: the products (eₖ·e_u)ₖ and (e_u·eₖ)ₖ,
+    read off the u-th columns of the action matrices."""
+    return [([s.col(u) for s in m.S], [p.col(u) for p in m.P]) for u in range(m.mod_dim)]
+
+
+def pre_lie_defects_by_table(mus, n):
+    """The tⁿ coefficient of the pre-Lie identity for μ_t = Σ μᵢtⁱ on every
+    basis triple, keyed (i, j, k)."""
+    dim = len(mus[0])
+    basis = [unit_vector(i, dim) for i in range(dim)]
+    out = {}
+    for i in range(dim):
+        for j in range(dim):
+            for k in range(dim):
+                defect = zero_vector(dim)
+                for a in range(n + 1):
+                    mu_a, mu_b = mus[a], mus[n - a]
+                    lhs = vsub(
+                        apply_table(mu_a, mu_b[i][j], basis[k], dim),
+                        apply_table(mu_a, basis[i], mu_b[j][k], dim),
+                    )
+                    rhs = vsub(
+                        apply_table(mu_a, mu_b[j][i], basis[k], dim),
+                        apply_table(mu_a, basis[j], mu_b[i][k], dim),
+                    )
+                    defect = vadd(defect, vsub(lhs, rhs))
+                out[(i, j, k)] = defect
+    return out
+
+
+def rota_baxter_defects_by_table(mus, ts, lam, n):
+    """The tⁿ coefficient of the weighted Rota-Baxter law on every basis
+    pair, keyed (i, j)."""
+    dim = len(mus[0])
+    basis = [unit_vector(i, dim) for i in range(dim)]
+    cols = [[t.col(i) for i in range(dim)] for t in ts[: n + 1]]
+    out = {}
+    for i in range(dim):
+        for j in range(dim):
+            defect = zero_vector(dim)
+            for a in range(n + 1):
+                for b in range(n + 1 - a):
+                    defect = vadd(defect, apply_table(mus[a], cols[b][i], cols[n - a - b][j], dim))
+            for a in range(n + 1):
+                inner = vscale(lam, mus[n - a][i][j])
+                for b in range(n + 1 - a):
+                    c = n - a - b
+                    inner = vadd(inner, apply_table(mus[b], basis[i], cols[c][j], dim))
+                    inner = vadd(inner, apply_table(mus[b], cols[c][i], basis[j], dim))
+                defect = vsub(defect, ts[a].apply(inner))
+            out[(i, j)] = defect
+    return out
+
+
+def bimodule_defects_by_table(a, m):
+    """Both pre-Lie representation laws on basis pairs acting on basis vectors."""
+    S, P, md = m.S, m.P, m.mod_dim
+    cols = _basis_columns(m)
+    for i in range(a.dim):
+        for j in range(a.dim):
+            cij, cji = a.c[i][j], a.c[j][i]
+            for u, (su, pu) in enumerate(cols):
+                lhs = vsub(S[i].apply(su[j]), _combine(cij, su, md))
+                rhs = vsub(S[j].apply(su[i]), _combine(cji, su, md))
+                yield "left_action", (i, j, u), vsub(lhs, rhs)
+                lhs = vsub(S[i].apply(pu[j]), P[j].apply(su[i]))
+                rhs = vsub(_combine(cij, pu, md), P[j].apply(pu[i]))
+                yield "mixed_action", (i, j, u), vsub(lhs, rhs)
+
+
+def rb_bimodule_defects_by_table(r, m):
+    """Both weighted compatibility laws between T and the module operator."""
+    bm, tm, t, lam = m.bimodule, m.t_m, r.operator, r.weight
+    md = bm.mod_dim
+    cols = _basis_columns(bm)
+    for i in range(r.dim):
+        ti = t.col(i)
+        for u, (su, pu) in enumerate(cols):
+            tu = tm.col(u)
+            inner = vadd(vadd(bm.S[i].apply(tu), _combine(ti, su, md)), vscale(lam, su[i]))
+            yield "rb_left", (i, u), vsub(_left_by_table(bm, ti, tu), tm.apply(inner))
+            inner = vadd(vadd(_combine(ti, pu, md), bm.P[i].apply(tu)), vscale(lam, pu[i]))
+            yield "rb_right", (i, u), vsub(_right_by_table(bm, tu, ti), tm.apply(inner))
+
+
+def star_algebra_by_table(r):
+    """The induced product a⋆b = a·T(b) + T(a)·b + λ a·b, same operator and weight."""
+    a, t, lam = r.algebra, r.operator, r.weight
+    table = []
+    for i in range(a.dim):
+        ei = unit_vector(i, a.dim)
+        ti = t.col(i)
+        row = []
+        for j in range(a.dim):
+            ej = unit_vector(j, a.dim)
+            tj = t.col(j)
+            row.append(vadd(
+                vadd(apply_table(a.c, ei, tj, a.dim), apply_table(a.c, ti, ej, a.dim)),
+                vscale(lam, a.c[i][j]),
+            ))
+        table.append(tuple(row))
+    return RBPreLieAlgebra(PreLieAlgebra(a.dim, tuple(table)), lam, t)
+
+
+def derived_bimodule_by_table(r, m):
+    """Actions a▷u = T(a)·u − T_M(a·u), u◁a = u·T(a) − T_M(u·a); operator unchanged."""
+    bm, tm, t = m.bimodule, m.t_m, r.operator
+    d, md = bm.base_dim, bm.mod_dim
+    S_new = []
+    P_new = []
+    for i in range(d):
+        ei = unit_vector(i, r.dim)
+        ti = t.col(i)
+        s_cols = []
+        p_cols = []
+        for u in range(md):
+            eu = unit_vector(u, md)
+            s_cols.append(vsub(_left_by_table(bm, ti, eu), tm.apply(_left_by_table(bm, ei, eu))))
+            p_cols.append(
+                vsub(_right_by_table(bm, eu, ti), tm.apply(_right_by_table(bm, eu, ei)))
+            )
+        S_new.append(RationalMatrix.from_cols(s_cols, md))
+        P_new.append(RationalMatrix.from_cols(p_cols, md))
+    return RBBimodule(Bimodule(d, md, tuple(S_new), tuple(P_new)), tm)
+
+
+def gauge_transform_by_table(r, d, psi):
+    """The deformation (ψ_t⁻¹∘μ_t∘(ψ_t⊗ψ_t), ψ_t⁻¹∘T_t∘ψ_t), truncated."""
+    dim = r.dim
+    n_max = d.order
+    eta = series_inverse(psi.maps, n_max)
+    zero = RationalMatrix.zeros(dim, dim)
+
+    def psi_at(k):
+        return psi.maps[k] if k < len(psi.maps) else zero
+
+    new_products = []
+    new_operators = []
+    for n in range(n_max + 1):
+        table = [[zero_vector(dim) for _ in range(dim)] for _ in range(dim)]
+        for a in range(n + 1):
+            for b in range(n + 1 - a):
+                for i in range(n + 1 - a - b):
+                    j = n - a - b - i
+                    mu_b = d.products[b]
+                    for p in range(dim):
+                        xp = psi_at(i).col(p)
+                        for q in range(dim):
+                            yq = psi_at(j).col(q)
+                            val = eta[a].apply(apply_table(mu_b, xp, yq, dim))
+                            table[p][q] = vadd(table[p][q], val)
+        new_products.append(tuple(tuple(row) for row in table))
+        op = RationalMatrix.zeros(dim, dim)
+        for a in range(n + 1):
+            for b in range(n + 1 - a):
+                i = n - a - b
+                op = op.add(eta[a].matmul(d.operators[b]).matmul(psi_at(i)))
+        new_operators.append(op)
+    return TruncatedDeformation(r, tuple(new_products), tuple(new_operators))

@@ -149,6 +149,19 @@ def test_parse_errors_name_their_file(tmp_path):
         assert err.count(str(broken)) == 1
 
 
+def test_unreadable_text_is_a_parse_error_naming_the_file(tmp_path):
+    # a file that is not UTF-8, and YAML nested deeper than the loader recurses
+    undecodable = tmp_path / "utf16.yaml"
+    undecodable.write_bytes(bytes.fromhex("fffe0064"))
+    nested = tmp_path / "nested.yaml"
+    nested.write_text("[" * 5000, encoding="utf-8")
+    for path, message in ((undecodable, "not UTF-8 text: "), (nested, "not valid YAML: ")):
+        code, err = _main(["check", path])
+        assert code == 2
+        assert err.startswith(f"parse error: {path}: {message}")
+        assert err.count(str(path)) == 1
+
+
 def _generated_documents() -> dict:
     """Small seeded documents of every kind the fuzzed commands read."""
     rng = random.Random(11)

@@ -270,6 +270,17 @@ def test_yaml_errors_read_as_the_pure_loader_words_them(text, yaml_route):
     assert str(got.value) == f"not valid YAML: {pure.value}"
 
 
+# libyaml rejects these and the pure-Python loader would recurse past the
+# interpreter's limit re-parsing them
+DEEPLY_NESTED_YAML = ["[" * 5000, "{a: " * 5000]
+
+
+@pytest.mark.parametrize("text", DEEPLY_NESTED_YAML, ids=lambda text: repr(text[:4]))
+def test_deeply_nested_yaml_is_a_parse_error(text, yaml_route):
+    with pytest.raises(ParseError, match="^not valid YAML: nested too deeply$"):
+        load_yaml(text)
+
+
 def test_libyaml_words_its_errors_differently():
     # the reason load_yaml parses a rejected text a second time
     if not hasattr(yaml, "CSafeLoader"):

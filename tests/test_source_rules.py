@@ -23,6 +23,15 @@ Assembly evaluates no cochain: ``complexes`` builds every matrix from the
 structure constants and never calls ``.eval``, and the evaluation routes it
 is compared against live in ``tests/oracles.py``, which no package module
 imports.
+
+Every product is read through the left and right multiplication matrices of
+its table (``algebras.multiplication_matrices`` and ``algebras.bilinear``):
+no package module defines or imports ``apply_table``, and no product or
+action call (``.product``, ``.left``, ``.right``, ``mul00``/``mul01``/
+``mul10``, ``t2_apply``) takes a basis vector (a ``unit_vector``,
+``basis_vector``, ``basis0`` or ``basis1`` call, or a name bound to one in the
+same function) as an argument: a product with a basis vector is one
+``apply`` of a multiplication matrix, and of two basis vectors a table entry.
 """
 
 import ast
@@ -232,3 +241,50 @@ def test_package_does_not_import_the_tests(path):
         and any(alias.name.split(".")[0] in test_modules for alias in node.names)
     ]
     assert not found, f"{path.name} imports test code at lines {found}"
+
+
+PRODUCT_CALLS = {"product", "left", "right", "mul00", "mul01", "mul10", "t2_apply"}
+BASIS_CALLS = {"unit_vector", "basis_vector", "basis0", "basis1"}
+
+
+def _called_name(call: ast.Call) -> str:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def _is_basis_call(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and _called_name(node) in BASIS_CALLS
+
+
+def _products_of_basis_vectors(tree: ast.AST):
+    functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.Lambda))]
+    for fn in [tree, *functions]:
+        basis_names = {
+            target.id
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign) and _is_basis_call(node.value)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and _called_name(node) in PRODUCT_CALLS:
+                for arg in node.args + [k.value for k in node.keywords]:
+                    if _is_basis_call(arg) or isinstance(arg, ast.Name) and arg.id in basis_names:
+                        yield f"line {node.lineno}: {_called_name(node)} of a basis vector"
+
+
+def _apply_table_names(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "apply_table":
+            yield f"line {node.lineno} defines apply_table"
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+            alias.name.split(".")[-1] == "apply_table" for alias in node.names
+        ):
+            yield f"line {node.lineno} imports apply_table"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_products_go_through_multiplication_matrices(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = sorted(set(_products_of_basis_vectors(tree))) + list(_apply_table_names(tree))
+    assert not found, f"{path.name}: {found}"
