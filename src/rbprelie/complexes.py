@@ -76,13 +76,10 @@ from .linalg import (
     RationalMatrix,
     Vector,
     column_space,
-    echelon_basis,
     is_zero_vector,
     kernel_basis,
     rank,
-    same_subspace,
     solve_linear,
-    vadd,
     vscale,
     zero_vector,
 )
@@ -356,46 +353,29 @@ class LESReport:
         return self.ok
 
 
-def _kernel_plus_boundaries(
-    images: list[Vector],
-    cocycles: list[Vector],
-    boundaries: tuple[Vector, ...],
-    target_boundaries: EchelonBasis,
-    ambient: int,
-) -> EchelonBasis:
-    # {z ∈ Z : f(z) ∈ B'} is the kernel of z ↦ f(z) mod B' (``images`` is
-    # f(Z)), the residue convention of ``ComplexData.solve``; then add the
-    # boundaries of this degree.
-    if not cocycles:
-        return echelon_basis(boundaries, ambient)
-    residues = RationalMatrix.from_cols(
-        [target_boundaries.reduce(w) for w in images], target_boundaries.dim_ambient
-    )
-    members: list[Vector] = []
-    for combo in kernel_basis(residues):
-        v = zero_vector(ambient)
-        for c, z in zip(combo, cocycles):
-            if c != 0:
-                v = vadd(v, vscale(c, z))
-        members.append(v)
-    return echelon_basis(members + list(boundaries), ambient)
-
-
 def les_check(r: RBPreLieAlgebra, m: RBBimodule, max_degree: int) -> LESReport:
     """Exactness of the induced long sequence up to ``max_degree``.
 
     One walk over the 3(N+1) positions H⁰_RBA → H⁰_PLA → H⁰_RBO → H¹_RBA →
-    … → Hᴺ_RBO.  The map out of each position acts on coordinate vectors:
-    the projection (f, g) ↦ f keeps the pre-Lie block, the chain map is
-    f ↦ Φₙf, and the connecting map is g ↦ (0, −g); no matrix is built for
-    the first and the last.  At each step the map is checked to be well
-    defined on representatives (cocycles to cocycles, boundaries into
-    boundaries), and the image of the incoming map (boundaries only at
-    H⁰_RBA) is compared with the kernel of the outgoing one inside the
-    cocycle space.  Matrices, cocycle bases and boundary spans come from one
-    :class:`ComplexData`; of degree N+1, where the walk ends with the
-    connecting map out of Hᴺ_RBO, it reads only the combined matrix (built
-    from δ_{N+1}, Φ_{N+1} and ∂_N) and the boundaries in it.
+    … → Hᴺ_RBO.  The map g out of each position acts on coordinate vectors:
+    the projection (f, g) ↦ f, the chain map f ↦ Φₙf and the connecting map
+    g ↦ (0, −g), with no matrix built for the first and the last.  Each g is
+    checked to be well defined (cocycles to cocycles, boundaries into
+    boundaries).  Every count is a rank of residues modulo the boundaries B′
+    where g lands: ρ(V) has the columns B′.reduce(g(v)), v ∈ V.  With Z and
+    B the cocycle basis and boundary span of the position, F the images of
+    the incoming map f (none at H⁰_RBA), r_g = rank ρ(Z), r_B = rank ρ(B) and
+    r_f the previous position's r_g:
+
+      * ``image_dim`` = dim B + r_f = dim(im f + B);
+      * ``kernel_dim`` = |Z| − r_g + r_B = dim(ker g + B) when B ⊆ Z;
+      * ``exact``: B ⊆ Z (dₙb = 0 on the basis of B), F ⊆ Z (the previous
+        check), equal dimensions and rank [ρ(B) | ρ(F)] = r_B, so that
+        im f + B ⊆ ker g + B and the two are equal.
+
+    B ⊆ Z is d∘d = 0; where it fails (T not a Rota-Baxter operator) the
+    position is not exact.  Everything comes from one :class:`ComplexData`;
+    of degree N+1 only the combined matrix and its boundaries are read.
     """
     PLA, RBO, RBA = ComplexKind.PLA, ComplexKind.RBO, ComplexKind.RBA
     data = ComplexData(r, m)
@@ -410,26 +390,38 @@ def les_check(r: RBPreLieAlgebra, m: RBBimodule, max_degree: int) -> LESReport:
     # the map out of each kind of position: its name, and the complex and
     # degree shift of the position it lands in
     steps = {RBA: ("projection", PLA, 0), PLA: ("chain map", RBO, 0), RBO: ("connecting", RBA, 1)}
+
+    def rank_in(target: tuple[ComplexKind, int], columns: list[Vector]) -> int:
+        return rank(RationalMatrix.from_cols(columns, data.dim(*target)))
+
     positions, map_checks = [], []
     incoming: list[Vector] = []
+    incoming_rank, incoming_closed = 0, True
     for n in range(max_degree + 1):
         for kind in (RBA, PLA, RBO):
             name, target_kind, shift = steps[kind]
             here, target = (kind, n), (target_kind, n + shift)
-            cocycles, boundaries = data.cocycles(*here), data.boundaries(*here).vectors
-            target_boundaries = data.boundaries(*target)
+            cocycles, boundaries = data.cocycles(*here), data.boundaries(*here)
+            reduce = data.boundaries(*target).reduce
             images = [outgoing(kind, n, z) for z in cocycles]
-            well_defined = all(
-                is_zero_vector(data.d(*target).apply(w)) for w in images
-            ) and all(target_boundaries.contains(outgoing(kind, n, b)) for b in boundaries)
+            on_boundaries = [reduce(outgoing(kind, n, b)) for b in boundaries.vectors]
+            closed = all(is_zero_vector(data.d(*target).apply(w)) for w in images)
+            well_defined = closed and all(map(is_zero_vector, on_boundaries))
             map_checks.append((f"{name} deg {n}", well_defined))
 
-            ambient = data.dim(*here)
-            image = echelon_basis(incoming + list(boundaries), ambient)
-            kernel = _kernel_plus_boundaries(images, cocycles, boundaries, target_boundaries, ambient)
-            exact = same_subspace(image, kernel)
-            positions.append(PositionReport(f"H{n}_{kind.name}", image.dim, kernel.dim, exact))
-            incoming = images
+            image_rank = rank_in(target, [reduce(w) for w in images])
+            boundary_rank = rank_in(target, on_boundaries)
+            image_dim = boundaries.dim + incoming_rank
+            kernel_dim = len(cocycles) - image_rank + boundary_rank
+            exact = (
+                incoming_closed
+                and all(is_zero_vector(data.d(*here).apply(b)) for b in boundaries.vectors)
+                and image_dim == kernel_dim
+                and rank_in(target, on_boundaries + [reduce(outgoing(kind, n, f)) for f in incoming])
+                == boundary_rank
+            )
+            positions.append(PositionReport(f"H{n}_{kind.name}", image_dim, kernel_dim, exact))
+            incoming, incoming_rank, incoming_closed = images, image_rank, closed
 
     ok = all(p.exact for p in positions) and all(okk for _, okk in map_checks)
     return LESReport(ok, tuple(positions), tuple(map_checks))

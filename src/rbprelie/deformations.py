@@ -135,17 +135,17 @@ class InfinitesimalResult:
 
 
 def infinitesimal(r: RBPreLieAlgebra, d: TruncatedDeformation) -> InfinitesimalResult:
+    """The pair (μ₁, T₁) as a combined 2-cochain, once orders 0 and 1 hold."""
     if d.order < 1:
         raise DeformationError("deformation has no order-1 coefficients")
-    verdict = check_deformation(r, d)
-    bad = verdict.orders[1]
-    if not bad.ok:
-        raise DeformationError("deformation is invalid at order 1", bad.violations)
+    truncated = TruncatedDeformation(r, d.products[:2], d.operators[:2])
+    verdict = check_deformation(r, truncated)
+    n = verdict.first_bad_order()
+    if n is not None:
+        raise DeformationError(f"deformation is invalid at order {n}", verdict.orders[n].violations)
     pair = RBACochain(
         cochain_from_bilinear(d.products[1], r.dim), cochain_from_matrix(d.operators[1])
     )
-    from .complexes import rba_differential
-
     defect = rba_differential(r, regular_bimodule(r), pair, trusted=True)
     return InfinitesimalResult(pair, defect.is_zero(), defect)
 

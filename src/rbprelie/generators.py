@@ -127,6 +127,18 @@ def conjugate_bimodule(
     )
 
 
+def _as_algebra(table: list[list[list[Fraction]]]) -> PreLieAlgebra:
+    return PreLieAlgebra(len(table), tuple(tuple(tuple(v) for v in row) for row in table))
+
+
+def _diagonal_operator(rng: random.Random, cs: list[Fraction], weight: Fraction) -> RationalMatrix:
+    """Diagonal, with entry 0 or −λ where cs is nonzero and a random one elsewhere."""
+    diag = [rng.choice([Fraction(0), -weight]) if c != 0 else random_fraction(rng) for c in cs]
+    return RationalMatrix.from_rows(
+        [[diag[i] if i == j else Fraction(0) for j in range(len(cs))] for i in range(len(cs))]
+    )
+
+
 def _family_pair(rng: random.Random, dim: int, weight: Fraction) -> tuple[PreLieAlgebra, RationalMatrix]:
     choice = rng.randrange(5)
     zero = zero_vector(dim)
@@ -151,24 +163,14 @@ def _family_pair(rng: random.Random, dim: int, weight: Fraction) -> tuple[PreLie
                 for k in range(low, dim):
                     col[k] = random_fraction(rng)
             op_cols.append(col)
-        return (
-            PreLieAlgebra(dim, tuple(tuple(tuple(v) for v in row) for row in table)),
-            RationalMatrix.from_cols(op_cols, dim),
-        )
+        return _as_algebra(table), RationalMatrix.from_cols(op_cols, dim)
     if choice == 2:
         # componentwise products e_i·e_i = c_i e_i
         cs = [random_fraction(rng) for _ in range(dim)]
         table = [[list(zero) for _ in range(dim)] for _ in range(dim)]
         for i in range(dim):
             table[i][i][i] = cs[i]
-        diag = [
-            rng.choice([Fraction(0), -weight]) if cs[j] != 0 else random_fraction(rng)
-            for j in range(dim)
-        ]
-        op = RationalMatrix.from_rows(
-            [[diag[i] if i == j else Fraction(0) for j in range(dim)] for i in range(dim)]
-        )
-        return PreLieAlgebra(dim, tuple(tuple(tuple(v) for v in row) for row in table)), op
+        return _as_algebra(table), _diagonal_operator(rng, cs, weight)
     if choice == 3:
         # one basis vector scales everything on the left
         p = rng.randrange(dim)
@@ -176,14 +178,7 @@ def _family_pair(rng: random.Random, dim: int, weight: Fraction) -> tuple[PreLie
         table = [[list(zero) for _ in range(dim)] for _ in range(dim)]
         for j in range(dim):
             table[p][j][j] = cs[j]
-        diag = [
-            rng.choice([Fraction(0), -weight]) if cs[j] != 0 else random_fraction(rng)
-            for j in range(dim)
-        ]
-        op = RationalMatrix.from_rows(
-            [[diag[i] if i == j else Fraction(0) for j in range(dim)] for i in range(dim)]
-        )
-        return PreLieAlgebra(dim, tuple(tuple(tuple(v) for v in row) for row in table)), op
+        return _as_algebra(table), _diagonal_operator(rng, cs, weight)
     # truncated polynomial products
     table = [[list(zero) for _ in range(dim)] for _ in range(dim)]
     for i in range(dim):
@@ -191,7 +186,7 @@ def _family_pair(rng: random.Random, dim: int, weight: Fraction) -> tuple[PreLie
             if i + j + 1 < dim:
                 table[i][j][i + j + 1] = Fraction(1)
     op = RationalMatrix.zeros(dim, dim) if rng.random() < 0.5 else RationalMatrix.identity(dim).scale(-weight)
-    return PreLieAlgebra(dim, tuple(tuple(tuple(v) for v in row) for row in table)), op
+    return _as_algebra(table), op
 
 
 def random_rb_pre_lie(
@@ -259,6 +254,16 @@ def random_rb_bimodule(
         ident = RationalMatrix.identity(r.dim)
         m = conjugate_bimodule(m, ident, ident, rho, invert(rho))
     return m
+
+
+def coadjoint_module(r: RBPreLieAlgebra) -> RBBimodule:
+    """The dual of the regular module: A* with left action −Lₓᵀ + Rₓᵀ, right
+    action Rₓᵀ and operator −λ·id − Tᵀ; it draws nothing."""
+    left, right = r.algebra.multiplications
+    S = tuple(rx.transpose().sub(lx.transpose()) for lx, rx in zip(left, right))
+    P = tuple(rx.transpose() for rx in right)
+    t_m = RationalMatrix.identity(r.dim).scale(-r.weight).sub(r.operator.transpose())
+    return RBBimodule(Bimodule(r.dim, r.dim, S, P), t_m)
 
 
 def random_valid_pair(

@@ -10,12 +10,17 @@ map's matrix term by term from the structure constants.  Agreement with the
 package is therefore a genuine two-route check.  ``second_condition_v``
 reads the operator coherence through those routes.
 
-The ``*_by_table`` routines at the very end are the package's former
-product route: literal transcriptions of the law kernels, defect streams,
-derived structures and gauge transform as they were written over the dense
+The ``*_by_table`` routines are the package's former product route:
+literal transcriptions of the law kernels, defect streams, derived
+structures and gauge transform as they were written over the dense
 bilinear kernel ``apply_table``, with a unit vector as one argument wherever
 a basis vector is multiplied.  The package reads the same products through
 the left and right multiplication matrices of each table.
+
+``les_by_subspaces`` at the very end is the package's former LES walk: it
+compares the image of the incoming map with the kernel of the outgoing one
+as echelon subspaces of cochain space, where ``complexes.les_check`` decides
+exactness by ranks of residue matrices.
 """
 
 from fractions import Fraction
@@ -30,11 +35,22 @@ from rbprelie.algebras import (
     star_algebra,
 )
 from rbprelie.cochains import Cochain, RBACochain, basis_keys, cochain_from_bilinear, space_dim
-from rbprelie.complexes import ComplexKind, complex_space_dim
+from rbprelie.complexes import (
+    ComplexData,
+    ComplexKind,
+    LESReport,
+    PositionReport,
+    complex_space_dim,
+)
 from rbprelie.deformations import TruncatedDeformation, series_inverse
 from rbprelie.linalg import (
+    EchelonBasis,
     RationalMatrix,
+    Vector,
+    echelon_basis,
     is_zero_vector,
+    kernel_basis,
+    same_subspace,
     unit_vector,
     vadd,
     vscale,
@@ -711,3 +727,70 @@ def gauge_transform_by_table(r, d, psi):
                 op = op.add(eta[a].matmul(d.operators[b]).matmul(psi_at(i)))
         new_operators.append(op)
     return TruncatedDeformation(r, tuple(new_products), tuple(new_operators))
+
+
+def _kernel_plus_boundaries(
+    images: list[Vector],
+    cocycles: list[Vector],
+    boundaries: tuple[Vector, ...],
+    target_boundaries: EchelonBasis,
+    ambient: int,
+) -> EchelonBasis:
+    # {z ∈ Z : f(z) ∈ B'} is the kernel of z ↦ f(z) mod B' (``images`` is
+    # f(Z)), the residue convention of ``ComplexData.solve``; then add the
+    # boundaries of this degree.
+    if not cocycles:
+        return echelon_basis(boundaries, ambient)
+    residues = RationalMatrix.from_cols(
+        [target_boundaries.reduce(w) for w in images], target_boundaries.dim_ambient
+    )
+    members: list[Vector] = []
+    for combo in kernel_basis(residues):
+        v = zero_vector(ambient)
+        for c, z in zip(combo, cocycles):
+            if c != 0:
+                v = vadd(v, vscale(c, z))
+        members.append(v)
+    return echelon_basis(members + list(boundaries), ambient)
+
+
+def les_by_subspaces(r: RBPreLieAlgebra, m: RBBimodule, max_degree: int) -> LESReport:
+    """The LES walk of ``les_check``, with the image of the incoming map and
+    the kernel of the outgoing one built as echelon subspaces of the cocycle
+    space and compared by ``same_subspace``."""
+    PLA, RBO, RBA = ComplexKind.PLA, ComplexKind.RBO, ComplexKind.RBA
+    data = ComplexData(r, m)
+
+    def outgoing(kind: ComplexKind, n: int, v: Vector) -> Vector:
+        if kind is RBA:
+            return v[: data.dim(PLA, n)]
+        if kind is PLA:
+            return data.phi(n).apply(v)
+        return zero_vector(data.dim(PLA, n + 1)) + vscale(Fraction(-1), v)
+
+    # the map out of each kind of position: its name, and the complex and
+    # degree shift of the position it lands in
+    steps = {RBA: ("projection", PLA, 0), PLA: ("chain map", RBO, 0), RBO: ("connecting", RBA, 1)}
+    positions, map_checks = [], []
+    incoming: list[Vector] = []
+    for n in range(max_degree + 1):
+        for kind in (RBA, PLA, RBO):
+            name, target_kind, shift = steps[kind]
+            here, target = (kind, n), (target_kind, n + shift)
+            cocycles, boundaries = data.cocycles(*here), data.boundaries(*here).vectors
+            target_boundaries = data.boundaries(*target)
+            images = [outgoing(kind, n, z) for z in cocycles]
+            well_defined = all(
+                is_zero_vector(data.d(*target).apply(w)) for w in images
+            ) and all(target_boundaries.contains(outgoing(kind, n, b)) for b in boundaries)
+            map_checks.append((f"{name} deg {n}", well_defined))
+
+            ambient = data.dim(*here)
+            image = echelon_basis(incoming + list(boundaries), ambient)
+            kernel = _kernel_plus_boundaries(images, cocycles, boundaries, target_boundaries, ambient)
+            exact = same_subspace(image, kernel)
+            positions.append(PositionReport(f"H{n}_{kind.name}", image.dim, kernel.dim, exact))
+            incoming = images
+
+    ok = all(p.exact for p in positions) and all(okk for _, okk in map_checks)
+    return LESReport(ok, tuple(positions), tuple(map_checks))

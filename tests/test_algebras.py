@@ -21,6 +21,7 @@ from rbprelie import (
 )
 from rbprelie.algebras import InvalidStructureError, Verdict, require_valid, zero_table
 from rbprelie.generators import (
+    coadjoint_module,
     random_matrix,
     random_rb_pre_lie,
     random_valid_pair,
@@ -344,6 +345,19 @@ def test_regular_module_laws_are_the_algebra_laws():
             with pytest.raises(InvalidStructureError):
                 require_valid(r, m)
     assert all(invalid_seen.values())
+
+
+def test_coadjoint_module_is_valid_with_nonzero_actions():
+    # the dual of the regular module passes the validity gate on every draw,
+    # and on most draws the algebra acts on it
+    acting = 0
+    for seed in range(30):
+        for dim in (2, 3):
+            r, _ = random_valid_pair(random.Random(seed), dim)
+            m = coadjoint_module(r)
+            assert require_valid(r, m) is m
+            acting += not all(a.is_zero() for a in (*m.bimodule.S, *m.bimodule.P))
+    assert acting >= 30
 
 
 def test_random_generators_produce_valid_structures():

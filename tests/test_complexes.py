@@ -31,6 +31,7 @@ from rbprelie.complexes import (
 )
 from rbprelie.files import parse_algebra_file
 from rbprelie.generators import (
+    coadjoint_module,
     random_cochain,
     random_rba_cochain,
     random_valid_pair,
@@ -40,6 +41,7 @@ from rbprelie.linalg import RationalMatrix, column_space, rank, solve_linear, ze
 
 from conftest import make_a0, make_a1, make_a1n, make_affine, make_noncommuting_module
 from oracles import (
+    les_by_subspaces,
     matrix_by_eval,
     phi_by_eval,
     phi_literal,
@@ -100,22 +102,30 @@ def test_commutator_candidate_fails_square_zero():
     assert not pla_differential(r.algebra, m, g).is_zero()
 
 
+def _and_coadjoint(rng, r, m, seed):
+    """(module, cochain stream) pairs: the drawn module with the test's
+    stream, then the coadjoint module with a stream of its own, so that the
+    test's seeded draws stay as they were."""
+    return ((m, rng), (coadjoint_module(r), random.Random(seed)))
+
+
 def test_squares_vanish_randomized():
     rng = random.Random(1)
-    for _ in range(10):
-        r, m = random_valid_pair(rng, rng.randint(1, 3))
-        for n in range(0, 4):
-            f = random_cochain(rng, n, r.dim, m.mod_dim)
-            assert pla_differential(
-                r.algebra, m.bimodule, pla_differential(r.algebra, m.bimodule, f)
-            ).is_zero()
-            assert rbo_differential(
-                r, m, rbo_differential(r, m, f, trusted=True), trusted=True
-            ).is_zero()
-            c = random_rba_cochain(rng, n, r.dim, m.mod_dim)
-            assert rba_differential(
-                r, m, rba_differential(r, m, c, trusted=True), trusted=True
-            ).is_zero()
+    for i in range(10):
+        r, drawn = random_valid_pair(rng, rng.randint(1, 3))
+        for m, stream in _and_coadjoint(rng, r, drawn, i):
+            for n in range(0, 4):
+                f = random_cochain(stream, n, r.dim, m.mod_dim)
+                assert pla_differential(
+                    r.algebra, m.bimodule, pla_differential(r.algebra, m.bimodule, f)
+                ).is_zero()
+                assert rbo_differential(
+                    r, m, rbo_differential(r, m, f, trusted=True), trusted=True
+                ).is_zero()
+                c = random_rba_cochain(stream, n, r.dim, m.mod_dim)
+                assert rba_differential(
+                    r, m, rba_differential(r, m, c, trusted=True), trusted=True
+                ).is_zero()
 
 
 def test_operator_differential_routes_agree():
@@ -162,13 +172,14 @@ def test_operator_differential_scaled_identity_reduction():
 
 def test_chain_map_identity_randomized():
     rng = random.Random(4)
-    for _ in range(8):
-        r, m = random_valid_pair(rng, rng.randint(1, 3))
-        for n in range(1, 4):
-            f = random_cochain(rng, n, r.dim, m.mod_dim)
-            lhs = phi(r, m, pla_differential(r.algebra, m.bimodule, f))
-            rhs = rbo_differential(r, m, phi(r, m, f), trusted=True)
-            assert lhs.sub(rhs).is_zero()
+    for i in range(8):
+        r, drawn = random_valid_pair(rng, rng.randint(1, 3))
+        for m, stream in _and_coadjoint(rng, r, drawn, i):
+            for n in range(1, 4):
+                f = random_cochain(stream, n, r.dim, m.mod_dim)
+                lhs = phi(r, m, pla_differential(r.algebra, m.bimodule, f))
+                rhs = rbo_differential(r, m, phi(r, m, f), trusted=True)
+                assert lhs.sub(rhs).is_zero()
 
 
 def test_phi_forms_agree():
@@ -262,12 +273,13 @@ def test_differential_matrix_examples():
 def test_differential_matrices_compose_to_zero():
     rng = random.Random(7)
     for _ in range(5):
-        r, m = random_valid_pair(rng, rng.randint(1, 3))
-        for kind in ComplexKind:
-            for n in range(0, 3):
-                a = differential_matrix(kind, r, m, n + 1)
-                b = differential_matrix(kind, r, m, n)
-                assert a.matmul(b).is_zero()
+        r, drawn = random_valid_pair(rng, rng.randint(1, 3))
+        for m in (drawn, coadjoint_module(r)):
+            for kind in ComplexKind:
+                for n in range(0, 3):
+                    a = differential_matrix(kind, r, m, n + 1)
+                    b = differential_matrix(kind, r, m, n)
+                    assert a.matmul(b).is_zero()
 
 
 def _assert_matrices_match_functional(rng, r, m, degrees):
@@ -381,12 +393,14 @@ def test_les_report_a0_pinned(a0, a0_reg):
 
 def test_les_report_broken_operator_pinned():
     # T = Id at weight 0 is not a Rota-Baxter operator: the chain map fails
-    # to be well defined in degree 2 and exactness breaks around it
+    # to be well defined in degree 2 and exactness breaks around it.  The
+    # combined d₂∘d₁ is nonzero, so B₂ ⊄ Z₂ at H2_RBA and its kernel_dim is
+    # the rank formula |Z| − r_g + r_B (see les_check), not a subspace count
     r, _, _ = parse_algebra_file((FIXTURES / "a1_broken_rb.yaml").read_text())
     rows = [
         ("H0_RBA", 0, 0, True), ("H0_PLA", 0, 0, True), ("H0_RBO", 2, 2, True),
         ("H1_RBA", 2, 2, True), ("H1_PLA", 2, 2, True), ("H1_RBO", 0, 0, True),
-        ("H2_RBA", 4, 5, False), ("H2_PLA", 3, 3, True), ("H2_RBO", 6, 5, False),
+        ("H2_RBA", 4, 3, False), ("H2_PLA", 3, 3, True), ("H2_RBO", 6, 5, False),
     ]
     positions = tuple(PositionReport(*row) for row in rows)
     expected = LESReport(False, positions, _map_checks(2, failing={"chain map deg 2"}))
@@ -404,6 +418,36 @@ def test_les_randomized():
     for _ in range(4):
         r, m = random_valid_pair(rng, rng.randint(1, 3))
         assert les_check(r, m, 2).ok
+
+
+def test_les_by_ranks_equals_les_by_subspaces():
+    # the oracle compares echelon subspaces of cochain space; the rank
+    # identities give the same report wherever B ⊆ Z
+    cases = [(r, regular_bimodule(r), 3) for r in (make_a0(), make_a1n())]
+    for seed in range(8):
+        for dim in (1, 2, 3):
+            r, m = random_valid_pair(random.Random(seed), dim)
+            cases += [(r, module, 2) for module in (m, regular_bimodule(r), coadjoint_module(r))]
+    rng, wide = random.Random(7), []
+    while len(wide) < 2:
+        r, m = random_valid_pair(rng, 4)
+        if _nondegenerate(r, m):
+            wide.append((r, m, 2))
+    for r, m, top in cases + wide:
+        assert les_check(r, m, top) == les_by_subspaces(r, m, top)
+
+
+def test_les_by_ranks_on_a_broken_operator():
+    # where B₂ ⊄ Z₂ the two walks count kernel_dim at H2_RBA differently and
+    # agree on every other field
+    r, _, _ = parse_algebra_file((FIXTURES / "a1_broken_rb.yaml").read_text())
+    got, want = les_check(r, regular_bimodule(r), 2), les_by_subspaces(r, regular_bimodule(r), 2)
+    assert (got.ok, got.map_checks) == (want.ok, want.map_checks)
+    for p, q in zip(got.positions, want.positions, strict=True):
+        if p.position == "H2_RBA":
+            assert (p.kernel_dim, q.kernel_dim) == (3, 5)
+            q = PositionReport(q.position, q.image_dim, p.kernel_dim, q.exact)
+        assert p == q
 
 
 def test_phi_matrix_matches_functional():
@@ -464,7 +508,7 @@ def test_square_zero_and_chain_map_at_dimension_5():
         if _nondegenerate(r, m):
             pairs.append((r, m))
     PLA, RBO = ComplexKind.PLA, ComplexKind.RBO
-    for r, m in pairs:
+    for r, m in pairs + [(r, coadjoint_module(r)) for r, _ in pairs]:
         data = ComplexData(r, m)
         for n in range(4):
             for kind in ComplexKind:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,7 @@ from rbprelie.deformations import (
     trivial_deformation,
     trivialize,
 )
+from rbprelie.files import parse_algebra_file
 from rbprelie.generators import (
     random_gauge,
     random_matrix,
@@ -43,6 +45,8 @@ from rbprelie.generators import (
 from rbprelie.linalg import RationalMatrix
 
 from conftest import make_a0, make_idempotent
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _a0_mu1_deformation():
@@ -113,18 +117,40 @@ def test_infinitesimal_a0_fixture():
     assert bilinear_from_cochain(result.cochain.pla_part) == d.products[1]
 
 
+def _random_coefficients(rng, dim):
+    mu = tuple(tuple(random_matrix(rng, dim, dim).entries) for _ in range(dim))
+    return mu, random_matrix(rng, dim, dim)
+
+
 def test_infinitesimal_rejects_invalid_order1():
-    a0 = make_a0()
-    # weight 0, T = 0, so the operator condition at order 1 reads 0 = λ·…,
-    # make the product condition fail instead: impossible at dim 1 (both
-    # sides coincide), so use the idempotent base where μ₁ breaks it
-    r = make_idempotent(0)
-    mu1 = (((Fraction(1),),),)
-    t1 = RationalMatrix.from_rows([[1]])
+    rng = random.Random(5)
+    r = random_rb_pre_lie(rng, 2, Fraction(1))
+    mu1, t1 = _random_coefficients(rng, 2)
     d = TruncatedDeformation(r, (r.algebra.c, mu1), (r.operator, t1))
-    if not check_deformation(r, d).ok:
-        with pytest.raises(DeformationError):
-            infinitesimal(r, d)
+    assert check_deformation(r, d).first_bad_order() == 1
+    with pytest.raises(DeformationError, match="invalid at order 1") as raised:
+        infinitesimal(r, d)
+    assert raised.value.violations
+
+
+def test_infinitesimal_rejects_an_invalid_base():
+    # T = Id at weight 0 is not a Rota-Baxter operator: order 0 fails, so
+    # there is no infinitesimal to read, even of the trivial deformation
+    r, _, _ = parse_algebra_file((FIXTURES / "a1_broken_rb.yaml").read_text())
+    with pytest.raises(DeformationError, match="invalid at order 0") as raised:
+        infinitesimal(r, trivial_deformation(r, 2))
+    assert raised.value.violations
+
+
+def test_infinitesimal_reads_orders_0_and_1_only():
+    # random order-2 coefficients break order 2 but leave the order-1 pair
+    rng = random.Random(5)
+    r = random_rb_pre_lie(rng, 2, Fraction(1))
+    d = trivial_deformation(r, 1)
+    mu2, t2 = _random_coefficients(rng, 2)
+    broken = TruncatedDeformation(r, d.products + (mu2,), d.operators + (t2,))
+    assert check_deformation(r, broken).first_bad_order() == 2
+    assert infinitesimal(r, broken) == infinitesimal(r, d)
 
 
 def test_coboundary_extension_is_cocycle():

@@ -24,6 +24,10 @@ structure constants and never calls ``.eval``, and the evaluation routes it
 is compared against live in ``tests/oracles.py``, which no package module
 imports.
 
+LES exactness is decided by ranks: ``complexes`` neither imports nor calls
+``same_subspace`` or ``echelon_basis``; the subspace walk it replaced is the
+oracle ``les_by_subspaces`` in ``tests/oracles.py``.
+
 Every product is read through the left and right multiplication matrices of
 its table (``algebras.multiplication_matrices`` and ``algebras.bilinear``):
 no package module defines or imports ``apply_table``, and no product or
@@ -227,6 +231,26 @@ def test_assembly_evaluates_no_cochain():
         if isinstance(call.func, ast.Attribute) and call.func.attr == "eval"
     ]
     assert not found, f"complexes.py calls .eval: {found}"
+
+
+SUBSPACE_COMPARISONS = {"same_subspace", "echelon_basis"}
+
+
+def test_les_exactness_is_decided_by_ranks():
+    path = next(path for path in SOURCES if path.name == "complexes.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [
+        f"line {node.lineno} imports {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name.split(".")[-1] in SUBSPACE_COMPARISONS
+    ] + [
+        f"line {call.lineno} in {fn} calls {_callee(call)}"
+        for fn, call in _calls_by_function(tree)
+        if _callee(call).split(".")[-1] in SUBSPACE_COMPARISONS
+    ]
+    assert not found, f"complexes.py: {found}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
