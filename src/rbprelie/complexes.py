@@ -392,7 +392,8 @@ def les_check(r: RBPreLieAlgebra, m: RBBimodule, max_degree: int) -> LESReport:
     steps = {RBA: ("projection", PLA, 0), PLA: ("chain map", RBO, 0), RBO: ("connecting", RBA, 1)}
 
     def rank_in(target: tuple[ComplexKind, int], columns: list[Vector]) -> int:
-        return rank(RationalMatrix.from_cols(columns, data.dim(*target)))
+        # the rank of the vectors read as rows: rank ρ = rank ρᵀ
+        return rank(RationalMatrix(len(columns), data.dim(*target), tuple(columns)))
 
     positions, map_checks = [], []
     incoming: list[Vector] = []

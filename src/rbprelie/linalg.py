@@ -8,13 +8,22 @@ its sparse rows, the (column, value) pairs of its nonzeros, once, on first
 use.  Every product and every elimination step reads those rows, so no
 ``Fraction`` zero is ever multiplied.
 
-Elimination is rational Gauss-Jordan elimination on rows held as dicts
-(column → nonzero value), with the fixed pivot scan order of the textbook
+Elimination is Gauss-Jordan elimination on integer rows held as dicts
+(column → nonzero int), with the fixed pivot scan order of the textbook
 dense algorithm: columns in increasing order, and in each the topmost
-remaining row with a nonzero there.  The storage therefore does not show in
+remaining row with a nonzero there.  A rational row enters scaled by the lcm
+of its denominators; eliminating column c from a row with entry f there,
+against the pivot entry p, is row ← (p/g)·row − (f/g)·pivot with
+g = gcd(p, f), and each updated row is divided by the gcd of its entries
+(content normalisation), which keeps the coefficients from growing.  Only at
+the end does a pivot row become ``Fraction`` values, divided by its pivot
+entry.  Every row is at every step a nonzero rational multiple of the row
+rational elimination would hold, so the nonzero pattern, the swaps and the
+pivots are the same; the reduced row echelon form is unique, so the returned
+rows are equal too.  Neither the storage nor the integer arithmetic shows in
 any result: kernel bases, particular solutions and echelon bases are
-deterministic and the same as dense elimination gives.  Matrices are
-immutable; all functions are pure.
+deterministic and the same as dense rational elimination gives.  Matrices
+are immutable; all functions are pure.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -195,13 +205,37 @@ class RationalMatrix:
         return not any(self.sparse_rows)
 
 
-def _reduced_echelon(rows: list[dict[int, Fraction]], ncols: int) -> list[int]:
-    """Reduce dict rows (column → nonzero value) in place to reduced row
-    echelon form; returns the pivot columns.
+def _rational(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
 
-    The pivot of column c is the topmost row at or below the current one with
-    a nonzero in column c, as in dense elimination; a row update loops only
-    over the pivot row's nonzeros and drops the entries it cancels.
+
+def _integer_row(pairs: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
+    """The nonzeros (column, value) of a rational row as a primitive integer
+    row: scaled by the lcm of their denominators, then divided by the gcd of
+    the results."""
+    row = dict(pairs)
+    scale = lcm(*[x.denominator for x in row.values()])
+    for j, x in row.items():
+        row[j] = x.numerator * (scale // x.denominator)
+    _divide_by_content(row)
+    return row
+
+
+def _divide_by_content(row: dict[int, int]) -> None:
+    content = gcd(*row.values())
+    if content > 1:
+        for j, x in row.items():
+            row[j] = x // content
+
+
+def _reduced_echelon(rows: list[dict], ncols: int) -> list[int]:
+    """Reduce integer rows (from :func:`_integer_row`) in place to reduced row
+    echelon form over the rationals, as the module docstring describes;
+    returns the pivot columns.  Each pivot row is left as ``Fraction`` values
+    with 1 at its pivot column, and the rows below the last are empty.
+
+    A row update loops over the pivot row's nonzeros only (and over the
+    updated row's when it is scaled) and drops the entries it cancels.
     """
     nrows = len(rows)
     pivots: list[int] = []
@@ -211,35 +245,44 @@ def _reduced_echelon(rows: list[dict[int, Fraction]], ncols: int) -> list[int]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = _ONE / rows[r][c]
-        pivot = {j: inv * x for j, x in rows[r].items()}
-        rows[r] = pivot
+        pivot = rows[r]
+        p = pivot[c]
         pivot_items = list(pivot.items())
         for i, row in enumerate(rows):
             if i == r or c not in row:
                 continue
             f = row[c]
+            # g takes p's sign: a > 0, and a row needs no scaling when p divides f
+            g = gcd(p, f) if p > 0 else -gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                for j, x in row.items():
+                    row[j] = a * x
             for j, y in pivot_items:
-                x = row.get(j, _ZERO) - f * y
+                x = row.get(j, 0) - b * y
                 if x:
                     row[j] = x
                 else:
                     del row[j]
+            _divide_by_content(row)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
+    for r, c in enumerate(pivots):
+        p = rows[r][c]
+        rows[r] = {j: Fraction(x, p) for j, x in rows[r].items()}
     return pivots
 
 
-def _dict_rows(m: RationalMatrix) -> list[dict[int, Fraction]]:
-    return [dict(row) for row in m.sparse_rows]
+def _integer_rows(m: RationalMatrix) -> list[dict[int, int]]:
+    return [_integer_row(row) for row in m.sparse_rows]
 
 
 def rank(m: RationalMatrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
-    return len(_reduced_echelon(_dict_rows(m), m.cols))
+    return len(_reduced_echelon(_integer_rows(m), m.cols))
 
 
 def kernel_basis(m: RationalMatrix) -> list[Vector]:
@@ -252,7 +295,7 @@ def kernel_basis(m: RationalMatrix) -> list[Vector]:
         return []
     if m.rows == 0:
         return [unit_vector(j, m.cols) for j in range(m.cols)]
-    rows = _dict_rows(m)
+    rows = _integer_rows(m)
     pivots = _reduced_echelon(rows, m.cols)
     pivot_set = set(pivots)
     basis: dict[int, list[Fraction]] = {}
@@ -279,11 +322,10 @@ def solve_linear(a: RationalMatrix, b: Sequence) -> Vector | None:
         raise ValueError(f"dimension mismatch: got rhs of length {len(b)} for {a.rows} rows")
     if a.rows == 0:
         return zero_vector(a.cols)
-    rows = _dict_rows(a)
-    for row, bi in zip(rows, b):
-        bi = Fraction(bi)
-        if bi:
-            row[a.cols] = bi
+    rows = []
+    for row, bi in zip(a.sparse_rows, b):
+        bi = _rational(bi)
+        rows.append(_integer_row(chain(row, ((a.cols, bi),)) if bi else row))
     pivots = _reduced_echelon(rows, a.cols + 1)
     if a.cols in pivots:  # pivot in the augmented column: inconsistent
         return None
@@ -312,7 +354,7 @@ class EchelonBasis:
 
     def reduce(self, v: Sequence) -> Vector:
         """Residue of v modulo the subspace, supported on non-pivot coordinates."""
-        w = [Fraction(x) for x in v]
+        w = [x if type(x) is Fraction else Fraction(x) for x in v]
         if len(w) != self.dim_ambient:
             raise ValueError("dimension mismatch in reduce")
         for basis_vec, p in zip(self.sparse_vectors, self.pivots):
@@ -326,7 +368,7 @@ class EchelonBasis:
         return is_zero_vector(self.reduce(v))
 
 
-def _echelon(rows: list[dict[int, Fraction]], dim_ambient: int) -> EchelonBasis:
+def _echelon(rows: list[dict[int, int]], dim_ambient: int) -> EchelonBasis:
     if not rows:
         return EchelonBasis(dim_ambient, (), ())
     pivots = _reduced_echelon(rows, dim_ambient)
@@ -340,12 +382,12 @@ def echelon_basis(vectors: Iterable[Sequence], dim_ambient: int) -> EchelonBasis
     for v in vectors:
         if len(v) != dim_ambient:
             raise ValueError("dimension mismatch in echelon_basis")
-        rows.append({j: Fraction(x) for j, x in enumerate(v) if x})
+        rows.append(_integer_row((j, _rational(x)) for j, x in enumerate(v) if x))
     return _echelon(rows, dim_ambient)
 
 
 def column_space(m: RationalMatrix) -> EchelonBasis:
-    return _echelon(_dict_rows(m.transpose()), m.rows)
+    return _echelon(_integer_rows(m.transpose()), m.rows)
 
 
 def same_subspace(a: EchelonBasis, b: EchelonBasis) -> bool:

@@ -301,3 +301,112 @@ def test_sparse_core_equals_dense_oracle():
             assert space.contains(v) == all(a == 0 for a in residue)
         assert space.contains(in_span)
     assert inconsistent > 0
+
+
+def _returned_entries(m, rhs):
+    """Every entry the elimination functions return for m and the rhs."""
+    yield from (x for v in kernel_basis(m) for x in v)
+    yield from solve_linear(m, rhs) or ()
+    yield from (x for v in column_space(m).vectors for x in v)
+    space = echelon_basis(m.entries, m.cols)
+    yield from (x for v in space.vectors for x in v)
+    yield from space.reduce((1,) * m.cols)
+    yield from space.reduce(tuple(Fraction(k + 1, 3) for k in range(m.cols)))
+
+
+def test_elimination_returns_fractions_only():
+    # Fraction(3) == 3, so the equality tests would not see an int leak out
+    # of the integer elimination; repr (the block pins) and Vector would
+    rng = random.Random(21)
+    ints = RationalMatrix(3, 4, ((2, 4, 0, 6), (1, 2, 0, 3), (0, 0, 5, 1)))
+    cases = [
+        RationalMatrix.identity(3),
+        RationalMatrix.zeros(2, 3),
+        ints,
+        RationalMatrix.from_rows(ints.entries),
+        _sparse_random_matrix(rng, 5, 6, 0.6),
+        _sparse_random_matrix(rng, 4, 4, 1.0, big=True),
+    ]
+    for m in cases:
+        rhs = m.apply((1,) * m.cols)
+        found = [x for x in _returned_entries(m, rhs) if type(x) is not Fraction]
+        assert not found, f"{m}: {found}"
+        assert all(type(x) is Fraction for x in solve_linear(m, (3,) * m.rows) or ())
+
+
+M61 = 2**61 - 1
+
+
+def _adversarial_cases(rng):
+    """Matrices that stress integer rows: large coprime denominators,
+    coefficient growth, proportional rows, zero rows and empty shapes."""
+    yield RationalMatrix(0, 7, ())
+    yield RationalMatrix(7, 0, ((),) * 7)
+    for _ in range(4):  # entries with large coprime denominators
+        rows, cols = rng.randint(3, 8), rng.randint(3, 8)
+        yield RationalMatrix.from_rows(
+            [
+                [Fraction(rng.randint(-M61, M61), rng.choice((1, 97, 101, M61)))
+                 if rng.random() < 0.7 else 0 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+        )
+    for n in (20, 25, 30):  # rank-deficient products: coefficients grow
+        k = rng.randint(n // 3, n - 2)
+        a = _sparse_random_matrix(rng, n, k, 0.7)
+        b = _sparse_random_matrix(rng, k, n + rng.randint(-3, 3), 0.7)
+        yield a.matmul(b)
+    for _ in range(3):  # rational multiples of one row, and of two
+        base = _sparse_random_matrix(rng, 2, rng.randint(4, 9), 0.8, big=True).entries
+        factors = [Fraction(rng.randint(1, 9), rng.choice((-1, 97, 101, M61))) for _ in range(4)]
+        multiples = [tuple(c * x for x in base[0]) for c in factors]
+        yield RationalMatrix.from_rows(multiples)
+        yield RationalMatrix.from_rows(multiples[:2] + [base[1]] + multiples[2:] + [base[1]])
+    for _ in range(3):  # zero rows interleaved with a random block
+        m = _sparse_random_matrix(rng, rng.randint(2, 6), rng.randint(2, 8), 0.6)
+        zero = (Fraction(0),) * m.cols
+        rows = [row for row in m.entries for row in (zero, row)] + [zero]
+        yield RationalMatrix.from_rows(rows)
+
+
+def _assert_equals_dense_oracle(m, rhs):
+    transposed = tuple(tuple(m.entries[i][j] for i in range(m.rows)) for j in range(m.cols))
+    assert rank(m) == dense_rank(m)
+    assert kernel_basis(m) == dense_kernel_basis(m)
+    for b in rhs:
+        assert solve_linear(m, b) == dense_solve(m, b)
+    cs = column_space(m)
+    assert (cs.vectors, cs.pivots) == dense_echelon(transposed)
+    space = echelon_basis(m.entries, m.cols)
+    want_vectors, want_pivots = dense_echelon(m.entries)
+    assert (space.vectors, space.pivots) == (want_vectors, want_pivots)
+    for v in (*m.entries, tuple(Fraction(1, M61 + j) for j in range(m.cols))):
+        assert space.reduce(v) == dense_reduce(want_vectors, want_pivots, v)
+
+
+def _inconsistent_rhs(rng, m):
+    """A rhs off the column space of m, or None if m has full row rank."""
+    left = kernel_basis(m.transpose())  # y with yᵀm = 0
+    if not left:
+        return None
+    y = left[rng.randrange(len(left))]
+    # b with y·b ≠ 0: the unit vector at a nonzero of y, times a big prime ratio
+    i = next(i for i, x in enumerate(y) if x)
+    return tuple(Fraction(M61, 101) if k == i else Fraction(0) for k in range(m.rows))
+
+
+def test_adversarial_elimination_equals_dense_oracle():
+    """Integer-row elimination against the dense Fraction oracle, result for
+    result, on matrices chosen to break a fraction-free update."""
+    rng = random.Random(19)
+    inconsistent = 0
+    for m in _adversarial_cases(rng):
+        x = tuple(Fraction(rng.randint(-M61, M61), rng.choice((1, 97, M61))) for _ in range(m.cols))
+        rhs = [m.apply(x)]
+        off = _inconsistent_rhs(rng, m) if m.rows and m.cols else None
+        if off is not None:
+            assert dense_solve(m, off) is None
+            rhs.append(off)
+            inconsistent += 1
+        _assert_equals_dense_oracle(m, rhs)
+    assert inconsistent >= 10

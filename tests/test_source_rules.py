@@ -26,7 +26,10 @@ imports.
 
 LES exactness is decided by ranks: ``complexes`` neither imports nor calls
 ``same_subspace`` or ``echelon_basis``; the subspace walk it replaced is the
-oracle ``les_by_subspaces`` in ``tests/oracles.py``.
+oracle ``les_by_subspaces`` in ``tests/oracles.py``.  The residue vectors
+whose ranks it takes are read as rows: ``complexes`` never calls
+``RationalMatrix.from_cols``, which would copy them into dense columns only
+for elimination to read them back as sparse rows.
 
 Every product is read through the left and right multiplication matrices of
 its table (``algebras.multiplication_matrices`` and ``algebras.bilinear``):
@@ -251,6 +254,16 @@ def test_les_exactness_is_decided_by_ranks():
         if _callee(call).split(".")[-1] in SUBSPACE_COMPARISONS
     ]
     assert not found, f"complexes.py: {found}"
+
+
+def test_residue_ranks_take_no_dense_detour():
+    path = next(path for path in SOURCES if path.name == "complexes.py")
+    found = [
+        f"line {call.lineno} in {fn}"
+        for fn, call in _calls_by_function(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(call.func, ast.Attribute) and call.func.attr == "from_cols"
+    ]
+    assert not found, f"complexes.py calls RationalMatrix.from_cols: {found}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
