@@ -1,6 +1,9 @@
 """Pre-Lie algebras, Rota-Baxter operators and (Rota-Baxter) bimodules.
 
-Structures are plain immutable data; validity is never cached.  Every
+Structures are immutable data.  An algebra computes the defects of its own
+pre-Lie identity and Rota-Baxter law once, on first use, and keeps them
+(``pre_lie_law``, ``rota_baxter_law``); nothing else about validity is
+kept, and nothing outlives the object.  Every
 checker checks one family of laws: it produces a (law, 0-based basis tuple,
 defect) triple per basis tuple, and :func:`verdict` turns them into a
 :class:`Verdict` listing *all* violated basis tuples with their defect
@@ -137,6 +140,12 @@ class PreLieAlgebra:
         """(L, R) of the structure constants."""
         return multiplication_matrices(self.c, self.dim, self.dim)
 
+    @cached_property
+    def pre_lie_law(self) -> dict[tuple[int, int, int], Vector]:
+        """The defects of the pre-Lie identity, :func:`pre_lie_defects` at
+        order 0, computed once per object."""
+        return pre_lie_defects((self.c,), 0)
+
     def product(self, x: Sequence, y: Sequence) -> Vector:
         """Bilinear extension of the structure constants."""
         return bilinear(self.multiplications[0], x, y, self.dim)
@@ -160,6 +169,12 @@ class RBPreLieAlgebra:
     @property
     def dim(self) -> int:
         return self.algebra.dim
+
+    @cached_property
+    def rota_baxter_law(self) -> dict[tuple[int, int], Vector]:
+        """The defects of the weighted Rota-Baxter law,
+        :func:`rota_baxter_defects` at order 0, computed once per object."""
+        return rota_baxter_defects((self.algebra.c,), (self.operator,), self.weight, 0)
 
 
 @dataclass(frozen=True)
@@ -280,14 +295,12 @@ def rota_baxter_defects(
 
 def check_pre_lie(a: PreLieAlgebra) -> Verdict:
     """Associator symmetry on all basis triples."""
-    return verdict(named("pre_lie", pre_lie_defects((a.c,), 0)))
+    return verdict(named("pre_lie", a.pre_lie_law))
 
 
 def check_rb_operator(r: RBPreLieAlgebra) -> Verdict:
     """Weighted Rota-Baxter law on all basis pairs."""
-    return verdict(
-        named("rota_baxter", rota_baxter_defects((r.algebra.c,), (r.operator,), r.weight, 0))
-    )
+    return verdict(named("rota_baxter", r.rota_baxter_law))
 
 
 def bimodule_defects(a: PreLieAlgebra, m: Bimodule) -> Defects:

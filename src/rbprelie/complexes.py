@@ -80,7 +80,6 @@ from .linalg import (
     kernel_basis,
     rank,
     solve_linear,
-    vscale,
     zero_vector,
 )
 
@@ -154,22 +153,30 @@ def _assemble(
     terms: Iterator[Term], out_degree: int, in_degree: int, d: int, md: int
 ) -> RationalMatrix:
     """The sum of the terms, as the matrix from degree ``in_degree`` to
-    ``out_degree`` cochains; each term adds to the md × md block of its two keys."""
+    ``out_degree`` cochains; each term adds to the md × md block of its two
+    keys.  Each row is summed in a dict of its nonzeros, which become the
+    matrix's sparse rows."""
     row_of = {key: i * md for i, key in enumerate(basis_keys(out_degree, d))}
     col_of = {key: j * md for j, key in enumerate(basis_keys(in_degree, d))}
-    cols = space_dim(in_degree, d, md)
-    rows = [[Fraction(0)] * cols for _ in range(space_dim(out_degree, d, md))]
+    rows: list[dict[int, Fraction]] = [{} for _ in range(space_dim(out_degree, d, md))]
     for out_key, in_key, coeff, block in terms:
         r0, c0 = row_of[out_key], col_of[in_key]
         if block is None:
             for u in range(md):
-                rows[r0 + u][c0 + u] += coeff
+                row, j = rows[r0 + u], c0 + u
+                x = row.get(j)
+                row[j] = coeff if x is None else x + coeff
             continue
         for u, block_row in enumerate(block.sparse_rows):
             row = rows[r0 + u]
             for v, x in block_row:
-                row[c0 + v] += coeff * x
-    return RationalMatrix(len(rows), cols, tuple(map(tuple, rows)))
+                j = c0 + v
+                y = row.get(j)
+                row[j] = coeff * x if y is None else y + coeff * x
+    return RationalMatrix.from_sparse(
+        [tuple(sorted((j, x) for j, x in row.items() if x)) for row in rows],
+        space_dim(in_degree, d, md),
+    )
 
 
 def _coboundary_matrix(a: PreLieAlgebra, m: Bimodule, n: int) -> RationalMatrix:
@@ -259,9 +266,9 @@ def _rba_block_matrix(
     degree n, from δₙ, Φₙ and ∂ₙ₋₁; degree 0 (``partial`` None) has no right
     block."""
     if partial is None:
-        return RationalMatrix.block([[delta], [chain.scale(-1)]])
+        return RationalMatrix.block([[delta], [-chain]])
     zero = RationalMatrix.zeros(delta.rows, partial.cols)
-    return RationalMatrix.block([[delta, zero], [chain.scale(-1), partial.scale(-1)]])
+    return RationalMatrix.block([[delta, zero], [-chain, -partial]])
 
 
 class ComplexData:
@@ -385,7 +392,7 @@ def les_check(r: RBPreLieAlgebra, m: RBBimodule, max_degree: int) -> LESReport:
             return v[: data.dim(PLA, n)]
         if kind is PLA:
             return data.phi(n).apply(v)
-        return zero_vector(data.dim(PLA, n + 1)) + vscale(Fraction(-1), v)
+        return zero_vector(data.dim(PLA, n + 1)) + tuple([-x if x else x for x in v])
 
     # the map out of each kind of position: its name, and the complex and
     # degree shift of the position it lands in

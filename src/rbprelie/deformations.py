@@ -108,23 +108,27 @@ class DeformationVerdict:
         return None
 
 
+def _order_defects(r: RBPreLieAlgebra, d: TruncatedDeformation, n: int) -> tuple[dict, dict]:
+    """The order-n product and operator defects; order 0 is the base's own
+    laws, which r keeps once computed (``require_valid`` has usually read
+    them already)."""
+    if n == 0:
+        return r.algebra.pre_lie_law, r.rota_baxter_law
+    return pre_lie_defects(d.products, n), rota_baxter_defects(d.products, d.operators, r.weight, n)
+
+
 def check_deformation(r: RBPreLieAlgebra, d: TruncatedDeformation) -> DeformationVerdict:
     """The order-n product and operator conditions for every n ≤ order."""
     if d.base != r:
         raise ValueError("deformation was built over a different base structure")
-    per_order = tuple(
-        verdict(
-            chain(
-                named(f"deform_product_order_{n}", pre_lie_defects(d.products, n)),
-                named(
-                    f"deform_operator_order_{n}",
-                    rota_baxter_defects(d.products, d.operators, r.weight, n),
-                ),
-            )
-        )
-        for n in range(d.order + 1)
-    )
-    return DeformationVerdict(all(v.ok for v in per_order), per_order)
+    per_order = []
+    for n in range(d.order + 1):
+        product, operator = _order_defects(r, d, n)
+        per_order.append(verdict(chain(
+            named(f"deform_product_order_{n}", product),
+            named(f"deform_operator_order_{n}", operator),
+        )))
+    return DeformationVerdict(all(v.ok for v in per_order), tuple(per_order))
 
 
 @dataclass(frozen=True)
@@ -184,7 +188,7 @@ def series_inverse(maps: Sequence[RationalMatrix], order: int) -> list[RationalM
         for i in range(n):
             psi_coeff = maps[n - i] if n - i < len(maps) else RationalMatrix.zeros(dim, dim)
             acc = acc.add(eta[i].matmul(psi_coeff))
-        eta.append(acc.scale(Fraction(-1)))
+        eta.append(-acc)
     return eta
 
 
@@ -333,7 +337,7 @@ def trivialize(r: RBPreLieAlgebra, d: TruncatedDeformation) -> TrivializeResult:
         step_maps = [RationalMatrix.identity(dim)]
         for pos in range(1, n_max + 1):
             step_maps.append(
-                psi_k.scale(Fraction(-1)) if pos == k else RationalMatrix.zeros(dim, dim)
+                -psi_k if pos == k else RationalMatrix.zeros(dim, dim)
             )
         step = GaugeSeries(tuple(step_maps))
         current = gauge_transform(r, current, step)

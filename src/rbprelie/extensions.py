@@ -318,7 +318,7 @@ def iso_from_coboundary(
     zeta = RationalMatrix.block(
         [
             [RationalMatrix.identity(d), RationalMatrix.zeros(d, md)],
-            [gamma.scale(-1), RationalMatrix.identity(md)],
+            [-gamma, RationalMatrix.identity(md)],
         ]
     )
     ext1 = build_extension(r, m, c1, trusted=True).extension

@@ -1,12 +1,25 @@
 """Sparse exact linear algebra over the rationals.
 
-Everything in this package reduces to ranks, kernels and linear solves of
-matrices with ``fractions.Fraction`` entries, and the coboundary and
-chain-map matrices are mostly zeros.  A matrix keeps its dense ``entries``
-as its value (equality, ``repr`` and serialization read them) and derives
-its sparse rows, the (column, value) pairs of its nonzeros, once, on first
-use.  Every product and every elimination step reads those rows, so no
-``Fraction`` zero is ever multiplied.
+Everything in this package reduces to ranks, kernels, linear solves and
+matrix-vector products of matrices with ``fractions.Fraction`` entries, and
+the coboundary and chain-map matrices are mostly zeros.  A matrix keeps its
+dense ``entries`` as its value (equality, ``repr`` and serialization read
+them) and derives two views of its nonzeros once, on first use: its sparse
+rows, the (column, value) pairs of each row, and its integer rows, each row
+as (d, pairs) with the row's nonzeros x/d for its (column, integer x) pairs
+and d the lcm of their denominators.  A matrix built from known nonzeros
+(assembly, blocks, products, negation) is given its sparse rows, so no dense
+cell is scanned for them.
+
+Products and residues run on integers.  ``apply`` scales its vector once by
+the lcm D of the vector's denominators, forms each row's dot product as an
+``int`` and makes one ``Fraction(dot, d·D)`` per nonzero output entry.  An
+echelon basis keeps its vectors as integer rows B/q with q at the pivot, and
+``reduce`` holds the residue as w/den: eliminating a basis vector with
+f = w[p] at its pivot p is w ← (q/g)·w − (f/g)·B, den ← (q/g)·den with
+g = gcd(q, f), the update elimination uses below.  Both are exact rational
+arithmetic done in another order, and a ``Fraction``'s normal form is
+unique, so every returned value equals the one ``Fraction`` arithmetic gives.
 
 Elimination is Gauss-Jordan elimination on integer rows held as dicts
 (column → nonzero int), with the fixed pivot scan order of the textbook
@@ -15,15 +28,16 @@ remaining row with a nonzero there.  A rational row enters scaled by the lcm
 of its denominators; eliminating column c from a row with entry f there,
 against the pivot entry p, is row ← (p/g)·row − (f/g)·pivot with
 g = gcd(p, f), and each updated row is divided by the gcd of its entries
-(content normalisation), which keeps the coefficients from growing.  Only at
-the end does a pivot row become ``Fraction`` values, divided by its pivot
-entry.  Every row is at every step a nonzero rational multiple of the row
-rational elimination would hold, so the nonzero pattern, the swaps and the
-pivots are the same; the reduced row echelon form is unique, so the returned
-rows are equal too.  Neither the storage nor the integer arithmetic shows in
-any result: kernel bases, particular solutions and echelon bases are
-deterministic and the same as dense rational elimination gives.  Matrices
-are immutable; all functions are pure.
+(content normalisation), which keeps the coefficients from growing.  Only
+what a caller returns becomes ``Fraction`` values, each entry of a pivot row
+divided by its pivot entry; ``rank`` makes none.  Every row is at every step
+a nonzero rational multiple of the row rational elimination would hold, so
+the nonzero pattern, the swaps and the pivots are the same; the reduced row
+echelon form is unique, so the returned rows are equal too.  Neither the
+storage nor the integer arithmetic shows in any result: kernel bases,
+particular solutions and echelon bases are deterministic and the same as
+dense rational elimination gives.  Matrices are immutable; all functions are
+pure.
 """
 
 from __future__ import annotations
@@ -31,16 +45,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
 SparseRow = tuple[tuple[int, Fraction], ...]
+# (d, pairs): the row whose nonzeros are x/d for its (column, integer x) pairs
+IntegerRow = tuple[int, tuple[tuple[int, int], ...]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_value = itemgetter(1)  # of a (column, value) pair
 
 
 def zero_vector(n: int) -> Vector:
@@ -81,7 +98,8 @@ def _dense(row: Iterable[tuple[int, Fraction]], n: int) -> Vector:
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Immutable matrix of rationals, row-major, with cached sparse rows."""
+    """Immutable matrix of rationals, row-major, with cached sparse and
+    integer rows."""
 
     rows: int
     cols: int
@@ -98,6 +116,26 @@ class RationalMatrix:
     def sparse_rows(self) -> tuple[SparseRow, ...]:
         """The nonzeros of each row as (column, value) pairs, by increasing column."""
         return tuple(_sparse(row) for row in self.entries)
+
+    @cached_property
+    def integer_rows(self) -> tuple[IntegerRow, ...]:
+        """Each row as (d, pairs): its nonzeros are x/d for the (column,
+        integer x) pairs, d the lcm of their denominators.  Read off the
+        sparse rows when they are known, else off the entries directly."""
+        known = self.__dict__.get("sparse_rows")
+        if known is None:  # one pass over the entries
+            known = (filter(_value, enumerate(row)) for row in self.entries)
+        return tuple(map(_integer_form, known))
+
+    @staticmethod
+    def from_sparse(rows: Iterable[SparseRow], ncols: int) -> "RationalMatrix":
+        """The matrix whose rows have the given nonzeros, (column, nonzero
+        ``Fraction``) pairs by increasing column; these are its sparse rows,
+        so no dense cell is scanned for them."""
+        rows = tuple(rows)
+        m = RationalMatrix(len(rows), ncols, tuple(_dense(row, ncols) for row in rows))
+        m.__dict__["sparse_rows"] = rows
+        return m
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "RationalMatrix":
@@ -117,11 +155,11 @@ class RationalMatrix:
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix(n, n, tuple(unit_vector(i, n) for i in range(n)))
+        return RationalMatrix.from_sparse([((i, _ONE),) for i in range(n)], n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RationalMatrix":
-        return RationalMatrix(rows, cols, tuple((_ZERO,) * cols for _ in range(rows)))
+        return RationalMatrix.from_sparse(((),) * rows, cols)
 
     @staticmethod
     def block(grid: Sequence[Sequence["RationalMatrix"]]) -> "RationalMatrix":
@@ -130,33 +168,45 @@ class RationalMatrix:
         blocks of a block column their column count; either may be zero.
         """
         widths = [b.cols for b in grid[0]] if grid else []
-        entries: list[Vector] = []
+        offsets = [sum(widths[:k]) for k in range(len(widths))]
+        rows: list[SparseRow] = []
         for band in grid:
             if [b.cols for b in band] != widths:
                 raise ValueError("blocks of one block column differ in column count")
             height = band[0].rows if band else 0
             if any(b.rows != height for b in band):
                 raise ValueError("blocks of one band differ in row count")
-            entries.extend(
-                tuple(chain.from_iterable(b.entries[i] for b in band)) for i in range(height)
+            parts = [(offset, b.sparse_rows) for offset, b in zip(offsets, band)]
+            rows.extend(
+                tuple((offset + j, x) for offset, block in parts for j, x in block[i])
+                for i in range(height)
             )
-        return RationalMatrix(len(entries), sum(widths), tuple(entries))
+        return RationalMatrix.from_sparse(rows, sum(widths))
 
     def col(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
 
     def apply(self, v: Sequence) -> Vector:
-        """Matrix times coordinate column; only products of two nonzeros are formed."""
+        """Matrix times coordinate column, on integer rows: v is scaled once
+        by the lcm D of its denominators, each row's dot product is an int,
+        and each nonzero output entry is one ``Fraction(dot, d·D)``."""
         if len(v) != self.cols:
             raise ValueError(f"dimension mismatch: {self.rows}x{self.cols} times {len(v)}")
-        out = []
-        for row in self.sparse_rows:
-            acc = _ZERO
-            for j, x in row:
-                y = v[j]
-                if y:
-                    acc += x * y
-            out.append(acc)
+        out, w = [], None
+        for d, pairs in self.integer_rows:
+            if not pairs:
+                out.append(_ZERO)
+                continue
+            if w is None:  # scaled on first use: a zero matrix never reads v
+                scale, w = _integer_vector(v)
+            acc = 0
+            for j, x in pairs:
+                acc += x * w[j]
+            if not acc:
+                out.append(_ZERO)
+            else:
+                den = d * scale
+                out.append(Fraction(acc, den) if den != 1 else Fraction(acc))
         return tuple(out)
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
@@ -169,15 +219,15 @@ class RationalMatrix:
             for k, a in row:
                 for j, b in right[k]:
                     acc[j] = acc.get(j, _ZERO) + a * b
-            product.append(_dense(acc.items(), other.cols))
-        return RationalMatrix(self.rows, other.cols, tuple(product))
+            product.append(_nonzeros(acc))
+        return RationalMatrix.from_sparse(product, other.cols)
 
     def transpose(self) -> "RationalMatrix":
         columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.cols)]
         for i, row in enumerate(self.sparse_rows):
             for j, x in row:
                 columns[j].append((i, x))
-        return RationalMatrix(self.cols, self.rows, tuple(_dense(c, self.rows) for c in columns))
+        return RationalMatrix.from_sparse(map(tuple, columns), self.rows)
 
     def add(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -187,52 +237,77 @@ class RationalMatrix:
             acc = dict(r1)
             for j, b in r2:
                 acc[j] = acc.get(j, _ZERO) + b
-            total.append(_dense(acc.items(), self.cols))
-        return RationalMatrix(self.rows, self.cols, tuple(total))
+            total.append(_nonzeros(acc))
+        return RationalMatrix.from_sparse(total, self.cols)
 
     def sub(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self.add(other.scale(Fraction(-1)))
+        return self.add(-other)
+
+    def __neg__(self) -> "RationalMatrix":
+        """−M by unary minus on each nonzero, which needs no gcd."""
+        return RationalMatrix.from_sparse(
+            (tuple((j, -x) for j, x in row) for row in self.sparse_rows), self.cols
+        )
 
     def scale(self, c) -> "RationalMatrix":
         c = Fraction(c)
-        return RationalMatrix(
-            self.rows,
-            self.cols,
-            tuple(_dense(((j, c * x) for j, x in row), self.cols) for row in self.sparse_rows),
+        if not c:
+            return RationalMatrix.zeros(self.rows, self.cols)
+        return RationalMatrix.from_sparse(
+            (tuple((j, c * x) for j, x in row) for row in self.sparse_rows), self.cols
         )
 
     def is_zero(self) -> bool:
         return not any(self.sparse_rows)
 
 
-def _rational(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
+def _nonzeros(acc: dict[int, Fraction]) -> SparseRow:
+    """The nonzero entries of a row held as a dict, by increasing column."""
+    return tuple(sorted((j, x) for j, x in acc.items() if x))
 
 
-def _integer_row(pairs: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
-    """The nonzeros (column, value) of a rational row as a primitive integer
-    row: scaled by the lcm of their denominators, then divided by the gcd of
-    the results."""
-    row = dict(pairs)
-    scale = lcm(*[x.denominator for x in row.values()])
-    for j, x in row.items():
-        row[j] = x.numerator * (scale // x.denominator)
-    _divide_by_content(row)
-    return row
+def _integer_form(pairs: Iterable[tuple[int, Fraction]]) -> IntegerRow:
+    """(d, (column, integer) pairs) of a row's nonzeros, each integer/d, d the
+    lcm of their denominators."""
+    d, nonzeros = 1, []
+    for j, x in pairs:
+        e = x.denominator
+        if e != 1:
+            d = lcm(d, e)
+        nonzeros.append((j, x.numerator, e))
+    if d == 1:
+        return 1, tuple([(j, n) for j, n, _ in nonzeros])
+    return d, tuple([(j, n * (d // e)) for j, n, e in nonzeros])
 
 
-def _divide_by_content(row: dict[int, int]) -> None:
+def _integer_vector(v: Sequence) -> tuple[int, list[int]]:
+    """(D, w) with v = w/D, D the lcm of the denominators of v; ``int``
+    entries are read as themselves."""
+    scale, nums = 1, []
+    for x in v:
+        e = x.denominator
+        if e != 1:
+            scale = lcm(scale, e)
+        nums.append(x.numerator)
+    if scale == 1:
+        return 1, nums
+    return scale, [n * (scale // x.denominator) for n, x in zip(nums, v)]
+
+
+def _divide_by_content(row: dict[int, int]) -> dict[int, int]:
     content = gcd(*row.values())
     if content > 1:
         for j, x in row.items():
             row[j] = x // content
+    return row
 
 
 def _reduced_echelon(rows: list[dict], ncols: int) -> list[int]:
-    """Reduce integer rows (from :func:`_integer_row`) in place to reduced row
-    echelon form over the rationals, as the module docstring describes;
-    returns the pivot columns.  Each pivot row is left as ``Fraction`` values
-    with 1 at its pivot column, and the rows below the last are empty.
+    """Reduce primitive integer rows in place to a row echelon form whose
+    rows are rational multiples of the reduced row echelon form's, as the
+    module docstring describes; returns the pivot columns.  Pivot row r,
+    divided by its entry at pivot column r, is row r of the reduced form;
+    the rows below the last pivot row are empty.
 
     A row update loops over the pivot row's nonzeros only (and over the
     updated row's when it is scaled) and drops the entries it cancels.
@@ -269,14 +344,11 @@ def _reduced_echelon(rows: list[dict], ncols: int) -> list[int]:
         r += 1
         if r == nrows:
             break
-    for r, c in enumerate(pivots):
-        p = rows[r][c]
-        rows[r] = {j: Fraction(x, p) for j, x in rows[r].items()}
     return pivots
 
 
 def _integer_rows(m: RationalMatrix) -> list[dict[int, int]]:
-    return [_integer_row(row) for row in m.sparse_rows]
+    return [_divide_by_content(dict(pairs)) for _, pairs in m.integer_rows]
 
 
 def rank(m: RationalMatrix) -> int:
@@ -306,9 +378,10 @@ def kernel_basis(m: RationalMatrix) -> list[Vector]:
     # a reduced pivot row is zero at every other pivot column, so each of
     # its other nonzeros sits at a free column
     for r, c in enumerate(pivots):
+        p = rows[r][c]
         for j, x in rows[r].items():
             if j != c:
-                basis[j][c] = -x
+                basis[j][c] = Fraction(-x, p)
     return [tuple(v) for v in basis.values()]
 
 
@@ -323,15 +396,21 @@ def solve_linear(a: RationalMatrix, b: Sequence) -> Vector | None:
     if a.rows == 0:
         return zero_vector(a.cols)
     rows = []
-    for row, bi in zip(a.sparse_rows, b):
-        bi = _rational(bi)
-        rows.append(_integer_row(chain(row, ((a.cols, bi),)) if bi else row))
+    for (d, pairs), bi in zip(a.integer_rows, b):
+        row = dict(pairs)
+        if bi:
+            scale = lcm(d, bi.denominator)
+            if scale != d:
+                row = {j: x * (scale // d) for j, x in row.items()}
+            row[a.cols] = bi.numerator * (scale // bi.denominator)
+        rows.append(_divide_by_content(row))
     pivots = _reduced_echelon(rows, a.cols + 1)
     if a.cols in pivots:  # pivot in the augmented column: inconsistent
         return None
     x = [_ZERO] * a.cols
     for r, c in enumerate(pivots):
-        x[c] = rows[r].get(a.cols, _ZERO)
+        if a.cols in rows[r]:
+            x[c] = Fraction(rows[r][a.cols], rows[r][c])
     return tuple(x)
 
 
@@ -348,21 +427,38 @@ class EchelonBasis:
         return len(self.vectors)
 
     @cached_property
-    def sparse_vectors(self) -> tuple[SparseRow, ...]:
-        """The nonzeros of each basis vector as (coordinate, value) pairs."""
-        return tuple(_sparse(v) for v in self.vectors)
+    def integer_vectors(self) -> tuple[IntegerRow, ...]:
+        """Each basis vector as (q, pairs): its nonzeros are x/q for the
+        (coordinate, integer x) pairs, and x = q at its pivot."""
+        return tuple(_integer_form(filter(_value, enumerate(v))) for v in self.vectors)
 
     def reduce(self, v: Sequence) -> Vector:
-        """Residue of v modulo the subspace, supported on non-pivot coordinates."""
-        w = [x if type(x) is Fraction else Fraction(x) for x in v]
-        if len(w) != self.dim_ambient:
+        """Residue of v modulo the subspace, supported on non-pivot coordinates.
+
+        Fraction-free: the residue is held as w/den with w integer.  A basis
+        vector B/q with f = w[p] at its pivot p is eliminated as
+        w ← (q/g)·w − (f/g)·B, den ← (q/g)·den, g = gcd(q, f).
+        """
+        if len(v) != self.dim_ambient:
             raise ValueError("dimension mismatch in reduce")
-        for basis_vec, p in zip(self.sparse_vectors, self.pivots):
+        den, w = _integer_vector(v)
+        for p, (q, pairs) in zip(self.pivots, self.integer_vectors):
             f = w[p]
-            if f:
-                for j, x in basis_vec:
-                    w[j] -= f * x
-        return tuple(w)
+            if not f:
+                continue
+            g = gcd(q, f)
+            a, b = q // g, f // g
+            if a != 1:
+                w = [a * x for x in w]
+                den *= a
+            for j, y in pairs:
+                w[j] -= b * y
+            if a != 1:
+                common = gcd(den, *w)
+                if common > 1:
+                    den //= common
+                    w = [x // common for x in w]
+        return tuple([Fraction(x, den) if x else _ZERO for x in w])
 
     def contains(self, v: Sequence) -> bool:
         return is_zero_vector(self.reduce(v))
@@ -372,7 +468,10 @@ def _echelon(rows: list[dict[int, int]], dim_ambient: int) -> EchelonBasis:
     if not rows:
         return EchelonBasis(dim_ambient, (), ())
     pivots = _reduced_echelon(rows, dim_ambient)
-    kept = tuple(_dense(rows[i].items(), dim_ambient) for i in range(len(pivots)))
+    kept = tuple(
+        _dense(((j, Fraction(x, rows[r][c])) for j, x in rows[r].items()), dim_ambient)
+        for r, c in enumerate(pivots)
+    )
     return EchelonBasis(dim_ambient, kept, tuple(pivots))
 
 
@@ -382,7 +481,7 @@ def echelon_basis(vectors: Iterable[Sequence], dim_ambient: int) -> EchelonBasis
     for v in vectors:
         if len(v) != dim_ambient:
             raise ValueError("dimension mismatch in echelon_basis")
-        rows.append(_integer_row((j, _rational(x)) for j, x in enumerate(v) if x))
+        rows.append(_divide_by_content(dict(_integer_form(filter(_value, enumerate(v)))[1])))
     return _echelon(rows, dim_ambient)
 
 

@@ -390,6 +390,22 @@ def _noncommuting_module_files(tmp_path):
     return files
 
 
+@pytest.mark.parametrize("action", ["check", "solve", "trivialize"])
+def test_deform_over_an_invalid_base_fails_validity_first(action):
+    # the base is checked before the deformation file is read, so a
+    # malformed file over a broken base still reports the broken base
+    for deformation in ("malformed.yaml", "a1_broken_rb.yaml"):
+        report, code = run_command(
+            ["deform", action, str(FIXTURES / "a1_broken_rb.yaml"), str(FIXTURES / deformation)]
+        )
+        assert code == 1
+        assert report == {
+            "command": "deform",
+            "error": "input is not a Rota-Baxter pre-Lie algebra; run `check`",
+            "status": "violation",
+        }
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -34,6 +34,7 @@ from rbprelie.deformations import (
     trivial_deformation,
     trivialize,
 )
+from rbprelie.algebras import check_pre_lie, check_rb_operator, require_valid
 from rbprelie.files import parse_algebra_file
 from rbprelie.generators import (
     random_gauge,
@@ -140,6 +141,51 @@ def test_infinitesimal_rejects_an_invalid_base():
     with pytest.raises(DeformationError, match="invalid at order 0") as raised:
         infinitesimal(r, trivial_deformation(r, 2))
     assert raised.value.violations
+
+
+def _count_order_zero_kernels(monkeypatch):
+    """Record each order-0 call of the two law kernels, wherever it is looked up."""
+    from rbprelie import algebras, deformations
+
+    calls = []
+    for module in (algebras, deformations):
+        for name in ("pre_lie_defects", "rota_baxter_defects"):
+            def counting(*args, _kernel=getattr(module, name), _name=name):
+                if args[-1] == 0:
+                    calls.append(_name)
+                return _kernel(*args)
+
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_order_zero_is_checked_once_per_base(monkeypatch):
+    # the validity gate, check_deformation, solve_next_order and trivialize
+    # all read the base's order-0 laws; one base object computes them once
+    calls = _count_order_zero_kernels(monkeypatch)
+    r = make_idempotent(1)
+    require_valid(r)
+    d = trivial_deformation(r, 2)
+    assert check_deformation(r, d).ok
+    assert solve_next_order(r, d).solution is not None
+    assert trivialize(r, d).ok
+    assert sorted(calls) == ["pre_lie_defects", "rota_baxter_defects"]
+
+
+def test_order_zero_of_an_invalid_base_is_its_axioms_relabelled():
+    r, _, _ = parse_algebra_file((FIXTURES / "a1_broken_rb.yaml").read_text())
+    d = trivial_deformation(r, 1)
+    order_zero = check_deformation(r, d).orders[0]
+    want = [
+        (f"deform_{kind}_order_0", v.indices, v.defect)
+        for kind, axiom in (("product", check_pre_lie(r.algebra)), ("operator", check_rb_operator(r)))
+        for v in axiom.violations
+    ]
+    assert want and [(v.law, v.indices, v.defect) for v in order_zero.violations] == want
+    with pytest.raises(DeformationError, match=r"^lower orders invalid \(first bad order 0\)$"):
+        solve_next_order(r, d)
+    with pytest.raises(DeformationError, match="^deformation invalid at order 0$"):
+        trivialize(r, d)
 
 
 def test_infinitesimal_reads_orders_0_and_1_only():

@@ -410,3 +410,104 @@ def test_adversarial_elimination_equals_dense_oracle():
             inconsistent += 1
         _assert_equals_dense_oracle(m, rhs)
     assert inconsistent >= 10
+
+
+def _kernel_cases(rng):
+    """(matrix, vectors) pairs for the integer dot kernel: int-only vectors,
+    large coprime denominators, zero vectors and zero rows, empty shapes, and
+    vectors in and out of the row span."""
+    big = (1, 97, 101, M61)
+
+    def coprime(n):
+        return tuple(
+            Fraction(rng.randint(-M61, M61), rng.choice(big)) if rng.random() < 0.7 else Fraction(0)
+            for _ in range(n)
+        )
+
+    yield RationalMatrix(0, 5, ()), [(1, 2, 3, 4, 5), (0,) * 5]
+    yield RationalMatrix(4, 0, ((),) * 4), [()]
+    yield RationalMatrix(0, 0, ()), [()]
+    yield RationalMatrix.zeros(3, 4), [(1, -2, 0, 7), coprime(4)]
+    for _ in range(6):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        m = RationalMatrix.from_rows([coprime(cols) for _ in range(rows)])
+        zero_row = (Fraction(0),) * cols
+        with_zero_rows = RationalMatrix.from_rows([zero_row, *m.entries, zero_row])
+        ints = tuple(rng.randint(-10**20, 10**20) for _ in range(cols))
+        thirds = tuple(Fraction(1, 3) * rng.randint(-2, 2) for _ in range(cols))
+        vectors = [ints, (0,) * cols, zero_row, coprime(cols), thirds,
+                   tuple(Fraction(1, b) for b, _ in zip(big * cols, range(cols)))]
+        yield m, vectors
+        yield with_zero_rows, vectors
+
+
+def _in_span(rng, m):
+    """A combination of the rows of m with large coprime coefficients."""
+    coeffs = [Fraction(rng.randint(-M61, M61), rng.choice((1, 97, 101, M61))) for _ in m.entries]
+    return tuple(sum((c * row[j] for c, row in zip(coeffs, m.entries)), Fraction(0))
+                 for j in range(m.cols))
+
+
+def test_integer_dot_kernel_equals_dense_oracle():
+    """apply and reduce on integer rows return, entry for entry, what the
+    dense Fraction oracles return, and only Fractions (Fraction(3) == 3, so
+    equality alone would not see an int leak)."""
+    rng = random.Random(20)
+    reduced_off_span = 0
+    for m, vectors in _kernel_cases(rng):
+        space = echelon_basis(m.entries, m.cols)
+        want_vectors, want_pivots = dense_echelon(m.entries)
+        span = [_in_span(rng, m)] if m.rows else []
+        for v in [*vectors, *span]:
+            got = m.apply(v)
+            assert got == tuple(mat_vec(m, v))
+            assert all(type(x) is Fraction for x in got), got
+            residue = space.reduce(v)
+            assert residue == dense_reduce(want_vectors, want_pivots, v)
+            assert all(type(x) is Fraction for x in residue), residue
+            reduced_off_span += not is_zero_vector(residue)
+        for v in span:
+            assert is_zero_vector(space.reduce(v)) and space.contains(v)
+    assert reduced_off_span > 0
+
+
+def test_integer_dot_kernel_on_fraction_basis():
+    """A basis whose pivot rows need scaling (q/g ≠ 1 at every step) and a
+    matrix whose row denominators differ: the scaled residue and each row's
+    own denominator both show in the results."""
+    space = echelon_basis([(3, 1, 0, 2), (0, 5, 1, 0), (0, 0, 7, 1)], 4)
+    assert space.pivots == (0, 1, 2)
+    v = (Fraction(1, 97), Fraction(2, 101), Fraction(-3, M61), Fraction(5))
+    want = dense_reduce(space.vectors, space.pivots, v)
+    assert space.reduce(v) == want and want[3] != 0
+    m = RationalMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 0], [0, 7]])
+    assert m.apply((1, 1)) == (Fraction(5, 6), Fraction(1, 5), Fraction(7))
+    assert m.apply((Fraction(1, 7), 0)) == (Fraction(1, 14), Fraction(1, 35), Fraction(0))
+
+
+_small_fractions = st.fractions(max_denominator=12, min_value=-20, max_value=20)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(_small_fractions, min_size=n, max_size=n), min_size=0, max_size=5),
+            st.lists(_small_fractions, min_size=n, max_size=n),
+            st.lists(_small_fractions, min_size=n, max_size=n),
+            st.lists(_small_fractions, min_size=0, max_size=5),
+        )
+    ),
+    _small_fractions,
+)
+def test_integer_dot_kernel_is_linear(data, alpha):
+    """A(αu + v) = αAu + Av, and reduce(v + b) = reduce(v) for b in the span."""
+    rows, u, v, coeffs = data
+    n = len(u)
+    m = RationalMatrix(len(rows), n, tuple(map(tuple, rows)))
+    combined = tuple(alpha * a + b for a, b in zip(u, v))
+    assert m.apply(combined) == tuple(alpha * a + b for a, b in zip(m.apply(u), m.apply(v)))
+    space = echelon_basis(rows, n)
+    b = tuple(sum((c * row[j] for c, row in zip(coeffs, rows)), Fraction(0)) for j in range(n))
+    shifted = tuple(x + y for x, y in zip(v, b))
+    assert space.reduce(shifted) == space.reduce(v)
