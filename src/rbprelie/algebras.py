@@ -52,6 +52,7 @@ from .linalg import (
 
 ProductTable = tuple[tuple[Vector, ...], ...]
 Matrices = tuple[RationalMatrix, ...]
+Multiplications = tuple[Matrices, Matrices]  # (L, R) of a table
 
 
 class InvalidStructureError(ValueError):
@@ -101,7 +102,7 @@ def zero_table(dim_left: int, dim_right: int, dim_out: int) -> ProductTable:
 
 def multiplication_matrices(
     table: ProductTable, dim_right: int, dim_out: int
-) -> tuple[Matrices, Matrices]:
+) -> Multiplications:
     """The left and right multiplication matrices (L, R) of a bilinear table:
     ``L[i]·y = e_i·y`` and ``R[k]·x = x·e_k``, so column j of ``L[i]`` and
     column i of ``R[j]`` both hold ``table[i][j]``."""
@@ -136,7 +137,7 @@ class PreLieAlgebra:
             raise ValueError("structure constant table has wrong shape")
 
     @cached_property
-    def multiplications(self) -> tuple[Matrices, Matrices]:
+    def multiplications(self) -> Multiplications:
         """(L, R) of the structure constants."""
         return multiplication_matrices(self.c, self.dim, self.dim)
 
@@ -144,7 +145,7 @@ class PreLieAlgebra:
     def pre_lie_law(self) -> dict[tuple[int, int, int], Vector]:
         """The defects of the pre-Lie identity, :func:`pre_lie_defects` at
         order 0, computed once per object."""
-        return pre_lie_defects((self.c,), 0)
+        return pre_lie_defects((self.c,), (self.multiplications,), 0)
 
     def product(self, x: Sequence, y: Sequence) -> Vector:
         """Bilinear extension of the structure constants."""
@@ -174,7 +175,8 @@ class RBPreLieAlgebra:
     def rota_baxter_law(self) -> dict[tuple[int, int], Vector]:
         """The defects of the weighted Rota-Baxter law,
         :func:`rota_baxter_defects` at order 0, computed once per object."""
-        return rota_baxter_defects((self.algebra.c,), (self.operator,), self.weight, 0)
+        a = self.algebra
+        return rota_baxter_defects((a.c,), (a.multiplications,), (self.operator,), self.weight, 0)
 
 
 @dataclass(frozen=True)
@@ -236,16 +238,18 @@ def regular_bimodule(r: RBPreLieAlgebra) -> RBBimodule:
     return RBBimodule(Bimodule(d, d, *r.algebra.multiplications), r.operator)
 
 
-def pre_lie_defects(mus: Sequence[ProductTable], n: int) -> dict[tuple[int, int, int], Vector]:
+def pre_lie_defects(
+    mus: Sequence[ProductTable], lr: Sequence[Multiplications], n: int
+) -> dict[tuple[int, int, int], Vector]:
     """The tⁿ coefficient of the pre-Lie identity for μ_t = Σ μᵢtⁱ on every
-    basis triple (eᵢ, eⱼ, e_k), keyed (i, j, k):
+    basis triple (eᵢ, eⱼ, e_k), keyed (i, j, k), given ``lr[a]``, the (L, R)
+    of μ_a for a ≤ n:
 
         Σ_{a+b=n} μ_a(μ_b(x, y), z) − μ_a(x, μ_b(y, z)) − (x ↔ y).
 
     At n = 0 this is the pre-Lie identity of ``mus[0]``.
     """
     dim = len(mus[0])
-    lr = [multiplication_matrices(mu, dim, dim) for mu in mus[: n + 1]]
     out = {}
     for i in range(dim):
         for j in range(dim):
@@ -262,10 +266,12 @@ def pre_lie_defects(mus: Sequence[ProductTable], n: int) -> dict[tuple[int, int,
 
 
 def rota_baxter_defects(
-    mus: Sequence[ProductTable], ts: Sequence[RationalMatrix], lam: Fraction, n: int
+    mus: Sequence[ProductTable], lr: Sequence[Multiplications],
+    ts: Sequence[RationalMatrix], lam: Fraction, n: int,
 ) -> dict[tuple[int, int], Vector]:
     """The tⁿ coefficient of the weighted Rota-Baxter law for μ_t = Σ μᵢtⁱ,
-    T_t = Σ Tᵢtⁱ on every basis pair (eᵢ, eⱼ), keyed (i, j):
+    T_t = Σ Tᵢtⁱ on every basis pair (eᵢ, eⱼ), keyed (i, j), given ``lr[a]``,
+    the (L, R) of μ_a for a ≤ n:
 
         μ_t(T_t x, T_t y) − T_t(μ_t(x, T_t y) + μ_t(T_t x, y) + λ μ_t(x, y)).
 
@@ -273,7 +279,6 @@ def rota_baxter_defects(
     is the Rota-Baxter law of ``ts[0]`` for ``mus[0]``.
     """
     dim = len(mus[0])
-    lr = [multiplication_matrices(mu, dim, dim) for mu in mus[: n + 1]]
     cols = [[t.col(i) for i in range(dim)] for t in ts[: n + 1]]
     out = {}
     for i in range(dim):

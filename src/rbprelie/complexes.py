@@ -128,7 +128,7 @@ def _coboundary_terms(a: PreLieAlgebra, m: Bimodule, n: int) -> Iterator[Term]:
 
 def _phi_terms(r: RBPreLieAlgebra, m: RBBimodule, n: int) -> Iterator[Term]:
     """The terms of Φ in degree n ≥ 1 (rules in the module docstring)."""
-    t_cols = [tuple((k, x) for k, x in enumerate(r.operator.col(j)) if x) for j in range(r.dim)]
+    t_cols = r.operator.transpose().sparse_rows  # the nonzeros of each column of T
     for key in basis_keys(n, r.dim):
         for eps in product((0, 1), repeat=n):
             ones = sum(eps)
@@ -400,7 +400,7 @@ def les_check(r: RBPreLieAlgebra, m: RBBimodule, max_degree: int) -> LESReport:
 
     def rank_in(target: tuple[ComplexKind, int], columns: list[Vector]) -> int:
         # the rank of the vectors read as rows: rank ρ = rank ρᵀ
-        return rank(RationalMatrix(len(columns), data.dim(*target), tuple(columns)))
+        return rank(RationalMatrix.from_rows(columns, data.dim(*target)))
 
     positions, map_checks = [], []
     incoming: list[Vector] = []

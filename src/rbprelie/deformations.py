@@ -16,11 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Sequence
 
 from .algebras import (
     InvalidStructureError,
+    Multiplications,
     ProductTable,
     RBPreLieAlgebra,
     Verdict,
@@ -85,6 +87,13 @@ class TruncatedDeformation:
     def order(self) -> int:
         return len(self.products) - 1
 
+    @cached_property
+    def multiplications(self) -> tuple[Multiplications, ...]:
+        """(L, R) of each μ_n, built once per deformation; μ₀'s are the base's."""
+        d = self.base.dim
+        rest = (multiplication_matrices(mu, d, d) for mu in self.products[1:])
+        return (self.base.algebra.multiplications, *rest)
+
 
 def trivial_deformation(r: RBPreLieAlgebra, order: int) -> TruncatedDeformation:
     d = r.dim
@@ -114,7 +123,8 @@ def _order_defects(r: RBPreLieAlgebra, d: TruncatedDeformation, n: int) -> tuple
     them already)."""
     if n == 0:
         return r.algebra.pre_lie_law, r.rota_baxter_law
-    return pre_lie_defects(d.products, n), rota_baxter_defects(d.products, d.operators, r.weight, n)
+    product = pre_lie_defects(d.products, d.multiplications, n)
+    return product, rota_baxter_defects(d.products, d.multiplications, d.operators, r.weight, n)
 
 
 def check_deformation(r: RBPreLieAlgebra, d: TruncatedDeformation) -> DeformationVerdict:
@@ -221,7 +231,7 @@ def gauge_transform(
     def psi_at(k: int) -> RationalMatrix:
         return psi.maps[k] if k < len(psi.maps) else zero
 
-    lefts = [multiplication_matrices(mu, dim, dim)[0] for mu in d.products]
+    lefts = [left for left, _ in d.multiplications]
     new_products = []
     new_operators = []
     for n in range(n_max + 1):
@@ -277,8 +287,9 @@ def solve_next_order(r: RBPreLieAlgebra, d: TruncatedDeformation) -> SolveNextOr
     # zero μₙ and a zero Tₙ; its product part is a skew degree-3 value on
     # (a∧b)⊗c, kept on the keys a < b
     mus = d.products + (zero_table(dim, dim, dim),)
+    lr = d.multiplications + (multiplication_matrices(mus[-1], dim, dim),)
     ts = d.operators + (RationalMatrix.zeros(dim, dim),)
-    product, operator = pre_lie_defects(mus, n), rota_baxter_defects(mus, ts, r.weight, n)
+    product, operator = pre_lie_defects(mus, lr, n), rota_baxter_defects(mus, lr, ts, r.weight, n)
     target = RBACochain(
         Cochain(3, dim, dim, {key: v for key, v in product.items() if key[0] < key[1]}),
         Cochain(2, dim, dim, operator),

@@ -28,9 +28,7 @@ from .algebras import (
     check_pre_lie,
     check_rb_operator,
     named,
-    pre_lie_defects,
     require_valid,
-    rota_baxter_defects,
     verdict,
 )
 from .cochains import (
@@ -276,7 +274,7 @@ def sections_same_class(
     diff = s1.sub(s2)
     if not e.projection().matmul(diff).is_zero():
         raise ValueError("sections do not differ by a module-valued map")
-    gamma = RationalMatrix(md, d, diff.entries[d:])
+    gamma = RationalMatrix.from_sparse(diff.sparse_rows[d:], d)
     same_actions = r1.bimodule == r2.bimodule
     # the combined coboundary of (γ, 0) is (δγ, −Φγ)
     expected = rba_differential(
@@ -351,7 +349,7 @@ def check_extension(e: ExtensionData) -> Verdict:
                 if i >= d or j >= d
             ),
             (("operator_square", (j,), total.operator.col(j)[:d] + pad) for j in range(d, n)),
-            named("pre_lie", pre_lie_defects((c,), 0)),
-            named("rota_baxter", rota_baxter_defects((c,), (total.operator,), total.weight, 0)),
+            named("pre_lie", total.algebra.pre_lie_law),
+            named("rota_baxter", total.rota_baxter_law),
         )
     )

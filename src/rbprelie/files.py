@@ -85,7 +85,7 @@ def parse_matrix(value: Any, rows: int, cols: int, path: str) -> RationalMatrix:
     if len(items) != rows:
         raise ParseError(f"expected {rows} rows, got {len(items)}", path)
     data = [parse_vector(row, cols, f"{path}[{i + 1}]") for i, row in enumerate(items)]
-    return RationalMatrix(rows, cols, tuple(data))
+    return RationalMatrix.from_rows(data, cols)
 
 
 def parse_table(value: Any, d1: int, d2: int, out: int, path: str):

@@ -2,14 +2,13 @@
 
 Everything in this package reduces to ranks, kernels, linear solves and
 matrix-vector products of matrices with ``fractions.Fraction`` entries, and
-the coboundary and chain-map matrices are mostly zeros.  A matrix keeps its
-dense ``entries`` as its value (equality, ``repr`` and serialization read
-them) and derives two views of its nonzeros once, on first use: its sparse
-rows, the (column, value) pairs of each row, and its integer rows, each row
-as (d, pairs) with the row's nonzeros x/d for its (column, integer x) pairs
-and d the lcm of their denominators.  A matrix built from known nonzeros
-(assembly, blocks, products, negation) is given its sparse rows, so no dense
-cell is scanned for them.
+the coboundary and chain-map matrices are mostly zeros.  A matrix's value is
+its sparse rows: the (column, nonzero value) pairs of each row by increasing
+column, built directly by every constructor and read by equality and hashing.
+Derived from them once, on first use, are its dense ``entries`` (for ``repr``,
+``col`` and serialization) and its integer rows, each row as (d, pairs) with
+the row's nonzeros x/d for its (column, integer x) pairs and d the lcm of
+their denominators.
 
 Products and residues run on integers.  ``apply`` scales its vector once by
 the lcm D of the vector's denominators, forms each row's dot product as an
@@ -86,7 +85,8 @@ def is_zero_vector(v: Vector) -> bool:
 
 
 def _sparse(v: Sequence) -> SparseRow:
-    return tuple((j, x) for j, x in enumerate(v) if x)
+    """The nonzeros of v as (column, ``Fraction``) pairs, converting only non-Fractions."""
+    return tuple([(j, x if type(x) is Fraction else Fraction(x)) for j, x in enumerate(v) if x])
 
 
 def _dense(row: Iterable[tuple[int, Fraction]], n: int) -> Vector:
@@ -96,62 +96,52 @@ def _dense(row: Iterable[tuple[int, Fraction]], n: int) -> Vector:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class RationalMatrix:
-    """Immutable matrix of rationals, row-major, with cached sparse and
-    integer rows."""
+    """Immutable matrix of rationals, built by ``from_rows``, ``from_cols``,
+    ``from_sparse``, ``identity``, ``zeros`` or ``block``.  Its value is its
+    sparse rows, the nonzeros of each row as (column, ``Fraction``) pairs by
+    increasing column; its dense entries and integer rows derive from them."""
 
     rows: int
     cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    sparse_rows: tuple[SparseRow, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.rows:
-            raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("column count mismatch")
+    def __repr__(self) -> str:
+        return f"RationalMatrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
     @cached_property
-    def sparse_rows(self) -> tuple[SparseRow, ...]:
-        """The nonzeros of each row as (column, value) pairs, by increasing column."""
-        return tuple(_sparse(row) for row in self.entries)
+    def entries(self) -> tuple[Vector, ...]:
+        """The dense rows, zeros included."""
+        return tuple(_dense(row, self.cols) for row in self.sparse_rows)
 
     @cached_property
     def integer_rows(self) -> tuple[IntegerRow, ...]:
         """Each row as (d, pairs): its nonzeros are x/d for the (column,
-        integer x) pairs, d the lcm of their denominators.  Read off the
-        sparse rows when they are known, else off the entries directly."""
-        known = self.__dict__.get("sparse_rows")
-        if known is None:  # one pass over the entries
-            known = (filter(_value, enumerate(row)) for row in self.entries)
-        return tuple(map(_integer_form, known))
+        integer x) pairs, d the lcm of their denominators."""
+        return tuple(map(_integer_form, self.sparse_rows))
 
     @staticmethod
     def from_sparse(rows: Iterable[SparseRow], ncols: int) -> "RationalMatrix":
         """The matrix whose rows have the given nonzeros, (column, nonzero
-        ``Fraction``) pairs by increasing column; these are its sparse rows,
-        so no dense cell is scanned for them."""
+        ``Fraction``) pairs by increasing column."""
         rows = tuple(rows)
-        m = RationalMatrix(len(rows), ncols, tuple(_dense(row, ncols) for row in rows))
-        m.__dict__["sparse_rows"] = rows
-        return m
+        return RationalMatrix(len(rows), ncols, rows)
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "RationalMatrix":
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        ncols = len(data[0]) if data else 0
-        return RationalMatrix(len(data), ncols, data)
+    def from_rows(rows: Sequence[Sequence], ncols: int | None = None) -> "RationalMatrix":
+        """The matrix of the given rows; ``ncols`` is needed only when there are none."""
+        if ncols is None:
+            ncols = len(rows[0]) if rows else 0
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("column count mismatch")
+        return RationalMatrix.from_sparse(map(_sparse, rows), ncols)
 
     @staticmethod
     def from_cols(cols: Sequence[Sequence], nrows: int | None = None) -> "RationalMatrix":
-        cols = [tuple(Fraction(x) for x in c) for c in cols]
-        if nrows is None:
-            if not cols:
-                raise ValueError("need nrows for a matrix with no columns")
-            nrows = len(cols[0])
-        data = tuple(tuple(c[r] for c in cols) for r in range(nrows))
-        return RationalMatrix(nrows, len(cols), data)
+        if nrows is None and not cols:
+            raise ValueError("need nrows for a matrix with no columns")
+        return RationalMatrix.from_rows(cols, nrows).transpose()
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":

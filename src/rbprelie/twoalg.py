@@ -27,7 +27,7 @@ from .algebras import (
     Bimodule,
     Defects,
     InvalidStructureError,
-    Matrices,
+    Multiplications,
     PreLieAlgebra,
     ProductTable,
     RBBimodule,
@@ -37,9 +37,7 @@ from .algebras import (
     bimodule_defects,
     multiplication_matrices,
     named,
-    pre_lie_defects,
     rb_bimodule_defects,
-    rota_baxter_defects,
     verdict,
     zero_table,
 )
@@ -83,22 +81,22 @@ class TwoAlgebra:
         return unit_vector(i, self.dim0)
 
     @cached_property
-    def lr00(self) -> tuple[Matrices, Matrices]:
+    def lr00(self) -> Multiplications:
         """(L, R) of l2_00."""
         return multiplication_matrices(self.l2_00, self.dim0, self.dim0)
 
     @cached_property
-    def lr01(self) -> tuple[Matrices, Matrices]:
+    def lr01(self) -> Multiplications:
         """(L, R) of l2_01: L[x] is the level-mixing left action of e_x."""
         return multiplication_matrices(self.l2_01, self.dim1, self.dim1)
 
     @cached_property
-    def lr10(self) -> tuple[Matrices, Matrices]:
+    def lr10(self) -> Multiplications:
         """(L, R) of l2_10: R[x] is the level-mixing right action of e_x."""
         return multiplication_matrices(self.l2_10, self.dim0, self.dim1)
 
     @cached_property
-    def lr_t2(self) -> tuple[Matrices, Matrices]:
+    def lr_t2(self) -> Multiplications:
         """(L, R) of t2."""
         return multiplication_matrices(self.t2, self.dim0, self.dim1)
 
@@ -346,11 +344,9 @@ def check_crossed_module(cm: CrossedModule) -> Verdict:
 def _crossed_module_defects(cm: CrossedModule) -> Defects:
     g0, g1_product, d_map = cm.g0, cm.g1_product, cm.d_map
     g1 = PreLieAlgebra(cm.dim1, g1_product)  # checks the table's shape
-    yield from named("g1_pre_lie", pre_lie_defects((g1.c,), 0))
-    yield from named("g0_pre_lie", pre_lie_defects((g0.algebra.c,), 0))
-    yield from named(
-        "g0_rota_baxter", rota_baxter_defects((g0.algebra.c,), (g0.operator,), g0.weight, 0)
-    )
+    yield from named("g1_pre_lie", g1.pre_lie_law)
+    yield from named("g0_pre_lie", g0.algebra.pre_lie_law)
+    yield from named("g0_rota_baxter", g0.rota_baxter_law)
     bimod = cm.bimodule()
     yield from bimodule_defects(g0.algebra, bimod.bimodule)
     yield from rb_bimodule_defects(g0, bimod)

@@ -92,7 +92,7 @@ def _bump_table(rng: random.Random, table):
 def _bump_matrix(rng: random.Random, m: RationalMatrix) -> RationalMatrix:
     rows = [list(row) for row in m.entries]
     rows[rng.randrange(m.rows)][rng.randrange(m.cols)] += _nonzero(rng)
-    return RationalMatrix(m.rows, m.cols, tuple(tuple(row) for row in rows))
+    return RationalMatrix.from_rows(rows, m.cols)
 
 
 def _bump_product(rng: random.Random, r):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rbprelie.complexes import ComplexData, ComplexKind
+from rbprelie.generators import coadjoint_module, random_valid_pair
 from rbprelie.linalg import (
     RationalMatrix,
     column_space,
@@ -32,7 +34,7 @@ from oracles import (
 def test_rank_identity_and_zero():
     assert rank(RationalMatrix.identity(2)) == 2
     assert rank(RationalMatrix.zeros(3, 4)) == 0
-    assert rank(RationalMatrix(0, 0, ())) == 0
+    assert rank(RationalMatrix.from_rows([])) == 0
 
 
 def test_rank_dependent_rows():
@@ -81,7 +83,7 @@ def test_solve_dimension_mismatch():
 
 def _random_matrix(rng, rows, cols):
     if rows == 0:
-        return RationalMatrix(0, cols, ())
+        return RationalMatrix.from_rows([], cols)
     return RationalMatrix.from_rows(
         [
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
@@ -139,7 +141,21 @@ def test_unit_vector_and_identity():
     assert unit_vector(1, 3) == (Fraction(0), Fraction(1), Fraction(0))
     assert unit_vector(0, 1) == (Fraction(1),)
     assert RationalMatrix.identity(3).entries == tuple(unit_vector(i, 3) for i in range(3))
-    assert RationalMatrix.identity(0) == RationalMatrix(0, 0, ())
+    assert RationalMatrix.identity(0) == RationalMatrix.from_rows([])
+
+
+def test_from_rows_edge_cases():
+    with pytest.raises(ValueError, match="column count mismatch"):
+        RationalMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError, match="column count mismatch"):
+        RationalMatrix.from_rows([[1, 2]], 3)
+    m = RationalMatrix.from_rows([[0, Fraction(0, 5), 2], [Fraction(0), 1, 0]])
+    assert m.sparse_rows == (((2, Fraction(2)),), ((1, Fraction(1)),))
+    assert all(type(x) is Fraction for row in m.sparse_rows for _, x in row)
+    assert m == RationalMatrix.from_sparse([((2, Fraction(2)),), ((1, Fraction(1)),)], 3)
+    empty = RationalMatrix.from_rows([], 4)
+    assert (empty.rows, empty.cols, empty.entries) == (0, 4, ())
+    assert empty == RationalMatrix.zeros(0, 4) != RationalMatrix.zeros(0, 3)
 
 
 def test_block_degree_zero_combined_layout():
@@ -190,12 +206,12 @@ def test_block_reassembles_any_cut():
             tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(cols))
             for _ in range(rows)
         )
-        m = RationalMatrix(rows, cols, entries)
+        m = RationalMatrix.from_rows(entries, cols)
         row_cuts = [0, *sorted(rng.randint(0, rows) for _ in range(2)), rows]
         col_cuts = [0, *sorted(rng.randint(0, cols) for _ in range(2)), cols]
         grid = [
             [
-                RationalMatrix(r1 - r0, c1 - c0, tuple(row[c0:c1] for row in m.entries[r0:r1]))
+                RationalMatrix.from_rows([row[c0:c1] for row in m.entries[r0:r1]], c1 - c0)
                 for c0, c1 in zip(col_cuts, col_cuts[1:])
             ]
             for r0, r1 in zip(row_cuts, row_cuts[1:])
@@ -237,7 +253,7 @@ def _sparse_random_matrix(rng, rows, cols, density, big=False):
             return Fraction(rng.randint(-10**15, 10**15), rng.randint(1, 10**15))
         return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
-    return RationalMatrix(rows, cols, tuple(tuple(entry() for _ in range(cols)) for _ in range(rows)))
+    return RationalMatrix.from_rows([[entry() for _ in range(cols)] for _ in range(rows)], cols)
 
 
 def _random_vector(rng, n, density):
@@ -246,14 +262,14 @@ def _random_vector(rng, n, density):
 
 def _oracle_cases(rng):
     """Named shapes first, then seeded random matrices of mixed density."""
-    yield RationalMatrix(0, 4, ())
-    yield RationalMatrix(3, 0, ((),) * 3)
-    yield RationalMatrix(0, 0, ())
+    yield RationalMatrix.from_rows([], 4)
+    yield RationalMatrix.from_rows(((),) * 3)
+    yield RationalMatrix.from_rows([])
     yield RationalMatrix.zeros(3, 5)
     yield RationalMatrix.identity(4)
     yield RationalMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4]])  # rank 2
     base = _sparse_random_matrix(rng, 3, 6, 0.5)
-    yield RationalMatrix(6, 6, base.entries + base.entries)  # duplicated rows
+    yield RationalMatrix.from_rows(base.entries + base.entries)  # duplicated rows
     yield _sparse_random_matrix(rng, 5, 5, 0.6, big=True)
     for _ in range(150):
         rows, cols = rng.randint(1, 9), rng.randint(1, 9)
@@ -264,13 +280,29 @@ def _oracle_cases(rng):
             c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
             entries = list(m.entries)
             entries[r1] = tuple(c * x for x in entries[r0])
-            m = RationalMatrix(rows, cols, tuple(entries))
+            m = RationalMatrix.from_rows(entries, cols)
         yield m
+    # assembled coboundary and chain-map matrices (from_sparse) and combined ones (block)
+    r, module = random_valid_pair(random.Random(3), 2)
+    for data in (ComplexData(r, module), ComplexData(r, coadjoint_module(r))):
+        for n in range(3):
+            yield from (data.d(kind, n) for kind in ComplexKind)
+            yield data.phi(n)
+
+
+def _assert_canonical(x):
+    """x holds nonzero ``Fraction`` values only, by strictly increasing
+    column, so it equals the matrix of its own dense entries."""
+    assert x == RationalMatrix.from_rows(x.entries, x.cols)
+    for row in x.sparse_rows:
+        assert all(j < k for (j, _), (k, _) in zip(row, row[1:])), row
+        assert all(type(v) is Fraction and v != 0 for _, v in row), row
 
 
 def test_sparse_core_equals_dense_oracle():
     """Every result of the sparse core is equal (==, not just the same span)
-    to the former dense elimination and dense products."""
+    to the former dense elimination and dense products, and every matrix
+    builder stores its nonzeros in the one canonical form."""
     rng = random.Random(6)
     inconsistent = 0
     for m in _oracle_cases(rng):
@@ -279,6 +311,14 @@ def test_sparse_core_equals_dense_oracle():
         assert all(m.col(j) == transposed[j] for j in range(m.cols))
         other = _sparse_random_matrix(rng, m.cols, rng.randint(0, 5), 0.4)
         assert m.matmul(other).entries == tuple(tuple(row) for row in mat_mat(m, other))
+        built = [
+            m, other, m.transpose(), m.matmul(other), -m, m.scale(Fraction(-3, 2)), m.scale(0),
+            m.add(m), m.sub(m), RationalMatrix.from_cols(transposed, m.rows),
+            RationalMatrix.block([[m, m], [m, m]]),
+            RationalMatrix.identity(m.cols), RationalMatrix.zeros(m.rows, m.cols),
+        ]
+        for matrix in built:
+            _assert_canonical(matrix)
         x = _random_vector(rng, m.cols, 0.5)
         assert m.apply(x) == tuple(mat_vec(m, x))
 
@@ -318,7 +358,7 @@ def test_elimination_returns_fractions_only():
     # Fraction(3) == 3, so the equality tests would not see an int leak out
     # of the integer elimination; repr (the block pins) and Vector would
     rng = random.Random(21)
-    ints = RationalMatrix(3, 4, ((2, 4, 0, 6), (1, 2, 0, 3), (0, 0, 5, 1)))
+    ints = RationalMatrix.from_rows(((2, 4, 0, 6), (1, 2, 0, 3), (0, 0, 5, 1)))
     cases = [
         RationalMatrix.identity(3),
         RationalMatrix.zeros(2, 3),
@@ -340,8 +380,8 @@ M61 = 2**61 - 1
 def _adversarial_cases(rng):
     """Matrices that stress integer rows: large coprime denominators,
     coefficient growth, proportional rows, zero rows and empty shapes."""
-    yield RationalMatrix(0, 7, ())
-    yield RationalMatrix(7, 0, ((),) * 7)
+    yield RationalMatrix.from_rows([], 7)
+    yield RationalMatrix.from_rows(((),) * 7)
     for _ in range(4):  # entries with large coprime denominators
         rows, cols = rng.randint(3, 8), rng.randint(3, 8)
         yield RationalMatrix.from_rows(
@@ -424,9 +464,9 @@ def _kernel_cases(rng):
             for _ in range(n)
         )
 
-    yield RationalMatrix(0, 5, ()), [(1, 2, 3, 4, 5), (0,) * 5]
-    yield RationalMatrix(4, 0, ((),) * 4), [()]
-    yield RationalMatrix(0, 0, ()), [()]
+    yield RationalMatrix.from_rows([], 5), [(1, 2, 3, 4, 5), (0,) * 5]
+    yield RationalMatrix.from_rows(((),) * 4), [()]
+    yield RationalMatrix.from_rows([]), [()]
     yield RationalMatrix.zeros(3, 4), [(1, -2, 0, 7), coprime(4)]
     for _ in range(6):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
@@ -504,7 +544,7 @@ def test_integer_dot_kernel_is_linear(data, alpha):
     """A(αu + v) = αAu + Av, and reduce(v + b) = reduce(v) for b in the span."""
     rows, u, v, coeffs = data
     n = len(u)
-    m = RationalMatrix(len(rows), n, tuple(map(tuple, rows)))
+    m = RationalMatrix.from_rows(rows, n)
     combined = tuple(alpha * a + b for a, b in zip(u, v))
     assert m.apply(combined) == tuple(alpha * a + b for a, b in zip(m.apply(u), m.apply(v)))
     space = echelon_basis(rows, n)

@@ -118,7 +118,7 @@ def test_pre_lie_kernel_equals_its_transcription():
     for d, n in product(DIMS, ORDERS):
         rng = random.Random(f"pre-lie {d} {n}")
         mus = [_table(rng, d, d, d) for _ in range(n + 1)]
-        got = pre_lie_defects(mus, n)
+        got = pre_lie_defects(mus, [multiplication_matrices(mu, d, d) for mu in mus], n)
         assert got == pre_lie_defects_by_table(mus, n), (d, n)
         tally.add(got.values())
     tally.assert_mostly_nonzero()
@@ -130,7 +130,8 @@ def test_rota_baxter_kernel_equals_its_transcription():
         rng = random.Random(f"rota-baxter {d} {n} {lam}")
         mus = [_table(rng, d, d, d) for _ in range(n + 1)]
         ts = [random_matrix(rng, d, d) for _ in range(n + 1)]
-        got = rota_baxter_defects(mus, ts, lam, n)
+        lr = [multiplication_matrices(mu, d, d) for mu in mus]
+        got = rota_baxter_defects(mus, lr, ts, lam, n)
         assert got == rota_baxter_defects_by_table(mus, ts, lam, n), (d, n, lam)
         tally.add(got.values())
     tally.assert_mostly_nonzero()

@@ -39,6 +39,12 @@ action call (``.product``, ``.left``, ``.right``, ``mul00``/``mul01``/
 ``basis_vector``, ``basis0`` or ``basis1`` call, or a name bound to one in the
 same function) as an argument: a product with a basis vector is one
 ``apply`` of a multiplication matrix, and of two basis vectors a table entry.
+
+A matrix's value is its sparse rows, and only ``linalg`` builds them: no
+other package module calls the ``RationalMatrix(...)`` constructor directly;
+matrices come from ``from_rows``, ``from_cols``, ``from_sparse``,
+``identity``, ``zeros`` or ``block``, which store nonzeros only, by
+increasing column.
 """
 
 import ast
@@ -325,3 +331,17 @@ def test_products_go_through_multiplication_matrices(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = sorted(set(_products_of_basis_vectors(tree))) + list(_apply_table_names(tree))
     assert not found, f"{path.name}: {found}"
+
+
+def _direct_constructions(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called_name(node) == "RationalMatrix":
+            yield f"line {node.lineno}"
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.name != "linalg.py"], ids=lambda path: path.name
+)
+def test_matrices_come_from_the_named_constructors(path):
+    found = list(_direct_constructions(ast.parse(path.read_text(encoding="utf-8"))))
+    assert not found, f"{path.name} calls the RationalMatrix constructor at {found}"
