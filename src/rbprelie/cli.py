@@ -29,14 +29,7 @@ from .algebras import (
     star_algebra,
 )
 from .cochains import RBACochain
-from .complexes import (
-    ComplexData,
-    ComplexKind,
-    les_check,
-    pla_differential,
-    rba_differential,
-    rbo_differential,
-)
+from .complexes import ComplexData, ComplexKind, les_check
 from .deformations import (
     check_deformation,
     solve_next_order,
@@ -201,13 +194,8 @@ def _cmd_cocycle(args) -> tuple[dict, bool]:
     m = require_valid(r, module)
     which, cochain = _parse(parse_cochain_file, args.cochain)
     _require_dims(cochain, r, m)
-    if which == "pla":
-        defect = pla_differential(r.algebra, m.bimodule, cochain)
-    elif which == "rbo":
-        defect = rbo_differential(r, m, cochain, trusted=True)
-    else:
-        defect = rba_differential(r, m, cochain, trusted=True)
-    closed = defect.is_zero()
+    defect = ComplexData(r, m).d(ComplexKind(which), cochain.degree).apply(cochain.coords())
+    closed = not any(defect)
     fields = {
         "complex": which,
         "degree": cochain.degree,

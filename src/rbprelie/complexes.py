@@ -19,9 +19,10 @@ fail to compose associatively.
 
 Matrix coordinates follow the cochain basis order of :mod:`.cochains`; a
 combined-complex coordinate vector is the pre-Lie block followed by the
-operator block.  The combined matrix is therefore assembled from the other
-two complexes and the chain map, as the block matrix [[δₙ, 0], [−Φₙ, −∂ₙ₋₁]]
-(in degree 0, where there is no operator block, [[δ₀], [−Φ₀]]).
+operator block.  The combined matrix is therefore composed from the other
+two complexes and the chain map, by :meth:`ComplexData.d` alone, as the block
+matrix [[δₙ, 0], [−Φₙ, −∂ₙ₋₁]] (in degree 0, where there is no operator
+block, [[δ₀], [−Φ₀]]).
 
 Assembly evaluates no cochain.  Each matrix is a sum of terms (output key,
 input key, block), a block being an m × m matrix placed at the coordinates
@@ -37,10 +38,17 @@ without x_p:
     sort; the term is skipped when k repeats in the block.
 
 The operator matrix ∂ₙ is the same rule run on the star algebra with the
-derived actions.  For Φₙ (n ≥ 1), each key and each ε ∈ {0,1}ⁿ expand T at
-the slots where ε is 1 into the nonzeros w of its columns, and the skew
-block of each resulting argument tuple is sorted with sign σ; all ones adds
-σ·w·I, any other ε adds −λ^{n−1−|ε|}·σ·w·T_M (nothing when that power is 0).
+derived actions.  Φₙ (n ≥ 1) is f∘T^{⊗n} − Σ_{ε≠1} λ^{n−1−|ε|}·T_M∘f∘T^ε,
+T^ε having T at the slots where ε ∈ {0,1}ⁿ is 1 and the identity elsewhere.
+Grouping the ε ≠ 1 by the slot p of their first 0, every later slot is T
+(ε = 1) or λ·id (ε = 0, one more power of λ), and those choices sum to
+T + λ·id; so at every λ, 0 included, the ε-sum is
+Σ_p T^{⊗p} ⊗ id ⊗ (T + λ·id)^{⊗(n−1−p)}.  Each key therefore takes n + 1
+slot patterns: all T, with coefficient 1 and block I, and for each p the
+columns of T before p, the identity at p and the columns of T + λ·id after
+it, with coefficient −1 and block T_M.  A pattern expands each slot into
+the nonzeros w of its column, the skew block of each argument tuple is
+sorted with sign σ, and the term is σ·(coefficient)·Πw times the block.
 In degree 0, δ₀ and ∂₀ come out zero from the same rule and Φ₀ = I.  The
 cochain maps :func:`pla_differential`, :func:`rbo_differential`,
 :func:`phi` and :func:`rba_differential` apply these matrices to one
@@ -129,16 +137,14 @@ def _coboundary_terms(a: PreLieAlgebra, m: Bimodule, n: int) -> Iterator[Term]:
 def _phi_terms(r: RBPreLieAlgebra, m: RBBimodule, n: int) -> Iterator[Term]:
     """The terms of Φ in degree n ≥ 1 (rules in the module docstring)."""
     t_cols = r.operator.transpose().sparse_rows  # the nonzeros of each column of T
+    shifted = r.operator.add(RationalMatrix.identity(r.dim).scale(r.weight))
+    s_cols = shifted.transpose().sparse_rows  # and of T + λ·id
     for key in basis_keys(n, r.dim):
-        for eps in product((0, 1), repeat=n):
-            ones = sum(eps)
-            if ones == n:
-                coeff, block = Fraction(1), None
-            else:
-                coeff, block = -(r.weight ** (n - 1 - ones)), m.t_m
-                if coeff == 0:
-                    continue
-            slots = [t_cols[i] if e else ((i, 1),) for i, e in zip(key, eps)]
+        patterns = [(Fraction(1), None, [t_cols[x] for x in key])]
+        for p, x in enumerate(key):
+            slots = [*(t_cols[y] for y in key[:p]), ((x, 1),), *(s_cols[y] for y in key[p + 1 :])]
+            patterns.append((Fraction(-1), m.t_m, slots))
+        for coeff, block, slots in patterns:
             for args in product(*slots):
                 norm = normalize_skew([i for i, _ in args[:-1]])
                 if norm is None:
@@ -183,17 +189,6 @@ def _coboundary_matrix(a: PreLieAlgebra, m: Bimodule, n: int) -> RationalMatrix:
     return _assemble(_coboundary_terms(a, m, n), n + 1, n, a.dim, m.mod_dim)
 
 
-def _operator_matrix(r: RBPreLieAlgebra, m: RBBimodule, n: int) -> RationalMatrix:
-    star = star_algebra(r, trusted=True).algebra
-    return _coboundary_matrix(star, derived_bimodule(r, m, trusted=True).bimodule, n)
-
-
-def _phi_matrix(r: RBPreLieAlgebra, m: RBBimodule, n: int) -> RationalMatrix:
-    if n == 0:
-        return RationalMatrix.identity(m.mod_dim)
-    return _assemble(_phi_terms(r, m, n), n, n, r.dim, m.mod_dim)
-
-
 def pla_differential(a: PreLieAlgebra, m: Bimodule, f: Cochain) -> Cochain:
     """Degree n ↦ n+1 coboundary of the pre-Lie complex."""
     if f.base_dim != a.dim or f.base_dim != m.base_dim or f.mod_dim != m.mod_dim:
@@ -209,15 +204,16 @@ def rbo_differential(
     algebra with the derived actions as coefficients."""
     if not trusted:
         require_valid(r, m)
-    image = _operator_matrix(r, m, g.degree).apply(g.coords())
+    image = differential_matrix(ComplexKind.RBO, r, m, g.degree).apply(g.coords())
     return Cochain.from_coords(g.degree + 1, r.dim, m.mod_dim, image)
 
 
 def phi(r: RBPreLieAlgebra, m: RBBimodule, f: Cochain) -> Cochain:
     """Degree-preserving chain map into the operator complex: Φ(f) =
-    f∘(T, …, T) minus, for every insertion pattern ε ∈ {0,1}ⁿ other than
-    all-ones, λ^{n−1−|ε|}·T_M∘f∘(T^ε); the identity in degree 0."""
-    image = _phi_matrix(r, m, f.degree).apply(f.coords())
+    f∘(T, …, T) minus, for each slot p, T_M∘f with T in the slots before p,
+    the identity at p and T + λ·id after it (the sum over insertion
+    patterns ε ≠ 1 of λ^{n−1−|ε|}·T_M∘f∘T^ε); the identity in degree 0."""
+    image = phi_matrix(r, m, f.degree).apply(f.coords())
     return Cochain.from_coords(f.degree, r.dim, m.mod_dim, image)
 
 
@@ -227,13 +223,8 @@ def rba_differential(
     """d(f, g) = (δf, −∂g − Φf); in degree 0, d(f) = (δf, −f)."""
     if not trusted:
         require_valid(r, m)
-    n = c.degree
-    matrix = _rba_block_matrix(
-        _coboundary_matrix(r.algebra, m.bimodule, n),
-        _phi_matrix(r, m, n),
-        _operator_matrix(r, m, n - 1) if n else None,
-    )
-    return RBACochain.from_coords(n + 1, r.dim, m.mod_dim, matrix.apply(c.coords()))
+    image = differential_matrix(ComplexKind.RBA, r, m, c.degree).apply(c.coords())
+    return RBACochain.from_coords(c.degree + 1, r.dim, m.mod_dim, image)
 
 
 def differential_matrix(
@@ -245,30 +236,15 @@ def differential_matrix(
         return ComplexData(r, m).d(kind, degree)
     if kind is ComplexKind.PLA:
         return _coboundary_matrix(r.algebra, m.bimodule, degree)
-    return _operator_matrix(r, m, degree)
+    star = star_algebra(r, trusted=True).algebra
+    return _coboundary_matrix(star, derived_bimodule(r, m, trusted=True).bimodule, degree)
 
 
 def phi_matrix(r: RBPreLieAlgebra, m: RBBimodule, degree: int) -> RationalMatrix:
-    """Matrix of Φ in degree ``degree``.
-
-    This and :func:`differential_matrix` are the names a
-    :class:`ComplexData` assembles through, and ``bench/tracing.py`` times
-    and counts their calls; the cochain maps above call the private
-    builders, so applying a map to one cochain never counts as assembly.
-    """
-    return _phi_matrix(r, m, degree)
-
-
-def _rba_block_matrix(
-    delta: RationalMatrix, chain: RationalMatrix, partial: RationalMatrix | None
-) -> RationalMatrix:
-    """The block matrix [[δₙ, 0], [−Φₙ, −∂ₙ₋₁]] of the combined coboundary in
-    degree n, from δₙ, Φₙ and ∂ₙ₋₁; degree 0 (``partial`` None) has no right
-    block."""
-    if partial is None:
-        return RationalMatrix.block([[delta], [-chain]])
-    zero = RationalMatrix.zeros(delta.rows, partial.cols)
-    return RationalMatrix.block([[delta, zero], [-chain, -partial]])
+    """Matrix of Φ in degree ``degree``."""
+    if degree == 0:
+        return RationalMatrix.identity(m.mod_dim)
+    return _assemble(_phi_terms(r, m, degree), degree, degree, r.dim, m.mod_dim)
 
 
 class ComplexData:
@@ -292,13 +268,20 @@ class ComplexData:
         return complex_space_dim(kind, n, self.r.dim, self.m.mod_dim)
 
     def d(self, kind: ComplexKind, n: int) -> RationalMatrix:
-        """dₙ; the combined one is composed from this object's δₙ, Φₙ, ∂ₙ₋₁."""
-        PLA, RBO = ComplexKind.PLA, ComplexKind.RBO
-        if kind is ComplexKind.RBA:
-            return self._once(("d", kind, n), lambda: _rba_block_matrix(
-                self.d(PLA, n), self.phi(n), self.d(RBO, n - 1) if n else None
-            ))
-        return self._once(("d", kind, n), lambda: differential_matrix(kind, self.r, self.m, n))
+        """dₙ; the combined one is the block matrix [[δₙ, 0], [−Φₙ, −∂ₙ₋₁]] of
+        this object's δₙ, Φₙ and ∂ₙ₋₁, or [[δ₀], [−Φ₀]] in degree 0."""
+        if kind is not ComplexKind.RBA:
+            return self._once(("d", kind, n), lambda: differential_matrix(kind, self.r, self.m, n))
+
+        def compose() -> RationalMatrix:
+            delta, chain = self.d(ComplexKind.PLA, n), self.phi(n)
+            if n == 0:
+                return RationalMatrix.block([[delta], [-chain]])
+            partial = self.d(ComplexKind.RBO, n - 1)
+            zero = RationalMatrix.zeros(delta.rows, partial.cols)
+            return RationalMatrix.block([[delta, zero], [-chain, -partial]])
+
+        return self._once(("d", kind, n), compose)
 
     def phi(self, n: int) -> RationalMatrix:
         return self._once(("phi", n), lambda: phi_matrix(self.r, self.m, n))

@@ -89,10 +89,14 @@ class TruncatedDeformation:
 
     @cached_property
     def multiplications(self) -> tuple[Multiplications, ...]:
-        """(L, R) of each μ_n, built once per deformation; μ₀'s are the base's."""
+        """(L, R) of each μ_n; μ₀'s are the base's, and a table equal (by
+        ``==``: tables may be lists) to an earlier one reuses its pair."""
         d = self.base.dim
-        rest = (multiplication_matrices(mu, d, d) for mu in self.products[1:])
-        return (self.base.algebra.multiplications, *rest)
+        kept = [(self.products[0], self.base.algebra.multiplications)]
+        for mu in self.products[1:]:
+            lr = next((lr for table, lr in kept if table == mu), None)
+            kept.append((mu, lr or multiplication_matrices(mu, d, d)))
+        return tuple(lr for _, lr in kept)
 
 
 def trivial_deformation(r: RBPreLieAlgebra, order: int) -> TruncatedDeformation:

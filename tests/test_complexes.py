@@ -29,7 +29,7 @@ from rbprelie.complexes import (
     complex_space_dim,
     phi_matrix,
 )
-from rbprelie.files import parse_algebra_file
+from rbprelie.files import cochain_document, dump_document, parse_algebra_file
 from rbprelie.generators import (
     coadjoint_module,
     random_cochain,
@@ -450,13 +450,26 @@ def test_les_by_ranks_on_a_broken_operator():
         assert p == q
 
 
+CATALOGUE_WEIGHTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-7, 3),
+                     Fraction(1, 2))
+
+
 def test_phi_matrix_matches_functional():
-    rng = random.Random(11)
-    r, m = random_valid_pair(rng, 2)
-    for n in range(0, 3):
-        mat = phi_matrix(r, m, n)
-        f = random_cochain(rng, n, r.dim, m.mod_dim)
-        assert mat.apply(f.coords()) == phi_by_eval(r, m, f).coords()
+    # every weight the generators draw, λ = 0 included, on a draw whose
+    # operator is neither 0 nor −λ·id, so that every slot pattern of Φ
+    # contributes; each with its own, the regular and the coadjoint module
+    for weight in CATALOGUE_WEIGHTS:
+        rng = random.Random(f"phi:{weight}")
+        r, m = random_valid_pair(rng, 2, weight)
+        while not _nondegenerate(r, m):
+            r, m = random_valid_pair(rng, 2, weight)
+        for module in (m, regular_bimodule(r), coadjoint_module(r)):
+            for n in range(4):
+                mat = phi_matrix(r, module, n)
+                for _ in range(2):
+                    f = random_cochain(rng, n, r.dim, module.mod_dim)
+                    want = phi_by_eval(r, module, f).coords()
+                    assert mat.apply(f.coords()) == want, (weight, n)
 
 
 KINDS_AND_PHI = (ComplexKind.PLA, ComplexKind.RBO, ComplexKind.RBA, "phi")
@@ -573,7 +586,7 @@ def test_degree_one_operator_block_is_zero():
             assert d1.col(j) == zero_vector(d1.rows)
 
 
-def test_cohomology_all_assembles_each_block_once(monkeypatch):
+def test_cohomology_all_assembles_each_block_once(monkeypatch, tmp_path):
     from collections import Counter
 
     from rbprelie import complexes
@@ -602,3 +615,24 @@ def test_cohomology_all_assembles_each_block_once(monkeypatch):
         report, code = run_command(["cohomology", str(FIXTURES / fixture), "--complex", "all"])
         assert code == 0 and set(report["dimensions"]) == {"pla", "rbo", "rba"}
         assert built == once
+    # an LES walk and a cocycle check of each complex also build each block at
+    # most once, and compose every combined matrix from the blocks
+    alg = str(FIXTURES / "a1n.yaml")
+    r, _, _ = parse_algebra_file((FIXTURES / "a1n.yaml").read_text())
+    rng = random.Random(25)
+    cochains = {
+        "pla": random_cochain(rng, 2, r.dim, r.dim),
+        "rbo": random_cochain(rng, 1, r.dim, r.dim),
+        "rba": random_rba_cochain(rng, 2, r.dim, r.dim),
+    }
+    requests = [["les", alg, "--max-degree", "2"]]
+    for which, c in cochains.items():
+        path = tmp_path / f"{which}.yaml"
+        path.write_text(dump_document(cochain_document(which, c)))
+        requests.append(["cocycle", alg, str(path)])
+    for argv in requests:
+        built.clear()
+        report, _ = run_command(argv)
+        assert "error" not in report, (argv, report)
+        assert built and max(built.values()) == 1, (argv, built)
+        assert ComplexKind.RBA not in {key[0] for key in built}, (argv, built)

@@ -45,6 +45,11 @@ other package module calls the ``RationalMatrix(...)`` constructor directly;
 matrices come from ``from_rows``, ``from_cols``, ``from_sparse``,
 ``identity``, ``zeros`` or ``block``, which store nonzeros only, by
 increasing column.
+
+Each map has one builder: in ``complexes``, ``_assemble`` is called only by
+``_coboundary_matrix`` (δ, and ∂ on the star data) and ``phi_matrix``, and
+``RationalMatrix.block`` only inside ``ComplexData``, whose ``d`` is the one
+composer of the combined matrix.
 """
 
 import ast
@@ -345,3 +350,26 @@ def _direct_constructions(tree: ast.AST):
 def test_matrices_come_from_the_named_constructors(path):
     found = list(_direct_constructions(ast.parse(path.read_text(encoding="utf-8"))))
     assert not found, f"{path.name} calls the RationalMatrix constructor at {found}"
+
+
+def test_each_map_has_one_builder():
+    path = next(path for path in SOURCES if path.name == "complexes.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assemblers = {fn for fn, call in _calls_by_function(tree) if _callee(call) == "_assemble"}
+    assert assemblers == {"_coboundary_matrix", "phi_matrix"}, assemblers
+    data = next(
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "ComplexData"
+    )
+
+    def blocks(root):
+        return {
+            call.lineno
+            for call in ast.walk(root)
+            if isinstance(call, ast.Call) and _callee(call) == "RationalMatrix.block"
+        }
+
+    inside, outside = blocks(data), blocks(tree) - blocks(data)
+    assert inside
+    assert not outside, f"complexes.py calls RationalMatrix.block outside ComplexData at {outside}"
