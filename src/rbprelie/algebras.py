@@ -11,7 +11,15 @@ vectors (1-based indices, since they are diagnostics).  Composite checkers
 in other modules chain the same triples.  The pre-Lie identity and the
 Rota-Baxter law are written once, as the tⁿ coefficients
 :func:`pre_lie_defects` and :func:`rota_baxter_defects` of a formal series;
-the axioms are their order 0.
+the axioms are their order 0.  These two kernels and the module laws
+:func:`bimodule_defects` and :func:`rb_bimodule_defects` run on integers:
+they read each family of tables or matrices once as nested ``int`` lists
+over one common denominator (:func:`integer_tables`,
+:func:`integer_matrices`), accumulate every output component as an ``int``
+over one denominator shared by all its terms, and make one ``Fraction`` per
+nonzero returned entry (:func:`fractions_over`).  This is exact arithmetic
+in another order, and a ``Fraction``'s normal form is unique, so every
+defect equals the one ``Fraction`` arithmetic gives.
 :func:`require_valid` is the one validity gate: operations that require
 valid input pass through it unless called with ``trusted=True``.
 
@@ -22,13 +30,14 @@ Conventions:
     the coordinates of the image of ``e_j``;
   * ``S[i]`` is the left action of ``e_i`` on the module, ``P[i]`` the
     right action ``u ↦ u · e_i``;
-  * every bilinear table, structure constants and actions alike, is read
-    through its left and right multiplication matrices (L, R):
-    ``L[i]·y = e_i·y`` and ``R[k]·x = x·e_k``, so a bimodule's (S, P) are
-    the L of its left action and the R of its right action.  A product of
-    two basis vectors is a table entry, a product with one basis vector is
-    one matrix ``apply``, and a general product is ``Σ xᵢ·Lᵢ·y``
-    (:func:`bilinear`).
+  * outside the law kernels, every bilinear table, structure constants
+    and actions alike, is read through its left and right multiplication
+    matrices (L, R): ``L[i]·y = e_i·y`` and ``R[k]·x = x·e_k``, so a
+    bimodule's (S, P) are the L of its left action and the R of its right
+    action.  A product of two basis vectors is a table entry, a product with
+    one basis vector is one matrix ``apply``, and a general product is
+    ``Σ xᵢ·Lᵢ·y`` (:func:`bilinear`).  The law kernels read the tables
+    themselves, as integer tensors.
 """
 
 from __future__ import annotations
@@ -37,6 +46,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -53,6 +64,8 @@ from .linalg import (
 ProductTable = tuple[tuple[Vector, ...], ...]
 Matrices = tuple[RationalMatrix, ...]
 Multiplications = tuple[Matrices, Matrices]  # (L, R) of a table
+
+_ZERO = Fraction(0)
 
 
 class InvalidStructureError(ValueError):
@@ -145,7 +158,7 @@ class PreLieAlgebra:
     def pre_lie_law(self) -> dict[tuple[int, int, int], Vector]:
         """The defects of the pre-Lie identity, :func:`pre_lie_defects` at
         order 0, computed once per object."""
-        return pre_lie_defects((self.c,), (self.multiplications,), 0)
+        return pre_lie_defects((self.c,), 0)
 
     def product(self, x: Sequence, y: Sequence) -> Vector:
         """Bilinear extension of the structure constants."""
@@ -175,8 +188,7 @@ class RBPreLieAlgebra:
     def rota_baxter_law(self) -> dict[tuple[int, int], Vector]:
         """The defects of the weighted Rota-Baxter law,
         :func:`rota_baxter_defects` at order 0, computed once per object."""
-        a = self.algebra
-        return rota_baxter_defects((a.c,), (a.multiplications,), (self.operator,), self.weight, 0)
+        return rota_baxter_defects((self.algebra.c,), (self.operator,), self.weight, 0)
 
 
 @dataclass(frozen=True)
@@ -238,63 +250,150 @@ def regular_bimodule(r: RBPreLieAlgebra) -> RBBimodule:
     return RBBimodule(Bimodule(d, d, *r.algebra.multiplications), r.operator)
 
 
-def pre_lie_defects(
-    mus: Sequence[ProductTable], lr: Sequence[Multiplications], n: int
-) -> dict[tuple[int, int, int], Vector]:
+def integer_tables(tables: Sequence[ProductTable]) -> tuple[int, list]:
+    """(D, ints): every entry of the tables times D, the lcm of all their
+    denominators, as nested ``int`` lists, ``ints[t][i][j][k]``."""
+    den = lcm(*{x.denominator for table in tables for row in table for v in row for x in v})
+    return den, [
+        [[[x.numerator * (den // x.denominator) for x in v] for v in row] for row in table]
+        for table in tables
+    ]
+
+
+def integer_matrices(mats: Sequence[RationalMatrix]) -> tuple[int, list]:
+    """(D, ints): every entry of the matrices times D, the lcm of all their
+    denominators, as dense nested ``int`` rows, ``ints[t][row][col]``."""
+    den = lcm(*{x.denominator for m in mats for row in m.sparse_rows for _, x in row})
+    out = []
+    for m in mats:
+        rows = [[0] * m.cols for _ in range(m.rows)]
+        for dense, row in zip(rows, m.sparse_rows):
+            for j, x in row:
+                dense[j] = x.numerator * (den // x.denominator)
+        out.append(rows)
+    return den, out
+
+
+def fractions_over(nums: Sequence[int], den: int) -> Vector:
+    """The vector nums/den: one ``Fraction`` per nonzero entry and the shared
+    zero for each zero."""
+    return tuple([Fraction(x, den) if x else _ZERO for x in nums])
+
+
+def nonzero_columns(mat: list[list[int]]) -> list[list[tuple[int, int]]]:
+    """The (row, nonzero) pairs of each column of a nested ``int`` matrix."""
+    return [[(x, v) for x, v in enumerate(col) if v] for col in zip(*mat)]
+
+
+def _is_nonzero_table(table: list) -> bool:
+    return any(any(map(any, row)) for row in table)
+
+
+def _times(mat: list[list[int]], v: Sequence[int]) -> list[int]:
+    return [sum(map(mul, row, v)) for row in mat]
+
+
+def _combination(weights: Sequence[int], vectors: Sequence[Sequence[int]], size: int) -> list[int]:
+    """Σ wₖ·vₖ over the nonzero weights, as an ``int`` list."""
+    acc = [0] * size
+    for w, v in zip(weights, vectors):
+        if w:
+            acc = [s + w * x for s, x in zip(acc, v)]
+    return acc
+
+
+def _mix(weights: Sequence[int], mats: Sequence[list[list[int]]], size: int) -> list[list[int]]:
+    """Σ wₖ·Mₖ for nested ``int`` matrices of ``size`` columns."""
+    return [_combination(weights, rows, size) for rows in zip(*mats)]
+
+
+def integer_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The product of two nested ``int`` matrices."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def pre_lie_defects(mus: Sequence[ProductTable], n: int) -> dict[tuple[int, int, int], Vector]:
     """The tⁿ coefficient of the pre-Lie identity for μ_t = Σ μᵢtⁱ on every
-    basis triple (eᵢ, eⱼ, e_k), keyed (i, j, k), given ``lr[a]``, the (L, R)
-    of μ_a for a ≤ n:
+    basis triple (eᵢ, eⱼ, e_k), keyed (i, j, k):
 
         Σ_{a+b=n} μ_a(μ_b(x, y), z) − μ_a(x, μ_b(y, z)) − (x ↔ y).
 
-    At n = 0 this is the pre-Lie identity of ``mus[0]``.
+    At n = 0 this is the pre-Lie identity of ``mus[0]``.  With μ₀…μₙ read
+    over their common denominator D, every term is an integer over D².
     """
     dim = len(mus[0])
+    den, ints = integer_tables(mus[: n + 1])
+    live = [_is_nonzero_table(table) for table in ints]
+    pairs = [(ints[a], ints[n - a]) for a in range(n + 1) if live[a] and live[n - a]]
+    span = range(dim)
     out = {}
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                defect = zero_vector(dim)
-                for a in range(n + 1):
-                    (left, right), mu_b = lr[a], mus[n - a]
+    for i in span:
+        for j in span:
+            for k in span:
+                acc = [0] * dim
+                for mu_a, mu_b in pairs:
                     # μ_a(μ_b(eᵢ,eⱼ) − μ_b(eⱼ,eᵢ), e_k) − μ_a(eᵢ, μ_b(eⱼ,e_k)) + μ_a(eⱼ, μ_b(eᵢ,e_k))
-                    lhs = right[k].apply(vsub(mu_b[i][j], mu_b[j][i]))
-                    rhs = vsub(left[i].apply(mu_b[j][k]), left[j].apply(mu_b[i][k]))
-                    defect = vadd(defect, vsub(lhs, rhs))
-                out[(i, j, k)] = defect
+                    bs = zip(mu_b[i][j], mu_b[j][i], mu_b[j][k], mu_b[i][k])
+                    for (bij, bji, bjk, bik), a_p, a_ip, a_jp in zip(bs, mu_a, mu_a[i], mu_a[j]):
+                        if c := bij - bji:
+                            acc = [s + c * x for s, x in zip(acc, a_p[k])]
+                        if bjk:
+                            acc = [s - bjk * x for s, x in zip(acc, a_ip)]
+                        if bik:
+                            acc = [s + bik * x for s, x in zip(acc, a_jp)]
+                out[(i, j, k)] = fractions_over(acc, den * den)
     return out
 
 
 def rota_baxter_defects(
-    mus: Sequence[ProductTable], lr: Sequence[Multiplications],
-    ts: Sequence[RationalMatrix], lam: Fraction, n: int,
+    mus: Sequence[ProductTable], ts: Sequence[RationalMatrix], lam: Fraction, n: int
 ) -> dict[tuple[int, int], Vector]:
     """The tⁿ coefficient of the weighted Rota-Baxter law for μ_t = Σ μᵢtⁱ,
-    T_t = Σ Tᵢtⁱ on every basis pair (eᵢ, eⱼ), keyed (i, j), given ``lr[a]``,
-    the (L, R) of μ_a for a ≤ n:
+    T_t = Σ Tᵢtⁱ on every basis pair (eᵢ, eⱼ), keyed (i, j):
 
         μ_t(T_t x, T_t y) − T_t(μ_t(x, T_t y) + μ_t(T_t x, y) + λ μ_t(x, y)).
 
     The weight multiplies the ``T_a∘μ_b`` sum at every order.  At n = 0 this
-    is the Rota-Baxter law of ``ts[0]`` for ``mus[0]``.
+    is the Rota-Baxter law of ``ts[0]`` for ``mus[0]``.  With μ₀…μₙ over
+    their common denominator D_μ, T₀…Tₙ over D_T and λ = p/q, every term is
+    an integer over q·D_μ·D_T².
     """
     dim = len(mus[0])
-    cols = [[t.col(i) for i in range(dim)] for t in ts[: n + 1]]
+    d_mu, mu = integer_tables(mus[: n + 1])
+    d_t, t = integer_matrices(ts[: n + 1])
+    p, q = lam.numerator, lam.denominator
+    cols = [nonzero_columns(t_b) for t_b in t]
+    live = [_is_nonzero_table(table) for table in mu]
+    den = q * d_mu * d_t * d_t
     out = {}
     for i in range(dim):
         for j in range(dim):
-            defect = zero_vector(dim)
+            acc = [0] * dim
             for a in range(n + 1):
+                if not live[a]:
+                    continue
+                mu_a = mu[a]
                 for b in range(n + 1 - a):
-                    defect = vadd(defect, bilinear(lr[a][0], cols[b][i], cols[n - a - b][j], dim))
+                    for x, tx in cols[b][i]:
+                        row = mu_a[x]
+                        for y, ty in cols[n - a - b][j]:
+                            c = q * tx * ty
+                            acc = [s + c * z for s, z in zip(acc, row[y])]
             for a in range(n + 1):
-                inner = vscale(lam, mus[n - a][i][j])
+                if not any(map(any, t[a])):
+                    continue
+                inner = [p * d_t * z for z in mu[n - a][i][j]]
                 for b in range(n + 1 - a):
-                    (left, right), c = lr[b], n - a - b
-                    inner = vadd(inner, left[i].apply(cols[c][j]))
-                    inner = vadd(inner, right[j].apply(cols[c][i]))
-                defect = vsub(defect, ts[a].apply(inner))
-            out[(i, j)] = defect
+                    if not live[b]:
+                        continue
+                    mu_b, c_cols = mu[b], cols[n - a - b]
+                    for y, ty in c_cols[j]:
+                        inner = [s + q * ty * z for s, z in zip(inner, mu_b[i][y])]
+                    for x, tx in c_cols[i]:
+                        inner = [s + q * tx * z for s, z in zip(inner, mu_b[x][j])]
+                acc = [s - z for s, z in zip(acc, _times(t[a], inner))]
+            out[(i, j)] = fractions_over(acc, den)
     return out
 
 
@@ -309,40 +408,66 @@ def check_rb_operator(r: RBPreLieAlgebra) -> Verdict:
 
 
 def bimodule_defects(a: PreLieAlgebra, m: Bimodule) -> Defects:
-    """Both pre-Lie representation laws on basis pairs acting on basis vectors."""
+    """Both pre-Lie representation laws on basis pairs acting on basis
+    vectors.  With the table over D_c and the actions over D_a, every term
+    is an integer over D_c·D_a²."""
     if m.base_dim != a.dim:
         raise ValueError("module base dimension does not match the algebra")
-    S, P = m.S, m.P
-    times_u, u_times = m.at_module_basis
+    d_c, (c,) = integer_tables((a.c,))
+    d_a, actions = integer_matrices(m.S + m.P)
+    S, P = actions[: a.dim], actions[a.dim :]
+    md, den = m.mod_dim, d_c * d_a * d_a
     for i in range(a.dim):
         for j in range(a.dim):
-            cij, bracket = a.c[i][j], vsub(a.c[i][j], a.c[j][i])
-            for u in range(m.mod_dim):
-                # x·(y·u) − (x·y)·u symmetric in x, y
-                lhs = vsub(S[i].apply(S[j].col(u)), S[j].apply(S[i].col(u)))
-                yield "left_action", (i, j, u), vsub(lhs, times_u[u].apply(bracket))
-                # x·(u·y) − (x·u)·y = u·(x·y) − (u·x)·y
-                lhs = vsub(S[i].apply(P[j].col(u)), P[j].apply(S[i].col(u)))
-                rhs = vsub(u_times[u].apply(cij), P[j].apply(P[i].col(u)))
-                yield "mixed_action", (i, j, u), vsub(lhs, rhs)
+            bracket = [x - y for x, y in zip(c[i][j], c[j][i])]
+            # on each e_u, as column u: x·(y·u) − (x·y)·u symmetric in x, y
+            left = [
+                [d_c * (x - y) - d_a * z for x, y, z in zip(*rows)]
+                for rows in zip(
+                    integer_matmul(S[i], S[j]), integer_matmul(S[j], S[i]), _mix(bracket, S, md)
+                )
+            ]
+            # and x·(u·y) − (x·u)·y = u·(x·y) − (u·x)·y
+            mixed = [
+                [d_c * (x - y + w) - d_a * z for x, y, z, w in zip(*rows)]
+                for rows in zip(
+                    integer_matmul(S[i], P[j]), integer_matmul(P[j], S[i]), _mix(c[i][j], P, md),
+                    integer_matmul(P[j], P[i]),
+                )
+            ]
+            for u in range(md):
+                yield "left_action", (i, j, u), fractions_over([row[u] for row in left], den)
+                yield "mixed_action", (i, j, u), fractions_over([row[u] for row in mixed], den)
 
 
 def rb_bimodule_defects(r: RBPreLieAlgebra, m: RBBimodule) -> Defects:
-    """Both weighted compatibility laws between T and the module operator."""
-    bm, tm, t, lam = m.bimodule, m.t_m, r.operator, r.weight
+    """Both weighted compatibility laws between T and the module operator.
+    With T over D_T, the actions over D_a, T_M over D_M and λ = p/q, every
+    term is an integer over q·D_T·D_a·D_M²."""
+    bm, lam = m.bimodule, r.weight
     if bm.base_dim != r.dim:
         raise ValueError("module base dimension does not match the algebra")
-    times_u, u_times = bm.at_module_basis
-    for i in range(r.dim):
-        ti, si, pi = t.col(i), bm.S[i], bm.P[i]
-        for u in range(bm.mod_dim):
-            tu = tm.col(u)
-            # T(a)·T_M(u) = T_M(a·T_M(u) + T(a)·u + λ a·u)
-            inner = vadd(vadd(si.apply(tu), times_u[u].apply(ti)), vscale(lam, si.col(u)))
-            yield "rb_left", (i, u), vsub(bm.left(ti, tu), tm.apply(inner))
-            # T_M(u)·T(a) = T_M(u·T(a) + T_M(u)·a + λ u·a)
-            inner = vadd(vadd(u_times[u].apply(ti), pi.apply(tu)), vscale(lam, pi.col(u)))
-            yield "rb_right", (i, u), vsub(bm.right(tu, ti), tm.apply(inner))
+    d_t, (t,) = integer_matrices((r.operator,))
+    d_m, (tm,) = integer_matrices((m.t_m,))
+    d_a, actions = integer_matrices(bm.S + bm.P)
+    S, P = actions[: r.dim], actions[r.dim :]
+    p, q, md = lam.numerator, lam.denominator, bm.mod_dim
+    den = q * d_t * d_a * d_m * d_m
+    for i, ti in enumerate(zip(*t)):
+        # per side, the action of eᵢ and of T(eᵢ) = Σₖ T(eᵢ)ₖ·eₖ
+        sides = [
+            (law, acts[i], _mix(ti, acts, md)) for law, acts in (("rb_left", S), ("rb_right", P))
+        ]
+        for u, tu in enumerate(zip(*tm)):
+            for law, act, act_t in sides:
+                # rb_left:  T(a)·T_M(u) = T_M(a·T_M(u) + T(a)·u + λ a·u)
+                # rb_right: T_M(u)·T(a) = T_M(u·T(a) + T_M(u)·a + λ u·a)
+                inner = [
+                    q * d_t * x + q * d_m * row_t[u] + p * d_t * d_m * row[u]
+                    for x, row_t, row in zip(_times(act, tu), act_t, act)
+                ]
+                defect = [q * d_m * x - y for x, y in zip(_times(act_t, tu), _times(tm, inner))]
+                yield law, (i, u), fractions_over(defect, den)
 
 
 def check_bimodule(a: PreLieAlgebra, m: Bimodule) -> Verdict:

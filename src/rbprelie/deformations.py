@@ -10,26 +10,33 @@ and of the weighted Rota-Baxter law for μ_t = Σ μᵢtⁱ, T_t = Σ Tᵢtⁱ:
 ``algebras.pre_lie_defects`` and ``algebras.rota_baxter_defects``, whose
 order 0 is the axioms.  Note the weight λ multiplies the ``Σ Tᵢ∘μⱼ`` sum in
 the operator condition at every order, exactly as it does at order zero.
+
+Those kernels and :func:`gauge_transform` read the coefficient tables and
+matrices as they are, once per call, as ``int`` tensors over one common
+denominator per family, and make a ``Fraction`` only for each returned
+entry; no multiplication matrices are built for a deformation's tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
+from operator import mul
 from typing import Sequence
 
 from .algebras import (
     InvalidStructureError,
-    Multiplications,
     ProductTable,
     RBPreLieAlgebra,
     Verdict,
     Violation,
-    bilinear,
-    multiplication_matrices,
+    fractions_over,
+    integer_matmul,
+    integer_matrices,
+    integer_tables,
     named,
+    nonzero_columns,
     pre_lie_defects,
     regular_bimodule,
     rota_baxter_defects,
@@ -45,7 +52,7 @@ from .cochains import (
     matrix_from_cochain,
 )
 from .complexes import ComplexData, ComplexKind, rba_differential, rbo_differential
-from .linalg import RationalMatrix, is_zero_vector, vadd, zero_vector
+from .linalg import RationalMatrix, is_zero_vector
 
 
 class DeformationError(InvalidStructureError):
@@ -87,17 +94,6 @@ class TruncatedDeformation:
     def order(self) -> int:
         return len(self.products) - 1
 
-    @cached_property
-    def multiplications(self) -> tuple[Multiplications, ...]:
-        """(L, R) of each μ_n; μ₀'s are the base's, and a table equal (by
-        ``==``: tables may be lists) to an earlier one reuses its pair."""
-        d = self.base.dim
-        kept = [(self.products[0], self.base.algebra.multiplications)]
-        for mu in self.products[1:]:
-            lr = next((lr for table, lr in kept if table == mu), None)
-            kept.append((mu, lr or multiplication_matrices(mu, d, d)))
-        return tuple(lr for _, lr in kept)
-
 
 def trivial_deformation(r: RBPreLieAlgebra, order: int) -> TruncatedDeformation:
     d = r.dim
@@ -127,8 +123,8 @@ def _order_defects(r: RBPreLieAlgebra, d: TruncatedDeformation, n: int) -> tuple
     them already)."""
     if n == 0:
         return r.algebra.pre_lie_law, r.rota_baxter_law
-    product = pre_lie_defects(d.products, d.multiplications, n)
-    return product, rota_baxter_defects(d.products, d.multiplications, d.operators, r.weight, n)
+    product = pre_lie_defects(d.products, n)
+    return product, rota_baxter_defects(d.products, d.operators, r.weight, n)
 
 
 def check_deformation(r: RBPreLieAlgebra, d: TruncatedDeformation) -> DeformationVerdict:
@@ -221,42 +217,65 @@ def series_compose(first: GaugeSeries, second: GaugeSeries, order: int) -> Gauge
     return GaugeSeries(tuple(out))
 
 
+def _matrix_sum(mats: list[list[list[int]]]) -> list[list[int]]:
+    """The sum of one or more nested ``int`` matrices of one shape."""
+    return [[sum(entries) for entries in zip(*rows)] for rows in zip(*mats)]
+
+
 def gauge_transform(
     r: RBPreLieAlgebra, d: TruncatedDeformation, psi: GaugeSeries
 ) -> TruncatedDeformation:
-    """The deformation (ψ_t⁻¹∘μ_t∘(ψ_t⊗ψ_t), ψ_t⁻¹∘T_t∘ψ_t), truncated."""
+    """The deformation (ψ_t⁻¹∘μ_t∘(ψ_t⊗ψ_t), ψ_t⁻¹∘T_t∘ψ_t), truncated.
+
+    With η = ψ_t⁻¹ and the μ, T, ψ and η coefficients each over their
+    common denominator, C_s = Σ_{b+i+j=s} μ_b(ψᵢ·, ψⱼ·) is an integer table
+    over D_μ·D_ψ², and the order-n product Σ_{a+s=n} η_a∘C_s is over
+    D_η·D_μ·D_ψ²; likewise U_s = Σ_{b+i=s} T_b∘ψᵢ is over D_T·D_ψ and the
+    order-n operator Σ_{a+s=n} η_a∘U_s over D_η·D_T·D_ψ.
+    """
     if psi.order < d.order:
         raise ValueError("gauge series must reach the deformation order")
-    dim = r.dim
-    n_max = d.order
-    eta = series_inverse(psi.maps, n_max)
-    zero = RationalMatrix.zeros(dim, dim)
-
-    def psi_at(k: int) -> RationalMatrix:
-        return psi.maps[k] if k < len(psi.maps) else zero
-
-    lefts = [left for left, _ in d.multiplications]
+    dim, n_max = r.dim, d.order
+    d_mu, mus = integer_tables(d.products)
+    d_t, ts = integer_matrices(d.operators)
+    d_psi, psis = integer_matrices(psi.maps[: n_max + 1])
+    d_eta, etas = integer_matrices(series_inverse(psi.maps, n_max))
+    cols = [nonzero_columns(m) for m in psis]
+    product_sums = []
+    for s in range(n_max + 1):
+        table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+        for b in range(s + 1):
+            mu_b = mus[b]
+            for i in range(s + 1 - b):
+                for p, xs in enumerate(cols[i]):
+                    for q, ys in enumerate(cols[s - b - i]):
+                        acc = table[p][q]
+                        for x, u in xs:
+                            row = mu_b[x]
+                            for y, v in ys:
+                                c = u * v
+                                acc[:] = [z + c * w for z, w in zip(acc, row[y])]
+        product_sums.append(table)
+    operator_sums = [
+        _matrix_sum([integer_matmul(ts[b], psis[s - b]) for b in range(s + 1)])
+        for s in range(n_max + 1)
+    ]
     new_products = []
     new_operators = []
     for n in range(n_max + 1):
-        table = [[zero_vector(dim) for _ in range(dim)] for _ in range(dim)]
+        table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
         for a in range(n + 1):
-            for b in range(n + 1 - a):
-                for i in range(n + 1 - a - b):
-                    j = n - a - b - i
-                    for p in range(dim):
-                        xp = psi_at(i).col(p)
-                        for q in range(dim):
-                            yq = psi_at(j).col(q)
-                            val = eta[a].apply(bilinear(lefts[b], xp, yq, dim))
-                            table[p][q] = vadd(table[p][q], val)
-        new_products.append(tuple(tuple(row) for row in table))
-        op = RationalMatrix.zeros(dim, dim)
-        for a in range(n + 1):
-            for b in range(n + 1 - a):
-                i = n - a - b
-                op = op.add(eta[a].matmul(d.operators[b]).matmul(psi_at(i)))
-        new_operators.append(op)
+            eta_a = etas[a]
+            for row, summed in zip(table, product_sums[n - a]):
+                for acc, vector in zip(row, summed):
+                    if any(vector):
+                        acc[:] = [z + sum(map(mul, e, vector)) for z, e in zip(acc, eta_a)]
+        den = d_eta * d_mu * d_psi * d_psi
+        new_products.append(tuple(tuple(fractions_over(v, den) for v in row) for row in table))
+        op = _matrix_sum([integer_matmul(etas[a], operator_sums[n - a]) for a in range(n + 1)])
+        den = d_eta * d_t * d_psi
+        rows = [fractions_over(row, den) for row in op]
+        new_operators.append(RationalMatrix.from_rows(rows, dim))
     return TruncatedDeformation(r, tuple(new_products), tuple(new_operators))
 
 
@@ -291,9 +310,8 @@ def solve_next_order(r: RBPreLieAlgebra, d: TruncatedDeformation) -> SolveNextOr
     # zero μₙ and a zero Tₙ; its product part is a skew degree-3 value on
     # (a∧b)⊗c, kept on the keys a < b
     mus = d.products + (zero_table(dim, dim, dim),)
-    lr = d.multiplications + (multiplication_matrices(mus[-1], dim, dim),)
     ts = d.operators + (RationalMatrix.zeros(dim, dim),)
-    product, operator = pre_lie_defects(mus, lr, n), rota_baxter_defects(mus, lr, ts, r.weight, n)
+    product, operator = pre_lie_defects(mus, n), rota_baxter_defects(mus, ts, r.weight, n)
     target = RBACochain(
         Cochain(3, dim, dim, {key: v for key, v in product.items() if key[0] < key[1]}),
         Cochain(2, dim, dim, operator),

@@ -1,11 +1,16 @@
 """Every bilinear table is read through its left and right multiplication
-matrices (L, R): ``L[i]·y = e_i·y``, ``R[k]·x = x·e_k``.
+matrices (L, R): ``L[i]·y = e_i·y``, ``R[k]·x = x·e_k``, except in the law
+kernels and the gauge transform, which read their tables and matrices as
+integer tensors over one common denominator per family.
 
-Each routine rewritten onto that reading is compared with its former route,
-transcribed over the dense kernel ``apply_table`` in ``tests/oracles.py``,
-on seeded *arbitrary* tables, operators and actions.  They satisfy no law,
-so most compared defects are nonzero (asserted per test): the equality is
-not a comparison of zeros.
+Each routine rewritten onto either reading is compared with its former
+route, transcribed over the dense kernel ``apply_table`` in
+``tests/oracles.py``, on seeded *arbitrary* tables, operators and actions.
+They satisfy no law, so most compared defects are nonzero (asserted per
+test): the equality is not a comparison of zeros.  The integer routines are
+also compared on coprime denominators that differ per order and family,
+weights with a denominator, all-zero top-order coefficients and list-typed
+tables of ``int`` entries, and return only ``Fraction`` entries.
 """
 
 import random
@@ -27,11 +32,12 @@ from rbprelie.algebras import (
     rb_bimodule_defects,
     rota_baxter_defects,
     star_algebra,
+    zero_table,
 )
 from rbprelie.cochains import Cochain
-from rbprelie.deformations import TruncatedDeformation, gauge_transform
+from rbprelie.deformations import GaugeSeries, TruncatedDeformation, gauge_transform
 from rbprelie.generators import random_gauge, random_matrix, random_vector
-from rbprelie.linalg import is_zero_vector
+from rbprelie.linalg import RationalMatrix, is_zero_vector
 from rbprelie.twoalg import TwoAlgebra
 
 from oracles import (
@@ -118,7 +124,7 @@ def test_pre_lie_kernel_equals_its_transcription():
     for d, n in product(DIMS, ORDERS):
         rng = random.Random(f"pre-lie {d} {n}")
         mus = [_table(rng, d, d, d) for _ in range(n + 1)]
-        got = pre_lie_defects(mus, [multiplication_matrices(mu, d, d) for mu in mus], n)
+        got = pre_lie_defects(mus, n)
         assert got == pre_lie_defects_by_table(mus, n), (d, n)
         tally.add(got.values())
     tally.assert_mostly_nonzero()
@@ -130,8 +136,7 @@ def test_rota_baxter_kernel_equals_its_transcription():
         rng = random.Random(f"rota-baxter {d} {n} {lam}")
         mus = [_table(rng, d, d, d) for _ in range(n + 1)]
         ts = [random_matrix(rng, d, d) for _ in range(n + 1)]
-        lr = [multiplication_matrices(mu, d, d) for mu in mus]
-        got = rota_baxter_defects(mus, lr, ts, lam, n)
+        got = rota_baxter_defects(mus, ts, lam, n)
         assert got == rota_baxter_defects_by_table(mus, ts, lam, n), (d, n, lam)
         tally.add(got.values())
     tally.assert_mostly_nonzero()
@@ -175,4 +180,102 @@ def test_gauge_transform_equals_its_transcription():
         got = gauge_transform(r, deformation, psi)
         assert got == gauge_transform_by_table(r, deformation, psi), (d, order, lam)
         tally.add(v for table in got.products for row in table for v in row)
+    tally.assert_mostly_nonzero()
+
+
+# Coprime denominators, one per order and family: a kernel that reads one
+# order or family at the wrong scale returns a different value.
+DENOMINATORS = (97, 101, 2**61 - 1)
+STRESS_WEIGHTS = (Fraction(-7, 3), Fraction(1, 2))
+ZEROS = (None, "mu", "t", "psi")  # the coefficient left all zero at the top order
+
+
+def _over(rng, den, size):
+    return tuple(Fraction(rng.randint(-10**6, 10**6), den) for _ in range(size))
+
+
+def _table_over(rng, d, den):
+    return tuple(tuple(_over(rng, den, d) for _ in range(d)) for _ in range(d))
+
+
+def _matrix_over(rng, rows, cols, den):
+    return RationalMatrix.from_rows([_over(rng, den, cols) for _ in range(rows)])
+
+
+def _stressed(d, n, lam, zero):
+    """μ₀…μₙ, T₀…Tₙ and ψ₀…ψₙ, each order over its own denominator; μ₁ is a
+    list-typed table of ``int`` entries, and ``zero`` names the coefficient
+    left all zero at order n, as ``solve_next_order`` appends them."""
+    rng = random.Random(f"stress {d} {n} {lam} {zero}")
+    mus = [_table_over(rng, d, DENOMINATORS[a % 3]) for a in range(n + 1)]
+    mus[1] = [[[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)] for _ in range(d)]
+    ts = [_matrix_over(rng, d, d, DENOMINATORS[(a + 1) % 3]) for a in range(n + 1)]
+    psis = [RationalMatrix.identity(d)]
+    psis += [_matrix_over(rng, d, d, DENOMINATORS[(a + 2) % 3]) for a in range(1, n + 1)]
+    if zero == "mu":
+        mus[n] = zero_table(d, d, d)
+    elif zero == "t":
+        ts[n] = RationalMatrix.zeros(d, d)
+    elif zero == "psi":
+        psis[n] = RationalMatrix.zeros(d, d)
+    return mus, ts, psis
+
+
+def _all_fractions(vectors):
+    return all(type(x) is Fraction for v in vectors for x in v)
+
+
+STRESS_CASES = list(product((1, 2, 3), (1, 2, 3), STRESS_WEIGHTS, ZEROS))
+
+
+def test_law_kernels_hold_under_mixed_denominators():
+    tally = Tally()
+    for d, n, lam, zero in STRESS_CASES:
+        mus, ts, _ = _stressed(d, n, lam, zero)
+        got = pre_lie_defects(mus, n)
+        assert got == pre_lie_defects_by_table(mus, n), (d, n, zero)
+        assert _all_fractions(got.values())
+        tally.add(got.values())
+        got = rota_baxter_defects(mus, ts, lam, n)
+        assert got == rota_baxter_defects_by_table(mus, ts, lam, n), (d, n, lam, zero)
+        assert _all_fractions(got.values())
+        tally.add(got.values())
+    tally.assert_mostly_nonzero()
+
+
+def test_gauge_transform_holds_under_mixed_denominators():
+    tally = Tally()
+    for d, n, lam, zero in STRESS_CASES:
+        mus, ts, psis = _stressed(d, n, lam, zero)
+        r = RBPreLieAlgebra(PreLieAlgebra(d, mus[0]), lam, ts[0])
+        deformation = TruncatedDeformation(r, tuple(mus), tuple(ts))
+        psi = GaugeSeries(tuple(psis))
+        got = gauge_transform(r, deformation, psi)
+        assert got == gauge_transform_by_table(r, deformation, psi), (d, n, lam, zero)
+        entries = [v for table in got.products for row in table for v in row]
+        assert _all_fractions(entries)
+        assert _all_fractions(row for op in got.operators for row in op.entries)
+        tally.add(entries)
+    tally.assert_mostly_nonzero()
+
+
+def test_module_laws_hold_under_mixed_denominators():
+    tally = Tally()
+    for d, md, lam in product((1, 2, 3), (1, 2, 3), STRESS_WEIGHTS):
+        rng = random.Random(f"stress module {d} {md} {lam}")
+        table = _table_over(rng, d, DENOMINATORS[0])
+        r = RBPreLieAlgebra(PreLieAlgebra(d, table), lam, _matrix_over(rng, d, d, DENOMINATORS[1]))
+        # the two actions share a family but not a denominator
+        left = tuple(_matrix_over(rng, md, md, DENOMINATORS[2]) for _ in range(d))
+        right = tuple(_matrix_over(rng, md, md, DENOMINATORS[0]) for _ in range(d))
+        m = RBBimodule(Bimodule(d, md, left, right), _matrix_over(rng, md, md, DENOMINATORS[1]))
+        a, bm = r.algebra, m.bimodule
+        for got, want in (
+            (bimodule_defects(a, bm), bimodule_defects_by_table(a, bm)),
+            (rb_bimodule_defects(r, m), rb_bimodule_defects_by_table(r, m)),
+        ):
+            got = list(got)
+            assert got == list(want), (d, md, lam)
+            assert _all_fractions(defect for _, _, defect in got)
+            tally.add(defect for _, _, defect in got)
     tally.assert_mostly_nonzero()

@@ -31,14 +31,21 @@ whose ranks it takes are read as rows: ``complexes`` never calls
 ``RationalMatrix.from_cols``, which would copy them into dense columns only
 for elimination to read them back as sparse rows.
 
-Every product is read through the left and right multiplication matrices of
-its table (``algebras.multiplication_matrices`` and ``algebras.bilinear``):
-no package module defines or imports ``apply_table``, and no product or
-action call (``.product``, ``.left``, ``.right``, ``mul00``/``mul01``/
-``mul10``, ``t2_apply``) takes a basis vector (a ``unit_vector``,
-``basis_vector``, ``basis0`` or ``basis1`` call, or a name bound to one in the
-same function) as an argument: a product with a basis vector is one
-``apply`` of a multiplication matrix, and of two basis vectors a table entry.
+Every product outside the law kernels and the gauge transform is read
+through the left and right multiplication matrices of its table
+(``algebras.multiplication_matrices`` and ``algebras.bilinear``): no package
+module defines or imports ``apply_table``, and no product or action call
+(``.product``, ``.left``, ``.right``, ``mul00``/``mul01``/``mul10``,
+``t2_apply``) takes a basis vector (a ``unit_vector``, ``basis_vector``,
+``basis0`` or ``basis1`` call, or a name bound to one in the same function)
+as an argument: a product with a basis vector is one ``apply`` of a
+multiplication matrix, and of two basis vectors a table entry.  The law
+kernels (``pre_lie_defects``, ``rota_baxter_defects``, ``bimodule_defects``,
+``rb_bimodule_defects``) and ``deformations.gauge_transform`` are the
+exception: they read their tables and matrices once as ``int`` tensors over
+one common denominator per family, and make ``Fraction`` values only for the
+entries they return, so they call none of ``vadd``, ``vsub``, ``vscale``,
+``bilinear`` or ``.apply``.
 
 A matrix's value is its sparse rows, and only ``linalg`` builds them: no
 other package module calls the ``RationalMatrix(...)`` constructor directly;
@@ -336,6 +343,32 @@ def test_products_go_through_multiplication_matrices(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = sorted(set(_products_of_basis_vectors(tree))) + list(_apply_table_names(tree))
     assert not found, f"{path.name}: {found}"
+
+
+INTEGER_KERNELS = {
+    "algebras.py": {"pre_lie_defects", "rota_baxter_defects", "bimodule_defects",
+                    "rb_bimodule_defects"},
+    "deformations.py": {"gauge_transform"},
+}
+FRACTION_ROUTES = {"vadd", "vsub", "vscale", "bilinear", "apply"}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_KERNELS))
+def test_law_kernels_make_fractions_only_for_returned_entries(name):
+    path = next(path for path in SOURCES if path.name == name)
+    kernels = {
+        fn.name: fn
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, ast.FunctionDef) and fn.name in INTEGER_KERNELS[name]
+    }
+    assert set(kernels) == INTEGER_KERNELS[name]
+    found = [
+        f"{fn} calls {_called_name(call)} at line {call.lineno}"
+        for fn, kernel in sorted(kernels.items())
+        for call in ast.walk(kernel)
+        if isinstance(call, ast.Call) and _called_name(call) in FRACTION_ROUTES
+    ]
+    assert not found, f"{name}: {found}"
 
 
 def _direct_constructions(tree: ast.AST):
