@@ -216,14 +216,6 @@ class Bimodule:
             tuple(RationalMatrix.from_cols([p.col(u) for p in self.P], md) for u in range(md)),
         )
 
-    def left(self, x: Sequence, u: Sequence) -> Vector:
-        """x · u for an algebra vector x and module vector u."""
-        return bilinear(self.S, x, u, self.mod_dim)
-
-    def right(self, u: Sequence, y: Sequence) -> Vector:
-        """u · y for a module vector u and algebra vector y."""
-        return bilinear(self.P, y, u, self.mod_dim)
-
 
 @dataclass(frozen=True)
 class RBBimodule:
@@ -250,20 +242,32 @@ def regular_bimodule(r: RBPreLieAlgebra) -> RBBimodule:
     return RBBimodule(Bimodule(d, d, *r.algebra.multiplications), r.operator)
 
 
-def integer_tables(tables: Sequence[ProductTable]) -> tuple[int, list]:
-    """(D, ints): every entry of the tables times D, the lcm of all their
-    denominators, as nested ``int`` lists, ``ints[t][i][j][k]``."""
-    den = lcm(*{x.denominator for table in tables for row in table for v in row for x in v})
+def common_denominator(
+    tables: Sequence[ProductTable] = (), mats: Sequence[RationalMatrix] = ()
+) -> int:
+    """The lcm of every entry's denominator across the tables and matrices."""
+    return lcm(
+        *{x.denominator for table in tables for row in table for v in row for x in v},
+        *{x.denominator for m in mats for row in m.sparse_rows for _, x in row},
+    )
+
+
+def integer_tables(tables: Sequence[ProductTable], den: int = 0) -> tuple[int, list]:
+    """(D, ints): every entry of the tables times D, as nested ``int`` lists,
+    ``ints[t][i][j][k]``.  D is ``den`` when given, a multiple of every
+    denominator, else the lcm of all their denominators."""
+    den = den or common_denominator(tables)
     return den, [
         [[[x.numerator * (den // x.denominator) for x in v] for v in row] for row in table]
         for table in tables
     ]
 
 
-def integer_matrices(mats: Sequence[RationalMatrix]) -> tuple[int, list]:
-    """(D, ints): every entry of the matrices times D, the lcm of all their
-    denominators, as dense nested ``int`` rows, ``ints[t][row][col]``."""
-    den = lcm(*{x.denominator for m in mats for row in m.sparse_rows for _, x in row})
+def integer_matrices(mats: Sequence[RationalMatrix], den: int = 0) -> tuple[int, list]:
+    """(D, ints): every entry of the matrices times D, as dense nested ``int``
+    rows, ``ints[t][row][col]``.  D is ``den`` when given, a multiple of every
+    denominator, else the lcm of all their denominators."""
+    den = den or common_denominator(mats=mats)
     out = []
     for m in mats:
         rows = [[0] * m.cols for _ in range(m.rows)]
@@ -289,11 +293,14 @@ def _is_nonzero_table(table: list) -> bool:
     return any(any(map(any, row)) for row in table)
 
 
-def _times(mat: list[list[int]], v: Sequence[int]) -> list[int]:
+def integer_times(mat: list[list[int]], v: Sequence[int]) -> list[int]:
+    """M·v for a nested ``int`` matrix and vector."""
     return [sum(map(mul, row, v)) for row in mat]
 
 
-def _combination(weights: Sequence[int], vectors: Sequence[Sequence[int]], size: int) -> list[int]:
+def integer_combination(
+    weights: Sequence[int], vectors: Sequence[Sequence[int]], size: int
+) -> list[int]:
     """Σ wₖ·vₖ over the nonzero weights, as an ``int`` list."""
     acc = [0] * size
     for w, v in zip(weights, vectors):
@@ -302,9 +309,11 @@ def _combination(weights: Sequence[int], vectors: Sequence[Sequence[int]], size:
     return acc
 
 
-def _mix(weights: Sequence[int], mats: Sequence[list[list[int]]], size: int) -> list[list[int]]:
+def integer_mix(
+    weights: Sequence[int], mats: Sequence[list[list[int]]], size: int
+) -> list[list[int]]:
     """Σ wₖ·Mₖ for nested ``int`` matrices of ``size`` columns."""
-    return [_combination(weights, rows, size) for rows in zip(*mats)]
+    return [integer_combination(weights, rows, size) for rows in zip(*mats)]
 
 
 def integer_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -392,7 +401,7 @@ def rota_baxter_defects(
                         inner = [s + q * ty * z for s, z in zip(inner, mu_b[i][y])]
                     for x, tx in c_cols[i]:
                         inner = [s + q * tx * z for s, z in zip(inner, mu_b[x][j])]
-                acc = [s - z for s, z in zip(acc, _times(t[a], inner))]
+                acc = [s - z for s, z in zip(acc, integer_times(t[a], inner))]
             out[(i, j)] = fractions_over(acc, den)
     return out
 
@@ -424,14 +433,18 @@ def bimodule_defects(a: PreLieAlgebra, m: Bimodule) -> Defects:
             left = [
                 [d_c * (x - y) - d_a * z for x, y, z in zip(*rows)]
                 for rows in zip(
-                    integer_matmul(S[i], S[j]), integer_matmul(S[j], S[i]), _mix(bracket, S, md)
+                    integer_matmul(S[i], S[j]),
+                    integer_matmul(S[j], S[i]),
+                    integer_mix(bracket, S, md),
                 )
             ]
             # and x·(u·y) − (x·u)·y = u·(x·y) − (u·x)·y
             mixed = [
                 [d_c * (x - y + w) - d_a * z for x, y, z, w in zip(*rows)]
                 for rows in zip(
-                    integer_matmul(S[i], P[j]), integer_matmul(P[j], S[i]), _mix(c[i][j], P, md),
+                    integer_matmul(S[i], P[j]),
+                    integer_matmul(P[j], S[i]),
+                    integer_mix(c[i][j], P, md),
                     integer_matmul(P[j], P[i]),
                 )
             ]
@@ -456,7 +469,8 @@ def rb_bimodule_defects(r: RBPreLieAlgebra, m: RBBimodule) -> Defects:
     for i, ti in enumerate(zip(*t)):
         # per side, the action of eᵢ and of T(eᵢ) = Σₖ T(eᵢ)ₖ·eₖ
         sides = [
-            (law, acts[i], _mix(ti, acts, md)) for law, acts in (("rb_left", S), ("rb_right", P))
+            (law, acts[i], integer_mix(ti, acts, md))
+            for law, acts in (("rb_left", S), ("rb_right", P))
         ]
         for u, tu in enumerate(zip(*tm)):
             for law, act, act_t in sides:
@@ -464,9 +478,12 @@ def rb_bimodule_defects(r: RBPreLieAlgebra, m: RBBimodule) -> Defects:
                 # rb_right: T_M(u)·T(a) = T_M(u·T(a) + T_M(u)·a + λ u·a)
                 inner = [
                     q * d_t * x + q * d_m * row_t[u] + p * d_t * d_m * row[u]
-                    for x, row_t, row in zip(_times(act, tu), act_t, act)
+                    for x, row_t, row in zip(integer_times(act, tu), act_t, act)
                 ]
-                defect = [q * d_m * x - y for x, y in zip(_times(act_t, tu), _times(tm, inner))]
+                defect = [
+                    q * d_m * x - y
+                    for x, y in zip(integer_times(act_t, tu), integer_times(tm, inner))
+                ]
                 yield law, (i, u), fractions_over(defect, den)
 
 

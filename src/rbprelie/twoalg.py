@@ -13,14 +13,22 @@ long operator coherence condition is implemented in the form forced by the
 degree-3 correspondence: all insertion patterns of T₀ into l₃ weighted by
 powers of the weight appear, as do the T₁-corrections of the level-mixing
 action terms.
+
+The coherence checks and the crossed-module conditions run on integers: a
+structure is read once (``TwoAlgebra.integers``), every table and matrix as
+nested ``int`` lists over the lcm D of all their denominators; each
+condition is accumulated as ``int``s over one denominator shared by all its
+terms, and each nonzero returned entry is one ``Fraction``.  This is exact
+arithmetic in another order, so every defect equals the one ``Fraction``
+arithmetic gives.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, product
 from typing import Sequence
 
 from .algebras import (
@@ -35,6 +43,14 @@ from .algebras import (
     Verdict,
     bilinear,
     bimodule_defects,
+    common_denominator,
+    fractions_over,
+    integer_combination,
+    integer_matmul,
+    integer_matrices,
+    integer_mix,
+    integer_tables,
+    integer_times,
     multiplication_matrices,
     named,
     rb_bimodule_defects,
@@ -43,15 +59,7 @@ from .algebras import (
 )
 from .cochains import Cochain, RBACochain, bilinear_from_cochain, cochain_from_bilinear
 from .complexes import rba_differential
-from .linalg import (
-    RationalMatrix,
-    Vector,
-    is_zero_vector,
-    unit_vector,
-    vadd,
-    vscale,
-    vsub,
-)
+from .linalg import RationalMatrix, Vector, is_zero_vector, unit_vector
 
 
 @dataclass(frozen=True)
@@ -112,6 +120,11 @@ class TwoAlgebra:
     def t2_apply(self, x: Sequence, y: Sequence) -> Vector:
         return bilinear(self.lr_t2[0], x, y, self.dim1)
 
+    @cached_property
+    def integers(self) -> _Integers:
+        """The tables and matrices over one common denominator, read once."""
+        return _Integers(self)
+
     def is_skeletal(self) -> bool:
         return self.d_map.is_zero()
 
@@ -121,58 +134,249 @@ class TwoAlgebra:
         )
 
 
+def _minus(u: Sequence[int], v: Sequence[int]) -> list[int]:
+    return [a - b for a, b in zip(u, v)]
+
+
+def _minus_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    return [_minus(u, v) for u, v in zip(a, b)]
+
+
+def _columns(vectors: Sequence[Sequence[int]], size: int) -> list[list[int]]:
+    """The ``int`` matrix with ``size`` rows whose k-th column is vectors[k]."""
+    return [[v[i] for v in vectors] for i in range(size)]
+
+
+def _integer_lr(table: list, dim_right: int, dim_out: int) -> tuple[list, list]:
+    """(L, R) of an ``int`` table, as :func:`multiplication_matrices` lays
+    them out: column j of L[i] and column i of R[j] hold table[i][j]."""
+    return (
+        [_columns(row, dim_out) for row in table],
+        [_columns([row[j] for row in table], dim_out) for j in range(dim_right)],
+    )
+
+
+class _Integers:
+    """A two-term structure read once for the coherence checks: every table
+    and matrix times the lcm D of all their denominators, as nested ``int``
+    lists (matrices as dense rows, with their columns), l₃ on every basis
+    triple, and the multiplication matrices (L, R) of every table."""
+
+    def __init__(self, t: TwoAlgebra) -> None:
+        d0, d1 = self.dim0, self.dim1 = t.dim0, t.dim1
+        span = range(d0)
+        l3 = [[[t.l3.eval_basis((x, y), z) for z in span] for y in span] for x in span]
+        tables = (t.l2_00, t.l2_01, t.l2_10, t.t2, *l3)
+        mats = (t.d_map, t.t0, t.t1)
+        self.den = common_denominator(tables, mats)
+        _, (self.l00, self.l01, self.l10, self.t2, *l3) = integer_tables(tables, self.den)
+        _, (self.d, self.t0, self.t1) = integer_matrices(mats, self.den)
+        self.d_cols, self.t0_cols, self.t1_cols = (
+            _columns(m, size) for m, size in ((self.d, d1), (self.t0, d0), (self.t1, d1))
+        )
+        # (x, y, z) ↦ l₃(e_x, e_y, e_z), and the matrices of z ↦ l₃(x, y, z), z ↦ l₃(z, x, y)
+        self.l3 = dict(zip(product(span, repeat=3), chain.from_iterable(chain(*l3))))
+        pairs = list(product(span, repeat=2))
+        self.l3_last = {(x, y): _columns([self.l3[x, y, z] for z in span], d1) for x, y in pairs}
+        self.l3_first = {(x, y): _columns([self.l3[z, x, y] for z in span], d1) for x, y in pairs}
+        self.lr00 = _integer_lr(self.l00, d0, d0)
+        self.lr01 = _integer_lr(self.l01, d1, d1)
+        self.lr10 = _integer_lr(self.l10, d0, d1)
+        self.lr_t2 = _integer_lr(self.t2, d0, d1)
+
+
 def check_prelie_2alg(t: TwoAlgebra) -> Verdict:
     """The seven coherence conditions of a two-term pre-Lie structure."""
     return verdict(_prelie_2alg_defects(t))
 
 
 def _prelie_2alg_defects(t: TwoAlgebra) -> Defects:
-    d0, d1 = t.dim0, t.dim1
-    (l00, r00), (l01, r01), (l10, r10) = t.lr00, t.lr01, t.lr10
-    for x in range(d0):
-        for a in range(d1):
-            da = t.d_map.col(a)
-            yield "a", (x, a), vsub(t.d_map.apply(t.l2_01[x][a]), l00[x].apply(da))
-            yield "b", (a, x), vsub(t.d_map.apply(t.l2_10[a][x]), r00[x].apply(da))
-    for a in range(d1):
-        da = t.d_map.col(a)
-        for b in range(d1):
-            yield "c", (a, b), vsub(r01[b].apply(da), l10[a].apply(t.d_map.col(b)))
-    for x in range(d0):
-        for y in range(d0):
-            bracket = vsub(t.l2_00[x][y], t.l2_00[y][x])
-            for z in range(d0):
-                rhs = vsub(l00[x].apply(t.l2_00[y][z]), l00[y].apply(t.l2_00[x][z]))
-                rhs = vsub(rhs, r00[z].apply(bracket))
-                yield "e1", (x, y, z), vsub(t.d_map.apply(t.l3.eval([x, y, z])), rhs)
-            for a in range(d1):
-                da = t.d_map.col(a)
-                rhs = vsub(l01[x].apply(t.l2_01[y][a]), l01[y].apply(t.l2_01[x][a]))
-                rhs = vsub(rhs, r01[a].apply(bracket))
-                yield "e2", (x, y, a), vsub(t.l3.eval([x, y, da]), rhs)
-                rhs = vsub(l10[a].apply(t.l2_00[x][y]), r10[y].apply(t.l2_10[a][x]))
-                rhs = vsub(rhs, vsub(l01[x].apply(t.l2_10[a][y]), r10[y].apply(t.l2_01[x][a])))
-                yield "e3", (a, x, y), vsub(t.l3.eval([da, x, y]), rhs)
-    for key in itertools.product(range(d0), repeat=4):
-        yield "f", key, condition_f_value(t, *key)
+    """Conditions a to f.  Every term is an integer over D²."""
+    n = t.integers
+    span0, span1, den = range(t.dim0), range(t.dim1), n.den * n.den
+    (l00_left, l00_right), (l01_left, l01_right), (l10_left, l10_right) = n.lr00, n.lr01, n.lr10
+    d, d_cols, l00, l01, l10 = n.d, n.d_cols, n.l00, n.l01, n.l10
+    for x in span0:
+        for a in span1:
+            da = d_cols[a]
+            yield "a", (x, a), fractions_over(
+                _minus(integer_times(d, l01[x][a]), integer_times(l00_left[x], da)), den
+            )
+            yield "b", (a, x), fractions_over(
+                _minus(integer_times(d, l10[a][x]), integer_times(l00_right[x], da)), den
+            )
+    for a in span1:
+        for b in span1:
+            yield "c", (a, b), fractions_over(
+                _minus(
+                    integer_times(l01_right[b], d_cols[a]), integer_times(l10_left[a], d_cols[b])
+                ),
+                den,
+            )
+    for x in span0:
+        for y in span0:
+            bracket = _minus(l00[x][y], l00[y][x])
+            for z in span0:
+                # d l₃(x, y, z) = x·(y·z) − y·(x·z) − [x, y]·z
+                terms = zip(
+                    integer_times(d, n.l3[x, y, z]),
+                    integer_times(l00_left[x], l00[y][z]),
+                    integer_times(l00_left[y], l00[x][z]),
+                    integer_times(l00_right[z], bracket),
+                )
+                yield "e1", (x, y, z), fractions_over([u - v + w + s for u, v, w, s in terms], den)
+            for a in span1:
+                da = d_cols[a]
+                # l₃(x, y, dα) = x·(y·α) − y·(x·α) − [x, y]·α
+                terms = zip(
+                    integer_times(n.l3_last[x, y], da),
+                    integer_times(l01_left[x], l01[y][a]),
+                    integer_times(l01_left[y], l01[x][a]),
+                    integer_times(l01_right[a], bracket),
+                )
+                yield "e2", (x, y, a), fractions_over([u - v + w + s for u, v, w, s in terms], den)
+                # l₃(dα, x, y) = α·(x·y) − (α·x)·y − x·(α·y) + (x·α)·y
+                terms = zip(
+                    integer_times(n.l3_first[x, y], da),
+                    integer_times(l10_left[a], l00[x][y]),
+                    integer_times(l10_right[y], l10[a][x]),
+                    integer_times(l01_left[x], l10[a][y]),
+                    integer_times(l10_right[y], l01[x][a]),
+                )
+                yield "e3", (a, x, y), fractions_over(
+                    [u - v + w + s - r for u, v, w, s, r in terms], den
+                )
+    f = _condition_f(n)
+    for key in product(span0, repeat=4):
+        yield "f", key, fractions_over(f[key], den)
+
+
+def _condition_f(n: _Integers) -> dict[tuple[int, ...], list[int]]:
+    """The numerators of the twelve-term top coherence over D², keyed by
+    every basis quadruple (w, x, y, z)."""
+    span, size, l3 = range(n.dim0), n.dim1, n.l3
+    (l01_left, _), (_, l10_right) = n.lr01, n.lr10
+    quadruples = list(product(span, repeat=4))
+    # the actions on l₃ and l₃ with a product or a bracket in one slot
+    left = {(w, x, y, z): integer_times(l01_left[w], l3[x, y, z]) for w, x, y, z in quadruples}
+    right = {(z, x, y, w): integer_times(l10_right[z], l3[x, y, w]) for z, x, y, w in quadruples}
+    last = {
+        (x, y, w, z): integer_times(n.l3_last[x, y], n.l00[w][z]) for x, y, w, z in quadruples
+    }
+    brackets = [[_minus(u, v) for u, v in zip(row, col)] for row, col in zip(n.l00, zip(*n.l00))]
+    first = {
+        (w, x, y, z): integer_times(n.l3_first[y, z], brackets[w][x])
+        for w, x, y, z in quadruples
+    }
+    return {
+        (w, x, y, z): [
+            a1 - a2 + a3 + r1 - r2 + r3 - p1 + p2 - p3 - b1 + b2 - b3
+            for a1, a2, a3, r1, r2, r3, p1, p2, p3, b1, b2, b3 in zip(
+                left[w, x, y, z], left[x, w, y, z], left[y, w, x, z],
+                right[z, x, y, w], right[z, w, y, x], right[z, w, x, y],
+                last[x, y, w, z], last[w, y, x, z], last[w, x, y, z],
+                first[w, x, y, z], first[w, y, x, z], first[x, y, w, z],
+            )
+        ]
+        for w, x, y, z in quadruples
+    }
 
 
 def condition_f_value(t: TwoAlgebra, w: int, x: int, y: int, z: int) -> Vector:
     """The twelve-term top coherence, evaluated on basis indices."""
-    l01, r10 = t.lr01[0], t.lr10[1]
-    val = l01[w].apply(t.l3.eval([x, y, z]))
-    val = vsub(val, l01[x].apply(t.l3.eval([w, y, z])))
-    val = vadd(val, l01[y].apply(t.l3.eval([w, x, z])))
-    val = vadd(val, r10[z].apply(t.l3.eval([x, y, w])))
-    val = vsub(val, r10[z].apply(t.l3.eval([w, y, x])))
-    val = vadd(val, r10[z].apply(t.l3.eval([w, x, y])))
-    val = vsub(val, t.l3.eval([x, y, t.l2_00[w][z]]))
-    val = vadd(val, t.l3.eval([w, y, t.l2_00[x][z]]))
-    val = vsub(val, t.l3.eval([w, x, t.l2_00[y][z]]))
-    val = vsub(val, t.l3.eval([vsub(t.l2_00[w][x], t.l2_00[x][w]), y, z]))
-    val = vadd(val, t.l3.eval([vsub(t.l2_00[w][y], t.l2_00[y][w]), x, z]))
-    val = vsub(val, t.l3.eval([vsub(t.l2_00[x][y], t.l2_00[y][x]), w, z]))
-    return val
+    n = t.integers
+    return fractions_over(_condition_f(n)[w, x, y, z], n.den * n.den)
+
+
+def _star(n: _Integers, p: int, q: int) -> list[list[list[int]]]:
+    """e_i ⋆ e_j = e_i·T₀(e_j) + T₀(e_i)·e_j + λ e_i·e_j for λ = p/q, over
+    q·D², as ``star[i][j]``."""
+    (l00_left, l00_right), t0_cols, span = n.lr00, n.t0_cols, range(n.dim0)
+    return [
+        [
+            [
+                q * (u + v) + p * n.den * w
+                for u, v, w in zip(
+                    integer_times(l00_left[i], t0_cols[j]),
+                    integer_times(l00_right[j], t0_cols[i]),
+                    n.l00[i][j],
+                )
+            ]
+            for j in span
+        ]
+        for i in span
+    ]
+
+
+def _twisted_actions(n: _Integers) -> tuple[list, list]:
+    """The T₀-twisted level-mixing actions with their T₁-corrections, over
+    D²: the matrices of α ↦ T₀(e_x)·α − T₁(e_x·α) and α ↦ α·T₀(e_x) − T₁(α·e_x)
+    for each x."""
+    (l01_left, _), (_, l10_right), size = n.lr01, n.lr10, n.dim1
+    return tuple(
+        [
+            _minus_rows(integer_mix(col, actions, size), integer_matmul(n.t1, actions[x]))
+            for x, col in enumerate(n.t0_cols)
+        ]
+        for actions in (l01_left, l10_right)
+    )
+
+
+def _insert(tensor: dict, t0_cols: list, slot: int, size: int) -> dict:
+    """T₀ inserted in one slot of a map on basis triples: at each key, the
+    sum over k of T₀[k][key[slot]] times the value at the key with k in that
+    slot."""
+    span = range(len(t0_cols))
+    return {
+        key: integer_combination(
+            t0_cols[key[slot]], [tensor[(*key[:slot], k, *key[slot + 1 :])] for k in span], size
+        )
+        for key in tensor
+    }
+
+
+def _condition_v(n: _Integers, lam: Fraction) -> dict[tuple[int, ...], list[int]]:
+    """The numerators of the long operator coherence over q²·D⁴ for λ = p/q,
+    keyed by every basis triple (x1, x2, x3)."""
+    p, q, den, size = lam.numerator, lam.denominator, n.den, n.dim1
+    star = _star(n, p, q)
+    twisted_left, twisted_right = _twisted_actions(n)
+    t2_left, t2_right = n.lr_t2
+    # l₃ with T₀ in the slots marked 1, over D^(1 + ones): seven mode
+    # products, each pattern from the one without its last marked slot
+    inserted = {(0, 0, 0): n.l3}
+    for pattern in sorted(product((0, 1), repeat=3), key=sum)[1:]:
+        slot = max(i for i, e in enumerate(pattern) if e)
+        source = (*pattern[:slot], 0, *pattern[slot + 1 :])
+        inserted[pattern] = _insert(inserted[source], n.t0_cols, slot, size)
+    out = {}
+    for key in product(range(n.dim0), repeat=3):
+        x1, x2, x3 = key
+        ones = [inserted[e][key] for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        twos = [inserted[e][key] for e in ((1, 1, 0), (1, 0, 1), (0, 1, 1))]
+        # λ^(2 − ones)·l₃ over every pattern with fewer than three ones, over q²·D³
+        inner = [
+            p * p * den * den * z + p * q * den * (a + b + c) + q * q * (ab + ac + bc)
+            for z, a, b, c, ab, ac, bc in zip(n.l3[key], *ones, *twos)
+        ]
+        actions = zip(
+            integer_times(twisted_left[x1], n.t2[x2][x3]),
+            integer_times(twisted_left[x2], n.t2[x1][x3]),
+            integer_times(twisted_right[x3], n.t2[x2][x1]),
+            integer_times(twisted_right[x3], n.t2[x1][x2]),
+        )
+        stars = zip(
+            integer_times(t2_left[x2], star[x1][x3]),
+            integer_times(t2_left[x1], star[x2][x3]),
+            integer_times(t2_right[x3], _minus(star[x1][x2], star[x2][x1])),
+        )
+        out[key] = [
+            q * q * (top + den * (a1 - a2 + a3 - a4)) + q * den * (s2 - s1 - s3) - corr
+            for top, corr, (a1, a2, a3, a4), (s1, s2, s3) in zip(
+                inserted[1, 1, 1][key], integer_times(n.t1, inner), actions, stars
+            )
+        ]
+    return out
 
 
 def condition_v_value(t: TwoAlgebra, lam: Fraction, x1: int, x2: int, x3: int) -> Vector:
@@ -182,37 +386,9 @@ def condition_v_value(t: TwoAlgebra, lam: Fraction, x1: int, x2: int, x3: int) -
     star-product insertions into T₂, and every T₀-insertion pattern into l₃
     weighted by λ to the number of untouched slots minus one.
     """
-    (l00, r00), (l01, _), (_, r10), (lt2, rt2) = t.lr00, t.lr01, t.lr10, t.lr_t2
-    t0_1, t0_2, t0_3 = t.t0.col(x1), t.t0.col(x2), t.t0.col(x3)
-    th_23 = t.t2[x2][x3]
-    th_13 = t.t2[x1][x3]
-    th_21 = t.t2[x2][x1]
-    th_12 = t.t2[x1][x2]
-
-    def star(i: int, j: int) -> Vector:
-        """e_i ⋆ e_j = e_i·T₀(e_j) + T₀(e_i)·e_j + λ e_i·e_j."""
-        return vadd(
-            vadd(l00[i].apply(t.t0.col(j)), r00[j].apply(t.t0.col(i))),
-            vscale(lam, t.l2_00[i][j]),
-        )
-
-    val = vsub(t.mul01(t0_1, th_23), t.t1.apply(l01[x1].apply(th_23)))
-    val = vsub(val, vsub(t.mul01(t0_2, th_13), t.t1.apply(l01[x2].apply(th_13))))
-    val = vadd(val, vsub(t.mul10(th_21, t0_3), t.t1.apply(r10[x3].apply(th_21))))
-    val = vsub(val, vsub(t.mul10(th_12, t0_3), t.t1.apply(r10[x3].apply(th_12))))
-    val = vsub(val, lt2[x2].apply(star(x1, x3)))
-    val = vadd(val, lt2[x1].apply(star(x2, x3)))
-    val = vsub(val, rt2[x3].apply(vsub(star(x1, x2), star(x2, x1))))
-    val = vadd(val, t.l3.eval([t0_1, t0_2, t0_3]))
-    lam2 = lam * lam
-    val = vsub(val, vscale(lam2, t.t1.apply(t.l3.eval([x1, x2, x3]))))
-    val = vsub(val, vscale(lam, t.t1.apply(t.l3.eval([t0_1, x2, x3]))))
-    val = vsub(val, vscale(lam, t.t1.apply(t.l3.eval([x1, t0_2, x3]))))
-    val = vsub(val, vscale(lam, t.t1.apply(t.l3.eval([x1, x2, t0_3]))))
-    val = vsub(val, t.t1.apply(t.l3.eval([t0_1, t0_2, x3])))
-    val = vsub(val, t.t1.apply(t.l3.eval([t0_1, x2, t0_3])))
-    val = vsub(val, t.t1.apply(t.l3.eval([x1, t0_2, t0_3])))
-    return val
+    lam, n = Fraction(lam), t.integers
+    den = lam.denominator**2 * n.den**4
+    return fractions_over(_condition_v(n, lam)[x1, x2, x3], den)
 
 
 def check_rb_2alg(t: TwoAlgebra, weight) -> Verdict:
@@ -221,34 +397,66 @@ def check_rb_2alg(t: TwoAlgebra, weight) -> Verdict:
 
 
 def _rb_2alg_defects(t: TwoAlgebra, lam: Fraction) -> Defects:
-    (l00, r00), (l01, r01), (l10, r10), (lt2, rt2) = t.lr00, t.lr01, t.lr10, t.lr_t2
-    comm = t.t0.matmul(t.d_map).sub(t.d_map.matmul(t.t1))
-    for a in range(t.dim1):
-        yield "i", (a,), comm.col(a)
-    for x in range(t.dim0):
-        t0x = t.t0.col(x)
-        for y in range(t.dim0):
-            t0y = t.t0.col(y)
-            inner = vadd(vadd(r00[y].apply(t0x), l00[x].apply(t0y)), vscale(lam, t.l2_00[x][y]))
-            yield "ii", (x, y), vsub(
-                vsub(t.t0.apply(inner), t.mul00(t0x, t0y)),
-                t.d_map.apply(t.t2[x][y]),
+    """Conditions i to v.  With λ = p/q, every term of i is an integer over
+    D², of ii to iv over q·D³ and of v over q²·D⁴."""
+    n = t.integers
+    p, q, den = lam.numerator, lam.denominator, n.den
+    span0, span1 = range(t.dim0), range(t.dim1)
+    (l00_left, _), (_, l01_right), (l10_left, _), (t2_left, t2_right) = (
+        n.lr00, n.lr01, n.lr10, n.lr_t2
+    )
+    d, t0, t1, t0_cols, t1_cols, d_cols = n.d, n.t0, n.t1, n.t0_cols, n.t1_cols, n.d_cols
+    comm = _minus_rows(integer_matmul(t0, d), integer_matmul(d, t1))
+    for a in span1:
+        yield "i", (a,), fractions_over([row[a] for row in comm], den * den)
+    star = _star(n, p, q)
+    # T₀(e_i)·T₀(e_y) for each i and y, over D²
+    products = [[integer_times(left, col) for col in t0_cols] for left in l00_left]
+    for x in span0:
+        for y in span0:
+            # T₀(x ⋆ y) − T₀(x)·T₀(y) − d T₂(x, y)
+            terms = zip(
+                integer_times(t0, star[x][y]),
+                integer_combination(t0_cols[x], [row[y] for row in products], t.dim0),
+                integer_times(d, n.t2[x][y]),
             )
-    for a in range(t.dim1):
-        t1a = t.t1.col(a)
-        da = t.d_map.col(a)
-        for x in range(t.dim0):
-            t0x = t.t0.col(x)
-            inner = vadd(vadd(r10[x].apply(t1a), l10[a].apply(t0x)), vscale(lam, t.l2_10[a][x]))
-            yield "iii", (a, x), vsub(
-                vsub(t.t1.apply(inner), t.mul10(t1a, t0x)), rt2[x].apply(da)
+            yield "ii", (x, y), fractions_over(
+                [u - q * (v + den * w) for u, v, w in terms], q * den**3
             )
-            inner = vadd(vadd(l01[x].apply(t1a), r01[a].apply(t0x)), vscale(lam, t.l2_01[x][a]))
-            yield "iv", (x, a), vsub(
-                vsub(t.t1.apply(inner), t.mul01(t0x, t1a)), lt2[x].apply(da)
+    twisted_left, twisted_right = _twisted_actions(n)
+    for a in span1:
+        t1a, da = t1_cols[a], d_cols[a]
+        for x in span0:
+            t0x = t0_cols[x]
+            # T₁(α·T₀(x) + λ α·x) − (T₁(α)·T₀(x) − T₁(T₁(α)·x)) − T₂(dα, x)
+            inner = [
+                q * u + p * den * v
+                for u, v in zip(integer_times(l10_left[a], t0x), n.l10[a][x])
+            ]
+            terms = zip(
+                integer_times(t1, inner),
+                integer_times(twisted_right[x], t1a),
+                integer_times(t2_right[x], da),
             )
-    for key in itertools.product(range(t.dim0), repeat=3):
-        yield "v", key, condition_v_value(t, lam, *key)
+            yield "iii", (a, x), fractions_over(
+                [u - q * (v + den * w) for u, v, w in terms], q * den**3
+            )
+            # T₁(T₀(x)·α + λ x·α) − (T₀(x)·T₁(α) − T₁(x·T₁(α))) − T₂(x, dα)
+            inner = [
+                q * u + p * den * v
+                for u, v in zip(integer_times(l01_right[a], t0x), n.l01[x][a])
+            ]
+            terms = zip(
+                integer_times(t1, inner),
+                integer_times(twisted_left[x], t1a),
+                integer_times(t2_left[x], da),
+            )
+            yield "iv", (x, a), fractions_over(
+                [u - q * (v + den * w) for u, v, w in terms], q * den**3
+            )
+    v = _condition_v(n, lam)
+    for key in product(span0, repeat=3):
+        yield "v", key, fractions_over(v[key], q * q * den**4)
 
 
 def _actions_from_tables(t: TwoAlgebra) -> Bimodule:
@@ -342,6 +550,9 @@ def check_crossed_module(cm: CrossedModule) -> Verdict:
 
 
 def _crossed_module_defects(cm: CrossedModule) -> Defects:
+    """The level laws, then the conditions tying the levels together: with
+    every table and matrix over one denominator D, every term of d_morphism
+    is an integer over D³ and of the others over D²."""
     g0, g1_product, d_map = cm.g0, cm.g1_product, cm.d_map
     g1 = PreLieAlgebra(cm.dim1, g1_product)  # checks the table's shape
     yield from named("g1_pre_lie", g1.pre_lie_law)
@@ -350,28 +561,48 @@ def _crossed_module_defects(cm: CrossedModule) -> Defects:
     bimod = cm.bimodule()
     yield from bimodule_defects(g0.algebra, bimod.bimodule)
     yield from rb_bimodule_defects(g0, bimod)
-    d_cols = [d_map.col(a) for a in range(cm.dim1)]
-    left, right = g0.algebra.multiplications
-    times_b, a_times = bimod.bimodule.at_module_basis
+    d0, d1 = cm.dim0, cm.dim1
+    tables, mats = (g0.algebra.c, g1_product), (d_map, g0.operator, cm.t1, *cm.S, *cm.P)
+    den = common_denominator(tables, mats)
+    _, (c, g1c) = integer_tables(tables, den)
+    _, (d, t0, t1, *actions) = integer_matrices(mats, den)
+    S, P = actions[:d0], actions[d0:]
+    d_cols = _columns(d, d1)
+    left, right = _integer_lr(c, d0, d0)
     # d is a product morphism g₁ → g₀
     for a, da in enumerate(d_cols):
         for b, db in enumerate(d_cols):
-            yield "d_morphism", (a, b), vsub(
-                d_map.apply(g1_product[a][b]), g0.algebra.product(da, db)
+            product_ab = integer_combination(da, [integer_times(m, db) for m in left], d0)
+            yield "d_morphism", (a, b), fractions_over(
+                [den * u - v for u, v in zip(integer_times(d, g1c[a][b]), product_ab)], den**3
             )
     # C1
-    for x in range(cm.dim0):
+    for x in range(d0):
+        d_left, d_right = integer_matmul(d, S[x]), integer_matmul(d, P[x])
         for a, da in enumerate(d_cols):
-            yield "c1_left", (x, a), vsub(d_map.apply(cm.S[x].col(a)), left[x].apply(da))
-            yield "c1_right", (x, a), vsub(d_map.apply(cm.P[x].col(a)), right[x].apply(da))
-    comm = d_map.matmul(cm.t1).sub(g0.operator.matmul(d_map))
-    for a in range(cm.dim1):
-        yield "c1_operator", (a,), comm.col(a)
-    # C2
+            yield "c1_left", (x, a), fractions_over(
+                _minus([row[a] for row in d_left], integer_times(left[x], da)), den * den
+            )
+            yield "c1_right", (x, a), fractions_over(
+                _minus([row[a] for row in d_right], integer_times(right[x], da)), den * den
+            )
+    comm = _minus_rows(integer_matmul(d, t1), integer_matmul(t0, d))
+    for a in range(d1):
+        yield "c1_operator", (a,), fractions_over([row[a] for row in comm], den * den)
+    # C2: dα·β = αβ = α·dβ, through the matrices of x ↦ x·β and x ↦ β·x
+    times_b, b_times = (
+        [_columns([[row[b] for row in m] for m in actions], d1) for b in range(d1)]
+        for actions in (S, P)
+    )
     for a, da in enumerate(d_cols):
         for b, db in enumerate(d_cols):
-            yield "c2_left", (a, b), vsub(times_b[b].apply(da), g1_product[a][b])
-            yield "c2_right", (a, b), vsub(a_times[a].apply(db), g1_product[a][b])
+            g1_ab = [den * u for u in g1c[a][b]]
+            yield "c2_left", (a, b), fractions_over(
+                _minus(integer_times(times_b[b], da), g1_ab), den * den
+            )
+            yield "c2_right", (a, b), fractions_over(
+                _minus(integer_times(b_times[a], db), g1_ab), den * den
+            )
 
 
 def strict_to_crossed(t: TwoAlgebra, weight, *, trusted: bool = False) -> CrossedModule:

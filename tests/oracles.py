@@ -17,6 +17,13 @@ bilinear kernel ``apply_table``, with a unit vector as one argument wherever
 a basis vector is multiplied.  The package reads the same products through
 the left and right multiplication matrices of each table.
 
+The ``*_by_fractions`` routines are the package's former two-term and
+crossed-module checks, kept verbatim: they evaluate l₃ with ``Cochain.eval``
+and every product through ``RationalMatrix.apply`` in ``Fraction``
+arithmetic, where ``twoalg`` reads each structure once as integer tensors
+over one common denominator.  ``bimodule_left`` and ``bimodule_right`` are
+the former ``Bimodule.left`` / ``Bimodule.right`` products.
+
 ``les_by_subspaces`` at the very end is the package's former LES walk: it
 compares the image of the incoming map with the kernel of the outgoing one
 as echelon subspaces of cochain space, where ``complexes.les_check`` decides
@@ -31,7 +38,11 @@ from rbprelie.algebras import (
     PreLieAlgebra,
     RBBimodule,
     RBPreLieAlgebra,
+    bilinear,
+    bimodule_defects,
     derived_bimodule,
+    named,
+    rb_bimodule_defects,
     star_algebra,
 )
 from rbprelie.cochains import Cochain, RBACochain, basis_keys, cochain_from_bilinear, space_dim
@@ -278,6 +289,16 @@ def naive_rb_bimodule_defects(c, t, lam, S, P, t_m, mod_dim):
     return bad
 
 
+def bimodule_left(bm, x, u):
+    """x · u for an algebra vector x and module vector u."""
+    return bilinear(bm.S, x, u, bm.mod_dim)
+
+
+def bimodule_right(bm, u, y):
+    """u · y for a module vector u and algebra vector y."""
+    return bilinear(bm.P, y, u, bm.mod_dim)
+
+
 def sympy_rank(matrix) -> int:
     """Independent elimination oracle."""
     import sympy
@@ -357,9 +378,9 @@ def pla_differential_by_eval(a, m, f):
             xi = skew[pos]
             rest = [s for q, s in enumerate(skew) if q != pos]
             # x_i · f(..x̂_i.., x_{n+1})
-            t1 = m.left(a.basis_vector(xi), f.eval([*rest, last]))
+            t1 = bimodule_left(m, a.basis_vector(xi), f.eval([*rest, last]))
             # f(..x̂_i.., x_i) · x_{n+1}
-            t2 = m.right(f.eval([*rest, xi]), a.basis_vector(last))
+            t2 = bimodule_right(m, f.eval([*rest, xi]), a.basis_vector(last))
             # − f(..x̂_i.., x_i · x_{n+1})
             t3 = f.eval([*rest, a.c[xi][last]])
             total = vadd(total, vscale(sign, vsub(vadd(t1, t2), t3)))
@@ -403,10 +424,13 @@ def rbo_differential_expanded(r, m, g):
             rest = [s for q, s in enumerate(skew) if q != pos]
             g_drop = g.eval([*rest, last])
             # T(x_i)·g(..) − T_M(x_i·g(..))
-            term = vsub(bm.left(t_i, g_drop), tm.apply(bm.left(e_i, g_drop)))
+            term = vsub(bimodule_left(bm, t_i, g_drop), tm.apply(bimodule_left(bm, e_i, g_drop)))
             # g(.., x_i)·T(x_{n+1}) − T_M(g(.., x_i)·x_{n+1})
             g_rot = g.eval([*rest, xi])
-            term = vadd(term, vsub(bm.right(g_rot, t_last), tm.apply(bm.right(g_rot, e_last))))
+            term = vadd(
+                term,
+                vsub(bimodule_right(bm, g_rot, t_last), tm.apply(bimodule_right(bm, g_rot, e_last))),
+            )
             # − g(.., x_i·T(x_{n+1})) − g(.., T(x_i)·x_{n+1}) − λ g(.., x_i·x_{n+1})
             term = vsub(term, g.eval([*rest, a.product(e_i, t_last)]))
             term = vsub(term, g.eval([*rest, a.product(t_i, e_last)]))
@@ -727,6 +751,165 @@ def gauge_transform_by_table(r, d, psi):
                 op = op.add(eta[a].matmul(d.operators[b]).matmul(psi_at(i)))
         new_operators.append(op)
     return TruncatedDeformation(r, tuple(new_products), tuple(new_operators))
+
+
+# ---------------------------------------------- two-term checks by fractions
+
+
+def prelie_2alg_defects_by_fractions(t):
+    """The seven coherence conditions of a two-term pre-Lie structure."""
+    d0, d1 = t.dim0, t.dim1
+    (l00, r00), (l01, r01), (l10, r10) = t.lr00, t.lr01, t.lr10
+    for x in range(d0):
+        for a in range(d1):
+            da = t.d_map.col(a)
+            yield "a", (x, a), vsub(t.d_map.apply(t.l2_01[x][a]), l00[x].apply(da))
+            yield "b", (a, x), vsub(t.d_map.apply(t.l2_10[a][x]), r00[x].apply(da))
+    for a in range(d1):
+        da = t.d_map.col(a)
+        for b in range(d1):
+            yield "c", (a, b), vsub(r01[b].apply(da), l10[a].apply(t.d_map.col(b)))
+    for x in range(d0):
+        for y in range(d0):
+            bracket = vsub(t.l2_00[x][y], t.l2_00[y][x])
+            for z in range(d0):
+                rhs = vsub(l00[x].apply(t.l2_00[y][z]), l00[y].apply(t.l2_00[x][z]))
+                rhs = vsub(rhs, r00[z].apply(bracket))
+                yield "e1", (x, y, z), vsub(t.d_map.apply(t.l3.eval([x, y, z])), rhs)
+            for a in range(d1):
+                da = t.d_map.col(a)
+                rhs = vsub(l01[x].apply(t.l2_01[y][a]), l01[y].apply(t.l2_01[x][a]))
+                rhs = vsub(rhs, r01[a].apply(bracket))
+                yield "e2", (x, y, a), vsub(t.l3.eval([x, y, da]), rhs)
+                rhs = vsub(l10[a].apply(t.l2_00[x][y]), r10[y].apply(t.l2_10[a][x]))
+                rhs = vsub(rhs, vsub(l01[x].apply(t.l2_10[a][y]), r10[y].apply(t.l2_01[x][a])))
+                yield "e3", (a, x, y), vsub(t.l3.eval([da, x, y]), rhs)
+    for key in product(range(d0), repeat=4):
+        yield "f", key, condition_f_by_fractions(t, *key)
+
+
+def condition_f_by_fractions(t, w, x, y, z):
+    """The twelve-term top coherence, evaluated on basis indices."""
+    l01, r10 = t.lr01[0], t.lr10[1]
+    val = l01[w].apply(t.l3.eval([x, y, z]))
+    val = vsub(val, l01[x].apply(t.l3.eval([w, y, z])))
+    val = vadd(val, l01[y].apply(t.l3.eval([w, x, z])))
+    val = vadd(val, r10[z].apply(t.l3.eval([x, y, w])))
+    val = vsub(val, r10[z].apply(t.l3.eval([w, y, x])))
+    val = vadd(val, r10[z].apply(t.l3.eval([w, x, y])))
+    val = vsub(val, t.l3.eval([x, y, t.l2_00[w][z]]))
+    val = vadd(val, t.l3.eval([w, y, t.l2_00[x][z]]))
+    val = vsub(val, t.l3.eval([w, x, t.l2_00[y][z]]))
+    val = vsub(val, t.l3.eval([vsub(t.l2_00[w][x], t.l2_00[x][w]), y, z]))
+    val = vadd(val, t.l3.eval([vsub(t.l2_00[w][y], t.l2_00[y][w]), x, z]))
+    val = vsub(val, t.l3.eval([vsub(t.l2_00[x][y], t.l2_00[y][x]), w, z]))
+    return val
+
+
+def condition_v_by_fractions(t, lam, x1, x2, x3):
+    """The long operator coherence, evaluated on basis indices.
+
+    Structure: the T₀-twisted action terms with their T₁-corrections, the
+    star-product insertions into T₂, and every T₀-insertion pattern into l₃
+    weighted by λ to the number of untouched slots minus one.
+    """
+    (l00, r00), (l01, _), (_, r10), (lt2, rt2) = t.lr00, t.lr01, t.lr10, t.lr_t2
+    t0_1, t0_2, t0_3 = t.t0.col(x1), t.t0.col(x2), t.t0.col(x3)
+    th_23 = t.t2[x2][x3]
+    th_13 = t.t2[x1][x3]
+    th_21 = t.t2[x2][x1]
+    th_12 = t.t2[x1][x2]
+
+    def star(i, j):
+        """e_i ⋆ e_j = e_i·T₀(e_j) + T₀(e_i)·e_j + λ e_i·e_j."""
+        return vadd(
+            vadd(l00[i].apply(t.t0.col(j)), r00[j].apply(t.t0.col(i))),
+            vscale(lam, t.l2_00[i][j]),
+        )
+
+    val = vsub(t.mul01(t0_1, th_23), t.t1.apply(l01[x1].apply(th_23)))
+    val = vsub(val, vsub(t.mul01(t0_2, th_13), t.t1.apply(l01[x2].apply(th_13))))
+    val = vadd(val, vsub(t.mul10(th_21, t0_3), t.t1.apply(r10[x3].apply(th_21))))
+    val = vsub(val, vsub(t.mul10(th_12, t0_3), t.t1.apply(r10[x3].apply(th_12))))
+    val = vsub(val, lt2[x2].apply(star(x1, x3)))
+    val = vadd(val, lt2[x1].apply(star(x2, x3)))
+    val = vsub(val, rt2[x3].apply(vsub(star(x1, x2), star(x2, x1))))
+    val = vadd(val, t.l3.eval([t0_1, t0_2, t0_3]))
+    lam2 = lam * lam
+    val = vsub(val, vscale(lam2, t.t1.apply(t.l3.eval([x1, x2, x3]))))
+    val = vsub(val, vscale(lam, t.t1.apply(t.l3.eval([t0_1, x2, x3]))))
+    val = vsub(val, vscale(lam, t.t1.apply(t.l3.eval([x1, t0_2, x3]))))
+    val = vsub(val, vscale(lam, t.t1.apply(t.l3.eval([x1, x2, t0_3]))))
+    val = vsub(val, t.t1.apply(t.l3.eval([t0_1, t0_2, x3])))
+    val = vsub(val, t.t1.apply(t.l3.eval([t0_1, x2, t0_3])))
+    val = vsub(val, t.t1.apply(t.l3.eval([x1, t0_2, t0_3])))
+    return val
+
+
+def rb_2alg_defects_by_fractions(t, lam):
+    """The operator conditions on a two-term structure."""
+    (l00, r00), (l01, r01), (l10, r10), (lt2, rt2) = t.lr00, t.lr01, t.lr10, t.lr_t2
+    comm = t.t0.matmul(t.d_map).sub(t.d_map.matmul(t.t1))
+    for a in range(t.dim1):
+        yield "i", (a,), comm.col(a)
+    for x in range(t.dim0):
+        t0x = t.t0.col(x)
+        for y in range(t.dim0):
+            t0y = t.t0.col(y)
+            inner = vadd(vadd(r00[y].apply(t0x), l00[x].apply(t0y)), vscale(lam, t.l2_00[x][y]))
+            yield "ii", (x, y), vsub(
+                vsub(t.t0.apply(inner), t.mul00(t0x, t0y)),
+                t.d_map.apply(t.t2[x][y]),
+            )
+    for a in range(t.dim1):
+        t1a = t.t1.col(a)
+        da = t.d_map.col(a)
+        for x in range(t.dim0):
+            t0x = t.t0.col(x)
+            inner = vadd(vadd(r10[x].apply(t1a), l10[a].apply(t0x)), vscale(lam, t.l2_10[a][x]))
+            yield "iii", (a, x), vsub(
+                vsub(t.t1.apply(inner), t.mul10(t1a, t0x)), rt2[x].apply(da)
+            )
+            inner = vadd(vadd(l01[x].apply(t1a), r01[a].apply(t0x)), vscale(lam, t.l2_01[x][a]))
+            yield "iv", (x, a), vsub(
+                vsub(t.t1.apply(inner), t.mul01(t0x, t1a)), lt2[x].apply(da)
+            )
+    for key in product(range(t.dim0), repeat=3):
+        yield "v", key, condition_v_by_fractions(t, lam, *key)
+
+
+def crossed_module_defects_by_fractions(cm):
+    """The crossed module conditions."""
+    g0, g1_product, d_map = cm.g0, cm.g1_product, cm.d_map
+    g1 = PreLieAlgebra(cm.dim1, g1_product)  # checks the table's shape
+    yield from named("g1_pre_lie", g1.pre_lie_law)
+    yield from named("g0_pre_lie", g0.algebra.pre_lie_law)
+    yield from named("g0_rota_baxter", g0.rota_baxter_law)
+    bimod = cm.bimodule()
+    yield from bimodule_defects(g0.algebra, bimod.bimodule)
+    yield from rb_bimodule_defects(g0, bimod)
+    d_cols = [d_map.col(a) for a in range(cm.dim1)]
+    left, right = g0.algebra.multiplications
+    times_b, a_times = bimod.bimodule.at_module_basis
+    # d is a product morphism g₁ → g₀
+    for a, da in enumerate(d_cols):
+        for b, db in enumerate(d_cols):
+            yield "d_morphism", (a, b), vsub(
+                d_map.apply(g1_product[a][b]), g0.algebra.product(da, db)
+            )
+    # C1
+    for x in range(cm.dim0):
+        for a, da in enumerate(d_cols):
+            yield "c1_left", (x, a), vsub(d_map.apply(cm.S[x].col(a)), left[x].apply(da))
+            yield "c1_right", (x, a), vsub(d_map.apply(cm.P[x].col(a)), right[x].apply(da))
+    comm = d_map.matmul(cm.t1).sub(g0.operator.matmul(d_map))
+    for a in range(cm.dim1):
+        yield "c1_operator", (a,), comm.col(a)
+    # C2
+    for a, da in enumerate(d_cols):
+        for b, db in enumerate(d_cols):
+            yield "c2_left", (a, b), vsub(times_b[b].apply(da), g1_product[a][b])
+            yield "c2_right", (a, b), vsub(a_times[a].apply(db), g1_product[a][b])
 
 
 def _kernel_plus_boundaries(

@@ -85,6 +85,8 @@ from rbprelie.twoalg import (
 
 from conftest import make_a0, make_a1n, make_idempotent
 from oracles import (
+    bimodule_left,
+    bimodule_right,
     naive_bimodule_defects,
     naive_pre_lie_defects,
     naive_rb_bimodule_defects,
@@ -202,8 +204,8 @@ def test_criterion_03_chain_map():
             tuple(
                 a - b
                 for a, b in zip(
-                    bm.left(r.algebra.basis_vector(j), u),
-                    bm.right(u, r.algebra.basis_vector(j)),
+                    bimodule_left(bm, r.algebra.basis_vector(j), u),
+                    bimodule_right(bm, u, r.algebra.basis_vector(j)),
                 )
             )
             for j in range(r.dim)
@@ -214,8 +216,8 @@ def test_criterion_03_chain_map():
             tuple(
                 a - b
                 for a, b in zip(
-                    der.bimodule.left(r.algebra.basis_vector(j), u),
-                    der.bimodule.right(u, r.algebra.basis_vector(j)),
+                    bimodule_left(der.bimodule, r.algebra.basis_vector(j), u),
+                    bimodule_right(der.bimodule, u, r.algebra.basis_vector(j)),
                 )
             )
             for j in range(r.dim)

@@ -41,11 +41,14 @@ module defines or imports ``apply_table``, and no product or action call
 as an argument: a product with a basis vector is one ``apply`` of a
 multiplication matrix, and of two basis vectors a table entry.  The law
 kernels (``pre_lie_defects``, ``rota_baxter_defects``, ``bimodule_defects``,
-``rb_bimodule_defects``) and ``deformations.gauge_transform`` are the
-exception: they read their tables and matrices once as ``int`` tensors over
-one common denominator per family, and make ``Fraction`` values only for the
-entries they return, so they call none of ``vadd``, ``vsub``, ``vscale``,
-``bilinear`` or ``.apply``.
+``rb_bimodule_defects``), ``deformations.gauge_transform`` and the two-term
+and crossed-module checks of ``twoalg`` (``_prelie_2alg_defects``,
+``_rb_2alg_defects``, ``_crossed_module_defects``, and the top coherences
+``condition_f_value``, ``condition_v_value`` with their ``_condition_f``,
+``_condition_v``) are the exception: they read their tables and matrices
+once as ``int`` tensors over one common denominator per family, and make
+``Fraction`` values only for the entries they return, so they call none of
+``vadd``, ``vsub``, ``vscale``, ``bilinear``, ``.apply`` or ``.eval``.
 
 A matrix's value is its sparse rows, and only ``linalg`` builds them: no
 other package module calls the ``RationalMatrix(...)`` constructor directly;
@@ -349,8 +352,10 @@ INTEGER_KERNELS = {
     "algebras.py": {"pre_lie_defects", "rota_baxter_defects", "bimodule_defects",
                     "rb_bimodule_defects"},
     "deformations.py": {"gauge_transform"},
+    "twoalg.py": {"_prelie_2alg_defects", "_rb_2alg_defects", "_crossed_module_defects",
+                  "_condition_f", "_condition_v", "condition_f_value", "condition_v_value"},
 }
-FRACTION_ROUTES = {"vadd", "vsub", "vscale", "bilinear", "apply"}
+FRACTION_ROUTES = {"vadd", "vsub", "vscale", "bilinear", "apply", "eval"}
 
 
 @pytest.mark.parametrize("name", sorted(INTEGER_KERNELS))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,7 +13,7 @@ from rbprelie.algebras import (
     RBPreLieAlgebra,
     zero_table,
 )
-from rbprelie.cochains import Cochain, RBACochain
+from rbprelie.cochains import Cochain, RBACochain, basis_keys
 from rbprelie.generators import (
     random_crossed_module,
     random_rba_cocycle,
@@ -22,6 +23,9 @@ from rbprelie.linalg import RationalMatrix, is_zero_vector
 from rbprelie.twoalg import (
     CrossedModule,
     TwoAlgebra,
+    _crossed_module_defects,
+    _prelie_2alg_defects,
+    _rb_2alg_defects,
     check_crossed_module,
     check_prelie_2alg,
     check_rb_2alg,
@@ -34,7 +38,15 @@ from rbprelie.twoalg import (
 )
 
 from conftest import make_a1n
-from oracles import second_condition_f, second_condition_v
+from oracles import (
+    condition_f_by_fractions,
+    condition_v_by_fractions,
+    crossed_module_defects_by_fractions,
+    prelie_2alg_defects_by_fractions,
+    rb_2alg_defects_by_fractions,
+    second_condition_f,
+    second_condition_v,
+)
 
 
 def _twoalg_from_algebra(r, dim1=0):
@@ -305,3 +317,104 @@ def test_non_skeletal_rejected():
             skeletal_to_cocycle(t, cm.g0.weight)
         return
     pytest.skip("sampled crossed module had zero connecting map")
+
+
+# The coherence checks run on integers over one common denominator.  They are
+# compared with their former Fraction routes in ``tests/oracles.py`` on
+# arbitrary structures that are neither skeletal nor strict (d, l₃ and T₂
+# nonzero), each family over its own denominator, pairwise coprime, so that a
+# common denominator missing any family, or a family read at the wrong scale,
+# changes the result; most compared defects are nonzero (asserted).
+DENOMINATORS = (97, 101, 2**61 - 1, 103, 107, 109, 113, 127)
+STRESS_WEIGHTS = (Fraction(0), Fraction(-7, 3), Fraction(1, 2))
+STRESS_DIMS = list(product((0, 1, 2, 3), (0, 1, 2)))  # (dim0, dim1)
+
+
+def _over(rng, den, size):
+    return tuple(Fraction(rng.randint(-10**6, 10**6), den) for _ in range(size))
+
+
+def _table_over(rng, rows, cols, size, den):
+    return tuple(tuple(_over(rng, den, size) for _ in range(cols)) for _ in range(rows))
+
+
+def _matrix_over(rng, rows, cols, den):
+    return RationalMatrix.from_rows([_over(rng, den, cols) for _ in range(rows)], cols)
+
+
+def _stressed_two_term(d0, d1, lam):
+    rng = random.Random(f"two-term stress {d0} {d1} {lam}")
+    dens = iter(DENOMINATORS)  # one per family
+    l3_den = next(dens)
+    t = TwoAlgebra(
+        dim0=d0,
+        dim1=d1,
+        d_map=_matrix_over(rng, d0, d1, next(dens)),
+        l2_00=_table_over(rng, d0, d0, d0, next(dens)),
+        l2_01=_table_over(rng, d0, d1, d1, next(dens)),
+        l2_10=_table_over(rng, d1, d0, d1, next(dens)),
+        l3=Cochain(3, d0, d1, {k: _over(rng, l3_den, d1) for k in basis_keys(3, d0)}),
+        t0=_matrix_over(rng, d0, d0, next(dens)),
+        t1=_matrix_over(rng, d1, d1, next(dens)),
+        t2=_table_over(rng, d0, d0, d1, next(dens)),
+    )
+    if d0 and d1:
+        assert not t.is_skeletal() and not t.is_strict()
+        assert t.l3.is_zero() == (d0 == 1)
+    return t
+
+
+def _stressed_crossed(d0, d1, lam):
+    rng = random.Random(f"crossed stress {d0} {d1} {lam}")
+    dens = iter(DENOMINATORS)
+    s_den, p_den = next(dens), next(dens)
+    g0 = RBPreLieAlgebra(
+        PreLieAlgebra(d0, _table_over(rng, d0, d0, d0, next(dens))),
+        lam,
+        _matrix_over(rng, d0, d0, next(dens)),
+    )
+    return CrossedModule(
+        g0,
+        _table_over(rng, d1, d1, d1, next(dens)),
+        _matrix_over(rng, d0, d1, next(dens)),
+        tuple(_matrix_over(rng, d1, d1, s_den) for _ in range(d0)),
+        tuple(_matrix_over(rng, d1, d1, p_den) for _ in range(d0)),
+        _matrix_over(rng, d1, d1, next(dens)),
+    )
+
+
+def _assert_same_stream(got, want, case, counts):
+    got = list(got)
+    assert got == list(want), case
+    assert all(type(x) is Fraction for _, _, v in got for x in v), case
+    counts[0] += sum(bool(v) for _, _, v in got)  # a defect in a zero space is empty
+    counts[1] += sum(not is_zero_vector(v) for _, _, v in got)
+
+
+def test_two_term_checks_hold_under_mixed_denominators():
+    counts = [0, 0]  # compared nonempty defects, nonzero ones
+    for (d0, d1), lam in product(STRESS_DIMS, STRESS_WEIGHTS):
+        t = _stressed_two_term(d0, d1, lam)
+        case = (d0, d1, lam)
+        want = prelie_2alg_defects_by_fractions(t)
+        _assert_same_stream(_prelie_2alg_defects(t), want, case, counts)
+        want = rb_2alg_defects_by_fractions(t, lam)
+        _assert_same_stream(_rb_2alg_defects(t, lam), want, case, counts)
+        for key in product(range(d0), repeat=4):
+            got = condition_f_value(t, *key)
+            assert got == condition_f_by_fractions(t, *key), (case, key)
+            assert all(type(x) is Fraction for x in got)
+        for key in product(range(d0), repeat=3):
+            got = condition_v_value(t, lam, *key)
+            assert got == condition_v_by_fractions(t, lam, *key), (case, key)
+            assert all(type(x) is Fraction for x in got)
+    assert counts[1] > counts[0] / 2, counts
+
+
+def test_crossed_module_check_holds_under_mixed_denominators():
+    counts = [0, 0]
+    for (d0, d1), lam in product(STRESS_DIMS, STRESS_WEIGHTS):
+        cm = _stressed_crossed(d0, d1, lam)
+        want = crossed_module_defects_by_fractions(cm)
+        _assert_same_stream(_crossed_module_defects(cm), want, (d0, d1, lam), counts)
+    assert counts[1] > counts[0] / 2, counts
