@@ -11,15 +11,20 @@ vectors (1-based indices, since they are diagnostics).  Composite checkers
 in other modules chain the same triples.  The pre-Lie identity and the
 Rota-Baxter law are written once, as the tⁿ coefficients
 :func:`pre_lie_defects` and :func:`rota_baxter_defects` of a formal series;
-the axioms are their order 0.  These two kernels and the module laws
-:func:`bimodule_defects` and :func:`rb_bimodule_defects` run on integers:
-they read each family of tables or matrices once as nested ``int`` lists
-over one common denominator (:func:`integer_tables`,
-:func:`integer_matrices`), accumulate every output component as an ``int``
-over one denominator shared by all its terms, and make one ``Fraction`` per
-nonzero returned entry (:func:`fractions_over`).  This is exact arithmetic
-in another order, and a ``Fraction``'s normal form is unique, so every
-defect equals the one ``Fraction`` arithmetic gives.
+the axioms are their order 0.
+
+Each law and each derived structure is written once, as an integer core
+(:func:`pre_lie_core`, :func:`rota_baxter_core`, :func:`bimodule_core`,
+:func:`rb_bimodule_core`, :func:`star_core`, :func:`derived_core`): it
+takes nested ``int`` tensors and the denominators its terms need, and
+returns numerators over one denominator shared by all terms.  Its public
+entry point reads each family of tables or matrices once over its common
+denominator (:func:`integer_tables`, :func:`integer_matrices`), calls the
+core and makes one ``Fraction`` per nonzero returned entry
+(:func:`fractions_over`); ``twoalg`` calls the same cores.  This is exact
+arithmetic in another order, and a ``Fraction``'s normal form is unique, so
+every value equals the one ``Fraction`` arithmetic gives.
+
 :func:`require_valid` is the one validity gate: operations that require
 valid input pass through it unless called with ``trusted=True``.
 
@@ -30,13 +35,13 @@ Conventions:
     the coordinates of the image of ``e_j``;
   * ``S[i]`` is the left action of ``e_i`` on the module, ``P[i]`` the
     right action ``u ↦ u · e_i``;
-  * outside the law kernels, every bilinear table, structure constants
+  * outside the integer cores, every bilinear table, structure constants
     and actions alike, is read through its left and right multiplication
     matrices (L, R): ``L[i]·y = e_i·y`` and ``R[k]·x = x·e_k``, so a
     bimodule's (S, P) are the L of its left action and the R of its right
     action.  A product of two basis vectors is a table entry, a product with
     one basis vector is one matrix ``apply``, and a general product is
-    ``Σ xᵢ·Lᵢ·y`` (:func:`bilinear`).  The law kernels read the tables
+    ``Σ xᵢ·Lᵢ·y`` (:func:`bilinear`).  The cores read the tables
     themselves, as integer tensors.
 """
 
@@ -56,7 +61,6 @@ from .linalg import (
     is_zero_vector,
     unit_vector,
     vadd,
-    vscale,
     vsub,
     zero_vector,
 )
@@ -205,17 +209,6 @@ class Bimodule:
             if (mat.rows, mat.cols) != (self.mod_dim, self.mod_dim):
                 raise ValueError("action matrices must be square of the module dimension")
 
-    @cached_property
-    def at_module_basis(self) -> tuple[Matrices, Matrices]:
-        """For each module basis vector e_u, the matrices of x ↦ x·e_u and of
-        y ↦ e_u·y: the R of the left action's table and the L of the right
-        action's."""
-        md = self.mod_dim
-        return (
-            tuple(RationalMatrix.from_cols([s.col(u) for s in self.S], md) for u in range(md)),
-            tuple(RationalMatrix.from_cols([p.col(u) for p in self.P], md) for u in range(md)),
-        )
-
 
 @dataclass(frozen=True)
 class RBBimodule:
@@ -322,19 +315,12 @@ def integer_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def pre_lie_defects(mus: Sequence[ProductTable], n: int) -> dict[tuple[int, int, int], Vector]:
-    """The tⁿ coefficient of the pre-Lie identity for μ_t = Σ μᵢtⁱ on every
-    basis triple (eᵢ, eⱼ, e_k), keyed (i, j, k):
-
-        Σ_{a+b=n} μ_a(μ_b(x, y), z) − μ_a(x, μ_b(y, z)) − (x ↔ y).
-
-    At n = 0 this is the pre-Lie identity of ``mus[0]``.  With μ₀…μₙ read
-    over their common denominator D, every term is an integer over D².
-    """
+def pre_lie_core(mus: Sequence[list], n: int) -> dict[tuple[int, int, int], list[int]]:
+    """The numerators of :func:`pre_lie_defects` for ``int`` tables μ₀…μₙ
+    over one denominator D: every term is an integer over D²."""
     dim = len(mus[0])
-    den, ints = integer_tables(mus[: n + 1])
-    live = [_is_nonzero_table(table) for table in ints]
-    pairs = [(ints[a], ints[n - a]) for a in range(n + 1) if live[a] and live[n - a]]
+    live = [_is_nonzero_table(table) for table in mus[: n + 1]]
+    pairs = [(mus[a], mus[n - a]) for a in range(n + 1) if live[a] and live[n - a]]
     span = range(dim)
     out = {}
     for i in span:
@@ -351,30 +337,31 @@ def pre_lie_defects(mus: Sequence[ProductTable], n: int) -> dict[tuple[int, int,
                             acc = [s - bjk * x for s, x in zip(acc, a_ip)]
                         if bik:
                             acc = [s + bik * x for s, x in zip(acc, a_jp)]
-                out[(i, j, k)] = fractions_over(acc, den * den)
+                out[(i, j, k)] = acc
     return out
 
 
-def rota_baxter_defects(
-    mus: Sequence[ProductTable], ts: Sequence[RationalMatrix], lam: Fraction, n: int
-) -> dict[tuple[int, int], Vector]:
-    """The tⁿ coefficient of the weighted Rota-Baxter law for μ_t = Σ μᵢtⁱ,
-    T_t = Σ Tᵢtⁱ on every basis pair (eᵢ, eⱼ), keyed (i, j):
+def pre_lie_defects(mus: Sequence[ProductTable], n: int) -> dict[tuple[int, int, int], Vector]:
+    """The tⁿ coefficient of the pre-Lie identity for μ_t = Σ μᵢtⁱ on every
+    basis triple (eᵢ, eⱼ, e_k), keyed (i, j, k):
 
-        μ_t(T_t x, T_t y) − T_t(μ_t(x, T_t y) + μ_t(T_t x, y) + λ μ_t(x, y)).
+        Σ_{a+b=n} μ_a(μ_b(x, y), z) − μ_a(x, μ_b(y, z)) − (x ↔ y).
 
-    The weight multiplies the ``T_a∘μ_b`` sum at every order.  At n = 0 this
-    is the Rota-Baxter law of ``ts[0]`` for ``mus[0]``.  With μ₀…μₙ over
-    their common denominator D_μ, T₀…Tₙ over D_T and λ = p/q, every term is
-    an integer over q·D_μ·D_T².
+    At n = 0 this is the pre-Lie identity of ``mus[0]``.
     """
-    dim = len(mus[0])
-    d_mu, mu = integer_tables(mus[: n + 1])
-    d_t, t = integer_matrices(ts[: n + 1])
-    p, q = lam.numerator, lam.denominator
-    cols = [nonzero_columns(t_b) for t_b in t]
-    live = [_is_nonzero_table(table) for table in mu]
-    den = q * d_mu * d_t * d_t
+    den, ints = integer_tables(mus[: n + 1])
+    return {key: fractions_over(v, den * den) for key, v in pre_lie_core(ints, n).items()}
+
+
+def rota_baxter_core(
+    mu: Sequence[list], t: Sequence[list], p: int, q: int, d_t: int, n: int
+) -> dict[tuple[int, int], list[int]]:
+    """The numerators of :func:`rota_baxter_defects` for ``int`` tables
+    μ₀…μₙ over D_μ, ``int`` matrices T₀…Tₙ over D_T and λ = p/q: every term
+    is an integer over q·D_μ·D_T²."""
+    dim = len(mu[0])
+    cols = [nonzero_columns(t_b) for t_b in t[: n + 1]]
+    live = [_is_nonzero_table(table) for table in mu[: n + 1]]
     out = {}
     for i in range(dim):
         for j in range(dim):
@@ -402,8 +389,28 @@ def rota_baxter_defects(
                     for x, tx in c_cols[i]:
                         inner = [s + q * tx * z for s, z in zip(inner, mu_b[x][j])]
                 acc = [s - z for s, z in zip(acc, integer_times(t[a], inner))]
-            out[(i, j)] = fractions_over(acc, den)
+            out[(i, j)] = acc
     return out
+
+
+def rota_baxter_defects(
+    mus: Sequence[ProductTable], ts: Sequence[RationalMatrix], lam: Fraction, n: int
+) -> dict[tuple[int, int], Vector]:
+    """The tⁿ coefficient of the weighted Rota-Baxter law for μ_t = Σ μᵢtⁱ,
+    T_t = Σ Tᵢtⁱ on every basis pair (eᵢ, eⱼ), keyed (i, j):
+
+        μ_t(T_t x, T_t y) − T_t(μ_t(x, T_t y) + μ_t(T_t x, y) + λ μ_t(x, y)).
+
+    The weight multiplies the ``T_a∘μ_b`` sum at every order.  At n = 0 this
+    is the Rota-Baxter law of ``ts[0]`` for ``mus[0]``.
+    """
+    d_mu, mu = integer_tables(mus[: n + 1])
+    d_t, t = integer_matrices(ts[: n + 1])
+    p, q = lam.numerator, lam.denominator
+    den = q * d_mu * d_t * d_t
+    return {
+        key: fractions_over(v, den) for key, v in rota_baxter_core(mu, t, p, q, d_t, n).items()
+    }
 
 
 def check_pre_lie(a: PreLieAlgebra) -> Verdict:
@@ -416,18 +423,17 @@ def check_rb_operator(r: RBPreLieAlgebra) -> Verdict:
     return verdict(named("rota_baxter", r.rota_baxter_law))
 
 
-def bimodule_defects(a: PreLieAlgebra, m: Bimodule) -> Defects:
-    """Both pre-Lie representation laws on basis pairs acting on basis
-    vectors.  With the table over D_c and the actions over D_a, every term
-    is an integer over D_c·D_a²."""
-    if m.base_dim != a.dim:
-        raise ValueError("module base dimension does not match the algebra")
-    d_c, (c,) = integer_tables((a.c,))
-    d_a, actions = integer_matrices(m.S + m.P)
-    S, P = actions[: a.dim], actions[a.dim :]
-    md, den = m.mod_dim, d_c * d_a * d_a
-    for i in range(a.dim):
-        for j in range(a.dim):
+def bimodule_core(
+    c: list, S: Sequence[list], P: Sequence[list], d_c: int, d_a: int
+) -> dict[tuple[int, int, int], tuple[list[int], list[int]]]:
+    """The numerators of both pre-Lie representation laws for an ``int``
+    table c over D_c and ``int`` action matrices S, P over D_a, keyed by
+    (i, j, u) for basis vectors eᵢ, eⱼ acting on e_u: (left_action,
+    mixed_action), every term an integer over D_c·D_a²."""
+    md = len(S[0]) if S else 0
+    out = {}
+    for i in range(len(c)):
+        for j in range(len(c)):
             bracket = [x - y for x, y in zip(c[i][j], c[j][i])]
             # on each e_u, as column u: x·(y·u) − (x·y)·u symmetric in x, y
             left = [
@@ -449,42 +455,65 @@ def bimodule_defects(a: PreLieAlgebra, m: Bimodule) -> Defects:
                 )
             ]
             for u in range(md):
-                yield "left_action", (i, j, u), fractions_over([row[u] for row in left], den)
-                yield "mixed_action", (i, j, u), fractions_over([row[u] for row in mixed], den)
+                out[(i, j, u)] = [row[u] for row in left], [row[u] for row in mixed]
+    return out
+
+
+def bimodule_defects(a: PreLieAlgebra, m: Bimodule) -> Defects:
+    """Both pre-Lie representation laws on basis pairs acting on basis
+    vectors, :func:`bimodule_core` read once."""
+    if m.base_dim != a.dim:
+        raise ValueError("module base dimension does not match the algebra")
+    d_c, (c,) = integer_tables((a.c,))
+    d_a, actions = integer_matrices(m.S + m.P)
+    den = d_c * d_a * d_a
+    laws = bimodule_core(c, actions[: a.dim], actions[a.dim :], d_c, d_a)
+    for key, (left, mixed) in laws.items():
+        yield "left_action", key, fractions_over(left, den)
+        yield "mixed_action", key, fractions_over(mixed, den)
+
+
+def rb_bimodule_core(
+    t: list, tm: list, S: Sequence[list], P: Sequence[list], p: int, q: int, d_t: int, d_m: int
+) -> dict[tuple[int, int], tuple[list[int], list[int]]]:
+    """The numerators of both weighted compatibility laws between T and the
+    module operator, for ``int`` matrices T over D_T, T_M over D_M, actions
+    S, P over D_a and λ = p/q, keyed by (i, u) for eᵢ and e_u: (rb_left,
+    rb_right), every term an integer over q·D_T·D_a·D_M²."""
+    md, out = len(tm), {}
+    for i, ti in enumerate(zip(*t)):
+        # per side, the action of eᵢ and of T(eᵢ) = Σₖ T(eᵢ)ₖ·eₖ
+        sides = [(acts[i], integer_mix(ti, acts, md)) for acts in (S, P)]
+        for u, tu in enumerate(zip(*tm)):
+            # rb_left:  T(a)·T_M(u) = T_M(a·T_M(u) + T(a)·u + λ a·u)
+            # rb_right: T_M(u)·T(a) = T_M(u·T(a) + T_M(u)·a + λ u·a)
+            laws = []
+            for act, act_t in sides:
+                inner = [
+                    q * d_t * x + q * d_m * row_t[u] + p * d_t * d_m * row[u]
+                    for x, row_t, row in zip(integer_times(act, tu), act_t, act)
+                ]
+                terms = zip(integer_times(act_t, tu), integer_times(tm, inner))
+                laws.append([q * d_m * x - y for x, y in terms])
+            out[(i, u)] = tuple(laws)
+    return out
 
 
 def rb_bimodule_defects(r: RBPreLieAlgebra, m: RBBimodule) -> Defects:
-    """Both weighted compatibility laws between T and the module operator.
-    With T over D_T, the actions over D_a, T_M over D_M and λ = p/q, every
-    term is an integer over q·D_T·D_a·D_M²."""
+    """Both weighted compatibility laws between T and the module operator,
+    :func:`rb_bimodule_core` read once."""
     bm, lam = m.bimodule, r.weight
     if bm.base_dim != r.dim:
         raise ValueError("module base dimension does not match the algebra")
     d_t, (t,) = integer_matrices((r.operator,))
     d_m, (tm,) = integer_matrices((m.t_m,))
     d_a, actions = integer_matrices(bm.S + bm.P)
-    S, P = actions[: r.dim], actions[r.dim :]
-    p, q, md = lam.numerator, lam.denominator, bm.mod_dim
+    p, q = lam.numerator, lam.denominator
     den = q * d_t * d_a * d_m * d_m
-    for i, ti in enumerate(zip(*t)):
-        # per side, the action of eᵢ and of T(eᵢ) = Σₖ T(eᵢ)ₖ·eₖ
-        sides = [
-            (law, acts[i], integer_mix(ti, acts, md))
-            for law, acts in (("rb_left", S), ("rb_right", P))
-        ]
-        for u, tu in enumerate(zip(*tm)):
-            for law, act, act_t in sides:
-                # rb_left:  T(a)·T_M(u) = T_M(a·T_M(u) + T(a)·u + λ a·u)
-                # rb_right: T_M(u)·T(a) = T_M(u·T(a) + T_M(u)·a + λ u·a)
-                inner = [
-                    q * d_t * x + q * d_m * row_t[u] + p * d_t * d_m * row[u]
-                    for x, row_t, row in zip(integer_times(act, tu), act_t, act)
-                ]
-                defect = [
-                    q * d_m * x - y
-                    for x, y in zip(integer_times(act_t, tu), integer_times(tm, inner))
-                ]
-                yield law, (i, u), fractions_over(defect, den)
+    laws = rb_bimodule_core(t, tm, actions[: r.dim], actions[r.dim :], p, q, d_t, d_m)
+    for key, (left, right) in laws.items():
+        yield "rb_left", key, fractions_over(left, den)
+        yield "rb_right", key, fractions_over(right, den)
 
 
 def check_bimodule(a: PreLieAlgebra, m: Bimodule) -> Verdict:
@@ -538,42 +567,86 @@ def require_valid(r: RBPreLieAlgebra, m: RBBimodule | None = None) -> RBBimodule
     return m
 
 
+def star_core(c: list, t: list, p: int, q: int, d_t: int) -> list[list[list[int]]]:
+    """The numerators of eᵢ⋆eⱼ = eᵢ·T(eⱼ) + T(eᵢ)·eⱼ + λ eᵢ·eⱼ for an ``int``
+    table c over D_c, an ``int`` matrix T over D_T and λ = p/q, as
+    ``star[i][j]``, every term an integer over q·D_c·D_T."""
+    span = range(len(c))
+    cols = list(zip(*t))
+    by_right = [[row[j] for row in c] for j in span]  # eₖ·eⱼ over k
+    return [
+        [
+            [
+                q * (u + v) + p * d_t * w
+                for u, v, w in zip(
+                    integer_combination(cols[j], c[i], len(c)),
+                    integer_combination(cols[i], by_right[j], len(c)),
+                    c[i][j],
+                )
+            ]
+            for j in span
+        ]
+        for i in span
+    ]
+
+
 def star_algebra(r: RBPreLieAlgebra, *, trusted: bool = False) -> RBPreLieAlgebra:
-    """The induced product a⋆b = a·T(b) + T(a)·b + λ a·b, same operator and weight."""
+    """The induced product a⋆b = a·T(b) + T(a)·b + λ a·b, same operator and
+    weight: :func:`star_core` read once."""
     if not trusted:
         require_valid(r)
-    a, t, lam = r.algebra, r.operator, r.weight
-    left, right = a.multiplications
+    lam = r.weight
+    d_c, (c,) = integer_tables((r.algebra.c,))
+    d_t, (t,) = integer_matrices((r.operator,))
+    den = lam.denominator * d_c * d_t
     table = tuple(
-        tuple(
-            vadd(vadd(left[i].apply(t.col(j)), right[j].apply(t.col(i))), vscale(lam, a.c[i][j]))
-            for j in range(a.dim)
-        )
-        for i in range(a.dim)
+        tuple(fractions_over(v, den) for v in row)
+        for row in star_core(c, t, lam.numerator, lam.denominator, d_t)
     )
-    return RBPreLieAlgebra(PreLieAlgebra(a.dim, table), lam, t)
+    return RBPreLieAlgebra(PreLieAlgebra(r.dim, table), lam, r.operator)
+
+
+def derived_core(
+    t: list, tm: list, S: Sequence[list], P: Sequence[list], d_t: int, d_m: int
+) -> tuple[list, list]:
+    """The numerators of the derived actions a▷u = T(a)·u − T_M(a·u) and
+    u◁a = u·T(a) − T_M(u·a) for ``int`` matrices T over D_T, T_M over D_M and
+    actions S, P over D_a: (S', P'), one ``int`` matrix per algebra basis
+    vector, every term an integer over D_T·D_a·D_M."""
+    md = len(tm)
+    return tuple(
+        [
+            [
+                [d_m * x - d_t * y for x, y in zip(*rows)]
+                for rows in zip(integer_mix(col, acts, md), integer_matmul(tm, act))
+            ]
+            for col, act in zip(zip(*t), acts)
+        ]
+        for acts in (S, P)
+    )
 
 
 def derived_bimodule(r: RBPreLieAlgebra, m: RBBimodule, *, trusted: bool = False) -> RBBimodule:
-    """Actions a▷u = T(a)·u − T_M(a·u), u◁a = u·T(a) − T_M(u·a); operator unchanged.
+    """Actions a▷u = T(a)·u − T_M(a·u), u◁a = u·T(a) − T_M(u·a); operator
+    unchanged: :func:`derived_core` read once.
 
     The result is a Rota-Baxter bimodule over ``star_algebra(r)``.
     """
     if not trusted:
         require_valid(r, m)
-    bm, tm, t = m.bimodule, m.t_m, r.operator
-    md = bm.mod_dim
-    times_u, u_times = bm.at_module_basis
-
-    def derived(through: Matrices, old: RationalMatrix, i: int) -> RationalMatrix:
-        # column u: T(eᵢ) acting on e_u, minus T_M of eᵢ acting on e_u
-        return RationalMatrix.from_cols([x.apply(t.col(i)) for x in through], md).sub(
-            tm.matmul(old)
+    bm = m.bimodule
+    d_t, (t,) = integer_matrices((r.operator,))
+    d_m, (tm,) = integer_matrices((m.t_m,))
+    d_a, actions = integer_matrices(bm.S + bm.P)
+    den, md = d_t * d_a * d_m, bm.mod_dim
+    S_new, P_new = (
+        tuple(
+            RationalMatrix.from_rows([fractions_over(row, den) for row in mat], md)
+            for mat in mats
         )
-
-    S_new = tuple(derived(times_u, s, i) for i, s in enumerate(bm.S))
-    P_new = tuple(derived(u_times, p, i) for i, p in enumerate(bm.P))
-    return RBBimodule(Bimodule(bm.base_dim, md, S_new, P_new), tm)
+        for mats in derived_core(t, tm, actions[: bm.base_dim], actions[bm.base_dim :], d_t, d_m)
+    )
+    return RBBimodule(Bimodule(bm.base_dim, md, S_new, P_new), m.t_m)
 
 
 def check_morphism(r1: RBPreLieAlgebra, r2: RBPreLieAlgebra, phi: RationalMatrix) -> Verdict:

@@ -14,6 +14,16 @@ degree-3 correspondence: all insertion patterns of T₀ into l₃ weighted by
 powers of the weight appear, as do the T₁-corrections of the level-mixing
 action terms.
 
+The coherence conditions contain the laws of the levels.  e1 is the
+pre-Lie identity of l₂₀₀, e2 and e3 the bimodule laws of the level-mixing
+actions, ii the Rota-Baxter law of T₀, and iii and iv the Rota-Baxter
+bimodule laws of T₁; each is corrected by an l₃ or T₂ term through d.
+Condition v reads the star product and the derived actions.  None of these
+is written here: each is the integer core of ``algebras`` (``pre_lie_core``,
+``bimodule_core``, ``rota_baxter_core``, ``rb_bimodule_core``,
+``star_core``, ``derived_core``) run on the structure's tables, plus its
+correction term.
+
 The coherence checks and the crossed-module conditions run on integers: a
 structure is read once (``TwoAlgebra.integers``), every table and matrix as
 nested ``int`` lists over the lcm D of all their denominators; each
@@ -41,19 +51,23 @@ from .algebras import (
     RBBimodule,
     RBPreLieAlgebra,
     Verdict,
-    bilinear,
+    bimodule_core,
     bimodule_defects,
     common_denominator,
+    derived_core,
     fractions_over,
     integer_combination,
     integer_matmul,
     integer_matrices,
-    integer_mix,
     integer_tables,
     integer_times,
     multiplication_matrices,
     named,
+    pre_lie_core,
+    rb_bimodule_core,
     rb_bimodule_defects,
+    rota_baxter_core,
+    star_core,
     verdict,
     zero_table,
 )
@@ -89,11 +103,6 @@ class TwoAlgebra:
         return unit_vector(i, self.dim0)
 
     @cached_property
-    def lr00(self) -> Multiplications:
-        """(L, R) of l2_00."""
-        return multiplication_matrices(self.l2_00, self.dim0, self.dim0)
-
-    @cached_property
     def lr01(self) -> Multiplications:
         """(L, R) of l2_01: L[x] is the level-mixing left action of e_x."""
         return multiplication_matrices(self.l2_01, self.dim1, self.dim1)
@@ -102,23 +111,6 @@ class TwoAlgebra:
     def lr10(self) -> Multiplications:
         """(L, R) of l2_10: R[x] is the level-mixing right action of e_x."""
         return multiplication_matrices(self.l2_10, self.dim0, self.dim1)
-
-    @cached_property
-    def lr_t2(self) -> Multiplications:
-        """(L, R) of t2."""
-        return multiplication_matrices(self.t2, self.dim0, self.dim1)
-
-    def mul00(self, x: Sequence, y: Sequence) -> Vector:
-        return bilinear(self.lr00[0], x, y, self.dim0)
-
-    def mul01(self, x: Sequence, alpha: Sequence) -> Vector:
-        return bilinear(self.lr01[0], x, alpha, self.dim1)
-
-    def mul10(self, alpha: Sequence, x: Sequence) -> Vector:
-        return bilinear(self.lr10[0], alpha, x, self.dim1)
-
-    def t2_apply(self, x: Sequence, y: Sequence) -> Vector:
-        return bilinear(self.lr_t2[0], x, y, self.dim1)
 
     @cached_property
     def integers(self) -> _Integers:
@@ -171,9 +163,7 @@ class _Integers:
         self.den = common_denominator(tables, mats)
         _, (self.l00, self.l01, self.l10, self.t2, *l3) = integer_tables(tables, self.den)
         _, (self.d, self.t0, self.t1) = integer_matrices(mats, self.den)
-        self.d_cols, self.t0_cols, self.t1_cols = (
-            _columns(m, size) for m, size in ((self.d, d1), (self.t0, d0), (self.t1, d1))
-        )
+        self.d_cols, self.t0_cols = _columns(self.d, d1), _columns(self.t0, d0)
         # (x, y, z) ↦ l₃(e_x, e_y, e_z), and the matrices of z ↦ l₃(x, y, z), z ↦ l₃(z, x, y)
         self.l3 = dict(zip(product(span, repeat=3), chain.from_iterable(chain(*l3))))
         pairs = list(product(span, repeat=2))
@@ -191,7 +181,10 @@ def check_prelie_2alg(t: TwoAlgebra) -> Verdict:
 
 
 def _prelie_2alg_defects(t: TwoAlgebra) -> Defects:
-    """Conditions a to f.  Every term is an integer over D²."""
+    """Conditions a to f.  e1 is the pre-Lie identity of l₂₀₀ and e2, e3 are
+    the bimodule laws of the level-mixing actions, each corrected by l₃
+    through d.  Every term of e2 and e3 is an integer over D³, of the others
+    over D²."""
     n = t.integers
     span0, span1, den = range(t.dim0), range(t.dim1), n.den * n.den
     (l00_left, l00_right), (l01_left, l01_right), (l10_left, l10_right) = n.lr00, n.lr01, n.lr10
@@ -213,39 +206,22 @@ def _prelie_2alg_defects(t: TwoAlgebra) -> Defects:
                 ),
                 den,
             )
+    pre_lie = pre_lie_core([l00], 0)  # over D²
+    actions = bimodule_core(l00, l01_left, l10_right, n.den, n.den)  # over D³
     for x in span0:
         for y in span0:
-            bracket = _minus(l00[x][y], l00[y][x])
             for z in span0:
-                # d l₃(x, y, z) = x·(y·z) − y·(x·z) − [x, y]·z
-                terms = zip(
-                    integer_times(d, n.l3[x, y, z]),
-                    integer_times(l00_left[x], l00[y][z]),
-                    integer_times(l00_left[y], l00[x][z]),
-                    integer_times(l00_right[z], bracket),
-                )
-                yield "e1", (x, y, z), fractions_over([u - v + w + s for u, v, w, s in terms], den)
-            for a in span1:
-                da = d_cols[a]
-                # l₃(x, y, dα) = x·(y·α) − y·(x·α) − [x, y]·α
-                terms = zip(
-                    integer_times(n.l3_last[x, y], da),
-                    integer_times(l01_left[x], l01[y][a]),
-                    integer_times(l01_left[y], l01[x][a]),
-                    integer_times(l01_right[a], bracket),
-                )
-                yield "e2", (x, y, a), fractions_over([u - v + w + s for u, v, w, s in terms], den)
-                # l₃(dα, x, y) = α·(x·y) − (α·x)·y − x·(α·y) + (x·α)·y
-                terms = zip(
-                    integer_times(n.l3_first[x, y], da),
-                    integer_times(l10_left[a], l00[x][y]),
-                    integer_times(l10_right[y], l10[a][x]),
-                    integer_times(l01_left[x], l10[a][y]),
-                    integer_times(l10_right[y], l01[x][a]),
-                )
-                yield "e3", (a, x, y), fractions_over(
-                    [u - v + w + s - r for u, v, w, s, r in terms], den
-                )
+                # d l₃(x, y, z) + pre_lie(x, y, z)
+                e1 = [u + v for u, v in zip(integer_times(d, n.l3[x, y, z]), pre_lie[x, y, z])]
+                yield "e1", (x, y, z), fractions_over(e1, den)
+            for a, da in enumerate(d_cols):
+                left, mixed = actions[x, y, a]
+                # l₃(x, y, dα) − left_action(x, y, α)
+                e2 = [n.den * u - v for u, v in zip(integer_times(n.l3_last[x, y], da), left)]
+                # l₃(dα, x, y) + mixed_action(x, y, α)
+                e3 = [n.den * u + v for u, v in zip(integer_times(n.l3_first[x, y], da), mixed)]
+                yield "e2", (x, y, a), fractions_over(e2, n.den * den)
+                yield "e3", (a, x, y), fractions_over(e3, n.den * den)
     f = _condition_f(n)
     for key in product(span0, repeat=4):
         yield "f", key, fractions_over(f[key], den)
@@ -254,7 +230,7 @@ def _prelie_2alg_defects(t: TwoAlgebra) -> Defects:
 def _condition_f(n: _Integers) -> dict[tuple[int, ...], list[int]]:
     """The numerators of the twelve-term top coherence over D², keyed by
     every basis quadruple (w, x, y, z)."""
-    span, size, l3 = range(n.dim0), n.dim1, n.l3
+    span, l3 = range(n.dim0), n.l3
     (l01_left, _), (_, l10_right) = n.lr01, n.lr10
     quadruples = list(product(span, repeat=4))
     # the actions on l₃ and l₃ with a product or a bracket in one slot
@@ -288,40 +264,6 @@ def condition_f_value(t: TwoAlgebra, w: int, x: int, y: int, z: int) -> Vector:
     return fractions_over(_condition_f(n)[w, x, y, z], n.den * n.den)
 
 
-def _star(n: _Integers, p: int, q: int) -> list[list[list[int]]]:
-    """e_i ⋆ e_j = e_i·T₀(e_j) + T₀(e_i)·e_j + λ e_i·e_j for λ = p/q, over
-    q·D², as ``star[i][j]``."""
-    (l00_left, l00_right), t0_cols, span = n.lr00, n.t0_cols, range(n.dim0)
-    return [
-        [
-            [
-                q * (u + v) + p * n.den * w
-                for u, v, w in zip(
-                    integer_times(l00_left[i], t0_cols[j]),
-                    integer_times(l00_right[j], t0_cols[i]),
-                    n.l00[i][j],
-                )
-            ]
-            for j in span
-        ]
-        for i in span
-    ]
-
-
-def _twisted_actions(n: _Integers) -> tuple[list, list]:
-    """The T₀-twisted level-mixing actions with their T₁-corrections, over
-    D²: the matrices of α ↦ T₀(e_x)·α − T₁(e_x·α) and α ↦ α·T₀(e_x) − T₁(α·e_x)
-    for each x."""
-    (l01_left, _), (_, l10_right), size = n.lr01, n.lr10, n.dim1
-    return tuple(
-        [
-            _minus_rows(integer_mix(col, actions, size), integer_matmul(n.t1, actions[x]))
-            for x, col in enumerate(n.t0_cols)
-        ]
-        for actions in (l01_left, l10_right)
-    )
-
-
 def _insert(tensor: dict, t0_cols: list, slot: int, size: int) -> dict:
     """T₀ inserted in one slot of a map on basis triples: at each key, the
     sum over k of T₀[k][key[slot]] times the value at the key with k in that
@@ -339,8 +281,9 @@ def _condition_v(n: _Integers, lam: Fraction) -> dict[tuple[int, ...], list[int]
     """The numerators of the long operator coherence over q²·D⁴ for λ = p/q,
     keyed by every basis triple (x1, x2, x3)."""
     p, q, den, size = lam.numerator, lam.denominator, n.den, n.dim1
-    star = _star(n, p, q)
-    twisted_left, twisted_right = _twisted_actions(n)
+    star = star_core(n.l00, n.t0, p, q, den)  # over q·D²
+    # the T₀-twisted level-mixing actions with their T₁-corrections, over D³
+    twisted_left, twisted_right = derived_core(n.t0, n.t1, n.lr01[0], n.lr10[1], den, den)
     t2_left, t2_right = n.lr_t2
     # l₃ with T₀ in the slots marked 1, over D^(1 + ones): seven mode
     # products, each pattern from the one without its last marked slot
@@ -371,7 +314,7 @@ def _condition_v(n: _Integers, lam: Fraction) -> dict[tuple[int, ...], list[int]
             integer_times(t2_right[x3], _minus(star[x1][x2], star[x2][x1])),
         )
         out[key] = [
-            q * q * (top + den * (a1 - a2 + a3 - a4)) + q * den * (s2 - s1 - s3) - corr
+            q * q * (top + a1 - a2 + a3 - a4) + q * den * (s2 - s1 - s3) - corr
             for top, corr, (a1, a2, a3, a4), (s1, s2, s3) in zip(
                 inserted[1, 1, 1][key], integer_times(n.t1, inner), actions, stars
             )
@@ -397,63 +340,35 @@ def check_rb_2alg(t: TwoAlgebra, weight) -> Verdict:
 
 
 def _rb_2alg_defects(t: TwoAlgebra, lam: Fraction) -> Defects:
-    """Conditions i to v.  With λ = p/q, every term of i is an integer over
-    D², of ii to iv over q·D³ and of v over q²·D⁴."""
+    """Conditions i to v.  ii is the Rota-Baxter law of T₀ and iii, iv are the
+    Rota-Baxter bimodule laws of T₁ for the level-mixing actions, each
+    corrected by T₂ through d.  With λ = p/q, every term of i is an integer
+    over D², of ii over q·D³, of iii and iv over q·D⁴ and of v over q²·D⁴."""
     n = t.integers
     p, q, den = lam.numerator, lam.denominator, n.den
     span0, span1 = range(t.dim0), range(t.dim1)
-    (l00_left, _), (_, l01_right), (l10_left, _), (t2_left, t2_right) = (
-        n.lr00, n.lr01, n.lr10, n.lr_t2
-    )
-    d, t0, t1, t0_cols, t1_cols, d_cols = n.d, n.t0, n.t1, n.t0_cols, n.t1_cols, n.d_cols
+    t2_left, t2_right = n.lr_t2
+    d, t0, t1, d_cols = n.d, n.t0, n.t1, n.d_cols
     comm = _minus_rows(integer_matmul(t0, d), integer_matmul(d, t1))
     for a in span1:
         yield "i", (a,), fractions_over([row[a] for row in comm], den * den)
-    star = _star(n, p, q)
-    # T₀(e_i)·T₀(e_y) for each i and y, over D²
-    products = [[integer_times(left, col) for col in t0_cols] for left in l00_left]
+    rota_baxter = rota_baxter_core([n.l00], [t0], p, q, den, 0)  # over q·D³
     for x in span0:
         for y in span0:
-            # T₀(x ⋆ y) − T₀(x)·T₀(y) − d T₂(x, y)
-            terms = zip(
-                integer_times(t0, star[x][y]),
-                integer_combination(t0_cols[x], [row[y] for row in products], t.dim0),
-                integer_times(d, n.t2[x][y]),
-            )
-            yield "ii", (x, y), fractions_over(
-                [u - q * (v + den * w) for u, v, w in terms], q * den**3
-            )
-    twisted_left, twisted_right = _twisted_actions(n)
-    for a in span1:
-        t1a, da = t1_cols[a], d_cols[a]
+            # −rota_baxter(x, y) − d T₂(x, y)
+            terms = zip(rota_baxter[x, y], integer_times(d, n.t2[x][y]))
+            yield "ii", (x, y), fractions_over([-u - q * den * v for u, v in terms], q * den**3)
+    laws = rb_bimodule_core(t0, t1, n.lr01[0], n.lr10[1], p, q, den, den)  # over q·D⁴
+    scale = q * den * den
+    for a, da in enumerate(d_cols):
         for x in span0:
-            t0x = t0_cols[x]
-            # T₁(α·T₀(x) + λ α·x) − (T₁(α)·T₀(x) − T₁(T₁(α)·x)) − T₂(dα, x)
-            inner = [
-                q * u + p * den * v
-                for u, v in zip(integer_times(l10_left[a], t0x), n.l10[a][x])
-            ]
-            terms = zip(
-                integer_times(t1, inner),
-                integer_times(twisted_right[x], t1a),
-                integer_times(t2_right[x], da),
-            )
-            yield "iii", (a, x), fractions_over(
-                [u - q * (v + den * w) for u, v, w in terms], q * den**3
-            )
-            # T₁(T₀(x)·α + λ x·α) − (T₀(x)·T₁(α) − T₁(x·T₁(α))) − T₂(x, dα)
-            inner = [
-                q * u + p * den * v
-                for u, v in zip(integer_times(l01_right[a], t0x), n.l01[x][a])
-            ]
-            terms = zip(
-                integer_times(t1, inner),
-                integer_times(twisted_left[x], t1a),
-                integer_times(t2_left[x], da),
-            )
-            yield "iv", (x, a), fractions_over(
-                [u - q * (v + den * w) for u, v, w in terms], q * den**3
-            )
+            rb_left, rb_right = laws[x, a]
+            # −rb_right(x, α) − T₂(dα, x)
+            terms = zip(rb_right, integer_times(t2_right[x], da))
+            yield "iii", (a, x), fractions_over([-u - scale * v for u, v in terms], q * den**4)
+            # −rb_left(x, α) − T₂(x, dα)
+            terms = zip(rb_left, integer_times(t2_left[x], da))
+            yield "iv", (x, a), fractions_over([-u - scale * v for u, v in terms], q * den**4)
     v = _condition_v(n, lam)
     for key in product(span0, repeat=3):
         yield "v", key, fractions_over(v[key], q * q * den**4)

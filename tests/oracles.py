@@ -22,7 +22,10 @@ crossed-module checks, kept verbatim: they evaluate l₃ with ``Cochain.eval``
 and every product through ``RationalMatrix.apply`` in ``Fraction``
 arithmetic, where ``twoalg`` reads each structure once as integer tensors
 over one common denominator.  ``bimodule_left`` and ``bimodule_right`` are
-the former ``Bimodule.left`` / ``Bimodule.right`` products.
+the former ``Bimodule.left`` / ``Bimodule.right`` products,
+``at_module_basis`` the former ``Bimodule.at_module_basis``, and ``lr00``,
+``lr_t2``, ``mul00``, ``mul01``, ``mul10`` and ``t2_apply`` the former
+``TwoAlgebra`` members of those names, as plain functions.
 
 ``les_by_subspaces`` at the very end is the package's former LES walk: it
 compares the image of the incoming map with the kernel of the outgoing one
@@ -41,6 +44,7 @@ from rbprelie.algebras import (
     bilinear,
     bimodule_defects,
     derived_bimodule,
+    multiplication_matrices,
     named,
     rb_bimodule_defects,
     star_algebra,
@@ -299,6 +303,46 @@ def bimodule_right(bm, u, y):
     return bilinear(bm.P, y, u, bm.mod_dim)
 
 
+def at_module_basis(bm):
+    """For each module basis vector e_u, the matrices of x ↦ x·e_u and of
+    y ↦ e_u·y: the R of the left action's table and the L of the right
+    action's (the former ``Bimodule.at_module_basis``)."""
+    md = bm.mod_dim
+    return (
+        tuple(RationalMatrix.from_cols([s.col(u) for s in bm.S], md) for u in range(md)),
+        tuple(RationalMatrix.from_cols([p.col(u) for p in bm.P], md) for u in range(md)),
+    )
+
+
+# the former (L, R) members of ``TwoAlgebra`` whose callers are all here
+
+
+def lr00(t):
+    """(L, R) of l2_00."""
+    return multiplication_matrices(t.l2_00, t.dim0, t.dim0)
+
+
+def lr_t2(t):
+    """(L, R) of t2."""
+    return multiplication_matrices(t.t2, t.dim0, t.dim1)
+
+
+def mul00(t, x, y):
+    return bilinear(lr00(t)[0], x, y, t.dim0)
+
+
+def mul01(t, x, alpha):
+    return bilinear(t.lr01[0], x, alpha, t.dim1)
+
+
+def mul10(t, alpha, x):
+    return bilinear(t.lr10[0], alpha, x, t.dim1)
+
+
+def t2_apply(t, x, y):
+    return bilinear(lr_t2(t)[0], x, y, t.dim1)
+
+
 def sympy_rank(matrix) -> int:
     """Independent elimination oracle."""
     import sympy
@@ -321,12 +365,12 @@ def second_condition_f(t, w, x, y, z):
 
     acc = [Fraction(0)] * t.dim1
     pieces = [
-        (1, t.mul01(ew, t.l3.eval([x, y, z]))),
-        (-1, t.mul01(ex, t.l3.eval([w, y, z]))),
-        (1, t.mul01(ey, t.l3.eval([w, x, z]))),
-        (1, t.mul10(t.l3.eval([x, y, w]), ez)),
-        (-1, t.mul10(t.l3.eval([w, y, x]), ez)),
-        (1, t.mul10(t.l3.eval([w, x, y]), ez)),
+        (1, mul01(t, ew, t.l3.eval([x, y, z]))),
+        (-1, mul01(t, ex, t.l3.eval([w, y, z]))),
+        (1, mul01(t, ey, t.l3.eval([w, x, z]))),
+        (1, mul10(t, t.l3.eval([x, y, w]), ez)),
+        (-1, mul10(t, t.l3.eval([w, y, x]), ez)),
+        (1, mul10(t, t.l3.eval([w, x, y]), ez)),
         (-1, t.l3.eval([x, y, list(t.l2_00[w][z])])),
         (1, t.l3.eval([w, y, list(t.l2_00[x][z])])),
         (-1, t.l3.eval([w, x, list(t.l2_00[y][z])])),
@@ -759,7 +803,7 @@ def gauge_transform_by_table(r, d, psi):
 def prelie_2alg_defects_by_fractions(t):
     """The seven coherence conditions of a two-term pre-Lie structure."""
     d0, d1 = t.dim0, t.dim1
-    (l00, r00), (l01, r01), (l10, r10) = t.lr00, t.lr01, t.lr10
+    (l00, r00), (l01, r01), (l10, r10) = lr00(t), t.lr01, t.lr10
     for x in range(d0):
         for a in range(d1):
             da = t.d_map.col(a)
@@ -813,7 +857,7 @@ def condition_v_by_fractions(t, lam, x1, x2, x3):
     star-product insertions into T₂, and every T₀-insertion pattern into l₃
     weighted by λ to the number of untouched slots minus one.
     """
-    (l00, r00), (l01, _), (_, r10), (lt2, rt2) = t.lr00, t.lr01, t.lr10, t.lr_t2
+    (l00, r00), (l01, _), (_, r10), (lt2, rt2) = lr00(t), t.lr01, t.lr10, lr_t2(t)
     t0_1, t0_2, t0_3 = t.t0.col(x1), t.t0.col(x2), t.t0.col(x3)
     th_23 = t.t2[x2][x3]
     th_13 = t.t2[x1][x3]
@@ -827,10 +871,10 @@ def condition_v_by_fractions(t, lam, x1, x2, x3):
             vscale(lam, t.l2_00[i][j]),
         )
 
-    val = vsub(t.mul01(t0_1, th_23), t.t1.apply(l01[x1].apply(th_23)))
-    val = vsub(val, vsub(t.mul01(t0_2, th_13), t.t1.apply(l01[x2].apply(th_13))))
-    val = vadd(val, vsub(t.mul10(th_21, t0_3), t.t1.apply(r10[x3].apply(th_21))))
-    val = vsub(val, vsub(t.mul10(th_12, t0_3), t.t1.apply(r10[x3].apply(th_12))))
+    val = vsub(mul01(t, t0_1, th_23), t.t1.apply(l01[x1].apply(th_23)))
+    val = vsub(val, vsub(mul01(t, t0_2, th_13), t.t1.apply(l01[x2].apply(th_13))))
+    val = vadd(val, vsub(mul10(t, th_21, t0_3), t.t1.apply(r10[x3].apply(th_21))))
+    val = vsub(val, vsub(mul10(t, th_12, t0_3), t.t1.apply(r10[x3].apply(th_12))))
     val = vsub(val, lt2[x2].apply(star(x1, x3)))
     val = vadd(val, lt2[x1].apply(star(x2, x3)))
     val = vsub(val, rt2[x3].apply(vsub(star(x1, x2), star(x2, x1))))
@@ -848,7 +892,7 @@ def condition_v_by_fractions(t, lam, x1, x2, x3):
 
 def rb_2alg_defects_by_fractions(t, lam):
     """The operator conditions on a two-term structure."""
-    (l00, r00), (l01, r01), (l10, r10), (lt2, rt2) = t.lr00, t.lr01, t.lr10, t.lr_t2
+    (l00, r00), (l01, r01), (l10, r10), (lt2, rt2) = lr00(t), t.lr01, t.lr10, lr_t2(t)
     comm = t.t0.matmul(t.d_map).sub(t.d_map.matmul(t.t1))
     for a in range(t.dim1):
         yield "i", (a,), comm.col(a)
@@ -858,7 +902,7 @@ def rb_2alg_defects_by_fractions(t, lam):
             t0y = t.t0.col(y)
             inner = vadd(vadd(r00[y].apply(t0x), l00[x].apply(t0y)), vscale(lam, t.l2_00[x][y]))
             yield "ii", (x, y), vsub(
-                vsub(t.t0.apply(inner), t.mul00(t0x, t0y)),
+                vsub(t.t0.apply(inner), mul00(t, t0x, t0y)),
                 t.d_map.apply(t.t2[x][y]),
             )
     for a in range(t.dim1):
@@ -868,11 +912,11 @@ def rb_2alg_defects_by_fractions(t, lam):
             t0x = t.t0.col(x)
             inner = vadd(vadd(r10[x].apply(t1a), l10[a].apply(t0x)), vscale(lam, t.l2_10[a][x]))
             yield "iii", (a, x), vsub(
-                vsub(t.t1.apply(inner), t.mul10(t1a, t0x)), rt2[x].apply(da)
+                vsub(t.t1.apply(inner), mul10(t, t1a, t0x)), rt2[x].apply(da)
             )
             inner = vadd(vadd(l01[x].apply(t1a), r01[a].apply(t0x)), vscale(lam, t.l2_01[x][a]))
             yield "iv", (x, a), vsub(
-                vsub(t.t1.apply(inner), t.mul01(t0x, t1a)), lt2[x].apply(da)
+                vsub(t.t1.apply(inner), mul01(t, t0x, t1a)), lt2[x].apply(da)
             )
     for key in product(range(t.dim0), repeat=3):
         yield "v", key, condition_v_by_fractions(t, lam, *key)
@@ -890,7 +934,7 @@ def crossed_module_defects_by_fractions(cm):
     yield from rb_bimodule_defects(g0, bimod)
     d_cols = [d_map.col(a) for a in range(cm.dim1)]
     left, right = g0.algebra.multiplications
-    times_b, a_times = bimod.bimodule.at_module_basis
+    times_b, a_times = at_module_basis(bimod.bimodule)
     # d is a product morphism g₁ → g₀
     for a, da in enumerate(d_cols):
         for b, db in enumerate(d_cols):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from rbprelie import (
     regular_bimodule,
     star_algebra,
 )
-from rbprelie.algebras import Bimodule, InvalidStructureError, zero_table
+from rbprelie.algebras import Bimodule, InvalidStructureError, require_valid, zero_table
 from rbprelie.cochains import Cochain, RBACochain, cochain_from_matrix, space_dim
 from rbprelie.complexes import (
     ComplexData,
@@ -32,7 +33,11 @@ from rbprelie.complexes import (
 from rbprelie.files import cochain_document, dump_document, parse_algebra_file
 from rbprelie.generators import (
     coadjoint_module,
+    conjugate_bimodule,
+    conjugate_rb,
+    invert,
     random_cochain,
+    random_invertible,
     random_rba_cochain,
     random_valid_pair,
     random_vector,
@@ -334,6 +339,42 @@ def test_euler_characteristic():
             dims = cohomology_dims(kind, r, m, top)
             assert _alternating_sum(dims) == _alternating_sum(chains)
         assert _alternating_sum(cohomology_dims(ComplexKind.RBA, r, m, top + 1)) == 0
+
+
+def _all_cohomology(r, m, top):
+    data = ComplexData(r, m)
+    return [data.cohomology_dims(kind, top) for kind in ComplexKind]
+
+
+def _dual_operator(op, lam):
+    """−λ·id − op."""
+    return RationalMatrix.identity(op.rows).scale(-lam).sub(op)
+
+
+def test_cohomology_is_kept_by_basis_change_and_the_dual_operator():
+    # an isomorphic pair has the same cohomology; the dual operator
+    # (T, T_M) ↦ (−λ·id − T, −λ·id − T_M) negates the star product and the
+    # derived actions, and keeps every dimension too
+    nontrivial = 0
+    for d, seed in product((1, 2, 3), range(8)):
+        rng = random.Random(f"invariance {d} {seed}")
+        r, m = random_valid_pair(rng, d)
+        lam, top = r.weight, 2 if d == 3 else 3
+        dims = _all_cohomology(r, m, top)
+        phi, rho = random_invertible(rng, d), random_invertible(rng, m.mod_dim)
+        moved = (
+            conjugate_rb(r, phi, invert(phi)),
+            conjugate_bimodule(m, phi, invert(phi), rho, invert(rho)),
+        )
+        dual = (
+            RBPreLieAlgebra(r.algebra, lam, _dual_operator(r.operator, lam)),
+            RBBimodule(m.bimodule, _dual_operator(m.t_m, lam)),
+        )
+        for pair in (moved, dual):
+            require_valid(*pair)
+            assert _all_cohomology(*pair, top) == dims, (d, seed)
+        nontrivial += any(dims[-1])
+    assert nontrivial > 12, nontrivial  # most pairs have some Hⁿ_RBA ≠ 0
 
 
 def test_a0_betti_numbers(a0, a0_reg):

@@ -31,24 +31,38 @@ whose ranks it takes are read as rows: ``complexes`` never calls
 ``RationalMatrix.from_cols``, which would copy them into dense columns only
 for elimination to read them back as sparse rows.
 
-Every product outside the law kernels and the gauge transform is read
+Every product outside the integer cores and the gauge transform is read
 through the left and right multiplication matrices of its table
 (``algebras.multiplication_matrices`` and ``algebras.bilinear``): no package
 module defines or imports ``apply_table``, and no product or action call
-(``.product``, ``.left``, ``.right``, ``mul00``/``mul01``/``mul10``,
-``t2_apply``) takes a basis vector (a ``unit_vector``, ``basis_vector``,
-``basis0`` or ``basis1`` call, or a name bound to one in the same function)
-as an argument: a product with a basis vector is one ``apply`` of a
-multiplication matrix, and of two basis vectors a table entry.  The law
-kernels (``pre_lie_defects``, ``rota_baxter_defects``, ``bimodule_defects``,
-``rb_bimodule_defects``), ``deformations.gauge_transform`` and the two-term
-and crossed-module checks of ``twoalg`` (``_prelie_2alg_defects``,
-``_rb_2alg_defects``, ``_crossed_module_defects``, and the top coherences
-``condition_f_value``, ``condition_v_value`` with their ``_condition_f``,
-``_condition_v``) are the exception: they read their tables and matrices
-once as ``int`` tensors over one common denominator per family, and make
-``Fraction`` values only for the entries they return, so they call none of
-``vadd``, ``vsub``, ``vscale``, ``bilinear``, ``.apply`` or ``.eval``.
+(``.product``, ``.left``, ``.right``) takes a basis vector (a
+``unit_vector``, ``basis_vector``, ``basis0`` or ``basis1`` call, or a name
+bound to one in the same function) as an argument: a product with a basis
+vector is one ``apply`` of a multiplication matrix, and of two basis vectors
+a table entry.  The integer cores of ``algebras`` (``pre_lie_core``,
+``rota_baxter_core``, ``bimodule_core``, ``rb_bimodule_core``,
+``star_core``, ``derived_core``) with their entry points
+(``pre_lie_defects``, ``rota_baxter_defects``, ``bimodule_defects``,
+``rb_bimodule_defects``, ``star_algebra``, ``derived_bimodule``),
+``deformations.gauge_transform`` and the two-term and crossed-module checks
+of ``twoalg`` (``_prelie_2alg_defects``, ``_rb_2alg_defects``,
+``_crossed_module_defects``, and the top coherences ``condition_f_value``,
+``condition_v_value`` with their ``_condition_f``, ``_condition_v``) are
+the exception: they read their tables and matrices once as ``int`` tensors
+over one common denominator per family, and make ``Fraction`` values only
+for the entries they return, so they call none of ``vadd``, ``vsub``,
+``vscale``, ``bilinear``, ``.apply`` or ``.eval``.
+
+Each law of the levels is written once: ``twoalg`` defines no integer core
+and no ``_star`` or ``_twisted_actions`` of its own, but imports the cores
+from ``algebras``; ``_prelie_2alg_defects`` calls ``pre_lie_core`` and
+``bimodule_core``, ``_rb_2alg_defects`` calls ``rota_baxter_core`` and
+``rb_bimodule_core``, and ``_condition_v`` calls ``star_core`` and
+``derived_core``.
+
+No package module imports a name it never reads or lists in ``__all__``,
+and no function assigns a local it never reads (``_``-prefixed names
+aside).
 
 A matrix's value is its sparse rows, and only ``linalg`` builds them: no
 other package module calls the ``RationalMatrix(...)`` constructor directly;
@@ -301,7 +315,7 @@ def test_package_does_not_import_the_tests(path):
     assert not found, f"{path.name} imports test code at lines {found}"
 
 
-PRODUCT_CALLS = {"product", "left", "right", "mul00", "mul01", "mul10", "t2_apply"}
+PRODUCT_CALLS = {"product", "left", "right"}
 BASIS_CALLS = {"unit_vector", "basis_vector", "basis0", "basis1"}
 
 
@@ -348,9 +362,11 @@ def test_products_go_through_multiplication_matrices(path):
     assert not found, f"{path.name}: {found}"
 
 
+LAW_CORES = {"pre_lie_core", "rota_baxter_core", "bimodule_core", "rb_bimodule_core",
+             "star_core", "derived_core"}
 INTEGER_KERNELS = {
-    "algebras.py": {"pre_lie_defects", "rota_baxter_defects", "bimodule_defects",
-                    "rb_bimodule_defects"},
+    "algebras.py": LAW_CORES | {"pre_lie_defects", "rota_baxter_defects", "bimodule_defects",
+                                "rb_bimodule_defects", "star_algebra", "derived_bimodule"},
     "deformations.py": {"gauge_transform"},
     "twoalg.py": {"_prelie_2alg_defects", "_rb_2alg_defects", "_crossed_module_defects",
                   "_condition_f", "_condition_v", "condition_f_value", "condition_v_value"},
@@ -411,3 +427,82 @@ def test_each_map_has_one_builder():
     inside, outside = blocks(data), blocks(tree) - blocks(data)
     assert inside
     assert not outside, f"complexes.py calls RationalMatrix.block outside ComplexData at {outside}"
+
+
+# each two-term condition that contains a law of the levels, and the cores it reads
+LEVEL_LAWS = {
+    "_prelie_2alg_defects": {"pre_lie_core", "bimodule_core"},
+    "_rb_2alg_defects": {"rota_baxter_core", "rb_bimodule_core"},
+    "_condition_v": {"star_core", "derived_core"},
+}
+
+
+def test_twoalg_defines_no_law_of_its_levels():
+    path = next(path for path in SOURCES if path.name == "twoalg.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "algebras"
+        for alias in node.names
+    }
+    defined = set(functions) & (LAW_CORES | {"_star", "_twisted_actions"})
+    found = [f"defines {name}" for name in sorted(defined)]
+    found += [f"does not import {name} from algebras" for name in sorted(LAW_CORES - imported)]
+    for name, cores in sorted(LEVEL_LAWS.items()):
+        calls = [call for call in ast.walk(functions[name]) if isinstance(call, ast.Call)]
+        called = {_called_name(call) for call in calls}
+        found += [f"{name} does not call {core}" for core in sorted(cores - called)]
+    assert not found, f"twoalg.py: {found}"
+
+
+def _unused_imports(tree: ast.AST):
+    """Names a module imports and never reads, nor lists in ``__all__``."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {
+        element.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
+        for element in ast.walk(node.value)
+        if isinstance(element, ast.Constant)
+    }
+    for name, line in imported.items():
+        if name not in read | exported:
+            yield f"line {line} imports {name}"
+
+
+def _unread_locals(tree: ast.AST):
+    """Names a function assigns and never reads (``_``-prefixed names aside)."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        stored, read, declared = {}, set(), set()
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store):
+                            stored.setdefault(name.id, name.lineno)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        for name, line in stored.items():
+            if name not in read | declared and not name.startswith("_"):
+                yield f"line {line} assigns {name}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_unused_import_or_unread_local(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = sorted(set(_unused_imports(tree)) | set(_unread_locals(tree)))
+    assert not found, f"{path.name}: {found}"

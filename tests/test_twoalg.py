@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +12,13 @@ from rbprelie.algebras import (
     PreLieAlgebra,
     RBBimodule,
     RBPreLieAlgebra,
+    bimodule_defects,
+    rb_bimodule_defects,
+    require_valid,
     zero_table,
 )
 from rbprelie.cochains import Cochain, RBACochain, basis_keys
+from rbprelie.files import parse_algebra_file
 from rbprelie.generators import (
     random_crossed_module,
     random_rba_cocycle,
@@ -37,7 +42,7 @@ from rbprelie.twoalg import (
     strict_to_crossed,
 )
 
-from conftest import make_a1n
+from conftest import make_a1n, make_noncommuting_module
 from oracles import (
     condition_f_by_fractions,
     condition_v_by_fractions,
@@ -82,6 +87,59 @@ def test_skeletal_with_zero_l3_t2_passes():
         t = cocycle_to_skeletal(r, m, zero)
         assert check_prelie_2alg(t).ok
         assert check_rb_2alg(t, r.weight).ok
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _level_pairs():
+    """Seeded valid pairs, the broken operator of ``a1_broken_rb.yaml`` on
+    its regular module, and a module whose left actions do not commute."""
+    rng = random.Random(11)
+    pairs = [random_valid_pair(rng, rng.randint(1, 3)) for _ in range(12)]
+    r, _, _ = parse_algebra_file((FIXTURES / "a1_broken_rb.yaml").read_text(encoding="utf-8"))
+    return pairs + [(r, regular_bimodule(r)), make_noncommuting_module()]
+
+
+def _negated(v):
+    return tuple(-x for x in v)
+
+
+def test_strict_skeletal_structure_is_valid_exactly_when_its_levels_are():
+    # with d = 0, l₃ = 0 and T₂ = 0, e1 to e3 and ii to iv are the level laws
+    # themselves, signed, and every other condition vanishes
+    outcomes = set()
+    for r, m in _level_pairs():
+        zero = RBACochain(Cochain.zero(3, r.dim, m.mod_dim), Cochain.zero(2, r.dim, m.mod_dim))
+        t = cocycle_to_skeletal(r, m, zero)
+        assert t.is_skeletal() and t.is_strict()
+        try:
+            require_valid(r, m)
+        except InvalidStructureError:
+            valid = False
+        else:
+            valid = True
+        outcomes.add(valid)
+        assert (check_prelie_2alg(t).ok and check_rb_2alg(t, r.weight).ok) == valid
+        module_laws = [*bimodule_defects(r.algebra, m.bimodule), *rb_bimodule_defects(r, m)]
+        laws = {(law, key): v for law, key, v in module_laws}
+        span0, span1 = range(t.dim0), range(t.dim1)
+        want = []
+        for x, y in product(span0, repeat=2):
+            want += [("e1", (x, y, z), r.algebra.pre_lie_law[x, y, z]) for z in span0]
+            for a in span1:
+                want.append(("e2", (x, y, a), _negated(laws["left_action", (x, y, a)])))
+                want.append(("e3", (a, x, y), laws["mixed_action", (x, y, a)]))
+        want += [("ii", key, _negated(v)) for key, v in r.rota_baxter_law.items()]
+        for a, x in product(span1, span0):
+            want.append(("iii", (a, x), _negated(laws["rb_right", (x, a)])))
+            want.append(("iv", (x, a), _negated(laws["rb_left", (x, a)])))
+        got, rest = [], []
+        for law, key, v in [*_prelie_2alg_defects(t), *_rb_2alg_defects(t, r.weight)]:
+            (got if law in ("e1", "e2", "e3", "ii", "iii", "iv") else rest).append((law, key, v))
+        assert got == want
+        assert all(is_zero_vector(v) for _, _, v in rest)
+    assert outcomes == {True, False}
 
 
 def test_skeletal_noncocycle_l3_violates_top_coherence():
