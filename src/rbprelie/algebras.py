@@ -18,12 +18,14 @@ Each law and each derived structure is written once, as an integer core
 :func:`rb_bimodule_core`, :func:`star_core`, :func:`derived_core`): it
 takes nested ``int`` tensors and the denominators its terms need, and
 returns numerators over one denominator shared by all terms.  Its public
-entry point reads each family of tables or matrices once over its common
-denominator (:func:`integer_tables`, :func:`integer_matrices`), calls the
-core and makes one ``Fraction`` per nonzero returned entry
-(:func:`fractions_over`); ``twoalg`` calls the same cores.  This is exact
-arithmetic in another order, and a ``Fraction``'s normal form is unique, so
-every value equals the one ``Fraction`` arithmetic gives.
+entry point reads each family of tables or matrices once in the integer
+form of ``linalg`` (``integer_form``: nested ``int`` lists over the lcm of
+their denominators), calls the core and makes one ``Fraction`` per nonzero
+returned entry (``fractions_over``); ``twoalg`` calls the same cores.  The
+cores' products, weighted sums and transposes are the ``int_*`` operations
+of ``linalg``.  This is exact arithmetic in another order, and a
+``Fraction``'s normal form is unique, so every value equals the one
+``Fraction`` arithmetic gives.
 
 :func:`require_valid` is the one validity gate: operations that require
 valid input pass through it unless called with ``trusted=True``.
@@ -51,15 +53,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import lcm
-from operator import mul
 from typing import Iterable, Sequence
 
 from .linalg import (
     RationalMatrix,
     Vector,
+    fractions_over,
+    int_matmul,
+    int_matrix_sum,
+    int_matvec,
+    int_sum,
+    int_transpose,
+    integer_form,
     is_zero_vector,
-    unit_vector,
     vadd,
     vsub,
     zero_vector,
@@ -68,9 +74,6 @@ from .linalg import (
 ProductTable = tuple[tuple[Vector, ...], ...]
 Matrices = tuple[RationalMatrix, ...]
 Multiplications = tuple[Matrices, Matrices]  # (L, R) of a table
-
-_ZERO = Fraction(0)
-
 
 class InvalidStructureError(ValueError):
     """Raised when an operation requiring valid input receives invalid data."""
@@ -168,9 +171,6 @@ class PreLieAlgebra:
         """Bilinear extension of the structure constants."""
         return bilinear(self.multiplications[0], x, y, self.dim)
 
-    def basis_vector(self, i: int) -> Vector:
-        return unit_vector(i, self.dim)
-
 
 @dataclass(frozen=True)
 class RBPreLieAlgebra:
@@ -235,91 +235,11 @@ def regular_bimodule(r: RBPreLieAlgebra) -> RBBimodule:
     return RBBimodule(Bimodule(d, d, *r.algebra.multiplications), r.operator)
 
 
-def common_denominator(
-    tables: Sequence[ProductTable] = (), mats: Sequence[RationalMatrix] = ()
-) -> int:
-    """The lcm of every entry's denominator across the tables and matrices."""
-    return lcm(
-        *{x.denominator for table in tables for row in table for v in row for x in v},
-        *{x.denominator for m in mats for row in m.sparse_rows for _, x in row},
-    )
-
-
-def integer_tables(tables: Sequence[ProductTable], den: int = 0) -> tuple[int, list]:
-    """(D, ints): every entry of the tables times D, as nested ``int`` lists,
-    ``ints[t][i][j][k]``.  D is ``den`` when given, a multiple of every
-    denominator, else the lcm of all their denominators."""
-    den = den or common_denominator(tables)
-    return den, [
-        [[[x.numerator * (den // x.denominator) for x in v] for v in row] for row in table]
-        for table in tables
-    ]
-
-
-def integer_matrices(mats: Sequence[RationalMatrix], den: int = 0) -> tuple[int, list]:
-    """(D, ints): every entry of the matrices times D, as dense nested ``int``
-    rows, ``ints[t][row][col]``.  D is ``den`` when given, a multiple of every
-    denominator, else the lcm of all their denominators."""
-    den = den or common_denominator(mats=mats)
-    out = []
-    for m in mats:
-        rows = [[0] * m.cols for _ in range(m.rows)]
-        for dense, row in zip(rows, m.sparse_rows):
-            for j, x in row:
-                dense[j] = x.numerator * (den // x.denominator)
-        out.append(rows)
-    return den, out
-
-
-def fractions_over(nums: Sequence[int], den: int) -> Vector:
-    """The vector nums/den: one ``Fraction`` per nonzero entry and the shared
-    zero for each zero."""
-    return tuple([Fraction(x, den) if x else _ZERO for x in nums])
-
-
-def nonzero_columns(mat: list[list[int]]) -> list[list[tuple[int, int]]]:
-    """The (row, nonzero) pairs of each column of a nested ``int`` matrix."""
-    return [[(x, v) for x, v in enumerate(col) if v] for col in zip(*mat)]
-
-
-def _is_nonzero_table(table: list) -> bool:
-    return any(any(map(any, row)) for row in table)
-
-
-def integer_times(mat: list[list[int]], v: Sequence[int]) -> list[int]:
-    """M·v for a nested ``int`` matrix and vector."""
-    return [sum(map(mul, row, v)) for row in mat]
-
-
-def integer_combination(
-    weights: Sequence[int], vectors: Sequence[Sequence[int]], size: int
-) -> list[int]:
-    """Σ wₖ·vₖ over the nonzero weights, as an ``int`` list."""
-    acc = [0] * size
-    for w, v in zip(weights, vectors):
-        if w:
-            acc = [s + w * x for s, x in zip(acc, v)]
-    return acc
-
-
-def integer_mix(
-    weights: Sequence[int], mats: Sequence[list[list[int]]], size: int
-) -> list[list[int]]:
-    """Σ wₖ·Mₖ for nested ``int`` matrices of ``size`` columns."""
-    return [integer_combination(weights, rows, size) for rows in zip(*mats)]
-
-
-def integer_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """The product of two nested ``int`` matrices."""
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
 def pre_lie_core(mus: Sequence[list], n: int) -> dict[tuple[int, int, int], list[int]]:
     """The numerators of :func:`pre_lie_defects` for ``int`` tables μ₀…μₙ
     over one denominator D: every term is an integer over D²."""
     dim = len(mus[0])
-    live = [_is_nonzero_table(table) for table in mus[: n + 1]]
+    live = [any(map(any, chain.from_iterable(table))) for table in mus[: n + 1]]
     pairs = [(mus[a], mus[n - a]) for a in range(n + 1) if live[a] and live[n - a]]
     span = range(dim)
     out = {}
@@ -349,7 +269,7 @@ def pre_lie_defects(mus: Sequence[ProductTable], n: int) -> dict[tuple[int, int,
 
     At n = 0 this is the pre-Lie identity of ``mus[0]``.
     """
-    den, ints = integer_tables(mus[: n + 1])
+    den, ints = integer_form(mus[: n + 1])
     return {key: fractions_over(v, den * den) for key, v in pre_lie_core(ints, n).items()}
 
 
@@ -360,8 +280,8 @@ def rota_baxter_core(
     μ₀…μₙ over D_μ, ``int`` matrices T₀…Tₙ over D_T and λ = p/q: every term
     is an integer over q·D_μ·D_T²."""
     dim = len(mu[0])
-    cols = [nonzero_columns(t_b) for t_b in t[: n + 1]]
-    live = [_is_nonzero_table(table) for table in mu[: n + 1]]
+    cols = [int_transpose(t_b, dim) for t_b in t[: n + 1]]
+    live = [any(map(any, chain.from_iterable(table))) for table in mu[: n + 1]]
     out = {}
     for i in range(dim):
         for j in range(dim):
@@ -371,11 +291,14 @@ def rota_baxter_core(
                     continue
                 mu_a = mu[a]
                 for b in range(n + 1 - a):
-                    for x, tx in cols[b][i]:
+                    for x, tx in enumerate(cols[b][i]):
+                        if not tx:
+                            continue
                         row = mu_a[x]
-                        for y, ty in cols[n - a - b][j]:
-                            c = q * tx * ty
-                            acc = [s + c * z for s, z in zip(acc, row[y])]
+                        for y, ty in enumerate(cols[n - a - b][j]):
+                            if ty:
+                                c = q * tx * ty
+                                acc = [s + c * z for s, z in zip(acc, row[y])]
             for a in range(n + 1):
                 if not any(map(any, t[a])):
                     continue
@@ -384,11 +307,13 @@ def rota_baxter_core(
                     if not live[b]:
                         continue
                     mu_b, c_cols = mu[b], cols[n - a - b]
-                    for y, ty in c_cols[j]:
-                        inner = [s + q * ty * z for s, z in zip(inner, mu_b[i][y])]
-                    for x, tx in c_cols[i]:
-                        inner = [s + q * tx * z for s, z in zip(inner, mu_b[x][j])]
-                acc = [s - z for s, z in zip(acc, integer_times(t[a], inner))]
+                    for y, ty in enumerate(c_cols[j]):
+                        if ty:
+                            inner = [s + q * ty * z for s, z in zip(inner, mu_b[i][y])]
+                    for x, tx in enumerate(c_cols[i]):
+                        if tx:
+                            inner = [s + q * tx * z for s, z in zip(inner, mu_b[x][j])]
+                acc = [s - z for s, z in zip(acc, int_matvec(t[a], inner))]
             out[(i, j)] = acc
     return out
 
@@ -404,8 +329,8 @@ def rota_baxter_defects(
     The weight multiplies the ``T_a∘μ_b`` sum at every order.  At n = 0 this
     is the Rota-Baxter law of ``ts[0]`` for ``mus[0]``.
     """
-    d_mu, mu = integer_tables(mus[: n + 1])
-    d_t, t = integer_matrices(ts[: n + 1])
+    d_mu, mu = integer_form(mus[: n + 1])
+    d_t, t = integer_form(ts[: n + 1])
     p, q = lam.numerator, lam.denominator
     den = q * d_mu * d_t * d_t
     return {
@@ -439,23 +364,24 @@ def bimodule_core(
             left = [
                 [d_c * (x - y) - d_a * z for x, y, z in zip(*rows)]
                 for rows in zip(
-                    integer_matmul(S[i], S[j]),
-                    integer_matmul(S[j], S[i]),
-                    integer_mix(bracket, S, md),
+                    int_matmul(S[i], S[j]),
+                    int_matmul(S[j], S[i]),
+                    int_matrix_sum(bracket, S, md),
                 )
             ]
             # and x·(u·y) − (x·u)·y = u·(x·y) − (u·x)·y
             mixed = [
                 [d_c * (x - y + w) - d_a * z for x, y, z, w in zip(*rows)]
                 for rows in zip(
-                    integer_matmul(S[i], P[j]),
-                    integer_matmul(P[j], S[i]),
-                    integer_mix(c[i][j], P, md),
-                    integer_matmul(P[j], P[i]),
+                    int_matmul(S[i], P[j]),
+                    int_matmul(P[j], S[i]),
+                    int_matrix_sum(c[i][j], P, md),
+                    int_matmul(P[j], P[i]),
                 )
             ]
-            for u in range(md):
-                out[(i, j, u)] = [row[u] for row in left], [row[u] for row in mixed]
+            columns = zip(int_transpose(left, md), int_transpose(mixed, md))
+            for u, laws in enumerate(columns):
+                out[(i, j, u)] = laws
     return out
 
 
@@ -464,8 +390,8 @@ def bimodule_defects(a: PreLieAlgebra, m: Bimodule) -> Defects:
     vectors, :func:`bimodule_core` read once."""
     if m.base_dim != a.dim:
         raise ValueError("module base dimension does not match the algebra")
-    d_c, (c,) = integer_tables((a.c,))
-    d_a, actions = integer_matrices(m.S + m.P)
+    d_c, (c,) = integer_form((a.c,))
+    d_a, actions = integer_form(m.S + m.P)
     den = d_c * d_a * d_a
     laws = bimodule_core(c, actions[: a.dim], actions[a.dim :], d_c, d_a)
     for key, (left, mixed) in laws.items():
@@ -481,19 +407,20 @@ def rb_bimodule_core(
     S, P over D_a and λ = p/q, keyed by (i, u) for eᵢ and e_u: (rb_left,
     rb_right), every term an integer over q·D_T·D_a·D_M²."""
     md, out = len(tm), {}
-    for i, ti in enumerate(zip(*t)):
+    tm_cols = int_transpose(tm, md)
+    for i, ti in enumerate(int_transpose(t, len(t))):
         # per side, the action of eᵢ and of T(eᵢ) = Σₖ T(eᵢ)ₖ·eₖ
-        sides = [(acts[i], integer_mix(ti, acts, md)) for acts in (S, P)]
-        for u, tu in enumerate(zip(*tm)):
+        sides = [(acts[i], int_matrix_sum(ti, acts, md)) for acts in (S, P)]
+        for u, tu in enumerate(tm_cols):
             # rb_left:  T(a)·T_M(u) = T_M(a·T_M(u) + T(a)·u + λ a·u)
             # rb_right: T_M(u)·T(a) = T_M(u·T(a) + T_M(u)·a + λ u·a)
             laws = []
             for act, act_t in sides:
                 inner = [
                     q * d_t * x + q * d_m * row_t[u] + p * d_t * d_m * row[u]
-                    for x, row_t, row in zip(integer_times(act, tu), act_t, act)
+                    for x, row_t, row in zip(int_matvec(act, tu), act_t, act)
                 ]
-                terms = zip(integer_times(act_t, tu), integer_times(tm, inner))
+                terms = zip(int_matvec(act_t, tu), int_matvec(tm, inner))
                 laws.append([q * d_m * x - y for x, y in terms])
             out[(i, u)] = tuple(laws)
     return out
@@ -505,9 +432,9 @@ def rb_bimodule_defects(r: RBPreLieAlgebra, m: RBBimodule) -> Defects:
     bm, lam = m.bimodule, r.weight
     if bm.base_dim != r.dim:
         raise ValueError("module base dimension does not match the algebra")
-    d_t, (t,) = integer_matrices((r.operator,))
-    d_m, (tm,) = integer_matrices((m.t_m,))
-    d_a, actions = integer_matrices(bm.S + bm.P)
+    d_t, (t,) = integer_form((r.operator,))
+    d_m, (tm,) = integer_form((m.t_m,))
+    d_a, actions = integer_form(bm.S + bm.P)
     p, q = lam.numerator, lam.denominator
     den = q * d_t * d_a * d_m * d_m
     laws = rb_bimodule_core(t, tm, actions[: r.dim], actions[r.dim :], p, q, d_t, d_m)
@@ -571,16 +498,17 @@ def star_core(c: list, t: list, p: int, q: int, d_t: int) -> list[list[list[int]
     """The numerators of eᵢ⋆eⱼ = eᵢ·T(eⱼ) + T(eᵢ)·eⱼ + λ eᵢ·eⱼ for an ``int``
     table c over D_c, an ``int`` matrix T over D_T and λ = p/q, as
     ``star[i][j]``, every term an integer over q·D_c·D_T."""
-    span = range(len(c))
-    cols = list(zip(*t))
-    by_right = [[row[j] for row in c] for j in span]  # eₖ·eⱼ over k
+    dim = len(c)
+    span = range(dim)
+    cols = int_transpose(t, dim)
+    by_right = int_transpose(c, dim)  # by_right[j][k] = eₖ·eⱼ
     return [
         [
             [
                 q * (u + v) + p * d_t * w
                 for u, v, w in zip(
-                    integer_combination(cols[j], c[i], len(c)),
-                    integer_combination(cols[i], by_right[j], len(c)),
+                    int_sum(cols[j], c[i], dim),
+                    int_sum(cols[i], by_right[j], dim),
                     c[i][j],
                 )
             ]
@@ -596,8 +524,8 @@ def star_algebra(r: RBPreLieAlgebra, *, trusted: bool = False) -> RBPreLieAlgebr
     if not trusted:
         require_valid(r)
     lam = r.weight
-    d_c, (c,) = integer_tables((r.algebra.c,))
-    d_t, (t,) = integer_matrices((r.operator,))
+    d_c, (c,) = integer_form((r.algebra.c,))
+    d_t, (t,) = integer_form((r.operator,))
     den = lam.denominator * d_c * d_t
     table = tuple(
         tuple(fractions_over(v, den) for v in row)
@@ -618,9 +546,9 @@ def derived_core(
         [
             [
                 [d_m * x - d_t * y for x, y in zip(*rows)]
-                for rows in zip(integer_mix(col, acts, md), integer_matmul(tm, act))
+                for rows in zip(int_matrix_sum(col, acts, md), int_matmul(tm, act))
             ]
-            for col, act in zip(zip(*t), acts)
+            for col, act in zip(int_transpose(t, len(t)), acts)
         ]
         for acts in (S, P)
     )
@@ -635,9 +563,9 @@ def derived_bimodule(r: RBPreLieAlgebra, m: RBBimodule, *, trusted: bool = False
     if not trusted:
         require_valid(r, m)
     bm = m.bimodule
-    d_t, (t,) = integer_matrices((r.operator,))
-    d_m, (tm,) = integer_matrices((m.t_m,))
-    d_a, actions = integer_matrices(bm.S + bm.P)
+    d_t, (t,) = integer_form((r.operator,))
+    d_m, (tm,) = integer_form((m.t_m,))
+    d_a, actions = integer_form(bm.S + bm.P)
     den, md = d_t * d_a * d_m, bm.mod_dim
     S_new, P_new = (
         tuple(

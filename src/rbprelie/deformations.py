@@ -12,9 +12,10 @@ order 0 is the axioms.  Note the weight λ multiplies the ``Σ Tᵢ∘μⱼ`` su
 the operator condition at every order, exactly as it does at order zero.
 
 Those kernels and :func:`gauge_transform` read the coefficient tables and
-matrices as they are, once per call, as ``int`` tensors over one common
-denominator per family, and make a ``Fraction`` only for each returned
-entry; no multiplication matrices are built for a deformation's tables.
+matrices as they are, once per call, in the integer form of ``linalg``
+(``int`` tensors over one common denominator per family), and make a
+``Fraction`` only for each returned entry; no multiplication matrices are
+built for a deformation's tables.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import mul
 from typing import Sequence
 
 from .algebras import (
@@ -31,12 +31,7 @@ from .algebras import (
     RBPreLieAlgebra,
     Verdict,
     Violation,
-    fractions_over,
-    integer_matmul,
-    integer_matrices,
-    integer_tables,
     named,
-    nonzero_columns,
     pre_lie_defects,
     regular_bimodule,
     rota_baxter_defects,
@@ -52,7 +47,16 @@ from .cochains import (
     matrix_from_cochain,
 )
 from .complexes import ComplexData, ComplexKind, rba_differential, rbo_differential
-from .linalg import RationalMatrix, is_zero_vector
+from .linalg import (
+    RationalMatrix,
+    fractions_over,
+    int_matmul,
+    int_matrix_sum,
+    int_matvec,
+    int_transpose,
+    integer_form,
+    is_zero_vector,
+)
 
 
 class DeformationError(InvalidStructureError):
@@ -217,11 +221,6 @@ def series_compose(first: GaugeSeries, second: GaugeSeries, order: int) -> Gauge
     return GaugeSeries(tuple(out))
 
 
-def _matrix_sum(mats: list[list[list[int]]]) -> list[list[int]]:
-    """The sum of one or more nested ``int`` matrices of one shape."""
-    return [[sum(entries) for entries in zip(*rows)] for rows in zip(*mats)]
-
-
 def gauge_transform(
     r: RBPreLieAlgebra, d: TruncatedDeformation, psi: GaugeSeries
 ) -> TruncatedDeformation:
@@ -236,11 +235,11 @@ def gauge_transform(
     if psi.order < d.order:
         raise ValueError("gauge series must reach the deformation order")
     dim, n_max = r.dim, d.order
-    d_mu, mus = integer_tables(d.products)
-    d_t, ts = integer_matrices(d.operators)
-    d_psi, psis = integer_matrices(psi.maps[: n_max + 1])
-    d_eta, etas = integer_matrices(series_inverse(psi.maps, n_max))
-    cols = [nonzero_columns(m) for m in psis]
+    d_mu, mus = integer_form(d.products)
+    d_t, ts = integer_form(d.operators)
+    d_psi, psis = integer_form(psi.maps[: n_max + 1])
+    d_eta, etas = integer_form(series_inverse(psi.maps, n_max))
+    cols = [int_transpose(m, dim) for m in psis]
     product_sums = []
     for s in range(n_max + 1):
         table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
@@ -250,14 +249,17 @@ def gauge_transform(
                 for p, xs in enumerate(cols[i]):
                     for q, ys in enumerate(cols[s - b - i]):
                         acc = table[p][q]
-                        for x, u in xs:
+                        for x, u in enumerate(xs):
+                            if not u:
+                                continue
                             row = mu_b[x]
-                            for y, v in ys:
-                                c = u * v
-                                acc[:] = [z + c * w for z, w in zip(acc, row[y])]
+                            for y, v in enumerate(ys):
+                                if v:
+                                    c = u * v
+                                    acc[:] = [z + c * w for z, w in zip(acc, row[y])]
         product_sums.append(table)
     operator_sums = [
-        _matrix_sum([integer_matmul(ts[b], psis[s - b]) for b in range(s + 1)])
+        int_matrix_sum([1] * (s + 1), [int_matmul(ts[b], psis[s - b]) for b in range(s + 1)], dim)
         for s in range(n_max + 1)
     ]
     new_products = []
@@ -269,10 +271,11 @@ def gauge_transform(
             for row, summed in zip(table, product_sums[n - a]):
                 for acc, vector in zip(row, summed):
                     if any(vector):
-                        acc[:] = [z + sum(map(mul, e, vector)) for z, e in zip(acc, eta_a)]
+                        acc[:] = [z + y for z, y in zip(acc, int_matvec(eta_a, vector))]
         den = d_eta * d_mu * d_psi * d_psi
         new_products.append(tuple(tuple(fractions_over(v, den) for v in row) for row in table))
-        op = _matrix_sum([integer_matmul(etas[a], operator_sums[n - a]) for a in range(n + 1)])
+        products = [int_matmul(etas[a], operator_sums[n - a]) for a in range(n + 1)]
+        op = int_matrix_sum([1] * (n + 1), products, dim)
         den = d_eta * d_t * d_psi
         rows = [fractions_over(row, den) for row in op]
         new_operators.append(RationalMatrix.from_rows(rows, dim))
@@ -319,7 +322,7 @@ def solve_next_order(r: RBPreLieAlgebra, d: TruncatedDeformation) -> SolveNextOr
     data = ComplexData(r, regular_bimodule(r))
     x, residual = data.solve(ComplexKind.RBA, 2, target.coords())
     if x is None:
-        is_cocycle = rba_differential(r, data.m, target, trusted=True).is_zero()
+        is_cocycle = is_zero_vector(data.d(ComplexKind.RBA, 3).apply(target.coords()))
         return SolveNextOrderResult(n, None, None, Obstruction(residual, is_cocycle))
     pair = RBACochain.from_coords(2, dim, dim, x)
     mu_n = bilinear_from_cochain(pair.pla_part)

@@ -10,15 +10,27 @@ Derived from them once, on first use, are its dense ``entries`` (for ``repr``,
 the row's nonzeros x/d for its (column, integer x) pairs and d the lcm of
 their denominators.
 
+The integer form of rationals is a pair (D, n): nested ``int`` lists n
+over one denominator D, the values n/D.  Only this module reads rationals
+into that form, and it holds the operations on it.  :func:`integer_form`
+is the one reader, of a vector, of each sparse row (``integer_rows``) and
+of tables and matrices over one shared D; :func:`fractions_over` makes one
+``Fraction`` per nonzero entry on the way back; :func:`int_matvec`,
+:func:`int_matmul`, the weighted sums :func:`int_sum` (vectors) and
+:func:`int_matrix_sum` (matrices) and :func:`int_transpose` are the
+arithmetic.  This is exact rational arithmetic done in another order, and
+a ``Fraction``'s normal form is unique, so every value made from it equals
+the one ``Fraction`` arithmetic gives.
+
 Products and residues run on integers.  ``apply`` scales its vector once by
 the lcm D of the vector's denominators, forms each row's dot product as an
-``int`` and makes one ``Fraction(dot, d·D)`` per nonzero output entry.  An
-echelon basis keeps its vectors as integer rows B/q with q at the pivot, and
-``reduce`` holds the residue as w/den: eliminating a basis vector with
-f = w[p] at its pivot p is w ← (q/g)·w − (f/g)·B, den ← (q/g)·den with
-g = gcd(q, f), the update elimination uses below.  Both are exact rational
-arithmetic done in another order, and a ``Fraction``'s normal form is
-unique, so every returned value equals the one ``Fraction`` arithmetic gives.
+``int`` and makes one ``Fraction(dot, d·D)`` per nonzero output entry.
+``matmul`` scales the right factor's integer rows to one lcm D, accumulates
+each output row as ``int``s and makes one ``Fraction(acc, d·D)`` per nonzero
+output entry.  An echelon basis keeps its vectors as integer rows B/q with
+q at the pivot, and ``reduce`` holds the residue as w/den: eliminating a
+basis vector with f = w[p] at its pivot p is w ← (q/g)·w − (f/g)·B,
+den ← (q/g)·den with g = gcd(q, f), the update elimination uses below.
 
 Elimination is Gauss-Jordan elimination on integer rows held as dicts
 (column → nonzero int), with the fixed pivot scan order of the textbook
@@ -45,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import itemgetter
+from operator import mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -56,7 +68,6 @@ IntegerRow = tuple[int, tuple[tuple[int, int], ...]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_value = itemgetter(1)  # of a (column, value) pair
 
 
 def zero_vector(n: int) -> Vector:
@@ -119,7 +130,15 @@ class RationalMatrix:
     def integer_rows(self) -> tuple[IntegerRow, ...]:
         """Each row as (d, pairs): its nonzeros are x/d for the (column,
         integer x) pairs, d the lcm of their denominators."""
-        return tuple(map(_integer_form, self.sparse_rows))
+        rows = []
+        for row in self.sparse_rows:
+            if row:
+                columns, values = zip(*row)
+                d, nums = integer_form(values)
+                rows.append((d, tuple(zip(columns, nums))))
+            else:
+                rows.append((1, ()))
+        return tuple(rows)
 
     @staticmethod
     def from_sparse(rows: Iterable[SparseRow], ncols: int) -> "RationalMatrix":
@@ -188,7 +207,7 @@ class RationalMatrix:
                 out.append(_ZERO)
                 continue
             if w is None:  # scaled on first use: a zero matrix never reads v
-                scale, w = _integer_vector(v)
+                scale, w = integer_form(v)
             acc = 0
             for j, x in pairs:
                 acc += x * w[j]
@@ -200,16 +219,24 @@ class RationalMatrix:
         return tuple(out)
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
+        """The product on integer rows: the right factor's rows are scaled to
+        the lcm D of their denominators, each output row accumulates ``int``s
+        and each nonzero output entry is one ``Fraction(acc, d·D)``."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matmul")
-        right = other.sparse_rows
+        scale = lcm(*[d for d, _ in other.integer_rows])
+        right = [
+            pairs if d == scale else tuple([(j, x * (scale // d)) for j, x in pairs])
+            for d, pairs in other.integer_rows
+        ]
         product = []
-        for row in self.sparse_rows:
-            acc: dict[int, Fraction] = {}
+        for d, row in self.integer_rows:
+            acc: dict[int, int] = {}
             for k, a in row:
                 for j, b in right[k]:
-                    acc[j] = acc.get(j, _ZERO) + a * b
-            product.append(_nonzeros(acc))
+                    acc[j] = acc.get(j, 0) + a * b
+            den = d * scale
+            product.append(tuple(sorted([(j, Fraction(x, den)) for j, x in acc.items() if x])))
         return RationalMatrix.from_sparse(product, other.cols)
 
     def transpose(self) -> "RationalMatrix":
@@ -256,32 +283,81 @@ def _nonzeros(acc: dict[int, Fraction]) -> SparseRow:
     return tuple(sorted((j, x) for j, x in acc.items() if x))
 
 
-def _integer_form(pairs: Iterable[tuple[int, Fraction]]) -> IntegerRow:
-    """(d, (column, integer) pairs) of a row's nonzeros, each integer/d, d the
-    lcm of their denominators."""
-    d, nonzeros = 1, []
-    for j, x in pairs:
-        e = x.denominator
-        if e != 1:
-            d = lcm(d, e)
-        nonzeros.append((j, x.numerator, e))
-    if d == 1:
-        return 1, tuple([(j, n) for j, n, _ in nonzeros])
-    return d, tuple([(j, n * (d // e)) for j, n, e in nonzeros])
-
-
-def _integer_vector(v: Sequence) -> tuple[int, list[int]]:
-    """(D, w) with v = w/D, D the lcm of the denominators of v; ``int``
-    entries are read as themselves."""
+def integer_form(values: Sequence) -> tuple[int, list]:
+    """(D, n) with values = n/D, D the lcm of every denominator and n nested
+    ``int`` lists of the same shape.  ``values`` is a vector of rationals
+    (``int`` entries read as themselves), or a sequence of tensors read over
+    one D: matrices, from their nonzeros as dense rows (``n[t][row][col]``),
+    and tables, rows of vectors (``n[t][i][j][k]``)."""
+    if values and not isinstance(values[0], (Fraction, int)):
+        mats = [t for t in values if isinstance(t, RationalMatrix)]
+        tables = [t for t in values if not isinstance(t, RationalMatrix)]
+        den = lcm(
+            *{x.denominator for m in mats for row in m.sparse_rows for _, x in row},
+            *{x.denominator for table in tables for row in table for v in row for x in v},
+        )
+        ints = []
+        for t in values:
+            if isinstance(t, RationalMatrix):
+                rows = [[0] * t.cols for _ in range(t.rows)]
+                for dense, row in zip(rows, t.sparse_rows):
+                    for j, x in row:
+                        dense[j] = x.numerator * (den // x.denominator)
+            else:
+                rows = [[[x.numerator * (den // x.denominator) for x in v] for v in row] for row in t]
+            ints.append(rows)
+        return den, ints
     scale, nums = 1, []
-    for x in v:
+    for x in values:
         e = x.denominator
         if e != 1:
             scale = lcm(scale, e)
         nums.append(x.numerator)
     if scale == 1:
         return 1, nums
-    return scale, [n * (scale // x.denominator) for n, x in zip(nums, v)]
+    return scale, [n * (scale // x.denominator) for n, x in zip(nums, values)]
+
+
+def fractions_over(nums: Sequence[int], den: int) -> Vector:
+    """The vector nums/den: one ``Fraction`` per nonzero entry and the shared
+    zero for each zero."""
+    return tuple([Fraction(x, den) if x else _ZERO for x in nums])
+
+
+def int_matvec(mat: list[list[int]], v: Sequence[int]) -> list[int]:
+    """M·v for a nested ``int`` matrix and vector."""
+    return [sum(map(mul, row, v)) for row in mat]
+
+
+def int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The product of two nested ``int`` matrices; when b has no rows (and
+    so, as nested lists, no width) its rows are empty."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def int_sum(weights: Sequence[int], vectors: Sequence[Sequence[int]], size: int) -> list[int]:
+    """Σ wₖ·vₖ over the nonzero weights, for ``int`` vectors of ``size``
+    entries."""
+    acc = None
+    for w, v in zip(weights, vectors):
+        if w:
+            acc = [w * x for x in v] if acc is None else [s + w * x for s, x in zip(acc, v)]
+    return [0] * size if acc is None else acc
+
+
+def int_matrix_sum(
+    weights: Sequence[int], mats: Sequence[list[list[int]]], size: int
+) -> list[list[int]]:
+    """Σ wₖ·Mₖ over the nonzero weights, for one or more nested ``int``
+    matrices of one shape with ``size`` columns."""
+    return [int_sum(weights, rows, size) for rows in zip(*mats)]
+
+
+def int_transpose(rows: Sequence[Sequence], width: int) -> list[list]:
+    """The columns of a nested matrix whose rows have ``width`` entries (its
+    entries may be vectors: then the columns are lists of vectors)."""
+    return [list(column) for column in zip(*rows)] if rows else [[] for _ in range(width)]
 
 
 def _divide_by_content(row: dict[int, int]) -> dict[int, int]:
@@ -337,14 +413,11 @@ def _reduced_echelon(rows: list[dict], ncols: int) -> list[int]:
     return pivots
 
 
-def _integer_rows(m: RationalMatrix) -> list[dict[int, int]]:
-    return [_divide_by_content(dict(pairs)) for _, pairs in m.integer_rows]
-
-
 def rank(m: RationalMatrix) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
-    return len(_reduced_echelon(_integer_rows(m), m.cols))
+    rows = [_divide_by_content(dict(pairs)) for _, pairs in m.integer_rows]
+    return len(_reduced_echelon(rows, m.cols))
 
 
 def kernel_basis(m: RationalMatrix) -> list[Vector]:
@@ -357,7 +430,7 @@ def kernel_basis(m: RationalMatrix) -> list[Vector]:
         return []
     if m.rows == 0:
         return [unit_vector(j, m.cols) for j in range(m.cols)]
-    rows = _integer_rows(m)
+    rows = [_divide_by_content(dict(pairs)) for _, pairs in m.integer_rows]
     pivots = _reduced_echelon(rows, m.cols)
     pivot_set = set(pivots)
     basis: dict[int, list[Fraction]] = {}
@@ -419,8 +492,9 @@ class EchelonBasis:
     @cached_property
     def integer_vectors(self) -> tuple[IntegerRow, ...]:
         """Each basis vector as (q, pairs): its nonzeros are x/q for the
-        (coordinate, integer x) pairs, and x = q at its pivot."""
-        return tuple(_integer_form(filter(_value, enumerate(v))) for v in self.vectors)
+        (coordinate, integer x) pairs, and x = q at its pivot; the integer
+        rows of the matrix whose rows are the vectors."""
+        return RationalMatrix.from_rows(self.vectors, self.dim_ambient).integer_rows
 
     def reduce(self, v: Sequence) -> Vector:
         """Residue of v modulo the subspace, supported on non-pivot coordinates.
@@ -431,7 +505,7 @@ class EchelonBasis:
         """
         if len(v) != self.dim_ambient:
             raise ValueError("dimension mismatch in reduce")
-        den, w = _integer_vector(v)
+        den, w = integer_form(v)
         for p, (q, pairs) in zip(self.pivots, self.integer_vectors):
             f = w[p]
             if not f:
@@ -448,7 +522,7 @@ class EchelonBasis:
                 if common > 1:
                     den //= common
                     w = [x // common for x in w]
-        return tuple([Fraction(x, den) if x else _ZERO for x in w])
+        return fractions_over(w, den)
 
     def contains(self, v: Sequence) -> bool:
         return is_zero_vector(self.reduce(v))
@@ -471,12 +545,13 @@ def echelon_basis(vectors: Iterable[Sequence], dim_ambient: int) -> EchelonBasis
     for v in vectors:
         if len(v) != dim_ambient:
             raise ValueError("dimension mismatch in echelon_basis")
-        rows.append(_divide_by_content(dict(_integer_form(filter(_value, enumerate(v)))[1])))
+        rows.append(_divide_by_content({j: x for j, x in enumerate(integer_form(v)[1]) if x}))
     return _echelon(rows, dim_ambient)
 
 
 def column_space(m: RationalMatrix) -> EchelonBasis:
-    return _echelon(_integer_rows(m.transpose()), m.rows)
+    rows = [_divide_by_content(dict(pairs)) for _, pairs in m.transpose().integer_rows]
+    return _echelon(rows, m.rows)
 
 
 def same_subspace(a: EchelonBasis, b: EchelonBasis) -> bool:

@@ -25,10 +25,11 @@ is written here: each is the integer core of ``algebras`` (``pre_lie_core``,
 correction term.
 
 The coherence checks and the crossed-module conditions run on integers: a
-structure is read once (``TwoAlgebra.integers``), every table and matrix as
-nested ``int`` lists over the lcm D of all their denominators; each
-condition is accumulated as ``int``s over one denominator shared by all its
-terms, and each nonzero returned entry is one ``Fraction``.  This is exact
+structure is read once (``TwoAlgebra.integers``), every table and matrix in
+the integer form of ``linalg``, nested ``int`` lists over the lcm D of all
+their denominators; each condition is accumulated with the ``int_*``
+operations of ``linalg`` over one denominator shared by all its terms, and
+each nonzero returned entry is one ``Fraction``.  This is exact
 arithmetic in another order, so every defect equals the one ``Fraction``
 arithmetic gives.
 """
@@ -39,7 +40,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
-from typing import Sequence
 
 from .algebras import (
     Bimodule,
@@ -53,14 +53,7 @@ from .algebras import (
     Verdict,
     bimodule_core,
     bimodule_defects,
-    common_denominator,
     derived_core,
-    fractions_over,
-    integer_combination,
-    integer_matmul,
-    integer_matrices,
-    integer_tables,
-    integer_times,
     multiplication_matrices,
     named,
     pre_lie_core,
@@ -73,7 +66,18 @@ from .algebras import (
 )
 from .cochains import Cochain, RBACochain, bilinear_from_cochain, cochain_from_bilinear
 from .complexes import rba_differential
-from .linalg import RationalMatrix, Vector, is_zero_vector, unit_vector
+from .linalg import (
+    RationalMatrix,
+    Vector,
+    fractions_over,
+    int_matmul,
+    int_matrix_sum,
+    int_matvec,
+    int_sum,
+    int_transpose,
+    integer_form,
+    is_zero_vector,
+)
 
 
 @dataclass(frozen=True)
@@ -99,9 +103,6 @@ class TwoAlgebra:
         if (self.l3.degree, self.l3.base_dim, self.l3.mod_dim) != (3, self.dim0, self.dim1):
             raise ValueError("l3 must be a degree-3 cochain over g0 valued in g1")
 
-    def basis0(self, i: int) -> Vector:
-        return unit_vector(i, self.dim0)
-
     @cached_property
     def lr01(self) -> Multiplications:
         """(L, R) of l2_01: L[x] is the level-mixing left action of e_x."""
@@ -126,53 +127,39 @@ class TwoAlgebra:
         )
 
 
-def _minus(u: Sequence[int], v: Sequence[int]) -> list[int]:
-    return [a - b for a, b in zip(u, v)]
-
-
-def _minus_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    return [_minus(u, v) for u, v in zip(a, b)]
-
-
-def _columns(vectors: Sequence[Sequence[int]], size: int) -> list[list[int]]:
-    """The ``int`` matrix with ``size`` rows whose k-th column is vectors[k]."""
-    return [[v[i] for v in vectors] for i in range(size)]
-
-
-def _integer_lr(table: list, dim_right: int, dim_out: int) -> tuple[list, list]:
-    """(L, R) of an ``int`` table, as :func:`multiplication_matrices` lays
-    them out: column j of L[i] and column i of R[j] hold table[i][j]."""
-    return (
-        [_columns(row, dim_out) for row in table],
-        [_columns([row[j] for row in table], dim_out) for j in range(dim_right)],
-    )
-
-
 class _Integers:
     """A two-term structure read once for the coherence checks: every table
     and matrix times the lcm D of all their denominators, as nested ``int``
     lists (matrices as dense rows, with their columns), l₃ on every basis
-    triple, and the multiplication matrices (L, R) of every table."""
+    triple, and the multiplication matrices (L, R) of every table: column j
+    of L[i] and column i of R[j] hold table[i][j]."""
 
     def __init__(self, t: TwoAlgebra) -> None:
         d0, d1 = self.dim0, self.dim1 = t.dim0, t.dim1
         span = range(d0)
         l3 = [[[t.l3.eval_basis((x, y), z) for z in span] for y in span] for x in span]
-        tables = (t.l2_00, t.l2_01, t.l2_10, t.t2, *l3)
-        mats = (t.d_map, t.t0, t.t1)
-        self.den = common_denominator(tables, mats)
-        _, (self.l00, self.l01, self.l10, self.t2, *l3) = integer_tables(tables, self.den)
-        _, (self.d, self.t0, self.t1) = integer_matrices(mats, self.den)
-        self.d_cols, self.t0_cols = _columns(self.d, d1), _columns(self.t0, d0)
+        tensors = (t.l2_00, t.l2_01, t.l2_10, t.t2, *l3, t.d_map, t.t0, t.t1)
+        self.den, ints = integer_form(tensors)
+        self.l00, self.l01, self.l10, self.t2, *l3, self.d, self.t0, self.t1 = ints
+        self.d_cols, self.t0_cols = int_transpose(self.d, d1), int_transpose(self.t0, d0)
         # (x, y, z) ↦ l₃(e_x, e_y, e_z), and the matrices of z ↦ l₃(x, y, z), z ↦ l₃(z, x, y)
         self.l3 = dict(zip(product(span, repeat=3), chain.from_iterable(chain(*l3))))
         pairs = list(product(span, repeat=2))
-        self.l3_last = {(x, y): _columns([self.l3[x, y, z] for z in span], d1) for x, y in pairs}
-        self.l3_first = {(x, y): _columns([self.l3[z, x, y] for z in span], d1) for x, y in pairs}
-        self.lr00 = _integer_lr(self.l00, d0, d0)
-        self.lr01 = _integer_lr(self.l01, d1, d1)
-        self.lr10 = _integer_lr(self.l10, d0, d1)
-        self.lr_t2 = _integer_lr(self.t2, d0, d1)
+        self.l3_last = {
+            (x, y): int_transpose([self.l3[x, y, z] for z in span], d1) for x, y in pairs
+        }
+        self.l3_first = {
+            (x, y): int_transpose([self.l3[z, x, y] for z in span], d1) for x, y in pairs
+        }
+        self.lr00, self.lr01, self.lr10, self.lr_t2 = (
+            (
+                [int_transpose(row, dim_out) for row in table],
+                [int_transpose(col, dim_out) for col in int_transpose(table, dim_right)],
+            )
+            for table, dim_right, dim_out in (
+                (self.l00, d0, d0), (self.l01, d1, d1), (self.l10, d0, d1), (self.t2, d0, d1)
+            )
+        )
 
 
 def check_prelie_2alg(t: TwoAlgebra) -> Verdict:
@@ -192,34 +179,28 @@ def _prelie_2alg_defects(t: TwoAlgebra) -> Defects:
     for x in span0:
         for a in span1:
             da = d_cols[a]
-            yield "a", (x, a), fractions_over(
-                _minus(integer_times(d, l01[x][a]), integer_times(l00_left[x], da)), den
-            )
-            yield "b", (a, x), fractions_over(
-                _minus(integer_times(d, l10[a][x]), integer_times(l00_right[x], da)), den
-            )
+            terms = int_matvec(d, l01[x][a]), int_matvec(l00_left[x], da)
+            yield "a", (x, a), fractions_over(int_sum((1, -1), terms, t.dim0), den)
+            terms = int_matvec(d, l10[a][x]), int_matvec(l00_right[x], da)
+            yield "b", (a, x), fractions_over(int_sum((1, -1), terms, t.dim0), den)
     for a in span1:
         for b in span1:
-            yield "c", (a, b), fractions_over(
-                _minus(
-                    integer_times(l01_right[b], d_cols[a]), integer_times(l10_left[a], d_cols[b])
-                ),
-                den,
-            )
+            terms = int_matvec(l01_right[b], d_cols[a]), int_matvec(l10_left[a], d_cols[b])
+            yield "c", (a, b), fractions_over(int_sum((1, -1), terms, t.dim1), den)
     pre_lie = pre_lie_core([l00], 0)  # over D²
     actions = bimodule_core(l00, l01_left, l10_right, n.den, n.den)  # over D³
     for x in span0:
         for y in span0:
             for z in span0:
                 # d l₃(x, y, z) + pre_lie(x, y, z)
-                e1 = [u + v for u, v in zip(integer_times(d, n.l3[x, y, z]), pre_lie[x, y, z])]
+                e1 = [u + v for u, v in zip(int_matvec(d, n.l3[x, y, z]), pre_lie[x, y, z])]
                 yield "e1", (x, y, z), fractions_over(e1, den)
             for a, da in enumerate(d_cols):
                 left, mixed = actions[x, y, a]
                 # l₃(x, y, dα) − left_action(x, y, α)
-                e2 = [n.den * u - v for u, v in zip(integer_times(n.l3_last[x, y], da), left)]
+                e2 = [n.den * u - v for u, v in zip(int_matvec(n.l3_last[x, y], da), left)]
                 # l₃(dα, x, y) + mixed_action(x, y, α)
-                e3 = [n.den * u + v for u, v in zip(integer_times(n.l3_first[x, y], da), mixed)]
+                e3 = [n.den * u + v for u, v in zip(int_matvec(n.l3_first[x, y], da), mixed)]
                 yield "e2", (x, y, a), fractions_over(e2, n.den * den)
                 yield "e3", (a, x, y), fractions_over(e3, n.den * den)
     f = _condition_f(n)
@@ -234,14 +215,17 @@ def _condition_f(n: _Integers) -> dict[tuple[int, ...], list[int]]:
     (l01_left, _), (_, l10_right) = n.lr01, n.lr10
     quadruples = list(product(span, repeat=4))
     # the actions on l₃ and l₃ with a product or a bracket in one slot
-    left = {(w, x, y, z): integer_times(l01_left[w], l3[x, y, z]) for w, x, y, z in quadruples}
-    right = {(z, x, y, w): integer_times(l10_right[z], l3[x, y, w]) for z, x, y, w in quadruples}
+    left = {(w, x, y, z): int_matvec(l01_left[w], l3[x, y, z]) for w, x, y, z in quadruples}
+    right = {(z, x, y, w): int_matvec(l10_right[z], l3[x, y, w]) for z, x, y, w in quadruples}
     last = {
-        (x, y, w, z): integer_times(n.l3_last[x, y], n.l00[w][z]) for x, y, w, z in quadruples
+        (x, y, w, z): int_matvec(n.l3_last[x, y], n.l00[w][z]) for x, y, w, z in quadruples
     }
-    brackets = [[_minus(u, v) for u, v in zip(row, col)] for row, col in zip(n.l00, zip(*n.l00))]
+    brackets = [
+        [int_sum((1, -1), pair, n.dim0) for pair in zip(row, col)]
+        for row, col in zip(n.l00, int_transpose(n.l00, n.dim0))
+    ]
     first = {
-        (w, x, y, z): integer_times(n.l3_first[y, z], brackets[w][x])
+        (w, x, y, z): int_matvec(n.l3_first[y, z], brackets[w][x])
         for w, x, y, z in quadruples
     }
     return {
@@ -270,7 +254,7 @@ def _insert(tensor: dict, t0_cols: list, slot: int, size: int) -> dict:
     slot."""
     span = range(len(t0_cols))
     return {
-        key: integer_combination(
+        key: int_sum(
             t0_cols[key[slot]], [tensor[(*key[:slot], k, *key[slot + 1 :])] for k in span], size
         )
         for key in tensor
@@ -303,20 +287,20 @@ def _condition_v(n: _Integers, lam: Fraction) -> dict[tuple[int, ...], list[int]
             for z, a, b, c, ab, ac, bc in zip(n.l3[key], *ones, *twos)
         ]
         actions = zip(
-            integer_times(twisted_left[x1], n.t2[x2][x3]),
-            integer_times(twisted_left[x2], n.t2[x1][x3]),
-            integer_times(twisted_right[x3], n.t2[x2][x1]),
-            integer_times(twisted_right[x3], n.t2[x1][x2]),
+            int_matvec(twisted_left[x1], n.t2[x2][x3]),
+            int_matvec(twisted_left[x2], n.t2[x1][x3]),
+            int_matvec(twisted_right[x3], n.t2[x2][x1]),
+            int_matvec(twisted_right[x3], n.t2[x1][x2]),
         )
         stars = zip(
-            integer_times(t2_left[x2], star[x1][x3]),
-            integer_times(t2_left[x1], star[x2][x3]),
-            integer_times(t2_right[x3], _minus(star[x1][x2], star[x2][x1])),
+            int_matvec(t2_left[x2], star[x1][x3]),
+            int_matvec(t2_left[x1], star[x2][x3]),
+            int_matvec(t2_right[x3], int_sum((1, -1), (star[x1][x2], star[x2][x1]), n.dim0)),
         )
         out[key] = [
             q * q * (top + a1 - a2 + a3 - a4) + q * den * (s2 - s1 - s3) - corr
             for top, corr, (a1, a2, a3, a4), (s1, s2, s3) in zip(
-                inserted[1, 1, 1][key], integer_times(n.t1, inner), actions, stars
+                inserted[1, 1, 1][key], int_matvec(n.t1, inner), actions, stars
             )
         ]
     return out
@@ -346,17 +330,17 @@ def _rb_2alg_defects(t: TwoAlgebra, lam: Fraction) -> Defects:
     over D², of ii over q·D³, of iii and iv over q·D⁴ and of v over q²·D⁴."""
     n = t.integers
     p, q, den = lam.numerator, lam.denominator, n.den
-    span0, span1 = range(t.dim0), range(t.dim1)
+    span0 = range(t.dim0)
     t2_left, t2_right = n.lr_t2
     d, t0, t1, d_cols = n.d, n.t0, n.t1, n.d_cols
-    comm = _minus_rows(integer_matmul(t0, d), integer_matmul(d, t1))
-    for a in span1:
-        yield "i", (a,), fractions_over([row[a] for row in comm], den * den)
+    comm = int_matrix_sum((1, -1), (int_matmul(t0, d), int_matmul(d, t1)), t.dim1)
+    for a, column in enumerate(int_transpose(comm, t.dim1)):
+        yield "i", (a,), fractions_over(column, den * den)
     rota_baxter = rota_baxter_core([n.l00], [t0], p, q, den, 0)  # over q·D³
     for x in span0:
         for y in span0:
             # −rota_baxter(x, y) − d T₂(x, y)
-            terms = zip(rota_baxter[x, y], integer_times(d, n.t2[x][y]))
+            terms = zip(rota_baxter[x, y], int_matvec(d, n.t2[x][y]))
             yield "ii", (x, y), fractions_over([-u - q * den * v for u, v in terms], q * den**3)
     laws = rb_bimodule_core(t0, t1, n.lr01[0], n.lr10[1], p, q, den, den)  # over q·D⁴
     scale = q * den * den
@@ -364,10 +348,10 @@ def _rb_2alg_defects(t: TwoAlgebra, lam: Fraction) -> Defects:
         for x in span0:
             rb_left, rb_right = laws[x, a]
             # −rb_right(x, α) − T₂(dα, x)
-            terms = zip(rb_right, integer_times(t2_right[x], da))
+            terms = zip(rb_right, int_matvec(t2_right[x], da))
             yield "iii", (a, x), fractions_over([-u - scale * v for u, v in terms], q * den**4)
             # −rb_left(x, α) − T₂(x, dα)
-            terms = zip(rb_left, integer_times(t2_left[x], da))
+            terms = zip(rb_left, int_matvec(t2_left[x], da))
             yield "iv", (x, a), fractions_over([-u - scale * v for u, v in terms], q * den**4)
     v = _condition_v(n, lam)
     for key in product(span0, repeat=3):
@@ -477,47 +461,40 @@ def _crossed_module_defects(cm: CrossedModule) -> Defects:
     yield from bimodule_defects(g0.algebra, bimod.bimodule)
     yield from rb_bimodule_defects(g0, bimod)
     d0, d1 = cm.dim0, cm.dim1
-    tables, mats = (g0.algebra.c, g1_product), (d_map, g0.operator, cm.t1, *cm.S, *cm.P)
-    den = common_denominator(tables, mats)
-    _, (c, g1c) = integer_tables(tables, den)
-    _, (d, t0, t1, *actions) = integer_matrices(mats, den)
+    tensors = (g0.algebra.c, g1_product, d_map, g0.operator, cm.t1, *cm.S, *cm.P)
+    den, (c, g1c, d, t0, t1, *actions) = integer_form(tensors)
     S, P = actions[:d0], actions[d0:]
-    d_cols = _columns(d, d1)
-    left, right = _integer_lr(c, d0, d0)
-    # d is a product morphism g₁ → g₀
+    d_cols = int_transpose(d, d1)  # dα for each basis vector α of g₁
+    minus_d = [[-u for u in da] for da in d_cols]
+    by_right = int_transpose(c, d0)  # by_right[x][k] = eₖ·eₓ
+    # d is a product morphism g₁ → g₀: dα·dβ = Σₓ (dα)ₓ Σₖ (dβ)ₖ eₓ·eₖ
     for a, da in enumerate(d_cols):
         for b, db in enumerate(d_cols):
-            product_ab = integer_combination(da, [integer_times(m, db) for m in left], d0)
+            product_ab = int_sum(da, [int_sum(db, row, d0) for row in c], d0)
             yield "d_morphism", (a, b), fractions_over(
-                [den * u - v for u, v in zip(integer_times(d, g1c[a][b]), product_ab)], den**3
+                [den * u - v for u, v in zip(int_matvec(d, g1c[a][b]), product_ab)], den**3
             )
-    # C1
+    # C1: d(x·α) − x·dα = Σₖ (x·α)ₖ·dβₖ − Σₖ (dα)ₖ·eₓ·eₖ, and likewise on the right
     for x in range(d0):
-        d_left, d_right = integer_matmul(d, S[x]), integer_matmul(d, P[x])
-        for a, da in enumerate(d_cols):
-            yield "c1_left", (x, a), fractions_over(
-                _minus([row[a] for row in d_left], integer_times(left[x], da)), den * den
-            )
-            yield "c1_right", (x, a), fractions_over(
-                _minus([row[a] for row in d_right], integer_times(right[x], da)), den * den
-            )
-    comm = _minus_rows(integer_matmul(d, t1), integer_matmul(t0, d))
-    for a in range(d1):
-        yield "c1_operator", (a,), fractions_over([row[a] for row in comm], den * den)
-    # C2: dα·β = αβ = α·dβ, through the matrices of x ↦ x·β and x ↦ β·x
-    times_b, b_times = (
-        [_columns([[row[b] for row in m] for m in actions], d1) for b in range(d1)]
-        for actions in (S, P)
+        s_cols, p_cols = int_transpose(S[x], d1), int_transpose(P[x], d1)
+        for a in range(d1):
+            left = int_sum(s_cols[a] + minus_d[a], d_cols + c[x], d0)
+            right = int_sum(p_cols[a] + minus_d[a], d_cols + by_right[x], d0)
+            yield "c1_left", (x, a), fractions_over(left, den * den)
+            yield "c1_right", (x, a), fractions_over(right, den * den)
+    comm = int_matrix_sum((1, -1), (int_matmul(d, t1), int_matmul(t0, d)), d1)
+    for a, column in enumerate(int_transpose(comm, d1)):
+        yield "c1_operator", (a,), fractions_over(column, den * den)
+    # C2: dα·β = αβ = α·dβ, with dα·β = Σₓ (dα)ₓ·S[x]β and α·dβ = Σₓ (dβ)ₓ·P[x]α
+    s_by_b, p_by_a = (
+        int_transpose([int_transpose(m, d1) for m in acts], d1) for acts in (S, P)
     )
     for a, da in enumerate(d_cols):
         for b, db in enumerate(d_cols):
-            g1_ab = [den * u for u in g1c[a][b]]
-            yield "c2_left", (a, b), fractions_over(
-                _minus(integer_times(times_b[b], da), g1_ab), den * den
-            )
-            yield "c2_right", (a, b), fractions_over(
-                _minus(integer_times(b_times[a], db), g1_ab), den * den
-            )
+            left = int_sum(da + [-den], s_by_b[b] + [g1c[a][b]], d1)
+            right = int_sum(db + [-den], p_by_a[a] + [g1c[a][b]], d1)
+            yield "c2_left", (a, b), fractions_over(left, den * den)
+            yield "c2_right", (a, b), fractions_over(right, den * den)
 
 
 def strict_to_crossed(t: TwoAlgebra, weight, *, trusted: bool = False) -> CrossedModule:

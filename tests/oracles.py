@@ -1,7 +1,10 @@
 """Independent oracles, written against the raw definitions.
 
 The linear-algebra and axiom oracles work on plain nested lists with
-explicit index loops and never call the library's helpers.  The cochain
+explicit index loops and never call the library's helpers;
+``matmul_by_fractions`` is the former ``RationalMatrix.matmul``, which
+accumulated ``Fraction`` products over the sparse rows where the package
+now accumulates ``int``s over one denominator.  The cochain
 maps at the end (``pla_differential_by_eval``, ``rbo_differential_expanded``,
 ``phi_by_eval``, ``phi_literal``) are the package's former evaluation
 routes: they evaluate cochains at basis and vector arguments with
@@ -86,6 +89,20 @@ def mat_vec(mat, v):
 def mat_mat(a, b):
     return [[sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), Fraction(0))
              for j in range(b.cols)] for i in range(a.rows)]
+
+
+def matmul_by_fractions(a, b):
+    """The former ``RationalMatrix.matmul``: each output row accumulated
+    over the sparse rows in ``Fraction`` arithmetic."""
+    right = b.sparse_rows
+    product = []
+    for row in a.sparse_rows:
+        acc = {}
+        for k, x in row:
+            for j, y in right[k]:
+                acc[j] = acc.get(j, Fraction(0)) + x * y
+        product.append(tuple(sorted((j, v) for j, v in acc.items() if v)))
+    return RationalMatrix.from_sparse(product, b.cols)
 
 
 def dense_reduced_echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -358,7 +375,7 @@ def sympy_rank(matrix) -> int:
 def second_condition_f(t, w, x, y, z):
     """Independent transcription of the twelve-term coherence: same terms,
     regrouped and written through different helpers."""
-    ew, ex, ey, ez = t.basis0(w), t.basis0(x), t.basis0(y), t.basis0(z)
+    ew, ex, ey, ez = (unit_vector(i, t.dim0) for i in (w, x, y, z))
 
     def bracket(i, j):
         return [a - b for a, b in zip(t.l2_00[i][j], t.l2_00[j][i])]
@@ -422,9 +439,9 @@ def pla_differential_by_eval(a, m, f):
             xi = skew[pos]
             rest = [s for q, s in enumerate(skew) if q != pos]
             # x_i · f(..x̂_i.., x_{n+1})
-            t1 = bimodule_left(m, a.basis_vector(xi), f.eval([*rest, last]))
+            t1 = bimodule_left(m, unit_vector(xi, a.dim), f.eval([*rest, last]))
             # f(..x̂_i.., x_i) · x_{n+1}
-            t2 = bimodule_right(m, f.eval([*rest, xi]), a.basis_vector(last))
+            t2 = bimodule_right(m, f.eval([*rest, xi]), unit_vector(last, a.dim))
             # − f(..x̂_i.., x_i · x_{n+1})
             t3 = f.eval([*rest, a.c[xi][last]])
             total = vadd(total, vscale(sign, vsub(vadd(t1, t2), t3)))
@@ -457,13 +474,13 @@ def rbo_differential_expanded(r, m, g):
     out = {}
     for key in basis_keys(n + 1, a.dim):
         skew, last = key[:-1], key[-1]
-        e_last = a.basis_vector(last)
+        e_last = unit_vector(last, a.dim)
         t_last = t.col(last)
         total = zero_vector(bm.mod_dim)
         for pos in range(n):
             sign = Fraction(1) if pos % 2 == 0 else Fraction(-1)
             xi = skew[pos]
-            e_i = a.basis_vector(xi)
+            e_i = unit_vector(xi, a.dim)
             t_i = t.col(xi)
             rest = [s for q, s in enumerate(skew) if q != pos]
             g_drop = g.eval([*rest, last])
@@ -482,7 +499,7 @@ def rbo_differential_expanded(r, m, g):
             total = vadd(total, vscale(sign, term))
         for p, q in combinations(range(n), 2):
             sign = Fraction(1) if (p + q) % 2 == 0 else Fraction(-1)
-            e_p, e_q = a.basis_vector(skew[p]), a.basis_vector(skew[q])
+            e_p, e_q = unit_vector(skew[p], a.dim), unit_vector(skew[q], a.dim)
             t_p, t_q = t.col(skew[p]), t.col(skew[q])
             rest = [s for idx, s in enumerate(skew) if idx not in (p, q)]
             bracket = vsub(a.product(t_p, e_q), a.product(e_q, t_p))

@@ -69,7 +69,7 @@ from rbprelie.generators import (
     random_rba_cocycle,
     random_valid_pair,
 )
-from rbprelie.linalg import RationalMatrix
+from rbprelie.linalg import RationalMatrix, unit_vector
 from rbprelie.twoalg import (
     TwoAlgebra,
     check_crossed_module,
@@ -204,8 +204,8 @@ def test_criterion_03_chain_map():
             tuple(
                 a - b
                 for a, b in zip(
-                    bimodule_left(bm, r.algebra.basis_vector(j), u),
-                    bimodule_right(bm, u, r.algebra.basis_vector(j)),
+                    bimodule_left(bm, unit_vector(j, r.dim), u),
+                    bimodule_right(bm, u, unit_vector(j, r.dim)),
                 )
             )
             for j in range(r.dim)
@@ -216,8 +216,8 @@ def test_criterion_03_chain_map():
             tuple(
                 a - b
                 for a, b in zip(
-                    bimodule_left(der.bimodule, r.algebra.basis_vector(j), u),
-                    bimodule_right(der.bimodule, u, r.algebra.basis_vector(j)),
+                    bimodule_left(der.bimodule, unit_vector(j, r.dim), u),
+                    bimodule_right(der.bimodule, u, unit_vector(j, r.dim)),
                 )
             )
             for j in range(r.dim)

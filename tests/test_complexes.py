@@ -42,7 +42,14 @@ from rbprelie.generators import (
     random_valid_pair,
     random_vector,
 )
-from rbprelie.linalg import RationalMatrix, column_space, rank, solve_linear, zero_vector
+from rbprelie.linalg import (
+    RationalMatrix,
+    column_space,
+    rank,
+    solve_linear,
+    unit_vector,
+    zero_vector,
+)
 
 from conftest import make_a0, make_a1, make_a1n, make_affine, make_noncommuting_module
 from oracles import (
@@ -97,8 +104,8 @@ def test_commutator_candidate_fails_square_zero():
         tuple(
             a - b
             for a, b in zip(
-                r.algebra.product(r.algebra.basis_vector(j), u),
-                r.algebra.product(u, r.algebra.basis_vector(j)),
+                r.algebra.product(unit_vector(j, r.dim), u),
+                r.algebra.product(u, unit_vector(j, r.dim)),
             )
         )
         for j in range(2)

@@ -9,7 +9,6 @@ from rbprelie import (
     cohomology_dims,
     phi,
     pla_differential,
-    rba_differential,
     regular_bimodule,
 )
 from rbprelie.cochains import (
@@ -43,7 +42,7 @@ from rbprelie.generators import (
     random_rba_cocycle,
     random_valid_pair,
 )
-from rbprelie.linalg import RationalMatrix
+from rbprelie.linalg import RationalMatrix, unit_vector
 
 from conftest import make_a0, make_idempotent
 
@@ -242,7 +241,7 @@ def test_gauge_order1_expansion_matches_closed_form():
         mu = r.algebra
         for p in range(dim):
             for q in range(dim):
-                ep, eq = mu.basis_vector(p), mu.basis_vector(q)
+                ep, eq = unit_vector(p, dim), unit_vector(q, dim)
                 expected = mu.product(psi1.col(p), eq)
                 expected = tuple(
                     a + b for a, b in zip(expected, mu.product(ep, psi1.col(q)))
@@ -331,40 +330,79 @@ def test_solved_extension_is_always_valid_or_obstructed():
     assert solved > 0
 
 
-def test_rhs_is_cocycle_agrees_with_the_degree_3_matrix(monkeypatch):
-    # an obstructed solve decides rhs_is_cocycle with one combined coboundary
-    # of its target; the assembled d₃ applied to that target must agree
-    from rbprelie import deformations
-    from rbprelie.complexes import ComplexData
-    from rbprelie.linalg import is_zero_vector
-
-    targets = []
-
-    def recording(r, m, target, **kwargs):
-        targets.append(target)
-        return rba_differential(r, m, target, **kwargs)
-
-    monkeypatch.setattr(deformations, "rba_differential", recording)
-    rng = random.Random(31)
-    obstructed = 0
-    while obstructed < 6:
+def _obstructed_requests(rng, count):
+    """(r, deformation) pairs over the regular module whose next order is
+    obstructed: order-1 coefficients drawn as random degree-2 cocycles."""
+    found = []
+    while len(found) < count:
         r = random_rb_pre_lie(rng, rng.randint(1, 3))
-        m = regular_bimodule(r)
-        c = random_rba_cocycle(rng, r, m, 2)
+        c = random_rba_cocycle(rng, r, regular_bimodule(r), 2)
         d = TruncatedDeformation(
             r,
             (r.algebra.c, bilinear_from_cochain(c.pla_part)),
             (r.operator, matrix_from_cochain(c.rbo_part)),
         )
+        if solve_next_order(r, d).solution is None:
+            found.append((r, d))
+    return found
+
+
+def test_rhs_is_cocycle_agrees_with_the_degree_3_matrix(monkeypatch):
+    # an obstructed solve decides rhs_is_cocycle by applying the combined d₃
+    # it holds to the target it could not solve for; the eval route of the
+    # combined coboundary must agree
+    from rbprelie.complexes import ComplexData
+
+    from oracles import rba_differential_by_eval
+
+    targets = []
+    solve = ComplexData.solve
+
+    def recording(self, kind, n, target):
+        targets.append(target)
+        return solve(self, kind, n, target)
+
+    requests = _obstructed_requests(random.Random(31), 6)
+    monkeypatch.setattr(ComplexData, "solve", recording)
+    for r, d in requests:
         targets.clear()
         result = solve_next_order(r, d)
-        if result.solution is not None:
-            assert not targets
-            continue
-        obstructed += 1
         (target,) = targets
-        d3 = ComplexData(r, m).d(ComplexKind.RBA, 3)
-        assert result.obstruction.rhs_is_cocycle == is_zero_vector(d3.apply(target.coords()))
+        pair = RBACochain.from_coords(3, r.dim, r.dim, target)
+        defect = rba_differential_by_eval(r, regular_bimodule(r), pair)
+        assert result.obstruction.rhs_is_cocycle == defect.is_zero()
+
+
+def test_obstructed_solve_assembles_each_block_once(monkeypatch):
+    # the obstruction check reuses the request's ComplexData: d₂ and d₃ are
+    # composed from blocks each built once, and no combined matrix is
+    # assembled through differential_matrix
+    from collections import Counter
+
+    from rbprelie import complexes
+
+    assemble, assemble_phi = complexes.differential_matrix, complexes.phi_matrix
+    built: Counter = Counter()
+
+    def counting_differential(kind, r, m, n):
+        built[(kind, n)] += 1
+        return assemble(kind, r, m, n)
+
+    def counting_phi(r, m, n):
+        built[("phi", n)] += 1
+        return assemble_phi(r, m, n)
+
+    requests = _obstructed_requests(random.Random(31), 3)
+    monkeypatch.setattr(complexes, "differential_matrix", counting_differential)
+    monkeypatch.setattr(complexes, "phi_matrix", counting_phi)
+    once = Counter({
+        (ComplexKind.PLA, 2): 1, ("phi", 2): 1, (ComplexKind.RBO, 1): 1,
+        (ComplexKind.PLA, 3): 1, ("phi", 3): 1, (ComplexKind.RBO, 2): 1,
+    })
+    for r, d in requests:
+        built.clear()
+        assert solve_next_order(r, d).obstruction is not None
+        assert built == once
 
 
 def test_solve_obstruction_deterministic():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,13 @@ from rbprelie.linalg import (
     RationalMatrix,
     column_space,
     echelon_basis,
+    fractions_over,
+    int_matmul,
+    int_matrix_sum,
+    int_matvec,
+    int_sum,
+    int_transpose,
+    integer_form,
     is_zero_vector,
     kernel_basis,
     rank,
@@ -27,6 +35,7 @@ from oracles import (
     dense_solve,
     mat_mat,
     mat_vec,
+    matmul_by_fractions,
     sympy_rank,
 )
 
@@ -551,3 +560,119 @@ def test_integer_dot_kernel_is_linear(data, alpha):
     b = tuple(sum((c * row[j] for c, row in zip(coeffs, rows)), Fraction(0)) for j in range(n))
     shifted = tuple(x + y for x, y in zip(v, b))
     assert space.reduce(shifted) == space.reduce(v)
+
+
+def _coprime_rows(rng, rows, cols, density=0.7):
+    """Rows whose entries have large coprime denominators, with ``int``
+    entries and zero rows mixed in."""
+    out = []
+    for i in range(rows):
+        if i % 3 == 2:
+            out.append([0] * cols)
+            continue
+        out.append([
+            Fraction(rng.randint(-M61, M61), rng.choice((1, 97, 101, M61)))
+            if rng.random() < density else rng.choice((0, rng.randint(-9, 9)))
+            for _ in range(cols)
+        ])
+    return out
+
+
+def _product_cases(rng):
+    """Factor pairs (a, b) for matmul: 0×n and n×0 shapes, zero factors,
+    zero rows, ``int`` entries and coprime denominators across rows."""
+    yield RationalMatrix.from_rows([], 4), RationalMatrix.from_rows(_coprime_rows(rng, 4, 3))
+    yield RationalMatrix.from_rows(((),) * 3), RationalMatrix.from_rows([], 5)
+    yield RationalMatrix.from_rows(_coprime_rows(rng, 3, 4)), RationalMatrix.from_rows(((),) * 4)
+    yield RationalMatrix.zeros(3, 4), RationalMatrix.from_rows(_coprime_rows(rng, 4, 2))
+    yield RationalMatrix.from_rows(_coprime_rows(rng, 2, 4)), RationalMatrix.zeros(4, 3)
+    yield RationalMatrix.from_rows([[1, 2], [3, 4]]), RationalMatrix.from_rows([[5, 0], [-7, 1]])
+    # each right-hand row over its own prime: only their lcm clears them all
+    primes = RationalMatrix.from_rows(
+        [[Fraction(k + 1, p), Fraction(1, p)] for k, p in enumerate((2, 3, 5, 7))]
+    )
+    yield RationalMatrix.from_rows([[1, 1, 1, 1], [Fraction(1, 11), 0, 3, 0]]), primes
+    for _ in range(25):
+        n, k, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        yield (
+            RationalMatrix.from_rows(_coprime_rows(rng, n, k, rng.choice((0.3, 0.7, 1.0)))),
+            RationalMatrix.from_rows(_coprime_rows(rng, k, m, rng.choice((0.3, 0.7, 1.0)))),
+        )
+
+
+def test_matmul_on_integer_rows_equals_fraction_oracle():
+    rng = random.Random(26)
+    for a, b in _product_cases(rng):
+        got = a.matmul(b)
+        assert got == matmul_by_fractions(a, b)
+        assert got.entries == tuple(tuple(row) for row in mat_mat(a, b))
+        _assert_canonical(got)
+
+
+def _read(rng, rows, cols):
+    """A rational matrix as nested lists, and its integer form."""
+    values = _coprime_rows(rng, rows, cols)
+    return values, integer_form([RationalMatrix.from_rows(values, cols)])
+
+
+def test_integer_readers_equal_fraction_oracle():
+    rng = random.Random(27)
+    for v in ([], [0, 0], [3, -4], [Fraction(1, 97), 2, Fraction(-5, 101)],
+              *(row for row in _coprime_rows(rng, 9, 5))):
+        den, w = integer_form(v)
+        assert den == lcm(*(Fraction(x).denominator for x in v))
+        assert [Fraction(x, den) for x in w] == v and all(type(x) is int for x in w)
+    table = [[_coprime_rows(rng, 1, 3)[0] for _ in range(2)] for _ in range(3)]
+    for shape in ((0, 4), (3, 0), (4, 3)):
+        values = _coprime_rows(rng, *shape)
+        matrix = RationalMatrix.from_rows(values, shape[1])
+        den, (m, t, z) = integer_form([matrix, table, RationalMatrix.zeros(2, 2)])
+        entries = [x for row in values for x in row] + [x for r in table for v in r for x in v]
+        assert den == lcm(*(Fraction(x).denominator for x in entries))
+        assert [[Fraction(x, den) for x in row] for row in m] == values
+        assert [[[Fraction(x, den) for x in v] for v in r] for r in t] == table
+        assert z == [[0, 0], [0, 0]]
+
+
+def test_fractions_over_equals_fraction_oracle():
+    for nums, den in (([], 5), ([0, 0], 1), ([3, 0, -6], 9), ([M61, -1], M61 * 97)):
+        got = fractions_over(nums, den)
+        assert got == tuple(Fraction(x, den) for x in nums)
+        assert all(type(x) is Fraction for x in got)
+
+
+def test_integer_operations_equal_fraction_oracle():
+    """Each int_* operation, read back over its denominator, equals the
+    same operation done in Fraction arithmetic."""
+    rng = random.Random(28)
+    for n, k, m in ((0, 3, 2), (3, 0, 2), (2, 3, 0), (1, 1, 1), (4, 3, 5), (5, 5, 5)):
+        a_values, (d_a, (a,)) = _read(rng, n, k)
+        b_values, (d_b, (b,)) = _read(rng, k, m)
+        got = [fractions_over(row, d_a * d_b) for row in int_matmul(a, b)]
+        want = mat_mat(RationalMatrix.from_rows(a_values, k), RationalMatrix.from_rows(b_values, m))
+        # b with no rows has no width as nested lists: n empty rows then
+        assert got == [tuple(row) for row in want] if k else got == [()] * n
+        v_values = _coprime_rows(rng, 1, k)[0]
+        d_v, v = integer_form(v_values)
+        got = fractions_over(int_matvec(a, v), d_a * d_v)
+        assert got == tuple(mat_vec(RationalMatrix.from_rows(a_values, k), v_values))
+        assert int_transpose(a, k) == [[row[j] for row in a] for j in range(k)]
+        assert [[Fraction(x, d_a) for x in col] for col in int_transpose(a, k)] == [
+            list(col) for col in RationalMatrix.from_rows(a_values, k).transpose().entries
+        ]
+        # weighted sums of vectors and of matrices, zero and unit weights included
+        weights = [rng.choice((0, 1, -1, rng.randint(-M61, M61))) for _ in range(3)]
+        vectors = [_coprime_rows(rng, 1, m)[0] for _ in range(3)]
+        den, (((*ints,),),) = integer_form([[vectors]])  # a table of one row
+        got = fractions_over(int_sum(weights, ints, m), den)
+        assert got == tuple(sum((w * v[j] for w, v in zip(weights, vectors)), Fraction(0))
+                            for j in range(m))
+        mats = [_coprime_rows(rng, n, m) for _ in range(3)]
+        den, ints = integer_form([RationalMatrix.from_rows(x, m) for x in mats])
+        got = [fractions_over(row, den) for row in int_matrix_sum(weights, ints, m)]
+        assert got == [
+            tuple(sum((w * x[i][j] for w, x in zip(weights, mats)), Fraction(0)) for j in range(m))
+            for i in range(n)
+        ]
+    assert int_sum([0, 0], [[1, 2], [3, 4]], 2) == [0, 0]
+    assert int_sum([], [], 3) == [0, 0, 0]

@@ -70,6 +70,14 @@ matrices come from ``from_rows``, ``from_cols``, ``from_sparse``,
 ``identity``, ``zeros`` or ``block``, which store nonzeros only, by
 increasing column.
 
+Only ``linalg`` reads rationals in the integer form (nested ``int`` lists
+over one denominator) and defines the operations on it: outside
+``linalg.py`` no package module reads ``.numerator`` or ``.denominator`` of
+anything but the weight ``lam``, and none defines ``fractions_over`` or an
+``integer_*``/``int_*`` function.  The integer twins that ``algebras``,
+``twoalg`` and ``deformations`` once kept of those operations are defined
+nowhere.
+
 Each map has one builder: in ``complexes``, ``_assemble`` is called only by
 ``_coboundary_matrix`` (δ, and ∂ on the star data) and ``phi_matrix``, and
 ``RationalMatrix.block`` only inside ``ComplexData``, whose ``d`` is the one
@@ -505,4 +513,37 @@ def _unread_locals(tree: ast.AST):
 def test_no_unused_import_or_unread_local(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = sorted(set(_unused_imports(tree)) | set(_unread_locals(tree)))
+    assert not found, f"{path.name}: {found}"
+
+
+# the integer twins folded into linalg's integer form and its int_* operations
+FOLDED_INTO_LINALG = {
+    "common_denominator", "integer_tables", "integer_matrices", "nonzero_columns",
+    "_is_nonzero_table", "integer_times", "integer_combination", "integer_mix",
+    "integer_matmul", "_minus", "_minus_rows", "_columns", "_integer_lr", "_matrix_sum",
+}
+
+
+def _integer_form_outside_linalg(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if node.name in FOLDED_INTO_LINALG:
+                yield f"line {node.lineno} defines {node.name}"
+            elif path.name != "linalg.py" and (
+                node.name == "fractions_over" or node.name.startswith(("integer_", "int_"))
+            ):
+                yield f"line {node.lineno} defines {node.name} outside linalg"
+        elif (
+            path.name != "linalg.py"
+            and isinstance(node, ast.Attribute)
+            and node.attr in ("numerator", "denominator")
+            and not (isinstance(node.value, ast.Name) and node.value.id == "lam")
+        ):
+            yield f"line {node.lineno} reads .{node.attr}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_linalg_reads_the_integer_form(path):
+    found = list(_integer_form_outside_linalg(path))
     assert not found, f"{path.name}: {found}"
