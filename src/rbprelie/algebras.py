@@ -280,7 +280,11 @@ def rota_baxter_core(
     μ₀…μₙ over D_μ, ``int`` matrices T₀…Tₙ over D_T and λ = p/q: every term
     is an integer over q·D_μ·D_T²."""
     dim = len(mu[0])
-    cols = [int_transpose(t_b, dim) for t_b in t[: n + 1]]
+    # the (row, value) pairs of each column's nonzeros, for each T_b
+    cols = [
+        [[(x, v) for x, v in enumerate(col) if v] for col in int_transpose(t_b, dim)]
+        for t_b in t[: n + 1]
+    ]
     live = [any(map(any, chain.from_iterable(table))) for table in mu[: n + 1]]
     out = {}
     for i in range(dim):
@@ -291,14 +295,11 @@ def rota_baxter_core(
                     continue
                 mu_a = mu[a]
                 for b in range(n + 1 - a):
-                    for x, tx in enumerate(cols[b][i]):
-                        if not tx:
-                            continue
+                    for x, tx in cols[b][i]:
                         row = mu_a[x]
-                        for y, ty in enumerate(cols[n - a - b][j]):
-                            if ty:
-                                c = q * tx * ty
-                                acc = [s + c * z for s, z in zip(acc, row[y])]
+                        for y, ty in cols[n - a - b][j]:
+                            c = q * tx * ty
+                            acc = [s + c * z for s, z in zip(acc, row[y])]
             for a in range(n + 1):
                 if not any(map(any, t[a])):
                     continue
@@ -307,12 +308,10 @@ def rota_baxter_core(
                     if not live[b]:
                         continue
                     mu_b, c_cols = mu[b], cols[n - a - b]
-                    for y, ty in enumerate(c_cols[j]):
-                        if ty:
-                            inner = [s + q * ty * z for s, z in zip(inner, mu_b[i][y])]
-                    for x, tx in enumerate(c_cols[i]):
-                        if tx:
-                            inner = [s + q * tx * z for s, z in zip(inner, mu_b[x][j])]
+                    for y, ty in c_cols[j]:
+                        inner = [s + q * ty * z for s, z in zip(inner, mu_b[i][y])]
+                    for x, tx in c_cols[i]:
+                        inner = [s + q * tx * z for s, z in zip(inner, mu_b[x][j])]
                 acc = [s - z for s, z in zip(acc, int_matvec(t[a], inner))]
             out[(i, j)] = acc
     return out

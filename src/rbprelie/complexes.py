@@ -49,16 +49,17 @@ columns of T before p, the identity at p and the columns of T + λ·id after
 it, with coefficient −1 and block T_M.  A pattern expands each slot into
 the nonzeros w of its column, the skew block of each argument tuple is
 sorted with sign σ, and the term is σ·(coefficient)·Πw times the block.
-In degree 0, δ₀ and ∂₀ come out zero from the same rule and Φ₀ = I.  The
-cochain maps :func:`pla_differential`, :func:`rbo_differential`,
-:func:`phi` and :func:`rba_differential` apply these matrices to one
-cochain.
+In degree 0, δ₀ and ∂₀ come out zero from the same rule and Φ₀ = I.
 
 A :class:`ComplexData`, made once per request for one (algebra, module)
 pair, owns everything derived from those matrices: it builds each matrix,
 cocycle basis and boundary span the first time it is asked for and keeps
-it, and it decides whether a target is a coboundary.  Nothing is kept
-between requests.
+it, applies dₙ to a cochain (:meth:`ComplexData.coboundary`), and decides
+whether a target is a coboundary.  Nothing is kept between requests.  The
+cochain maps :func:`rbo_differential` and :func:`rba_differential` are the
+validity gate plus one ``coboundary`` of a fresh :class:`ComplexData`;
+:func:`pla_differential`, of a pre-Lie algebra and a bimodule with no
+operators, applies δₙ, and :func:`phi` applies Φₙ.
 """
 
 from __future__ import annotations
@@ -204,8 +205,7 @@ def rbo_differential(
     algebra with the derived actions as coefficients."""
     if not trusted:
         require_valid(r, m)
-    image = differential_matrix(ComplexKind.RBO, r, m, g.degree).apply(g.coords())
-    return Cochain.from_coords(g.degree + 1, r.dim, m.mod_dim, image)
+    return ComplexData(r, m).coboundary(ComplexKind.RBO, g)
 
 
 def phi(r: RBPreLieAlgebra, m: RBBimodule, f: Cochain) -> Cochain:
@@ -223,8 +223,7 @@ def rba_differential(
     """d(f, g) = (δf, −∂g − Φf); in degree 0, d(f) = (δf, −f)."""
     if not trusted:
         require_valid(r, m)
-    image = differential_matrix(ComplexKind.RBA, r, m, c.degree).apply(c.coords())
-    return RBACochain.from_coords(c.degree + 1, r.dim, m.mod_dim, image)
+    return ComplexData(r, m).coboundary(ComplexKind.RBA, c)
 
 
 def differential_matrix(
@@ -282,6 +281,14 @@ class ComplexData:
             return RationalMatrix.block([[delta, zero], [-chain, -partial]])
 
         return self._once(("d", kind, n), compose)
+
+    def coboundary(self, kind: ComplexKind, c: Cochain | RBACochain) -> Cochain | RBACochain:
+        """dₙc for a degree-n cochain c of the complex ``kind``, as a cochain
+        of the same kind: an :class:`RBACochain` for the combined complex, a
+        :class:`Cochain` for the other two."""
+        cls = RBACochain if kind is ComplexKind.RBA else Cochain
+        image = self.d(kind, c.degree).apply(c.coords())
+        return cls.from_coords(c.degree + 1, self.r.dim, self.m.mod_dim, image)
 
     def phi(self, n: int) -> RationalMatrix:
         return self._once(("phi", n), lambda: phi_matrix(self.r, self.m, n))

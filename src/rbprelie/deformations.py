@@ -46,7 +46,7 @@ from .cochains import (
     cochain_from_matrix,
     matrix_from_cochain,
 )
-from .complexes import ComplexData, ComplexKind, rba_differential, rbo_differential
+from .complexes import ComplexData, ComplexKind, rbo_differential
 from .linalg import (
     RationalMatrix,
     fractions_over,
@@ -164,7 +164,7 @@ def infinitesimal(r: RBPreLieAlgebra, d: TruncatedDeformation) -> InfinitesimalR
     pair = RBACochain(
         cochain_from_bilinear(d.products[1], r.dim), cochain_from_matrix(d.operators[1])
     )
-    defect = rba_differential(r, regular_bimodule(r), pair, trusted=True)
+    defect = ComplexData(r, regular_bimodule(r)).coboundary(ComplexKind.RBA, pair)
     return InfinitesimalResult(pair, defect.is_zero(), defect)
 
 
@@ -239,7 +239,10 @@ def gauge_transform(
     d_t, ts = integer_form(d.operators)
     d_psi, psis = integer_form(psi.maps[: n_max + 1])
     d_eta, etas = integer_form(series_inverse(psi.maps, n_max))
-    cols = [int_transpose(m, dim) for m in psis]
+    # the (row, value) pairs of each column's nonzeros, for each ψᵢ
+    cols = [
+        [[(x, v) for x, v in enumerate(col) if v] for col in int_transpose(m, dim)] for m in psis
+    ]
     product_sums = []
     for s in range(n_max + 1):
         table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
@@ -249,14 +252,11 @@ def gauge_transform(
                 for p, xs in enumerate(cols[i]):
                     for q, ys in enumerate(cols[s - b - i]):
                         acc = table[p][q]
-                        for x, u in enumerate(xs):
-                            if not u:
-                                continue
+                        for x, u in xs:
                             row = mu_b[x]
-                            for y, v in enumerate(ys):
-                                if v:
-                                    c = u * v
-                                    acc[:] = [z + c * w for z, w in zip(acc, row[y])]
+                            for y, v in ys:
+                                c = u * v
+                                acc[:] = [z + c * w for z, w in zip(acc, row[y])]
         product_sums.append(table)
     operator_sums = [
         int_matrix_sum([1] * (s + 1), [int_matmul(ts[b], psis[s - b]) for b in range(s + 1)], dim)

@@ -38,7 +38,7 @@ from .cochains import (
     cochain_from_matrix,
     matrix_from_cochain,
 )
-from .complexes import ComplexData, ComplexKind, rba_differential
+from .complexes import ComplexData, ComplexKind
 from .linalg import RationalMatrix, Vector, is_zero_vector, vsub, zero_vector
 
 
@@ -70,13 +70,6 @@ class CocyclePair:
         return RBACochain(
             cochain_from_bilinear(self.psi, self.mod_dim), cochain_from_matrix(self.chi)
         )
-
-    @staticmethod
-    def zero(base_dim: int, mod_dim: int) -> "CocyclePair":
-        table = tuple(
-            tuple(zero_vector(mod_dim) for _ in range(base_dim)) for _ in range(base_dim)
-        )
-        return CocyclePair(table, RationalMatrix.zeros(mod_dim, base_dim))
 
     def sub(self, other: "CocyclePair") -> "CocyclePair":
         table = tuple(
@@ -136,21 +129,8 @@ class BuildResult:
         return self.axioms_ok
 
 
-def build_extension(
-    r: RBPreLieAlgebra, m: RBBimodule, c: CocyclePair, *, trusted: bool = False
-) -> BuildResult:
-    """Total space g⊕M with the twisted product and operator.
-
-    The validity verdict is computed twice: by checking the axioms on the
-    total space and by the degree-2 cocycle test; the two must agree
-    whenever (r, m) is valid.
-    """
-    if m.base_dim != r.dim:
-        raise ValueError("module base dimension does not match the algebra")
-    if (c.base_dim, c.mod_dim) != (r.dim, m.mod_dim):
-        raise ValueError("cocycle pair dimensions do not match (algebra, module)")
-    if not trusted:
-        require_valid(r, m)
+def _total_space(r: RBPreLieAlgebra, m: RBBimodule, c: CocyclePair) -> ExtensionData:
+    """g⊕M with the product twisted by ψ and the operator [[T, 0], [χ, T_M]]."""
     d, md = r.dim, m.mod_dim
     total_dim = d + md
     bm = m.bimodule
@@ -171,14 +151,30 @@ def build_extension(
             else:
                 row.append(zero_vector(total_dim))
         table.append(tuple(row))
-    # the total operator [[T, 0], [χ, T_M]]
     operator = RationalMatrix.block([[r.operator, RationalMatrix.zeros(d, md)], [c.chi, m.t_m]])
     total = RBPreLieAlgebra(PreLieAlgebra(total_dim, tuple(table)), r.weight, operator)
-    ext = ExtensionData(total, d, md)
+    return ExtensionData(total, d, md)
 
-    pl = check_pre_lie(total.algebra)
-    rb = check_rb_operator(total)
-    defect = rba_differential(r, m, c.as_cochain(), trusted=True)
+
+def build_extension(
+    r: RBPreLieAlgebra, m: RBBimodule, c: CocyclePair, *, trusted: bool = False
+) -> BuildResult:
+    """Total space g⊕M with the twisted product and operator.
+
+    The validity verdict is computed twice: by checking the axioms on the
+    total space and by the degree-2 cocycle test; the two must agree
+    whenever (r, m) is valid.
+    """
+    if m.base_dim != r.dim:
+        raise ValueError("module base dimension does not match the algebra")
+    if (c.base_dim, c.mod_dim) != (r.dim, m.mod_dim):
+        raise ValueError("cocycle pair dimensions do not match (algebra, module)")
+    if not trusted:
+        require_valid(r, m)
+    ext = _total_space(r, m, c)
+    pl = check_pre_lie(ext.total.algebra)
+    rb = check_rb_operator(ext.total)
+    defect = ComplexData(r, m).coboundary(ComplexKind.RBA, c.as_cochain())
     return BuildResult(
         ext,
         pl.ok and rb.ok,
@@ -251,7 +247,7 @@ def extract_cocycle(e: ExtensionData, s: RationalMatrix) -> ExtractResult:
             m_part(vsub(e.total.operator.apply(s_cols[j]), s.apply(base.operator.col(j))))
         )
     pair = CocyclePair(tuple(psi_rows), RationalMatrix.from_cols(chi_cols, md))
-    defect = rba_differential(base, bimod, pair.as_cochain(), trusted=True)
+    defect = ComplexData(base, bimod).coboundary(ComplexKind.RBA, pair.as_cochain())
     return ExtractResult(pair, bimod, base, defect.is_zero())
 
 
@@ -277,9 +273,8 @@ def sections_same_class(
     gamma = RationalMatrix.from_sparse(diff.sparse_rows[d:], d)
     same_actions = r1.bimodule == r2.bimodule
     # the combined coboundary of (γ, 0) is (δγ, −Φγ)
-    expected = rba_differential(
-        r1.base, r1.bimodule, RBACochain(cochain_from_matrix(gamma), Cochain.zero(0, d, md)),
-        trusted=True,
+    expected = ComplexData(r1.base, r1.bimodule).coboundary(
+        ComplexKind.RBA, RBACochain(cochain_from_matrix(gamma), Cochain.zero(0, d, md))
     )
     matches = r1.pair.sub(r2.pair).as_cochain().sub(expected).is_zero()
     return SectionComparison(matches and same_actions, gamma, matches, same_actions)
@@ -303,13 +298,14 @@ def iso_from_coboundary(
     both the base and the module.
     """
     d, md = r.dim, m.mod_dim
+    data = ComplexData(r, m)
     for c in (c1, c2):
-        if not rba_differential(r, m, c.as_cochain(), trusted=True).is_zero():
+        if not data.coboundary(ComplexKind.RBA, c.as_cochain()).is_zero():
             raise InvalidStructureError("input pair is not a degree-2 cocycle")
     diff = c1.sub(c2).as_cochain()
     # the degree-1 combined coboundary maps (γ, u) to (δγ, −Φγ − ∂u), and
     # ∂ = 0 in degree 0; the solve sets the free u to zero and returns (γ, 0)
-    sol, _ = ComplexData(r, m).solve(ComplexKind.RBA, 1, diff.coords())
+    sol, _ = data.solve(ComplexKind.RBA, 1, diff.coords())
     if sol is None:
         return IsoResult(False, None, None, False, False)
     gamma = matrix_from_cochain(RBACochain.from_coords(1, d, md, sol).pla_part)
@@ -319,8 +315,7 @@ def iso_from_coboundary(
             [-gamma, RationalMatrix.identity(md)],
         ]
     )
-    ext1 = build_extension(r, m, c1, trusted=True).extension
-    ext2 = build_extension(r, m, c2, trusted=True).extension
+    ext1, ext2 = _total_space(r, m, c1), _total_space(r, m, c2)
     morphism_ok = check_morphism(ext2.total, ext1.total, zeta).ok
     diagram_ok = (
         zeta.matmul(ext2.inclusion()) == ext1.inclusion()

@@ -35,10 +35,6 @@ class ParseError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
 def parse_rational(value: Any, path: str) -> Fraction:
     if isinstance(value, bool):
         raise ParseError("expected a rational literal", path)
@@ -162,7 +158,7 @@ def load_yaml(text: str) -> Any:
 
 
 def serialize_vector(v: Sequence[Fraction]) -> list[str]:
-    return [format_rational(x) for x in v]
+    return [str(x) for x in v]
 
 
 def serialize_matrix(m: RationalMatrix) -> list[list[str]]:
@@ -171,20 +167,6 @@ def serialize_matrix(m: RationalMatrix) -> list[list[str]]:
 
 def serialize_table(table) -> list:
     return [[serialize_vector(v) for v in row] for row in table]
-
-
-def _dump(doc: dict) -> str:
-    """The YAML text of a document, emitted by libyaml when PyYAML has it.
-
-    The two emitters differ only in where they fold double-quoted scalars
-    (strings that need escapes), so a text holding a double quote is emitted
-    again by the pure-Python dumper: the bytes never depend on libyaml.
-    """
-    options = {"sort_keys": False, "default_flow_style": None, "width": 100}
-    text = yaml.dump(doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper), **options)
-    if '"' in text:
-        text = yaml.dump(doc, Dumper=yaml.SafeDumper, **options)
-    return text
 
 
 # ---------------------------------------------------------------- algebras
@@ -226,7 +208,7 @@ def algebra_document(
     if name is not None:
         doc["name"] = name
     doc["dimension"] = r.dim
-    doc["weight"] = format_rational(r.weight)
+    doc["weight"] = str(r.weight)
     doc["product"] = serialize_table(r.algebra.c)
     doc["operator"] = serialize_matrix(r.operator)
     if module is not None:
@@ -237,12 +219,6 @@ def algebra_document(
             "operator": serialize_matrix(module.t_m),
         }
     return doc
-
-
-def serialize_algebra(
-    r: RBPreLieAlgebra, module: RBBimodule | None = None, name: str | None = None
-) -> str:
-    return _dump(algebra_document(r, module, name))
 
 
 # ---------------------------------------------------------------- cochains
@@ -384,7 +360,7 @@ def extension_document(e: ExtensionData) -> dict:
         "kind": "extension",
         "base_dimension": e.base_dim,
         "module_dimension": e.mod_dim,
-        "weight": format_rational(e.total.weight),
+        "weight": str(e.total.weight),
         "product": serialize_table(e.total.algebra.c),
         "operator": serialize_matrix(e.total.operator),
     }
@@ -444,7 +420,7 @@ def twoalg_document(t: TwoAlgebra, weight: Fraction) -> dict:
         "kind": "two_algebra",
         "dim0": t.dim0,
         "dim1": t.dim1,
-        "weight": format_rational(weight),
+        "weight": str(weight),
         "d": serialize_matrix(t.d_map),
         "l2_00": serialize_table(t.l2_00),
         "l2_01": serialize_table(t.l2_01),
@@ -481,7 +457,7 @@ def crossed_document(cm: CrossedModule) -> dict:
         "kind": "crossed_module",
         "dim0": cm.dim0,
         "dim1": cm.dim1,
-        "weight": format_rational(cm.g0.weight),
+        "weight": str(cm.g0.weight),
         "product0": serialize_table(cm.g0.algebra.c),
         "operator0": serialize_matrix(cm.g0.operator),
         "product1": serialize_table(cm.g1_product),
@@ -493,4 +469,14 @@ def crossed_document(cm: CrossedModule) -> dict:
 
 
 def dump_document(doc: dict) -> str:
-    return _dump(doc)
+    """The YAML text of a document, emitted by libyaml when PyYAML has it.
+
+    The two emitters differ only in where they fold double-quoted scalars
+    (strings that need escapes), so a text holding a double quote is emitted
+    again by the pure-Python dumper: the bytes never depend on libyaml.
+    """
+    options = {"sort_keys": False, "default_flow_style": None, "width": 100}
+    text = yaml.dump(doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper), **options)
+    if '"' in text:
+        text = yaml.dump(doc, Dumper=yaml.SafeDumper, **options)
+    return text

@@ -65,7 +65,7 @@ from .algebras import (
     zero_table,
 )
 from .cochains import Cochain, RBACochain, bilinear_from_cochain, cochain_from_bilinear
-from .complexes import rba_differential
+from .complexes import ComplexData, ComplexKind
 from .linalg import (
     RationalMatrix,
     Vector,
@@ -242,12 +242,6 @@ def _condition_f(n: _Integers) -> dict[tuple[int, ...], list[int]]:
     }
 
 
-def condition_f_value(t: TwoAlgebra, w: int, x: int, y: int, z: int) -> Vector:
-    """The twelve-term top coherence, evaluated on basis indices."""
-    n = t.integers
-    return fractions_over(_condition_f(n)[w, x, y, z], n.den * n.den)
-
-
 def _insert(tensor: dict, t0_cols: list, slot: int, size: int) -> dict:
     """T₀ inserted in one slot of a map on basis triples: at each key, the
     sum over k of T₀[k][key[slot]] times the value at the key with k in that
@@ -263,7 +257,12 @@ def _insert(tensor: dict, t0_cols: list, slot: int, size: int) -> dict:
 
 def _condition_v(n: _Integers, lam: Fraction) -> dict[tuple[int, ...], list[int]]:
     """The numerators of the long operator coherence over q²·D⁴ for λ = p/q,
-    keyed by every basis triple (x1, x2, x3)."""
+    keyed by every basis triple (x1, x2, x3).
+
+    Structure: the T₀-twisted action terms with their T₁-corrections, the
+    star-product insertions into T₂, and every T₀-insertion pattern into l₃
+    weighted by λ to the number of untouched slots minus one.
+    """
     p, q, den, size = lam.numerator, lam.denominator, n.den, n.dim1
     star = star_core(n.l00, n.t0, p, q, den)  # over q·D²
     # the T₀-twisted level-mixing actions with their T₁-corrections, over D³
@@ -304,18 +303,6 @@ def _condition_v(n: _Integers, lam: Fraction) -> dict[tuple[int, ...], list[int]
             )
         ]
     return out
-
-
-def condition_v_value(t: TwoAlgebra, lam: Fraction, x1: int, x2: int, x3: int) -> Vector:
-    """The long operator coherence, evaluated on basis indices.
-
-    Structure: the T₀-twisted action terms with their T₁-corrections, the
-    star-product insertions into T₂, and every T₀-insertion pattern into l₃
-    weighted by λ to the number of untouched slots minus one.
-    """
-    lam, n = Fraction(lam), t.integers
-    den = lam.denominator**2 * n.den**4
-    return fractions_over(_condition_v(n, lam)[x1, x2, x3], den)
 
 
 def check_rb_2alg(t: TwoAlgebra, weight) -> Verdict:
@@ -385,7 +372,7 @@ def skeletal_to_cocycle(
     r = RBPreLieAlgebra(PreLieAlgebra(t.dim0, t.l2_00), lam, t.t0)
     m = RBBimodule(_actions_from_tables(t), t.t1)
     cochain = RBACochain(t.l3, cochain_from_bilinear(t.t2, t.dim1))
-    defect = rba_differential(r, m, cochain, trusted=True)
+    defect = ComplexData(r, m).coboundary(ComplexKind.RBA, cochain)
     if not defect.is_zero():
         raise InvalidStructureError("extracted pair is not a degree-3 cocycle")
     return r, m, cochain
@@ -395,7 +382,7 @@ def cocycle_to_skeletal(r: RBPreLieAlgebra, m: RBBimodule, c: RBACochain) -> Two
     """Assemble the skeletal structure carried by a degree-3 cocycle."""
     if c.degree != 3 or c.base_dim != r.dim or c.mod_dim != m.mod_dim:
         raise ValueError("expected a degree-3 pair matching (algebra, module)")
-    defect = rba_differential(r, m, c, trusted=True)
+    defect = ComplexData(r, m).coboundary(ComplexKind.RBA, c)
     if not defect.is_zero():
         parts = []
         if not defect.pla_part.is_zero():

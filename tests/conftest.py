@@ -1,4 +1,5 @@
 import os
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 import rbprelie
 from rbprelie import Bimodule, PreLieAlgebra, RBBimodule, RBPreLieAlgebra, regular_bimodule
 from rbprelie.algebras import zero_table
-from rbprelie.linalg import RationalMatrix
+from rbprelie.linalg import RationalMatrix, fractions_over
+from rbprelie.twoalg import _condition_f, _condition_v
 
 # `python -m rbprelie.cli` subprocesses import the same package as the tests,
 # whether it is installed or found through pytest's `pythonpath`
@@ -65,6 +67,43 @@ def make_noncommuting_module() -> tuple[RBPreLieAlgebra, RBBimodule]:
     left = (RationalMatrix.from_rows([[0, 1], [0, 0]]), RationalMatrix.from_rows([[0, 0], [1, 0]]))
     zero = RationalMatrix.zeros(2, 2)
     return r, RBBimodule(Bimodule(2, 2, left, (zero, zero)), zero)
+
+
+def condition_f_value(t, w, x, y, z):
+    """The twelve-term top coherence of a two-term structure on basis
+    indices: the numerators of ``_condition_f`` over D²."""
+    n = t.integers
+    return fractions_over(_condition_f(n)[w, x, y, z], n.den * n.den)
+
+
+def condition_v_value(t, lam, x1, x2, x3):
+    """The long operator coherence on basis indices: the numerators of
+    ``_condition_v`` over q²·D⁴ for λ = p/q."""
+    lam, n = Fraction(lam), t.integers
+    return fractions_over(_condition_v(n, lam)[x1, x2, x3], lam.denominator**2 * n.den**4)
+
+
+@pytest.fixture
+def built_blocks(monkeypatch) -> Counter:
+    """Counts of the blocks assembled while the test runs: (kind, n) for each
+    ``complexes.differential_matrix`` call and ("phi", n) for each
+    ``complexes.phi_matrix`` call, looked up where ``ComplexData`` finds them."""
+    from rbprelie import complexes
+
+    assemble, assemble_phi = complexes.differential_matrix, complexes.phi_matrix
+    built: Counter = Counter()
+
+    def counting_differential(kind, r, m, n):
+        built[(kind, n)] += 1
+        return assemble(kind, r, m, n)
+
+    def counting_phi(r, m, n):
+        built[("phi", n)] += 1
+        return assemble_phi(r, m, n)
+
+    monkeypatch.setattr(complexes, "differential_matrix", counting_differential)
+    monkeypatch.setattr(complexes, "phi_matrix", counting_phi)
+    return built
 
 
 @pytest.fixture

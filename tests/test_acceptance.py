@@ -76,14 +76,18 @@ from rbprelie.twoalg import (
     check_prelie_2alg,
     check_rb_2alg,
     cocycle_to_skeletal,
-    condition_f_value,
-    condition_v_value,
     crossed_to_strict,
     skeletal_to_cocycle,
     strict_to_crossed,
 )
 
-from conftest import make_a0, make_a1n, make_idempotent
+from conftest import (
+    condition_f_value,
+    condition_v_value,
+    make_a0,
+    make_a1n,
+    make_idempotent,
+)
 from oracles import (
     bimodule_left,
     bimodule_right,

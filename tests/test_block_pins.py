@@ -42,11 +42,11 @@ from rbprelie.extensions import (
     sections_same_class,
 )
 from rbprelie.files import (
+    algebra_document,
     cochain_document,
     crossed_document,
     dump_document,
     parse_algebra_file,
-    serialize_algebra,
     serialize_matrix,
     twoalg_document,
 )
@@ -190,7 +190,8 @@ def _cli_cases(rng: random.Random, tmp: Path):
     algebras = [(name, FIXTURES / f"{name}.yaml", _fixture(name)) for name in ("a0", "a1n")]
     for n in range(6):
         r, m = random_valid_pair(rng, 1 + n % 3)
-        algebras.append((f"{n}", write(f"alg{n}.yaml", serialize_algebra(r, m)), (r, m)))
+        text = dump_document(algebra_document(r, m))
+        algebras.append((f"{n}", write(f"alg{n}.yaml", text), (r, m)))
     for name, alg, (r, m) in algebras:
         for label, c in (
             ("cocycle", random_rba_cocycle(rng, r, m, 2)),

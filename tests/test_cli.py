@@ -14,10 +14,10 @@ from rbprelie.cochains import Cochain, RBACochain
 from rbprelie.algebras import zero_table
 from rbprelie.deformations import TruncatedDeformation, gauge_transform, trivial_deformation
 from rbprelie.files import (
+    algebra_document,
     cochain_document,
     deformation_document,
     dump_document,
-    serialize_algebra,
     twoalg_document,
 )
 from rbprelie.generators import (
@@ -140,7 +140,7 @@ def test_cocycle_command(tmp_path):
     rng = random.Random(0)
     r, m = random_valid_pair(rng, 2)
     alg = tmp_path / "alg.yaml"
-    alg.write_text(serialize_algebra(r, m))
+    alg.write_text(dump_document(algebra_document(r, m)))
     c = random_rba_cocycle(rng, r, m, 2)
     good = tmp_path / "cocycle.yaml"
     good.write_text(dump_document(cochain_document("rba", c)))
@@ -152,7 +152,7 @@ def test_extend_extract_round_trip(tmp_path):
     rng = random.Random(1)
     r, m = random_valid_pair(rng, 2)
     alg = tmp_path / "alg.yaml"
-    alg.write_text(serialize_algebra(r, m))
+    alg.write_text(dump_document(algebra_document(r, m)))
     c = random_rba_cocycle(rng, r, m, 2)
     pair_file = tmp_path / "pair.yaml"
     pair_file.write_text(dump_document(cochain_document("rba", c)))
@@ -173,7 +173,7 @@ def test_extract_with_explicit_section(tmp_path):
     rng = random.Random(5)
     r, m = random_valid_pair(rng, 2)
     alg = tmp_path / "alg.yaml"
-    alg.write_text(serialize_algebra(r, m))
+    alg.write_text(dump_document(algebra_document(r, m)))
     c = random_rba_cocycle(rng, r, m, 2)
     pair_file = tmp_path / "pair.yaml"
     pair_file.write_text(dump_document(cochain_document("rba", c)))
@@ -195,7 +195,7 @@ def test_deform_commands(tmp_path):
 
     r = random_rb_pre_lie(rng, 2)
     alg = tmp_path / "alg.yaml"
-    alg.write_text(serialize_algebra(r))
+    alg.write_text(dump_document(algebra_document(r)))
     d = gauge_transform(r, trivial_deformation(r, 2), random_gauge(rng, 2, 2))
     deff = tmp_path / "def.yaml"
     deff.write_text(dump_document(deformation_document(d)))
@@ -210,7 +210,7 @@ def test_deform_commands(tmp_path):
 def test_deform_trivialize_obstruction(tmp_path):
     a0 = make_a0()
     alg = tmp_path / "a0.yaml"
-    alg.write_text(serialize_algebra(a0))
+    alg.write_text(dump_document(algebra_document(a0)))
     doc = {
         "kind": "deformation",
         "order": 1,
@@ -228,7 +228,7 @@ def test_twoalg_commands(tmp_path):
     rng = random.Random(3)
     r, m = random_valid_pair(rng, 2)
     alg = tmp_path / "alg.yaml"
-    alg.write_text(serialize_algebra(r, m))
+    alg.write_text(dump_document(algebra_document(r, m)))
     c = random_rba_cocycle(rng, r, m, 3)
     coc = tmp_path / "c3.yaml"
     coc.write_text(dump_document(cochain_document("rba", c)))
@@ -310,7 +310,7 @@ def _extract_with_bad_section(tmp_path):
     rng = random.Random(5)
     r, m = random_valid_pair(rng, 2)
     alg = tmp_path / "alg.yaml"
-    alg.write_text(serialize_algebra(r, m))
+    alg.write_text(dump_document(algebra_document(r, m)))
     pair_file = tmp_path / "pair.yaml"
     pair_file.write_text(dump_document(cochain_document("rba", random_rba_cocycle(rng, r, m, 2))))
     ext_file = tmp_path / "ext.yaml"
@@ -333,7 +333,7 @@ def _deform_invalid_at_order_one(action):
             r, (r.algebra.c, zero_table(1, 1, 1)), (r.operator, RationalMatrix.from_rows([[1]]))
         )
         alg, deff = tmp_path / "alg.yaml", tmp_path / "def.yaml"
-        alg.write_text(serialize_algebra(r))
+        alg.write_text(dump_document(algebra_document(r)))
         deff.write_text(dump_document(deformation_document(d)))
         return ["deform", action, alg, deff]
 
@@ -374,7 +374,7 @@ def _noncommuting_module_files(tmp_path):
     zero cochains of each kind the validating commands read."""
     r, m = make_noncommuting_module()
     alg = tmp_path / "alg.yaml"
-    alg.write_text(serialize_algebra(r, m))
+    alg.write_text(dump_document(algebra_document(r, m)))
     files = {"alg": alg}
     for name, which, degree in (("c1", "pla", 1), ("c2", "rba", 2), ("c3", "rba", 3)):
         path = tmp_path / f"{name}.yaml"
@@ -441,7 +441,7 @@ def test_module_that_is_not_a_representation_is_rejected(tmp_path, capsys, argv)
 
 def test_from_cocycle_dimension_mismatch_is_parse_error(tmp_path, capsys):
     alg = tmp_path / "alg.yaml"
-    alg.write_text(serialize_algebra(make_a0()))
+    alg.write_text(dump_document(algebra_document(make_a0())))
     zero = RBACochain(Cochain.zero(3, 2, 2), Cochain.zero(2, 2, 2))
     coc = tmp_path / "c3.yaml"
     coc.write_text(dump_document(cochain_document("rba", zero)))

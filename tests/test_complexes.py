@@ -39,6 +39,7 @@ from rbprelie.generators import (
     random_cochain,
     random_invertible,
     random_rba_cochain,
+    random_rba_cocycle,
     random_valid_pair,
     random_vector,
 )
@@ -634,37 +635,25 @@ def test_degree_one_operator_block_is_zero():
             assert d1.col(j) == zero_vector(d1.rows)
 
 
-def test_cohomology_all_assembles_each_block_once(monkeypatch, tmp_path):
+def test_cohomology_all_assembles_each_block_once(built_blocks, tmp_path):
     from collections import Counter
 
-    from rbprelie import complexes
     from rbprelie.cli import run_command
 
-    assemble, assemble_phi = complexes.differential_matrix, complexes.phi_matrix
-    built: Counter = Counter()
-
-    def counting_differential(kind, r, m, n):
-        built[(kind, n)] += 1
-        return assemble(kind, r, m, n)
-
-    def counting_phi(r, m, n):
-        built[("phi", n)] += 1
-        return assemble_phi(r, m, n)
-
-    monkeypatch.setattr(complexes, "differential_matrix", counting_differential)
-    monkeypatch.setattr(complexes, "phi_matrix", counting_phi)
     # the combined matrices are composed from the pre-Lie, Φ and operator
     # blocks, so none goes through differential_matrix
     once = Counter(
         {(kind, n): 1 for kind in (ComplexKind.PLA, ComplexKind.RBO, "phi") for n in range(4)}
     )
     for fixture in ("a0.yaml", "a1n.yaml"):
-        built.clear()
+        built_blocks.clear()
         report, code = run_command(["cohomology", str(FIXTURES / fixture), "--complex", "all"])
         assert code == 0 and set(report["dimensions"]) == {"pla", "rbo", "rba"}
-        assert built == once
-    # an LES walk and a cocycle check of each complex also build each block at
-    # most once, and compose every combined matrix from the blocks
+        assert built_blocks == once
+    # an LES walk, a cocycle check of each complex, an extension built and
+    # read back and a skeletal 2-algebra from a degree-3 cochain also build
+    # each block at most once, and compose every combined matrix from the
+    # blocks
     alg = str(FIXTURES / "a1n.yaml")
     r, _, _ = parse_algebra_file((FIXTURES / "a1n.yaml").read_text())
     rng = random.Random(25)
@@ -678,9 +667,19 @@ def test_cohomology_all_assembles_each_block_once(monkeypatch, tmp_path):
         path = tmp_path / f"{which}.yaml"
         path.write_text(dump_document(cochain_document(which, c)))
         requests.append(["cocycle", alg, str(path)])
+    cocycles = {n: tmp_path / f"cocycle{n}.yaml" for n in (2, 3)}
+    for n, path in cocycles.items():
+        c = random_rba_cocycle(rng, r, regular_bimodule(r), n)
+        path.write_text(dump_document(cochain_document("rba", c)))
+    extension = str(tmp_path / "extension.yaml")
+    requests += [
+        ["extend", alg, str(cocycles[2]), "-o", extension],
+        ["extract", extension],
+        ["twoalg", "from-cocycle", alg, str(cocycles[3])],
+    ]
     for argv in requests:
-        built.clear()
+        built_blocks.clear()
         report, _ = run_command(argv)
         assert "error" not in report, (argv, report)
-        assert built and max(built.values()) == 1, (argv, built)
-        assert ComplexKind.RBA not in {key[0] for key in built}, (argv, built)
+        assert built_blocks and max(built_blocks.values()) == 1, (argv, built_blocks)
+        assert ComplexKind.RBA not in {key[0] for key in built_blocks}, (argv, built_blocks)

@@ -373,36 +373,21 @@ def test_rhs_is_cocycle_agrees_with_the_degree_3_matrix(monkeypatch):
         assert result.obstruction.rhs_is_cocycle == defect.is_zero()
 
 
-def test_obstructed_solve_assembles_each_block_once(monkeypatch):
+def test_obstructed_solve_assembles_each_block_once(built_blocks):
     # the obstruction check reuses the request's ComplexData: d₂ and d₃ are
     # composed from blocks each built once, and no combined matrix is
     # assembled through differential_matrix
     from collections import Counter
 
-    from rbprelie import complexes
-
-    assemble, assemble_phi = complexes.differential_matrix, complexes.phi_matrix
-    built: Counter = Counter()
-
-    def counting_differential(kind, r, m, n):
-        built[(kind, n)] += 1
-        return assemble(kind, r, m, n)
-
-    def counting_phi(r, m, n):
-        built[("phi", n)] += 1
-        return assemble_phi(r, m, n)
-
     requests = _obstructed_requests(random.Random(31), 3)
-    monkeypatch.setattr(complexes, "differential_matrix", counting_differential)
-    monkeypatch.setattr(complexes, "phi_matrix", counting_phi)
     once = Counter({
         (ComplexKind.PLA, 2): 1, ("phi", 2): 1, (ComplexKind.RBO, 1): 1,
         (ComplexKind.PLA, 3): 1, ("phi", 3): 1, (ComplexKind.RBO, 2): 1,
     })
     for r, d in requests:
-        built.clear()
+        built_blocks.clear()
         assert solve_next_order(r, d).obstruction is not None
-        assert built == once
+        assert built_blocks == once
 
 
 def test_solve_obstruction_deterministic():

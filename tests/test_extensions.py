@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from rbprelie import phi, pla_differential
-from rbprelie.algebras import InvalidStructureError
+from rbprelie.algebras import InvalidStructureError, zero_table
 from rbprelie.cochains import (
     bilinear_from_cochain,
     cochain_from_matrix,
@@ -30,6 +30,11 @@ from rbprelie.linalg import RationalMatrix
 from conftest import make_noncommuting_module
 
 
+def _zero_pair(base_dim, mod_dim):
+    table = zero_table(base_dim, base_dim, mod_dim)
+    return CocyclePair(table, RationalMatrix.zeros(mod_dim, base_dim))
+
+
 def _pair_from_cocycle(c):
     return CocyclePair(bilinear_from_cochain(c.pla_part), matrix_from_cochain(c.rbo_part))
 
@@ -48,7 +53,7 @@ def _perturbed_section(e, gamma):
 
 def test_block_maps_written_out():
     """Inclusion, projection and canonical section for d = 2, m = 1."""
-    from rbprelie.algebras import PreLieAlgebra, RBPreLieAlgebra, zero_table
+    from rbprelie.algebras import PreLieAlgebra, RBPreLieAlgebra
     from rbprelie.extensions import ExtensionData
 
     total = RBPreLieAlgebra(
@@ -64,7 +69,7 @@ def test_semidirect_product_always_valid():
     rng = random.Random(0)
     for _ in range(8):
         r, m = random_valid_pair(rng, rng.randint(1, 3))
-        built = build_extension(r, m, CocyclePair.zero(r.dim, m.mod_dim))
+        built = build_extension(r, m, _zero_pair(r.dim, m.mod_dim))
         assert built.axioms_ok and built.cocycle_ok
         assert check_extension(built.extension).ok
 
@@ -72,7 +77,7 @@ def test_semidirect_product_always_valid():
 def test_build_extension_rejects_a_module_that_is_not_a_representation():
     r, m = make_noncommuting_module()
     with pytest.raises(InvalidStructureError, match="module is not a Rota-Baxter bimodule"):
-        build_extension(r, m, CocyclePair.zero(r.dim, m.mod_dim))
+        build_extension(r, m, _zero_pair(r.dim, m.mod_dim))
 
 
 def test_a0_extension_fixture(a0, a0_reg):
@@ -124,9 +129,9 @@ def test_extract_canonical_round_trip():
 def test_extract_semidirect_is_zero_pair():
     rng = random.Random(3)
     r, m = random_valid_pair(rng, 2)
-    built = build_extension(r, m, CocyclePair.zero(r.dim, m.mod_dim))
+    built = build_extension(r, m, _zero_pair(r.dim, m.mod_dim))
     result = extract_cocycle(built.extension, canonical_section(built.extension))
-    assert result.pair == CocyclePair.zero(r.dim, m.mod_dim)
+    assert result.pair == _zero_pair(r.dim, m.mod_dim)
 
 
 def test_perturbed_section_shifts_by_coboundary():
@@ -188,9 +193,39 @@ def test_iso_from_constructed_coboundary():
         assert result.cohomologous and result.morphism_ok and result.diagram_ok
 
 
+def test_iso_from_coboundary_assembles_each_block_once(built_blocks):
+    # one ComplexData serves both cocycle tests and the degree-1 solve, and
+    # the two total spaces are built without a second cocycle test
+    from collections import Counter
+
+    from rbprelie.complexes import ComplexKind
+
+    rng = random.Random(9)
+    cases = []
+    for _ in range(4):
+        r, m = random_valid_pair(rng, 2)
+        c1 = random_rba_cocycle(rng, r, m, 2)
+        g = cochain_from_matrix(random_matrix(rng, m.mod_dim, r.dim))
+        shifted = c1.pla_part.sub(pla_differential(r.algebra, m.bimodule, g))
+        chi2 = c1.rbo_part.add(phi(r, m, g))
+        pair2 = CocyclePair(bilinear_from_cochain(shifted), matrix_from_cochain(chi2))
+        cases.append((r, m, _pair_from_cocycle(c1), pair2))
+    once = Counter({
+        (ComplexKind.PLA, 2): 1, ("phi", 2): 1, (ComplexKind.RBO, 1): 1,
+        (ComplexKind.PLA, 1): 1, ("phi", 1): 1, (ComplexKind.RBO, 0): 1,
+    })
+    for r, m, pair1, pair2 in cases:
+        built_blocks.clear()
+        iso_from_coboundary(r, m, pair1, pair1)
+        assert built_blocks == once
+        built_blocks.clear()
+        assert iso_from_coboundary(r, m, pair1, pair2).cohomologous
+        assert built_blocks == once
+
+
 def test_iso_not_cohomologous_on_a0(a0, a0_reg):
     p1 = CocyclePair((((Fraction(1),),),), RationalMatrix.zeros(1, 1))
-    result = iso_from_coboundary(a0, a0_reg, p1, CocyclePair.zero(1, 1))
+    result = iso_from_coboundary(a0, a0_reg, p1, _zero_pair(1, 1))
     assert not result.cohomologous
     assert result.zeta is None
 
@@ -234,7 +269,7 @@ def test_transported_section_gives_equal_pairs():
 
 
 def test_check_extension_detects_failures(a0, a0_reg):
-    pair = CocyclePair.zero(1, 1)
+    pair = _zero_pair(1, 1)
     built = build_extension(a0, a0_reg, pair)
     ext = built.extension
     # perturb the operator so it no longer preserves the module block
@@ -253,7 +288,7 @@ def test_check_extension_detects_failures(a0, a0_reg):
 def test_check_extension_module_product_and_ideal():
     rng = random.Random(10)
     r, m = random_valid_pair(rng, 2)
-    built = build_extension(r, m, CocyclePair.zero(r.dim, m.mod_dim))
+    built = build_extension(r, m, _zero_pair(r.dim, m.mod_dim))
     assert check_extension(built.extension).ok
     # writing a product value into the module block breaks the zero-product law
     from rbprelie.algebras import PreLieAlgebra, RBPreLieAlgebra

@@ -27,7 +27,6 @@ from rbprelie.files import (
     parse_extension_file,
     parse_rational,
     parse_twoalg_file,
-    serialize_algebra,
     twoalg_document,
 )
 from rbprelie.generators import (
@@ -60,11 +59,11 @@ def test_algebra_round_trip_with_module():
     rng = random.Random(0)
     for _ in range(8):
         r, m = random_valid_pair(rng, rng.randint(1, 3))
-        text = serialize_algebra(r, m, name="sample")
+        text = dump_document(algebra_document(r, m, name="sample"))
         r2, m2, name = parse_algebra_file(text)
         assert (r2, m2, name) == (r, m, "sample")
         # serialize → parse → serialize is stable
-        assert serialize_algebra(r2, m2, name="sample") == text
+        assert dump_document(algebra_document(r2, m2, name="sample")) == text
 
 
 def test_algebra_minimal_a0_document():

@@ -29,12 +29,12 @@ from rbprelie.files import (
     EXTENSION_FIELDS,
     MODULE_FIELDS,
     TWOALG_FIELDS,
+    algebra_document,
     cochain_document,
     crossed_document,
     deformation_document,
     dump_document,
     parse_algebra_file,
-    serialize_algebra,
     twoalg_document,
 )
 from rbprelie.generators import (
@@ -169,7 +169,7 @@ def test_seeded_outputs_read_back(tmp_path, seed):
     s = Session(tmp_path)
     rng = random.Random(seed)
     r, m = random_valid_pair(rng, 1 + seed % 3)
-    alg = s.write("alg", serialize_algebra(r, m))
+    alg = s.write("alg", dump_document(algebra_document(r, m)))
     c2, c3 = (cochain_document("rba", random_rba_cocycle(rng, r, m, n)) for n in (2, 3))
     _algebra_round_trips(s, alg, c2, c3)
     _deform_round_trip(

@@ -46,12 +46,11 @@ a table entry.  The integer cores of ``algebras`` (``pre_lie_core``,
 ``rb_bimodule_defects``, ``star_algebra``, ``derived_bimodule``),
 ``deformations.gauge_transform`` and the two-term and crossed-module checks
 of ``twoalg`` (``_prelie_2alg_defects``, ``_rb_2alg_defects``,
-``_crossed_module_defects``, and the top coherences ``condition_f_value``,
-``condition_v_value`` with their ``_condition_f``, ``_condition_v``) are
-the exception: they read their tables and matrices once as ``int`` tensors
-over one common denominator per family, and make ``Fraction`` values only
-for the entries they return, so they call none of ``vadd``, ``vsub``,
-``vscale``, ``bilinear``, ``.apply`` or ``.eval``.
+``_crossed_module_defects``, and the top coherences ``_condition_f`` and
+``_condition_v``) are the exception: they read their tables and matrices
+once as ``int`` tensors over one common denominator per family, and make
+``Fraction`` values only for the entries they return, so they call none of
+``vadd``, ``vsub``, ``vscale``, ``bilinear``, ``.apply`` or ``.eval``.
 
 Each law of the levels is written once: ``twoalg`` defines no integer core
 and no ``_star`` or ``_twisted_actions`` of its own, but imports the cores
@@ -63,6 +62,11 @@ from ``algebras``; ``_prelie_2alg_defects`` calls ``pre_lie_core`` and
 No package module imports a name it never reads or lists in ``__all__``,
 and no function assigns a local it never reads (``_``-prefixed names
 aside).
+
+Code whose only callers are tests lives in the tests: every package
+function and method outside ``__all__`` has a caller in the package.  The
+exemptions, each with its reason, are listed by
+``test_every_private_function_has_a_package_caller``.
 
 A matrix's value is its sparse rows, and only ``linalg`` builds them: no
 other package module calls the ``RationalMatrix(...)`` constructor directly;
@@ -85,6 +89,7 @@ composer of the combined matrix.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -92,6 +97,13 @@ import pytest
 import rbprelie
 
 SOURCES = sorted(Path(rbprelie.__file__).resolve().parent.glob("*.py"))
+MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+CLASSES = {
+    (module, node.name)
+    for module, tree in MODULES.items()
+    for node in tree.body
+    if isinstance(node, ast.ClassDef)
+}
 GLOBAL_CACHES = {"lru_cache", "cache"}
 
 
@@ -377,7 +389,7 @@ INTEGER_KERNELS = {
                                 "rb_bimodule_defects", "star_algebra", "derived_bimodule"},
     "deformations.py": {"gauge_transform"},
     "twoalg.py": {"_prelie_2alg_defects", "_rb_2alg_defects", "_crossed_module_defects",
-                  "_condition_f", "_condition_v", "condition_f_value", "condition_v_value"},
+                  "_condition_f", "_condition_v"},
 }
 FRACTION_ROUTES = {"vadd", "vsub", "vscale", "bilinear", "apply", "eval"}
 
@@ -514,6 +526,91 @@ def test_no_unused_import_or_unread_local(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = sorted(set(_unused_imports(tree)) | set(_unread_locals(tree)))
     assert not found, f"{path.name}: {found}"
+
+
+# functions and methods that stay in the package with no package caller
+NO_CALLER_NEEDED = {
+    "linalg.echelon_basis": "bench/tracing.py wraps it by name",
+    "linalg.same_subspace": "bench/tracing.py wraps it by name",
+    "deformations.infinitesimal": "a map of the paper that no CLI command reaches yet",
+    "deformations.trivial_deformation": "a map of the paper that no CLI command reaches yet",
+    "deformations.rbo_cocycle_check": "a map of the paper that no CLI command reaches yet",
+    "extensions.sections_same_class": "a map of the paper that no CLI command reaches yet",
+    "extensions.iso_from_coboundary": "a map of the paper that no CLI command reaches yet",
+}
+
+
+def _definitions(module: str, tree: ast.Module):
+    """(qualified name, class name or None, definition) of each module-level
+    function and each method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{module}.{node.name}", None, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{module}.{node.name}.{item.name}", node.name, item
+
+
+def _uses(module: str, tree: ast.AST) -> Counter:
+    """The names a tree reads, resolved: a name to (defining module, name)
+    through the module's own definitions and its package imports, an
+    attribute of a package class to (module, class, attribute), and any
+    other attribute to (None, None, attribute)."""
+    home = {node.name: module for node in MODULES[module].body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for node in ast.walk(MODULES[module]):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            home.update((alias.asname or alias.name, node.module) for alias in node.names)
+    uses = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in home:
+            uses[home[node.id], node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            if (home.get(owner), owner) not in CLASSES:
+                owner = None
+            uses[home.get(owner), owner, node.attr] += 1
+    return uses
+
+
+def _has_package_caller(module: str, cls: str | None, node: ast.FunctionDef, uses: Counter):
+    """Whether code outside the definition itself reads its name."""
+    own = _uses(module, node)
+    if cls is None:
+        keys = [(module, node.name)]
+    else:
+        keys = [(module, cls, node.name), (None, None, node.name)]
+    return sum(uses[key] - own[key] for key in keys) > 0
+
+
+def test_every_private_function_has_a_package_caller():
+    """Code whose only callers are tests lives in the tests.  Exempt: the
+    names in ``__all__`` and the methods of classes there (the public
+    interface), dunders (called by Python), the CLI handlers and ``main``
+    (reached through argparse and the console script), the ``generators``
+    module (``bench/gen.py`` draws its inputs from it), and
+    ``NO_CALLER_NEEDED`` with the reason of each."""
+    public = set(rbprelie.__all__)
+    uses = sum((_uses(module, tree) for module, tree in MODULES.items()), Counter())
+    found, exempt = [], set()
+    for module, tree in MODULES.items():
+        for qualified, cls, node in _definitions(module, tree):
+            name = node.name
+            if (
+                module == "generators"
+                or (name.startswith("__") and name.endswith("__"))
+                or (module == "cli" and (name == "main" or name.startswith("_cmd_")))
+                or (cls or name) in public
+                or _has_package_caller(module, cls, node, uses)
+            ):
+                continue
+            if qualified in NO_CALLER_NEEDED:
+                exempt.add(qualified)
+            else:
+                found.append(f"{qualified} (line {node.lineno})")
+    assert not found, f"no package caller: {found}"
+    assert exempt == set(NO_CALLER_NEEDED), f"stale exemptions: {set(NO_CALLER_NEEDED) - exempt}"
 
 
 # the integer twins folded into linalg's integer form and its int_* operations

@@ -35,14 +35,17 @@ from rbprelie.twoalg import (
     check_prelie_2alg,
     check_rb_2alg,
     cocycle_to_skeletal,
-    condition_f_value,
-    condition_v_value,
     crossed_to_strict,
     skeletal_to_cocycle,
     strict_to_crossed,
 )
 
-from conftest import make_a1n, make_noncommuting_module
+from conftest import (
+    condition_f_value,
+    condition_v_value,
+    make_a1n,
+    make_noncommuting_module,
+)
 from oracles import (
     condition_f_by_fractions,
     condition_v_by_fractions,
