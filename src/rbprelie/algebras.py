@@ -28,7 +28,12 @@ of ``linalg``.  This is exact arithmetic in another order, and a
 ``Fraction`` arithmetic gives.
 
 :func:`require_valid` is the one validity gate: operations that require
-valid input pass through it unless called with ``trusted=True``.
+valid input pass through it.  Five take ``trusted=True`` to skip it, for a
+caller that has just passed the gate: :func:`star_algebra` (set by the CLI
+and ``complexes``), :func:`derived_bimodule` (set by ``complexes``),
+``complexes.rba_differential`` (set by the benchmark generator), and
+``extensions.build_extension`` and ``twoalg.crossed_to_strict`` (set by the
+CLI and the benchmark generator).
 
 Conventions:
   * structure constants ``c[i][j][k]`` = coefficient of ``e_k`` in
@@ -233,6 +238,15 @@ def regular_bimodule(r: RBPreLieAlgebra) -> RBBimodule:
     """The algebra acting on itself, with the same operator: (S, P) = (L, R)."""
     d = r.dim
     return RBBimodule(Bimodule(d, d, *r.algebra.multiplications), r.operator)
+
+
+def action_tables(bm: Bimodule) -> tuple[ProductTable, ProductTable]:
+    """The product tables of a bimodule's actions, the inverse of reading
+    (S, P) as the L of one table and the R of the other: ``left[x][u]`` =
+    e_x·u, column u of S[x], and ``right[u][x]`` = u·e_x, column u of P[x]."""
+    left = tuple(tuple(s.col(u) for u in range(bm.mod_dim)) for s in bm.S)
+    right = tuple(tuple(p.col(u) for p in bm.P) for u in range(bm.mod_dim))
+    return left, right
 
 
 def pre_lie_core(mus: Sequence[list], n: int) -> dict[tuple[int, int, int], list[int]]:

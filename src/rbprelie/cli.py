@@ -5,8 +5,9 @@ prints a YAML report with a fixed field order.  The parser is built once, at
 import; each command and each ``deform``/``twoalg`` action is a leaf that
 declares exactly the arguments its handler reads.  Each handler returns the
 report's fields and whether every verdict holds; :func:`run_command` alone
-frames them with ``command`` and ``status`` and picks the exit status: 0
-when every mathematical verdict is ok, 1 when some verdict fails.  Usage and
+frames them with ``command`` and ``status``, writes the ``output`` field to
+``-o/--output`` for the leaves that declare it, and picks the exit status:
+0 when every mathematical verdict is ok, 1 when some verdict fails.  Usage and
 parse errors exit 2.  An input that is not the structure a command needs
 raises ``InvalidStructureError``; it is reported as ``error`` under the bare
 command name, with status ``violation`` and exit 1.  Reports contain no volatile fields unless
@@ -79,13 +80,6 @@ def _read(path: str) -> str:
             return handle.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8 text: {exc}") from None
-
-
-def _emit(args, doc: dict) -> None:
-    """Write an emitted document to ``--output`` when one is given."""
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(dump_document(doc))
 
 
 def _verdict_doc(ok) -> str:
@@ -184,9 +178,7 @@ def _cmd_star(args) -> tuple[dict, bool]:
     r, module, name = _algebra_and_module(args.file)
     require_valid(r, module)
     st = star_algebra(r, trusted=True)
-    doc = algebra_document(st, None, (name + "_star") if name else None)
-    _emit(args, doc)
-    return {"output": doc}, True
+    return {"output": algebra_document(st, None, (name + "_star") if name else None)}, True
 
 
 def _cmd_cocycle(args) -> tuple[dict, bool]:
@@ -212,8 +204,6 @@ def _cmd_extend(args) -> tuple[dict, bool]:
     if (pair.base_dim, pair.mod_dim) != (r.dim, m.mod_dim):
         raise ParseError("pair dimensions do not match (algebra, module)")
     built = build_extension(r, m, pair, trusted=True)
-    doc = extension_document(built.extension)
-    _emit(args, doc)
     agree = built.axioms_ok == built.cocycle_ok
     fields = {
         "verdicts": {
@@ -222,7 +212,7 @@ def _cmd_extend(args) -> tuple[dict, bool]:
             "routes_agree": _verdict_doc(agree),
         },
         "violations": _violations_doc(built.axiom_violations),
-        "output": doc,
+        "output": extension_document(built.extension),
     }
     return fields, built.axioms_ok and agree
 
@@ -240,12 +230,10 @@ def _cmd_extract(args) -> tuple[dict, bool]:
         with _reading(args.section):
             section = parse_section_document(_load_yaml(args.section), ext)
     result = extract_cocycle(ext, section)
-    doc = cochain_document("rba", result.pair.as_cochain())
-    _emit(args, doc)
     fields = {
         "verdicts": {"extension": "ok", "pair_cocycle": _verdict_doc(result.cocycle_ok)},
         "base": algebra_document(result.base, result.bimodule),
-        "output": doc,
+        "output": cochain_document("rba", result.pair.as_cochain()),
     }
     return fields, result.cocycle_ok
 
@@ -315,9 +303,7 @@ def _twoalg_from_cocycle(args) -> tuple[dict, bool]:
         t = cocycle_to_skeletal(r, m, cochain)
     except InvalidStructureError:  # not a cocycle
         return {"verdicts": {"cocycle": "violated"}}, False
-    doc = twoalg_document(t, r.weight)
-    _emit(args, doc)
-    return {"verdicts": {"cocycle": "ok"}, "output": doc}, True
+    return {"verdicts": {"cocycle": "ok"}, "output": twoalg_document(t, r.weight)}, True
 
 
 def _twoalg_from_crossed(args) -> tuple[dict, bool]:
@@ -329,7 +315,6 @@ def _twoalg_from_crossed(args) -> tuple[dict, bool]:
             "violations": _violations_doc(verdict.violations),
         }, False
     doc = twoalg_document(crossed_to_strict(cm, trusted=True), cm.g0.weight)
-    _emit(args, doc)
     return {"verdicts": {"crossed_module": "ok"}, "output": doc}, True
 
 
@@ -349,18 +334,15 @@ def _twoalg_check(args) -> tuple[dict, bool]:
 
 def _twoalg_to_cocycle(args) -> tuple[dict, bool]:
     r, m, cochain = skeletal_to_cocycle(*_parse(parse_twoalg_file, args.file))
-    doc = cochain_document("rba", cochain)
-    _emit(args, doc)
     return {
         "verdicts": {"skeletal": "ok", "cocycle": "ok"},
         "base": algebra_document(r, m),
-        "output": doc,
+        "output": cochain_document("rba", cochain),
     }, True
 
 
 def _twoalg_to_crossed(args) -> tuple[dict, bool]:
     doc = crossed_document(strict_to_crossed(*_parse(parse_twoalg_file, args.file)))
-    _emit(args, doc)
     return {"verdicts": {"strict": "ok"}, "output": doc}, True
 
 
@@ -479,8 +461,8 @@ def run_command(argv) -> tuple[dict, int]:
 
     The leaf a command line reaches names its handler, which returns its
     report fields and whether every verdict holds; this is the one place
-    that adds ``command`` and ``status``, writes ``error`` reports and
-    picks the exit status.
+    that adds ``command`` and ``status``, writes ``error`` reports, writes
+    the ``output`` document to ``-o/--output`` and picks the exit status.
     """
     args = _PARSER.parse_args(argv)
     command, start = args.command, time.monotonic()
@@ -488,6 +470,9 @@ def run_command(argv) -> tuple[dict, int]:
         fields, ok = args.handler(args)
     except InvalidStructureError as exc:
         command, fields, ok = args.cmd, {"error": str(exc)}, False
+    if getattr(args, "output", None) and "output" in fields:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(dump_document(fields["output"]))
     report = {"command": command, **fields, "status": "ok" if ok else "violation"}
     if args.timing:
         report["elapsed_seconds"] = round(time.monotonic() - start, 3)

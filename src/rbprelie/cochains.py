@@ -179,10 +179,9 @@ class Cochain:
         return Cochain(degree, base_dim, mod_dim, vals)
 
 
-def cochain_from_matrix(mat, *, mod_dim: int | None = None) -> Cochain:
+def cochain_from_matrix(mat) -> Cochain:
     """Degree-1 cochain from a matrix whose column j is the value at e_j."""
-    m = mat.rows if mod_dim is None else mod_dim
-    return Cochain(1, mat.cols, m, {(j,): mat.col(j) for j in range(mat.cols)})
+    return Cochain(1, mat.cols, mat.rows, {(j,): mat.col(j) for j in range(mat.cols)})
 
 
 def matrix_from_cochain(f: Cochain):

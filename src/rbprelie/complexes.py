@@ -198,13 +198,10 @@ def pla_differential(a: PreLieAlgebra, m: Bimodule, f: Cochain) -> Cochain:
     return Cochain.from_coords(f.degree + 1, a.dim, m.mod_dim, image)
 
 
-def rbo_differential(
-    r: RBPreLieAlgebra, m: RBBimodule, g: Cochain, *, trusted: bool = False
-) -> Cochain:
+def rbo_differential(r: RBPreLieAlgebra, m: RBBimodule, g: Cochain) -> Cochain:
     """Operator-complex coboundary: the pre-Lie coboundary of the star
     algebra with the derived actions as coefficients."""
-    if not trusted:
-        require_valid(r, m)
+    require_valid(r, m)
     return ComplexData(r, m).coboundary(ComplexKind.RBO, g)
 
 
@@ -300,7 +297,7 @@ class ComplexData:
     def boundaries(self, kind: ComplexKind, n: int) -> EchelonBasis:
         """Echelon basis of Bₙ, the column space of dₙ₋₁; zero in degree 0."""
         if n == 0:
-            return EchelonBasis(self.dim(kind, 0), (), ())
+            return EchelonBasis(RationalMatrix.zeros(0, self.dim(kind, 0)), ())
         return self._once(("B", kind, n), lambda: column_space(self.d(kind, n - 1)))
 
     def cohomology_dims(self, kind: ComplexKind, max_degree: int) -> list[int]:

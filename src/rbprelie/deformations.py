@@ -34,6 +34,7 @@ from .algebras import (
     named,
     pre_lie_defects,
     regular_bimodule,
+    require_valid,
     rota_baxter_defects,
     verdict,
     zero_table,
@@ -46,7 +47,7 @@ from .cochains import (
     cochain_from_matrix,
     matrix_from_cochain,
 )
-from .complexes import ComplexData, ComplexKind, rbo_differential
+from .complexes import ComplexData, ComplexKind
 from .linalg import (
     RationalMatrix,
     fractions_over,
@@ -381,12 +382,11 @@ def trivialize(r: RBPreLieAlgebra, d: TruncatedDeformation) -> TrivializeResult:
     return TrivializeResult(total)
 
 
-def rbo_cocycle_check(r: RBPreLieAlgebra, t1: RationalMatrix, *, trusted: bool = False) -> Verdict:
+def rbo_cocycle_check(r: RBPreLieAlgebra, t1: RationalMatrix) -> Verdict:
     """Is t1, read as a degree-1 operator cochain over the regular module,
     closed under the operator-complex coboundary?"""
     if (t1.rows, t1.cols) != (r.dim, r.dim):
         raise ValueError("candidate must be square of the algebra dimension")
-    reg = regular_bimodule(r)
-    g = cochain_from_matrix(t1)
-    result = rbo_differential(r, reg, g, trusted=trusted)
+    data = ComplexData(r, require_valid(r))
+    result = data.coboundary(ComplexKind.RBO, cochain_from_matrix(t1))
     return verdict(named("rbo_cocycle", dict(sorted(result.values.items()))))

@@ -24,6 +24,7 @@ from .algebras import (
     RBPreLieAlgebra,
     Verdict,
     Violation,
+    action_tables,
     check_morphism,
     check_pre_lie,
     check_rb_operator,
@@ -130,29 +131,17 @@ class BuildResult:
 
 
 def _total_space(r: RBPreLieAlgebra, m: RBBimodule, c: CocyclePair) -> ExtensionData:
-    """g⊕M with the product twisted by ψ and the operator [[T, 0], [χ, T_M]]."""
+    """g⊕M with the product twisted by ψ and the operator [[T, 0], [χ, T_M]]:
+    the table's blocks are [[c + ψ, S], [P, 0]], each value padded into g⊕M."""
     d, md = r.dim, m.mod_dim
-    total_dim = d + md
-    bm = m.bimodule
-
-    def pad(g_part: Vector, m_part: Vector) -> Vector:
-        return tuple(g_part) + tuple(m_part)
-
-    table = []
-    for i in range(total_dim):
-        row = []
-        for j in range(total_dim):
-            if i < d and j < d:
-                row.append(pad(r.algebra.c[i][j], c.psi[i][j]))
-            elif i < d:
-                row.append(pad(zero_vector(d), bm.S[i].col(j - d)))
-            elif j < d:
-                row.append(pad(zero_vector(d), bm.P[j].col(i - d)))
-            else:
-                row.append(zero_vector(total_dim))
-        table.append(tuple(row))
+    left, right = action_tables(m.bimodule)
+    pad, zero = zero_vector(d), zero_vector(d + md)
+    table = tuple(
+        tuple((*u, *v) for u, v in zip(c_row, psi_row)) + tuple((*pad, *v) for v in acts)
+        for c_row, psi_row, acts in zip(r.algebra.c, c.psi, left)
+    ) + tuple(tuple((*pad, *v) for v in acts) + (zero,) * md for acts in right)
     operator = RationalMatrix.block([[r.operator, RationalMatrix.zeros(d, md)], [c.chi, m.t_m]])
-    total = RBPreLieAlgebra(PreLieAlgebra(total_dim, tuple(table)), r.weight, operator)
+    total = RBPreLieAlgebra(PreLieAlgebra(d + md, table), r.weight, operator)
     return ExtensionData(total, d, md)
 
 
@@ -203,8 +192,10 @@ def quotient_structure(e: ExtensionData) -> RBPreLieAlgebra:
     return RBPreLieAlgebra(PreLieAlgebra(d, table), e.total.weight, op)
 
 
-def extract_cocycle(e: ExtensionData, s: RationalMatrix) -> ExtractResult:
-    """Cocycle pair and induced module actions read off a section s."""
+def _read_off(
+    e: ExtensionData, s: RationalMatrix
+) -> tuple[CocyclePair, RBBimodule, RBPreLieAlgebra]:
+    """The pair, the induced module and the base structure read off a section s."""
     _check_section(e, s)
     d, md = e.base_dim, e.mod_dim
     base = quotient_structure(e)
@@ -246,7 +237,13 @@ def extract_cocycle(e: ExtensionData, s: RationalMatrix) -> ExtractResult:
         chi_cols.append(
             m_part(vsub(e.total.operator.apply(s_cols[j]), s.apply(base.operator.col(j))))
         )
-    pair = CocyclePair(tuple(psi_rows), RationalMatrix.from_cols(chi_cols, md))
+    return CocyclePair(tuple(psi_rows), RationalMatrix.from_cols(chi_cols, md)), bimod, base
+
+
+def extract_cocycle(e: ExtensionData, s: RationalMatrix) -> ExtractResult:
+    """Cocycle pair and induced module actions read off a section s, and
+    whether the pair is a degree-2 cocycle."""
+    pair, bimod, base = _read_off(e, s)
     defect = ComplexData(base, bimod).coboundary(ComplexKind.RBA, pair.as_cochain())
     return ExtractResult(pair, bimod, base, defect.is_zero())
 
@@ -264,19 +261,19 @@ def sections_same_class(
 ) -> SectionComparison:
     """Two sections differ by γ: the extracted pairs differ by (δγ, −Φγ)
     and the induced module actions coincide."""
-    r1 = extract_cocycle(e, s1)
-    r2 = extract_cocycle(e, s2)
+    pair1, bimod1, base = _read_off(e, s1)
+    pair2, bimod2, _ = _read_off(e, s2)
     d, md = e.base_dim, e.mod_dim
     diff = s1.sub(s2)
     if not e.projection().matmul(diff).is_zero():
         raise ValueError("sections do not differ by a module-valued map")
     gamma = RationalMatrix.from_sparse(diff.sparse_rows[d:], d)
-    same_actions = r1.bimodule == r2.bimodule
+    same_actions = bimod1 == bimod2
     # the combined coboundary of (γ, 0) is (δγ, −Φγ)
-    expected = ComplexData(r1.base, r1.bimodule).coboundary(
+    expected = ComplexData(base, bimod1).coboundary(
         ComplexKind.RBA, RBACochain(cochain_from_matrix(gamma), Cochain.zero(0, d, md))
     )
-    matches = r1.pair.sub(r2.pair).as_cochain().sub(expected).is_zero()
+    matches = pair1.sub(pair2).as_cochain().sub(expected).is_zero()
     return SectionComparison(matches and same_actions, gamma, matches, same_actions)
 
 

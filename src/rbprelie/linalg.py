@@ -27,10 +27,12 @@ the lcm D of the vector's denominators, forms each row's dot product as an
 ``int`` and makes one ``Fraction(dot, d·D)`` per nonzero output entry.
 ``matmul`` scales the right factor's integer rows to one lcm D, accumulates
 each output row as ``int``s and makes one ``Fraction(acc, d·D)`` per nonzero
-output entry.  An echelon basis keeps its vectors as integer rows B/q with
-q at the pivot, and ``reduce`` holds the residue as w/den: eliminating a
-basis vector with f = w[p] at its pivot p is w ← (q/g)·w − (f/g)·B,
-den ← (q/g)·den with g = gcd(q, f), the update elimination uses below.
+output entry.  An echelon basis is the matrix whose rows are its basis
+vectors; ``reduce`` reads that matrix's integer rows, each B/q with q at
+its pivot (the pivot entry is 1), and holds the residue as w/den:
+eliminating a basis vector with f = w[p] at its pivot p is
+w ← (q/g)·w − (f/g)·B, den ← (q/g)·den with g = gcd(q, f), the update
+elimination uses below.
 
 Elimination is Gauss-Jordan elimination on integer rows held as dicts
 (column → nonzero int), with the fixed pivot scan order of the textbook
@@ -479,22 +481,23 @@ def solve_linear(a: RationalMatrix, b: Sequence) -> Vector | None:
 
 @dataclass(frozen=True)
 class EchelonBasis:
-    """Reduced echelon basis of a subspace, for membership and residue tests."""
+    """Reduced echelon basis of a subspace, for membership and residue tests:
+    the matrix whose rows are the basis vectors, and their pivot columns."""
 
-    dim_ambient: int
-    vectors: tuple[Vector, ...]
+    basis: RationalMatrix
     pivots: tuple[int, ...]
 
     @property
-    def dim(self) -> int:
-        return len(self.vectors)
+    def dim_ambient(self) -> int:
+        return self.basis.cols
 
-    @cached_property
-    def integer_vectors(self) -> tuple[IntegerRow, ...]:
-        """Each basis vector as (q, pairs): its nonzeros are x/q for the
-        (coordinate, integer x) pairs, and x = q at its pivot; the integer
-        rows of the matrix whose rows are the vectors."""
-        return RationalMatrix.from_rows(self.vectors, self.dim_ambient).integer_rows
+    @property
+    def dim(self) -> int:
+        return self.basis.rows
+
+    @property
+    def vectors(self) -> tuple[Vector, ...]:
+        return self.basis.entries
 
     def reduce(self, v: Sequence) -> Vector:
         """Residue of v modulo the subspace, supported on non-pivot coordinates.
@@ -506,7 +509,7 @@ class EchelonBasis:
         if len(v) != self.dim_ambient:
             raise ValueError("dimension mismatch in reduce")
         den, w = integer_form(v)
-        for p, (q, pairs) in zip(self.pivots, self.integer_vectors):
+        for p, (q, pairs) in zip(self.pivots, self.basis.integer_rows):
             f = w[p]
             if not f:
                 continue
@@ -529,14 +532,12 @@ class EchelonBasis:
 
 
 def _echelon(rows: list[dict[int, int]], dim_ambient: int) -> EchelonBasis:
-    if not rows:
-        return EchelonBasis(dim_ambient, (), ())
-    pivots = _reduced_echelon(rows, dim_ambient)
-    kept = tuple(
-        _dense(((j, Fraction(x, rows[r][c])) for j, x in rows[r].items()), dim_ambient)
+    pivots = _reduced_echelon(rows, dim_ambient) if rows else []
+    kept = (
+        tuple((j, Fraction(x, rows[r][c])) for j, x in sorted(rows[r].items()))
         for r, c in enumerate(pivots)
     )
-    return EchelonBasis(dim_ambient, kept, tuple(pivots))
+    return EchelonBasis(RationalMatrix.from_sparse(kept, dim_ambient), tuple(pivots))
 
 
 def echelon_basis(vectors: Iterable[Sequence], dim_ambient: int) -> EchelonBasis:

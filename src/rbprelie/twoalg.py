@@ -51,6 +51,7 @@ from .algebras import (
     RBBimodule,
     RBPreLieAlgebra,
     Verdict,
+    action_tables,
     bimodule_core,
     bimodule_defects,
     derived_core,
@@ -347,28 +348,24 @@ def _rb_2alg_defects(t: TwoAlgebra, lam: Fraction) -> Defects:
 
 def _actions_from_tables(t: TwoAlgebra) -> Bimodule:
     """The mixed products as actions: S[x]α = l₂(e_x, α), P[x]α = l₂(α, e_x),
-    the L of l2_01 and the R of l2_10."""
+    the L of l2_01 and the R of l2_10; ``algebras.action_tables`` is the
+    inverse."""
     return Bimodule(t.dim0, t.dim1, t.lr01[0], t.lr10[1])
 
 
-def _tables_from_actions(bm: Bimodule) -> tuple[ProductTable, ProductTable]:
-    """(l2_01, l2_10) of the actions; the inverse of :func:`_actions_from_tables`."""
-    d0, d1 = bm.base_dim, bm.mod_dim
-    l2_01 = tuple(tuple(bm.S[x].col(a) for a in range(d1)) for x in range(d0))
-    l2_10 = tuple(tuple(bm.P[x].col(a) for x in range(d0)) for a in range(d1))
-    return l2_01, l2_10
+def _require_two_term(t: TwoAlgebra, lam: Fraction) -> None:
+    """The gate of the two-term correspondences: both families of coherence
+    conditions hold, or :class:`InvalidStructureError`."""
+    if not (check_prelie_2alg(t).ok and check_rb_2alg(t, lam).ok):
+        raise InvalidStructureError("structure fails the two-term checks")
 
 
-def skeletal_to_cocycle(
-    t: TwoAlgebra, weight, *, trusted: bool = False
-) -> tuple[RBPreLieAlgebra, RBBimodule, RBACochain]:
+def skeletal_to_cocycle(t: TwoAlgebra, weight) -> tuple[RBPreLieAlgebra, RBBimodule, RBACochain]:
     """Unpack a skeletal structure into (base algebra, module, degree-3 pair)."""
     lam = Fraction(weight)
     if not t.is_skeletal():
         raise InvalidStructureError("structure is not skeletal (connecting map nonzero)")
-    if not trusted:
-        if not check_prelie_2alg(t).ok or not check_rb_2alg(t, lam).ok:
-            raise InvalidStructureError("structure fails the two-term checks")
+    _require_two_term(t, lam)
     r = RBPreLieAlgebra(PreLieAlgebra(t.dim0, t.l2_00), lam, t.t0)
     m = RBBimodule(_actions_from_tables(t), t.t1)
     cochain = RBACochain(t.l3, cochain_from_bilinear(t.t2, t.dim1))
@@ -393,7 +390,7 @@ def cocycle_to_skeletal(r: RBPreLieAlgebra, m: RBBimodule, c: RBACochain) -> Two
             "input is not a cocycle; nonzero coboundary in: " + ", ".join(parts)
         )
     d, md = r.dim, m.mod_dim
-    l2_01, l2_10 = _tables_from_actions(m.bimodule)
+    l2_01, l2_10 = action_tables(m.bimodule)
     return TwoAlgebra(
         dim0=d,
         dim1=md,
@@ -484,15 +481,13 @@ def _crossed_module_defects(cm: CrossedModule) -> Defects:
             yield "c2_right", (a, b), fractions_over(right, den * den)
 
 
-def strict_to_crossed(t: TwoAlgebra, weight, *, trusted: bool = False) -> CrossedModule:
+def strict_to_crossed(t: TwoAlgebra, weight) -> CrossedModule:
     """Collapse a strict structure to a crossed module; the level-1 product
     is the connecting map fed through a mixed action."""
     lam = Fraction(weight)
     if not t.is_strict():
         raise InvalidStructureError("structure is not strict (l3 or T2 nonzero)")
-    if not trusted:
-        if not check_prelie_2alg(t).ok or not check_rb_2alg(t, lam).ok:
-            raise InvalidStructureError("structure fails the two-term checks")
+    _require_two_term(t, lam)
     g0 = RBPreLieAlgebra(PreLieAlgebra(t.dim0, t.l2_00), lam, t.t0)
     r01 = t.lr01[1]
     product = tuple(
@@ -507,7 +502,7 @@ def crossed_to_strict(cm: CrossedModule, *, trusted: bool = False) -> TwoAlgebra
     if not trusted and not check_crossed_module(cm).ok:
         raise InvalidStructureError("input fails the crossed module checks")
     d0, d1 = cm.dim0, cm.dim1
-    l2_01, l2_10 = _tables_from_actions(cm.bimodule().bimodule)
+    l2_01, l2_10 = action_tables(cm.bimodule().bimodule)
     return TwoAlgebra(
         dim0=d0,
         dim1=d1,

@@ -92,7 +92,7 @@ def test_degree0_differentials_are_zero():
     m = regular_bimodule(r)
     u = Cochain(0, 2, 2, {(): (Fraction(0), Fraction(1))})
     assert pla_differential(r.algebra, m.bimodule, u).is_zero()
-    assert rbo_differential(r, m, u, trusted=True).is_zero()
+    assert rbo_differential(r, m, u).is_zero()
 
 
 def test_commutator_candidate_fails_square_zero():
@@ -132,9 +132,7 @@ def test_squares_vanish_randomized():
                 assert pla_differential(
                     r.algebra, m.bimodule, pla_differential(r.algebra, m.bimodule, f)
                 ).is_zero()
-                assert rbo_differential(
-                    r, m, rbo_differential(r, m, f, trusted=True), trusted=True
-                ).is_zero()
+                assert rbo_differential(r, m, rbo_differential(r, m, f)).is_zero()
                 c = random_rba_cochain(stream, n, r.dim, m.mod_dim)
                 assert rba_differential(
                     r, m, rba_differential(r, m, c, trusted=True), trusted=True
@@ -147,7 +145,7 @@ def test_operator_differential_routes_agree():
         r, m = random_valid_pair(rng, rng.randint(1, 3))
         for n in range(0, 4):
             f = random_cochain(rng, n, r.dim, m.mod_dim)
-            derived = rbo_differential(r, m, f, trusted=True)
+            derived = rbo_differential(r, m, f)
             expanded = rbo_differential_expanded(r, m, f)
             assert derived.sub(expanded).is_zero()
 
@@ -176,7 +174,7 @@ def test_operator_differential_scaled_identity_reduction():
         zero_actions = Bimodule(dim, dim, (zero,) * dim, (zero,) * dim)
         for n in (1, 2):
             f = random_cochain(rng, n, dim, dim)
-            got = rbo_differential(r, m, f, trusted=True)
+            got = rbo_differential(r, m, f)
             oracle = pla_differential(scaled, zero_actions, f)
             assert got.sub(oracle).is_zero()
             if lam == 0:
@@ -191,7 +189,7 @@ def test_chain_map_identity_randomized():
             for n in range(1, 4):
                 f = random_cochain(stream, n, r.dim, m.mod_dim)
                 lhs = phi(r, m, pla_differential(r.algebra, m.bimodule, f))
-                rhs = rbo_differential(r, m, phi(r, m, f), trusted=True)
+                rhs = rbo_differential(r, m, phi(r, m, f))
                 assert lhs.sub(rhs).is_zero()
 
 
@@ -587,7 +585,7 @@ def test_star_derived_route_definition():
     for n in range(0, 3):
         f = random_cochain(rng, n, r.dim, m.mod_dim)
         assert (
-            rbo_differential(r, m, f, trusted=True)
+            rbo_differential(r, m, f)
             .sub(pla_differential(st.algebra, der.bimodule, f))
             .is_zero()
         )

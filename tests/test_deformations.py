@@ -471,7 +471,31 @@ def test_rbo_cocycle_examples():
     found_violation = False
     for _ in range(12):
         r = random_rb_pre_lie(rng, rng.randint(1, 3))
-        assert rbo_cocycle_check(r, RationalMatrix.zeros(r.dim, r.dim), trusted=True).ok
-        if not rbo_cocycle_check(r, random_matrix(rng, r.dim, r.dim), trusted=True).ok:
+        assert rbo_cocycle_check(r, RationalMatrix.zeros(r.dim, r.dim)).ok
+        if not rbo_cocycle_check(r, random_matrix(rng, r.dim, r.dim)).ok:
             found_violation = True
     assert found_violation
+
+
+def test_rbo_cocycle_check_runs_no_module_law_checker(monkeypatch):
+    # the gate returns the regular module without checking its laws again
+    from rbprelie import algebras
+
+    calls = []
+
+    def counting(name):
+        checker = getattr(algebras, name)
+
+        def counted(*args):
+            calls.append(name)
+            return checker(*args)
+
+        return counted
+
+    for name in ("check_bimodule", "check_rb_bimodule"):
+        monkeypatch.setattr(algebras, name, counting(name))
+    rng = random.Random(15)
+    for _ in range(4):
+        r = random_rb_pre_lie(rng, rng.randint(1, 3))
+        rbo_cocycle_check(r, random_matrix(rng, r.dim, r.dim))
+    assert calls == []

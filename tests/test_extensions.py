@@ -167,6 +167,26 @@ def test_sections_same_class_randomized():
         assert same.ok and same.gamma.is_zero()
 
 
+def test_sections_same_class_builds_each_block_once(built_blocks):
+    # both pairs are read off without a cocycle test, and one ComplexData
+    # gives (δγ, −Φγ): only the degree-1 combined blocks are built
+    from collections import Counter
+
+    from rbprelie.complexes import ComplexKind
+
+    rng = random.Random(11)
+    once = Counter({(ComplexKind.PLA, 1): 1, ("phi", 1): 1, (ComplexKind.RBO, 0): 1})
+    for _ in range(4):
+        r, m = random_valid_pair(rng, 2)
+        pair = _pair_from_cocycle(random_rba_cocycle(rng, r, m, 2))
+        built = build_extension(r, m, pair)
+        s1 = _perturbed_section(built.extension, random_matrix(rng, m.mod_dim, r.dim))
+        s2 = _perturbed_section(built.extension, random_matrix(rng, m.mod_dim, r.dim))
+        built_blocks.clear()
+        assert sections_same_class(built.extension, s1, s2).ok
+        assert built_blocks == once
+
+
 def test_iso_identity_for_equal_pairs():
     rng = random.Random(6)
     r, m = random_valid_pair(rng, 2)

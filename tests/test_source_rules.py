@@ -82,6 +82,10 @@ anything but the weight ``lam``, and none defines ``fractions_over`` or an
 ``twoalg`` and ``deformations`` once kept of those operations are defined
 nowhere.
 
+No option that no caller sets: every keyword-only parameter of a package
+function or method is passed by keyword at some call site in the package or
+in ``bench/``, outside the function's own body (tests do not count).
+
 Each map has one builder: in ``complexes``, ``_assemble`` is called only by
 ``_coboundary_matrix`` (δ, and ∂ on the star data) and ``phi_matrix``, and
 ``RationalMatrix.block`` only inside ``ComplexData``, whose ``d`` is the one
@@ -97,6 +101,7 @@ import pytest
 import rbprelie
 
 SOURCES = sorted(Path(rbprelie.__file__).resolve().parent.glob("*.py"))
+BENCH_SOURCES = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
 CLASSES = {
     (module, node.name)
@@ -644,3 +649,30 @@ def _integer_form_outside_linalg(path):
 def test_only_linalg_reads_the_integer_form(path):
     found = list(_integer_form_outside_linalg(path))
     assert not found, f"{path.name}: {found}"
+
+
+def _keyword_only_options():
+    """(module, function name, option, definition) for each keyword-only
+    parameter of a package function or method."""
+    for module, tree in MODULES.items():
+        for qualified, _, node in _definitions(module, tree):
+            for arg in node.args.kwonlyargs:
+                yield qualified, node.name, arg.arg, node
+
+
+def test_every_option_is_set_by_a_caller():
+    trees = list(MODULES.values()) + [
+        ast.parse(path.read_text(encoding="utf-8")) for path in BENCH_SOURCES
+    ]
+    calls = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    found = []
+    for qualified, name, option, node in _keyword_only_options():
+        own = {id(call) for call in ast.walk(node)}
+        if not any(
+            _called_name(call) == name
+            and id(call) not in own
+            and any(keyword.arg == option for keyword in call.keywords)
+            for call in calls
+        ):
+            found.append(f"{qualified}({option})")
+    assert not found, f"options no package or bench caller sets: {found}"
