@@ -13,17 +13,23 @@ Rota-Baxter law are written once, as the tⁿ coefficients
 :func:`pre_lie_defects` and :func:`rota_baxter_defects` of a formal series;
 the axioms are their order 0.
 
-Each law and each derived structure is written once, as an integer core
-(:func:`pre_lie_core`, :func:`rota_baxter_core`, :func:`bimodule_core`,
-:func:`rb_bimodule_core`, :func:`star_core`, :func:`derived_core`): it
-takes nested ``int`` tensors and the denominators its terms need, and
-returns numerators over one denominator shared by all terms.  Its public
-entry point reads each family of tables or matrices once in the integer
-form of ``linalg`` (``integer_form``: nested ``int`` lists over the lcm of
-their denominators), calls the core and makes one ``Fraction`` per nonzero
-returned entry (``fractions_over``); ``twoalg`` calls the same cores.  The
-cores' products, weighted sums and transposes are the ``int_*`` operations
-of ``linalg``.  This is exact arithmetic in another order, and a
+Each law and each derived structure is written once, as one of five
+integer cores (:func:`pre_lie_core`, :func:`rota_baxter_core`,
+:func:`bimodule_core`, :func:`star_core`, :func:`derived_core`): it takes
+nested ``int`` tensors and the denominators its terms need, and returns
+numerators over one denominator shared by all terms.  One weighted
+Rota-Baxter law serves the algebra, its modules and each deformation order:
+:func:`rota_baxter_core` is the law of one bilinear table with an operator
+series on each slot and one on the values, run with T everywhere for the
+algebra and a deformation's tⁿ coefficient, and on the action tables with
+(T, T_M) or (T_M, T) on the slots and T_M on the values for a module.  Its
+public entry point reads each family of tables or matrices once in the
+integer form of ``linalg`` (``integer_form``: nested ``int`` lists over the
+lcm of their denominators), calls the core and makes one ``Fraction`` per
+nonzero returned entry (``fractions_over``); ``twoalg`` calls the same
+cores.  The cores' products, weighted sums, transposes and sums μ(A·, B·)
+of a table through two matrices are the ``int_*`` operations of
+``linalg``.  This is exact arithmetic in another order, and a
 ``Fraction``'s normal form is unique, so every value equals the one
 ``Fraction`` arithmetic gives.
 
@@ -64,10 +70,11 @@ from .linalg import (
     RationalMatrix,
     Vector,
     fractions_over,
+    int_columns,
     int_matmul,
     int_matrix_sum,
     int_matvec,
-    int_sum,
+    int_pullback,
     int_transpose,
     integer_form,
     is_zero_vector,
@@ -288,47 +295,35 @@ def pre_lie_defects(mus: Sequence[ProductTable], n: int) -> dict[tuple[int, int,
 
 
 def rota_baxter_core(
-    mu: Sequence[list], t: Sequence[list], p: int, q: int, d_t: int, n: int
+    mu: list, left: list, right: list, out: list, p: int, q: int, d_t: int, n: int
 ) -> dict[tuple[int, int], list[int]]:
-    """The numerators of :func:`rota_baxter_defects` for ``int`` tables
-    μ₀…μₙ over D_μ, ``int`` matrices T₀…Tₙ over D_T and λ = p/q: every term
-    is an integer over q·D_μ·D_T²."""
-    dim = len(mu[0])
-    # the (row, value) pairs of each column's nonzeros, for each T_b
-    cols = [
-        [[(x, v) for x, v in enumerate(col) if v] for col in int_transpose(t_b, dim)]
-        for t_b in t[: n + 1]
-    ]
-    live = [any(map(any, chain.from_iterable(table))) for table in mu[: n + 1]]
-    out = {}
-    for i in range(dim):
-        for j in range(dim):
-            acc = [0] * dim
-            for a in range(n + 1):
-                if not live[a]:
-                    continue
-                mu_a = mu[a]
-                for b in range(n + 1 - a):
-                    for x, tx in cols[b][i]:
-                        row = mu_a[x]
-                        for y, ty in cols[n - a - b][j]:
-                            c = q * tx * ty
-                            acc = [s + c * z for s, z in zip(acc, row[y])]
-            for a in range(n + 1):
-                if not any(map(any, t[a])):
-                    continue
-                inner = [p * d_t * z for z in mu[n - a][i][j]]
-                for b in range(n + 1 - a):
-                    if not live[b]:
-                        continue
-                    mu_b, c_cols = mu[b], cols[n - a - b]
-                    for y, ty in c_cols[j]:
-                        inner = [s + q * ty * z for s, z in zip(inner, mu_b[i][y])]
-                    for x, tx in c_cols[i]:
-                        inner = [s + q * tx * z for s, z in zip(inner, mu_b[x][j])]
-                acc = [s - z for s, z in zip(acc, int_matvec(t[a], inner))]
-            out[(i, j)] = acc
-    return out
+    """The numerators of the tⁿ coefficient of the weighted Rota-Baxter law of
+    a bilinear table μ_t = Σ μᵢtⁱ with an operator series on each slot (L_t,
+    R_t) and one on the values (O_t), on every pair (x, y) of basis vectors
+    of the two slots, keyed by their indices:
+
+        μ_t(L_t x, R_t y) − O_t(μ_t(x, R_t y) + μ_t(L_t x, y) + λ μ_t(x, y)).
+
+    μ₀…μₙ are ``int`` tables over D_μ, L, R and O series of ``int`` matrices
+    over one D_T and λ = p/q: every term is an integer over q·D_μ·D_T²."""
+    l_cols = [int_columns(m, len(m)) for m in left[: n + 1]]
+    r_cols = l_cols if right is left else [int_columns(m, len(m)) for m in right[: n + 1]]
+    l_units, r_units = int_columns(None, len(left[0])), int_columns(None, len(right[0]))
+    # q for each table and 0 for a zero one, a weight the pullback skips
+    qs = [q if any(map(any, chain.from_iterable(table))) else 0 for table in mu[: n + 1]]
+    orders = [(a, b, n - a - b) for a in range(n + 1) for b in range(n + 1 - a)]
+    acc = int_pullback([(qs[a], mu[a], l_cols[b], r_cols[c]) for a, b, c in orders], len(out[0]))
+    for a, o_a in enumerate(out[: n + 1]):
+        if not any(map(any, o_a)):
+            continue
+        m = n - a  # the order of the sum O_a is applied to
+        terms = [(p * d_t if qs[m] else 0, mu[m], l_units, r_units)]
+        for b, q_b in enumerate(qs[: m + 1]):
+            terms += [(q_b, mu[b], l_units, r_cols[m - b]), (q_b, mu[b], l_cols[m - b], r_units)]
+        for acc_row, inner_row in zip(acc, int_pullback(terms, len(out[0]))):
+            for j, inner in enumerate(inner_row):
+                acc_row[j] = [s - z for s, z in zip(acc_row[j], int_matvec(o_a, inner))]
+    return {(i, j): v for i, row in enumerate(acc) for j, v in enumerate(row)}
 
 
 def rota_baxter_defects(
@@ -340,15 +335,15 @@ def rota_baxter_defects(
         μ_t(T_t x, T_t y) − T_t(μ_t(x, T_t y) + μ_t(T_t x, y) + λ μ_t(x, y)).
 
     The weight multiplies the ``T_a∘μ_b`` sum at every order.  At n = 0 this
-    is the Rota-Baxter law of ``ts[0]`` for ``mus[0]``.
+    is the Rota-Baxter law of ``ts[0]`` for ``mus[0]``: :func:`rota_baxter_core`
+    with T on both slots and on the values.
     """
     d_mu, mu = integer_form(mus[: n + 1])
     d_t, t = integer_form(ts[: n + 1])
     p, q = lam.numerator, lam.denominator
     den = q * d_mu * d_t * d_t
-    return {
-        key: fractions_over(v, den) for key, v in rota_baxter_core(mu, t, p, q, d_t, n).items()
-    }
+    laws = rota_baxter_core(mu, t, t, t, p, q, d_t, n)
+    return {key: fractions_over(v, den) for key, v in laws.items()}
 
 
 def check_pre_lie(a: PreLieAlgebra) -> Verdict:
@@ -412,48 +407,29 @@ def bimodule_defects(a: PreLieAlgebra, m: Bimodule) -> Defects:
         yield "mixed_action", key, fractions_over(mixed, den)
 
 
-def rb_bimodule_core(
-    t: list, tm: list, S: Sequence[list], P: Sequence[list], p: int, q: int, d_t: int, d_m: int
-) -> dict[tuple[int, int], tuple[list[int], list[int]]]:
-    """The numerators of both weighted compatibility laws between T and the
-    module operator, for ``int`` matrices T over D_T, T_M over D_M, actions
-    S, P over D_a and λ = p/q, keyed by (i, u) for eᵢ and e_u: (rb_left,
-    rb_right), every term an integer over q·D_T·D_a·D_M²."""
-    md, out = len(tm), {}
-    tm_cols = int_transpose(tm, md)
-    for i, ti in enumerate(int_transpose(t, len(t))):
-        # per side, the action of eᵢ and of T(eᵢ) = Σₖ T(eᵢ)ₖ·eₖ
-        sides = [(acts[i], int_matrix_sum(ti, acts, md)) for acts in (S, P)]
-        for u, tu in enumerate(tm_cols):
-            # rb_left:  T(a)·T_M(u) = T_M(a·T_M(u) + T(a)·u + λ a·u)
-            # rb_right: T_M(u)·T(a) = T_M(u·T(a) + T_M(u)·a + λ u·a)
-            laws = []
-            for act, act_t in sides:
-                inner = [
-                    q * d_t * x + q * d_m * row_t[u] + p * d_t * d_m * row[u]
-                    for x, row_t, row in zip(int_matvec(act, tu), act_t, act)
-                ]
-                terms = zip(int_matvec(act_t, tu), int_matvec(tm, inner))
-                laws.append([q * d_m * x - y for x, y in terms])
-            out[(i, u)] = tuple(laws)
-    return out
-
-
 def rb_bimodule_defects(r: RBPreLieAlgebra, m: RBBimodule) -> Defects:
     """Both weighted compatibility laws between T and the module operator,
-    :func:`rb_bimodule_core` read once."""
+    keyed (i, u) for eᵢ and e_u: the weighted Rota-Baxter law
+    (:func:`rota_baxter_core`) of the left action with (T, T_M) on its slots,
+    rb_left, and of the right action with (T_M, T), rb_right, both with T_M
+    on the values."""
     bm, lam = m.bimodule, r.weight
     if bm.base_dim != r.dim:
         raise ValueError("module base dimension does not match the algebra")
-    d_t, (t,) = integer_form((r.operator,))
-    d_m, (tm,) = integer_form((m.t_m,))
+    md = bm.mod_dim
+    d_t, (t, tm) = integer_form((r.operator, m.t_m))
     d_a, actions = integer_form(bm.S + bm.P)
+    # the action tables: left[i][u] = eᵢ·u, column u of S[i], and
+    # right[u][i] = u·eᵢ, column u of P[i]
+    left = [int_transpose(s, md) for s in actions[: r.dim]]
+    right = int_transpose([int_transpose(act, md) for act in actions[r.dim :]], md)
     p, q = lam.numerator, lam.denominator
-    den = q * d_t * d_a * d_m * d_m
-    laws = rb_bimodule_core(t, tm, actions[: r.dim], actions[r.dim :], p, q, d_t, d_m)
-    for key, (left, right) in laws.items():
-        yield "rb_left", key, fractions_over(left, den)
-        yield "rb_right", key, fractions_over(right, den)
+    den = q * d_a * d_t * d_t
+    rb_left = rota_baxter_core([left], [t], [tm], [tm], p, q, d_t, 0)
+    rb_right = rota_baxter_core([right], [tm], [t], [tm], p, q, d_t, 0)
+    for i, u in rb_left:
+        yield "rb_left", (i, u), fractions_over(rb_left[i, u], den)
+        yield "rb_right", (i, u), fractions_over(rb_right[u, i], den)
 
 
 def check_bimodule(a: PreLieAlgebra, m: Bimodule) -> Verdict:
@@ -512,23 +488,8 @@ def star_core(c: list, t: list, p: int, q: int, d_t: int) -> list[list[list[int]
     table c over D_c, an ``int`` matrix T over D_T and λ = p/q, as
     ``star[i][j]``, every term an integer over q·D_c·D_T."""
     dim = len(c)
-    span = range(dim)
-    cols = int_transpose(t, dim)
-    by_right = int_transpose(c, dim)  # by_right[j][k] = eₖ·eⱼ
-    return [
-        [
-            [
-                q * (u + v) + p * d_t * w
-                for u, v, w in zip(
-                    int_sum(cols[j], c[i], dim),
-                    int_sum(cols[i], by_right[j], dim),
-                    c[i][j],
-                )
-            ]
-            for j in span
-        ]
-        for i in span
-    ]
+    units, cols = int_columns(None, dim), int_columns(t, dim)
+    return int_pullback([(q, c, units, cols), (q, c, cols, units), (p * d_t, c, units, units)], dim)
 
 
 def star_algebra(r: RBPreLieAlgebra, *, trusted: bool = False) -> RBPreLieAlgebra:

@@ -15,7 +15,9 @@ Those kernels and :func:`gauge_transform` read the coefficient tables and
 matrices as they are, once per call, in the integer form of ``linalg``
 (``int`` tensors over one common denominator per family), and make a
 ``Fraction`` only for each returned entry; no multiplication matrices are
-built for a deformation's tables.
+built for a deformation's tables.  The gauge transform's sums
+C_s = Σ μ_b(ψᵢ·, ψⱼ·) are one ``linalg.int_pullback`` each, the kernel the
+Rota-Baxter law sums its products with.
 """
 
 from __future__ import annotations
@@ -51,10 +53,11 @@ from .complexes import ComplexData, ComplexKind
 from .linalg import (
     RationalMatrix,
     fractions_over,
+    int_columns,
     int_matmul,
     int_matrix_sum,
     int_matvec,
-    int_transpose,
+    int_pullback,
     integer_form,
     is_zero_vector,
 )
@@ -228,10 +231,10 @@ def gauge_transform(
     """The deformation (ψ_t⁻¹∘μ_t∘(ψ_t⊗ψ_t), ψ_t⁻¹∘T_t∘ψ_t), truncated.
 
     With η = ψ_t⁻¹ and the μ, T, ψ and η coefficients each over their
-    common denominator, C_s = Σ_{b+i+j=s} μ_b(ψᵢ·, ψⱼ·) is an integer table
-    over D_μ·D_ψ², and the order-n product Σ_{a+s=n} η_a∘C_s is over
-    D_η·D_μ·D_ψ²; likewise U_s = Σ_{b+i=s} T_b∘ψᵢ is over D_T·D_ψ and the
-    order-n operator Σ_{a+s=n} η_a∘U_s over D_η·D_T·D_ψ.
+    common denominator, C_s = Σ_{b+i+j=s} μ_b(ψᵢ·, ψⱼ·), one pullback, is
+    an integer table over D_μ·D_ψ², and the order-n product Σ_{a+s=n} η_a∘C_s
+    is over D_η·D_μ·D_ψ²; likewise U_s = Σ_{b+i=s} T_b∘ψᵢ is over D_T·D_ψ
+    and the order-n operator Σ_{a+s=n} η_a∘U_s over D_η·D_T·D_ψ.
     """
     if psi.order < d.order:
         raise ValueError("gauge series must reach the deformation order")
@@ -240,25 +243,14 @@ def gauge_transform(
     d_t, ts = integer_form(d.operators)
     d_psi, psis = integer_form(psi.maps[: n_max + 1])
     d_eta, etas = integer_form(series_inverse(psi.maps, n_max))
-    # the (row, value) pairs of each column's nonzeros, for each ψᵢ
-    cols = [
-        [[(x, v) for x, v in enumerate(col) if v] for col in int_transpose(m, dim)] for m in psis
+    cols = [int_columns(m, dim) for m in psis]
+    product_sums = [
+        int_pullback(
+            [(1, mus[b], cols[i], cols[s - b - i]) for b in range(s + 1) for i in range(s + 1 - b)],
+            dim,
+        )
+        for s in range(n_max + 1)
     ]
-    product_sums = []
-    for s in range(n_max + 1):
-        table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-        for b in range(s + 1):
-            mu_b = mus[b]
-            for i in range(s + 1 - b):
-                for p, xs in enumerate(cols[i]):
-                    for q, ys in enumerate(cols[s - b - i]):
-                        acc = table[p][q]
-                        for x, u in xs:
-                            row = mu_b[x]
-                            for y, v in ys:
-                                c = u * v
-                                acc[:] = [z + c * w for z, w in zip(acc, row[y])]
-        product_sums.append(table)
     operator_sums = [
         int_matrix_sum([1] * (s + 1), [int_matmul(ts[b], psis[s - b]) for b in range(s + 1)], dim)
         for s in range(n_max + 1)

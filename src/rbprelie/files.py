@@ -17,6 +17,7 @@ the image of the c-th basis vector.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -35,17 +36,23 @@ class ParseError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
+# "p" or "p/q", the one rational literal: an optional sign and ASCII digits
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(value: Any, path: str) -> Fraction:
     if isinstance(value, bool):
         raise ParseError("expected a rational literal", path)
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        if not _RATIONAL.fullmatch(text):
+            raise ParseError(f"malformed rational {value!r} (expected \"p\" or \"p/q\")", path)
         try:
-            q = Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed rational {value!r} ({exc})", path) from None
-        return q
     raise ParseError(
         f"expected a rational as a quoted string or integer, got {type(value).__name__}", path
     )

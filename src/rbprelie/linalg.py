@@ -17,9 +17,12 @@ is the one reader, of a vector, of each sparse row (``integer_rows``) and
 of tables and matrices over one shared D; :func:`fractions_over` makes one
 ``Fraction`` per nonzero entry on the way back; :func:`int_matvec`,
 :func:`int_matmul`, the weighted sums :func:`int_sum` (vectors) and
-:func:`int_matrix_sum` (matrices) and :func:`int_transpose` are the
-arithmetic.  This is exact rational arithmetic done in another order, and
-a ``Fraction``'s normal form is unique, so every value made from it equals
+:func:`int_matrix_sum` (matrices), :func:`int_transpose` and the pullback
+:func:`int_pullback` are the arithmetic.  The pullback is the table
+Σ c·μ(A·, B·) of bilinear tables μ through matrices A, B given by their
+columns' nonzeros (:func:`int_columns`), the one place that sum is written.
+This is exact rational arithmetic done in another order, and a
+``Fraction``'s normal form is unique, so every value made from it equals
 the one ``Fraction`` arithmetic gives.
 
 Products and residues run on integers.  ``apply`` scales its vector once by
@@ -360,6 +363,38 @@ def int_transpose(rows: Sequence[Sequence], width: int) -> list[list]:
     """The columns of a nested matrix whose rows have ``width`` entries (its
     entries may be vectors: then the columns are lists of vectors)."""
     return [list(column) for column in zip(*rows)] if rows else [[] for _ in range(width)]
+
+
+def int_columns(m: list[list[int]] | None, width: int) -> list[list[tuple[int, int]]]:
+    """The nonzeros of each column of a nested ``int`` matrix with ``width``
+    columns, as (row, value) pairs by increasing row; when m is None, of the
+    ``width`` × ``width`` identity."""
+    if m is None:
+        return [[(j, 1)] for j in range(width)]
+    return [[(x, v) for x, v in enumerate(col) if v] for col in int_transpose(m, width)]
+
+
+def int_pullback(terms: Sequence[tuple], size: int) -> list[list[list[int]]]:
+    """Σ c·μ(A·, B·) over the terms (c, μ, A, B): entry (i, j) is
+    Σ c·A[x][i]·B[y][j]·μ[x][y] for an ``int`` table μ of vectors with
+    ``size`` entries and ``int`` matrices A, B given by :func:`int_columns`.
+    Terms of weight 0 are skipped; the shape is that of the first term's
+    A and B."""
+    _, _, first_left, first_right = terms[0]
+    out = [[[0] * size for _ in first_right] for _ in first_left]
+    for c, mu, left, right in terms:
+        if not c:
+            continue
+        for row, xs in zip(out, left):
+            for j, ys in enumerate(right):
+                acc = row[j]
+                for x, u in xs:
+                    mu_x = mu[x]
+                    for y, v in ys:
+                        w = c * u * v
+                        acc = [s + w * z for s, z in zip(acc, mu_x[y])]
+                row[j] = acc
+    return out
 
 
 def _divide_by_content(row: dict[int, int]) -> dict[int, int]:

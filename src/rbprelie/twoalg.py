@@ -16,13 +16,14 @@ action terms.
 
 The coherence conditions contain the laws of the levels.  e1 is the
 pre-Lie identity of l₂₀₀, e2 and e3 the bimodule laws of the level-mixing
-actions, ii the Rota-Baxter law of T₀, and iii and iv the Rota-Baxter
-bimodule laws of T₁; each is corrected by an l₃ or T₂ term through d.
-Condition v reads the star product and the derived actions.  None of these
-is written here: each is the integer core of ``algebras`` (``pre_lie_core``,
-``bimodule_core``, ``rota_baxter_core``, ``rb_bimodule_core``,
+actions, and ii, iii and iv one weighted Rota-Baxter law: of l₂₀₀ with T₀
+on both slots and the values, of l₂(α, x) with (T₁, T₀) on the slots and of
+l₂(x, α) with (T₀, T₁), both with T₁ on the values; each is corrected by an
+l₃ or T₂ term through d.  Condition v reads the star product and the
+derived actions.  None of these is written here: each is an integer core
+of ``algebras`` (``pre_lie_core``, ``bimodule_core``, ``rota_baxter_core``,
 ``star_core``, ``derived_core``) run on the structure's tables, plus its
-correction term.
+correction term; the crossed module's dα·dβ is ``linalg.int_pullback``.
 
 The coherence checks and the crossed-module conditions run on integers: a
 structure is read once (``TwoAlgebra.integers``), every table and matrix in
@@ -58,7 +59,6 @@ from .algebras import (
     multiplication_matrices,
     named,
     pre_lie_core,
-    rb_bimodule_core,
     rb_bimodule_defects,
     rota_baxter_core,
     star_core,
@@ -71,9 +71,11 @@ from .linalg import (
     RationalMatrix,
     Vector,
     fractions_over,
+    int_columns,
     int_matmul,
     int_matrix_sum,
     int_matvec,
+    int_pullback,
     int_sum,
     int_transpose,
     integer_form,
@@ -315,7 +317,7 @@ def _rb_2alg_defects(t: TwoAlgebra, lam: Fraction) -> Defects:
     """Conditions i to v.  ii is the Rota-Baxter law of T₀ and iii, iv are the
     Rota-Baxter bimodule laws of T₁ for the level-mixing actions, each
     corrected by T₂ through d.  With λ = p/q, every term of i is an integer
-    over D², of ii over q·D³, of iii and iv over q·D⁴ and of v over q²·D⁴."""
+    over D², of ii, iii and iv over q·D³ and of v over q²·D⁴."""
     n = t.integers
     p, q, den = lam.numerator, lam.denominator, n.den
     span0 = range(t.dim0)
@@ -324,23 +326,24 @@ def _rb_2alg_defects(t: TwoAlgebra, lam: Fraction) -> Defects:
     comm = int_matrix_sum((1, -1), (int_matmul(t0, d), int_matmul(d, t1)), t.dim1)
     for a, column in enumerate(int_transpose(comm, t.dim1)):
         yield "i", (a,), fractions_over(column, den * den)
-    rota_baxter = rota_baxter_core([n.l00], [t0], p, q, den, 0)  # over q·D³
+    # the Rota-Baxter laws of l₂₀₀ and of the level-mixing products, over q·D³
+    rota_baxter = rota_baxter_core([n.l00], [t0], [t0], [t0], p, q, den, 0)
+    rb_right = rota_baxter_core([n.l10], [t1], [t0], [t1], p, q, den, 0)
+    rb_left = rota_baxter_core([n.l01], [t0], [t1], [t1], p, q, den, 0)
+    scale = q * den
     for x in span0:
         for y in span0:
             # −rota_baxter(x, y) − d T₂(x, y)
             terms = zip(rota_baxter[x, y], int_matvec(d, n.t2[x][y]))
-            yield "ii", (x, y), fractions_over([-u - q * den * v for u, v in terms], q * den**3)
-    laws = rb_bimodule_core(t0, t1, n.lr01[0], n.lr10[1], p, q, den, den)  # over q·D⁴
-    scale = q * den * den
+            yield "ii", (x, y), fractions_over([-u - scale * v for u, v in terms], q * den**3)
     for a, da in enumerate(d_cols):
         for x in span0:
-            rb_left, rb_right = laws[x, a]
-            # −rb_right(x, α) − T₂(dα, x)
-            terms = zip(rb_right, int_matvec(t2_right[x], da))
-            yield "iii", (a, x), fractions_over([-u - scale * v for u, v in terms], q * den**4)
+            # −rb_right(α, x) − T₂(dα, x)
+            terms = zip(rb_right[a, x], int_matvec(t2_right[x], da))
+            yield "iii", (a, x), fractions_over([-u - scale * v for u, v in terms], q * den**3)
             # −rb_left(x, α) − T₂(x, dα)
-            terms = zip(rb_left, int_matvec(t2_left[x], da))
-            yield "iv", (x, a), fractions_over([-u - scale * v for u, v in terms], q * den**4)
+            terms = zip(rb_left[x, a], int_matvec(t2_left[x], da))
+            yield "iv", (x, a), fractions_over([-u - scale * v for u, v in terms], q * den**3)
     v = _condition_v(n, lam)
     for key in product(span0, repeat=3):
         yield "v", key, fractions_over(v[key], q * q * den**4)
@@ -451,13 +454,13 @@ def _crossed_module_defects(cm: CrossedModule) -> Defects:
     d_cols = int_transpose(d, d1)  # dα for each basis vector α of g₁
     minus_d = [[-u for u in da] for da in d_cols]
     by_right = int_transpose(c, d0)  # by_right[x][k] = eₖ·eₓ
-    # d is a product morphism g₁ → g₀: dα·dβ = Σₓ (dα)ₓ Σₖ (dβ)ₖ eₓ·eₖ
-    for a, da in enumerate(d_cols):
-        for b, db in enumerate(d_cols):
-            product_ab = int_sum(da, [int_sum(db, row, d0) for row in c], d0)
-            yield "d_morphism", (a, b), fractions_over(
-                [den * u - v for u, v in zip(int_matvec(d, g1c[a][b]), product_ab)], den**3
-            )
+    # d is a product morphism g₁ → g₀: dα·dβ is c pulled back through d ⊗ d
+    d_nonzeros = int_columns(d, d1)
+    products = int_pullback([(1, c, d_nonzeros, d_nonzeros)], d0)
+    for a, b in product(range(d1), repeat=2):
+        yield "d_morphism", (a, b), fractions_over(
+            [den * u - v for u, v in zip(int_matvec(d, g1c[a][b]), products[a][b])], den**3
+        )
     # C1: d(x·α) − x·dα = Σₖ (x·α)ₖ·dβₖ − Σₖ (dα)ₖ·eₓ·eₖ, and likewise on the right
     for x in range(d0):
         s_cols, p_cols = int_transpose(S[x], d1), int_transpose(P[x], d1)

@@ -105,6 +105,21 @@ def matmul_by_fractions(a, b):
     return RationalMatrix.from_sparse(product, b.cols)
 
 
+def pullback_by_fractions(terms, rows, cols, size):
+    """Σ c·μ(A·, B·) over the terms (c, μ, A, B), for rational tables μ and
+    dense rational matrices A, B given as lists of rows: entry (i, j) is
+    Σ_{x,y} c·A[x][i]·B[y][j]·μ[x][y], by explicit index loops."""
+    out = [[[Fraction(0)] * size for _ in range(cols)] for _ in range(rows)]
+    for c, mu, a, b in terms:
+        for i in range(rows):
+            for j in range(cols):
+                for x in range(len(a)):
+                    for y in range(len(b)):
+                        for k in range(size):
+                            out[i][j][k] += c * a[x][i] * b[y][j] * mu[x][y][k]
+    return out
+
+
 def dense_reduced_echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """In-place reduced row echelon form; returns (rows, pivot column list).
 

@@ -53,6 +53,11 @@ def test_parse_rational_forms():
         parse_rational(1.5, "x")
     with pytest.raises(ParseError):
         parse_rational("a/b", "x")
+    # only "p" or "p/q" in ASCII digits: no decimal, exponent, digit separator
+    # or other script's digits, all of which Fraction would read
+    for text in ("0.5", "1e3", "1_0", "\u0663"):
+        with pytest.raises(ParseError, match="malformed rational"):
+            parse_rational(text, "x")
 
 
 def test_algebra_round_trip_with_module():

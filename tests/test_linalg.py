@@ -13,9 +13,11 @@ from rbprelie.linalg import (
     column_space,
     echelon_basis,
     fractions_over,
+    int_columns,
     int_matmul,
     int_matrix_sum,
     int_matvec,
+    int_pullback,
     int_sum,
     int_transpose,
     integer_form,
@@ -36,6 +38,7 @@ from oracles import (
     mat_mat,
     mat_vec,
     matmul_by_fractions,
+    pullback_by_fractions,
     sympy_rank,
 )
 
@@ -674,5 +677,29 @@ def test_integer_operations_equal_fraction_oracle():
             tuple(sum((w * x[i][j] for w, x in zip(weights, mats)), Fraction(0)) for j in range(m))
             for i in range(n)
         ]
+        # the pullback Σ c·μ(A·, B·) through n × k matrices, like the crossed
+        # module's d: zero rows and zero widths among the shapes, a first term
+        # of weight 0 (it still gives the shape), tables over one D_μ and
+        # matrices over one D_A, both with coprime denominators
+        tables = [[_coprime_rows(rng, n, m) for _ in range(n)] for _ in range(2)]
+        d_mu, (mu1, mu2) = integer_form(tables)
+        mats = [_coprime_rows(rng, n, k) for _ in range(2)]
+        d_op, (a1, a2) = integer_form([RationalMatrix.from_rows(x, k) for x in mats])
+        cols1, cols2 = int_columns(a1, k), int_columns(a2, k)
+        assert cols1 == [[(x, v) for x, v in enumerate(col) if v] for col in int_transpose(a1, k)]
+        weights = [0, rng.randint(-M61, M61), rng.choice((1, -1))]
+        terms = [(mu2, cols2, cols1), (mu1, cols1, cols2), (mu2, cols2, cols2)]
+        got = [
+            [fractions_over(v, d_mu * d_op * d_op) for v in row]
+            for row in int_pullback([(w, *term) for w, term in zip(weights, terms)], m)
+        ]
+        values = [(tables[1], mats[1], mats[0]), (tables[0], *mats), (tables[1], mats[1], mats[1])]
+        want = pullback_by_fractions(
+            [(w, *term) for w, term in zip(weights, values)], k, k, m
+        )
+        assert got == [[tuple(v) for v in row] for row in want]
+        # through identity columns the pullback is the table itself
+        units = int_columns(None, n)
+        assert int_pullback([(1, mu1, units, units)], m) == mu1
     assert int_sum([0, 0], [[1, 2], [3, 4]], 2) == [0, 0]
     assert int_sum([], [], 3) == [0, 0, 0]

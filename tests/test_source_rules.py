@@ -40,8 +40,8 @@ module defines or imports ``apply_table``, and no product or action call
 bound to one in the same function) as an argument: a product with a basis
 vector is one ``apply`` of a multiplication matrix, and of two basis vectors
 a table entry.  The integer cores of ``algebras`` (``pre_lie_core``,
-``rota_baxter_core``, ``bimodule_core``, ``rb_bimodule_core``,
-``star_core``, ``derived_core``) with their entry points
+``rota_baxter_core``, ``bimodule_core``, ``star_core``, ``derived_core``)
+with their entry points
 (``pre_lie_defects``, ``rota_baxter_defects``, ``bimodule_defects``,
 ``rb_bimodule_defects``, ``star_algebra``, ``derived_bimodule``),
 ``deformations.gauge_transform`` and the two-term and crossed-module checks
@@ -55,9 +55,14 @@ once as ``int`` tensors over one common denominator per family, and make
 Each law of the levels is written once: ``twoalg`` defines no integer core
 and no ``_star`` or ``_twisted_actions`` of its own, but imports the cores
 from ``algebras``; ``_prelie_2alg_defects`` calls ``pre_lie_core`` and
-``bimodule_core``, ``_rb_2alg_defects`` calls ``rota_baxter_core`` and
-``rb_bimodule_core``, and ``_condition_v`` calls ``star_core`` and
-``derived_core``.
+``bimodule_core``, ``_rb_2alg_defects`` calls ``rota_baxter_core``, and
+``_condition_v`` calls ``star_core`` and ``derived_core``.
+
+One weighted Rota-Baxter law serves the algebra, its modules and each
+deformation order, and μ(A·, B·) is summed in one place: ``rb_bimodule_core``
+is defined nowhere, and ``rota_baxter_core``, ``star_core``,
+``gauge_transform`` and ``_crossed_module_defects`` call the kernel
+``linalg.int_pullback``.
 
 No package module imports a name it never reads or lists in ``__all__``,
 and no function assigns a local it never reads (``_``-prefixed names
@@ -387,8 +392,7 @@ def test_products_go_through_multiplication_matrices(path):
     assert not found, f"{path.name}: {found}"
 
 
-LAW_CORES = {"pre_lie_core", "rota_baxter_core", "bimodule_core", "rb_bimodule_core",
-             "star_core", "derived_core"}
+LAW_CORES = {"pre_lie_core", "rota_baxter_core", "bimodule_core", "star_core", "derived_core"}
 INTEGER_KERNELS = {
     "algebras.py": LAW_CORES | {"pre_lie_defects", "rota_baxter_defects", "bimodule_defects",
                                 "rb_bimodule_defects", "star_algebra", "derived_bimodule"},
@@ -457,7 +461,7 @@ def test_each_map_has_one_builder():
 # each two-term condition that contains a law of the levels, and the cores it reads
 LEVEL_LAWS = {
     "_prelie_2alg_defects": {"pre_lie_core", "bimodule_core"},
-    "_rb_2alg_defects": {"rota_baxter_core", "rb_bimodule_core"},
+    "_rb_2alg_defects": {"rota_baxter_core"},
     "_condition_v": {"star_core", "derived_core"},
 }
 
@@ -480,6 +484,30 @@ def test_twoalg_defines_no_law_of_its_levels():
         called = {_called_name(call) for call in calls}
         found += [f"{name} does not call {core}" for core in sorted(cores - called)]
     assert not found, f"twoalg.py: {found}"
+
+
+# the functions that sum μ(A·, B·), each through the one kernel in linalg
+PULLBACK_CALLERS = {
+    "algebras.py": {"rota_baxter_core", "star_core"},
+    "deformations.py": {"gauge_transform"},
+    "twoalg.py": {"_crossed_module_defects"},
+}
+
+
+def test_bilinear_pullbacks_are_summed_in_one_place():
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+        if "rb_bimodule_core" in functions:
+            found.append(f"{path.name} defines rb_bimodule_core")
+        for name in sorted(PULLBACK_CALLERS.get(path.name, ())):
+            called = {
+                _called_name(call) for call in ast.walk(functions[name]) if isinstance(call, ast.Call)
+            }
+            if "int_pullback" not in called:
+                found.append(f"{path.name}: {name} does not call int_pullback")
+    assert not found, found
 
 
 def _unused_imports(tree: ast.AST):
