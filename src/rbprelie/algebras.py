@@ -372,19 +372,19 @@ def bimodule_core(
             left = [
                 [d_c * (x - y) - d_a * z for x, y, z in zip(*rows)]
                 for rows in zip(
-                    int_matmul(S[i], S[j]),
-                    int_matmul(S[j], S[i]),
-                    int_matrix_sum(bracket, S, md),
+                    int_matmul(S[i], S[j], md),
+                    int_matmul(S[j], S[i], md),
+                    int_matrix_sum(bracket, S, md, md),
                 )
             ]
             # and x·(u·y) − (x·u)·y = u·(x·y) − (u·x)·y
             mixed = [
                 [d_c * (x - y + w) - d_a * z for x, y, z, w in zip(*rows)]
                 for rows in zip(
-                    int_matmul(S[i], P[j]),
-                    int_matmul(P[j], S[i]),
-                    int_matrix_sum(c[i][j], P, md),
-                    int_matmul(P[j], P[i]),
+                    int_matmul(S[i], P[j], md),
+                    int_matmul(P[j], S[i], md),
+                    int_matrix_sum(c[i][j], P, md, md),
+                    int_matmul(P[j], P[i], md),
                 )
             ]
             columns = zip(int_transpose(left, md), int_transpose(mixed, md))
@@ -520,7 +520,7 @@ def derived_core(
         [
             [
                 [d_m * x - d_t * y for x, y in zip(*rows)]
-                for rows in zip(int_matrix_sum(col, acts, md), int_matmul(tm, act))
+                for rows in zip(int_matrix_sum(col, acts, md, md), int_matmul(tm, act, md))
             ]
             for col, act in zip(int_transpose(t, len(t)), acts)
         ]
@@ -557,12 +557,17 @@ def check_morphism(r1: RBPreLieAlgebra, r2: RBPreLieAlgebra, phi: RationalMatrix
         raise ValueError("weight mismatch between source and target")
     if (phi.rows, phi.cols) != (r2.dim, r1.dim):
         raise ValueError("morphism matrix has wrong shape")
-    cols = [phi.col(i) for i in range(r1.dim)]
     comm = phi.matmul(r1.operator).sub(r2.operator.matmul(phi))
+    # φ(eᵢ·₁eⱼ) over D², and φ(eᵢ)·₂φ(eⱼ), c₂ pulled back through φ ⊗ φ, over D³
+    den, (c1, c2, p) = integer_form((r1.algebra.c, r2.algebra.c, phi))
+    cols = int_columns(p, r1.dim)
+    pulled = int_pullback([(1, c2, cols, cols)], r2.dim)
     product = (
-        ("product", (i, j), vsub(phi.apply(r1.algebra.c[i][j]), r2.algebra.product(pi, pj)))
-        for i, pi in enumerate(cols)
-        for j, pj in enumerate(cols)
+        ("product", (i, j), fractions_over(
+            [den * x - y for x, y in zip(int_matvec(p, c1[i][j]), pulled[i][j])], den**3
+        ))
+        for i in range(r1.dim)
+        for j in range(r1.dim)
     )
     operator = (("operator", (j,), comm.col(j)) for j in range(r1.dim))
     notes = ("degenerate: zero map",) if phi.is_zero() else ()

@@ -56,6 +56,11 @@ pair, owns everything derived from those matrices: it builds each matrix,
 cocycle basis and boundary span the first time it is asked for and keeps
 it, applies dₙ to a cochain (:meth:`ComplexData.coboundary`), and decides
 whether a target is a coboundary.  Nothing is kept between requests.  The
+canonical bases (the reduced kernel basis, the reduced echelon boundary
+span, the free-variables-zero solution) come from Gauss-Jordan elimination;
+:func:`les_check`, which reads only ranks and zero tests, takes Zₙ and
+Bₙ₊₁ up to scalars from one forward-only :class:`~.linalg.Elimination` of
+dₙ (:meth:`ComplexData.elimination`) and walks on ``int`` vectors.  The
 cochain maps :func:`rbo_differential` and :func:`rba_differential` are the
 validity gate plus one ``coboundary`` of a fresh :class:`ComplexData`;
 :func:`pla_differential`, of a pre-Lie algebra and a bimodule with no
@@ -82,14 +87,15 @@ from .algebras import (
 from .cochains import Cochain, Key, RBACochain, basis_keys, normalize_skew, space_dim
 from .linalg import (
     EchelonBasis,
+    Elimination,
+    IntegerEchelon,
     RationalMatrix,
     Vector,
     column_space,
-    is_zero_vector,
+    int_apply,
     kernel_basis,
     rank,
     solve_linear,
-    zero_vector,
 )
 
 
@@ -300,6 +306,11 @@ class ComplexData:
             return EchelonBasis(RationalMatrix.zeros(0, self.dim(kind, 0)), ())
         return self._once(("B", kind, n), lambda: column_space(self.d(kind, n - 1)))
 
+    def elimination(self, kind: ComplexKind, n: int) -> Elimination:
+        """The one :class:`~.linalg.Elimination` of dₙ: Zₙ and Bₙ₊₁ up to
+        scalars, for ranks and zero tests."""
+        return self._once(("elimination", kind, n), lambda: Elimination(self.d(kind, n)))
+
     def cohomology_dims(self, kind: ComplexKind, max_degree: int) -> list[int]:
         """dim Hⁿ = (cols dₙ − rank dₙ) − rank dₙ₋₁ for n = 0 … N."""
         dims, prev_rank = [], 0
@@ -368,52 +379,67 @@ def les_check(r: RBPreLieAlgebra, m: RBBimodule, max_degree: int) -> LESReport:
         im f + B ⊆ ker g + B and the two are equal.
 
     B ⊆ Z is d∘d = 0; where it fails (T not a Rota-Baxter operator) the
-    position is not exact.  Everything comes from one :class:`ComplexData`;
-    of degree N+1 only the combined matrix and its boundaries are read.
+    position is not exact.
+
+    A rank or a zero test does not see a nonzero scalar on a vector, so the
+    walk runs on sparse ``int`` vectors, each a multiple of the rational one.
+    Z and B come from the one :class:`~.linalg.Elimination` of dₙ and of dₙ₋₁
+    that :meth:`ComplexData.elimination` keeps, and B′.reduce is that
+    elimination's residue; Φₙ and the closure and d∘d tests are
+    :func:`~.linalg.int_apply` on the matrices' integer columns, and each
+    rank is the size of an :class:`~.linalg.IntegerEchelon` of residues.
+    Everything comes from one :class:`ComplexData`; of degree N+1 only the
+    combined matrix and the elimination of dᴺ are read.
     """
     PLA, RBO, RBA = ComplexKind.PLA, ComplexKind.RBO, ComplexKind.RBA
     data = ComplexData(r, m)
 
-    def outgoing(kind: ComplexKind, n: int, v: Vector) -> Vector:
+    def outgoing(kind: ComplexKind, n: int, v: dict[int, int]) -> dict[int, int]:
         if kind is RBA:
-            return v[: data.dim(PLA, n)]
+            size = data.dim(PLA, n)
+            return {j: x for j, x in v.items() if j < size}
         if kind is PLA:
-            return data.phi(n).apply(v)
-        return zero_vector(data.dim(PLA, n + 1)) + tuple([-x if x else x for x in v])
+            return int_apply(data.phi(n).integer_columns, v)
+        offset = data.dim(PLA, n + 1)
+        return {offset + j: -x for j, x in v.items()}
+
+    def boundary_echelon(kind: ComplexKind, n: int) -> IntegerEchelon:
+        return data.elimination(kind, n - 1).image if n else IntegerEchelon()
 
     # the map out of each kind of position: its name, and the complex and
     # degree shift of the position it lands in
     steps = {RBA: ("projection", PLA, 0), PLA: ("chain map", RBO, 0), RBO: ("connecting", RBA, 1)}
 
-    def rank_in(target: tuple[ComplexKind, int], columns: list[Vector]) -> int:
-        # the rank of the vectors read as rows: rank ρ = rank ρᵀ
-        return rank(RationalMatrix.from_rows(columns, data.dim(*target)))
-
     positions, map_checks = [], []
-    incoming: list[Vector] = []
+    incoming: list[dict[int, int]] = []
     incoming_rank, incoming_closed = 0, True
     for n in range(max_degree + 1):
         for kind in (RBA, PLA, RBO):
             name, target_kind, shift = steps[kind]
             here, target = (kind, n), (target_kind, n + shift)
-            cocycles, boundaries = data.cocycles(*here), data.boundaries(*here)
-            reduce = data.boundaries(*target).reduce
+            cocycles, boundary_rows = data.elimination(*here).kernel, boundary_echelon(*here).rows
+            reduce = boundary_echelon(*target).reduce
             images = [outgoing(kind, n, z) for z in cocycles]
-            on_boundaries = [reduce(outgoing(kind, n, b)) for b in boundaries.vectors]
-            closed = all(is_zero_vector(data.d(*target).apply(w)) for w in images)
-            well_defined = closed and all(map(is_zero_vector, on_boundaries))
-            map_checks.append((f"{name} deg {n}", well_defined))
+            on_boundaries = IntegerEchelon()
+            for b in boundary_rows:
+                on_boundaries.add(reduce(outgoing(kind, n, b)))
+            boundary_rank = len(on_boundaries.pivots)
+            d_target = data.d(*target).integer_columns
+            closed = not any(int_apply(d_target, w) for w in images)
+            map_checks.append((f"{name} deg {n}", closed and not boundary_rank))
 
-            image_rank = rank_in(target, [reduce(w) for w in images])
-            boundary_rank = rank_in(target, on_boundaries)
-            image_dim = boundaries.dim + incoming_rank
+            on_cocycles = IntegerEchelon()
+            for w in images:
+                on_cocycles.add(reduce(dict(w)))
+            image_rank = len(on_cocycles.pivots)
+            image_dim = len(boundary_rows) + incoming_rank
             kernel_dim = len(cocycles) - image_rank + boundary_rank
+            d_here = data.d(*here).integer_columns
             exact = (
                 incoming_closed
-                and all(is_zero_vector(data.d(*here).apply(b)) for b in boundaries.vectors)
+                and not any(int_apply(d_here, b) for b in boundary_rows)
                 and image_dim == kernel_dim
-                and rank_in(target, on_boundaries + [reduce(outgoing(kind, n, f)) for f in incoming])
-                == boundary_rank
+                and not any(on_boundaries.add(reduce(outgoing(kind, n, f))) for f in incoming)
             )
             positions.append(PositionReport(f"H{n}_{kind.name}", image_dim, kernel_dim, exact))
             incoming, incoming_rank, incoming_closed = images, image_rank, closed

@@ -252,7 +252,9 @@ def gauge_transform(
         for s in range(n_max + 1)
     ]
     operator_sums = [
-        int_matrix_sum([1] * (s + 1), [int_matmul(ts[b], psis[s - b]) for b in range(s + 1)], dim)
+        int_matrix_sum(
+            [1] * (s + 1), [int_matmul(ts[b], psis[s - b], dim) for b in range(s + 1)], dim, dim
+        )
         for s in range(n_max + 1)
     ]
     new_products = []
@@ -267,8 +269,8 @@ def gauge_transform(
                         acc[:] = [z + y for z, y in zip(acc, int_matvec(eta_a, vector))]
         den = d_eta * d_mu * d_psi * d_psi
         new_products.append(tuple(tuple(fractions_over(v, den) for v in row) for row in table))
-        products = [int_matmul(etas[a], operator_sums[n - a]) for a in range(n + 1)]
-        op = int_matrix_sum([1] * (n + 1), products, dim)
+        products = [int_matmul(etas[a], operator_sums[n - a], dim) for a in range(n + 1)]
+        op = int_matrix_sum([1] * (n + 1), products, dim, dim)
         den = d_eta * d_t * d_psi
         rows = [fractions_over(row, den) for row in op]
         new_operators.append(RationalMatrix.from_rows(rows, dim))

@@ -40,7 +40,18 @@ from .cochains import (
     matrix_from_cochain,
 )
 from .complexes import ComplexData, ComplexKind
-from .linalg import RationalMatrix, Vector, is_zero_vector, vsub, zero_vector
+from .linalg import (
+    RationalMatrix,
+    Vector,
+    fractions_over,
+    int_columns,
+    int_matvec,
+    int_pullback,
+    integer_form,
+    is_zero_vector,
+    vsub,
+    zero_vector,
+)
 
 
 @dataclass(frozen=True)
@@ -224,14 +235,21 @@ def _read_off(
         RationalMatrix.from_cols(t_m_cols, md),
     )
 
-    psi_rows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            prod = total_alg.product(s_cols[i], s_cols[j])
-            lifted = s.apply(base.algebra.c[i][j])
-            row.append(m_part(vsub(prod, lifted)))
-        psi_rows.append(tuple(row))
+    # s(eᵢ)·s(eⱼ), the total product pulled back through s ⊗ s, over D³,
+    # less s(eᵢ·eⱼ) over D²
+    den, (total_c, base_c, s_int) = integer_form((total_alg.c, base.algebra.c, s))
+    s_nonzeros = int_columns(s_int, d)
+    pulled = int_pullback([(1, total_c, s_nonzeros, s_nonzeros)], d + md)
+    psi_rows = [
+        tuple(
+            m_part(fractions_over(
+                [x - den * y for x, y in zip(pulled[i][j], int_matvec(s_int, base_c[i][j]))],
+                den**3,
+            ))
+            for j in range(d)
+        )
+        for i in range(d)
+    ]
     chi_cols = []
     for j in range(d):
         chi_cols.append(

@@ -6,9 +6,10 @@ the coboundary and chain-map matrices are mostly zeros.  A matrix's value is
 its sparse rows: the (column, nonzero value) pairs of each row by increasing
 column, built directly by every constructor and read by equality and hashing.
 Derived from them once, on first use, are its dense ``entries`` (for ``repr``,
-``col`` and serialization) and its integer rows, each row as (d, pairs) with
+``col`` and serialization), its integer rows, each row as (d, pairs) with
 the row's nonzeros x/d for its (column, integer x) pairs and d the lcm of
-their denominators.
+their denominators, and its integer columns, the (row, int) nonzeros of each
+column of the matrix times the lcm of all its denominators.
 
 The integer form of rationals is a pair (D, n): nested ``int`` lists n
 over one denominator D, the values n/D.  Only this module reads rationals
@@ -17,7 +18,8 @@ is the one reader, of a vector, of each sparse row (``integer_rows``) and
 of tables and matrices over one shared D; :func:`fractions_over` makes one
 ``Fraction`` per nonzero entry on the way back; :func:`int_matvec`,
 :func:`int_matmul`, the weighted sums :func:`int_sum` (vectors) and
-:func:`int_matrix_sum` (matrices), :func:`int_transpose` and the pullback
+:func:`int_matrix_sum` (matrices), each given its width so that an operand
+with no rows keeps its shape, :func:`int_transpose` and the pullback
 :func:`int_pullback` are the arithmetic.  The pullback is the table
 Σ c·μ(A·, B·) of bilinear tables μ through matrices A, B given by their
 columns' nonzeros (:func:`int_columns`), the one place that sum is written.
@@ -37,27 +39,40 @@ eliminating a basis vector with f = w[p] at its pivot p is
 w ← (q/g)·w − (f/g)·B, den ← (q/g)·den with g = gcd(q, f), the update
 elimination uses below.
 
-Elimination is Gauss-Jordan elimination on integer rows held as dicts
-(column → nonzero int), with the fixed pivot scan order of the textbook
-dense algorithm: columns in increasing order, and in each the topmost
-remaining row with a nonzero there.  A rational row enters scaled by the lcm
-of its denominators; eliminating column c from a row with entry f there,
-against the pivot entry p, is row ← (p/g)·row − (f/g)·pivot with
-g = gcd(p, f), and each updated row is divided by the gcd of its entries
-(content normalisation), which keeps the coefficients from growing.  Only
-what a caller returns becomes ``Fraction`` values, each entry of a pivot row
-divided by its pivot entry; ``rank`` makes none.  Every row is at every step
-a nonzero rational multiple of the row rational elimination would hold, so
-the nonzero pattern, the swaps and the pivots are the same; the reduced row
-echelon form is unique, so the returned rows are equal too.  Neither the
+The canonical results (``rank``, ``kernel_basis``, ``solve_linear``,
+``echelon_basis``, ``column_space``) come from one Gauss-Jordan kernel on
+integer rows held as dicts (column → nonzero int), with the fixed pivot
+scan order of the textbook dense algorithm: columns in increasing order,
+and in each the topmost remaining row with a nonzero there.  A rational row
+enters scaled by the lcm of its denominators; eliminating column c from a
+row with entry f there, against the pivot entry p, is
+row ← (p/g)·row − (f/g)·pivot with g = gcd(p, f), and each updated row is
+divided by the gcd of its entries (content normalisation), which keeps the
+coefficients from growing.  Only what a caller returns becomes ``Fraction``
+values, each entry of a pivot row divided by its pivot entry; ``rank`` makes
+none.  Every row is at every step a nonzero rational multiple of the row
+rational elimination would hold, so the nonzero pattern, the swaps and the
+pivots are the same; the reduced row echelon form is unique, so the returned
+rows are equal too.  Neither the
 storage nor the integer arithmetic shows in any result: kernel bases,
 particular solutions and echelon bases are deterministic and the same as
-dense rational elimination gives.  Matrices are immutable; all functions are
-pure.
+dense rational elimination gives.
+
+Where only ranks and zero tests are read, a vector may carry any nonzero
+scalar, and the work stays on sparse ``int`` rows with no ``Fraction`` at
+all: :func:`int_apply` multiplies by a matrix's integer columns, and an
+:class:`IntegerEchelon` grows an echelon basis by forward-only elimination
+(each new row reduced against the rows before it with the same
+fraction-free update, none reduced afterwards), so its size is a rank and
+its ``reduce`` a residue up to a positive scalar.  :class:`Elimination` runs
+it once on [Mᵀ | I] and reads both ker M and an echelon basis of im M off
+the result.  Matrices are immutable, and all functions are pure; an
+:class:`IntegerEchelon` changes only as rows join it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -144,6 +159,19 @@ class RationalMatrix:
             else:
                 rows.append((1, ()))
         return tuple(rows)
+
+    @cached_property
+    def integer_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzeros of each column of s·M as (row, ``int``) pairs by
+        increasing row, s the lcm of every denominator of M: the matrix up to
+        one positive scalar, for ranks and zero tests (:func:`int_apply`,
+        :class:`Elimination`)."""
+        scale = lcm(*[d for d, _ in self.integer_rows])
+        columns: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
+        for i, (d, pairs) in enumerate(self.integer_rows):
+            for j, x in pairs:
+                columns[j].append((i, x * (scale // d)))
+        return tuple(map(tuple, columns))
 
     @staticmethod
     def from_sparse(rows: Iterable[SparseRow], ncols: int) -> "RationalMatrix":
@@ -334,10 +362,10 @@ def int_matvec(mat: list[list[int]], v: Sequence[int]) -> list[int]:
     return [sum(map(mul, row, v)) for row in mat]
 
 
-def int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """The product of two nested ``int`` matrices; when b has no rows (and
-    so, as nested lists, no width) its rows are empty."""
-    cols = list(zip(*b))
+def int_matmul(a: list[list[int]], b: list[list[int]], width: int) -> list[list[int]]:
+    """The product of two nested ``int`` matrices, b with ``width`` columns
+    (given, since a b with no rows cannot show it: then the rows are zeros)."""
+    cols = int_transpose(b, width)
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
@@ -352,11 +380,25 @@ def int_sum(weights: Sequence[int], vectors: Sequence[Sequence[int]], size: int)
 
 
 def int_matrix_sum(
-    weights: Sequence[int], mats: Sequence[list[list[int]]], size: int
+    weights: Sequence[int], mats: Sequence[list[list[int]]], rows: int, width: int
 ) -> list[list[int]]:
-    """Σ wₖ·Mₖ over the nonzero weights, for one or more nested ``int``
-    matrices of one shape with ``size`` columns."""
-    return [int_sum(weights, rows, size) for rows in zip(*mats)]
+    """Σ wₖ·Mₖ over the nonzero weights, for nested ``int`` matrices of
+    ``rows`` rows and ``width`` columns (given, so that a sum of no matrices
+    is the zero matrix of that shape)."""
+    if not mats:
+        return [[0] * width for _ in range(rows)]
+    return [int_sum(weights, summands, width) for summands in zip(*mats)]
+
+
+def int_apply(columns: Sequence[Sequence[tuple[int, int]]], v: dict[int, int]) -> dict[int, int]:
+    """M·v for a sparse ``int`` vector (column → nonzero ``int``) and a
+    matrix given by the (row, ``int``) nonzeros of its columns
+    (:attr:`RationalMatrix.integer_columns`): Σ vⱼ·(column j), its nonzeros."""
+    acc: dict[int, int] = {}
+    for j, x in v.items():
+        for i, y in columns[j]:
+            acc[i] = acc.get(i, 0) + x * y
+    return {i: x for i, x in acc.items() if x}
 
 
 def int_transpose(rows: Sequence[Sequence], width: int) -> list[list]:
@@ -596,3 +638,82 @@ def same_subspace(a: EchelonBasis, b: EchelonBasis) -> bool:
     if a.dim != b.dim:
         return False
     return all(a.contains(v) for v in b.vectors) and all(b.contains(v) for v in a.vectors)
+
+
+class IntegerEchelon:
+    """An echelon basis of sparse ``int`` rows (column → nonzero ``int``),
+    grown one row at a time by forward-only fraction-free elimination: a row
+    is reduced against the basis and, if anything is left, joins it with its
+    lowest column as pivot.  No basis row changes once it is in, and each has
+    nothing left of its pivot."""
+
+    def __init__(self) -> None:
+        self.pivots: list[int] = []  # increasing
+        self.rows: list[dict[int, int]] = []  # the row of each pivot
+
+    def reduce(self, w: dict[int, int]) -> dict[int, int]:
+        """w, in place, reduced to zero at every pivot column: a positive
+        multiple of its residue modulo the span.  The pivots are taken in
+        increasing order, a row B with q = B[p] at its pivot p and f = w[p]
+        as w ← (q/g)·w − (f/g)·B, g = gcd(q, f) with q's sign, and a scaled
+        w is divided by the gcd of its entries."""
+        for p, row in zip(self.pivots, self.rows):
+            f = w.get(p)
+            if not f:
+                continue
+            q = row[p]
+            g = gcd(q, f) if q > 0 else -gcd(q, f)
+            a, b = q // g, f // g
+            if a != 1:
+                for j, x in w.items():
+                    w[j] = a * x
+            for j, y in row.items():
+                x = w.get(j, 0) - b * y
+                if x:
+                    w[j] = x
+                else:
+                    del w[j]
+            if a != 1:
+                _divide_by_content(w)
+        return w
+
+    def add(self, w: dict[int, int], width: int | None = None) -> bool:
+        """Reduce w in place; whether it joins the basis, which it does,
+        pivoting on its lowest column, when a nonzero is left in a column
+        below ``width`` (in any column, when None)."""
+        self.reduce(w)
+        lead = min(w, default=None)
+        if lead is None or width is not None and lead >= width:
+            return False
+        k = bisect(self.pivots, lead)
+        self.pivots.insert(k, lead)
+        self.rows.insert(k, _divide_by_content(w))
+        return True
+
+
+class Elimination:
+    """The forward-only fraction-free reduction of [Mᵀ | I] for a matrix M,
+    run once and read twice.  Row j starts as (s·column j of M, e_j), s the
+    lcm of M's denominators (:attr:`RationalMatrix.integer_columns`), and is
+    reduced against the pivot rows before it (:class:`IntegerEchelon`, with
+    pivots in the Mᵀ part only).  Every row stays (s·M·x, x) for some x:
+
+      * ``kernel``: the x of the rows whose Mᵀ part vanished, a basis of
+        ker M (sparse ``int`` rows, cols − rank of them);
+      * ``image``: the Mᵀ parts of the pivot rows, an echelon basis of the
+        column space im M with its pivots.
+
+    Both are right up to nonzero scalars per row, which is all a rank or a
+    zero test reads; the canonical bases are :func:`kernel_basis` and
+    :func:`column_space`."""
+
+    def __init__(self, m: RationalMatrix) -> None:
+        offset = m.rows
+        self.image = IntegerEchelon()
+        self.kernel: list[dict[int, int]] = []
+        for j, column in enumerate(m.integer_columns):
+            w = dict(column)
+            w[offset + j] = 1
+            if not self.image.add(w, offset):
+                self.kernel.append({i - offset: x for i, x in w.items()})
+        self.image.rows = [{j: x for j, x in row.items() if j < offset} for row in self.image.rows]

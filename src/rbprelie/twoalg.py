@@ -323,7 +323,9 @@ def _rb_2alg_defects(t: TwoAlgebra, lam: Fraction) -> Defects:
     span0 = range(t.dim0)
     t2_left, t2_right = n.lr_t2
     d, t0, t1, d_cols = n.d, n.t0, n.t1, n.d_cols
-    comm = int_matrix_sum((1, -1), (int_matmul(t0, d), int_matmul(d, t1)), t.dim1)
+    comm = int_matrix_sum(
+        (1, -1), (int_matmul(t0, d, t.dim1), int_matmul(d, t1, t.dim1)), t.dim0, t.dim1
+    )
     for a, column in enumerate(int_transpose(comm, t.dim1)):
         yield "i", (a,), fractions_over(column, den * den)
     # the Rota-Baxter laws of l₂₀₀ and of the level-mixing products, over q·D³
@@ -469,7 +471,7 @@ def _crossed_module_defects(cm: CrossedModule) -> Defects:
             right = int_sum(p_cols[a] + minus_d[a], d_cols + by_right[x], d0)
             yield "c1_left", (x, a), fractions_over(left, den * den)
             yield "c1_right", (x, a), fractions_over(right, den * den)
-    comm = int_matrix_sum((1, -1), (int_matmul(d, t1), int_matmul(t0, d)), d1)
+    comm = int_matrix_sum((1, -1), (int_matmul(d, t1, d1), int_matmul(t0, d, d1)), d0, d1)
     for a, column in enumerate(int_transpose(comm, d1)):
         yield "c1_operator", (a,), fractions_over(column, den * den)
     # C2: dα·β = αβ = α·dβ, with dα·β = Σₓ (dα)ₓ·S[x]β and α·dβ = Σₓ (dβ)ₓ·P[x]α

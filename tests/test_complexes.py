@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -454,6 +455,51 @@ def test_les_report_broken_operator_pinned():
     assert les_check(r, regular_bimodule(r), 2) == expected
 
 
+def test_les_report_dimension_five_pinned():
+    # beyond the d ≤ 4 cases above: a random pair of dimension 5 with its
+    # regular module at degree 3, the report the Fraction walk gave
+    r, _ = random_valid_pair(random.Random(7), 5)
+    rows = [
+        ("H0_RBA", 0, 0), ("H0_PLA", 0, 0), ("H0_RBO", 5, 5),
+        ("H1_RBA", 5, 5), ("H1_PLA", 13, 13), ("H1_RBO", 4, 4),
+        ("H2_RBA", 28, 28), ("H2_PLA", 85, 85), ("H2_RBO", 13, 13),
+        ("H3_RBA", 137, 137), ("H3_PLA", 180, 180), ("H3_RBO", 42, 42),
+    ]
+    positions = tuple(PositionReport(name, im, ker, True) for name, im, ker in rows)
+    assert les_check(r, regular_bimodule(r), 3) == LESReport(True, positions, _map_checks(3))
+
+
+def test_les_eliminates_each_matrix_at_most_once(monkeypatch):
+    # every elimination les_check can reach, looked up where complexes finds
+    # it, on a dimension-3 pair and on the broken operator; the matrices are
+    # kept alive, so their ids are not reused
+    from rbprelie import complexes
+
+    seen: list = []
+
+    def counting(name):
+        real = getattr(complexes, name, None)
+
+        def wrapper(m, *args):
+            seen.append((name, m))
+            return real(m, *args)
+
+        return wrapper
+
+    names = ("Elimination", "rank", "kernel_basis", "column_space", "solve_linear")
+    for name in names:
+        monkeypatch.setattr(complexes, name, counting(name), raising=False)
+    broken, _, _ = parse_algebra_file((FIXTURES / "a1_broken_rb.yaml").read_text())
+    for r in (random_valid_pair(random.Random(3), 3)[0], broken):
+        seen.clear()
+        les_check(r, regular_bimodule(r), 2)
+        counts = Counter(id(m) for _, m in seen)
+        twice = [(name, m.rows, m.cols) for name, m in seen if counts[id(m)] > 1]
+        assert not twice, twice
+        # each dₙ, n ≤ 2, of the three complexes, and nothing else
+        assert sorted(name for name, _ in seen) == ["Elimination"] * 9
+
+
 def test_les_zero_everything_exact():
     alg = PreLieAlgebra(2, zero_table(2, 2, 2))
     r = RBPreLieAlgebra(alg, Fraction(0), RationalMatrix.zeros(2, 2))
@@ -634,8 +680,6 @@ def test_degree_one_operator_block_is_zero():
 
 
 def test_cohomology_all_assembles_each_block_once(built_blocks, tmp_path):
-    from collections import Counter
-
     from rbprelie.cli import run_command
 
     # the combined matrices are composed from the pre-Lie, Φ and operator

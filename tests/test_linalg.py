@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbprelie.complexes import ComplexData, ComplexKind
-from rbprelie.generators import coadjoint_module, random_valid_pair
+from rbprelie.generators import coadjoint_module, random_invertible, random_valid_pair
 from rbprelie.linalg import (
+    Elimination,
+    IntegerEchelon,
     RationalMatrix,
     column_space,
     echelon_basis,
     fractions_over,
+    int_apply,
     int_columns,
     int_matmul,
     int_matrix_sum,
@@ -651,10 +654,10 @@ def test_integer_operations_equal_fraction_oracle():
     for n, k, m in ((0, 3, 2), (3, 0, 2), (2, 3, 0), (1, 1, 1), (4, 3, 5), (5, 5, 5)):
         a_values, (d_a, (a,)) = _read(rng, n, k)
         b_values, (d_b, (b,)) = _read(rng, k, m)
-        got = [fractions_over(row, d_a * d_b) for row in int_matmul(a, b)]
+        got = [fractions_over(row, d_a * d_b) for row in int_matmul(a, b, m)]
         want = mat_mat(RationalMatrix.from_rows(a_values, k), RationalMatrix.from_rows(b_values, m))
-        # b with no rows has no width as nested lists: n empty rows then
-        assert got == [tuple(row) for row in want] if k else got == [()] * n
+        # b with no rows (k = 0) included: the given width makes rows of zeros
+        assert got == [tuple(row) for row in want]
         v_values = _coprime_rows(rng, 1, k)[0]
         d_v, v = integer_form(v_values)
         got = fractions_over(int_matvec(a, v), d_a * d_v)
@@ -672,7 +675,7 @@ def test_integer_operations_equal_fraction_oracle():
                             for j in range(m))
         mats = [_coprime_rows(rng, n, m) for _ in range(3)]
         den, ints = integer_form([RationalMatrix.from_rows(x, m) for x in mats])
-        got = [fractions_over(row, den) for row in int_matrix_sum(weights, ints, m)]
+        got = [fractions_over(row, den) for row in int_matrix_sum(weights, ints, n, m)]
         assert got == [
             tuple(sum((w * x[i][j] for w, x in zip(weights, mats)), Fraction(0)) for j in range(m))
             for i in range(n)
@@ -703,3 +706,90 @@ def test_integer_operations_equal_fraction_oracle():
         assert int_pullback([(1, mu1, units, units)], m) == mu1
     assert int_sum([0, 0], [[1, 2], [3, 4]], 2) == [0, 0]
     assert int_sum([], [], 3) == [0, 0, 0]
+
+
+def test_integer_products_and_sums_keep_their_shape_with_no_rows():
+    # a factor with no rows, and a sum of no matrices, still have the given
+    # width: nested lists alone could not show it
+    assert int_matmul([[], []], [], 3) == [[0, 0, 0], [0, 0, 0]]
+    assert int_matmul([], [[1, 2]], 2) == []
+    assert int_matrix_sum([], [], 2, 3) == [[0, 0, 0], [0, 0, 0]]
+    assert int_matrix_sum([0, 0], [[[1]], [[2]]], 1, 1) == [[0]]
+
+
+def _elimination_cases(rng):
+    """The seeded grid of ``_oracle_cases`` (0×n, n×0, zero, dependent rows,
+    identity, random and assembled matrices), plus rank-1 outer products and
+    invertible matrices."""
+    yield from _oracle_cases(rng)
+    for _ in range(20):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        u, v = _random_vector(rng, rows, 0.8), _random_vector(rng, cols, 0.8)
+        yield RationalMatrix.from_rows([[a * b for b in v] for a in u], cols)  # rank ≤ 1
+        yield random_invertible(rng, rows)
+
+
+def _as_fractions(w: dict, size: int) -> tuple:
+    return tuple(Fraction(w.get(j, 0)) for j in range(size))
+
+
+def _proportional(got: tuple, want: tuple) -> bool:
+    """got = c·want for some c > 0 (both zero included)."""
+    lead = next((j for j, x in enumerate(want) if x), None)
+    if lead is None:
+        return not any(got)
+    c = got[lead] / want[lead]
+    return c > 0 and all(x == c * y for x, y in zip(got, want))
+
+
+def test_elimination_equals_rank_kernel_and_column_space():
+    """One forward-only reduction of [Mᵀ | I] gives what three Gauss-Jordan
+    eliminations give: rank(M), a basis of the span of kernel_basis(M), and
+    column_space(M)'s pivots with its residues up to a positive scalar."""
+    rng = random.Random(31)
+    shapes, residues = set(), 0
+    for m in _elimination_cases(rng):
+        e = Elimination(m)
+        r = rank(m)
+        assert len(e.image.pivots) == len(e.image.rows) == r
+        shapes.add((m.rows == 0, m.cols == 0, r == 0, r == 1, r == min(m.rows, m.cols)))
+        # the kernel: M·z = 0 on every row, cols − rank of them, spanning ker M
+        kernel = [_as_fractions(z, m.cols) for z in e.kernel]
+        assert len(kernel) == m.cols - r
+        assert all(is_zero_vector(m.apply(z)) for z in kernel)
+        assert same_subspace(echelon_basis(kernel, m.cols), echelon_basis(kernel_basis(m), m.cols))
+        assert not any(int_apply(m.integer_columns, z) for z in e.kernel)
+        # the image: column_space's pivots, an echelon basis, the same residues
+        space = column_space(m)
+        assert tuple(e.image.pivots) == space.pivots
+        for p, row in zip(e.image.pivots, e.image.rows):
+            assert min(row) == p
+        for _ in range(3):
+            v = _random_vector(rng, m.rows, rng.choice((0.3, 1.0)))
+            _, ints = integer_form(v)
+            got = e.image.reduce({j: x for j, x in enumerate(ints) if x})
+            assert _proportional(_as_fractions(got, m.rows), space.reduce(v))
+            residues += bool(got)
+        if m.cols:
+            x = _random_vector(rng, m.cols, 1.0)
+            _, ints = integer_form(m.apply(x))
+            assert not e.image.reduce({j: x for j, x in enumerate(ints) if x})
+        # an IntegerEchelon of the rows of M has rank(M) pivots
+        rows = IntegerEchelon()
+        for _, pairs in m.integer_rows:
+            rows.add(dict(pairs))
+        assert len(rows.pivots) == r
+    assert residues
+    # 0×n, n×0, zero, rank-1 and full-rank matrices are all on the grid
+    for flag in range(5):
+        assert any(shape[flag] for shape in shapes)
+
+
+def test_int_apply_equals_apply_up_to_the_matrix_scale():
+    rng = random.Random(32)
+    for m in _elimination_cases(rng):
+        v = _random_vector(rng, m.cols, rng.choice((0.3, 1.0)))
+        _, ints = integer_form(v)
+        got = int_apply(m.integer_columns, {j: x for j, x in enumerate(ints) if x})
+        assert all(x for x in got.values())
+        assert _proportional(_as_fractions(got, m.rows), m.apply(v))

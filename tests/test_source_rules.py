@@ -61,8 +61,14 @@ from ``algebras``; ``_prelie_2alg_defects`` calls ``pre_lie_core`` and
 One weighted Rota-Baxter law serves the algebra, its modules and each
 deformation order, and μ(A·, B·) is summed in one place: ``rb_bimodule_core``
 is defined nowhere, and ``rota_baxter_core``, ``star_core``,
-``gauge_transform`` and ``_crossed_module_defects`` call the kernel
-``linalg.int_pullback``.
+``check_morphism``, ``gauge_transform``, ``extensions._read_off`` and
+``_crossed_module_defects`` call the kernel ``linalg.int_pullback``.
+
+The LES walk runs on ``int`` vectors and eliminates each dₙ once:
+``les_check`` (nested functions included) calls none of ``rank``,
+``kernel_basis``, ``column_space``, ``solve_linear``, ``Fraction``,
+``.apply``, ``.from_rows``, ``.cocycles``, ``.boundaries`` or ``.solve``; it
+reads Z and B from ``ComplexData.elimination``.
 
 No package module imports a name it never reads or lists in ``__all__``,
 and no function assigns a local it never reads (``_``-prefixed names
@@ -331,6 +337,23 @@ def test_residue_ranks_take_no_dense_detour():
     assert not found, f"complexes.py calls RationalMatrix.from_cols: {found}"
 
 
+FRACTION_WALK = {"rank", "kernel_basis", "column_space", "solve_linear", "Fraction", "apply",
+                 "from_rows", "cocycles", "boundaries", "solve"}
+
+
+def test_les_walk_runs_on_integer_vectors():
+    path = next(path for path in SOURCES if path.name == "complexes.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    walk = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "les_check")
+    called = [
+        (call.lineno, _callee(call)) for call in ast.walk(walk) if isinstance(call, ast.Call)
+    ]
+    found = [f"line {line} calls {name}" for line, name in called
+             if name.split(".")[-1] in FRACTION_WALK]
+    assert not found, f"les_check: {found}"
+    assert "data.elimination" in {name for _, name in called}
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_package_does_not_import_the_tests(path):
     test_modules = {"tests", "oracles", "conftest"}
@@ -488,8 +511,9 @@ def test_twoalg_defines_no_law_of_its_levels():
 
 # the functions that sum μ(A·, B·), each through the one kernel in linalg
 PULLBACK_CALLERS = {
-    "algebras.py": {"rota_baxter_core", "star_core"},
+    "algebras.py": {"rota_baxter_core", "star_core", "check_morphism"},
     "deformations.py": {"gauge_transform"},
+    "extensions.py": {"_read_off"},
     "twoalg.py": {"_crossed_module_defects"},
 }
 
