@@ -53,18 +53,19 @@ In degree 0, δ₀ and ∂₀ come out zero from the same rule and Φ₀ = I.
 
 A :class:`ComplexData`, made once per request for one (algebra, module)
 pair, owns everything derived from those matrices: it builds each matrix,
-cocycle basis and boundary span the first time it is asked for and keeps
-it, applies dₙ to a cochain (:meth:`ComplexData.coboundary`), and decides
-whether a target is a coboundary.  Nothing is kept between requests.  The
-canonical bases (the reduced kernel basis, the reduced echelon boundary
-span, the free-variables-zero solution) come from Gauss-Jordan elimination;
-:func:`les_check`, which reads only ranks and zero tests, takes Zₙ and
-Bₙ₊₁ up to scalars from one forward-only :class:`~.linalg.Elimination` of
-dₙ (:meth:`ComplexData.elimination`) and walks on ``int`` vectors.  The
-cochain maps :func:`rbo_differential` and :func:`rba_differential` are the
-validity gate plus one ``coboundary`` of a fresh :class:`ComplexData`;
-:func:`pla_differential`, of a pre-Lie algebra and a bimodule with no
-operators, applies δₙ, and :func:`phi` applies Φₙ.
+elimination and cocycle basis the first time it is asked for and keeps it,
+applies dₙ to a cochain (:meth:`ComplexData.coboundary`), and decides
+whether a target is a coboundary.  Nothing is kept between requests.  Each
+dₙ is eliminated once, by one forward-only :class:`~.linalg.Elimination`
+(:meth:`ComplexData.elimination`), and everything else is read off it: the
+rank, the reduced kernel basis Zₙ, and for each target either the
+free-variables-zero solution of dₙx = target or its residue modulo
+Bₙ₊₁ = im dₙ.  :func:`les_check`, which reads only ranks and zero tests,
+takes Zₙ and Bₙ₊₁ up to scalars from the same object and walks on ``int``
+vectors.  The cochain maps :func:`rbo_differential` and
+:func:`rba_differential` are the validity gate plus one ``coboundary`` of a
+fresh :class:`ComplexData`; :func:`pla_differential`, of a pre-Lie algebra
+and a bimodule with no operators, applies δₙ, and :func:`phi` applies Φₙ.
 """
 
 from __future__ import annotations
@@ -85,18 +86,7 @@ from .algebras import (
     star_algebra,
 )
 from .cochains import Cochain, Key, RBACochain, basis_keys, normalize_skew, space_dim
-from .linalg import (
-    EchelonBasis,
-    Elimination,
-    IntegerEchelon,
-    RationalMatrix,
-    Vector,
-    column_space,
-    int_apply,
-    kernel_basis,
-    rank,
-    solve_linear,
-)
+from .linalg import Elimination, IntegerEchelon, RationalMatrix, SparseRow, Vector, int_apply
 
 
 class ComplexKind(Enum):
@@ -251,8 +241,8 @@ def phi_matrix(r: RBPreLieAlgebra, m: RBBimodule, degree: int) -> RationalMatrix
 
 class ComplexData:
     """The complexes of one (algebra, module) pair: coboundary and Φ
-    matrices, cocycle bases, boundary spans and ranks, each built the first
-    time it is asked for and then kept.
+    matrices, the elimination of each dₙ and cocycle bases, each built the
+    first time it is asked for and then kept.
 
     Make one per request and drop it with the request; it takes no options.
     """
@@ -296,41 +286,34 @@ class ComplexData:
     def phi(self, n: int) -> RationalMatrix:
         return self._once(("phi", n), lambda: phi_matrix(self.r, self.m, n))
 
-    def cocycles(self, kind: ComplexKind, n: int) -> list[Vector]:
-        """Basis of Zₙ = ker dₙ, as :func:`kernel_basis` gives it."""
-        return self._once(("Z", kind, n), lambda: kernel_basis(self.d(kind, n)))
-
-    def boundaries(self, kind: ComplexKind, n: int) -> EchelonBasis:
-        """Echelon basis of Bₙ, the column space of dₙ₋₁; zero in degree 0."""
-        if n == 0:
-            return EchelonBasis(RationalMatrix.zeros(0, self.dim(kind, 0)), ())
-        return self._once(("B", kind, n), lambda: column_space(self.d(kind, n - 1)))
-
     def elimination(self, kind: ComplexKind, n: int) -> Elimination:
-        """The one :class:`~.linalg.Elimination` of dₙ: Zₙ and Bₙ₊₁ up to
-        scalars, for ranks and zero tests."""
+        """The one :class:`~.linalg.Elimination` of dₙ, from which every rank,
+        cocycle basis, residue and solve of dₙ is read."""
         return self._once(("elimination", kind, n), lambda: Elimination(self.d(kind, n)))
+
+    def cocycles(self, kind: ComplexKind, n: int) -> list[Vector]:
+        """Basis of Zₙ = ker dₙ, the reduced one :func:`~.linalg.kernel_basis`
+        gives, read off the elimination of dₙ."""
+        return self._once(("Z", kind, n), lambda: self.elimination(kind, n).kernel_vectors())
 
     def cohomology_dims(self, kind: ComplexKind, max_degree: int) -> list[int]:
         """dim Hⁿ = (cols dₙ − rank dₙ) − rank dₙ₋₁ for n = 0 … N."""
         dims, prev_rank = [], 0
         for n in range(max_degree + 1):
-            rk = self._once(("rank", kind, n), lambda: rank(self.d(kind, n)))
+            rk = len(self.elimination(kind, n).image.pivots)
             dims.append(self.dim(kind, n) - rk - prev_rank)
             prev_rank = rk
         return dims
 
     def solve(
         self, kind: ComplexKind, n: int, target: Sequence
-    ) -> tuple[Vector | None, tuple[tuple[int, Fraction], ...] | None]:
+    ) -> tuple[Vector | None, SparseRow | None]:
         """(x, None) with dₙx = target, free variables zero as in
-        :func:`solve_linear`; otherwise (None, residue), the residue of the
-        target modulo Bₙ₊₁ as its nonzero (coordinate, value) pairs."""
-        x = solve_linear(self.d(kind, n), target)
-        if x is not None:
-            return x, None
-        residue = self.boundaries(kind, n + 1).reduce(target)
-        return None, tuple((i, v) for i, v in enumerate(residue) if v != 0)
+        :func:`~.linalg.solve_linear`; otherwise (None, residue), the residue
+        of the target modulo Bₙ₊₁ = im dₙ as its nonzero (coordinate, value)
+        pairs.  Both are read off the one elimination of dₙ, so each right-hand
+        side costs one reduction."""
+        return self.elimination(kind, n).solve(target)
 
 
 def cohomology_dims(

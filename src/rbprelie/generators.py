@@ -33,9 +33,9 @@ from .algebras import (
 from .cochains import Cochain, RBACochain, basis_keys
 from .complexes import ComplexData, ComplexKind
 from .linalg import (
+    Elimination,
     RationalMatrix,
     Vector,
-    solve_linear,
     unit_vector,
     vadd,
     vscale,
@@ -76,9 +76,12 @@ def random_invertible(rng: random.Random, n: int) -> RationalMatrix:
 
 
 def invert(m: RationalMatrix) -> RationalMatrix:
+    """m⁻¹, column j the solution of m·x = e_j, each read off m's one
+    elimination."""
+    elimination = Elimination(m)
     cols = []
     for j in range(m.rows):
-        col = solve_linear(m, unit_vector(j, m.rows))
+        col, _ = elimination.solve(unit_vector(j, m.rows))
         if col is None:
             raise ValueError("matrix is singular")
         cols.append(col)

@@ -27,46 +27,50 @@ This is exact rational arithmetic done in another order, and a
 ``Fraction``'s normal form is unique, so every value made from it equals
 the one ``Fraction`` arithmetic gives.
 
-Products and residues run on integers.  ``apply`` scales its vector once by
+Products run on integers.  ``apply`` scales its vector once by
 the lcm D of the vector's denominators, forms each row's dot product as an
 ``int`` and makes one ``Fraction(dot, d·D)`` per nonzero output entry.
 ``matmul`` scales the right factor's integer rows to one lcm D, accumulates
 each output row as ``int``s and makes one ``Fraction(acc, d·D)`` per nonzero
-output entry.  An echelon basis is the matrix whose rows are its basis
-vectors; ``reduce`` reads that matrix's integer rows, each B/q with q at
-its pivot (the pivot entry is 1), and holds the residue as w/den:
-eliminating a basis vector with f = w[p] at its pivot p is
-w ← (q/g)·w − (f/g)·B, den ← (q/g)·den with g = gcd(q, f), the update
-elimination uses below.
+output entry.
 
-The canonical results (``rank``, ``kernel_basis``, ``solve_linear``,
-``echelon_basis``, ``column_space``) come from one Gauss-Jordan kernel on
-integer rows held as dicts (column → nonzero int), with the fixed pivot
-scan order of the textbook dense algorithm: columns in increasing order,
-and in each the topmost remaining row with a nonzero there.  A rational row
-enters scaled by the lcm of its denominators; eliminating column c from a
-row with entry f there, against the pivot entry p, is
-row ← (p/g)·row − (f/g)·pivot with g = gcd(p, f), and each updated row is
-divided by the gcd of its entries (content normalisation), which keeps the
-coefficients from growing.  Only what a caller returns becomes ``Fraction``
-values, each entry of a pivot row divided by its pivot entry; ``rank`` makes
-none.  Every row is at every step a nonzero rational multiple of the row
-rational elimination would hold, so the nonzero pattern, the swaps and the
-pivots are the same; the reduced row echelon form is unique, so the returned
-rows are equal too.  Neither the
-storage nor the integer arithmetic shows in any result: kernel bases,
-particular solutions and echelon bases are deterministic and the same as
-dense rational elimination gives.
+There is one elimination, and it runs on sparse ``int`` rows (column →
+nonzero ``int``) with no ``Fraction`` at all: an :class:`IntegerEchelon`
+grows an echelon basis by forward-only fraction-free elimination (Bareiss,
+*Math. Comp.* 22, 1968).  A new row w is reduced against the rows before it
+in increasing pivot order: a row B with q = B[p] at its pivot p and
+f = w[p] is eliminated as w ← (q/g)·w − (f/g)·B, g = gcd(q, f) with q's
+sign, and a scaled w is divided by the gcd of its entries, which keeps the
+coefficients from growing.  No row is reduced again once it is in.  Where
+only ranks and zero tests are read, that is enough, since a vector may
+carry any nonzero scalar: an ``IntegerEchelon``'s size is a rank, its
+``reduce`` a residue up to a positive scalar, and :func:`int_apply`
+multiplies by a matrix's integer columns.  Where an exact value is read, a
+rational vector n/D enters as n with D in one sentinel coordinate past the
+others, which no pivot reaches; every update scales it with w, so the
+reduced w over its sentinel is the exact residue (``EchelonBasis.reduce``,
+``Elimination.solve``).
 
-Where only ranks and zero tests are read, a vector may carry any nonzero
-scalar, and the work stays on sparse ``int`` rows with no ``Fraction`` at
-all: :func:`int_apply` multiplies by a matrix's integer columns, and an
-:class:`IntegerEchelon` grows an echelon basis by forward-only elimination
-(each new row reduced against the rows before it with the same
-fraction-free update, none reduced afterwards), so its size is a rank and
-its ``reduce`` a residue up to a positive scalar.  :class:`Elimination` runs
-it once on [Mᵀ | I] and reads both ker M and an echelon basis of im M off
-the result.  Matrices are immutable, and all functions are pure; an
+:class:`Elimination` runs that elimination once on [Mᵀ | I], and every
+canonical result (``rank``, ``kernel_basis``, ``solve_linear``,
+``column_space``, ``echelon_basis``) is read off that one object.  Row j
+enters as (s·column j of M, e_j) and joins the basis exactly when column j
+is independent of the columns before it, that is, when j is a pivot column
+of M's reduced row echelon form; so the transform (the I part) of every
+pivot row is supported on pivot columns.  Hence what is read off is already
+canonical up to one scalar per vector: a kernel row is zero at every free
+column but its own, so divided by its entry there it is the reduced kernel
+vector of that column; a solution read off the transforms is zero at the
+free columns, the "free variables zero" solution; and a residue modulo the
+image, zero at every pivot, is the one such vector in its coset.  Only
+``column_space`` reduces further: the pivot rows of the image, re-added to a
+fresh echelon in decreasing pivot order, are each zero at every other
+pivot.  The reduced row echelon form is unique, so dividing each row by its
+pivot entry gives exactly the rows, kernel bases and solutions that dense
+rational elimination gives; neither the storage nor the integer arithmetic
+shows in any result.
+
+Matrices are immutable, and all functions are pure; an
 :class:`IntegerEchelon` changes only as rows join it.
 """
 
@@ -447,56 +451,8 @@ def _divide_by_content(row: dict[int, int]) -> dict[int, int]:
     return row
 
 
-def _reduced_echelon(rows: list[dict], ncols: int) -> list[int]:
-    """Reduce primitive integer rows in place to a row echelon form whose
-    rows are rational multiples of the reduced row echelon form's, as the
-    module docstring describes; returns the pivot columns.  Pivot row r,
-    divided by its entry at pivot column r, is row r of the reduced form;
-    the rows below the last pivot row are empty.
-
-    A row update loops over the pivot row's nonzeros only (and over the
-    updated row's when it is scaled) and drops the entries it cancels.
-    """
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if c in rows[i]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r]
-        p = pivot[c]
-        pivot_items = list(pivot.items())
-        for i, row in enumerate(rows):
-            if i == r or c not in row:
-                continue
-            f = row[c]
-            # g takes p's sign: a > 0, and a row needs no scaling when p divides f
-            g = gcd(p, f) if p > 0 else -gcd(p, f)
-            a, b = p // g, f // g
-            if a != 1:
-                for j, x in row.items():
-                    row[j] = a * x
-            for j, y in pivot_items:
-                x = row.get(j, 0) - b * y
-                if x:
-                    row[j] = x
-                else:
-                    del row[j]
-            _divide_by_content(row)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
 def rank(m: RationalMatrix) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    rows = [_divide_by_content(dict(pairs)) for _, pairs in m.integer_rows]
-    return len(_reduced_echelon(rows, m.cols))
+    return len(Elimination(m).image.pivots)
 
 
 def kernel_basis(m: RationalMatrix) -> list[Vector]:
@@ -505,26 +461,7 @@ def kernel_basis(m: RationalMatrix) -> list[Vector]:
     Deterministic: free columns are scanned in increasing order and each
     basis vector has entry 1 at its free column.
     """
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        return [unit_vector(j, m.cols) for j in range(m.cols)]
-    rows = [_divide_by_content(dict(pairs)) for _, pairs in m.integer_rows]
-    pivots = _reduced_echelon(rows, m.cols)
-    pivot_set = set(pivots)
-    basis: dict[int, list[Fraction]] = {}
-    for free in range(m.cols):
-        if free not in pivot_set:
-            basis[free] = [_ZERO] * m.cols
-            basis[free][free] = _ONE
-    # a reduced pivot row is zero at every other pivot column, so each of
-    # its other nonzeros sits at a free column
-    for r, c in enumerate(pivots):
-        p = rows[r][c]
-        for j, x in rows[r].items():
-            if j != c:
-                basis[j][c] = Fraction(-x, p)
-    return [tuple(v) for v in basis.values()]
+    return Elimination(m).kernel_vectors()
 
 
 def solve_linear(a: RationalMatrix, b: Sequence) -> Vector | None:
@@ -533,27 +470,7 @@ def solve_linear(a: RationalMatrix, b: Sequence) -> Vector | None:
     Free variables are set to zero, so the answer is the deterministic
     "first solution of the elimination".
     """
-    if len(b) != a.rows:
-        raise ValueError(f"dimension mismatch: got rhs of length {len(b)} for {a.rows} rows")
-    if a.rows == 0:
-        return zero_vector(a.cols)
-    rows = []
-    for (d, pairs), bi in zip(a.integer_rows, b):
-        row = dict(pairs)
-        if bi:
-            scale = lcm(d, bi.denominator)
-            if scale != d:
-                row = {j: x * (scale // d) for j, x in row.items()}
-            row[a.cols] = bi.numerator * (scale // bi.denominator)
-        rows.append(_divide_by_content(row))
-    pivots = _reduced_echelon(rows, a.cols + 1)
-    if a.cols in pivots:  # pivot in the augmented column: inconsistent
-        return None
-    x = [_ZERO] * a.cols
-    for r, c in enumerate(pivots):
-        if a.cols in rows[r]:
-            x[c] = Fraction(rows[r][a.cols], rows[r][c])
-    return tuple(x)
+    return Elimination(a).solve(b)[0]
 
 
 @dataclass(frozen=True)
@@ -576,60 +493,48 @@ class EchelonBasis:
     def vectors(self) -> tuple[Vector, ...]:
         return self.basis.entries
 
-    def reduce(self, v: Sequence) -> Vector:
-        """Residue of v modulo the subspace, supported on non-pivot coordinates.
+    @cached_property
+    def _integer(self) -> IntegerEchelon:
+        echelon = IntegerEchelon()
+        for _, pairs in self.basis.integer_rows:
+            echelon.add(dict(pairs))
+        return echelon
 
-        Fraction-free: the residue is held as w/den with w integer.  A basis
-        vector B/q with f = w[p] at its pivot p is eliminated as
-        w ← (q/g)·w − (f/g)·B, den ← (q/g)·den, g = gcd(q, f).
-        """
+    def reduce(self, v: Sequence) -> Vector:
+        """Residue of v modulo the subspace, supported on non-pivot
+        coordinates: v = n/D reduced as the ``int`` row n with D in a
+        sentinel coordinate (:meth:`IntegerEchelon.reduce`), then read over
+        the sentinel."""
         if len(v) != self.dim_ambient:
             raise ValueError("dimension mismatch in reduce")
-        den, w = integer_form(v)
-        for p, (q, pairs) in zip(self.pivots, self.basis.integer_rows):
-            f = w[p]
-            if not f:
-                continue
-            g = gcd(q, f)
-            a, b = q // g, f // g
-            if a != 1:
-                w = [a * x for x in w]
-                den *= a
-            for j, y in pairs:
-                w[j] -= b * y
-            if a != 1:
-                common = gcd(den, *w)
-                if common > 1:
-                    den //= common
-                    w = [x // common for x in w]
-        return fractions_over(w, den)
+        den, nums = integer_form(v)
+        w = {j: x for j, x in enumerate(nums) if x}
+        w[self.dim_ambient] = den
+        self._integer.reduce(w)
+        return fractions_over([w.get(j, 0) for j in range(self.dim_ambient)], w[self.dim_ambient])
 
     def contains(self, v: Sequence) -> bool:
         return is_zero_vector(self.reduce(v))
 
 
-def _echelon(rows: list[dict[int, int]], dim_ambient: int) -> EchelonBasis:
-    pivots = _reduced_echelon(rows, dim_ambient) if rows else []
-    kept = (
-        tuple((j, Fraction(x, rows[r][c])) for j, x in sorted(rows[r].items()))
-        for r, c in enumerate(pivots)
-    )
-    return EchelonBasis(RationalMatrix.from_sparse(kept, dim_ambient), tuple(pivots))
-
-
 def echelon_basis(vectors: Iterable[Sequence], dim_ambient: int) -> EchelonBasis:
-    """Reduced echelon span of the given vectors (deterministic)."""
-    rows = []
-    for v in vectors:
-        if len(v) != dim_ambient:
-            raise ValueError("dimension mismatch in echelon_basis")
-        rows.append(_divide_by_content({j: x for j, x in enumerate(integer_form(v)[1]) if x}))
-    return _echelon(rows, dim_ambient)
+    """Reduced echelon span of the given vectors (deterministic): the column
+    space of the matrix whose columns they are."""
+    return column_space(RationalMatrix.from_cols(list(vectors), dim_ambient))
 
 
 def column_space(m: RationalMatrix) -> EchelonBasis:
-    rows = [_divide_by_content(dict(pairs)) for _, pairs in m.transpose().integer_rows]
-    return _echelon(rows, m.rows)
+    """Reduced echelon basis of im m: the pivot rows of m's elimination,
+    re-added to a fresh echelon in decreasing pivot order (so each is zero at
+    every other pivot), each divided by its pivot entry."""
+    reduced = IntegerEchelon()
+    for row in reversed(Elimination(m).image.rows):
+        reduced.add(dict(row))
+    kept = (
+        tuple((j, Fraction(x, row[p])) for j, x in sorted(row.items()))
+        for p, row in zip(reduced.pivots, reduced.rows)
+    )
+    return EchelonBasis(RationalMatrix.from_sparse(kept, m.rows), tuple(reduced.pivots))
 
 
 def same_subspace(a: EchelonBasis, b: EchelonBasis) -> bool:
@@ -656,7 +561,8 @@ class IntegerEchelon:
         multiple of its residue modulo the span.  The pivots are taken in
         increasing order, a row B with q = B[p] at its pivot p and f = w[p]
         as w ← (q/g)·w − (f/g)·B, g = gcd(q, f) with q's sign, and a scaled
-        w is divided by the gcd of its entries."""
+        w is divided by the gcd of its entries.  This is the one row update
+        of the module."""
         for p, row in zip(self.pivots, self.rows):
             f = w.get(p)
             if not f:
@@ -692,28 +598,73 @@ class IntegerEchelon:
 
 
 class Elimination:
-    """The forward-only fraction-free reduction of [Mᵀ | I] for a matrix M,
-    run once and read twice.  Row j starts as (s·column j of M, e_j), s the
-    lcm of M's denominators (:attr:`RationalMatrix.integer_columns`), and is
-    reduced against the pivot rows before it (:class:`IntegerEchelon`, with
-    pivots in the Mᵀ part only).  Every row stays (s·M·x, x) for some x:
+    """The one elimination of a matrix M: the forward-only fraction-free
+    reduction of [Mᵀ | I], run once and read by every rank, kernel, solve
+    and span.  Row j starts as (s·column j of M, e_j), s the lcm of M's
+    denominators (:attr:`RationalMatrix.integer_columns`), and is reduced
+    against the pivot rows before it (an :class:`IntegerEchelon` with pivots
+    in the Mᵀ part only).  Every row stays (s·M·x, x) for some x, its
+    transform, and the rows of the pivot columns of M join the basis, so
+    each transform is supported on pivot columns (module docstring).  Read
+    off it, up to a nonzero scalar per row, which is all a rank or a zero
+    test sees:
 
-      * ``kernel``: the x of the rows whose Mᵀ part vanished, a basis of
+      * ``kernel``: the transforms of the rows whose Mᵀ part vanished, one
+        per free column j and zero at every other free column, a basis of
         ker M (sparse ``int`` rows, cols − rank of them);
       * ``image``: the Mᵀ parts of the pivot rows, an echelon basis of the
-        column space im M with its pivots.
+        column space im M with its pivots, and no transform entry.
 
-    Both are right up to nonzero scalars per row, which is all a rank or a
-    zero test reads; the canonical bases are :func:`kernel_basis` and
-    :func:`column_space`."""
+    Exactly: :meth:`kernel_vectors` divides each kernel row by its entry at
+    its free column, and :meth:`solve` reduces a right-hand side against the
+    pivot rows, transforms included."""
 
     def __init__(self, m: RationalMatrix) -> None:
-        offset = m.rows
-        self.image = IntegerEchelon()
+        offset = self._offset = m.rows
+        self._cols = m.cols
+        self._scale = lcm(*[d for d, _ in m.integer_rows])
+        self._rows = IntegerEchelon()
         self.kernel: list[dict[int, int]] = []
         for j, column in enumerate(m.integer_columns):
             w = dict(column)
             w[offset + j] = 1
-            if not self.image.add(w, offset):
+            if not self._rows.add(w, offset):
                 self.kernel.append({i - offset: x for i, x in w.items()})
-        self.image.rows = [{j: x for j, x in row.items() if j < offset} for row in self.image.rows]
+        self.image = IntegerEchelon()
+        self.image.pivots = list(self._rows.pivots)
+        self.image.rows = [{j: x for j, x in row.items() if j < offset} for row in self._rows.rows]
+
+    def kernel_vectors(self) -> list[Vector]:
+        """:func:`kernel_basis`: each kernel row over its entry at its own
+        free column, which is its last nonzero."""
+        out = []
+        for z in self.kernel:
+            nums = [0] * self._cols
+            for j, x in z.items():
+                nums[j] = x
+            out.append(fractions_over(nums, z[max(z)]))
+        return out
+
+    def solve(self, b: Sequence) -> tuple[Vector | None, SparseRow | None]:
+        """(x, None) with M·x = b and x zero at every free column, the
+        solution of :func:`solve_linear`; otherwise (None, residue), the
+        nonzero (coordinate, value) pairs of the residue of b modulo im M, as
+        :func:`column_space`'s ``reduce`` gives it.
+
+        With b = n/D, the row (s·n, 0) with D at a sentinel σ past the
+        transform is reduced against the pivot rows; it stays
+        (s·(σ·b + M·v), v, σ).  If its Mᵀ part vanishes, x = −v/σ;
+        otherwise that part over s·σ is the residue."""
+        offset, cols = self._offset, self._cols
+        if len(b) != offset:
+            raise ValueError(f"dimension mismatch: got rhs of length {len(b)} for {offset} rows")
+        den, nums = integer_form(b)
+        w = {i: self._scale * x for i, x in enumerate(nums) if x}
+        sentinel = offset + cols
+        w[sentinel] = den
+        self._rows.reduce(w)
+        sigma = w.pop(sentinel)
+        if min(w, default=offset) >= offset:
+            return fractions_over([-w.get(offset + j, 0) for j in range(cols)], sigma), None
+        scale = self._scale * sigma
+        return None, tuple((i, Fraction(x, scale)) for i, x in sorted(w.items()) if i < offset)

@@ -33,7 +33,9 @@ the former ``Bimodule.left`` / ``Bimodule.right`` products,
 ``les_by_subspaces`` at the very end is the package's former LES walk: it
 compares the image of the incoming map with the kernel of the outgoing one
 as echelon subspaces of cochain space, where ``complexes.les_check`` decides
-exactness by ranks of residue matrices.
+exactness by ranks of residue matrices.  Its cocycle bases, boundary spans,
+residues and kernels come from the dense linear-algebra oracles here, not
+from the package's elimination.
 """
 
 from fractions import Fraction
@@ -62,13 +64,9 @@ from rbprelie.complexes import (
 )
 from rbprelie.deformations import TruncatedDeformation, series_inverse
 from rbprelie.linalg import (
-    EchelonBasis,
     RationalMatrix,
     Vector,
-    echelon_basis,
     is_zero_vector,
-    kernel_basis,
-    same_subspace,
     unit_vector,
     vadd,
     vscale,
@@ -988,37 +986,29 @@ def crossed_module_defects_by_fractions(cm):
             yield "c2_right", (a, b), vsub(a_times[a].apply(db), g1_product[a][b])
 
 
-def _kernel_plus_boundaries(
-    images: list[Vector],
-    cocycles: list[Vector],
-    boundaries: tuple[Vector, ...],
-    target_boundaries: EchelonBasis,
-    ambient: int,
-) -> EchelonBasis:
-    # {z ∈ Z : f(z) ∈ B'} is the kernel of z ↦ f(z) mod B' (``images`` is
-    # f(Z)), the residue convention of ``ComplexData.solve``; then add the
-    # boundaries of this degree.
-    if not cocycles:
-        return echelon_basis(boundaries, ambient)
-    residues = RationalMatrix.from_cols(
-        [target_boundaries.reduce(w) for w in images], target_boundaries.dim_ambient
-    )
-    members: list[Vector] = []
-    for combo in kernel_basis(residues):
-        v = zero_vector(ambient)
-        for c, z in zip(combo, cocycles):
-            if c != 0:
-                v = vadd(v, vscale(c, z))
-        members.append(v)
-    return echelon_basis(members + list(boundaries), ambient)
-
-
 def les_by_subspaces(r: RBPreLieAlgebra, m: RBBimodule, max_degree: int) -> LESReport:
     """The LES walk of ``les_check``, with the image of the incoming map and
-    the kernel of the outgoing one built as echelon subspaces of the cocycle
-    space and compared by ``same_subspace``."""
+    the kernel of the outgoing one built as reduced echelon subspaces of the
+    cocycle space and compared as such (the reduced form of a subspace is
+    unique).  Of the package it reads the matrices of one ``ComplexData`` and
+    ``apply``; every cocycle basis, boundary span, residue and kernel comes
+    from the dense oracles above, so it shares no elimination with
+    ``les_check``."""
     PLA, RBO, RBA = ComplexKind.PLA, ComplexKind.RBO, ComplexKind.RBA
     data = ComplexData(r, m)
+    cocycles_of, boundaries_of = {}, {}
+
+    def cocycles(kind: ComplexKind, n: int) -> list[Vector]:
+        if (kind, n) not in cocycles_of:
+            cocycles_of[kind, n] = dense_kernel_basis(data.d(kind, n))
+        return cocycles_of[kind, n]
+
+    def boundaries(kind: ComplexKind, n: int) -> tuple[tuple, tuple]:
+        """(vectors, pivots) of the reduced echelon basis of Bₙ = im dₙ₋₁."""
+        if (kind, n) not in boundaries_of:
+            columns = data.d(kind, n - 1).transpose().entries if n else ()
+            boundaries_of[kind, n] = dense_echelon(columns)
+        return boundaries_of[kind, n]
 
     def outgoing(kind: ComplexKind, n: int, v: Vector) -> Vector:
         if kind is RBA:
@@ -1036,19 +1026,35 @@ def les_by_subspaces(r: RBPreLieAlgebra, m: RBBimodule, max_degree: int) -> LESR
         for kind in (RBA, PLA, RBO):
             name, target_kind, shift = steps[kind]
             here, target = (kind, n), (target_kind, n + shift)
-            cocycles, boundaries = data.cocycles(*here), data.boundaries(*here).vectors
-            target_boundaries = data.boundaries(*target)
-            images = [outgoing(kind, n, z) for z in cocycles]
+            zs, (bs, _) = cocycles(*here), boundaries(*here)
+            target_bs, target_pivots = boundaries(*target)
+
+            def residue(w: Vector) -> tuple:
+                return dense_reduce(target_bs, target_pivots, w)
+
+            images = [outgoing(kind, n, z) for z in zs]
             well_defined = all(
                 is_zero_vector(data.d(*target).apply(w)) for w in images
-            ) and all(target_boundaries.contains(outgoing(kind, n, b)) for b in boundaries)
+            ) and all(is_zero_vector(residue(outgoing(kind, n, b))) for b in bs)
             map_checks.append((f"{name} deg {n}", well_defined))
 
-            ambient = data.dim(*here)
-            image = echelon_basis(incoming + list(boundaries), ambient)
-            kernel = _kernel_plus_boundaries(images, cocycles, boundaries, target_boundaries, ambient)
-            exact = same_subspace(image, kernel)
-            positions.append(PositionReport(f"H{n}_{kind.name}", image.dim, kernel.dim, exact))
+            # {z ∈ Z : f(z) ∈ B'} is the kernel of z ↦ f(z) mod B', the
+            # residue convention of ``ComplexData.solve``; then add the
+            # boundaries of this degree
+            members: list[Vector] = []
+            if zs:
+                residues = RationalMatrix.from_cols([residue(w) for w in images], data.dim(*target))
+                for combo in dense_kernel_basis(residues):
+                    v = zero_vector(data.dim(*here))
+                    for c, z in zip(combo, zs):
+                        if c != 0:
+                            v = vadd(v, vscale(c, z))
+                    members.append(v)
+            image = dense_echelon(incoming + list(bs))
+            kernel = dense_echelon(members + list(bs))
+            positions.append(
+                PositionReport(f"H{n}_{kind.name}", len(image[1]), len(kernel[1]), image == kernel)
+            )
             incoming = images
 
     ok = all(p.exact for p in positions) and all(okk for _, okk in map_checks)

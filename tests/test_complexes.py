@@ -23,13 +23,27 @@ from rbprelie import (
     star_algebra,
 )
 from rbprelie.algebras import Bimodule, InvalidStructureError, require_valid, zero_table
-from rbprelie.cochains import Cochain, RBACochain, cochain_from_matrix, space_dim
+from rbprelie.cochains import (
+    Cochain,
+    RBACochain,
+    bilinear_from_cochain,
+    cochain_from_matrix,
+    matrix_from_cochain,
+    space_dim,
+)
 from rbprelie.complexes import (
     ComplexData,
     LESReport,
     PositionReport,
     complex_space_dim,
     phi_matrix,
+)
+from rbprelie.deformations import (
+    TruncatedDeformation,
+    gauge_transform,
+    solve_next_order,
+    trivial_deformation,
+    trivialize,
 )
 from rbprelie.files import cochain_document, dump_document, parse_algebra_file
 from rbprelie.generators import (
@@ -38,7 +52,9 @@ from rbprelie.generators import (
     conjugate_rb,
     invert,
     random_cochain,
+    random_gauge,
     random_invertible,
+    random_rb_pre_lie,
     random_rba_cochain,
     random_rba_cocycle,
     random_valid_pair,
@@ -46,15 +62,16 @@ from rbprelie.generators import (
 )
 from rbprelie.linalg import (
     RationalMatrix,
-    column_space,
     rank,
-    solve_linear,
     unit_vector,
     zero_vector,
 )
 
 from conftest import make_a0, make_a1, make_a1n, make_affine, make_noncommuting_module
 from oracles import (
+    dense_echelon,
+    dense_reduce,
+    dense_solve,
     les_by_subspaces,
     matrix_by_eval,
     phi_by_eval,
@@ -469,10 +486,47 @@ def test_les_report_dimension_five_pinned():
     assert les_check(r, regular_bimodule(r), 3) == LESReport(True, positions, _map_checks(3))
 
 
-def test_les_eliminates_each_matrix_at_most_once(monkeypatch):
-    # every elimination les_check can reach, looked up where complexes finds
-    # it, on a dimension-3 pair and on the broken operator; the matrices are
-    # kept alive, so their ids are not reused
+def _les_request():
+    # a dimension-3 pair, and the broken operator, where d∘d ≠ 0: each dₙ,
+    # n ≤ 2, of the three complexes
+    broken, _, _ = parse_algebra_file((FIXTURES / "a1_broken_rb.yaml").read_text())
+    for r in (random_valid_pair(random.Random(3), 3)[0], broken):
+        yield lambda r=r: les_check(r, regular_bimodule(r), 2), ["Elimination"] * 9
+
+
+def _obstructed_solve_request():
+    # order-1 coefficients drawn as a random degree-2 cocycle until the
+    # order-2 solve is obstructed: one solve of d₂, then its residue
+    rng = random.Random(41)
+    while True:
+        r = random_rb_pre_lie(rng, 3)
+        c = random_rba_cocycle(rng, r, regular_bimodule(r), 2)
+        d = TruncatedDeformation(
+            r,
+            (r.algebra.c, bilinear_from_cochain(c.pla_part)),
+            (r.operator, matrix_from_cochain(c.rbo_part)),
+        )
+        if solve_next_order(r, d).solution is None:
+            yield lambda: solve_next_order(r, d), ["Elimination"]
+            return
+
+
+def _trivialize_request():
+    # a gauge-trivial order-3 deformation: three solves against d₁
+    rng = random.Random(42)
+    r = random_rb_pre_lie(rng, 3)
+    d = gauge_transform(r, trivial_deformation(r, 3), random_gauge(rng, 3, 3))
+    yield lambda: trivialize(r, d), ["Elimination"]
+
+
+@pytest.mark.parametrize(
+    "requests",
+    [_les_request, _obstructed_solve_request, _trivialize_request],
+    ids=["les", "deform-solve-obstructed", "deform-trivialize"],
+)
+def test_each_request_eliminates_each_matrix_at_most_once(monkeypatch, requests):
+    # every elimination a request can reach, looked up where complexes finds
+    # it; the matrices are kept alive, so their ids are not reused
     from rbprelie import complexes
 
     seen: list = []
@@ -486,18 +540,18 @@ def test_les_eliminates_each_matrix_at_most_once(monkeypatch):
 
         return wrapper
 
+    cases = list(requests())
     names = ("Elimination", "rank", "kernel_basis", "column_space", "solve_linear")
     for name in names:
         monkeypatch.setattr(complexes, name, counting(name), raising=False)
-    broken, _, _ = parse_algebra_file((FIXTURES / "a1_broken_rb.yaml").read_text())
-    for r in (random_valid_pair(random.Random(3), 3)[0], broken):
+    for run, eliminated in cases:
         seen.clear()
-        les_check(r, regular_bimodule(r), 2)
+        run()
         counts = Counter(id(m) for _, m in seen)
         twice = [(name, m.rows, m.cols) for name, m in seen if counts[id(m)] > 1]
         assert not twice, twice
-        # each dₙ, n ≤ 2, of the three complexes, and nothing else
-        assert sorted(name for name, _ in seen) == ["Elimination"] * 9
+        # the one elimination of each dₙ the request reads, and nothing else
+        assert sorted(name for name, _ in seen) == eliminated
 
 
 def test_les_zero_everything_exact():
@@ -638,6 +692,8 @@ def test_star_derived_route_definition():
 
 
 def test_complex_data_solve_is_solve_linear_or_residue():
+    # against the dense oracles: solve_linear and column_space read the same
+    # elimination as ComplexData.solve
     rng = random.Random(23)
     solved = obstructed = 0
     for _ in range(16):
@@ -651,10 +707,10 @@ def test_complex_data_solve_is_solve_linear_or_residue():
                 # mostly is not
                 for target in (mat.apply(random_vector(rng, mat.cols)), random_vector(rng, mat.rows)):
                     x, residue = data.solve(kind, n, target)
-                    want = solve_linear(mat, target)
+                    want = dense_solve(mat, target)
                     assert x == want
                     if want is None:
-                        dense = column_space(mat).reduce(target)
+                        dense = dense_reduce(*dense_echelon(mat.transpose().entries), target)
                         assert residue == tuple((i, v) for i, v in enumerate(dense) if v != 0)
                         assert residue
                         obstructed += 1

@@ -429,7 +429,11 @@ def _assert_equals_dense_oracle(m, rhs):
     assert rank(m) == dense_rank(m)
     assert kernel_basis(m) == dense_kernel_basis(m)
     for b in rhs:
-        assert solve_linear(m, b) == dense_solve(m, b)
+        want = dense_solve(m, b)
+        assert solve_linear(m, b) == want
+        if want is None:  # the residue modulo im m, as the dense reduced basis gives it
+            residue = dense_reduce(*dense_echelon(transposed), b)
+            assert Elimination(m).solve(b) == (None, tuple((i, v) for i, v in enumerate(residue) if v))
     cs = column_space(m)
     assert (cs.vectors, cs.pivots) == dense_echelon(transposed)
     space = echelon_basis(m.entries, m.cols)
@@ -743,32 +747,34 @@ def _proportional(got: tuple, want: tuple) -> bool:
 
 
 def test_elimination_equals_rank_kernel_and_column_space():
-    """One forward-only reduction of [Mᵀ | I] gives what three Gauss-Jordan
-    eliminations give: rank(M), a basis of the span of kernel_basis(M), and
-    column_space(M)'s pivots with its residues up to a positive scalar."""
+    """One forward-only reduction of [Mᵀ | I] gives what dense rational
+    elimination gives: rank(M), a basis of ker M, and the pivots of the
+    reduced echelon basis of im M with its residues up to a positive scalar.
+    The package's readers take all three from this one object, so the
+    comparison is with the dense oracles."""
     rng = random.Random(31)
     shapes, residues = set(), 0
     for m in _elimination_cases(rng):
         e = Elimination(m)
-        r = rank(m)
+        r = dense_rank(m)
         assert len(e.image.pivots) == len(e.image.rows) == r
         shapes.add((m.rows == 0, m.cols == 0, r == 0, r == 1, r == min(m.rows, m.cols)))
         # the kernel: M·z = 0 on every row, cols − rank of them, spanning ker M
         kernel = [_as_fractions(z, m.cols) for z in e.kernel]
         assert len(kernel) == m.cols - r
         assert all(is_zero_vector(m.apply(z)) for z in kernel)
-        assert same_subspace(echelon_basis(kernel, m.cols), echelon_basis(kernel_basis(m), m.cols))
+        assert dense_echelon(kernel) == dense_echelon(dense_kernel_basis(m))
         assert not any(int_apply(m.integer_columns, z) for z in e.kernel)
-        # the image: column_space's pivots, an echelon basis, the same residues
-        space = column_space(m)
-        assert tuple(e.image.pivots) == space.pivots
+        # the image: the reduced basis's pivots, an echelon basis, the same residues
+        space, pivots = dense_echelon(m.transpose().entries)
+        assert tuple(e.image.pivots) == pivots
         for p, row in zip(e.image.pivots, e.image.rows):
             assert min(row) == p
         for _ in range(3):
             v = _random_vector(rng, m.rows, rng.choice((0.3, 1.0)))
             _, ints = integer_form(v)
             got = e.image.reduce({j: x for j, x in enumerate(ints) if x})
-            assert _proportional(_as_fractions(got, m.rows), space.reduce(v))
+            assert _proportional(_as_fractions(got, m.rows), dense_reduce(space, pivots, v))
             residues += bool(got)
         if m.cols:
             x = _random_vector(rng, m.cols, 1.0)

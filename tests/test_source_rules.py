@@ -70,6 +70,11 @@ The LES walk runs on ``int`` vectors and eliminates each dₙ once:
 ``.apply``, ``.from_rows``, ``.cocycles``, ``.boundaries`` or ``.solve``; it
 reads Z and B from ``ComplexData.elimination``.
 
+Each request eliminates each dₙ once: ``complexes`` imports none of
+``rank``, ``kernel_basis``, ``column_space`` or ``solve_linear``, and no
+method of ``ComplexData`` calls them; its ranks, cocycle bases and solves
+are read off the one ``ComplexData.elimination`` of each dₙ.
+
 No package module imports a name it never reads or lists in ``__all__``,
 and no function assigns a local it never reads (``_``-prefixed names
 aside).
@@ -352,6 +357,28 @@ def test_les_walk_runs_on_integer_vectors():
              if name.split(".")[-1] in FRACTION_WALK]
     assert not found, f"les_check: {found}"
     assert "data.elimination" in {name for _, name in called}
+
+
+SEPARATE_ELIMINATIONS = {"rank", "kernel_basis", "column_space", "solve_linear"}
+
+
+def test_complex_data_reads_the_one_elimination():
+    path = next(path for path in SOURCES if path.name == "complexes.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    data = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "ComplexData")
+    found = [
+        f"line {node.lineno} imports {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name.split(".")[-1] in SEPARATE_ELIMINATIONS
+    ] + [
+        f"line {call.lineno} calls {_callee(call)}"
+        for call in ast.walk(data)
+        if isinstance(call, ast.Call) and _callee(call).split(".")[-1] in SEPARATE_ELIMINATIONS
+    ]
+    assert not found, f"complexes.py: {found}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
