@@ -382,7 +382,7 @@ def les_check(r: RBPreLieAlgebra, m: RBBimodule, max_degree: int) -> LESReport:
             size = data.dim(PLA, n)
             return {j: x for j, x in v.items() if j < size}
         if kind is PLA:
-            return int_apply(data.phi(n).integer_columns, v)
+            return int_apply(data.phi(n).integer_columns[1], v)
         offset = data.dim(PLA, n + 1)
         return {offset + j: -x for j, x in v.items()}
 
@@ -407,7 +407,7 @@ def les_check(r: RBPreLieAlgebra, m: RBBimodule, max_degree: int) -> LESReport:
             for b in boundary_rows:
                 on_boundaries.add(reduce(outgoing(kind, n, b)))
             boundary_rank = len(on_boundaries.pivots)
-            d_target = data.d(*target).integer_columns
+            _, d_target = data.d(*target).integer_columns
             closed = not any(int_apply(d_target, w) for w in images)
             map_checks.append((f"{name} deg {n}", closed and not boundary_rank))
 
@@ -417,7 +417,7 @@ def les_check(r: RBPreLieAlgebra, m: RBBimodule, max_degree: int) -> LESReport:
             image_rank = len(on_cocycles.pivots)
             image_dim = len(boundary_rows) + incoming_rank
             kernel_dim = len(cocycles) - image_rank + boundary_rank
-            d_here = data.d(*here).integer_columns
+            _, d_here = data.d(*here).integer_columns
             exact = (
                 incoming_closed
                 and not any(int_apply(d_here, b) for b in boundary_rows)

@@ -6,16 +6,16 @@ the coboundary and chain-map matrices are mostly zeros.  A matrix's value is
 its sparse rows: the (column, nonzero value) pairs of each row by increasing
 column, built directly by every constructor and read by equality and hashing.
 Derived from them once, on first use, are its dense ``entries`` (for ``repr``,
-``col`` and serialization), its integer rows, each row as (d, pairs) with
-the row's nonzeros x/d for its (column, integer x) pairs and d the lcm of
-their denominators, and its integer columns, the (row, int) nonzeros of each
-column of the matrix times the lcm of all its denominators.
+``col`` and serialization) and its one integer view, ``integer_columns``:
+the pair (s, columns), s the lcm of all its denominators and ``columns`` the
+(row, int) nonzeros of each column of s·M.
 
 The integer form of rationals is a pair (D, n): nested ``int`` lists n
 over one denominator D, the values n/D.  Only this module reads rationals
 into that form, and it holds the operations on it.  :func:`integer_form`
-is the one reader, of a vector, of each sparse row (``integer_rows``) and
-of tables and matrices over one shared D; :func:`fractions_over` makes one
+is the one reader, of a vector and of tables and matrices over one shared
+D, and a matrix's ``integer_columns`` is its (D, n) with n by columns, the
+sparse form :func:`int_apply` reads; :func:`fractions_over` makes one
 ``Fraction`` per nonzero entry on the way back; :func:`int_matvec`,
 :func:`int_matmul`, the weighted sums :func:`int_sum` (vectors) and
 :func:`int_matrix_sum` (matrices), each given its width so that an operand
@@ -27,12 +27,13 @@ This is exact rational arithmetic done in another order, and a
 ``Fraction``'s normal form is unique, so every value made from it equals
 the one ``Fraction`` arithmetic gives.
 
-Products run on integers.  ``apply`` scales its vector once by
-the lcm D of the vector's denominators, forms each row's dot product as an
-``int`` and makes one ``Fraction(dot, d·D)`` per nonzero output entry.
-``matmul`` scales the right factor's integer rows to one lcm D, accumulates
-each output row as ``int``s and makes one ``Fraction(acc, d·D)`` per nonzero
-output entry.
+Products run on integers, through the one kernel :func:`int_apply`, a sum
+of the integer columns of M weighted by a sparse ``int`` vector.  ``apply``
+reads its vector as n/D and makes one ``Fraction`` over s·D per nonzero
+entry of ``int_apply(columns, n)``; ``matmul`` applies the left factor's
+columns to each integer column of the right factor, over the product of
+the two scales, and appends the entries to the output rows by increasing
+column, so they need no sorting.
 
 There is one elimination, and it runs on sparse ``int`` rows (column →
 nonzero ``int``) with no ``Fraction`` at all: an :class:`IntegerEchelon`
@@ -77,7 +78,7 @@ Matrices are immutable, and all functions are pure; an
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -87,8 +88,6 @@ from typing import Iterable, Sequence
 Rational = Fraction
 Vector = tuple[Fraction, ...]
 SparseRow = tuple[tuple[int, Fraction], ...]
-# (d, pairs): the row whose nonzeros are x/d for its (column, integer x) pairs
-IntegerRow = tuple[int, tuple[tuple[int, int], ...]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -136,7 +135,8 @@ class RationalMatrix:
     """Immutable matrix of rationals, built by ``from_rows``, ``from_cols``,
     ``from_sparse``, ``identity``, ``zeros`` or ``block``.  Its value is its
     sparse rows, the nonzeros of each row as (column, ``Fraction``) pairs by
-    increasing column; its dense entries and integer rows derive from them."""
+    increasing column; its dense entries and its integer columns derive
+    from them."""
 
     rows: int
     cols: int
@@ -151,31 +151,16 @@ class RationalMatrix:
         return tuple(_dense(row, self.cols) for row in self.sparse_rows)
 
     @cached_property
-    def integer_rows(self) -> tuple[IntegerRow, ...]:
-        """Each row as (d, pairs): its nonzeros are x/d for the (column,
-        integer x) pairs, d the lcm of their denominators."""
-        rows = []
-        for row in self.sparse_rows:
-            if row:
-                columns, values = zip(*row)
-                d, nums = integer_form(values)
-                rows.append((d, tuple(zip(columns, nums))))
-            else:
-                rows.append((1, ()))
-        return tuple(rows)
-
-    @cached_property
-    def integer_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The nonzeros of each column of s·M as (row, ``int``) pairs by
-        increasing row, s the lcm of every denominator of M: the matrix up to
-        one positive scalar, for ranks and zero tests (:func:`int_apply`,
-        :class:`Elimination`)."""
-        scale = lcm(*[d for d, _ in self.integer_rows])
+    def integer_columns(self) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """The integer form (s, columns) of M = columns/s: s the lcm of every
+        denominator of M and ``columns`` the nonzeros of each column of s·M
+        as (row, ``int``) pairs by increasing row (:func:`int_apply`)."""
+        scale = lcm(*{x.denominator for row in self.sparse_rows for _, x in row})
         columns: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
-        for i, (d, pairs) in enumerate(self.integer_rows):
-            for j, x in pairs:
-                columns[j].append((i, x * (scale // d)))
-        return tuple(map(tuple, columns))
+        for i, row in enumerate(self.sparse_rows):
+            for j, x in row:
+                columns[j].append((i, x.numerator * (scale // x.denominator)))
+        return scale, tuple(map(tuple, columns))
 
     @staticmethod
     def from_sparse(rows: Iterable[SparseRow], ncols: int) -> "RationalMatrix":
@@ -233,48 +218,31 @@ class RationalMatrix:
         return tuple(row[j] for row in self.entries)
 
     def apply(self, v: Sequence) -> Vector:
-        """Matrix times coordinate column, on integer rows: v is scaled once
-        by the lcm D of its denominators, each row's dot product is an int,
-        and each nonzero output entry is one ``Fraction(dot, d·D)``."""
+        """Matrix times coordinate column on the integer form: with v = n/D
+        and M = columns/s, M·v is ``int_apply(columns, n)`` over s·D, one
+        ``Fraction`` per nonzero entry."""
         if len(v) != self.cols:
             raise ValueError(f"dimension mismatch: {self.rows}x{self.cols} times {len(v)}")
-        out, w = [], None
-        for d, pairs in self.integer_rows:
-            if not pairs:
-                out.append(_ZERO)
-                continue
-            if w is None:  # scaled on first use: a zero matrix never reads v
-                scale, w = integer_form(v)
-            acc = 0
-            for j, x in pairs:
-                acc += x * w[j]
-            if not acc:
-                out.append(_ZERO)
-            else:
-                den = d * scale
-                out.append(Fraction(acc, den) if den != 1 else Fraction(acc))
-        return tuple(out)
+        scale, columns = self.integer_columns
+        den, nums = integer_form(v)
+        out = [0] * self.rows
+        for i, x in int_apply(columns, {j: x for j, x in enumerate(nums) if x}).items():
+            out[i] = x
+        return fractions_over(out, scale * den)
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        """The product on integer rows: the right factor's rows are scaled to
-        the lcm D of their denominators, each output row accumulates ``int``s
-        and each nonzero output entry is one ``Fraction(acc, d·D)``."""
+        """The product on the integer forms A = a/s and B = b/t: column j of
+        A·B is ``int_apply(a, column j of b)`` over s·t, its entries appended
+        to the output rows by increasing j."""
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matmul")
-        scale = lcm(*[d for d, _ in other.integer_rows])
-        right = [
-            pairs if d == scale else tuple([(j, x * (scale // d)) for j, x in pairs])
-            for d, pairs in other.integer_rows
-        ]
-        product = []
-        for d, row in self.integer_rows:
-            acc: dict[int, int] = {}
-            for k, a in row:
-                for j, b in right[k]:
-                    acc[j] = acc.get(j, 0) + a * b
-            den = d * scale
-            product.append(tuple(sorted([(j, Fraction(x, den)) for j, x in acc.items() if x])))
-        return RationalMatrix.from_sparse(product, other.cols)
+        (s, left), (t, right) = self.integer_columns, other.integer_columns
+        den = s * t
+        rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.rows)]
+        for j, column in enumerate(right):
+            for i, x in int_apply(left, dict(column)).items():
+                rows[i].append((j, Fraction(x, den)))
+        return RationalMatrix.from_sparse(map(tuple, rows), other.cols)
 
     def transpose(self) -> "RationalMatrix":
         columns: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.cols)]
@@ -325,7 +293,9 @@ def integer_form(values: Sequence) -> tuple[int, list]:
     ``int`` lists of the same shape.  ``values`` is a vector of rationals
     (``int`` entries read as themselves), or a sequence of tensors read over
     one D: matrices, from their nonzeros as dense rows (``n[t][row][col]``),
-    and tables, rows of vectors (``n[t][i][j][k]``)."""
+    and tables, rows of vectors (``n[t][i][j][k]``).  One matrix on its own
+    has the same (D, n) sparse and by columns, as
+    :attr:`RationalMatrix.integer_columns`."""
     if values and not isinstance(values[0], (Fraction, int)):
         mats = [t for t in values if isinstance(t, RationalMatrix)]
         tables = [t for t in values if not isinstance(t, RationalMatrix)]
@@ -396,8 +366,9 @@ def int_matrix_sum(
 
 def int_apply(columns: Sequence[Sequence[tuple[int, int]]], v: dict[int, int]) -> dict[int, int]:
     """M·v for a sparse ``int`` vector (column → nonzero ``int``) and a
-    matrix given by the (row, ``int``) nonzeros of its columns
-    (:attr:`RationalMatrix.integer_columns`): Σ vⱼ·(column j), its nonzeros."""
+    matrix given by the (row, ``int``) nonzeros of its columns (the
+    columns of :attr:`RationalMatrix.integer_columns`): Σ vⱼ·(column j), its
+    nonzeros."""
     acc: dict[int, int] = {}
     for j, x in v.items():
         for i, y in columns[j]:
@@ -476,10 +447,13 @@ def solve_linear(a: RationalMatrix, b: Sequence) -> Vector | None:
 @dataclass(frozen=True)
 class EchelonBasis:
     """Reduced echelon basis of a subspace, for membership and residue tests:
-    the matrix whose rows are the basis vectors, and their pivot columns."""
+    the matrix whose rows are the basis vectors, their pivot columns, and
+    the :class:`IntegerEchelon` of those rows (up to scale) that ``reduce``
+    runs, the one :func:`column_space` built."""
 
     basis: RationalMatrix
     pivots: tuple[int, ...]
+    _echelon: IntegerEchelon = field(compare=False, repr=False)
 
     @property
     def dim_ambient(self) -> int:
@@ -493,13 +467,6 @@ class EchelonBasis:
     def vectors(self) -> tuple[Vector, ...]:
         return self.basis.entries
 
-    @cached_property
-    def _integer(self) -> IntegerEchelon:
-        echelon = IntegerEchelon()
-        for _, pairs in self.basis.integer_rows:
-            echelon.add(dict(pairs))
-        return echelon
-
     def reduce(self, v: Sequence) -> Vector:
         """Residue of v modulo the subspace, supported on non-pivot
         coordinates: v = n/D reduced as the ``int`` row n with D in a
@@ -510,7 +477,7 @@ class EchelonBasis:
         den, nums = integer_form(v)
         w = {j: x for j, x in enumerate(nums) if x}
         w[self.dim_ambient] = den
-        self._integer.reduce(w)
+        self._echelon.reduce(w)
         return fractions_over([w.get(j, 0) for j in range(self.dim_ambient)], w[self.dim_ambient])
 
     def contains(self, v: Sequence) -> bool:
@@ -534,7 +501,7 @@ def column_space(m: RationalMatrix) -> EchelonBasis:
         tuple((j, Fraction(x, row[p])) for j, x in sorted(row.items()))
         for p, row in zip(reduced.pivots, reduced.rows)
     )
-    return EchelonBasis(RationalMatrix.from_sparse(kept, m.rows), tuple(reduced.pivots))
+    return EchelonBasis(RationalMatrix.from_sparse(kept, m.rows), tuple(reduced.pivots), reduced)
 
 
 def same_subspace(a: EchelonBasis, b: EchelonBasis) -> bool:
@@ -600,8 +567,9 @@ class IntegerEchelon:
 class Elimination:
     """The one elimination of a matrix M: the forward-only fraction-free
     reduction of [Mᵀ | I], run once and read by every rank, kernel, solve
-    and span.  Row j starts as (s·column j of M, e_j), s the lcm of M's
-    denominators (:attr:`RationalMatrix.integer_columns`), and is reduced
+    and span.  It reads M only as its integer form (s, columns)
+    (:attr:`RationalMatrix.integer_columns`, s the lcm of M's denominators):
+    row j starts as (column j of s·M, e_j), and is reduced
     against the pivot rows before it (an :class:`IntegerEchelon` with pivots
     in the Mᵀ part only).  Every row stays (s·M·x, x) for some x, its
     transform, and the rows of the pivot columns of M join the basis, so
@@ -622,10 +590,10 @@ class Elimination:
     def __init__(self, m: RationalMatrix) -> None:
         offset = self._offset = m.rows
         self._cols = m.cols
-        self._scale = lcm(*[d for d, _ in m.integer_rows])
+        self._scale, columns = m.integer_columns
         self._rows = IntegerEchelon()
         self.kernel: list[dict[int, int]] = []
-        for j, column in enumerate(m.integer_columns):
+        for j, column in enumerate(columns):
             w = dict(column)
             w[offset + j] = 1
             if not self._rows.add(w, offset):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -589,11 +590,15 @@ def _coprime_rows(rng, rows, cols, density=0.7):
 
 
 def _product_cases(rng):
-    """Factor pairs (a, b) for matmul: 0×n and n×0 shapes, zero factors,
+    """Factor pairs (a, b) for matmul: every n×k·k×m shape with a zero among
+    n, k, m (n×0·0×m, 0×k·k×m, n×k·k×0 and their overlaps), zero factors,
     zero rows, ``int`` entries and coprime denominators across rows."""
-    yield RationalMatrix.from_rows([], 4), RationalMatrix.from_rows(_coprime_rows(rng, 4, 3))
-    yield RationalMatrix.from_rows(((),) * 3), RationalMatrix.from_rows([], 5)
-    yield RationalMatrix.from_rows(_coprime_rows(rng, 3, 4)), RationalMatrix.from_rows(((),) * 4)
+    for n, k, m in product((0, 3), (0, 4), (0, 2)):
+        if not n * k * m:
+            yield (
+                RationalMatrix.from_rows(_coprime_rows(rng, n, k), k),
+                RationalMatrix.from_rows(_coprime_rows(rng, k, m), m),
+            )
     yield RationalMatrix.zeros(3, 4), RationalMatrix.from_rows(_coprime_rows(rng, 4, 2))
     yield RationalMatrix.from_rows(_coprime_rows(rng, 2, 4)), RationalMatrix.zeros(4, 3)
     yield RationalMatrix.from_rows([[1, 2], [3, 4]]), RationalMatrix.from_rows([[5, 0], [-7, 1]])
@@ -610,7 +615,7 @@ def _product_cases(rng):
         )
 
 
-def test_matmul_on_integer_rows_equals_fraction_oracle():
+def test_matmul_on_integer_columns_equals_fraction_oracle():
     rng = random.Random(26)
     for a, b in _product_cases(rng):
         got = a.matmul(b)
@@ -764,7 +769,7 @@ def test_elimination_equals_rank_kernel_and_column_space():
         assert len(kernel) == m.cols - r
         assert all(is_zero_vector(m.apply(z)) for z in kernel)
         assert dense_echelon(kernel) == dense_echelon(dense_kernel_basis(m))
-        assert not any(int_apply(m.integer_columns, z) for z in e.kernel)
+        assert not any(int_apply(m.integer_columns[1], z) for z in e.kernel)
         # the image: the reduced basis's pivots, an echelon basis, the same residues
         space, pivots = dense_echelon(m.transpose().entries)
         assert tuple(e.image.pivots) == pivots
@@ -780,9 +785,9 @@ def test_elimination_equals_rank_kernel_and_column_space():
             x = _random_vector(rng, m.cols, 1.0)
             _, ints = integer_form(m.apply(x))
             assert not e.image.reduce({j: x for j, x in enumerate(ints) if x})
-        # an IntegerEchelon of the rows of M has rank(M) pivots
+        # an IntegerEchelon of the rows of M (the columns of Mᵀ) has rank(M) pivots
         rows = IntegerEchelon()
-        for _, pairs in m.integer_rows:
+        for pairs in m.transpose().integer_columns[1]:
             rows.add(dict(pairs))
         assert len(rows.pivots) == r
     assert residues
@@ -791,11 +796,14 @@ def test_elimination_equals_rank_kernel_and_column_space():
         assert any(shape[flag] for shape in shapes)
 
 
-def test_int_apply_equals_apply_up_to_the_matrix_scale():
+def test_int_apply_over_the_matrix_scale_equals_mat_vec():
+    """With M = columns/s and v = n/D, int_apply(columns, n) over s·D is M·v
+    of the dense Fraction oracle, entry for entry."""
     rng = random.Random(32)
     for m in _elimination_cases(rng):
         v = _random_vector(rng, m.cols, rng.choice((0.3, 1.0)))
-        _, ints = integer_form(v)
-        got = int_apply(m.integer_columns, {j: x for j, x in enumerate(ints) if x})
+        den, ints = integer_form(v)
+        scale, columns = m.integer_columns
+        got = int_apply(columns, {j: x for j, x in enumerate(ints) if x})
         assert all(x for x in got.values())
-        assert _proportional(_as_fractions(got, m.rows), m.apply(v))
+        assert [Fraction(got.get(i, 0), scale * den) for i in range(m.rows)] == mat_vec(m, v)

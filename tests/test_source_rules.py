@@ -70,6 +70,13 @@ The LES walk runs on ``int`` vectors and eliminates each dₙ once:
 ``.apply``, ``.from_rows``, ``.cocycles``, ``.boundaries`` or ``.solve``; it
 reads Z and B from ``ComplexData.elimination``.
 
+A matrix has one integer view: its ``integer_columns`` (s, columns), the
+nonzeros of each column of s·M for s the lcm of its denominators.  No
+package source names ``integer_rows`` or ``IntegerRow``,
+``RationalMatrix.apply`` and ``RationalMatrix.matmul`` call ``int_apply``
+on it, and ``Elimination`` reads no other view of its matrix (neither
+``sparse_rows`` nor ``entries``).
+
 Each request eliminates each dₙ once: ``complexes`` imports none of
 ``rank``, ``kernel_basis``, ``column_space`` or ``solve_linear``, and no
 method of ``ComplexData`` calls them; its ranks, cocycle bases and solves
@@ -357,6 +364,25 @@ def test_les_walk_runs_on_integer_vectors():
              if name.split(".")[-1] in FRACTION_WALK]
     assert not found, f"les_check: {found}"
     assert "data.elimination" in {name for _, name in called}
+
+
+FORMER_VIEWS = {"integer_rows", "IntegerRow"}
+MATRIX_VIEWS = {"sparse_rows", "entries", "integer_columns", *FORMER_VIEWS}
+
+
+def test_a_matrix_has_one_integer_view():
+    found = [f"{path.name} names {name}" for path in SOURCES
+             for name in sorted(FORMER_VIEWS) if name in path.read_text(encoding="utf-8")]
+    assert not found, found
+    classes = {node.name: node for node in MODULES["linalg"].body if isinstance(node, ast.ClassDef)}
+    methods = {item.name: item for item in classes["RationalMatrix"].body
+               if isinstance(item, ast.FunctionDef)}
+    for name in ("apply", "matmul"):
+        called = {_callee(call) for call in ast.walk(methods[name]) if isinstance(call, ast.Call)}
+        assert "int_apply" in called, f"RationalMatrix.{name} does not call int_apply"
+    read = {node.attr for node in ast.walk(classes["Elimination"])
+            if isinstance(node, ast.Attribute) and node.attr in MATRIX_VIEWS}
+    assert read == {"integer_columns"}, f"Elimination reads {sorted(read)}"
 
 
 SEPARATE_ELIMINATIONS = {"rank", "kernel_basis", "column_space", "solve_linear"}
