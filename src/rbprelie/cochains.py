@@ -19,7 +19,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterator, Mapping, Sequence
 
-from .linalg import Vector, is_zero_vector, vadd, vscale, zero_vector
+from .linalg import RationalMatrix, Vector, is_zero_vector, vadd, vscale, zero_vector
 
 Key = tuple[int, ...]
 
@@ -184,9 +184,7 @@ def cochain_from_matrix(mat) -> Cochain:
     return Cochain(1, mat.cols, mat.rows, {(j,): mat.col(j) for j in range(mat.cols)})
 
 
-def matrix_from_cochain(f: Cochain):
-    from .linalg import RationalMatrix
-
+def matrix_from_cochain(f: Cochain) -> RationalMatrix:
     if f.degree != 1:
         raise ValueError("expected a degree-1 cochain")
     return RationalMatrix.from_cols([f.value((j,)) for j in range(f.base_dim)], f.mod_dim)

@@ -52,10 +52,10 @@ sorted with sign σ, and the term is σ·(coefficient)·Πw times the block.
 In degree 0, δ₀ and ∂₀ come out zero from the same rule and Φ₀ = I.
 
 A :class:`ComplexData`, made once per request for one (algebra, module)
-pair, owns everything derived from those matrices: it builds each matrix,
-elimination and cocycle basis the first time it is asked for and keeps it,
-applies dₙ to a cochain (:meth:`ComplexData.coboundary`), and decides
-whether a target is a coboundary.  Nothing is kept between requests.  Each
+pair, owns everything derived from those matrices: it builds each matrix
+and elimination the first time it is asked for and keeps it, applies dₙ
+to a cochain (:meth:`ComplexData.coboundary`), and decides whether a
+target is a coboundary.  Nothing is kept between requests.  Each
 dₙ is eliminated once, by one forward-only :class:`~.linalg.Elimination`
 (:meth:`ComplexData.elimination`), and everything else is read off it: the
 rank, the reduced kernel basis Zₙ, and for each target either the
@@ -241,8 +241,8 @@ def phi_matrix(r: RBPreLieAlgebra, m: RBBimodule, degree: int) -> RationalMatrix
 
 class ComplexData:
     """The complexes of one (algebra, module) pair: coboundary and Φ
-    matrices, the elimination of each dₙ and cocycle bases, each built the
-    first time it is asked for and then kept.
+    matrices and the elimination of each dₙ, each built the first time it
+    is asked for and then kept.
 
     Make one per request and drop it with the request; it takes no options.
     """
@@ -290,11 +290,6 @@ class ComplexData:
         """The one :class:`~.linalg.Elimination` of dₙ, from which every rank,
         cocycle basis, residue and solve of dₙ is read."""
         return self._once(("elimination", kind, n), lambda: Elimination(self.d(kind, n)))
-
-    def cocycles(self, kind: ComplexKind, n: int) -> list[Vector]:
-        """Basis of Zₙ = ker dₙ, the reduced one :func:`~.linalg.kernel_basis`
-        gives, read off the elimination of dₙ."""
-        return self._once(("Z", kind, n), lambda: self.elimination(kind, n).kernel_vectors())
 
     def cohomology_dims(self, kind: ComplexKind, max_degree: int) -> list[int]:
         """dim Hⁿ = (cols dₙ − rank dₙ) − rank dₙ₋₁ for n = 0 … N."""

@@ -24,7 +24,8 @@ from typing import Any, Sequence
 import yaml
 
 from .algebras import Bimodule, PreLieAlgebra, RBBimodule, RBPreLieAlgebra
-from .cochains import Cochain, RBACochain
+from .cochains import Cochain, RBACochain, bilinear_from_cochain, matrix_from_cochain
+from .deformations import TruncatedDeformation
 from .extensions import CocyclePair, ExtensionData
 from .linalg import RationalMatrix
 from .twoalg import CrossedModule, TwoAlgebra
@@ -309,9 +310,7 @@ def cochain_document(which: str, c: RBACochain | Cochain) -> dict:
 DEFORMATION_FIELDS = ("kind", "order", "products", "operators")
 
 
-def parse_deformation_document(data: Any, base: RBPreLieAlgebra):
-    from .deformations import TruncatedDeformation
-
+def parse_deformation_document(data: Any, base: RBPreLieAlgebra) -> TruncatedDeformation:
     _check_fields(data, "deformation", DEFORMATION_FIELDS, kind="deformation")
     order = _size(data, "order")
     d = base.dim
@@ -383,8 +382,6 @@ def parse_pair_document(data: Any) -> CocyclePair:
     which, c = parse_cochain_document(data)
     if which != "rba" or not isinstance(c, RBACochain) or c.degree != 2:
         raise ParseError("expected a degree-2 cochain in the combined complex")
-    from .cochains import bilinear_from_cochain, matrix_from_cochain
-
     return CocyclePair(bilinear_from_cochain(c.pla_part), matrix_from_cochain(c.rbo_part))
 
 

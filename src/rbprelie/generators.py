@@ -32,6 +32,7 @@ from .algebras import (
 )
 from .cochains import Cochain, RBACochain, basis_keys
 from .complexes import ComplexData, ComplexKind
+from .deformations import GaugeSeries
 from .linalg import (
     Elimination,
     RationalMatrix,
@@ -41,6 +42,7 @@ from .linalg import (
     vscale,
     zero_vector,
 )
+from .twoalg import CrossedModule
 
 
 def random_fraction(rng: random.Random, num: int = 3, den: int = 2) -> Fraction:
@@ -308,7 +310,7 @@ def random_cocycle(
     as a coordinate vector (zero if the cocycle space is trivial)."""
     data = ComplexData(r, m)
     out = zero_vector(data.dim(kind, degree))
-    for v in data.cocycles(kind, degree):
+    for v in data.elimination(kind, degree).kernel_vectors():
         c = Fraction(rng.randint(-2, 2))
         if c != 0:
             out = vadd(out, vscale(c, v))
@@ -322,9 +324,7 @@ def random_rba_cocycle(
     return RBACochain.from_coords(degree, r.dim, m.mod_dim, coords)
 
 
-def random_gauge(rng: random.Random, dim: int, order: int) -> "GaugeSeries":
-    from .deformations import GaugeSeries
-
+def random_gauge(rng: random.Random, dim: int, order: int) -> GaugeSeries:
     maps = [RationalMatrix.identity(dim)]
     for _ in range(order):
         maps.append(random_matrix(rng, dim, dim))
@@ -335,8 +335,6 @@ def random_crossed_module(rng: random.Random, dim0: int, dim1_extra: int = 1):
     """Valid crossed modules: connecting map zero with zero level-1 product,
     the identity on the regular module, or the projection off a direct sum
     with a zero-action block; then a change of basis on both levels."""
-    from .twoalg import CrossedModule
-
     r = random_rb_pre_lie(rng, dim0)
     choice = rng.randrange(3)
     if choice == 0:

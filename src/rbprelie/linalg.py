@@ -46,11 +46,11 @@ coefficients from growing.  No row is reduced again once it is in.  Where
 only ranks and zero tests are read, that is enough, since a vector may
 carry any nonzero scalar: an ``IntegerEchelon``'s size is a rank, its
 ``reduce`` a residue up to a positive scalar, and :func:`int_apply`
-multiplies by a matrix's integer columns.  Where an exact value is read, a
-rational vector n/D enters as n with D in one sentinel coordinate past the
-others, which no pivot reaches; every update scales it with w, so the
-reduced w over its sentinel is the exact residue (``EchelonBasis.reduce``,
-``Elimination.solve``).
+multiplies by a matrix's integer columns.  Where an exact value is read
+(:meth:`IntegerEchelon.residue`), a rational vector n/D enters as n with D
+in one sentinel coordinate past the others, which no pivot reaches; every
+update scales it with w, so the reduced w over its sentinel is the exact
+residue.
 
 :class:`Elimination` runs that elimination once on [Mᵀ | I], and every
 canonical result (``rank``, ``kernel_basis``, ``solve_linear``,
@@ -71,8 +71,12 @@ pivot entry gives exactly the rows, kernel bases and solutions that dense
 rational elimination gives; neither the storage nor the integer arithmetic
 shows in any result.
 
-Matrices are immutable, and all functions are pure; an
-:class:`IntegerEchelon` changes only as rows join it.
+Its record is ``image``, ``transforms`` and ``kernel``, and each pivot row
+is held once: after the loop it is split into its Mᵀ part in ``image``
+(what ranks, ``column_space`` and the LES walk read) and its I part in
+``transforms``.  Only ``solve`` joins the two, into fresh rows it drops on
+return.  Matrices are immutable, and all functions are pure; an
+:class:`IntegerEchelon` changes only as rows join it or are split.
 """
 
 from __future__ import annotations
@@ -469,16 +473,12 @@ class EchelonBasis:
 
     def reduce(self, v: Sequence) -> Vector:
         """Residue of v modulo the subspace, supported on non-pivot
-        coordinates: v = n/D reduced as the ``int`` row n with D in a
-        sentinel coordinate (:meth:`IntegerEchelon.reduce`), then read over
-        the sentinel."""
+        coordinates: the :meth:`IntegerEchelon.residue` of v, its sentinel
+        at the ambient dimension."""
         if len(v) != self.dim_ambient:
             raise ValueError("dimension mismatch in reduce")
-        den, nums = integer_form(v)
-        w = {j: x for j, x in enumerate(nums) if x}
-        w[self.dim_ambient] = den
-        self._echelon.reduce(w)
-        return fractions_over([w.get(j, 0) for j in range(self.dim_ambient)], w[self.dim_ambient])
+        w, sigma = self._echelon.residue(v, self.dim_ambient)
+        return fractions_over([w.get(j, 0) for j in range(self.dim_ambient)], sigma)
 
     def contains(self, v: Sequence) -> bool:
         return is_zero_vector(self.reduce(v))
@@ -550,6 +550,16 @@ class IntegerEchelon:
                 _divide_by_content(w)
         return w
 
+    def residue(self, v: Sequence, sentinel: int, scale: int = 1) -> tuple[dict[int, int], int]:
+        """(w, σ), w/σ the residue of scale·v: v = n/D enters as the row
+        scale·n with D at ``sentinel``, past every other coordinate, and σ
+        is what is left there after :meth:`reduce`."""
+        den, nums = integer_form(v)
+        w = {j: scale * x for j, x in enumerate(nums) if x}
+        w[sentinel] = den
+        self.reduce(w)
+        return w, w.pop(sentinel)
+
     def add(self, w: dict[int, int], width: int | None = None) -> bool:
         """Reduce w in place; whether it joins the basis, which it does,
         pivoting on its lowest column, when a nonzero is left in a column
@@ -569,38 +579,41 @@ class Elimination:
     reduction of [Mᵀ | I], run once and read by every rank, kernel, solve
     and span.  It reads M only as its integer form (s, columns)
     (:attr:`RationalMatrix.integer_columns`, s the lcm of M's denominators):
-    row j starts as (column j of s·M, e_j), and is reduced
-    against the pivot rows before it (an :class:`IntegerEchelon` with pivots
-    in the Mᵀ part only).  Every row stays (s·M·x, x) for some x, its
-    transform, and the rows of the pivot columns of M join the basis, so
-    each transform is supported on pivot columns (module docstring).  Read
-    off it, up to a nonzero scalar per row, which is all a rank or a zero
-    test sees:
+    row j starts as (column j of s·M, e_j), e_j at coordinate rows + j, and
+    is reduced against the pivot rows before it (pivots in the Mᵀ part
+    only).  Every row stays (s·M·x, x) for some x, its transform, and the
+    rows of the pivot columns of M join the basis, so each transform is
+    supported on pivot columns (module docstring).  After the loop each
+    pivot row is split in two, each part held once.  Up to a nonzero scalar
+    per row, which is all a rank or a zero test sees, the record is:
 
+      * ``image``: the Mᵀ parts of the pivot rows (keys below rows), an
+        echelon basis of the column space im M with its pivots;
+      * ``transforms``: the I part of each, keys rows + j; as a matrix E,
+        E·(s·Mᵀ) = R, the image rows;
       * ``kernel``: the transforms of the rows whose Mᵀ part vanished, one
         per free column j and zero at every other free column, a basis of
-        ker M (sparse ``int`` rows, cols − rank of them);
-      * ``image``: the Mᵀ parts of the pivot rows, an echelon basis of the
-        column space im M with its pivots, and no transform entry.
+        ker M (keys j, cols − rank of them).
 
     Exactly: :meth:`kernel_vectors` divides each kernel row by its entry at
     its free column, and :meth:`solve` reduces a right-hand side against the
-    pivot rows, transforms included."""
+    image rows joined to their transforms, in rows of its own."""
 
     def __init__(self, m: RationalMatrix) -> None:
         offset = self._offset = m.rows
         self._cols = m.cols
         self._scale, columns = m.integer_columns
-        self._rows = IntegerEchelon()
+        self.image = IntegerEchelon()
         self.kernel: list[dict[int, int]] = []
         for j, column in enumerate(columns):
             w = dict(column)
             w[offset + j] = 1
-            if not self._rows.add(w, offset):
+            if not self.image.add(w, offset):
                 self.kernel.append({i - offset: x for i, x in w.items()})
-        self.image = IntegerEchelon()
-        self.image.pivots = list(self._rows.pivots)
-        self.image.rows = [{j: x for j, x in row.items() if j < offset} for row in self._rows.rows]
+        self.transforms: list[dict[int, int]] = []
+        for k, row in enumerate(self.image.rows):
+            self.transforms.append({j: x for j, x in row.items() if j >= offset})
+            self.image.rows[k] = {j: x for j, x in row.items() if j < offset}
 
     def kernel_vectors(self) -> list[Vector]:
         """:func:`kernel_basis`: each kernel row over its entry at its own
@@ -619,19 +632,17 @@ class Elimination:
         nonzero (coordinate, value) pairs of the residue of b modulo im M, as
         :func:`column_space`'s ``reduce`` gives it.
 
-        With b = n/D, the row (s·n, 0) with D at a sentinel σ past the
-        transform is reduced against the pivot rows; it stays
-        (s·(σ·b + M·v), v, σ).  If its Mᵀ part vanishes, x = −v/σ;
+        b's :meth:`IntegerEchelon.residue` at scale s, its sentinel past the
+        transform, against fresh rows ``image row | transform`` is
+        (s·(σ·b + M·v), v) over σ.  If its Mᵀ part vanishes, x = −v/σ;
         otherwise that part over s·σ is the residue."""
         offset, cols = self._offset, self._cols
         if len(b) != offset:
             raise ValueError(f"dimension mismatch: got rhs of length {len(b)} for {offset} rows")
-        den, nums = integer_form(b)
-        w = {i: self._scale * x for i, x in enumerate(nums) if x}
-        sentinel = offset + cols
-        w[sentinel] = den
-        self._rows.reduce(w)
-        sigma = w.pop(sentinel)
+        joined = IntegerEchelon()
+        joined.pivots = self.image.pivots
+        joined.rows = [row | t for row, t in zip(self.image.rows, self.transforms)]
+        w, sigma = joined.residue(b, offset + cols, self._scale)
         if min(w, default=offset) >= offset:
             return fractions_over([-w.get(offset + j, 0) for j in range(cols)], sigma), None
         scale = self._scale * sigma

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from itertools import product
@@ -470,6 +471,61 @@ def test_adversarial_elimination_equals_dense_oracle():
             inconsistent += 1
         _assert_equals_dense_oracle(m, rhs)
     assert inconsistent >= 10
+
+
+def _record_cases(rng):
+    yield from _oracle_cases(rng)
+    yield from _adversarial_cases(rng)
+
+
+def test_elimination_holds_each_pivot_row_once():
+    """The record of an elimination is its image, transforms and kernel, and
+    each pivot row is held once, split in two: its image part keyed below
+    m.rows, its transform keyed in [m.rows, m.rows + m.cols), and the
+    transform, shifted down by m.rows and applied to the integer columns,
+    is the image row exactly (E·(s·Mᵀ) = R).  Each kernel row maps to zero."""
+    rng = random.Random(34)
+    for m in _record_cases(rng):
+        e = Elimination(m)
+        _, columns = m.integer_columns
+        assert {k for k in vars(e) if not k.startswith("_")} == {"image", "transforms", "kernel"}
+        assert all(type(v) is int for k, v in vars(e).items() if k.startswith("_"))
+        assert len(e.image.rows) == len(e.image.pivots) == len(e.transforms) == dense_rank(m)
+        assert len(e.kernel) == m.cols - dense_rank(m)
+        for p, row, transform in zip(e.image.pivots, e.image.rows, e.transforms):
+            assert row and transform and min(row) == p
+            assert all(0 <= i < m.rows for i in row), row
+            assert all(m.rows <= j < m.rows + m.cols for j in transform), transform
+            assert int_apply(columns, {j - m.rows: x for j, x in transform.items()}) == row
+        for z in e.kernel:
+            assert all(0 <= j < m.cols for j in z) and not int_apply(columns, z)
+
+
+def test_solve_leaves_the_record_as_it_found_it():
+    """Solving a consistent and an inconsistent right-hand side, twice each,
+    writes nothing to the record and gives the same answer each time."""
+    rng = random.Random(35)
+    checked = 0
+    for m in _record_cases(rng):
+        off = _inconsistent_rhs(rng, m) if m.rows and m.cols else None
+        if off is None or not rank(m):
+            continue
+        e = Elimination(m)
+
+        def record():
+            return e.image.pivots, e.image.rows, e.transforms, e.kernel
+
+        snapshot = copy.deepcopy(record())
+        x = tuple(Fraction(rng.randint(-M61, M61), rng.choice((1, 97, M61))) for _ in range(m.cols))
+        answers = {}
+        for b in (m.apply(x), off) * 2:
+            answers.setdefault(b, []).append(e.solve(b))
+            assert record() == snapshot
+        consistent, inconsistent = answers.values()
+        assert consistent[0] == consistent[1] and consistent[0][0] is not None
+        assert inconsistent[0] == inconsistent[1] and inconsistent[0][0] is None
+        checked += 1
+    assert checked >= 20
 
 
 def _kernel_cases(rng):

@@ -82,6 +82,11 @@ Each request eliminates each dₙ once: ``complexes`` imports none of
 method of ``ComplexData`` calls them; its ranks, cocycle bases and solves
 are read off the one ``ComplexData.elimination`` of each dₙ.
 
+Package imports stand at the top of each module: no function body under
+``src/rbprelie/`` imports from the package (a relative import or one of
+``rbprelie``), since its modules have no import cycle to break, so every
+dependency of a module shows in its header.
+
 No package module imports a name it never reads or lists in ``__all__``,
 and no function assigns a local it never reads (``_``-prefixed names
 aside).
@@ -419,6 +424,27 @@ def test_package_does_not_import_the_tests(path):
         and any(alias.name.split(".")[0] in test_modules for alias in node.names)
     ]
     assert not found, f"{path.name} imports test code at lines {found}"
+
+
+def _imports_from_the_package(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "rbprelie"
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "rbprelie" for alias in node.names
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_package_imports_stand_at_module_top(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = sorted(
+        f"{fn.name} (line {node.lineno})"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if _imports_from_the_package(node)
+    )
+    assert not found, f"{path.name} imports from the package inside {found}"
 
 
 PRODUCT_CALLS = {"product", "left", "right"}
