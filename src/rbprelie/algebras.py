@@ -48,14 +48,16 @@ Conventions:
     the coordinates of the image of ``e_j``;
   * ``S[i]`` is the left action of ``e_i`` on the module, ``P[i]`` the
     right action ``u ↦ u · e_i``;
-  * outside the integer cores, every bilinear table, structure constants
-    and actions alike, is read through its left and right multiplication
-    matrices (L, R): ``L[i]·y = e_i·y`` and ``R[k]·x = x·e_k``, so a
-    bimodule's (S, P) are the L of its left action and the R of its right
-    action.  A product of two basis vectors is a table entry, a product with
-    one basis vector is one matrix ``apply``, and a general product is
-    ``Σ xᵢ·Lᵢ·y`` (:func:`bilinear`).  The cores read the tables
-    themselves, as integer tensors.
+  * the left and right multiplication matrices (L, R) of a bilinear table
+    are ``L[i]·y = e_i·y`` and ``R[k]·x = x·e_k``; a bimodule's (S, P) are
+    the L of its left action table and the R of its right one
+    (:func:`action_tables` and :func:`bimodule_from_tables` go between the
+    two forms);
+  * a table is moved along matrices in the integer form, as the cores read
+    it: :func:`transport_table` gives out·table(a·, b·), a change of basis
+    when a = b = φ and out = φ⁻¹.  :meth:`PreLieAlgebra.product`, the
+    general product ``Σ xᵢ·Lᵢ·y`` (:func:`bilinear`), is the public product
+    of two vectors; no package module outside this one calls it.
 """
 
 from __future__ import annotations
@@ -254,6 +256,31 @@ def action_tables(bm: Bimodule) -> tuple[ProductTable, ProductTable]:
     left = tuple(tuple(s.col(u) for u in range(bm.mod_dim)) for s in bm.S)
     right = tuple(tuple(p.col(u) for p in bm.P) for u in range(bm.mod_dim))
     return left, right
+
+
+def bimodule_from_tables(left: ProductTable, right: ProductTable) -> Bimodule:
+    """The bimodule of two action tables, the inverse of :func:`action_tables`:
+    S is the L of ``left`` and P the R of ``right``."""
+    d, md = len(left), len(right)
+    return Bimodule(
+        d, md, multiplication_matrices(left, md, md)[0], multiplication_matrices(right, d, md)[1]
+    )
+
+
+def transport_table(
+    table: ProductTable, a: RationalMatrix, b: RationalMatrix, out: RationalMatrix
+) -> ProductTable:
+    """The table moved along a change of basis, out·table(a·, b·): entry
+    (i, j) is out applied to the product of column i of a and column j of b.
+    The table and the three matrices are read once over one denominator D,
+    the product is one :func:`linalg.int_pullback`, and each entry, over D⁴,
+    is one ``Fraction`` per nonzero."""
+    den, (mu, a_int, b_int, out_int) = integer_form((table, a, b, out))
+    terms = [(1, mu, int_columns(a_int, a.cols), int_columns(b_int, b.cols))]
+    return tuple(
+        tuple(fractions_over(int_matvec(out_int, v), den**4) for v in row)
+        for row in int_pullback(terms, out.cols)
+    )
 
 
 def pre_lie_core(mus: Sequence[list], n: int) -> dict[tuple[int, int, int], list[int]]:

@@ -3,11 +3,14 @@
 An extension is stored by its total structure constants with a marked
 trailing block: the basis is the base part followed by the module part, the
 inclusion and projection are the block maps.  The base structure is the
-quotient, recomputed from the total; nothing is cached.
+quotient, the g⊗g → g block of the product and the g → g block of the
+operator; nothing is cached.
 
 A cocycle pair (ψ, χ) consists of a bilinear ψ: g⊗g → M and a linear
 χ: g → M; building the extension puts ψ into the mixed products and χ into
-the mixed operator block.
+the mixed operator block.  Reading a pair off a section s undoes that: it
+changes the basis of the total structure to Q = [s | ι] and splits the
+result into the same blocks.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .algebras import (
-    Bimodule,
     InvalidStructureError,
     PreLieAlgebra,
     ProductTable,
@@ -25,11 +27,13 @@ from .algebras import (
     Verdict,
     Violation,
     action_tables,
+    bimodule_from_tables,
     check_morphism,
     check_pre_lie,
     check_rb_operator,
     named,
     require_valid,
+    transport_table,
     verdict,
 )
 from .cochains import (
@@ -40,18 +44,7 @@ from .cochains import (
     matrix_from_cochain,
 )
 from .complexes import ComplexData, ComplexKind
-from .linalg import (
-    RationalMatrix,
-    Vector,
-    fractions_over,
-    int_columns,
-    int_matvec,
-    int_pullback,
-    integer_form,
-    is_zero_vector,
-    vsub,
-    zero_vector,
-)
+from .linalg import RationalMatrix, Vector, vsub, zero_vector
 
 
 @dataclass(frozen=True)
@@ -193,69 +186,51 @@ class ExtractResult:
 
 
 def quotient_structure(e: ExtensionData) -> RBPreLieAlgebra:
-    """The base structure induced on the first block by the projection."""
-    p = e.projection()
+    """The base structure induced on the first block by the projection: the
+    top-left blocks of the total product and operator."""
     d = e.base_dim
-    table = tuple(
-        tuple(p.apply(e.total.algebra.c[i][j]) for j in range(d)) for i in range(d)
-    )
-    op = RationalMatrix.from_cols([p.apply(e.total.operator.col(j)) for j in range(d)], d)
+    table = tuple(tuple(tuple(v[:d]) for v in row[:d]) for row in e.total.algebra.c[:d])
+    op = RationalMatrix.from_rows([row[:d] for row in e.total.operator.entries[:d]], d)
     return RBPreLieAlgebra(PreLieAlgebra(d, table), e.total.weight, op)
 
 
 def _read_off(
     e: ExtensionData, s: RationalMatrix
 ) -> tuple[CocyclePair, RBBimodule, RBPreLieAlgebra]:
-    """The pair, the induced module and the base structure read off a section s."""
+    """The pair, the induced module and the base structure read off a section
+    s = [I; σ]: the total structure in the basis Q = [s | ι], whose inverse is
+    [[I, 0], [−σ, I]], split into the blocks that :func:`_total_space` lays
+    out.  The g part of a block must be the base's, on the g⊗g block and the
+    base operator columns, and zero elsewhere."""
     _check_section(e, s)
     d, md = e.base_dim, e.mod_dim
     base = quotient_structure(e)
-    total_alg = e.total.algebra
-    left, right = total_alg.multiplications
+    sigma = RationalMatrix.from_sparse(s.sparse_rows[d:], d)
+    q = RationalMatrix.block([[s, e.inclusion()]])
+    q_inv = RationalMatrix.block(
+        [
+            [RationalMatrix.identity(d), RationalMatrix.zeros(d, md)],
+            [-sigma, RationalMatrix.identity(md)],
+        ]
+    )
+    table = transport_table(e.total.algebra.c, q, q, q_inv)
+    operator = q_inv.matmul(e.total.operator).matmul(q)
 
-    def m_part(v: Vector) -> Vector:
-        if not is_zero_vector(v[:d]):
+    def m_part(v: Vector, g_part: Vector = zero_vector(d)) -> Vector:
+        if v[:d] != g_part:
             raise InvalidStructureError("value escapes the module block; not an ideal")
         return v[d:]
 
-    s_cols = [s.col(j) for j in range(d)]
-    S_mats = []
-    P_mats = []
-    for i in range(d):
-        s_i = s_cols[i]
-        S_mats.append(
-            RationalMatrix.from_cols([m_part(right[d + u].apply(s_i)) for u in range(md)], md)
-        )
-        P_mats.append(
-            RationalMatrix.from_cols([m_part(left[d + u].apply(s_i)) for u in range(md)], md)
-        )
-    t_m_cols = [m_part(e.total.operator.col(d + u)) for u in range(md)]
-    bimod = RBBimodule(
-        Bimodule(d, md, tuple(S_mats), tuple(P_mats)),
-        RationalMatrix.from_cols(t_m_cols, md),
+    psi = tuple(
+        tuple(m_part(v, g_part) for v, g_part in zip(row[:d], base_row))
+        for row, base_row in zip(table, base.algebra.c)
     )
-
-    # s(eᵢ)·s(eⱼ), the total product pulled back through s ⊗ s, over D³,
-    # less s(eᵢ·eⱼ) over D²
-    den, (total_c, base_c, s_int) = integer_form((total_alg.c, base.algebra.c, s))
-    s_nonzeros = int_columns(s_int, d)
-    pulled = int_pullback([(1, total_c, s_nonzeros, s_nonzeros)], d + md)
-    psi_rows = [
-        tuple(
-            m_part(fractions_over(
-                [x - den * y for x, y in zip(pulled[i][j], int_matvec(s_int, base_c[i][j]))],
-                den**3,
-            ))
-            for j in range(d)
-        )
-        for i in range(d)
-    ]
-    chi_cols = []
-    for j in range(d):
-        chi_cols.append(
-            m_part(vsub(e.total.operator.apply(s_cols[j]), s.apply(base.operator.col(j))))
-        )
-    return CocyclePair(tuple(psi_rows), RationalMatrix.from_cols(chi_cols, md)), bimod, base
+    chi = [m_part(operator.col(j), base.operator.col(j)) for j in range(d)]
+    left = [[m_part(v) for v in row[d:]] for row in table[:d]]
+    right = [[m_part(v) for v in row[:d]] for row in table[d:]]
+    t_m = [m_part(operator.col(d + u)) for u in range(md)]
+    bimod = RBBimodule(bimodule_from_tables(left, right), RationalMatrix.from_cols(t_m, md))
+    return CocyclePair(psi, RationalMatrix.from_cols(chi, md)), bimod, base
 
 
 def extract_cocycle(e: ExtensionData, s: RationalMatrix) -> ExtractResult:

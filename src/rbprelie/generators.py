@@ -27,7 +27,10 @@ from .algebras import (
     PreLieAlgebra,
     RBBimodule,
     RBPreLieAlgebra,
+    action_tables,
+    bimodule_from_tables,
     regular_bimodule,
+    transport_table,
     zero_table,
 )
 from .cochains import Cochain, RBACochain, basis_keys
@@ -55,7 +58,7 @@ def random_vector(rng: random.Random, n: int, num: int = 3, den: int = 2) -> Vec
 
 def random_matrix(rng: random.Random, rows: int, cols: int, num: int = 3, den: int = 2) -> RationalMatrix:
     return RationalMatrix.from_rows(
-        [[random_fraction(rng, num, den) for _ in range(cols)] for _ in range(rows)]
+        [[random_fraction(rng, num, den) for _ in range(cols)] for _ in range(rows)], cols
     )
 
 
@@ -92,13 +95,7 @@ def invert(m: RationalMatrix) -> RationalMatrix:
 
 def conjugate_algebra(a: PreLieAlgebra, phi: RationalMatrix, phi_inv: RationalMatrix) -> PreLieAlgebra:
     """Pull the product back along the basis change φ."""
-    table = tuple(
-        tuple(
-            phi_inv.apply(a.product(phi.col(i), phi.col(j))) for j in range(a.dim)
-        )
-        for i in range(a.dim)
-    )
-    return PreLieAlgebra(a.dim, table)
+    return PreLieAlgebra(a.dim, transport_table(a.c, phi, phi, phi_inv))
 
 
 def conjugate_rb(r: RBPreLieAlgebra, phi: RationalMatrix, phi_inv: RationalMatrix) -> RBPreLieAlgebra:
@@ -112,22 +109,14 @@ def conjugate_rb(r: RBPreLieAlgebra, phi: RationalMatrix, phi_inv: RationalMatri
 def conjugate_bimodule(
     m: RBBimodule, phi: RationalMatrix, phi_inv: RationalMatrix, rho: RationalMatrix, rho_inv: RationalMatrix
 ) -> RBBimodule:
-    """Transport the actions along φ on the base and ρ on the module."""
-    d, md = m.base_dim, m.mod_dim
-    S_new = []
-    P_new = []
-    for i in range(d):
-        coeffs = phi.col(i)
-        s_acc = RationalMatrix.zeros(md, md)
-        p_acc = RationalMatrix.zeros(md, md)
-        for k in range(d):
-            if coeffs[k] != 0:
-                s_acc = s_acc.add(m.bimodule.S[k].scale(coeffs[k]))
-                p_acc = p_acc.add(m.bimodule.P[k].scale(coeffs[k]))
-        S_new.append(rho_inv.matmul(s_acc).matmul(rho))
-        P_new.append(rho_inv.matmul(p_acc).matmul(rho))
+    """Transport the actions along φ on the base and ρ on the module: each
+    action table moves along (φ, ρ) or (ρ, φ) with values through ρ⁻¹.  The
+    actions take their values in the module, so φ⁻¹ is not read."""
+    left, right = action_tables(m.bimodule)
     return RBBimodule(
-        Bimodule(d, md, tuple(S_new), tuple(P_new)),
+        bimodule_from_tables(
+            transport_table(left, phi, rho, rho_inv), transport_table(right, rho, phi, rho_inv)
+        ),
         rho_inv.matmul(m.t_m).matmul(rho),
     )
 
@@ -366,11 +355,7 @@ def random_crossed_module(rng: random.Random, dim0: int, dim1_extra: int = 1):
         d_map = RationalMatrix.block(
             [[RationalMatrix.identity(dim0), RationalMatrix.zeros(dim0, extra)]]
         )
-        lift, md = d_map.transpose(), m.mod_dim
-        product = tuple(
-            tuple(lift.apply(r.algebra.product(d_map.col(a), d_map.col(b))) for b in range(md))
-            for a in range(md)
-        )
+        product = transport_table(r.algebra.c, d_map, d_map, d_map.transpose())
         cm = CrossedModule(r, product, d_map, m.bimodule.S, m.bimodule.P, m.t_m)
     if rng.random() < 0.6:
         rho = random_invertible(rng, cm.dim1)
@@ -382,11 +367,7 @@ def random_crossed_module(rng: random.Random, dim0: int, dim1_extra: int = 1):
             rho,
             rho_inv,
         )
-        g1 = PreLieAlgebra(cm.dim1, cm.g1_product)
-        product = tuple(
-            tuple(rho_inv.apply(g1.product(rho.col(a), rho.col(b))) for b in range(cm.dim1))
-            for a in range(cm.dim1)
-        )
+        product = transport_table(cm.g1_product, rho, rho, rho_inv)
         cm = CrossedModule(
             cm.g0, product, cm.d_map.matmul(rho), m2.bimodule.S, m2.bimodule.P, m2.t_m
         )

@@ -46,7 +46,6 @@ from .algebras import (
     Bimodule,
     Defects,
     InvalidStructureError,
-    Multiplications,
     PreLieAlgebra,
     ProductTable,
     RBBimodule,
@@ -55,13 +54,14 @@ from .algebras import (
     action_tables,
     bimodule_core,
     bimodule_defects,
+    bimodule_from_tables,
     derived_core,
-    multiplication_matrices,
     named,
     pre_lie_core,
     rb_bimodule_defects,
     rota_baxter_core,
     star_core,
+    transport_table,
     verdict,
     zero_table,
 )
@@ -105,16 +105,6 @@ class TwoAlgebra:
             raise ValueError("t1 has wrong shape")
         if (self.l3.degree, self.l3.base_dim, self.l3.mod_dim) != (3, self.dim0, self.dim1):
             raise ValueError("l3 must be a degree-3 cochain over g0 valued in g1")
-
-    @cached_property
-    def lr01(self) -> Multiplications:
-        """(L, R) of l2_01: L[x] is the level-mixing left action of e_x."""
-        return multiplication_matrices(self.l2_01, self.dim1, self.dim1)
-
-    @cached_property
-    def lr10(self) -> Multiplications:
-        """(L, R) of l2_10: R[x] is the level-mixing right action of e_x."""
-        return multiplication_matrices(self.l2_10, self.dim0, self.dim1)
 
     @cached_property
     def integers(self) -> _Integers:
@@ -351,13 +341,6 @@ def _rb_2alg_defects(t: TwoAlgebra, lam: Fraction) -> Defects:
         yield "v", key, fractions_over(v[key], q * q * den**4)
 
 
-def _actions_from_tables(t: TwoAlgebra) -> Bimodule:
-    """The mixed products as actions: S[x]α = l₂(e_x, α), P[x]α = l₂(α, e_x),
-    the L of l2_01 and the R of l2_10; ``algebras.action_tables`` is the
-    inverse."""
-    return Bimodule(t.dim0, t.dim1, t.lr01[0], t.lr10[1])
-
-
 def _require_two_term(t: TwoAlgebra, lam: Fraction) -> None:
     """The gate of the two-term correspondences: both families of coherence
     conditions hold, or :class:`InvalidStructureError`."""
@@ -372,7 +355,7 @@ def skeletal_to_cocycle(t: TwoAlgebra, weight) -> tuple[RBPreLieAlgebra, RBBimod
         raise InvalidStructureError("structure is not skeletal (connecting map nonzero)")
     _require_two_term(t, lam)
     r = RBPreLieAlgebra(PreLieAlgebra(t.dim0, t.l2_00), lam, t.t0)
-    m = RBBimodule(_actions_from_tables(t), t.t1)
+    m = RBBimodule(bimodule_from_tables(t.l2_01, t.l2_10), t.t1)
     cochain = RBACochain(t.l3, cochain_from_bilinear(t.t2, t.dim1))
     defect = ComplexData(r, m).coboundary(ComplexKind.RBA, cochain)
     if not defect.is_zero():
@@ -488,17 +471,17 @@ def _crossed_module_defects(cm: CrossedModule) -> Defects:
 
 def strict_to_crossed(t: TwoAlgebra, weight) -> CrossedModule:
     """Collapse a strict structure to a crossed module; the level-1 product
-    is the connecting map fed through a mixed action."""
+    is the connecting map fed through a mixed action, αβ = l₂(dα, β), and
+    the actions are the mixed products, S[x]α = l₂(e_x, α) and
+    P[x]α = l₂(α, e_x)."""
     lam = Fraction(weight)
     if not t.is_strict():
         raise InvalidStructureError("structure is not strict (l3 or T2 nonzero)")
     _require_two_term(t, lam)
     g0 = RBPreLieAlgebra(PreLieAlgebra(t.dim0, t.l2_00), lam, t.t0)
-    r01 = t.lr01[1]
-    product = tuple(
-        tuple(r01[b].apply(t.d_map.col(a)) for b in range(t.dim1)) for a in range(t.dim1)
-    )
-    bm = _actions_from_tables(t)
+    ident = RationalMatrix.identity(t.dim1)
+    product = transport_table(t.l2_01, t.d_map, ident, ident)
+    bm = bimodule_from_tables(t.l2_01, t.l2_10)
     return CrossedModule(g0, product, t.d_map, bm.S, bm.P, t.t1)
 
 

@@ -27,8 +27,9 @@ arithmetic, where ``twoalg`` reads each structure once as integer tensors
 over one common denominator.  ``bimodule_left`` and ``bimodule_right`` are
 the former ``Bimodule.left`` / ``Bimodule.right`` products,
 ``at_module_basis`` the former ``Bimodule.at_module_basis``, and ``lr00``,
-``lr_t2``, ``mul00``, ``mul01``, ``mul10`` and ``t2_apply`` the former
-``TwoAlgebra`` members of those names, as plain functions.
+``lr01``, ``lr10``, ``lr_t2``, ``mul00``, ``mul01``, ``mul10`` and
+``t2_apply`` the former ``TwoAlgebra`` members of those names, as plain
+functions.
 
 ``les_by_subspaces`` at the very end is the package's former LES walk: it
 compares the image of the incoming map with the kernel of the outgoing one
@@ -352,6 +353,16 @@ def lr00(t):
     return multiplication_matrices(t.l2_00, t.dim0, t.dim0)
 
 
+def lr01(t):
+    """(L, R) of l2_01: L[x] is the level-mixing left action of e_x."""
+    return multiplication_matrices(t.l2_01, t.dim1, t.dim1)
+
+
+def lr10(t):
+    """(L, R) of l2_10: R[x] is the level-mixing right action of e_x."""
+    return multiplication_matrices(t.l2_10, t.dim0, t.dim1)
+
+
 def lr_t2(t):
     """(L, R) of t2."""
     return multiplication_matrices(t.t2, t.dim0, t.dim1)
@@ -362,11 +373,11 @@ def mul00(t, x, y):
 
 
 def mul01(t, x, alpha):
-    return bilinear(t.lr01[0], x, alpha, t.dim1)
+    return bilinear(lr01(t)[0], x, alpha, t.dim1)
 
 
 def mul10(t, alpha, x):
-    return bilinear(t.lr10[0], alpha, x, t.dim1)
+    return bilinear(lr10(t)[0], alpha, x, t.dim1)
 
 
 def t2_apply(t, x, y):
@@ -833,7 +844,7 @@ def gauge_transform_by_table(r, d, psi):
 def prelie_2alg_defects_by_fractions(t):
     """The seven coherence conditions of a two-term pre-Lie structure."""
     d0, d1 = t.dim0, t.dim1
-    (l00, r00), (l01, r01), (l10, r10) = lr00(t), t.lr01, t.lr10
+    (l00, r00), (l01, r01), (l10, r10) = lr00(t), lr01(t), lr10(t)
     for x in range(d0):
         for a in range(d1):
             da = t.d_map.col(a)
@@ -864,7 +875,7 @@ def prelie_2alg_defects_by_fractions(t):
 
 def condition_f_by_fractions(t, w, x, y, z):
     """The twelve-term top coherence, evaluated on basis indices."""
-    l01, r10 = t.lr01[0], t.lr10[1]
+    l01, r10 = lr01(t)[0], lr10(t)[1]
     val = l01[w].apply(t.l3.eval([x, y, z]))
     val = vsub(val, l01[x].apply(t.l3.eval([w, y, z])))
     val = vadd(val, l01[y].apply(t.l3.eval([w, x, z])))
@@ -887,7 +898,7 @@ def condition_v_by_fractions(t, lam, x1, x2, x3):
     star-product insertions into T₂, and every T₀-insertion pattern into l₃
     weighted by λ to the number of untouched slots minus one.
     """
-    (l00, r00), (l01, _), (_, r10), (lt2, rt2) = lr00(t), t.lr01, t.lr10, lr_t2(t)
+    (l00, r00), (l01, _), (_, r10), (lt2, rt2) = lr00(t), lr01(t), lr10(t), lr_t2(t)
     t0_1, t0_2, t0_3 = t.t0.col(x1), t.t0.col(x2), t.t0.col(x3)
     th_23 = t.t2[x2][x3]
     th_13 = t.t2[x1][x3]
@@ -922,7 +933,7 @@ def condition_v_by_fractions(t, lam, x1, x2, x3):
 
 def rb_2alg_defects_by_fractions(t, lam):
     """The operator conditions on a two-term structure."""
-    (l00, r00), (l01, r01), (l10, r10), (lt2, rt2) = lr00(t), t.lr01, t.lr10, lr_t2(t)
+    (l00, r00), (l01, r01), (l10, r10), (lt2, rt2) = lr00(t), lr01(t), lr10(t), lr_t2(t)
     comm = t.t0.matmul(t.d_map).sub(t.d_map.matmul(t.t1))
     for a in range(t.dim1):
         yield "i", (a,), comm.col(a)

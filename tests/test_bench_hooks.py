@@ -68,11 +68,14 @@ def test_bench_imports_from_the_package_resolve(script):
 def test_matrix_entries_are_dense_fraction_rows():
     # tracing.matrix_counts counts cells and nonzeros over `entries`, and
     # gen.py takes `random_matrix(...).entries[i]` as a coordinate vector
-    for m in (
-        RationalMatrix.from_rows([[1, 0, 0], [0, 0, Fraction(2, 3)]]),
-        random_matrix(random.Random(0), 3, 4),
-        RationalMatrix.identity(3).matmul(RationalMatrix.zeros(3, 2)),
+    for m, shape in (
+        (RationalMatrix.from_rows([[1, 0, 0], [0, 0, Fraction(2, 3)]]), (2, 3)),
+        (random_matrix(random.Random(0), 3, 4), (3, 4)),
+        (random_matrix(random.Random(0), 0, 3), (0, 3)),
+        (random_matrix(random.Random(0), 3, 0), (3, 0)),
+        (RationalMatrix.identity(3).matmul(RationalMatrix.zeros(3, 2)), (3, 2)),
     ):
+        assert (m.rows, m.cols) == shape
         assert isinstance(m.entries, tuple) and len(m.entries) == m.rows
         for row in m.entries:
             assert isinstance(row, tuple) and len(row) == m.cols

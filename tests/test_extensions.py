@@ -21,6 +21,8 @@ from rbprelie.extensions import (
     sections_same_class,
 )
 from rbprelie.generators import (
+    conjugate_rb,
+    invert,
     random_matrix,
     random_rba_cocycle,
     random_valid_pair,
@@ -151,6 +153,22 @@ def test_perturbed_section_shifts_by_coboundary():
         assert got.rbo_part.sub(want_chi).is_zero()
         # induced bimodule does not depend on the section
         assert result.bimodule == m
+
+
+def test_extraction_inverts_building_up_to_the_section_basis():
+    # reading a pair off s is the change of basis to Q = [s | ι]: building
+    # the extension of what was read gives the total structure in that basis
+    rng = random.Random(12)
+    for _ in range(10):
+        r, m = random_valid_pair(rng, rng.randint(1, 3))
+        pair = _pair_from_cocycle(random_rba_cocycle(rng, r, m, 2))
+        e = build_extension(r, m, pair).extension
+        s = _perturbed_section(e, random_matrix(rng, m.mod_dim, r.dim))
+        q = RationalMatrix.block([[s, e.inclusion()]])
+        result = extract_cocycle(e, s)
+        rebuilt = build_extension(result.base, result.bimodule, result.pair).extension
+        assert rebuilt.total == conjugate_rb(e.total, q, invert(q))
+        assert result.cocycle_ok
 
 
 def test_sections_same_class_randomized():

@@ -43,14 +43,15 @@ a table entry.  The integer cores of ``algebras`` (``pre_lie_core``,
 ``rota_baxter_core``, ``bimodule_core``, ``star_core``, ``derived_core``)
 with their entry points
 (``pre_lie_defects``, ``rota_baxter_defects``, ``bimodule_defects``,
-``rb_bimodule_defects``, ``star_algebra``, ``derived_bimodule``),
-``deformations.gauge_transform`` and the two-term and crossed-module checks
-of ``twoalg`` (``_prelie_2alg_defects``, ``_rb_2alg_defects``,
-``_crossed_module_defects``, and the top coherences ``_condition_f`` and
-``_condition_v``) are the exception: they read their tables and matrices
-once as ``int`` tensors over one common denominator per family, and make
-``Fraction`` values only for the entries they return, so they call none of
-``vadd``, ``vsub``, ``vscale``, ``bilinear``, ``.apply`` or ``.eval``.
+``rb_bimodule_defects``, ``star_algebra``, ``derived_bimodule``), the
+change of basis ``transport_table``, ``deformations.gauge_transform`` and
+the two-term and crossed-module checks of ``twoalg``
+(``_prelie_2alg_defects``, ``_rb_2alg_defects``, ``_crossed_module_defects``,
+and the top coherences ``_condition_f`` and ``_condition_v``) are the
+exception: they read their tables and matrices once as ``int`` tensors over
+one common denominator per family, and make ``Fraction`` values only for the
+entries they return, so they call none of ``vadd``, ``vsub``, ``vscale``,
+``bilinear``, ``.apply`` or ``.eval``.
 
 Each law of the levels is written once: ``twoalg`` defines no integer core
 and no ``_star`` or ``_twisted_actions`` of its own, but imports the cores
@@ -61,14 +62,23 @@ from ``algebras``; ``_prelie_2alg_defects`` calls ``pre_lie_core`` and
 One weighted Rota-Baxter law serves the algebra, its modules and each
 deformation order, and μ(A·, B·) is summed in one place: ``rb_bimodule_core``
 is defined nowhere, and ``rota_baxter_core``, ``star_core``,
-``check_morphism``, ``gauge_transform``, ``extensions._read_off`` and
+``check_morphism``, ``transport_table``, ``gauge_transform`` and
 ``_crossed_module_defects`` call the kernel ``linalg.int_pullback``.
+
+A table is moved along matrices in one place: ``generators.conjugate_algebra``,
+``generators.conjugate_bimodule``, ``generators.random_crossed_module``,
+``twoalg.strict_to_crossed`` and ``extensions._read_off`` (which reads a pair
+off a section as the change of basis to Q = [s | ι]) call
+``algebras.transport_table``.  Outside ``algebras`` no package module calls
+``.product`` or builds the (L, R) of a table (``multiplication_matrices``),
+and no package function is named ``lr01`` or ``lr10``: the mixed actions of
+a two-term structure are ``algebras.bimodule_from_tables`` of its tables.
 
 The LES walk runs on ``int`` vectors and eliminates each dₙ once:
 ``les_check`` (nested functions included) calls none of ``rank``,
 ``kernel_basis``, ``column_space``, ``solve_linear``, ``Fraction``,
-``.apply``, ``.from_rows``, ``.cocycles``, ``.boundaries`` or ``.solve``; it
-reads Z and B from ``ComplexData.elimination``.
+``.apply``, ``.from_rows``, ``.kernel_vectors`` (the ``Fraction`` reader of
+Zₙ) or ``.solve``; it reads Z and B from ``ComplexData.elimination``.
 
 A matrix has one integer view: its ``integer_columns`` (s, columns), the
 nonzeros of each column of s·M for s the lcm of its denominators.  No
@@ -355,7 +365,7 @@ def test_residue_ranks_take_no_dense_detour():
 
 
 FRACTION_WALK = {"rank", "kernel_basis", "column_space", "solve_linear", "Fraction", "apply",
-                 "from_rows", "cocycles", "boundaries", "solve"}
+                 "from_rows", "kernel_vectors", "solve"}
 
 
 def test_les_walk_runs_on_integer_vectors():
@@ -497,7 +507,8 @@ def test_products_go_through_multiplication_matrices(path):
 LAW_CORES = {"pre_lie_core", "rota_baxter_core", "bimodule_core", "star_core", "derived_core"}
 INTEGER_KERNELS = {
     "algebras.py": LAW_CORES | {"pre_lie_defects", "rota_baxter_defects", "bimodule_defects",
-                                "rb_bimodule_defects", "star_algebra", "derived_bimodule"},
+                                "rb_bimodule_defects", "star_algebra", "derived_bimodule",
+                                "transport_table"},
     "deformations.py": {"gauge_transform"},
     "twoalg.py": {"_prelie_2alg_defects", "_rb_2alg_defects", "_crossed_module_defects",
                   "_condition_f", "_condition_v"},
@@ -590,9 +601,8 @@ def test_twoalg_defines_no_law_of_its_levels():
 
 # the functions that sum μ(A·, B·), each through the one kernel in linalg
 PULLBACK_CALLERS = {
-    "algebras.py": {"rota_baxter_core", "star_core", "check_morphism"},
+    "algebras.py": {"rota_baxter_core", "star_core", "check_morphism", "transport_table"},
     "deformations.py": {"gauge_transform"},
-    "extensions.py": {"_read_off"},
     "twoalg.py": {"_crossed_module_defects"},
 }
 
@@ -611,6 +621,54 @@ def test_bilinear_pullbacks_are_summed_in_one_place():
             if "int_pullback" not in called:
                 found.append(f"{path.name}: {name} does not call int_pullback")
     assert not found, found
+
+
+# the functions that move a table along matrices, each through transport_table
+TRANSPORT_CALLERS = {
+    "generators": {"conjugate_algebra", "conjugate_bimodule", "random_crossed_module"},
+    "twoalg": {"strict_to_crossed"},
+    "extensions": {"_read_off"},
+}
+
+
+def test_tables_are_moved_by_transport_table():
+    found = [
+        f"{module}.{name} does not call transport_table"
+        for module, names in sorted(TRANSPORT_CALLERS.items())
+        for name in sorted(names)
+        if "transport_table" not in {
+            _called_name(call)
+            for fn in MODULES[module].body
+            if isinstance(fn, ast.FunctionDef) and fn.name == name
+            for call in ast.walk(fn)
+            if isinstance(call, ast.Call)
+        }
+    ]
+    assert not found, found
+
+
+FORMER_TABLE_VIEWS = {"lr01", "lr10"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_algebras_multiplies_through_matrices(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [
+        f"line {node.lineno} defines {node.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in FORMER_TABLE_VIEWS
+    ]
+    if path.name != "algebras.py":
+        found += [
+            f"line {call.lineno} calls {_called_name(call)}"
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call)
+            and (
+                isinstance(call.func, ast.Attribute) and call.func.attr == "product"
+                or _called_name(call) == "multiplication_matrices"
+            )
+        ]
+    assert not found, f"{path.name}: {found}"
 
 
 def _unused_imports(tree: ast.AST):
