@@ -58,11 +58,12 @@ to a cochain (:meth:`ComplexData.coboundary`), and decides whether a
 target is a coboundary.  Nothing is kept between requests.  Each
 dₙ is eliminated once, by one forward-only :class:`~.linalg.Elimination`
 (:meth:`ComplexData.elimination`), and everything else is read off it: the
-rank, the reduced kernel basis Zₙ, and for each target either the
-free-variables-zero solution of dₙx = target or its residue modulo
-Bₙ₊₁ = im dₙ.  :func:`les_check`, which reads only ranks and zero tests,
-takes Zₙ and Bₙ₊₁ up to scalars from the same object and walks on ``int``
-vectors.  The cochain maps :func:`rbo_differential` and
+rank, the kernel basis Zₙ (the reduced echelon form of ker dₙ, pivots at its
+free columns) and, for each target, the solution of dₙx = target zero at
+those columns or its residue modulo Bₙ₊₁ = im dₙ, each fixed by dₙ and not
+by the elimination's order.  :func:`les_check`, which reads only ranks and
+zero tests, takes Zₙ and Bₙ₊₁ up to scalars from the same object and walks
+on ``int`` vectors.  The cochain maps :func:`rbo_differential` and
 :func:`rba_differential` are the validity gate plus one ``coboundary`` of a
 fresh :class:`ComplexData`; :func:`pla_differential`, of a pre-Lie algebra
 and a bimodule with no operators, applies δₙ, and :func:`phi` applies Φₙ.

@@ -53,23 +53,18 @@ update scales it with w, so the reduced w over its sentinel is the exact
 residue.
 
 :class:`Elimination` runs that elimination once on [Mᵀ | I], and every
-canonical result (``rank``, ``kernel_basis``, ``solve_linear``,
-``column_space``, ``echelon_basis``) is read off that one object.  Row j
-enters as (s·column j of M, e_j) and joins the basis exactly when column j
-is independent of the columns before it, that is, when j is a pivot column
-of M's reduced row echelon form; so the transform (the I part) of every
-pivot row is supported on pivot columns.  Hence what is read off is already
-canonical up to one scalar per vector: a kernel row is zero at every free
-column but its own, so divided by its entry there it is the reduced kernel
-vector of that column; a solution read off the transforms is zero at the
-free columns, the "free variables zero" solution; and a residue modulo the
-image, zero at every pivot, is the one such vector in its coset.  Only
-``column_space`` reduces further: the pivot rows of the image, re-added to a
-fresh echelon in decreasing pivot order, are each zero at every other
-pivot.  The reduced row echelon form is unique, so dividing each row by its
-pivot entry gives exactly the rows, kernel bases and solutions that dense
-rational elimination gives; neither the storage nor the integer arithmetic
-shows in any result.
+result (``rank``, ``kernel_basis``, ``solve_linear``, ``column_space``,
+``echelon_basis``) is read off that one object.  Each is an invariant of M,
+so neither the storage, the integer arithmetic nor the order the columns
+enter shows in it, and each is what dense elimination gives.  Ranks are,
+and the pivots of im M, its leading coordinates: a residue modulo im M zero
+at every pivot is the one such vector in its coset.  The rest come from the
+one reduced-echelon step :meth:`IntegerEchelon.reduced`, unique once each
+row is divided by its pivot entry: ``column_space`` is that form of im M,
+and ``kernel_basis`` that form of ker M with pivots at the highest column,
+which are exactly the free columns (column j is free when it lies in the
+span of the columns before it).  A solution reduced modulo it is the one
+zero at every free column.
 
 Its record is ``image``, ``transforms`` and ``kernel``, and each pivot row
 is held once: after the loop it is split into its Mᵀ part in ``image``
@@ -431,20 +426,14 @@ def rank(m: RationalMatrix) -> int:
 
 
 def kernel_basis(m: RationalMatrix) -> list[Vector]:
-    """Basis of the right null space, one vector per free column.
-
-    Deterministic: free columns are scanned in increasing order and each
-    basis vector has entry 1 at its free column.
-    """
+    """The reduced basis of the right null space, one vector per free column
+    by increasing column: 1 at its free column and 0 at every other."""
     return Elimination(m).kernel_vectors()
 
 
 def solve_linear(a: RationalMatrix, b: Sequence) -> Vector | None:
-    """Some x with a·x = b, or None if the system is inconsistent.
-
-    Free variables are set to zero, so the answer is the deterministic
-    "first solution of the elimination".
-    """
+    """The x with a·x = b that is zero at every free column (free variables
+    zero), or None if the system is inconsistent."""
     return Elimination(a).solve(b)[0]
 
 
@@ -491,12 +480,9 @@ def echelon_basis(vectors: Iterable[Sequence], dim_ambient: int) -> EchelonBasis
 
 
 def column_space(m: RationalMatrix) -> EchelonBasis:
-    """Reduced echelon basis of im m: the pivot rows of m's elimination,
-    re-added to a fresh echelon in decreasing pivot order (so each is zero at
-    every other pivot), each divided by its pivot entry."""
-    reduced = IntegerEchelon()
-    for row in reversed(Elimination(m).image.rows):
-        reduced.add(dict(row))
+    """Reduced echelon basis of im m: the :meth:`IntegerEchelon.reduced` of
+    m's image rows, each divided by its pivot entry."""
+    reduced = Elimination(m).image.reduced()
     kept = (
         tuple((j, Fraction(x, row[p])) for j, x in sorted(row.items()))
         for p, row in zip(reduced.pivots, reduced.rows)
@@ -560,6 +546,15 @@ class IntegerEchelon:
         self.reduce(w)
         return w, w.pop(sentinel)
 
+    def reduced(self) -> "IntegerEchelon":
+        """The reduced echelon of the same span, each row zero at every other
+        pivot: the rows re-added to a fresh echelon by decreasing pivot, each
+        reduced against the rows of higher pivot, already reduced."""
+        out = IntegerEchelon()
+        for row in reversed(self.rows):
+            out.add(dict(row))
+        return out
+
     def add(self, w: dict[int, int], width: int | None = None) -> bool:
         """Reduce w in place; whether it joins the basis, which it does,
         pivoting on its lowest column, when a nonzero is left in a column
@@ -581,23 +576,21 @@ class Elimination:
     (:attr:`RationalMatrix.integer_columns`, s the lcm of M's denominators):
     row j starts as (column j of s·M, e_j), e_j at coordinate rows + j, and
     is reduced against the pivot rows before it (pivots in the Mᵀ part
-    only).  Every row stays (s·M·x, x) for some x, its transform, and the
-    rows of the pivot columns of M join the basis, so each transform is
-    supported on pivot columns (module docstring).  After the loop each
-    pivot row is split in two, each part held once.  Up to a nonzero scalar
-    per row, which is all a rank or a zero test sees, the record is:
+    only).  Every row stays (s·M·x, x) for some x, its transform.  After the
+    loop each pivot row is split in two, each part held once.  Up to a
+    nonzero scalar per row, which is all a rank or a zero test sees, the
+    record is:
 
       * ``image``: the Mᵀ parts of the pivot rows (keys below rows), an
         echelon basis of the column space im M with its pivots;
       * ``transforms``: the I part of each, keys rows + j; as a matrix E,
         E·(s·Mᵀ) = R, the image rows;
-      * ``kernel``: the transforms of the rows whose Mᵀ part vanished, one
-        per free column j and zero at every other free column, a basis of
-        ker M (keys j, cols − rank of them).
+      * ``kernel``: the transforms of the rows whose Mᵀ part vanished, a
+        basis of ker M (keys j, cols − rank of them).
 
-    Exactly: :meth:`kernel_vectors` divides each kernel row by its entry at
-    its free column, and :meth:`solve` reduces a right-hand side against the
-    image rows joined to their transforms, in rows of its own."""
+    :meth:`kernel_vectors` and a successful :meth:`solve` read the reduced
+    echelon of ``kernel``, built on first read, and a failed :meth:`solve`
+    the residue modulo ``image``, zero at its pivots (module docstring)."""
 
     def __init__(self, m: RationalMatrix) -> None:
         offset = self._offset = m.rows
@@ -615,16 +608,22 @@ class Elimination:
             self.transforms.append({j: x for j, x in row.items() if j >= offset})
             self.image.rows[k] = {j: x for j, x in row.items() if j < offset}
 
-    def kernel_vectors(self) -> list[Vector]:
-        """:func:`kernel_basis`: each kernel row over its entry at its own
-        free column, which is its last nonzero."""
-        out = []
+    @cached_property
+    def _kernel_echelon(self) -> IntegerEchelon:
+        """The reduced echelon of ``kernel``, pivots at the highest column:
+        coordinate j is held at −j, so the pivots are −f for the free columns f."""
+        echelon = IntegerEchelon()
         for z in self.kernel:
-            nums = [0] * self._cols
-            for j, x in z.items():
-                nums[j] = x
-            out.append(fractions_over(nums, z[max(z)]))
-        return out
+            echelon.add({-j: x for j, x in z.items()})
+        return echelon.reduced()
+
+    def kernel_vectors(self) -> list[Vector]:
+        """:func:`kernel_basis`: the kernel echelon's rows by free column, each over its pivot."""
+        echelon = self._kernel_echelon
+        return [
+            fractions_over([z.get(-j, 0) for j in range(self._cols)], z[p])
+            for p, z in zip(reversed(echelon.pivots), reversed(echelon.rows))
+        ]
 
     def solve(self, b: Sequence) -> tuple[Vector | None, SparseRow | None]:
         """(x, None) with M·x = b and x zero at every free column, the
@@ -634,8 +633,9 @@ class Elimination:
 
         b's :meth:`IntegerEchelon.residue` at scale s, its sentinel past the
         transform, against fresh rows ``image row | transform`` is
-        (s·(σ·b + M·v), v) over σ.  If its Mᵀ part vanishes, x = −v/σ;
-        otherwise that part over s·σ is the residue."""
+        (s·(σ·b + M·v), v) over σ.  If its Mᵀ part vanishes, x is −v/σ
+        reduced modulo the kernel echelon, with σ at 1, past its coordinates
+        −j; otherwise that part over s·σ is the residue."""
         offset, cols = self._offset, self._cols
         if len(b) != offset:
             raise ValueError(f"dimension mismatch: got rhs of length {len(b)} for {offset} rows")
@@ -644,6 +644,7 @@ class Elimination:
         joined.rows = [row | t for row, t in zip(self.image.rows, self.transforms)]
         w, sigma = joined.residue(b, offset + cols, self._scale)
         if min(w, default=offset) >= offset:
-            return fractions_over([-w.get(offset + j, 0) for j in range(cols)], sigma), None
+            x = self._kernel_echelon.reduce({offset - j: -y for j, y in w.items()} | {1: sigma})
+            return fractions_over([x.get(-j, 0) for j in range(cols)], x[1]), None
         scale = self._scale * sigma
         return None, tuple((i, Fraction(x, scale)) for i, x in sorted(w.items()) if i < offset)

@@ -491,12 +491,13 @@ def _les_request():
     # n ≤ 2, of the three complexes
     broken, _, _ = parse_algebra_file((FIXTURES / "a1_broken_rb.yaml").read_text())
     for r in (random_valid_pair(random.Random(3), 3)[0], broken):
-        yield lambda r=r: les_check(r, regular_bimodule(r), 2), ["Elimination"] * 9
+        yield lambda r=r: les_check(r, regular_bimodule(r), 2), ["Elimination"] * 9, 0
 
 
 def _obstructed_solve_request():
     # order-1 coefficients drawn as a random degree-2 cocycle until the
-    # order-2 solve is obstructed: one solve of d₂, then its residue
+    # order-2 solve is obstructed: one solve of d₂, then its residue, which
+    # reads no kernel echelon
     rng = random.Random(41)
     while True:
         r = random_rb_pre_lie(rng, 3)
@@ -507,16 +508,17 @@ def _obstructed_solve_request():
             (r.operator, matrix_from_cochain(c.rbo_part)),
         )
         if solve_next_order(r, d).solution is None:
-            yield lambda: solve_next_order(r, d), ["Elimination"]
+            yield lambda: solve_next_order(r, d), ["Elimination"], 0
             return
 
 
 def _trivialize_request():
-    # a gauge-trivial order-3 deformation: three solves against d₁
+    # a gauge-trivial order-3 deformation: three solves against d₁, which
+    # build its kernel echelon once
     rng = random.Random(42)
     r = random_rb_pre_lie(rng, 3)
     d = gauge_transform(r, trivial_deformation(r, 3), random_gauge(rng, 3, 3))
-    yield lambda: trivialize(r, d), ["Elimination"]
+    yield lambda: trivialize(r, d), ["Elimination"], 1
 
 
 @pytest.mark.parametrize(
@@ -526,8 +528,11 @@ def _trivialize_request():
 )
 def test_each_request_eliminates_each_matrix_at_most_once(monkeypatch, requests):
     # every elimination a request can reach, looked up where complexes finds
-    # it; the matrices are kept alive, so their ids are not reused
+    # it; the matrices are kept alive, so their ids are not reused.  The
+    # readers build no elimination, and each kernel echelon is counted by
+    # its one reduced-echelon step
     from rbprelie import complexes
+    from rbprelie.linalg import IntegerEchelon
 
     seen: list = []
 
@@ -544,14 +549,18 @@ def test_each_request_eliminates_each_matrix_at_most_once(monkeypatch, requests)
     names = ("Elimination", "rank", "kernel_basis", "column_space", "solve_linear")
     for name in names:
         monkeypatch.setattr(complexes, name, counting(name), raising=False)
-    for run, eliminated in cases:
+    reduced, real_reduced = [], IntegerEchelon.reduced
+    monkeypatch.setattr(IntegerEchelon, "reduced", lambda e: reduced.append(e) or real_reduced(e))
+    for run, eliminated, kernel_echelons in cases:
         seen.clear()
+        reduced.clear()
         run()
         counts = Counter(id(m) for _, m in seen)
         twice = [(name, m.rows, m.cols) for name, m in seen if counts[id(m)] > 1]
         assert not twice, twice
         # the one elimination of each dₙ the request reads, and nothing else
         assert sorted(name for name, _ in seen) == eliminated
+        assert len(reduced) == kernel_echelons
 
 
 def test_les_zero_everything_exact():

@@ -528,6 +528,71 @@ def test_solve_leaves_the_record_as_it_found_it():
     assert checked >= 20
 
 
+def _column_order_cases(rng):
+    """``_record_cases``, then the coboundaries of seeded complexes at d = 2, 3."""
+    yield from _record_cases(rng)
+    for seed in range(3):
+        for dim in (2, 3):
+            data = ComplexData(*random_valid_pair(random.Random(seed), dim))
+            yield from (data.d(kind, n) for kind in ComplexKind for n in range(3))
+
+
+def _eliminated_in_order(m, perm):
+    """The elimination of M·P, column k of M·P being column perm[k] of M,
+    with its kernel rows and transforms mapped back through P (y ↦ P·y): a
+    record of M whose columns entered in the order perm."""
+    e = Elimination(RationalMatrix.from_cols([m.col(j) for j in perm], m.rows))
+    e.kernel = [{perm[k]: x for k, x in z.items()} for z in e.kernel]
+    e.transforms = [{m.rows + perm[k - m.rows]: x for k, x in t.items()} for t in e.transforms]
+    return e
+
+
+def test_canonical_readers_do_not_depend_on_the_column_order():
+    """Columns entered in a seeded shuffled order, the record mapped back:
+    the readers give the kernel basis, solutions and residues of M itself.
+    Those are fixed by M, against the free columns of the dense oracle: each
+    kernel vector is 1 at its own free column and 0 at every other, and each
+    solution is zero at every free column."""
+    rng = random.Random(36)
+    checked = inconsistent = 0
+    for m in _column_order_cases(rng):
+        perm = list(range(m.cols))
+        rng.shuffle(perm)
+        shuffled, e = _eliminated_in_order(m, perm), Elimination(m)
+        free = [j for j in range(m.cols) if j not in dense_echelon(m.entries)[1]]
+        basis = kernel_basis(m)
+        assert shuffled.kernel_vectors() == basis
+        assert [[v[f] for f in free] for v in basis] == [list(unit_vector(k, len(free)))
+                                                          for k in range(len(free))]
+        x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(m.cols))
+        b = m.apply(x)
+        solution = solve_linear(m, b)
+        assert shuffled.solve(b) == e.solve(b) == (solution, None)
+        assert m.apply(solution) == b and not any(solution[f] for f in free)
+        off = _inconsistent_rhs(rng, m) if m.rows and m.cols else None
+        if off is not None:
+            assert shuffled.solve(off) == e.solve(off) and e.solve(off)[0] is None
+            inconsistent += 1
+        checked += perm != sorted(perm) and bool(free)
+    assert checked >= 150 and inconsistent >= 150
+
+
+def test_the_kernel_echelon_is_built_once(monkeypatch):
+    """Two kernel_vectors() calls and several solves on one Elimination build
+    the reduced kernel echelon once; a failed solve builds none."""
+    built = []
+    real = IntegerEchelon.reduced
+    monkeypatch.setattr(IntegerEchelon, "reduced", lambda self: built.append(self) or real(self))
+    m = RationalMatrix.from_rows([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, Fraction(1, 2)]])
+    e = Elimination(m)
+    assert e.solve((1, 0, 0))[0] is None and not built
+    assert e.kernel_vectors() == e.kernel_vectors() == dense_kernel_basis(m)
+    for x in ((1, 0, 0, 0), (0, 1, 0, 0), (1, -1, 2, Fraction(1, 3))):
+        assert e.solve(m.apply(x)) == (dense_solve(m, m.apply(x)), None)
+    assert e.solve((1, 0, 0))[0] is None
+    assert len(built) == 1
+
+
 def _kernel_cases(rng):
     """(matrix, vectors) pairs for the integer dot kernel: int-only vectors,
     large coprime denominators, zero vectors and zero rows, empty shapes, and

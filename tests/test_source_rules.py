@@ -87,6 +87,12 @@ package source names ``integer_rows`` or ``IntegerRow``,
 on it, and ``Elimination`` reads no other view of its matrix (neither
 ``sparse_rows`` nor ``entries``).
 
+Every reduced echelon form comes from one step, ``IntegerEchelon.reduced``:
+``column_space`` and ``Elimination`` call it, and no other package function
+re-adds echelon rows in reverse order (calls both ``reversed`` and
+``.add``) or reads a row at its last nonzero (``row[max(row)]``), the
+column-order kernel reader it replaced.
+
 Each request eliminates each dₙ once: ``complexes`` imports none of
 ``rank``, ``kernel_basis``, ``column_space`` or ``solve_linear``, and no
 method of ``ComplexData`` calls them; its ranks, cocycle bases and solves
@@ -398,6 +404,29 @@ def test_a_matrix_has_one_integer_view():
     read = {node.attr for node in ast.walk(classes["Elimination"])
             if isinstance(node, ast.Attribute) and node.attr in MATRIX_VIEWS}
     assert read == {"integer_columns"}, f"Elimination reads {sorted(read)}"
+
+
+def test_reduced_echelon_forms_come_from_one_step():
+    found = []
+    for module, tree in MODULES.items():
+        for qualified, _, fn in _definitions(module, tree):
+            called = {_called_name(node) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+            if {"reversed", "add"} <= called and qualified != "linalg.IntegerEchelon.reduced":
+                found.append(f"{qualified} re-adds rows in reverse")
+            found += [
+                f"{qualified} line {node.lineno} reads a row at its last nonzero"
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Call)
+                and _called_name(node.slice) == "max"
+            ]
+    assert not found, found
+    callers = {
+        qualified.rsplit(".", 1)[0] if ".Elimination." in qualified else qualified
+        for qualified, _, fn in _definitions("linalg", MODULES["linalg"])
+        if any(isinstance(node, ast.Call) and _called_name(node) == "reduced"
+               for node in ast.walk(fn))
+    }
+    assert {"linalg.column_space", "linalg.Elimination"} <= callers, callers
 
 
 SEPARATE_ELIMINATIONS = {"rank", "kernel_basis", "column_space", "solve_linear"}
