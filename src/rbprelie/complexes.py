@@ -66,7 +66,10 @@ zero tests, takes Zₙ and Bₙ₊₁ up to scalars from the same object and wal
 on ``int`` vectors.  The cochain maps :func:`rbo_differential` and
 :func:`rba_differential` are the validity gate plus one ``coboundary`` of a
 fresh :class:`ComplexData`; :func:`pla_differential`, of a pre-Lie algebra
-and a bimodule with no operators, applies δₙ, and :func:`phi` applies Φₙ.
+and a bimodule with no operators, applies δₙ, and :func:`phi` applies Φₙ,
+neither building a matrix for the zero cochain.  The top coherences of a
+two-term structure in ``twoalg`` are read off these two maps and
+``ComplexData.coboundary``.
 """
 
 from __future__ import annotations
@@ -188,9 +191,12 @@ def _coboundary_matrix(a: PreLieAlgebra, m: Bimodule, n: int) -> RationalMatrix:
 
 
 def pla_differential(a: PreLieAlgebra, m: Bimodule, f: Cochain) -> Cochain:
-    """Degree n ↦ n+1 coboundary of the pre-Lie complex."""
+    """Degree n ↦ n+1 coboundary of the pre-Lie complex; no matrix is built
+    for the zero cochain, whose image is zero."""
     if f.base_dim != a.dim or f.base_dim != m.base_dim or f.mod_dim != m.mod_dim:
         raise ValueError("cochain dimensions do not match the algebra/module")
+    if f.is_zero():
+        return Cochain.zero(f.degree + 1, a.dim, m.mod_dim)
     image = _coboundary_matrix(a, m, f.degree).apply(f.coords())
     return Cochain.from_coords(f.degree + 1, a.dim, m.mod_dim, image)
 
@@ -206,7 +212,10 @@ def phi(r: RBPreLieAlgebra, m: RBBimodule, f: Cochain) -> Cochain:
     """Degree-preserving chain map into the operator complex: Φ(f) =
     f∘(T, …, T) minus, for each slot p, T_M∘f with T in the slots before p,
     the identity at p and T + λ·id after it (the sum over insertion
-    patterns ε ≠ 1 of λ^{n−1−|ε|}·T_M∘f∘T^ε); the identity in degree 0."""
+    patterns ε ≠ 1 of λ^{n−1−|ε|}·T_M∘f∘T^ε); the identity in degree 0.  No
+    matrix is built for the zero cochain, whose image is zero."""
+    if f.is_zero():
+        return Cochain.zero(f.degree, r.dim, m.mod_dim)
     image = phi_matrix(r, m, f.degree).apply(f.coords())
     return Cochain.from_coords(f.degree, r.dim, m.mod_dim, image)
 

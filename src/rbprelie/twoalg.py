@@ -9,28 +9,28 @@ and the operator triple (T₀, T₁, T₂) with T₂ bilinear on g₀.
 Skeletal means d = 0; strict means l₃ = 0 and T₂ = 0.  Skeletal structures
 correspond to degree-3 cocycles of the combined complex of (g₀, T₀) with
 coefficients in g₁; strict structures correspond to crossed modules.  The
-long operator coherence condition is implemented in the form forced by the
-degree-3 correspondence: all insertion patterns of T₀ into l₃ weighted by
-powers of the weight appear, as do the T₁-corrections of the level-mixing
-action terms.
+two top coherences are the two parts of d₃(l₃, T₂), read off the complexes
+that ``complexes`` assembles on the levels: f is δ₃l₃ (``pla_differential``),
+the pre-Lie part, and v is ∂₂T₂ + Φ₃l₃ (``ComplexData.coboundary`` and
+``phi``), minus the operator part.  So for a skeletal structure f = v = 0
+says exactly that (l₃, T₂) is a degree-3 cocycle.
 
-The coherence conditions contain the laws of the levels.  e1 is the
+The other coherence conditions contain the laws of the levels.  e1 is the
 pre-Lie identity of l₂₀₀, e2 and e3 the bimodule laws of the level-mixing
 actions, and ii, iii and iv one weighted Rota-Baxter law: of l₂₀₀ with T₀
 on both slots and the values, of l₂(α, x) with (T₁, T₀) on the slots and of
 l₂(x, α) with (T₀, T₁), both with T₁ on the values; each is corrected by an
-l₃ or T₂ term through d.  Condition v reads the star product and the
-derived actions.  None of these is written here: each is an integer core
-of ``algebras`` (``pre_lie_core``, ``bimodule_core``, ``rota_baxter_core``,
-``star_core``, ``derived_core``) run on the structure's tables, plus its
-correction term; the crossed module's dα·dβ is ``linalg.int_pullback``.
+l₃ or T₂ term through d.  None of these laws is written here: each is an
+integer core of ``algebras`` (``pre_lie_core``, ``bimodule_core``,
+``rota_baxter_core``) run on the structure's tables, plus its correction
+term; the crossed module's dα·dβ is ``linalg.int_pullback``.
 
-The coherence checks and the crossed-module conditions run on integers: a
-structure is read once (``TwoAlgebra.integers``), every table and matrix in
-the integer form of ``linalg``, nested ``int`` lists over the lcm D of all
-their denominators; each condition is accumulated with the ``int_*``
-operations of ``linalg`` over one denominator shared by all its terms, and
-each nonzero returned entry is one ``Fraction``.  This is exact
+Conditions a to e3 and i to iv and the crossed-module conditions run on
+integers: a structure is read once (``TwoAlgebra.integers``), every table
+and matrix in the integer form of ``linalg``, nested ``int`` lists over the
+lcm D of all their denominators; each condition is accumulated with the
+``int_*`` operations of ``linalg`` over one denominator shared by all its
+terms, and each nonzero returned entry is one ``Fraction``.  This is exact
 arithmetic in another order, so every defect equals the one ``Fraction``
 arithmetic gives.
 """
@@ -55,18 +55,16 @@ from .algebras import (
     bimodule_core,
     bimodule_defects,
     bimodule_from_tables,
-    derived_core,
     named,
     pre_lie_core,
     rb_bimodule_defects,
     rota_baxter_core,
-    star_core,
     transport_table,
     verdict,
     zero_table,
 )
 from .cochains import Cochain, RBACochain, bilinear_from_cochain, cochain_from_bilinear
-from .complexes import ComplexData, ComplexKind
+from .complexes import ComplexData, ComplexKind, phi, pla_differential
 from .linalg import (
     RationalMatrix,
     Vector,
@@ -121,20 +119,20 @@ class TwoAlgebra:
 
 
 class _Integers:
-    """A two-term structure read once for the coherence checks: every table
-    and matrix times the lcm D of all their denominators, as nested ``int``
-    lists (matrices as dense rows, with their columns), l₃ on every basis
-    triple, and the multiplication matrices (L, R) of every table: column j
-    of L[i] and column i of R[j] hold table[i][j]."""
+    """A two-term structure read once for conditions a to e3 and i to iv:
+    every table and matrix times the lcm D of all their denominators, as
+    nested ``int`` lists (matrices as dense rows, and the columns of d), l₃
+    on every basis triple, and the multiplication matrices (L, R) of every
+    table: column j of L[i] and column i of R[j] hold table[i][j]."""
 
     def __init__(self, t: TwoAlgebra) -> None:
-        d0, d1 = self.dim0, self.dim1 = t.dim0, t.dim1
+        d0, d1 = t.dim0, t.dim1
         span = range(d0)
         l3 = [[[t.l3.eval_basis((x, y), z) for z in span] for y in span] for x in span]
         tensors = (t.l2_00, t.l2_01, t.l2_10, t.t2, *l3, t.d_map, t.t0, t.t1)
         self.den, ints = integer_form(tensors)
         self.l00, self.l01, self.l10, self.t2, *l3, self.d, self.t0, self.t1 = ints
-        self.d_cols, self.t0_cols = int_transpose(self.d, d1), int_transpose(self.t0, d0)
+        self.d_cols = int_transpose(self.d, d1)
         # (x, y, z) ↦ l₃(e_x, e_y, e_z), and the matrices of z ↦ l₃(x, y, z), z ↦ l₃(z, x, y)
         self.l3 = dict(zip(product(span, repeat=3), chain.from_iterable(chain(*l3))))
         pairs = list(product(span, repeat=2))
@@ -163,8 +161,9 @@ def check_prelie_2alg(t: TwoAlgebra) -> Verdict:
 def _prelie_2alg_defects(t: TwoAlgebra) -> Defects:
     """Conditions a to f.  e1 is the pre-Lie identity of l₂₀₀ and e2, e3 are
     the bimodule laws of the level-mixing actions, each corrected by l₃
-    through d.  Every term of e2 and e3 is an integer over D³, of the others
-    over D²."""
+    through d.  Every term of e2 and e3 is an integer over D³, of a to e1
+    over D².  f is δ₃l₃ in the pre-Lie complex of level 0 with coefficients
+    in level 1, which reads no operator and no weight."""
     n = t.integers
     span0, span1, den = range(t.dim0), range(t.dim1), n.den * n.den
     (l00_left, l00_right), (l01_left, l01_right), (l10_left, l10_right) = n.lr00, n.lr01, n.lr10
@@ -196,106 +195,10 @@ def _prelie_2alg_defects(t: TwoAlgebra) -> Defects:
                 e3 = [n.den * u + v for u, v in zip(int_matvec(n.l3_first[x, y], da), mixed)]
                 yield "e2", (x, y, a), fractions_over(e2, n.den * den)
                 yield "e3", (a, x, y), fractions_over(e3, n.den * den)
-    f = _condition_f(n)
-    for key in product(span0, repeat=4):
-        yield "f", key, fractions_over(f[key], den)
-
-
-def _condition_f(n: _Integers) -> dict[tuple[int, ...], list[int]]:
-    """The numerators of the twelve-term top coherence over D², keyed by
-    every basis quadruple (w, x, y, z)."""
-    span, l3 = range(n.dim0), n.l3
-    (l01_left, _), (_, l10_right) = n.lr01, n.lr10
-    quadruples = list(product(span, repeat=4))
-    # the actions on l₃ and l₃ with a product or a bracket in one slot
-    left = {(w, x, y, z): int_matvec(l01_left[w], l3[x, y, z]) for w, x, y, z in quadruples}
-    right = {(z, x, y, w): int_matvec(l10_right[z], l3[x, y, w]) for z, x, y, w in quadruples}
-    last = {
-        (x, y, w, z): int_matvec(n.l3_last[x, y], n.l00[w][z]) for x, y, w, z in quadruples
-    }
-    brackets = [
-        [int_sum((1, -1), pair, n.dim0) for pair in zip(row, col)]
-        for row, col in zip(n.l00, int_transpose(n.l00, n.dim0))
-    ]
-    first = {
-        (w, x, y, z): int_matvec(n.l3_first[y, z], brackets[w][x])
-        for w, x, y, z in quadruples
-    }
-    return {
-        (w, x, y, z): [
-            a1 - a2 + a3 + r1 - r2 + r3 - p1 + p2 - p3 - b1 + b2 - b3
-            for a1, a2, a3, r1, r2, r3, p1, p2, p3, b1, b2, b3 in zip(
-                left[w, x, y, z], left[x, w, y, z], left[y, w, x, z],
-                right[z, x, y, w], right[z, w, y, x], right[z, w, x, y],
-                last[x, y, w, z], last[w, y, x, z], last[w, x, y, z],
-                first[w, x, y, z], first[w, y, x, z], first[x, y, w, z],
-            )
-        ]
-        for w, x, y, z in quadruples
-    }
-
-
-def _insert(tensor: dict, t0_cols: list, slot: int, size: int) -> dict:
-    """T₀ inserted in one slot of a map on basis triples: at each key, the
-    sum over k of T₀[k][key[slot]] times the value at the key with k in that
-    slot."""
-    span = range(len(t0_cols))
-    return {
-        key: int_sum(
-            t0_cols[key[slot]], [tensor[(*key[:slot], k, *key[slot + 1 :])] for k in span], size
-        )
-        for key in tensor
-    }
-
-
-def _condition_v(n: _Integers, lam: Fraction) -> dict[tuple[int, ...], list[int]]:
-    """The numerators of the long operator coherence over q²·D⁴ for λ = p/q,
-    keyed by every basis triple (x1, x2, x3).
-
-    Structure: the T₀-twisted action terms with their T₁-corrections, the
-    star-product insertions into T₂, and every T₀-insertion pattern into l₃
-    weighted by λ to the number of untouched slots minus one.
-    """
-    p, q, den, size = lam.numerator, lam.denominator, n.den, n.dim1
-    star = star_core(n.l00, n.t0, p, q, den)  # over q·D²
-    # the T₀-twisted level-mixing actions with their T₁-corrections, over D³
-    twisted_left, twisted_right = derived_core(n.t0, n.t1, n.lr01[0], n.lr10[1], den, den)
-    t2_left, t2_right = n.lr_t2
-    # l₃ with T₀ in the slots marked 1, over D^(1 + ones): seven mode
-    # products, each pattern from the one without its last marked slot
-    inserted = {(0, 0, 0): n.l3}
-    for pattern in sorted(product((0, 1), repeat=3), key=sum)[1:]:
-        slot = max(i for i, e in enumerate(pattern) if e)
-        source = (*pattern[:slot], 0, *pattern[slot + 1 :])
-        inserted[pattern] = _insert(inserted[source], n.t0_cols, slot, size)
-    out = {}
-    for key in product(range(n.dim0), repeat=3):
-        x1, x2, x3 = key
-        ones = [inserted[e][key] for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-        twos = [inserted[e][key] for e in ((1, 1, 0), (1, 0, 1), (0, 1, 1))]
-        # λ^(2 − ones)·l₃ over every pattern with fewer than three ones, over q²·D³
-        inner = [
-            p * p * den * den * z + p * q * den * (a + b + c) + q * q * (ab + ac + bc)
-            for z, a, b, c, ab, ac, bc in zip(n.l3[key], *ones, *twos)
-        ]
-        actions = zip(
-            int_matvec(twisted_left[x1], n.t2[x2][x3]),
-            int_matvec(twisted_left[x2], n.t2[x1][x3]),
-            int_matvec(twisted_right[x3], n.t2[x2][x1]),
-            int_matvec(twisted_right[x3], n.t2[x1][x2]),
-        )
-        stars = zip(
-            int_matvec(t2_left[x2], star[x1][x3]),
-            int_matvec(t2_left[x1], star[x2][x3]),
-            int_matvec(t2_right[x3], int_sum((1, -1), (star[x1][x2], star[x2][x1]), n.dim0)),
-        )
-        out[key] = [
-            q * q * (top + a1 - a2 + a3 - a4) + q * den * (s2 - s1 - s3) - corr
-            for top, corr, (a1, a2, a3, a4), (s1, s2, s3) in zip(
-                inserted[1, 1, 1][key], int_matvec(n.t1, inner), actions, stars
-            )
-        ]
-    return out
+    algebra, bimodule = PreLieAlgebra(t.dim0, t.l2_00), bimodule_from_tables(t.l2_01, t.l2_10)
+    delta = pla_differential(algebra, bimodule, t.l3)  # δ₃l₃
+    for w, x, y, z in product(span0, repeat=4):
+        yield "f", (w, x, y, z), delta.eval_basis((w, x, y), z)
 
 
 def check_rb_2alg(t: TwoAlgebra, weight) -> Verdict:
@@ -307,7 +210,8 @@ def _rb_2alg_defects(t: TwoAlgebra, lam: Fraction) -> Defects:
     """Conditions i to v.  ii is the Rota-Baxter law of T₀ and iii, iv are the
     Rota-Baxter bimodule laws of T₁ for the level-mixing actions, each
     corrected by T₂ through d.  With λ = p/q, every term of i is an integer
-    over D², of ii, iii and iv over q·D³ and of v over q²·D⁴."""
+    over D² and of ii, iii and iv over q·D³.  v is ∂₂T₂ + Φ₃l₃ on the levels
+    (:func:`_levels`), minus the operator part of d₃(l₃, T₂)."""
     n = t.integers
     p, q, den = lam.numerator, lam.denominator, n.den
     span0 = range(t.dim0)
@@ -336,9 +240,18 @@ def _rb_2alg_defects(t: TwoAlgebra, lam: Fraction) -> Defects:
             # −rb_left(x, α) − T₂(x, dα)
             terms = zip(rb_left[x, a], int_matvec(t2_left[x], da))
             yield "iv", (x, a), fractions_over([-u - scale * v for u, v in terms], q * den**3)
-    v = _condition_v(n, lam)
-    for key in product(span0, repeat=3):
-        yield "v", key, fractions_over(v[key], q * q * den**4)
+    r, m = _levels(t, lam)
+    theta = cochain_from_bilinear(t.t2, t.dim1)
+    v = ComplexData(r, m).coboundary(ComplexKind.RBO, theta).add(phi(r, m, t.l3))
+    for x, y, z in product(span0, repeat=3):
+        yield "v", (x, y, z), v.eval_basis((x, y), z)
+
+
+def _levels(t: TwoAlgebra, lam: Fraction) -> tuple[RBPreLieAlgebra, RBBimodule]:
+    """Level 0 as a Rota-Baxter pre-Lie algebra of weight λ and level 1 as its
+    Rota-Baxter bimodule, checking neither."""
+    r = RBPreLieAlgebra(PreLieAlgebra(t.dim0, t.l2_00), lam, t.t0)
+    return r, RBBimodule(bimodule_from_tables(t.l2_01, t.l2_10), t.t1)
 
 
 def _require_two_term(t: TwoAlgebra, lam: Fraction) -> None:
@@ -354,13 +267,8 @@ def skeletal_to_cocycle(t: TwoAlgebra, weight) -> tuple[RBPreLieAlgebra, RBBimod
     if not t.is_skeletal():
         raise InvalidStructureError("structure is not skeletal (connecting map nonzero)")
     _require_two_term(t, lam)
-    r = RBPreLieAlgebra(PreLieAlgebra(t.dim0, t.l2_00), lam, t.t0)
-    m = RBBimodule(bimodule_from_tables(t.l2_01, t.l2_10), t.t1)
-    cochain = RBACochain(t.l3, cochain_from_bilinear(t.t2, t.dim1))
-    defect = ComplexData(r, m).coboundary(ComplexKind.RBA, cochain)
-    if not defect.is_zero():
-        raise InvalidStructureError("extracted pair is not a degree-3 cocycle")
-    return r, m, cochain
+    r, m = _levels(t, lam)
+    return r, m, RBACochain(t.l3, cochain_from_bilinear(t.t2, t.dim1))
 
 
 def cocycle_to_skeletal(r: RBPreLieAlgebra, m: RBBimodule, c: RBACochain) -> TwoAlgebra:
@@ -478,11 +386,10 @@ def strict_to_crossed(t: TwoAlgebra, weight) -> CrossedModule:
     if not t.is_strict():
         raise InvalidStructureError("structure is not strict (l3 or T2 nonzero)")
     _require_two_term(t, lam)
-    g0 = RBPreLieAlgebra(PreLieAlgebra(t.dim0, t.l2_00), lam, t.t0)
+    g0, m = _levels(t, lam)
     ident = RationalMatrix.identity(t.dim1)
     product = transport_table(t.l2_01, t.d_map, ident, ident)
-    bm = bimodule_from_tables(t.l2_01, t.l2_10)
-    return CrossedModule(g0, product, t.d_map, bm.S, bm.P, t.t1)
+    return CrossedModule(g0, product, t.d_map, m.bimodule.S, m.bimodule.P, t.t1)
 
 
 def crossed_to_strict(cm: CrossedModule, *, trusted: bool = False) -> TwoAlgebra:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 from collections import Counter
 from fractions import Fraction
@@ -8,8 +9,9 @@ import pytest
 import rbprelie
 from rbprelie import Bimodule, PreLieAlgebra, RBBimodule, RBPreLieAlgebra, regular_bimodule
 from rbprelie.algebras import zero_table
-from rbprelie.linalg import RationalMatrix, fractions_over
-from rbprelie.twoalg import _condition_f, _condition_v
+from rbprelie.cochains import Cochain, RBACochain, bilinear_from_cochain
+from rbprelie.linalg import RationalMatrix
+from rbprelie.twoalg import _prelie_2alg_defects, _rb_2alg_defects, cocycle_to_skeletal
 
 # `python -m rbprelie.cli` subprocesses import the same package as the tests,
 # whether it is installed or found through pytest's `pythonpath`
@@ -69,18 +71,42 @@ def make_noncommuting_module() -> tuple[RBPreLieAlgebra, RBBimodule]:
     return r, RBBimodule(Bimodule(2, 2, left, (zero, zero)), zero)
 
 
+def skeletal_with_pair(r, m, c):
+    """The skeletal structure on (r, m) whose l₃ and T₂ are the two parts of
+    the degree-3 pair c, a cocycle or not."""
+    d, md = r.dim, m.mod_dim
+    zero = RBACochain(Cochain.zero(3, d, md), Cochain.zero(2, d, md))
+    t = cocycle_to_skeletal(r, m, zero)
+    return dataclasses.replace(t, l3=c.pla_part, t2=bilinear_from_cochain(c.rbo_part))
+
+
+# law → (structure, weight, that law's defects by 0-based key) of the last call
+_kept_top_defects: dict = {}
+
+
+def _top_defects(law, t, lam=None):
+    """The defects of the top coherence ``law`` ("f" or "v") of a two-term
+    structure, keyed by 0-based basis tuple.  The defects of the last
+    structure asked about are kept, so a loop over its keys reads its
+    stream once."""
+    kept = _kept_top_defects.get(law)
+    if kept is None or kept[0] is not t or kept[1] != lam:
+        stream = _prelie_2alg_defects(t) if law == "f" else _rb_2alg_defects(t, lam)
+        defects = {key: v for name, key, v in stream if name == law}
+        kept = _kept_top_defects[law] = (t, lam, defects)
+    return kept[2]
+
+
 def condition_f_value(t, w, x, y, z):
     """The twelve-term top coherence of a two-term structure on basis
-    indices: the numerators of ``_condition_f`` over D²."""
-    n = t.integers
-    return fractions_over(_condition_f(n)[w, x, y, z], n.den * n.den)
+    indices: its ``"f"`` defect in ``_prelie_2alg_defects``."""
+    return _top_defects("f", t)[w, x, y, z]
 
 
 def condition_v_value(t, lam, x1, x2, x3):
-    """The long operator coherence on basis indices: the numerators of
-    ``_condition_v`` over q²·D⁴ for λ = p/q."""
-    lam, n = Fraction(lam), t.integers
-    return fractions_over(_condition_v(n, lam)[x1, x2, x3], lam.denominator**2 * n.den**4)
+    """The long operator coherence on basis indices: the ``"v"`` defect in
+    ``_rb_2alg_defects`` at weight λ."""
+    return _top_defects("v", t, Fraction(lam))[x1, x2, x3]
 
 
 @pytest.fixture

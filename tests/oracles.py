@@ -24,7 +24,8 @@ The ``*_by_fractions`` routines are the package's former two-term and
 crossed-module checks, kept verbatim: they evaluate l₃ with ``Cochain.eval``
 and every product through ``RationalMatrix.apply`` in ``Fraction``
 arithmetic, where ``twoalg`` reads each structure once as integer tensors
-over one common denominator.  ``bimodule_left`` and ``bimodule_right`` are
+over one common denominator and reads the top coherences f and v off the
+assembled complexes.  ``bimodule_left`` and ``bimodule_right`` are
 the former ``Bimodule.left`` / ``Bimodule.right`` products,
 ``at_module_basis`` the former ``Bimodule.at_module_basis``, and ``lr00``,
 ``lr01``, ``lr10``, ``lr_t2``, ``mul00``, ``mul01``, ``mul10`` and

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from rbprelie import rba_differential
 from rbprelie.cli import main, run_command
 from rbprelie.cochains import Cochain, RBACochain
 from rbprelie.algebras import zero_table
@@ -22,12 +23,19 @@ from rbprelie.files import (
 )
 from rbprelie.generators import (
     random_gauge,
+    random_rba_cochain,
     random_rba_cocycle,
     random_valid_pair,
 )
 from rbprelie.linalg import RationalMatrix
 from rbprelie.twoalg import TwoAlgebra
-from conftest import make_a0, make_a1n, make_idempotent, make_noncommuting_module
+from conftest import (
+    make_a0,
+    make_a1n,
+    make_idempotent,
+    make_noncommuting_module,
+    skeletal_with_pair,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -306,6 +314,18 @@ def _two_term_file(tmp_path, *, d=0, product=0, t0=0, t2=0):
     return path
 
 
+def _unclosed_skeletal_file(tmp_path):
+    """A skeletal structure over a valid pair whose (l₃, T₂) is not closed:
+    it fails only the top coherences f and v."""
+    rng = random.Random(37)
+    r, m = random_valid_pair(rng, 2)
+    c = random_rba_cochain(rng, 3, r.dim, m.mod_dim)
+    assert not rba_differential(r, m, c).is_zero()
+    path = tmp_path / "two.yaml"
+    path.write_text(dump_document(twoalg_document(skeletal_with_pair(r, m, c), r.weight)))
+    return path
+
+
 def _extract_with_bad_section(tmp_path):
     rng = random.Random(5)
     r, m = random_valid_pair(rng, 2)
@@ -346,12 +366,14 @@ def _deform_invalid_at_order_one(action):
         (lambda p: ["twoalg", "to-cocycle", _two_term_file(p, d=1)], "not skeletal"),
         # e·e = e with T = Id at weight 0 breaks the Rota-Baxter law
         (lambda p: ["twoalg", "to-cocycle", _two_term_file(p, product=1, t0=1)], "two-term checks"),
+        (lambda p: ["twoalg", "to-cocycle", _unclosed_skeletal_file(p)], "two-term checks"),
         (lambda p: ["twoalg", "to-crossed", _two_term_file(p, t2=1)], "not strict"),
         (_extract_with_bad_section, "not a section"),
         (_deform_invalid_at_order_one("solve"), "lower orders invalid (first bad order 1)"),
         (_deform_invalid_at_order_one("trivialize"), "deformation invalid at order 1"),
     ],
-    ids=["to-cocycle-not-skeletal", "to-cocycle-fails-checks", "to-crossed-not-strict",
+    ids=["to-cocycle-not-skeletal", "to-cocycle-fails-checks", "to-cocycle-pair-not-closed",
+         "to-crossed-not-strict",
          "extract-not-a-section", "deform-solve-invalid-order-1",
          "deform-trivialize-invalid-order-1"],
 )

@@ -46,18 +46,24 @@ with their entry points
 ``rb_bimodule_defects``, ``star_algebra``, ``derived_bimodule``), the
 change of basis ``transport_table``, ``deformations.gauge_transform`` and
 the two-term and crossed-module checks of ``twoalg``
-(``_prelie_2alg_defects``, ``_rb_2alg_defects``, ``_crossed_module_defects``,
-and the top coherences ``_condition_f`` and ``_condition_v``) are the
-exception: they read their tables and matrices once as ``int`` tensors over
-one common denominator per family, and make ``Fraction`` values only for the
-entries they return, so they call none of ``vadd``, ``vsub``, ``vscale``,
-``bilinear``, ``.apply`` or ``.eval``.
+(``_prelie_2alg_defects``, ``_rb_2alg_defects``, ``_crossed_module_defects``)
+are the exception: apart from the top coherences below, they read their
+tables and matrices once as ``int`` tensors over one common denominator per
+family, and make ``Fraction`` values only for the entries they return, so
+they call none of ``vadd``, ``vsub``, ``vscale``, ``bilinear``, ``.apply`` or
+``.eval``.
 
 Each law of the levels is written once: ``twoalg`` defines no integer core
-and no ``_star`` or ``_twisted_actions`` of its own, but imports the cores
-from ``algebras``; ``_prelie_2alg_defects`` calls ``pre_lie_core`` and
-``bimodule_core``, ``_rb_2alg_defects`` calls ``rota_baxter_core``, and
-``_condition_v`` calls ``star_core`` and ``derived_core``.
+and no ``_star`` or ``_twisted_actions`` of its own, but imports the cores it
+reads from ``algebras``; ``_prelie_2alg_defects`` calls ``pre_lie_core`` and
+``bimodule_core``, and ``_rb_2alg_defects`` calls ``rota_baxter_core``.
+
+The top coherences of a two-term structure are the assembled d₃: the two
+checks read conditions f and v off the complexes of its levels, so
+``_prelie_2alg_defects`` calls ``pla_differential`` (f = δ₃l₃) and
+``_rb_2alg_defects`` calls ``coboundary`` and ``phi`` (v = ∂₂T₂ + Φ₃l₃), and
+the hand expansions ``_condition_f``, ``_condition_v`` and ``_insert`` are
+defined nowhere.
 
 One weighted Rota-Baxter law serves the algebra, its modules and each
 deformation order, and μ(A·, B·) is summed in one place: ``rb_bimodule_core``
@@ -539,8 +545,7 @@ INTEGER_KERNELS = {
                                 "rb_bimodule_defects", "star_algebra", "derived_bimodule",
                                 "transport_table"},
     "deformations.py": {"gauge_transform"},
-    "twoalg.py": {"_prelie_2alg_defects", "_rb_2alg_defects", "_crossed_module_defects",
-                  "_condition_f", "_condition_v"},
+    "twoalg.py": {"_prelie_2alg_defects", "_rb_2alg_defects", "_crossed_module_defects"},
 }
 FRACTION_ROUTES = {"vadd", "vsub", "vscale", "bilinear", "apply", "eval"}
 
@@ -604,7 +609,6 @@ def test_each_map_has_one_builder():
 LEVEL_LAWS = {
     "_prelie_2alg_defects": {"pre_lie_core", "bimodule_core"},
     "_rb_2alg_defects": {"rota_baxter_core"},
-    "_condition_v": {"star_core", "derived_core"},
 }
 
 
@@ -620,12 +624,39 @@ def test_twoalg_defines_no_law_of_its_levels():
     }
     defined = set(functions) & (LAW_CORES | {"_star", "_twisted_actions"})
     found = [f"defines {name}" for name in sorted(defined)]
-    found += [f"does not import {name} from algebras" for name in sorted(LAW_CORES - imported)]
+    read = set().union(*LEVEL_LAWS.values())
+    found += [f"does not import {name} from algebras" for name in sorted(read - imported)]
     for name, cores in sorted(LEVEL_LAWS.items()):
         calls = [call for call in ast.walk(functions[name]) if isinstance(call, ast.Call)]
         called = {_called_name(call) for call in calls}
         found += [f"{name} does not call {core}" for core in sorted(cores - called)]
     assert not found, f"twoalg.py: {found}"
+
+
+# each top coherence check of twoalg, and the maps of complexes it reads its condition off
+TOP_COHERENCES = {
+    "_prelie_2alg_defects": {"pla_differential"},
+    "_rb_2alg_defects": {"coboundary", "phi"},
+}
+FORMER_TOP_COHERENCES = {"_condition_f", "_condition_v", "_insert"}
+
+
+def test_top_coherences_are_read_off_the_complexes():
+    functions = {
+        (path.name, fn.name): fn
+        for path in SOURCES
+        for fn in ast.walk(MODULES[path.stem])
+        if isinstance(fn, ast.FunctionDef)
+    }
+    found = [f"{file} defines {name}" for file, name in functions if name in FORMER_TOP_COHERENCES]
+    for name, maps in sorted(TOP_COHERENCES.items()):
+        called = {
+            _called_name(call)
+            for call in ast.walk(functions["twoalg.py", name])
+            if isinstance(call, ast.Call)
+        }
+        found += [f"{name} does not call {fn}" for fn in sorted(maps - called)]
+    assert not found, found
 
 
 # the functions that sum μ(A·, B·), each through the one kernel in linalg

@@ -20,6 +20,7 @@ from rbprelie.algebras import (
 from rbprelie.cochains import Cochain, RBACochain, basis_keys
 from rbprelie.files import parse_algebra_file
 from rbprelie.generators import (
+    random_cochain,
     random_crossed_module,
     random_rba_cocycle,
     random_valid_pair,
@@ -45,6 +46,7 @@ from conftest import (
     condition_v_value,
     make_a1n,
     make_noncommuting_module,
+    skeletal_with_pair,
 )
 from oracles import (
     condition_f_by_fractions,
@@ -154,8 +156,6 @@ def test_skeletal_noncocycle_l3_violates_top_coherence():
             Cochain.zero(3, r.dim, m.mod_dim), Cochain.zero(2, r.dim, m.mod_dim)
         )
         t = cocycle_to_skeletal(r, m, zero)
-        from rbprelie.generators import random_cochain
-
         l3 = random_cochain(rng, 3, r.dim, m.mod_dim)
         cand = TwoAlgebra(
             dim0=t.dim0, dim1=t.dim1, d_map=t.d_map, l2_00=t.l2_00, l2_01=t.l2_01,
@@ -167,6 +167,36 @@ def test_skeletal_noncocycle_l3_violates_top_coherence():
             found = True
             break
     assert found
+
+
+def test_top_coherences_are_the_coboundary_of_the_pair():
+    """f and v are the two parts of d₃(l₃, T₂): on a skeletal structure over
+    a valid pair whose (l₃, T₂) is not closed, they are the only violated
+    laws, f at the pre-Lie part of d₃ and v at minus its operator part."""
+    rng = random.Random(37)
+    checked = 0
+    for _ in range(12):
+        r, m = random_valid_pair(rng, rng.randint(1, 3))
+        c = RBACochain(
+            random_cochain(rng, 3, r.dim, m.mod_dim), random_cochain(rng, 2, r.dim, m.mod_dim)
+        )
+        d3 = rba_differential(r, m, c, trusted=True)
+        if d3.is_zero():
+            continue
+        t = skeletal_with_pair(r, m, c)
+        got = [*check_prelie_2alg(t).violations, *check_rb_2alg(t, r.weight).violations]
+        want = [
+            ("f", key, d3.pla_part.eval_basis(key[:3], key[3]))
+            for key in product(range(r.dim), repeat=4)
+        ] + [
+            ("v", key, _negated(d3.rbo_part.eval_basis(key[:2], key[2])))
+            for key in product(range(r.dim), repeat=3)
+        ]
+        want = [(law, tuple(i + 1 for i in key), v) for law, key, v in want if any(v)]
+        assert want
+        assert [(v.law, v.indices, v.defect) for v in got] == want
+        checked += 1
+    assert checked >= 8
 
 
 def test_skeletal_cocycle_round_trips():
@@ -186,8 +216,6 @@ def test_cocycle_to_skeletal_rejects_noncocycles():
     rng = random.Random(3)
     for _ in range(10):
         r, m = random_valid_pair(rng, 2)
-        from rbprelie.generators import random_cochain
-
         c = RBACochain(
             random_cochain(rng, 3, r.dim, m.mod_dim),
             random_cochain(rng, 2, r.dim, m.mod_dim),
@@ -205,8 +233,6 @@ def test_skeletal_equivalence_both_directions():
     rng = random.Random(4)
     for _ in range(10):
         r, m = random_valid_pair(rng, rng.randint(1, 2))
-        from rbprelie.generators import random_cochain
-
         c = RBACochain(
             random_cochain(rng, 3, r.dim, m.mod_dim),
             random_cochain(rng, 2, r.dim, m.mod_dim),
@@ -266,8 +292,6 @@ def test_dual_transcriptions_agree_on_random_tuples():
     checked = 0
     while checked < 200:
         r, m = random_valid_pair(rng, rng.randint(1, 3))
-        from rbprelie.generators import random_cochain
-
         t = TwoAlgebra(
             dim0=r.dim,
             dim1=m.mod_dim,
