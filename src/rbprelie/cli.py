@@ -186,8 +186,7 @@ def _cmd_cocycle(args) -> tuple[dict, bool]:
     m = require_valid(r, module)
     which, cochain = _parse(parse_cochain_file, args.cochain)
     _require_dims(cochain, r, m)
-    defect = ComplexData(r, m).d(ComplexKind(which), cochain.degree).apply(cochain.coords())
-    closed = not any(defect)
+    closed = ComplexData(r, m).coboundary(ComplexKind(which), cochain).is_zero()
     fields = {
         "complex": which,
         "degree": cochain.degree,

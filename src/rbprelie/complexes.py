@@ -66,8 +66,9 @@ zero tests, takes Zₙ and Bₙ₊₁ up to scalars from the same object and wal
 on ``int`` vectors.  The cochain maps :func:`rbo_differential` and
 :func:`rba_differential` are the validity gate plus one ``coboundary`` of a
 fresh :class:`ComplexData`; :func:`pla_differential`, of a pre-Lie algebra
-and a bimodule with no operators, applies δₙ, and :func:`phi` applies Φₙ,
-neither building a matrix for the zero cochain.  The top coherences of a
+and a bimodule with no operators, applies δₙ, and :func:`phi` applies Φₙ.
+No map, ``ComplexData.coboundary`` included, builds a matrix for the zero
+cochain, whose image is zero.  The top coherences of a
 two-term structure in ``twoalg`` are read off these two maps and
 ``ComplexData.coboundary``.
 """
@@ -288,9 +289,15 @@ class ComplexData:
     def coboundary(self, kind: ComplexKind, c: Cochain | RBACochain) -> Cochain | RBACochain:
         """dₙc for a degree-n cochain c of the complex ``kind``, as a cochain
         of the same kind: an :class:`RBACochain` for the combined complex, a
-        :class:`Cochain` for the other two."""
+        :class:`Cochain` for the other two.  No matrix is built for the zero
+        cochain, whose image is zero."""
+        if (c.base_dim, c.mod_dim) != (self.r.dim, self.m.mod_dim):
+            raise ValueError("cochain dimensions do not match the algebra/module")
         cls = RBACochain if kind is ComplexKind.RBA else Cochain
-        image = self.d(kind, c.degree).apply(c.coords())
+        if c.is_zero():
+            image = [0] * self.dim(kind, c.degree + 1)
+        else:
+            image = self.d(kind, c.degree).apply(c.coords())
         return cls.from_coords(c.degree + 1, self.r.dim, self.m.mod_dim, image)
 
     def phi(self, n: int) -> RationalMatrix:

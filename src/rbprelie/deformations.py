@@ -317,7 +317,7 @@ def solve_next_order(r: RBPreLieAlgebra, d: TruncatedDeformation) -> SolveNextOr
     data = ComplexData(r, regular_bimodule(r))
     x, residual = data.solve(ComplexKind.RBA, 2, target.coords())
     if x is None:
-        is_cocycle = is_zero_vector(data.d(ComplexKind.RBA, 3).apply(target.coords()))
+        is_cocycle = data.coboundary(ComplexKind.RBA, target).is_zero()
         return SolveNextOrderResult(n, None, None, Obstruction(residual, is_cocycle))
     pair = RBACochain.from_coords(2, dim, dim, x)
     mu_n = bilinear_from_cochain(pair.pla_part)

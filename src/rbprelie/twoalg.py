@@ -28,11 +28,11 @@ term; the crossed module's dα·dβ is ``linalg.int_pullback``.
 Conditions a to e3 and i to iv and the crossed-module conditions run on
 integers: a structure is read once (``TwoAlgebra.integers``), every table
 and matrix in the integer form of ``linalg``, nested ``int`` lists over the
-lcm D of all their denominators; each condition is accumulated with the
-``int_*`` operations of ``linalg`` over one denominator shared by all its
-terms, and each nonzero returned entry is one ``Fraction``.  This is exact
-arithmetic in another order, so every defect equals the one ``Fraction``
-arithmetic gives.
+lcm D of all their denominators; each condition contracts the tables
+directly with ``int_sum`` (x·dα is Σₖ (dα)ₖ·(x·eₖ)) over one denominator
+shared by all its terms, and each nonzero returned entry is one
+``Fraction``.  This is exact arithmetic in another order, so every defect
+equals the one ``Fraction`` arithmetic gives.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
+from itertools import product
 
 from .algebras import (
     Bimodule,
@@ -109,6 +109,12 @@ class TwoAlgebra:
         """The tables and matrices over one common denominator, read once."""
         return _Integers(self)
 
+    @cached_property
+    def levels(self) -> tuple[PreLieAlgebra, Bimodule]:
+        """Level 0 as a pre-Lie algebra and level 1 as its bimodule, built
+        once and checking neither."""
+        return PreLieAlgebra(self.dim0, self.l2_00), bimodule_from_tables(self.l2_01, self.l2_10)
+
     def is_skeletal(self) -> bool:
         return self.d_map.is_zero()
 
@@ -122,35 +128,19 @@ class _Integers:
     """A two-term structure read once for conditions a to e3 and i to iv:
     every table and matrix times the lcm D of all their denominators, as
     nested ``int`` lists (matrices as dense rows, and the columns of d), l₃
-    on every basis triple, and the multiplication matrices (L, R) of every
-    table: column j of L[i] and column i of R[j] hold table[i][j]."""
+    as l3[x][y][z] = l₃(e_x, e_y, e_z), and the action matrices that
+    ``bimodule_core`` reads, S[x]α = l₂(e_x, α) and P[x]α = l₂(α, e_x).  The
+    conditions contract these tables with ``int_sum``."""
 
     def __init__(self, t: TwoAlgebra) -> None:
-        d0, d1 = t.dim0, t.dim1
-        span = range(d0)
+        d1, span = t.dim1, range(t.dim0)
         l3 = [[[t.l3.eval_basis((x, y), z) for z in span] for y in span] for x in span]
         tensors = (t.l2_00, t.l2_01, t.l2_10, t.t2, *l3, t.d_map, t.t0, t.t1)
         self.den, ints = integer_form(tensors)
-        self.l00, self.l01, self.l10, self.t2, *l3, self.d, self.t0, self.t1 = ints
+        self.l00, self.l01, self.l10, self.t2, *self.l3, self.d, self.t0, self.t1 = ints
         self.d_cols = int_transpose(self.d, d1)
-        # (x, y, z) ↦ l₃(e_x, e_y, e_z), and the matrices of z ↦ l₃(x, y, z), z ↦ l₃(z, x, y)
-        self.l3 = dict(zip(product(span, repeat=3), chain.from_iterable(chain(*l3))))
-        pairs = list(product(span, repeat=2))
-        self.l3_last = {
-            (x, y): int_transpose([self.l3[x, y, z] for z in span], d1) for x, y in pairs
-        }
-        self.l3_first = {
-            (x, y): int_transpose([self.l3[z, x, y] for z in span], d1) for x, y in pairs
-        }
-        self.lr00, self.lr01, self.lr10, self.lr_t2 = (
-            (
-                [int_transpose(row, dim_out) for row in table],
-                [int_transpose(col, dim_out) for col in int_transpose(table, dim_right)],
-            )
-            for table, dim_right, dim_out in (
-                (self.l00, d0, d0), (self.l01, d1, d1), (self.l10, d0, d1), (self.t2, d0, d1)
-            )
-        )
+        self.S = [int_transpose(row, d1) for row in self.l01]
+        self.P = [int_transpose([row[x] for row in self.l10], d1) for x in span]
 
 
 def check_prelie_2alg(t: TwoAlgebra) -> Verdict:
@@ -165,38 +155,37 @@ def _prelie_2alg_defects(t: TwoAlgebra) -> Defects:
     over D².  f is δ₃l₃ in the pre-Lie complex of level 0 with coefficients
     in level 1, which reads no operator and no weight."""
     n = t.integers
-    span0, span1, den = range(t.dim0), range(t.dim1), n.den * n.den
-    (l00_left, l00_right), (l01_left, l01_right), (l10_left, l10_right) = n.lr00, n.lr01, n.lr10
-    d, d_cols, l00, l01, l10 = n.d, n.d_cols, n.l00, n.l01, n.l10
-    for x in span0:
-        for a in span1:
-            da = d_cols[a]
-            terms = int_matvec(d, l01[x][a]), int_matvec(l00_left[x], da)
+    span0, den = range(t.dim0), n.den * n.den
+    d, d_cols, l00, l01, l10, l3 = n.d, n.d_cols, n.l00, n.l01, n.l10, n.l3
+    for x, by_right in enumerate(int_transpose(l00, t.dim0)):  # by_right[k] = eₖ·eₓ
+        for a, da in enumerate(d_cols):
+            terms = int_matvec(d, l01[x][a]), int_sum(da, l00[x], t.dim0)
             yield "a", (x, a), fractions_over(int_sum((1, -1), terms, t.dim0), den)
-            terms = int_matvec(d, l10[a][x]), int_matvec(l00_right[x], da)
+            terms = int_matvec(d, l10[a][x]), int_sum(da, by_right, t.dim0)
             yield "b", (a, x), fractions_over(int_sum((1, -1), terms, t.dim0), den)
-    for a in span1:
-        for b in span1:
-            terms = int_matvec(l01_right[b], d_cols[a]), int_matvec(l10_left[a], d_cols[b])
+    acting = int_transpose(l01, t.dim1)  # acting[b][x] = l₂(eₓ, β)
+    for a, da in enumerate(d_cols):
+        for b, db in enumerate(d_cols):
+            terms = int_sum(da, acting[b], t.dim1), int_sum(db, l10[a], t.dim1)
             yield "c", (a, b), fractions_over(int_sum((1, -1), terms, t.dim1), den)
     pre_lie = pre_lie_core([l00], 0)  # over D²
-    actions = bimodule_core(l00, l01_left, l10_right, n.den, n.den)  # over D³
+    actions = bimodule_core(l00, n.S, n.P, n.den, n.den)  # over D³
     for x in span0:
         for y in span0:
             for z in span0:
                 # d l₃(x, y, z) + pre_lie(x, y, z)
-                e1 = [u + v for u, v in zip(int_matvec(d, n.l3[x, y, z]), pre_lie[x, y, z])]
+                e1 = [u + v for u, v in zip(int_matvec(d, l3[x][y][z]), pre_lie[x, y, z])]
                 yield "e1", (x, y, z), fractions_over(e1, den)
+            first = [l3[z][x][y] for z in span0]
             for a, da in enumerate(d_cols):
                 left, mixed = actions[x, y, a]
                 # l₃(x, y, dα) − left_action(x, y, α)
-                e2 = [n.den * u - v for u, v in zip(int_matvec(n.l3_last[x, y], da), left)]
+                e2 = [n.den * u - v for u, v in zip(int_sum(da, l3[x][y], t.dim1), left)]
                 # l₃(dα, x, y) + mixed_action(x, y, α)
-                e3 = [n.den * u + v for u, v in zip(int_matvec(n.l3_first[x, y], da), mixed)]
+                e3 = [n.den * u + v for u, v in zip(int_sum(da, first, t.dim1), mixed)]
                 yield "e2", (x, y, a), fractions_over(e2, n.den * den)
                 yield "e3", (a, x, y), fractions_over(e3, n.den * den)
-    algebra, bimodule = PreLieAlgebra(t.dim0, t.l2_00), bimodule_from_tables(t.l2_01, t.l2_10)
-    delta = pla_differential(algebra, bimodule, t.l3)  # δ₃l₃
+    delta = pla_differential(*t.levels, t.l3)  # δ₃l₃
     for w, x, y, z in product(span0, repeat=4):
         yield "f", (w, x, y, z), delta.eval_basis((w, x, y), z)
 
@@ -215,7 +204,6 @@ def _rb_2alg_defects(t: TwoAlgebra, lam: Fraction) -> Defects:
     n = t.integers
     p, q, den = lam.numerator, lam.denominator, n.den
     span0 = range(t.dim0)
-    t2_left, t2_right = n.lr_t2
     d, t0, t1, d_cols = n.d, n.t0, n.t1, n.d_cols
     comm = int_matrix_sum(
         (1, -1), (int_matmul(t0, d, t.dim1), int_matmul(d, t1, t.dim1)), t.dim0, t.dim1
@@ -232,13 +220,14 @@ def _rb_2alg_defects(t: TwoAlgebra, lam: Fraction) -> Defects:
             # −rota_baxter(x, y) − d T₂(x, y)
             terms = zip(rota_baxter[x, y], int_matvec(d, n.t2[x][y]))
             yield "ii", (x, y), fractions_over([-u - scale * v for u, v in terms], q * den**3)
+    t2_right = int_transpose(n.t2, t.dim0)  # t2_right[x][k] = T₂(eₖ, eₓ)
     for a, da in enumerate(d_cols):
         for x in span0:
             # −rb_right(α, x) − T₂(dα, x)
-            terms = zip(rb_right[a, x], int_matvec(t2_right[x], da))
+            terms = zip(rb_right[a, x], int_sum(da, t2_right[x], t.dim1))
             yield "iii", (a, x), fractions_over([-u - scale * v for u, v in terms], q * den**3)
             # −rb_left(x, α) − T₂(x, dα)
-            terms = zip(rb_left[x, a], int_matvec(t2_left[x], da))
+            terms = zip(rb_left[x, a], int_sum(da, n.t2[x], t.dim1))
             yield "iv", (x, a), fractions_over([-u - scale * v for u, v in terms], q * den**3)
     r, m = _levels(t, lam)
     theta = cochain_from_bilinear(t.t2, t.dim1)
@@ -248,10 +237,10 @@ def _rb_2alg_defects(t: TwoAlgebra, lam: Fraction) -> Defects:
 
 
 def _levels(t: TwoAlgebra, lam: Fraction) -> tuple[RBPreLieAlgebra, RBBimodule]:
-    """Level 0 as a Rota-Baxter pre-Lie algebra of weight λ and level 1 as its
-    Rota-Baxter bimodule, checking neither."""
-    r = RBPreLieAlgebra(PreLieAlgebra(t.dim0, t.l2_00), lam, t.t0)
-    return r, RBBimodule(bimodule_from_tables(t.l2_01, t.l2_10), t.t1)
+    """:attr:`TwoAlgebra.levels` with T₀ and weight λ on level 0 and T₁ on
+    level 1, checking neither."""
+    algebra, bimodule = t.levels
+    return RBPreLieAlgebra(algebra, lam, t.t0), RBBimodule(bimodule, t.t1)
 
 
 def _require_two_term(t: TwoAlgebra, lam: Fraction) -> None:

@@ -45,13 +45,14 @@ from rbprelie.deformations import (
     trivial_deformation,
     trivialize,
 )
-from rbprelie.files import cochain_document, dump_document, parse_algebra_file
+from rbprelie.files import cochain_document, dump_document, parse_algebra_file, twoalg_document
 from rbprelie.generators import (
     coadjoint_module,
     conjugate_bimodule,
     conjugate_rb,
     invert,
     random_cochain,
+    random_crossed_module,
     random_gauge,
     random_invertible,
     random_rb_pre_lie,
@@ -66,6 +67,7 @@ from rbprelie.linalg import (
     unit_vector,
     zero_vector,
 )
+from rbprelie.twoalg import crossed_to_strict
 
 from conftest import make_a0, make_a1, make_a1n, make_affine, make_noncommuting_module
 from oracles import (
@@ -742,6 +744,48 @@ def test_degree_one_operator_block_is_zero():
         assert d1.cols == first + m.mod_dim
         for j in range(first, d1.cols):
             assert d1.col(j) == zero_vector(d1.rows)
+
+
+def test_coboundary_of_a_zero_cochain_builds_no_matrix(built_blocks):
+    r, m = random_valid_pair(random.Random(26), 2)
+    data, d, md = ComplexData(r, m), r.dim, m.mod_dim
+    zeros = {
+        ComplexKind.PLA: Cochain.zero(2, d, md),
+        ComplexKind.RBO: Cochain.zero(1, d, md),
+        ComplexKind.RBA: RBACochain(Cochain.zero(2, d, md), Cochain.zero(1, d, md)),
+    }
+    images = {kind: data.coboundary(kind, c) for kind, c in zeros.items()}
+    assert not built_blocks
+    for kind, c in zeros.items():
+        coords = data.d(kind, c.degree).apply(c.coords())
+        assert images[kind] == type(c).from_coords(c.degree + 1, d, md, coords)
+        assert images[kind].is_zero()
+    # a zero cochain of the wrong base or module dimension is refused as any other
+    for base, mod in ((d + 1, md), (d, md + 1)):
+        for degree in (0, 2):
+            with pytest.raises(ValueError):
+                data.coboundary(ComplexKind.PLA, Cochain.zero(degree, base, mod))
+        with pytest.raises(ValueError):
+            data.coboundary(
+                ComplexKind.RBA, RBACochain(Cochain.zero(2, base, mod), Cochain.zero(1, base, mod))
+            )
+
+
+def test_strict_twoalg_requests_assemble_no_block(built_blocks, tmp_path):
+    from rbprelie.cli import run_command
+
+    # l₃ = 0 and T₂ = 0, so both top coherences are images of zero cochains
+    rng = random.Random(27)
+    for n in range(4):
+        cm = random_crossed_module(rng, rng.randint(1, 3))
+        two = tmp_path / f"two{n}.yaml"
+        doc = twoalg_document(crossed_to_strict(cm, trusted=True), cm.g0.weight)
+        two.write_text(dump_document(doc))
+        for action in ("check", "to-crossed"):
+            built_blocks.clear()
+            report, code = run_command(["twoalg", action, str(two)])
+            assert code == 0, (action, report)
+            assert not built_blocks, (action, built_blocks)
 
 
 def test_cohomology_all_assembles_each_block_once(built_blocks, tmp_path):

@@ -77,8 +77,11 @@ A table is moved along matrices in one place: ``generators.conjugate_algebra``,
 off a section as the change of basis to Q = [s | ι]) call
 ``algebras.transport_table``.  Outside ``algebras`` no package module calls
 ``.product`` or builds the (L, R) of a table (``multiplication_matrices``),
-and no package function is named ``lr01`` or ``lr10``: the mixed actions of
-a two-term structure are ``algebras.bimodule_from_tables`` of its tables.
+and no package function or assigned attribute is named ``lr00``, ``lr01``,
+``lr10``, ``lr_t2``, ``l3_last`` or ``l3_first``: the mixed actions of a
+two-term structure are ``algebras.bimodule_from_tables`` of its tables, and
+its two-term checks contract the integer tables with ``int_sum``, keeping
+no multiplication-matrix or transposed-l₃ view of them.
 
 The LES walk runs on ``int`` vectors and eliminates each dₙ once:
 ``les_check`` (nested functions included) calls none of ``rank``,
@@ -98,6 +101,11 @@ Every reduced echelon form comes from one step, ``IntegerEchelon.reduced``:
 re-adds echelon rows in reverse order (calls both ``reversed`` and
 ``.add``) or reads a row at its last nonzero (``row[max(row)]``), the
 column-order kernel reader it replaced.
+
+Each dₙ is applied to a cochain one way: outside ``complexes`` no package
+module calls ``ComplexData.d`` (any ``.d(...)`` call); callers apply dₙ
+through ``ComplexData.coboundary``, which builds no matrix for the zero
+cochain.
 
 Each request eliminates each dₙ once: ``complexes`` imports none of
 ``rank``, ``kernel_basis``, ``column_space`` or ``solve_linear``, and no
@@ -457,6 +465,20 @@ def test_complex_data_reads_the_one_elimination():
     assert not found, f"complexes.py: {found}"
 
 
+@pytest.mark.parametrize(
+    "path", [path for path in SOURCES if path.name != "complexes.py"], ids=lambda path: path.name
+)
+def test_coboundaries_are_applied_by_coboundary(path):
+    found = [
+        f"line {call.lineno} calls {_callee(call)}"
+        for call in ast.walk(MODULES[path.stem])
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "d"
+    ]
+    assert not found, f"{path.name}: {found}"
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_package_does_not_import_the_tests(path):
     test_modules = {"tests", "oracles", "conftest"}
@@ -707,7 +729,7 @@ def test_tables_are_moved_by_transport_table():
     assert not found, found
 
 
-FORMER_TABLE_VIEWS = {"lr01", "lr10"}
+FORMER_TABLE_VIEWS = {"lr00", "lr01", "lr10", "lr_t2", "l3_last", "l3_first"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
@@ -717,6 +739,12 @@ def test_only_algebras_multiplies_through_matrices(path):
         f"line {node.lineno} defines {node.name}"
         for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef) and node.name in FORMER_TABLE_VIEWS
+    ] + [
+        f"line {node.lineno} assigns {node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and node.attr in FORMER_TABLE_VIEWS
     ]
     if path.name != "algebras.py":
         found += [

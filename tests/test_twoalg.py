@@ -13,6 +13,7 @@ from rbprelie.algebras import (
     RBBimodule,
     RBPreLieAlgebra,
     bimodule_defects,
+    bimodule_from_tables,
     rb_bimodule_defects,
     require_valid,
     zero_table,
@@ -30,6 +31,7 @@ from rbprelie.twoalg import (
     CrossedModule,
     TwoAlgebra,
     _crossed_module_defects,
+    _levels,
     _prelie_2alg_defects,
     _rb_2alg_defects,
     check_crossed_module,
@@ -343,6 +345,31 @@ def test_strict_crossed_round_trips():
         assert check_prelie_2alg(t).ok and check_rb_2alg(t, cm.g0.weight).ok
         assert strict_to_crossed(t, cm.g0.weight) == cm
         assert crossed_to_strict(strict_to_crossed(t, cm.g0.weight)) == t
+
+
+def test_each_structure_builds_its_levels_once(monkeypatch):
+    from rbprelie import twoalg
+
+    calls = []
+
+    def counting(left, right):
+        calls.append(len(left))
+        return bimodule_from_tables(left, right)
+
+    monkeypatch.setattr(twoalg, "bimodule_from_tables", counting)
+    rng = random.Random(11)
+    for _ in range(4):
+        cm = random_crossed_module(rng, rng.randint(1, 3))
+        t = crossed_to_strict(cm)
+        calls.clear()
+        assert strict_to_crossed(t, cm.g0.weight) == cm
+        assert calls == [cm.dim0]  # the gate's two streams and the output share one
+        assert t.levels is t.levels and _levels(t, cm.g0.weight)[1].bimodule is t.levels[1]
+    r, m = random_valid_pair(rng, 2)
+    t = cocycle_to_skeletal(r, m, random_rba_cocycle(rng, r, m, 3))
+    calls.clear()
+    assert skeletal_to_cocycle(t, r.weight)[:2] == (r, m)
+    assert calls == [r.dim]
 
 
 def test_identity_connecting_map_fixture():
