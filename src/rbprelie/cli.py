@@ -150,9 +150,9 @@ def _cmd_check(args) -> tuple[dict, bool]:
     return fields, all(verdicts.values())
 
 
-def _require_dims(cochain, r, m) -> None:
+def _require_dims(cochain, r, m, path: str) -> None:
     if cochain.base_dim != r.dim or cochain.mod_dim != m.mod_dim:
-        raise ParseError("cochain dimensions do not match (algebra, module)")
+        raise ParseError("cochain dimensions do not match (algebra, module)", path)
 
 
 def _cmd_cohomology(args) -> tuple[dict, bool]:
@@ -185,7 +185,7 @@ def _cmd_cocycle(args) -> tuple[dict, bool]:
     r, module, _ = _algebra_and_module(args.file, args.module)
     m = require_valid(r, module)
     which, cochain = _parse(parse_cochain_file, args.cochain)
-    _require_dims(cochain, r, m)
+    _require_dims(cochain, r, m, args.cochain)
     closed = ComplexData(r, m).coboundary(ComplexKind(which), cochain).is_zero()
     fields = {
         "complex": which,
@@ -201,7 +201,7 @@ def _cmd_extend(args) -> tuple[dict, bool]:
     with _reading(args.pair):
         pair = parse_pair_document(_load_yaml(args.pair))
     if (pair.base_dim, pair.mod_dim) != (r.dim, m.mod_dim):
-        raise ParseError("pair dimensions do not match (algebra, module)")
+        raise ParseError("pair dimensions do not match (algebra, module)", args.pair)
     built = build_extension(r, m, pair, trusted=True)
     agree = built.axioms_ok == built.cocycle_ok
     fields = {
@@ -297,7 +297,7 @@ def _twoalg_from_cocycle(args) -> tuple[dict, bool]:
     which, cochain = _parse(parse_cochain_file, args.cochain)
     if which != "rba" or not isinstance(cochain, RBACochain) or cochain.degree != 3:
         raise ParseError("expected a degree-3 cochain in the combined complex", args.cochain)
-    _require_dims(cochain, r, m)
+    _require_dims(cochain, r, m, args.cochain)
     try:
         t = cocycle_to_skeletal(r, m, cochain)
     except InvalidStructureError:  # not a cocycle

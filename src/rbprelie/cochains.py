@@ -76,7 +76,7 @@ class Cochain:
                 raise ValueError(f"key {key} is not strictly increasing in its skew block")
             if any(not (0 <= i < self.base_dim) for i in key):
                 raise ValueError(f"key {key} out of range")
-            val = tuple(Fraction(x) for x in val)
+            val = tuple(x if type(x) is Fraction else Fraction(x) for x in val)
             if len(val) != self.mod_dim:
                 raise ValueError("value has wrong module dimension")
             if not is_zero_vector(val):
@@ -174,7 +174,7 @@ class Cochain:
         vals = {}
         pos = 0
         for key in basis_keys(degree, base_dim):
-            vals[key] = tuple(Fraction(x) for x in coords[pos : pos + mod_dim])
+            vals[key] = coords[pos : pos + mod_dim]
             pos += mod_dim
         return Cochain(degree, base_dim, mod_dim, vals)
 
@@ -193,11 +193,7 @@ def matrix_from_cochain(f: Cochain) -> RationalMatrix:
 def cochain_from_bilinear(table: Sequence[Sequence[Sequence]], mod_dim: int) -> Cochain:
     """Degree-2 cochain from a d×d table of module vectors."""
     d = len(table)
-    vals = {}
-    for i in range(d):
-        for j in range(d):
-            vals[(i, j)] = tuple(Fraction(x) for x in table[i][j])
-    return Cochain(2, d, mod_dim, vals)
+    return Cochain(2, d, mod_dim, {(i, j): table[i][j] for i in range(d) for j in range(d)})
 
 
 def bilinear_from_cochain(f: Cochain) -> tuple[tuple[Vector, ...], ...]:

@@ -215,6 +215,8 @@ def phi(r: RBPreLieAlgebra, m: RBBimodule, f: Cochain) -> Cochain:
     the identity at p and T + λ·id after it (the sum over insertion
     patterns ε ≠ 1 of λ^{n−1−|ε|}·T_M∘f∘T^ε); the identity in degree 0.  No
     matrix is built for the zero cochain, whose image is zero."""
+    if (f.base_dim, f.mod_dim) != (r.dim, m.mod_dim):
+        raise ValueError("cochain dimensions do not match the algebra/module")
     if f.is_zero():
         return Cochain.zero(f.degree, r.dim, m.mod_dim)
     image = phi_matrix(r, m, f.degree).apply(f.coords())

@@ -59,7 +59,6 @@ from .linalg import (
     int_matvec,
     int_pullback,
     integer_form,
-    is_zero_vector,
 )
 
 
@@ -69,10 +68,6 @@ class DeformationError(InvalidStructureError):
     def __init__(self, message: str, violations: tuple[Violation, ...] = ()):
         super().__init__(message)
         self.violations = violations
-
-
-def _table_is_zero(table: ProductTable) -> bool:
-    return all(is_zero_vector(v) for row in table for v in row)
 
 
 @dataclass(frozen=True)
@@ -210,21 +205,6 @@ def series_inverse(maps: Sequence[RationalMatrix], order: int) -> list[RationalM
     return eta
 
 
-def series_compose(first: GaugeSeries, second: GaugeSeries, order: int) -> GaugeSeries:
-    """Coefficients of the composite series t ↦ first_t ∘ second_t."""
-    dim = first.maps[0].rows
-    out = []
-    for n in range(order + 1):
-        acc = RationalMatrix.zeros(dim, dim)
-        for i in range(n + 1):
-            a = first.maps[i] if i < len(first.maps) else None
-            b = second.maps[n - i] if n - i < len(second.maps) else None
-            if a is not None and b is not None:
-                acc = acc.add(a.matmul(b))
-        out.append(acc)
-    return GaugeSeries(tuple(out))
-
-
 def gauge_transform(
     r: RBPreLieAlgebra, d: TruncatedDeformation, psi: GaugeSeries
 ) -> TruncatedDeformation:
@@ -342,8 +322,10 @@ def trivialize(r: RBPreLieAlgebra, d: TruncatedDeformation) -> TrivializeResult:
 
     At order k the pair (μ_k, T_k) of the current deformation is a
     degree-2 cocycle; we solve the degree-1 coboundary equation for a
-    correction and gauge by (Id − ψ_k t^k).  Returns the composed gauge
-    series, or the residue class of the first order that cannot be killed.
+    correction ψ_k and gauge by (Id − ψ_k t^k).  The running gauge is
+    composed in place: coefficient n ≥ k loses the one product
+    total_{n−k}∘ψ_k.  Returns it, or the residue class of the first order
+    that cannot be killed.
     """
     verdict = check_deformation(r, d)
     if not verdict.ok:
@@ -354,26 +336,23 @@ def trivialize(r: RBPreLieAlgebra, d: TruncatedDeformation) -> TrivializeResult:
     data = ComplexData(r, regular_bimodule(r))
     n_max = d.order
     current = d
-    total = identity_gauge(dim, n_max)
+    total = list(identity_gauge(dim, n_max).maps)
     for k in range(1, n_max + 1):
         mu_k, t_k = current.products[k], current.operators[k]
-        if _table_is_zero(mu_k) and t_k.is_zero():
-            continue
         target = RBACochain(cochain_from_bilinear(mu_k, dim), cochain_from_matrix(t_k))
+        if target.is_zero():
+            continue
         y, residual = data.solve(ComplexKind.RBA, 1, target.coords())
         if y is None:
             return TrivializeResult(None, k, Obstruction(residual))
         correction = RBACochain.from_coords(1, dim, dim, y)
         psi_k = matrix_from_cochain(correction.pla_part)
-        step_maps = [RationalMatrix.identity(dim)]
-        for pos in range(1, n_max + 1):
-            step_maps.append(
-                -psi_k if pos == k else RationalMatrix.zeros(dim, dim)
-            )
-        step = GaugeSeries(tuple(step_maps))
+        step = GaugeSeries((RationalMatrix.identity(dim),) + tuple(
+            -psi_k if n == k else RationalMatrix.zeros(dim, dim) for n in range(1, n_max + 1)
+        ))
         current = gauge_transform(r, current, step)
-        total = series_compose(total, step, n_max)
-    return TrivializeResult(total)
+        total[k:] = [total[n].sub(total[n - k].matmul(psi_k)) for n in range(k, n_max + 1)]
+    return TrivializeResult(GaugeSeries(tuple(total)))
 
 
 def rbo_cocycle_check(r: RBPreLieAlgebra, t1: RationalMatrix) -> Verdict:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from rbprelie import rba_differential
+from rbprelie import rba_differential, regular_bimodule
 from rbprelie.cli import main, run_command
 from rbprelie.cochains import Cochain, RBACochain
 from rbprelie.algebras import zero_table
@@ -468,7 +468,62 @@ def test_from_cocycle_dimension_mismatch_is_parse_error(tmp_path, capsys):
     coc = tmp_path / "c3.yaml"
     coc.write_text(dump_document(cochain_document("rba", zero)))
     assert main(["twoalg", "from-cocycle", str(alg), str(coc)]) == 2
-    assert "cochain dimensions do not match" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"parse error: {coc}: cochain dimensions do not match (algebra, module)\n"
+    )
+
+
+def _mismatch_files(tmp_path):
+    """A dimension-1 algebra file, a dimension-2 one with its regular module,
+    and zero rba pairs of degree 2: one of dimension 2, one of dimension 1."""
+    small, large = tmp_path / "a0.yaml", tmp_path / "a1n.yaml"
+    small.write_text(dump_document(algebra_document(make_a0())))
+    a1n = make_a1n()
+    large.write_text(dump_document(algebra_document(a1n, regular_bimodule(a1n))))
+    wide, low = tmp_path / "wide.yaml", tmp_path / "low.yaml"
+    wide.write_text(dump_document(cochain_document(
+        "rba", RBACochain(Cochain.zero(2, 2, 2), Cochain.zero(1, 2, 2))
+    )))
+    low.write_text(dump_document(cochain_document(
+        "rba", RBACochain(Cochain.zero(2, 1, 1), Cochain.zero(1, 1, 1))
+    )))
+    return {"small": small, "large": large, "wide": wide, "low": low}
+
+
+@pytest.mark.parametrize(
+    "argv, named, message",
+    [
+        (["cohomology", "{small}", "--module", "{large}"], "large",
+         "module file does not match the algebra dimension"),
+        (["extend", "{small}", "{wide}"], "wide", "pair dimensions do not match (algebra, module)"),
+        (["cocycle", "{small}", "{wide}"], "wide",
+         "cochain dimensions do not match (algebra, module)"),
+        (["twoalg", "from-cocycle", "{small}", "{low}"], "low",
+         "expected a degree-3 cochain in the combined complex"),
+    ],
+    ids=["cohomology-module", "extend-pair", "cocycle-cochain", "from-cocycle-degree-2"],
+)
+def test_mismatched_input_is_parse_error_naming_the_file(tmp_path, capsys, argv, named, message):
+    files = _mismatch_files(tmp_path)
+    assert main([a.format(**files) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"parse error: {files[named]}: {message}\n"
+
+
+def test_from_cocycle_of_a_noncocycle_is_violation(tmp_path, capsys):
+    rng = random.Random(12)
+    r, m = random_valid_pair(rng, 2)
+    c = random_rba_cochain(rng, 3, r.dim, m.mod_dim)
+    assert not rba_differential(r, m, c).is_zero()
+    alg, coc = tmp_path / "alg.yaml", tmp_path / "c3.yaml"
+    alg.write_text(dump_document(algebra_document(r, m)))
+    coc.write_text(dump_document(cochain_document("rba", c)))
+    argv = ["twoalg", "from-cocycle", str(alg), str(coc)]
+    assert main(argv) == 1
+    assert yaml.safe_load(capsys.readouterr().out) == {
+        "command": "twoalg from-cocycle", "verdicts": {"cocycle": "violated"}, "status": "violation"
+    }
 
 
 def test_deform_has_no_module_option(tmp_path):

@@ -249,6 +249,24 @@ def test_phi_a1n_example():
     assert dict(result.values) == {(0, 0): (Fraction(0), Fraction(-1))}
 
 
+def test_phi_refuses_a_cochain_of_other_dimensions():
+    r = make_a1n(1)
+    m = regular_bimodule(r)
+    one = (Fraction(1),)
+    # base 1, module 4: four coordinates in degree 1, as many as the pair's
+    wrong_base = Cochain(1, 1, 4, {(0,): one * 4})
+    assert len(wrong_base.coords()) == len(cochain_from_matrix(RationalMatrix.identity(2)).coords())
+    for f in (
+        wrong_base,
+        Cochain(0, 5, 2, {(): one * 2}),
+        Cochain(1, 2, 3, {(0,): one * 3}),
+        Cochain.zero(2, 2, 3),
+        Cochain.zero(0, 5, 2),
+    ):
+        with pytest.raises(ValueError, match="cochain dimensions do not match"):
+            phi(r, m, f)
+
+
 def test_rba_differential_degree0_examples():
     a0 = make_a0()
     m = regular_bimodule(a0)

@@ -23,6 +23,8 @@ from rbprelie.files import parse_algebra_file
 from rbprelie.generators import (
     random_cochain,
     random_crossed_module,
+    random_rb_pre_lie,
+    random_rba_cochain,
     random_rba_cocycle,
     random_valid_pair,
 )
@@ -227,6 +229,30 @@ def test_cocycle_to_skeletal_rejects_noncocycles():
                 cocycle_to_skeletal(r, m, c)
             return
     pytest.skip("all random candidates were cocycles")
+
+
+def test_cocycle_to_skeletal_names_the_failing_components():
+    # δ₃ lands in a nonzero space from dimension 3 on; with T = T_M = 0, Φ
+    # vanishes, so (f, 0) fails in the product component only
+    rng = random.Random(13)
+    base = random_rb_pre_lie(rng, 3)
+    r = RBPreLieAlgebra(base.algebra, base.weight, RationalMatrix.zeros(3, 3))
+    m = regular_bimodule(r)
+    only_product = RBACochain(random_cochain(rng, 3, 3, 3), Cochain.zero(2, 3, 3))
+    defect = rba_differential(r, m, only_product)
+    assert not defect.pla_part.is_zero() and defect.rbo_part.is_zero()
+    r2, m2 = random_valid_pair(rng, 3)
+    both = random_rba_cochain(rng, 3, r2.dim, m2.mod_dim)
+    defect = rba_differential(r2, m2, both)
+    assert not defect.pla_part.is_zero() and not defect.rbo_part.is_zero()
+    prefix = "input is not a cocycle; nonzero coboundary in: "
+    for (ring, module, c), parts in (
+        ((r, m, only_product), "product component"),
+        ((r2, m2, both), "product component, operator component"),
+    ):
+        with pytest.raises(InvalidStructureError) as exc:
+            cocycle_to_skeletal(ring, module, c)
+        assert str(exc.value) == prefix + parts
 
 
 def test_skeletal_equivalence_both_directions():
